@@ -1,7 +1,7 @@
-//! Speculation audit & regression analysis over typed traces.
+//! Speculation audit & regression analysis.
 //!
 //! PR 3's observability layer records *what happened*; this module
-//! interprets it. From per-request [`Trace`]s it derives the audit the
+//! interprets it. From each request's lifecycle it derives the audit the
 //! paper's evaluation is built on:
 //!
 //! * **Critical-path decomposition** — every microsecond between trigger
@@ -20,6 +20,15 @@
 //!   sandbox-ready-time minus invoke-time: positive is *lateness* the
 //!   request waited out, negative is *slack* the platform paid for early.
 //!
+//! There is one auditor. One per-request fold turns a request's
+//! lifecycle steps into its [`RequestAudit`]: [`RequestAudit::from_trace`]
+//! feeds it a recorded [`Trace`], the [`stream`](crate::stream) tier feeds
+//! it bus events. [`Tally`] then aggregates finished requests for both
+//! the exact [`Audit`] and the bounded-memory
+//! [`StreamingAudit`](crate::stream::StreamingAudit), which differ only in
+//! where latency samples go (exact values or fixed-bucket histograms) and
+//! in how they sum wasted CPU (per-request `f64` ms or integer µs).
+//!
 //! [`diff_audits`] / [`diff_metrics`] compare two snapshots under
 //! [`DiffThresholds`] and return the list of [`Regression`]s — the
 //! machine-checkable gate behind `xanadu diff` and CI.
@@ -34,6 +43,7 @@ use crate::timeline::{Trace, TraceEventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use xanadu_simcore::SimTime;
 
 /// Order statistics of a latency sample set, in milliseconds.
 ///
@@ -126,100 +136,191 @@ pub struct RequestAudit {
     pub jit: Vec<JitSample>,
 }
 
-impl RequestAudit {
-    /// Builds the audit of one request from its trace, or `None` for an
-    /// empty trace.
-    pub fn from_trace(request: u64, trace: &Trace) -> Option<RequestAudit> {
-        let events = trace.events();
-        let t0 = events.first()?.at.as_micros();
-        let tn = events.last().map(|e| e.at.as_micros()).unwrap_or(t0);
+/// One lifecycle step of a request as the audit fold reads it: the
+/// borrowed, common view of a recorded [`TraceEventKind`] and of a
+/// request-scoped [`BusEvent`](crate::events::BusEvent). Function names
+/// come first. `Triggered`, `Planned`, `Retried` and `Completed` matter
+/// only to a recorded timeline; the fold reads the rest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Step<'a> {
+    Triggered,
+    Planned(u64),
+    /// A deployment started: on demand or not, ready at the given µs.
+    Deployed(&'a str, bool, u64),
+    Invoked(&'a str),
+    /// `true` when the sandbox was warm.
+    ExecStarted(&'a str, bool),
+    ExecEnded(&'a str),
+    /// Ends the execution; carries the fault attempt.
+    TimedOut(&'a str, u64),
+    Retried(&'a str, u64),
+    Missed(&'a str),
+    Completed,
+}
 
-        struct Deploy {
-            function: String,
-            start_us: u64,
-            ready_us: u64,
-            on_demand: bool,
-            used: bool,
+impl<'a> Step<'a> {
+    /// The step a recorded trace event stands for, or `None` for events
+    /// the audit does not read.
+    fn from_trace(kind: &'a TraceEventKind) -> Option<Step<'a>> {
+        Some(match kind {
+            TraceEventKind::DeployStarted {
+                function,
+                on_demand,
+                ready_at,
+            } => Step::Deployed(function, *on_demand, ready_at.as_micros()),
+            TraceEventKind::Invoked { function } => Step::Invoked(function),
+            TraceEventKind::ExecStarted { function, warm } => Step::ExecStarted(function, *warm),
+            TraceEventKind::ExecEnded { function } => Step::ExecEnded(function),
+            TraceEventKind::TimedOut { function, attempt } => Step::TimedOut(function, *attempt),
+            TraceEventKind::PredictionMiss { function } => Step::Missed(function),
+            _ => return None,
+        })
+    }
+
+    /// The trace event recording this step (the streaming tier's exemplar
+    /// timelines).
+    pub(crate) fn to_trace(self) -> TraceEventKind {
+        use TraceEventKind as K;
+        match self {
+            Step::Triggered => K::Triggered,
+            Step::Planned(planned) => K::PlanComputed { planned },
+            Step::Deployed(f, on_demand, ready_us) => K::DeployStarted {
+                function: f.into(),
+                on_demand,
+                ready_at: SimTime::from_micros(ready_us),
+            },
+            Step::Invoked(f) => K::Invoked { function: f.into() },
+            Step::ExecStarted(f, warm) => K::ExecStarted {
+                function: f.into(),
+                warm,
+            },
+            Step::ExecEnded(f) => K::ExecEnded { function: f.into() },
+            Step::TimedOut(f, attempt) => K::TimedOut {
+                function: f.into(),
+                attempt,
+            },
+            Step::Retried(f, attempt) => K::Retried {
+                function: f.into(),
+                attempt,
+            },
+            Step::Missed(f) => K::PredictionMiss { function: f.into() },
+            Step::Completed => K::Completed,
         }
-        let mut deploys: Vec<Deploy> = Vec::new();
-        let mut exec_iv: Vec<(u64, u64)> = Vec::new();
-        let mut cold_iv: Vec<(u64, u64)> = Vec::new();
-        let mut warm_iv: Vec<(u64, u64)> = Vec::new();
-        let mut open_waits: Vec<(String, u64)> = Vec::new();
-        let mut open_execs: Vec<(String, u64)> = Vec::new();
-        let mut predicted: Vec<String> = Vec::new();
-        let mut invoked: Vec<String> = Vec::new();
-        let mut invoke_at: Vec<(String, u64)> = Vec::new();
-        let mut missed: Vec<String> = Vec::new();
+    }
+}
 
-        for e in events {
-            let at = e.at.as_micros();
-            match &e.kind {
-                TraceEventKind::DeployStarted {
-                    function,
+/// One deployment attributed to a request.
+#[derive(Debug, Clone)]
+struct Deploy {
+    function: String,
+    start_us: u64,
+    ready_us: u64,
+    on_demand: bool,
+    used: bool,
+}
+
+/// The per-request audit fold: the one place a request's lifecycle
+/// [`Step`]s become its [`RequestAudit`]. It holds only the open-interval
+/// state of one request, so the streaming tier keeps one per in-flight
+/// request and drops it at completion.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RequestFold {
+    t0_us: u64,
+    deploys: Vec<Deploy>,
+    open_waits: Vec<(String, u64)>,
+    open_execs: Vec<(String, u64)>,
+    exec_iv: Vec<(u64, u64)>,
+    cold_iv: Vec<(u64, u64)>,
+    warm_iv: Vec<(u64, u64)>,
+    predicted: Vec<String>,
+    invoked: Vec<String>,
+    /// First-invocation time of each `invoked` entry, index-aligned.
+    invoked_at: Vec<u64>,
+    missed: Vec<String>,
+}
+
+impl RequestFold {
+    /// An empty fold for a request triggered at `t0_us`.
+    pub(crate) fn new(t0_us: u64) -> Self {
+        RequestFold {
+            t0_us,
+            ..RequestFold::default()
+        }
+    }
+
+    /// Applies one lifecycle step that happened at `at_us`.
+    pub(crate) fn apply(&mut self, at_us: u64, step: Step<'_>) {
+        match step {
+            Step::Deployed(function, on_demand, ready_us) => {
+                if !on_demand && !self.predicted.iter().any(|f| f == function) {
+                    self.predicted.push(function.to_string());
+                }
+                self.deploys.push(Deploy {
+                    function: function.to_string(),
+                    start_us: at_us,
+                    ready_us,
                     on_demand,
-                    ready_at,
-                } => {
-                    if !*on_demand && !predicted.contains(function) {
-                        predicted.push(function.clone());
-                    }
-                    deploys.push(Deploy {
-                        function: function.clone(),
-                        start_us: at,
-                        ready_us: ready_at.as_micros(),
-                        on_demand: *on_demand,
-                        used: false,
-                    });
-                }
-                TraceEventKind::Invoked { function } => {
-                    if !invoked.contains(function) {
-                        invoked.push(function.clone());
-                        invoke_at.push((function.clone(), at));
-                    }
-                    open_waits.push((function.clone(), at));
-                }
-                TraceEventKind::ExecStarted { function, warm } => {
-                    if let Some(d) = deploys
-                        .iter_mut()
-                        .find(|d| d.function == *function && !d.used)
-                    {
-                        d.used = true;
-                    }
-                    if let Some(i) = open_waits.iter().position(|(f, _)| f == function) {
-                        let (_, start) = open_waits.remove(i);
-                        let iv = (start, at);
-                        if *warm {
-                            warm_iv.push(iv);
-                        } else {
-                            cold_iv.push(iv);
-                        }
-                    }
-                    open_execs.push((function.clone(), at));
-                }
-                TraceEventKind::ExecEnded { function }
-                | TraceEventKind::TimedOut { function, .. } => {
-                    if let Some(i) = open_execs.iter().position(|(f, _)| f == function) {
-                        let (_, start) = open_execs.remove(i);
-                        exec_iv.push((start, at));
-                    }
-                }
-                TraceEventKind::PredictionMiss { function } if !missed.contains(function) => {
-                    missed.push(function.clone());
-                }
-                _ => {}
+                    used: false,
+                });
             }
+            Step::Invoked(function) => {
+                if !self.invoked.iter().any(|f| f == function) {
+                    self.invoked.push(function.to_string());
+                    self.invoked_at.push(at_us);
+                }
+                self.open_waits.push((function.to_string(), at_us));
+            }
+            Step::ExecStarted(function, warm) => {
+                if let Some(d) = self
+                    .deploys
+                    .iter_mut()
+                    .find(|d| d.function == function && !d.used)
+                {
+                    d.used = true;
+                }
+                if let Some(i) = self.open_waits.iter().position(|(f, _)| f == function) {
+                    let (_, start) = self.open_waits.remove(i);
+                    let waits = if warm {
+                        &mut self.warm_iv
+                    } else {
+                        &mut self.cold_iv
+                    };
+                    waits.push((start, at_us));
+                }
+                self.open_execs.push((function.to_string(), at_us));
+            }
+            Step::ExecEnded(function) | Step::TimedOut(function, _) => {
+                if let Some(i) = self.open_execs.iter().position(|(f, _)| f == function) {
+                    let (_, start) = self.open_execs.remove(i);
+                    self.exec_iv.push((start, at_us));
+                }
+            }
+            Step::Missed(function) => {
+                if !self.missed.iter().any(|f| f == function) {
+                    self.missed.push(function.to_string());
+                }
+            }
+            Step::Triggered | Step::Planned(_) | Step::Retried(..) | Step::Completed => {}
         }
-        // Intervals still open at trace end run to the end: an unfinished
+    }
+
+    /// Ends the request at `tn` and returns its audit, plus the wasted
+    /// deploy time in integer microseconds (the streaming tier sums that;
+    /// the exact audit sums the per-request `f64` CPU-ms instead).
+    pub(crate) fn finish(mut self, request: u64, tn: u64) -> (RequestAudit, u64) {
+        // Intervals still open at the end run to the end: an unfinished
         // execution counts as exec, an unserved wait as cold-start wait.
-        exec_iv.extend(open_execs.into_iter().map(|(_, s)| (s, tn)));
-        cold_iv.extend(open_waits.into_iter().map(|(_, s)| (s, tn)));
+        let t0 = self.t0_us;
+        let (exec_iv, cold_iv, warm_iv) = (&mut self.exec_iv, &mut self.cold_iv, &self.warm_iv);
+        exec_iv.extend(self.open_execs.iter().map(|&(_, s)| (s, tn)));
+        cold_iv.extend(self.open_waits.iter().map(|&(_, s)| (s, tn)));
 
         // Partition [t0, tn] at every interval endpoint and attribute each
         // segment to exactly one category (exec dominates waits, cold
         // dominates warm). A partition sums to the total by construction —
         // the span-sum invariant is structural, not approximate.
         let mut cuts: Vec<u64> = vec![t0, tn];
-        for &(s, e) in exec_iv.iter().chain(&cold_iv).chain(&warm_iv) {
+        for &(s, e) in exec_iv.iter().chain(cold_iv.iter()).chain(warm_iv) {
             cuts.push(s.clamp(t0, tn));
             cuts.push(e.clamp(t0, tn));
         }
@@ -230,52 +331,73 @@ impl RequestAudit {
         for w in cuts.windows(2) {
             let (a, b) = (w[0], w[1]);
             let len = b - a;
-            if covers(&exec_iv, a, b) {
+            if covers(exec_iv, a, b) {
                 exec_us += len;
-            } else if covers(&cold_iv, a, b) {
+            } else if covers(cold_iv, a, b) {
                 cold_us += len;
-            } else if covers(&warm_iv, a, b) {
+            } else if covers(warm_iv, a, b) {
                 queue_us += len;
             } else {
                 stall_us += len;
             }
         }
 
-        let unused: Vec<&Deploy> = deploys.iter().filter(|d| !d.used && !d.on_demand).collect();
-        let wasted_cpu_ms = unused
-            .iter()
-            .map(|d| (tn - d.start_us) as f64 / 1000.0)
-            .sum();
-        let unused_deploys = unused.len() as u64;
+        // Unused speculative sandboxes are charged from deploy start to
+        // the request's end.
+        let deploys = &self.deploys;
+        let unused = || deploys.iter().filter(|d| !d.used && !d.on_demand);
+        let wasted_us = unused().map(|d| tn - d.start_us).sum();
 
         // Pair each invoked function with its first deployment (replacement
         // provisions after crashes keep their own events but the first
         // schedule is the planner's intent).
-        let mut jit = Vec::new();
-        for (function, inv_us) in &invoke_at {
-            if let Some(d) = deploys.iter().find(|d| d.function == *function) {
-                jit.push(JitSample {
+        let jit = self
+            .invoked
+            .iter()
+            .zip(&self.invoked_at)
+            .filter_map(|(function, &inv_us)| {
+                let d = deploys.iter().find(|d| d.function == *function)?;
+                Some(JitSample {
                     function: function.clone(),
                     on_demand: d.on_demand,
-                    lateness_ms: (d.ready_us as f64 - *inv_us as f64) / 1000.0,
-                });
-            }
-        }
+                    lateness_ms: (d.ready_us as f64 - inv_us as f64) / 1000.0,
+                })
+            })
+            .collect();
 
-        Some(RequestAudit {
+        let audit = RequestAudit {
             request,
             end_to_end_us: tn - t0,
             exec_us,
             cold_start_wait_us: cold_us,
             queue_wait_us: queue_us,
             stall_us,
-            predicted,
-            invoked,
-            missed,
-            unused_deploys,
-            wasted_cpu_ms,
+            predicted: self.predicted,
+            invoked: self.invoked,
+            missed: self.missed,
+            unused_deploys: unused().count() as u64,
+            wasted_cpu_ms: unused().map(|d| (tn - d.start_us) as f64 / 1000.0).sum(),
             jit,
-        })
+        };
+        (audit, wasted_us)
+    }
+}
+
+impl RequestAudit {
+    /// Builds the audit of one request from its recorded trace (the
+    /// request spans its first to its last event), or `None` for an
+    /// empty trace.
+    pub fn from_trace(request: u64, trace: &Trace) -> Option<RequestAudit> {
+        let events = trace.events();
+        let t0 = events.first()?.at.as_micros();
+        let tn = events.last().map_or(t0, |e| e.at.as_micros());
+        let mut fold = RequestFold::new(t0);
+        for e in events {
+            if let Some(step) = Step::from_trace(&e.kind) {
+                fold.apply(e.at.as_micros(), step);
+            }
+        }
+        Some(fold.finish(request, tn).0)
     }
 
     /// The span-sum invariant: the four decomposition components sum to
@@ -293,24 +415,32 @@ impl RequestAudit {
     /// Fraction of speculative pre-deploys that served (1 when none were
     /// made).
     pub fn precision(&self) -> f64 {
-        if self.predicted.is_empty() {
-            return 1.0;
-        }
-        let hits = self
-            .predicted
-            .iter()
-            .filter(|f| self.invoked.contains(f))
-            .count();
-        hits as f64 / self.predicted.len() as f64
+        let hits = self.predicted.iter().filter(|f| self.invoked.contains(f));
+        precision(hits.count() as u64, self.predicted.len() as u64)
     }
 
     /// Fraction of invocations the plan covered (1 when nothing was
     /// invoked).
     pub fn recall(&self) -> f64 {
-        if self.invoked.is_empty() {
-            return 1.0;
-        }
-        1.0 - self.missed.len() as f64 / self.invoked.len() as f64
+        recall(self.missed.len() as u64, self.invoked.len() as u64)
+    }
+}
+
+/// `hits / predicted`, or 1 when nothing was predicted.
+fn precision(hits: u64, predicted: u64) -> f64 {
+    if predicted == 0 {
+        1.0
+    } else {
+        hits as f64 / predicted as f64
+    }
+}
+
+/// `1 − misses / invoked`, or 1 when nothing was invoked.
+pub(crate) fn recall(misses: u64, invoked: u64) -> f64 {
+    if invoked == 0 {
+        1.0
+    } else {
+        1.0 - misses as f64 / invoked as f64
     }
 }
 
@@ -330,20 +460,12 @@ pub struct EdgeStats {
 impl EdgeStats {
     /// hits / predicted (1 when never predicted).
     pub fn precision(&self) -> f64 {
-        if self.predicted == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.predicted as f64
-        }
+        precision(self.hits, self.predicted)
     }
 
     /// (invoked − misses) / invoked (1 when never invoked).
     pub fn recall(&self) -> f64 {
-        if self.invoked == 0 {
-            1.0
-        } else {
-            1.0 - self.misses as f64 / self.invoked as f64
-        }
+        recall(self.misses, self.invoked)
     }
 }
 
@@ -433,78 +555,193 @@ pub struct Audit {
     pub cluster: Option<ClusterReport>,
 }
 
+/// Where [`Tally::add`] sends latency samples, in milliseconds: exact
+/// values for the batch [`Audit`], fixed-bucket histograms for the
+/// streaming audit.
+pub(crate) trait SampleSink {
+    /// A finished request's end-to-end and critical-path latencies.
+    fn request(&mut self, r: &RequestAudit);
+    /// A planned deployment's lateness (`late`) or pre-warm slack.
+    fn jit(&mut self, late: bool, ms: f64);
+}
+
+/// The exact sink: the samples nearest-rank [`LatencyStats`] are built
+/// from. The exact summary has no per-component distributions.
+#[derive(Default)]
+struct ExactSamples {
+    end_to_end: Vec<f64>,
+    late: Vec<f64>,
+    slack: Vec<f64>,
+}
+
+impl SampleSink for ExactSamples {
+    fn request(&mut self, r: &RequestAudit) {
+        self.end_to_end.push(r.end_to_end_ms());
+    }
+
+    fn jit(&mut self, late: bool, ms: f64) {
+        let samples = if late {
+            &mut self.late
+        } else {
+            &mut self.slack
+        };
+        samples.push(ms);
+    }
+}
+
+/// The run-level counters of the audit fold, kept identically by the
+/// exact [`Audit`] and the
+/// [`StreamingAudit`](crate::stream::StreamingAudit).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct Tally {
+    /// Requests folded in.
+    pub requests: u64,
+    /// Total exec microseconds.
+    pub exec_us: u64,
+    /// Total cold-start-wait microseconds.
+    pub cold_us: u64,
+    /// Total warm-queueing microseconds.
+    pub queue_us: u64,
+    /// Total stall microseconds.
+    pub stall_us: u64,
+    /// MLP hit/miss counts (precision and recall stay 0 here; the
+    /// summaries derive them).
+    pub mlp: MlpStats,
+    /// Unused speculative deployments.
+    pub waste_deploys: u64,
+    /// Planned deployments that served an invocation.
+    pub jit_planned: u64,
+    /// Of those, sandboxes ready after their invocation.
+    pub jit_late: u64,
+    /// Sandboxes ready at or before their invocation.
+    pub jit_on_time: u64,
+}
+
+impl Tally {
+    /// Folds one finished request in, sending its latency samples to
+    /// `sink`.
+    pub(crate) fn add(&mut self, r: &RequestAudit, sink: &mut impl SampleSink) {
+        self.requests += 1;
+        self.exec_us += r.exec_us;
+        self.cold_us += r.cold_start_wait_us;
+        self.queue_us += r.queue_wait_us;
+        self.stall_us += r.stall_us;
+        sink.request(r);
+
+        let mlp = &mut self.mlp;
+        for f in &r.predicted {
+            let edge = mlp.per_function.entry(f.clone()).or_default();
+            edge.predicted += 1;
+            mlp.predicted += 1;
+            if r.invoked.contains(f) {
+                edge.hits += 1;
+                mlp.hits += 1;
+            }
+        }
+        for (depth, f) in r.invoked.iter().enumerate() {
+            let edge = mlp.per_function.entry(f.clone()).or_default();
+            edge.invoked += 1;
+            mlp.invoked += 1;
+            if r.missed.contains(f) {
+                edge.misses += 1;
+                mlp.misses += 1;
+                if mlp.miss_depth.len() <= depth {
+                    mlp.miss_depth.resize(depth + 1, 0);
+                }
+                mlp.miss_depth[depth] += 1;
+            }
+        }
+
+        self.waste_deploys += r.unused_deploys;
+
+        for s in r.jit.iter().filter(|s| !s.on_demand) {
+            self.jit_planned += 1;
+            if s.lateness_ms > 0.0 {
+                self.jit_late += 1;
+                sink.jit(true, s.lateness_ms);
+            } else {
+                self.jit_on_time += 1;
+                sink.jit(false, -s.lateness_ms);
+            }
+        }
+    }
+
+    /// Adds another tally's counts (shard and epoch merges).
+    pub(crate) fn merge_from(&mut self, other: &Tally) {
+        self.requests += other.requests;
+        self.exec_us += other.exec_us;
+        self.cold_us += other.cold_us;
+        self.queue_us += other.queue_us;
+        self.stall_us += other.stall_us;
+        for (name, edge) in &other.mlp.per_function {
+            let mine = self.mlp.per_function.entry(name.clone()).or_default();
+            mine.predicted += edge.predicted;
+            mine.hits += edge.hits;
+            mine.invoked += edge.invoked;
+            mine.misses += edge.misses;
+        }
+        self.mlp.predicted += other.mlp.predicted;
+        self.mlp.hits += other.mlp.hits;
+        self.mlp.invoked += other.mlp.invoked;
+        self.mlp.misses += other.mlp.misses;
+        if self.mlp.miss_depth.len() < other.mlp.miss_depth.len() {
+            self.mlp.miss_depth.resize(other.mlp.miss_depth.len(), 0);
+        }
+        for (d, n) in other.mlp.miss_depth.iter().enumerate() {
+            self.mlp.miss_depth[d] += n;
+        }
+        self.waste_deploys += other.waste_deploys;
+        self.jit_planned += other.jit_planned;
+        self.jit_late += other.jit_late;
+        self.jit_on_time += other.jit_on_time;
+    }
+
+    /// The MLP statistics with precision and recall derived.
+    pub(crate) fn mlp(&self) -> MlpStats {
+        let mut mlp = self.mlp.clone();
+        mlp.precision = precision(mlp.hits, mlp.predicted);
+        mlp.recall = recall(mlp.misses, mlp.invoked);
+        mlp
+    }
+
+    /// The critical-path component totals in milliseconds: exec,
+    /// cold-start wait, queue wait, stall.
+    pub(crate) fn component_ms(&self) -> [f64; 4] {
+        [self.exec_us, self.cold_us, self.queue_us, self.stall_us].map(|us| us as f64 / 1000.0)
+    }
+}
+
 impl Audit {
     /// Aggregates per-request audits into a full audit.
     pub fn from_requests(requests: Vec<RequestAudit>) -> Audit {
-        let mut summary = AuditSummary {
-            requests: requests.len() as u64,
-            ..AuditSummary::default()
-        };
-        let (mut exec_us, mut cold_us, mut queue_us, mut stall_us) = (0u64, 0u64, 0u64, 0u64);
-        let mut e2e = Vec::with_capacity(requests.len());
-        let mut late = Vec::new();
-        let mut slack = Vec::new();
+        let mut tally = Tally::default();
+        let mut samples = ExactSamples::default();
+        let mut wasted_cpu_ms = 0.0;
         for r in &requests {
-            e2e.push(r.end_to_end_ms());
-            exec_us += r.exec_us;
-            cold_us += r.cold_start_wait_us;
-            queue_us += r.queue_wait_us;
-            stall_us += r.stall_us;
-
-            for f in &r.predicted {
-                let edge = summary.mlp.per_function.entry(f.clone()).or_default();
-                edge.predicted += 1;
-                summary.mlp.predicted += 1;
-                if r.invoked.contains(f) {
-                    edge.hits += 1;
-                    summary.mlp.hits += 1;
-                }
-            }
-            for (depth, f) in r.invoked.iter().enumerate() {
-                let edge = summary.mlp.per_function.entry(f.clone()).or_default();
-                edge.invoked += 1;
-                summary.mlp.invoked += 1;
-                if r.missed.contains(f) {
-                    edge.misses += 1;
-                    summary.mlp.misses += 1;
-                    if summary.mlp.miss_depth.len() <= depth {
-                        summary.mlp.miss_depth.resize(depth + 1, 0);
-                    }
-                    summary.mlp.miss_depth[depth] += 1;
-                }
-            }
-
-            summary.waste.deploys += r.unused_deploys;
-            summary.waste.cpu_ms += r.wasted_cpu_ms;
-
-            for s in r.jit.iter().filter(|s| !s.on_demand) {
-                summary.jit.planned += 1;
-                if s.lateness_ms > 0.0 {
-                    summary.jit.late += 1;
-                    late.push(s.lateness_ms);
-                } else {
-                    summary.jit.on_time += 1;
-                    slack.push(-s.lateness_ms);
-                }
-            }
+            tally.add(r, &mut samples);
+            wasted_cpu_ms += r.wasted_cpu_ms;
         }
-        summary.end_to_end_ms = LatencyStats::from_samples(e2e);
-        summary.exec_ms = exec_us as f64 / 1000.0;
-        summary.cold_start_wait_ms = cold_us as f64 / 1000.0;
-        summary.queue_wait_ms = queue_us as f64 / 1000.0;
-        summary.stall_ms = stall_us as f64 / 1000.0;
-        summary.mlp.precision = if summary.mlp.predicted == 0 {
-            1.0
-        } else {
-            summary.mlp.hits as f64 / summary.mlp.predicted as f64
+        let [exec_ms, cold_start_wait_ms, queue_wait_ms, stall_ms] = tally.component_ms();
+        let summary = AuditSummary {
+            requests: tally.requests,
+            end_to_end_ms: LatencyStats::from_samples(samples.end_to_end),
+            exec_ms,
+            cold_start_wait_ms,
+            queue_wait_ms,
+            stall_ms,
+            mlp: tally.mlp(),
+            waste: WasteStats {
+                deploys: tally.waste_deploys,
+                cpu_ms: wasted_cpu_ms,
+            },
+            jit: JitStats {
+                planned: tally.jit_planned,
+                late: tally.jit_late,
+                on_time: tally.jit_on_time,
+                late_ms: LatencyStats::from_samples(samples.late),
+                slack_ms: LatencyStats::from_samples(samples.slack),
+            },
         };
-        summary.mlp.recall = if summary.mlp.invoked == 0 {
-            1.0
-        } else {
-            1.0 - summary.mlp.misses as f64 / summary.mlp.invoked as f64
-        };
-        summary.jit.late_ms = LatencyStats::from_samples(late);
-        summary.jit.slack_ms = LatencyStats::from_samples(slack);
         Audit {
             summary,
             requests,
@@ -790,7 +1027,7 @@ pub fn diff_metrics(
 ) -> Vec<Regression> {
     let mut out = Vec::new();
     for (name, bh) in &baseline.histograms {
-        let Some(ch) = baseline_pair(candidate, name) else {
+        let Some(ch) = candidate.histogram(name) else {
             continue;
         };
         out.extend(pct_regression(
@@ -801,12 +1038,10 @@ pub fn diff_metrics(
         ));
     }
     let recall = |m: &MetricsRegistry| {
-        let triggered = m.counter("requests.triggered");
-        if triggered == 0 {
-            1.0
-        } else {
-            1.0 - m.counter("prediction.misses") as f64 / triggered as f64
-        }
+        recall(
+            m.counter("prediction.misses"),
+            m.counter("requests.triggered"),
+        )
     };
     out.extend(drop_regression(
         "$.counters.prediction.misses (recall per trigger)",
@@ -815,13 +1050,6 @@ pub fn diff_metrics(
         thresholds.max_recall_drop,
     ));
     out
-}
-
-fn baseline_pair<'a>(
-    candidate: &'a MetricsRegistry,
-    name: &str,
-) -> Option<&'a crate::obs::Histogram> {
-    candidate.histogram(name)
 }
 
 #[cfg(test)]

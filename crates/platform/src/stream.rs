@@ -1,32 +1,34 @@
 //! Streaming telemetry: bounded-memory audits and live SLO gates.
 //!
-//! The batch audit tier ([`analysis`](crate::analysis)) derives its
-//! numbers from full per-request [`Trace`]s, which is exact but cannot
-//! survive fleet-scale replays — a 1M-invocation run would retain a
-//! million timelines. This module recomputes the same accounting *online*
-//! from the typed [`BusEvent`] stream via the [`Observer`] trait:
+//! The batch audit ([`analysis`](crate::analysis)) can read full
+//! per-request [`Trace`]s; a fleet-scale replay cannot afford them — a
+//! 1M-invocation run would retain a million timelines. This module runs
+//! the *same* per-request audit fold online, fed by the typed
+//! [`BusEvent`] stream through the [`Observer`] trait:
 //!
-//! - [`StreamingAudit`] keeps O(1) state per in-flight request plus O(1)
-//!   state per function — fixed-bucket [`Histogram`]s of end-to-end
-//!   latency and critical-path components, per-edge MLP hit/miss
-//!   counters, wasted-deploy CPU accumulators, and a deterministic
-//!   reservoir of the K worst requests (kept as reconstructed traces, so
-//!   exemplar [`SpanTree`]s survive without retaining everything else).
-//! - [`SloMonitor`] folds completed requests into tumbling windows and
+//! - One mapping turns each request-scoped bus event into the lifecycle
+//!   step the fold consumes, keeps one fold per in-flight request, and —
+//!   when exemplars are kept — records the step into the request's
+//!   reconstructed trace.
+//! - [`StreamingAudit`] folds each finished request into the shared
+//!   [`Tally`] with fixed-bucket [`Histogram`]s as the sample sink, plus
+//!   a deterministic reservoir of the K worst requests (kept as
+//!   reconstructed traces, so exemplar [`SpanTree`]s survive without
+//!   retaining everything else).
+//! - [`SloMonitor`] folds finished requests into tumbling windows and
 //!   evaluates [`DiffThresholds`] against the first non-empty window; in
 //!   live mode every breach becomes a typed
 //!   [`BusEvent::SloAlert`](crate::events::BusEvent::SloAlert).
 //!
-//! Agreement with the exact audit is by construction: the per-request
-//! tracker replays the *identical* interval-partition algorithm
-//! (`RequestAudit::from_trace`), fed by bus events instead of trace
-//! events, so every count, component total and MLP/JIT/waste statistic
-//! matches exactly (totals up to float rounding of the accumulation
-//! order). Only the latency *quantiles* are approximate: they are
+//! Agreement with the exact audit is by construction: both run one fold
+//! and one [`Tally`], so every count and integer-microsecond total is
+//! equal. Two things differ. Wasted CPU is summed in integer microseconds
+//! here and as per-request `f64` milliseconds by the exact audit, so the
+//! two agree up to float rounding. Latency *quantiles* are
 //! bucket-interpolated from [`LATENCY_BUCKET_BOUNDS_MS`]-shaped
-//! histograms, so a streaming quantile is guaranteed to land in (or
-//! adjacent to, on bucket-boundary ties) the fixed bucket containing the
-//! exact order statistic.
+//! histograms, so a streaming quantile lands in (or adjacent to, on
+//! bucket-boundary ties) the fixed bucket containing the exact order
+//! statistic.
 //!
 //! Everything here merges canonically: per-shard state is a deterministic
 //! function of the shard's event stream, and the sharded replay driver
@@ -34,69 +36,19 @@
 //! exports are byte-identical at any `--shards`/`--jobs` width.
 
 use crate::analysis::{
-    drop_regression, pct_regression, DiffThresholds, JitSample, MlpStats, WasteStats, ABS_FLOOR_MS,
+    drop_regression, pct_regression, recall, DiffThresholds, MlpStats, RequestAudit, RequestFold,
+    SampleSink, Step, Tally, WasteStats, ABS_FLOOR_MS,
 };
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
-use crate::timeline::{SpanTree, Trace, TraceEventKind};
-use serde::{Deserialize, Serialize};
+use crate::timeline::{SpanTree, Trace};
+use serde::{Deserialize, Map, Serialize, Value};
 use std::collections::BTreeMap;
 use xanadu_simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
-// Per-request tracker (shared by StreamingAudit and SloMonitor)
+// Bus events into the per-request fold (StreamingAudit and SloMonitor)
 // ---------------------------------------------------------------------
-
-/// One deployment attributed to an in-flight request.
-#[derive(Debug, Clone)]
-struct DeployRec {
-    function: String,
-    start_us: u64,
-    ready_us: u64,
-    on_demand: bool,
-    used: bool,
-}
-
-/// Bookkeeping for one in-flight request. Dropped (and folded into the
-/// aggregates) the moment its `RequestCompleted` event arrives, so live
-/// memory is bounded by in-flight concurrency, not by run length.
-#[derive(Debug, Clone, Default)]
-struct PendingRequest {
-    t0_us: u64,
-    deploys: Vec<DeployRec>,
-    open_waits: Vec<(String, u64)>,
-    open_execs: Vec<(String, u64)>,
-    exec_iv: Vec<(u64, u64)>,
-    cold_iv: Vec<(u64, u64)>,
-    warm_iv: Vec<(u64, u64)>,
-    predicted: Vec<String>,
-    invoked: Vec<String>,
-    invoke_at: Vec<(String, u64)>,
-    missed: Vec<String>,
-    /// Reconstructed timeline, recorded only when the tracker keeps
-    /// traces (exemplar reservoir enabled).
-    trace: Trace,
-}
-
-/// The finished accounting of one request — the streaming equivalent of
-/// `RequestAudit`, produced the instant the request completes.
-#[derive(Debug, Clone)]
-pub(crate) struct RequestDigest {
-    request: u64,
-    completed_us: u64,
-    end_to_end_us: u64,
-    exec_us: u64,
-    cold_us: u64,
-    queue_us: u64,
-    stall_us: u64,
-    predicted: Vec<String>,
-    invoked: Vec<String>,
-    missed: Vec<String>,
-    unused_deploys: u64,
-    wasted_us: u64,
-    jit: Vec<JitSample>,
-    trace: Option<Trace>,
-}
 
 /// Converts an event-time ready-delay (milliseconds, produced from
 /// integer microseconds by the platform) back to integer microseconds.
@@ -104,11 +56,92 @@ fn ms_to_us(ms: f64) -> u64 {
     (ms * 1000.0).round().max(0.0) as u64
 }
 
-/// Streams [`BusEvent`]s into per-request digests using the same
-/// interval-partition algorithm as the exact audit.
+/// The request a bus event belongs to and the lifecycle step it records,
+/// or `None` for events outside every request's lifecycle. Pool-owned
+/// provisions (`request == u64::MAX`) name a request that is never in
+/// flight, exactly as they have no trace in the batch tier.
+fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
+    use BusEvent as E;
+    let (request, step) = match event {
+        E::RequestTriggered { request, .. } => (request, Step::Triggered),
+        E::PlanComputed {
+            request, planned, ..
+        } => (request, Step::Planned(*planned)),
+        E::FunctionInvoked {
+            request, function, ..
+        } => (request, Step::Invoked(function)),
+        E::WorkerProvisioned {
+            request,
+            function,
+            ready_in_ms,
+            on_demand,
+            ..
+        } => {
+            let ready_us = at_us + ms_to_us(*ready_in_ms);
+            (request, Step::Deployed(function, *on_demand, ready_us))
+        }
+        E::ExecStarted {
+            request,
+            function,
+            warm,
+            ..
+        } => (request, Step::ExecStarted(function, *warm)),
+        E::ExecEnded {
+            request, function, ..
+        } => (request, Step::ExecEnded(function)),
+        E::InvokeTimeout {
+            request,
+            function,
+            attempt,
+        } => (request, Step::TimedOut(function, *attempt)),
+        E::InvokeRetried {
+            request,
+            function,
+            attempt,
+            ..
+        } => (request, Step::Retried(function, *attempt)),
+        E::PredictionMiss {
+            request, function, ..
+        } => (request, Step::Missed(function)),
+        E::RequestCompleted { request, .. } => (request, Step::Completed),
+        E::WorkerReady { .. }
+        | E::WorkerCrashed { .. }
+        | E::SloAlert { .. }
+        | E::HostUp { .. }
+        | E::HostDown { .. }
+        | E::WorkerPlaced { .. }
+        | E::WorkerEvicted { .. }
+        | E::PolicyDecision { .. }
+        | E::CheckpointWritten { .. }
+        | E::CheckpointRestored { .. }
+        | E::SketchEviction { .. } => return None,
+    };
+    Some((*request, step))
+}
+
+/// A request the tracker just saw complete.
+struct Finished {
+    audit: RequestAudit,
+    /// Wasted deploy time, integer microseconds.
+    wasted_us: u64,
+    /// The reconstructed timeline, when the tracker keeps traces.
+    trace: Option<Trace>,
+}
+
+/// One in-flight request: its fold and its reconstructed timeline (left
+/// empty unless the tracker keeps traces).
+#[derive(Debug, Clone)]
+struct Pending {
+    fold: RequestFold,
+    trace: Trace,
+}
+
+/// Feeds bus events to one audit fold per in-flight request. A request's
+/// state is dropped the moment it completes, so live memory is bounded by
+/// in-flight concurrency, not by run length.
 #[derive(Debug, Clone, Default)]
 struct RequestTracker {
-    pending: BTreeMap<u64, PendingRequest>,
+    pending: BTreeMap<u64, Pending>,
     keep_traces: bool,
 }
 
@@ -120,293 +153,30 @@ impl RequestTracker {
         }
     }
 
-    fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<RequestDigest> {
+    /// Feeds one event; returns the request it completed, if any.
+    fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
         let at_us = at.as_micros();
-        match event {
-            BusEvent::RequestTriggered { request, .. } => {
-                let mut p = PendingRequest {
-                    t0_us: at_us,
-                    ..PendingRequest::default()
-                };
-                if self.keep_traces {
-                    p.trace.record(at, TraceEventKind::Triggered);
-                }
-                self.pending.insert(*request, p);
-                None
-            }
-            BusEvent::PlanComputed {
-                request, planned, ..
-            } => {
-                if self.keep_traces {
-                    if let Some(p) = self.pending.get_mut(request) {
-                        p.trace
-                            .record(at, TraceEventKind::PlanComputed { planned: *planned });
-                    }
-                }
-                None
-            }
-            BusEvent::FunctionInvoked {
-                request, function, ..
-            } => {
-                let p = self.pending.get_mut(request)?;
-                if !p.invoked.contains(function) {
-                    p.invoked.push(function.clone());
-                    p.invoke_at.push((function.clone(), at_us));
-                }
-                p.open_waits.push((function.clone(), at_us));
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::Invoked {
-                            function: function.clone(),
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::WorkerProvisioned {
-                request,
-                function,
-                ready_in_ms,
-                on_demand,
-                ..
-            } => {
-                // Pool-owned provisions (request == u64::MAX) have no
-                // pending entry and are skipped, exactly as they have no
-                // trace in the batch tier.
-                let p = self.pending.get_mut(request)?;
-                if !*on_demand && !p.predicted.contains(function) {
-                    p.predicted.push(function.clone());
-                }
-                let ready_us = at_us + ms_to_us(*ready_in_ms);
-                p.deploys.push(DeployRec {
-                    function: function.clone(),
-                    start_us: at_us,
-                    ready_us,
-                    on_demand: *on_demand,
-                    used: false,
-                });
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::DeployStarted {
-                            function: function.clone(),
-                            on_demand: *on_demand,
-                            ready_at: SimTime::from_micros(ready_us),
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::ExecStarted {
-                request,
-                function,
-                warm,
-                ..
-            } => {
-                let p = self.pending.get_mut(request)?;
-                if let Some(d) = p
-                    .deploys
-                    .iter_mut()
-                    .find(|d| d.function == *function && !d.used)
-                {
-                    d.used = true;
-                }
-                if let Some(i) = p.open_waits.iter().position(|(f, _)| f == function) {
-                    let (_, start) = p.open_waits.remove(i);
-                    if *warm {
-                        p.warm_iv.push((start, at_us));
-                    } else {
-                        p.cold_iv.push((start, at_us));
-                    }
-                }
-                p.open_execs.push((function.clone(), at_us));
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::ExecStarted {
-                            function: function.clone(),
-                            warm: *warm,
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::ExecEnded {
-                request, function, ..
-            } => {
-                let p = self.pending.get_mut(request)?;
-                if let Some(i) = p.open_execs.iter().position(|(f, _)| f == function) {
-                    let (_, start) = p.open_execs.remove(i);
-                    p.exec_iv.push((start, at_us));
-                }
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::ExecEnded {
-                            function: function.clone(),
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::InvokeTimeout {
-                request,
-                function,
-                attempt,
-            } => {
-                let p = self.pending.get_mut(request)?;
-                if let Some(i) = p.open_execs.iter().position(|(f, _)| f == function) {
-                    let (_, start) = p.open_execs.remove(i);
-                    p.exec_iv.push((start, at_us));
-                }
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::TimedOut {
-                            function: function.clone(),
-                            attempt: *attempt,
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::PredictionMiss {
-                request, function, ..
-            } => {
-                let p = self.pending.get_mut(request)?;
-                if !p.missed.contains(function) {
-                    p.missed.push(function.clone());
-                }
-                if self.keep_traces {
-                    p.trace.record(
-                        at,
-                        TraceEventKind::PredictionMiss {
-                            function: function.clone(),
-                        },
-                    );
-                }
-                None
-            }
-            BusEvent::InvokeRetried {
-                request,
-                function,
-                attempt,
-                ..
-            } => {
-                if self.keep_traces {
-                    if let Some(p) = self.pending.get_mut(request) {
-                        p.trace.record(
-                            at,
-                            TraceEventKind::Retried {
-                                function: function.clone(),
-                                attempt: *attempt,
-                            },
-                        );
-                    }
-                }
-                None
-            }
-            BusEvent::RequestCompleted { request, .. } => {
-                let mut p = self.pending.remove(request)?;
-                if self.keep_traces {
-                    p.trace.record(at, TraceEventKind::Completed);
-                }
-                Some(finalize_request(*request, p, at_us, self.keep_traces))
-            }
-            BusEvent::WorkerReady { .. }
-            | BusEvent::WorkerCrashed { .. }
-            | BusEvent::SloAlert { .. }
-            | BusEvent::HostUp { .. }
-            | BusEvent::HostDown { .. }
-            | BusEvent::WorkerPlaced { .. }
-            | BusEvent::WorkerEvicted { .. }
-            | BusEvent::PolicyDecision { .. }
-            | BusEvent::CheckpointWritten { .. }
-            | BusEvent::CheckpointRestored { .. }
-            | BusEvent::SketchEviction { .. } => None,
+        let (request, step) = request_step(at_us, event)?;
+        if step == Step::Triggered {
+            let fold = RequestFold::new(at_us);
+            let trace = Trace::default();
+            self.pending.insert(request, Pending { fold, trace });
         }
-    }
-}
-
-/// Closes the request's open intervals at `tn` and partitions `[t0, tn]`
-/// into exec / cold / warm / stall — the same dominance order and
-/// cut-point construction as `RequestAudit::from_trace`, so the span-sum
-/// invariant holds in integer microseconds here too.
-fn finalize_request(request: u64, p: PendingRequest, tn: u64, keep_trace: bool) -> RequestDigest {
-    let PendingRequest {
-        t0_us,
-        deploys,
-        open_waits,
-        open_execs,
-        mut exec_iv,
-        mut cold_iv,
-        warm_iv,
-        predicted,
-        invoked,
-        invoke_at,
-        missed,
-        trace,
-    } = p;
-    exec_iv.extend(open_execs.into_iter().map(|(_, s)| (s, tn)));
-    cold_iv.extend(open_waits.into_iter().map(|(_, s)| (s, tn)));
-
-    let mut cuts: Vec<u64> = vec![t0_us, tn];
-    for &(s, e) in exec_iv.iter().chain(&cold_iv).chain(&warm_iv) {
-        cuts.push(s.clamp(t0_us, tn));
-        cuts.push(e.clamp(t0_us, tn));
-    }
-    cuts.sort_unstable();
-    cuts.dedup();
-    let covers = |iv: &[(u64, u64)], a: u64, b: u64| iv.iter().any(|&(s, e)| s <= a && e >= b);
-    let (mut exec_us, mut cold_us, mut queue_us, mut stall_us) = (0u64, 0u64, 0u64, 0u64);
-    for w in cuts.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let len = b - a;
-        if covers(&exec_iv, a, b) {
-            exec_us += len;
-        } else if covers(&cold_iv, a, b) {
-            cold_us += len;
-        } else if covers(&warm_iv, a, b) {
-            queue_us += len;
-        } else {
-            stall_us += len;
+        let pending = self.pending.get_mut(&request)?;
+        if self.keep_traces {
+            pending.trace.record(at, step.to_trace());
         }
-    }
-
-    let mut unused_deploys = 0u64;
-    let mut wasted_us = 0u64;
-    for d in deploys.iter().filter(|d| !d.used && !d.on_demand) {
-        unused_deploys += 1;
-        wasted_us += tn - d.start_us;
-    }
-
-    let mut jit = Vec::new();
-    for (function, inv_us) in &invoke_at {
-        if let Some(d) = deploys.iter().find(|d| d.function == *function) {
-            jit.push(JitSample {
-                function: function.clone(),
-                on_demand: d.on_demand,
-                lateness_ms: (d.ready_us as f64 - *inv_us as f64) / 1000.0,
-            });
+        if step != Step::Completed {
+            pending.fold.apply(at_us, step);
+            return None;
         }
-    }
-
-    RequestDigest {
-        request,
-        completed_us: tn,
-        end_to_end_us: tn - t0_us,
-        exec_us,
-        cold_us,
-        queue_us,
-        stall_us,
-        predicted,
-        invoked,
-        missed,
-        unused_deploys,
-        wasted_us,
-        jit,
-        trace: keep_trace.then_some(trace),
+        let Pending { fold, trace } = self.pending.remove(&request)?;
+        let (audit, wasted_us) = fold.finish(request, at_us);
+        Some(Finished {
+            audit,
+            wasted_us,
+            trace: self.keep_traces.then_some(trace),
+        })
     }
 }
 
@@ -496,13 +266,13 @@ impl ClusterActivity {
     }
 }
 
-/// The run-level aggregates a [`StreamingAudit`] maintains — the
+/// The run-level aggregates a [`StreamingAudit`] reports — the
 /// bounded-memory analogue of `AuditSummary`.
 ///
 /// Counts (`requests`, `mlp`, `waste.deploys`, `jit.planned/late/on_time`)
-/// and integer-microsecond component totals agree with the exact audit
-/// exactly; `waste.cpu_ms` and histogram means agree up to float rounding
-/// of the accumulation order; quantiles are bucket-interpolated and agree
+/// and integer-microsecond component totals equal the exact audit's;
+/// `waste.cpu_ms` and histogram means agree up to float rounding of the
+/// accumulation order; quantiles are bucket-interpolated and agree
 /// within one [`LATENCY_BUCKET_BOUNDS_MS`] bucket.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StreamingSummary {
@@ -539,6 +309,107 @@ pub struct StreamingSummary {
     pub cluster: ClusterActivity,
 }
 
+/// The streaming sample sink: fixed-bucket latency histograms of
+/// end-to-end latency, each critical-path component, and the lateness
+/// and slack of planned deployments.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub(crate) struct Buckets {
+    end_to_end: Histogram,
+    exec: Histogram,
+    cold_start_wait: Histogram,
+    queue_wait: Histogram,
+    stall: Histogram,
+    late_ms: Histogram,
+    slack_ms: Histogram,
+}
+
+impl SampleSink for Buckets {
+    fn request(&mut self, r: &RequestAudit) {
+        self.end_to_end.observe(r.end_to_end_ms());
+        self.exec.observe(r.exec_us as f64 / 1000.0);
+        self.cold_start_wait
+            .observe(r.cold_start_wait_us as f64 / 1000.0);
+        self.queue_wait.observe(r.queue_wait_us as f64 / 1000.0);
+        self.stall.observe(r.stall_us as f64 / 1000.0);
+    }
+
+    fn jit(&mut self, late: bool, ms: f64) {
+        let histogram = if late {
+            &mut self.late_ms
+        } else {
+            &mut self.slack_ms
+        };
+        histogram.observe(ms);
+    }
+}
+
+impl Buckets {
+    fn merge_from(&mut self, other: &Buckets) {
+        self.end_to_end.merge_from(&other.end_to_end);
+        self.exec.merge_from(&other.exec);
+        self.cold_start_wait.merge_from(&other.cold_start_wait);
+        self.queue_wait.merge_from(&other.queue_wait);
+        self.stall.merge_from(&other.stall);
+        self.late_ms.merge_from(&other.late_ms);
+        self.slack_ms.merge_from(&other.slack_ms);
+    }
+}
+
+/// Everything a drained [`StreamingAudit`] holds: its state, and the
+/// service tier's `serve/audit` checkpoint document. Checkpoint → restore
+/// is lossless: floats round-trip through JSON via shortest-round-trip
+/// formatting, so a restored audit continues byte-identically.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AuditCheckpoint {
+    /// Exemplar-reservoir capacity the audit was configured with.
+    pub exemplars_cap: usize,
+    /// The counters the exact audit keeps too.
+    pub tally: Tally,
+    /// The latency distributions.
+    pub(crate) buckets: Buckets,
+    /// Wasted deploy CPU, integer microseconds.
+    pub wasted_us: u64,
+    /// Cluster scheduling activity.
+    pub cluster: ClusterActivity,
+    /// The worst-request reservoir, worst first.
+    pub exemplars: Vec<Exemplar>,
+}
+
+// The document is flat, the layout serde's `flatten` gives: the tally's
+// and the buckets' fields sit beside the rest.
+impl Serialize for AuditCheckpoint {
+    fn to_json(&self) -> Value {
+        let mut doc = Map::new();
+        for part in [self.tally.to_json(), self.buckets.to_json()] {
+            if let Value::Object(fields) = part {
+                doc.extend(fields);
+            }
+        }
+        doc.insert("exemplars_cap".into(), self.exemplars_cap.to_json());
+        doc.insert("wasted_us".into(), self.wasted_us.to_json());
+        doc.insert("cluster".into(), self.cluster.to_json());
+        doc.insert("exemplars".into(), self.exemplars.to_json());
+        Value::Object(doc)
+    }
+}
+
+impl Deserialize for AuditCheckpoint {
+    fn from_json(doc: &Value) -> Result<Self, serde::Error> {
+        let field = |key: &str| {
+            doc.get(key)
+                .ok_or_else(|| serde::Error::missing_field(key, "AuditCheckpoint"))
+        };
+        Ok(AuditCheckpoint {
+            exemplars_cap: Deserialize::from_json(field("exemplars_cap")?)?,
+            tally: Tally::from_json(doc)?,
+            buckets: Buckets::from_json(doc)?,
+            wasted_us: Deserialize::from_json(field("wasted_us")?)?,
+            cluster: Deserialize::from_json(field("cluster")?)?,
+            exemplars: Deserialize::from_json(field("exemplars")?)?,
+        })
+    }
+}
+
 /// Bounded-memory audit over the live event stream.
 ///
 /// Attach with `Platform::attach_observer(StreamingAudit::new(cfg))`; per
@@ -548,27 +419,7 @@ pub struct StreamingSummary {
 #[derive(Debug, Clone)]
 pub struct StreamingAudit {
     tracker: RequestTracker,
-    config: StreamingConfig,
-    requests: u64,
-    end_to_end: Histogram,
-    exec: Histogram,
-    cold_start_wait: Histogram,
-    queue_wait: Histogram,
-    stall: Histogram,
-    exec_us: u64,
-    cold_us: u64,
-    queue_us: u64,
-    stall_us: u64,
-    mlp: MlpStats,
-    waste_deploys: u64,
-    wasted_us: u64,
-    jit_planned: u64,
-    jit_late: u64,
-    jit_on_time: u64,
-    late_ms: Histogram,
-    slack_ms: Histogram,
-    cluster: ClusterActivity,
-    exemplars: Vec<Exemplar>,
+    state: AuditCheckpoint,
 }
 
 impl Default for StreamingAudit {
@@ -580,35 +431,17 @@ impl Default for StreamingAudit {
 impl StreamingAudit {
     /// An empty audit with the given configuration.
     pub fn new(config: StreamingConfig) -> Self {
-        StreamingAudit {
-            tracker: RequestTracker::new(config.exemplars > 0),
-            config,
-            requests: 0,
-            end_to_end: Histogram::latency(),
-            exec: Histogram::latency(),
-            cold_start_wait: Histogram::latency(),
-            queue_wait: Histogram::latency(),
-            stall: Histogram::latency(),
-            exec_us: 0,
-            cold_us: 0,
-            queue_us: 0,
-            stall_us: 0,
-            mlp: MlpStats::default(),
-            waste_deploys: 0,
-            wasted_us: 0,
-            jit_planned: 0,
-            jit_late: 0,
-            jit_on_time: 0,
-            late_ms: Histogram::latency(),
-            slack_ms: Histogram::latency(),
-            cluster: ClusterActivity::default(),
-            exemplars: Vec::new(),
-        }
+        StreamingAudit::from_checkpoint(&AuditCheckpoint {
+            exemplars_cap: config.exemplars,
+            ..AuditCheckpoint::default()
+        })
     }
 
     /// The configured exemplar-reservoir size.
     pub fn config(&self) -> StreamingConfig {
-        self.config
+        StreamingConfig {
+            exemplars: self.state.exemplars_cap,
+        }
     }
 
     /// Requests currently in flight (bounded by concurrency; 0 once the
@@ -617,87 +450,40 @@ impl StreamingAudit {
         self.tracker.pending.len()
     }
 
-    fn fold(&mut self, digest: RequestDigest) {
-        self.requests += 1;
-        self.end_to_end
-            .observe(digest.end_to_end_us as f64 / 1000.0);
-        self.exec.observe(digest.exec_us as f64 / 1000.0);
-        self.cold_start_wait.observe(digest.cold_us as f64 / 1000.0);
-        self.queue_wait.observe(digest.queue_us as f64 / 1000.0);
-        self.stall.observe(digest.stall_us as f64 / 1000.0);
-        self.exec_us += digest.exec_us;
-        self.cold_us += digest.cold_us;
-        self.queue_us += digest.queue_us;
-        self.stall_us += digest.stall_us;
-
-        for f in &digest.predicted {
-            let edge = self.mlp.per_function.entry(f.clone()).or_default();
-            edge.predicted += 1;
-            self.mlp.predicted += 1;
-            if digest.invoked.contains(f) {
-                edge.hits += 1;
-                self.mlp.hits += 1;
-            }
-        }
-        for (depth, f) in digest.invoked.iter().enumerate() {
-            let edge = self.mlp.per_function.entry(f.clone()).or_default();
-            edge.invoked += 1;
-            self.mlp.invoked += 1;
-            if digest.missed.contains(f) {
-                edge.misses += 1;
-                self.mlp.misses += 1;
-                if self.mlp.miss_depth.len() <= depth {
-                    self.mlp.miss_depth.resize(depth + 1, 0);
-                }
-                self.mlp.miss_depth[depth] += 1;
-            }
-        }
-
-        self.waste_deploys += digest.unused_deploys;
-        self.wasted_us += digest.wasted_us;
-
-        for s in digest.jit.iter().filter(|s| !s.on_demand) {
-            self.jit_planned += 1;
-            if s.lateness_ms > 0.0 {
-                self.jit_late += 1;
-                self.late_ms.observe(s.lateness_ms);
-            } else {
-                self.jit_on_time += 1;
-                self.slack_ms.observe(-s.lateness_ms);
-            }
-        }
-
-        if self.config.exemplars > 0 {
-            if let Some(trace) = digest.trace {
-                self.exemplars.push(Exemplar {
-                    request: digest.request,
-                    end_to_end_us: digest.end_to_end_us,
-                    trace,
-                });
-                self.sort_exemplars();
-            }
+    fn fold(&mut self, finished: Finished) {
+        let state = &mut self.state;
+        state.tally.add(&finished.audit, &mut state.buckets);
+        state.wasted_us += finished.wasted_us;
+        if let Some(trace) = finished.trace {
+            state.exemplars.push(Exemplar {
+                request: finished.audit.request,
+                end_to_end_us: finished.audit.end_to_end_us,
+                trace,
+            });
+            self.sort_exemplars();
         }
     }
 
     fn sort_exemplars(&mut self) {
-        self.exemplars.sort_unstable_by(|a, b| {
+        let exemplars = &mut self.state.exemplars;
+        exemplars.sort_unstable_by(|a, b| {
             b.end_to_end_us
                 .cmp(&a.end_to_end_us)
                 .then(a.request.cmp(&b.request))
         });
-        self.exemplars.truncate(self.config.exemplars);
+        exemplars.truncate(self.state.exemplars_cap);
     }
 
     /// The worst-request reservoir, worst first.
     pub fn exemplars(&self) -> &[Exemplar] {
-        &self.exemplars
+        &self.state.exemplars
     }
 
     /// Rewrites exemplar request ids (the sharded merge maps shard-local
     /// ids to global trigger-order ids), then restores the canonical
     /// reservoir order.
     pub(crate) fn remap_exemplar_requests(&mut self, mut map: impl FnMut(u64) -> u64) {
-        for e in &mut self.exemplars {
+        for e in &mut self.state.exemplars {
             e.request = map(e.request);
         }
         self.sort_exemplars();
@@ -719,137 +505,48 @@ impl StreamingAudit {
             self.tracker.pending.is_empty() && other.tracker.pending.is_empty(),
             "merging streaming audits with in-flight requests"
         );
-        self.requests += other.requests;
-        self.end_to_end.merge_from(&other.end_to_end);
-        self.exec.merge_from(&other.exec);
-        self.cold_start_wait.merge_from(&other.cold_start_wait);
-        self.queue_wait.merge_from(&other.queue_wait);
-        self.stall.merge_from(&other.stall);
-        self.exec_us += other.exec_us;
-        self.cold_us += other.cold_us;
-        self.queue_us += other.queue_us;
-        self.stall_us += other.stall_us;
-        for (name, edge) in &other.mlp.per_function {
-            let mine = self.mlp.per_function.entry(name.clone()).or_default();
-            mine.predicted += edge.predicted;
-            mine.hits += edge.hits;
-            mine.invoked += edge.invoked;
-            mine.misses += edge.misses;
-        }
-        self.mlp.predicted += other.mlp.predicted;
-        self.mlp.hits += other.mlp.hits;
-        self.mlp.invoked += other.mlp.invoked;
-        self.mlp.misses += other.mlp.misses;
-        if self.mlp.miss_depth.len() < other.mlp.miss_depth.len() {
-            self.mlp.miss_depth.resize(other.mlp.miss_depth.len(), 0);
-        }
-        for (d, n) in other.mlp.miss_depth.iter().enumerate() {
-            self.mlp.miss_depth[d] += n;
-        }
-        self.waste_deploys += other.waste_deploys;
-        self.wasted_us += other.wasted_us;
-        self.jit_planned += other.jit_planned;
-        self.jit_late += other.jit_late;
-        self.jit_on_time += other.jit_on_time;
-        self.late_ms.merge_from(&other.late_ms);
-        self.slack_ms.merge_from(&other.slack_ms);
-        self.cluster.merge_from(&other.cluster);
-        self.exemplars.extend(other.exemplars.iter().cloned());
+        let (state, theirs) = (&mut self.state, &other.state);
+        state.tally.merge_from(&theirs.tally);
+        state.buckets.merge_from(&theirs.buckets);
+        state.wasted_us += theirs.wasted_us;
+        state.cluster.merge_from(&theirs.cluster);
+        state.exemplars.extend(theirs.exemplars.iter().cloned());
         self.sort_exemplars();
     }
 
     /// The current run-level aggregates.
     pub fn summary(&self) -> StreamingSummary {
-        let mut mlp = self.mlp.clone();
-        mlp.precision = if mlp.predicted == 0 {
-            1.0
-        } else {
-            mlp.hits as f64 / mlp.predicted as f64
-        };
-        mlp.recall = if mlp.invoked == 0 {
-            1.0
-        } else {
-            1.0 - mlp.misses as f64 / mlp.invoked as f64
-        };
+        let AuditCheckpoint {
+            tally, buckets: b, ..
+        } = &self.state;
+        let [exec_ms, cold_start_wait_ms, queue_wait_ms, stall_ms] = tally.component_ms();
         StreamingSummary {
-            requests: self.requests,
-            end_to_end: self.end_to_end.clone(),
-            exec: self.exec.clone(),
-            cold_start_wait: self.cold_start_wait.clone(),
-            queue_wait: self.queue_wait.clone(),
-            stall: self.stall.clone(),
-            exec_ms: self.exec_us as f64 / 1000.0,
-            cold_start_wait_ms: self.cold_us as f64 / 1000.0,
-            queue_wait_ms: self.queue_us as f64 / 1000.0,
-            stall_ms: self.stall_us as f64 / 1000.0,
-            mlp,
+            requests: tally.requests,
+            end_to_end: b.end_to_end.clone(),
+            exec: b.exec.clone(),
+            cold_start_wait: b.cold_start_wait.clone(),
+            queue_wait: b.queue_wait.clone(),
+            stall: b.stall.clone(),
+            exec_ms,
+            cold_start_wait_ms,
+            queue_wait_ms,
+            stall_ms,
+            mlp: tally.mlp(),
             waste: WasteStats {
-                deploys: self.waste_deploys,
-                cpu_ms: self.wasted_us as f64 / 1000.0,
+                deploys: tally.waste_deploys,
+                cpu_ms: self.state.wasted_us as f64 / 1000.0,
             },
             jit: StreamingJitStats {
-                planned: self.jit_planned,
-                late: self.jit_late,
-                on_time: self.jit_on_time,
-                late_ms: self.late_ms.clone(),
-                slack_ms: self.slack_ms.clone(),
+                planned: tally.jit_planned,
+                late: tally.jit_late,
+                on_time: tally.jit_on_time,
+                late_ms: b.late_ms.clone(),
+                slack_ms: b.slack_ms.clone(),
             },
-            cluster: self.cluster.clone(),
+            cluster: self.state.cluster.clone(),
         }
     }
-}
 
-/// Serializable snapshot of a drained [`StreamingAudit`] — everything
-/// but the (empty) in-flight tracker. Checkpoint → restore is lossless:
-/// floats round-trip through JSON via shortest-round-trip formatting, so
-/// a restored audit continues byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AuditCheckpoint {
-    /// Exemplar-reservoir capacity the audit was configured with.
-    pub exemplars_cap: usize,
-    /// Completed requests folded in.
-    pub requests: u64,
-    /// End-to-end latency distribution.
-    pub end_to_end: Histogram,
-    /// Per-request exec-time distribution.
-    pub exec: Histogram,
-    /// Per-request cold-start-wait distribution.
-    pub cold_start_wait: Histogram,
-    /// Per-request warm-queueing distribution.
-    pub queue_wait: Histogram,
-    /// Per-request stall distribution.
-    pub stall: Histogram,
-    /// Total exec microseconds.
-    pub exec_us: u64,
-    /// Total cold-start-wait microseconds.
-    pub cold_us: u64,
-    /// Total warm-queueing microseconds.
-    pub queue_us: u64,
-    /// Total stall microseconds.
-    pub stall_us: u64,
-    /// MLP prediction quality.
-    pub mlp: MlpStats,
-    /// Unused speculative deployments.
-    pub waste_deploys: u64,
-    /// Wasted deploy CPU microseconds.
-    pub wasted_us: u64,
-    /// Planned deployments that served an invocation.
-    pub jit_planned: u64,
-    /// Of those, sandboxes ready after their invocation.
-    pub jit_late: u64,
-    /// Sandboxes ready at or before their invocation.
-    pub jit_on_time: u64,
-    /// Positive-lateness distribution (ms).
-    pub late_ms: Histogram,
-    /// Pre-warm slack distribution (ms).
-    pub slack_ms: Histogram,
-    /// Cluster scheduling activity.
-    pub cluster: ClusterActivity,
-    /// The worst-request reservoir.
-    pub exemplars: Vec<Exemplar>,
-}
-
-impl StreamingAudit {
     /// Captures the audit as a serializable checkpoint.
     ///
     /// # Panics
@@ -860,76 +557,35 @@ impl StreamingAudit {
             self.tracker.pending.is_empty(),
             "checkpointing a streaming audit with in-flight requests"
         );
-        AuditCheckpoint {
-            exemplars_cap: self.config.exemplars,
-            requests: self.requests,
-            end_to_end: self.end_to_end.clone(),
-            exec: self.exec.clone(),
-            cold_start_wait: self.cold_start_wait.clone(),
-            queue_wait: self.queue_wait.clone(),
-            stall: self.stall.clone(),
-            exec_us: self.exec_us,
-            cold_us: self.cold_us,
-            queue_us: self.queue_us,
-            stall_us: self.stall_us,
-            mlp: self.mlp.clone(),
-            waste_deploys: self.waste_deploys,
-            wasted_us: self.wasted_us,
-            jit_planned: self.jit_planned,
-            jit_late: self.jit_late,
-            jit_on_time: self.jit_on_time,
-            late_ms: self.late_ms.clone(),
-            slack_ms: self.slack_ms.clone(),
-            cluster: self.cluster.clone(),
-            exemplars: self.exemplars.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds an audit from a checkpoint, with an empty in-flight
     /// tracker — the exact state [`checkpoint`](Self::checkpoint)
     /// captured.
     pub fn from_checkpoint(c: &AuditCheckpoint) -> StreamingAudit {
-        let mut audit = StreamingAudit::new(StreamingConfig {
-            exemplars: c.exemplars_cap,
-        });
-        audit.requests = c.requests;
-        audit.end_to_end = c.end_to_end.clone();
-        audit.exec = c.exec.clone();
-        audit.cold_start_wait = c.cold_start_wait.clone();
-        audit.queue_wait = c.queue_wait.clone();
-        audit.stall = c.stall.clone();
-        audit.exec_us = c.exec_us;
-        audit.cold_us = c.cold_us;
-        audit.queue_us = c.queue_us;
-        audit.stall_us = c.stall_us;
-        audit.mlp = c.mlp.clone();
-        audit.waste_deploys = c.waste_deploys;
-        audit.wasted_us = c.wasted_us;
-        audit.jit_planned = c.jit_planned;
-        audit.jit_late = c.jit_late;
-        audit.jit_on_time = c.jit_on_time;
-        audit.late_ms = c.late_ms.clone();
-        audit.slack_ms = c.slack_ms.clone();
-        audit.cluster = c.cluster.clone();
-        audit.exemplars = c.exemplars.clone();
-        audit
+        StreamingAudit {
+            tracker: RequestTracker::new(c.exemplars_cap > 0),
+            state: c.clone(),
+        }
     }
 }
 
 impl Observer for StreamingAudit {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        let cluster = &mut self.state.cluster;
         match event {
-            BusEvent::HostUp { .. } => self.cluster.hosts_up += 1,
+            BusEvent::HostUp { .. } => cluster.hosts_up += 1,
             BusEvent::HostDown { workers_lost, .. } => {
-                self.cluster.hosts_down += 1;
-                self.cluster.workers_lost += u64::from(*workers_lost);
+                cluster.hosts_down += 1;
+                cluster.workers_lost += u64::from(*workers_lost);
             }
-            BusEvent::WorkerPlaced { .. } => self.cluster.placed += 1,
-            BusEvent::WorkerEvicted { .. } => self.cluster.evicted += 1,
+            BusEvent::WorkerPlaced { .. } => cluster.placed += 1,
+            BusEvent::WorkerEvicted { .. } => cluster.evicted += 1,
             _ => {}
         }
-        if let Some(digest) = self.tracker.on_event(at, event) {
-            self.fold(digest);
+        if let Some(finished) = self.tracker.on_event(at, event) {
+            self.fold(finished);
         }
     }
 }
@@ -999,11 +655,7 @@ impl SloWindow {
 
     /// Plan coverage inside the window (1 when nothing was invoked).
     pub fn recall(&self) -> f64 {
-        if self.invoked == 0 {
-            1.0
-        } else {
-            1.0 - self.misses as f64 / self.invoked as f64
-        }
+        recall(self.misses, self.invoked)
     }
 
     /// Wasted CPU-ms per completed request (0 when empty).
@@ -1177,32 +829,33 @@ impl SloMonitor {
         self.windows.values()
     }
 
-    fn fold(&mut self, digest: &RequestDigest) {
-        let width = self.config.window.as_micros();
-        let index = digest.completed_us / width;
+    fn fold(&mut self, completed_us: u64, finished: &Finished) {
+        let index = completed_us / self.config.window.as_micros();
         if self.live {
-            self.close_windows_below(index);
+            self.evaluate_windows_below(Some(index));
         }
         let w = self
             .windows
             .entry(index)
             .or_insert_with(|| SloWindow::new(index));
+        let audit = &finished.audit;
         w.requests += 1;
-        w.end_to_end.observe(digest.end_to_end_us as f64 / 1000.0);
-        w.wasted_us += digest.wasted_us;
-        w.invoked += digest.invoked.len() as u64;
-        w.misses += digest.missed.len() as u64;
+        w.end_to_end.observe(audit.end_to_end_ms());
+        w.wasted_us += finished.wasted_us;
+        w.invoked += audit.invoked.len() as u64;
+        w.misses += audit.missed.len() as u64;
     }
 
-    /// Live mode: evaluates every not-yet-evaluated non-empty window with
-    /// index below `upto` (they can no longer receive completions —
-    /// completion times are nondecreasing).
-    fn close_windows_below(&mut self, upto: u64) {
+    /// Evaluates, in index order, every not-yet-evaluated window below
+    /// `horizon` (all of them for `None`). Live mode calls it as each
+    /// completion lands — completion times are nondecreasing, so lower
+    /// windows can no longer change.
+    fn evaluate_windows_below(&mut self, horizon: Option<u64>) {
         let ready: Vec<u64> = self
             .windows
             .keys()
             .copied()
-            .filter(|&i| i < upto && self.evaluated.is_none_or(|e| i > e))
+            .filter(|&i| horizon.is_none_or(|h| i < h) && self.evaluated.is_none_or(|e| i > e))
             .collect();
         for index in ready {
             self.evaluate_window(index);
@@ -1254,16 +907,7 @@ impl SloMonitor {
             self.tracker.pending.is_empty(),
             "evaluating an SLO monitor with in-flight requests"
         );
-        let ready: Vec<u64> = self
-            .windows
-            .keys()
-            .copied()
-            .filter(|&i| i < horizon && self.evaluated.is_none_or(|e| i > e))
-            .collect();
-        for index in ready {
-            self.evaluate_window(index);
-            self.evaluated = Some(index);
-        }
+        self.evaluate_windows_below(Some(horizon));
         self.take_alerts()
     }
 
@@ -1277,16 +921,7 @@ impl SloMonitor {
     /// evaluation to [`report`](Self::report) and return nothing.
     pub fn finish_stream(&mut self) -> Vec<SloAlert> {
         if self.live {
-            let open: Vec<u64> = self
-                .windows
-                .keys()
-                .copied()
-                .filter(|&i| self.evaluated.is_none_or(|e| i > e))
-                .collect();
-            for index in open {
-                self.evaluate_window(index);
-                self.evaluated = Some(index);
-            }
+            self.evaluate_windows_below(None);
         }
         self.take_alerts()
     }
@@ -1394,8 +1029,8 @@ impl SloMonitor {
 
 impl Observer for SloMonitor {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some(digest) = self.tracker.on_event(at, event) {
-            self.fold(&digest);
+        if let Some(finished) = self.tracker.on_event(at, event) {
+            self.fold(at.as_micros(), &finished);
         }
     }
 }
@@ -1831,6 +1466,79 @@ mod tests {
 
         assert_eq!(shard_a.report(), live.report());
         assert!(!live.report().alerts.is_empty());
+    }
+
+    /// Collects the bus-fed fold's audit of every completed request.
+    #[derive(Default)]
+    struct BusAudits {
+        tracker: RequestTracker,
+        audits: Vec<RequestAudit>,
+    }
+
+    impl Observer for BusAudits {
+        fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+            if let Some(finished) = self.tracker.on_event(at, event) {
+                self.audits.push(finished.audit);
+            }
+        }
+    }
+
+    /// The platform writes every lifecycle event twice, into the request's
+    /// trace and onto the bus. On the randomized chaos runs of
+    /// `tests/streaming.rs`, with faults on and off, the fold fed from the
+    /// bus must give every request the audit `RequestAudit::from_trace`
+    /// gives its recorded trace.
+    #[test]
+    fn bus_fed_fold_equals_the_trace_audit_for_every_request() {
+        use crate::{FaultConfig, Platform, PlatformConfig};
+        use xanadu_chain::{linear_chain, FunctionSpec};
+        use xanadu_core::speculation::ExecutionMode;
+        use xanadu_simcore::RngStream;
+
+        for seed in 0..16u64 {
+            for faults in [false, true] {
+                // The same draws as the integration suite's random runs.
+                let mut rng = RngStream::derive(seed, "streaming-chaos");
+                let depth = rng.uniform_inclusive(2, 5) as usize;
+                let triggers = rng.uniform_inclusive(3, 8);
+                let gap = SimDuration::from_secs(rng.uniform_inclusive(10, 240));
+                let service_ms = rng.uniform_inclusive(100, 2000) as f64;
+                rng.bernoulli(0.5); // the suite's fault coin: both settings run here
+                let mode = if rng.bernoulli(0.5) {
+                    ExecutionMode::Jit
+                } else {
+                    ExecutionMode::Speculative
+                };
+
+                let template = FunctionSpec::new("f").service_ms(service_ms);
+                let chain = linear_chain("wf", depth, &template).unwrap();
+                let mut builder = PlatformConfig::builder()
+                    .for_mode(mode, seed)
+                    .record_traces(true);
+                if faults {
+                    builder = builder.faults(FaultConfig::with_rate(0.35, seed ^ 0xFA17));
+                }
+                let mut platform = Platform::new(builder.build().unwrap());
+                let bus = platform.attach_observer(BusAudits::default());
+                platform.deploy(chain).unwrap();
+                for i in 0..triggers {
+                    platform.trigger_at("wf", at(0) + gap * i).unwrap();
+                }
+                platform.run_until_idle();
+
+                let audits = bus.with_mut(|b| std::mem::take(&mut b.audits));
+                assert_eq!(audits.len() as u64, triggers, "seed {seed}");
+                for audit in &audits {
+                    let trace = platform.trace(audit.request).expect("trace recorded");
+                    assert_eq!(
+                        Some(audit),
+                        RequestAudit::from_trace(audit.request, trace).as_ref(),
+                        "seed {seed}, faults {faults}, request {}",
+                        audit.request
+                    );
+                }
+            }
+        }
     }
 
     #[test]

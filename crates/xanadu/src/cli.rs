@@ -1231,7 +1231,9 @@ fn execute_replay(
 
     // The audit export streams (bounded memory), so per-request trace
     // recording stays off even when auditing fleet-scale replays.
-    let mut builder = PlatformConfig::builder().for_mode(replay.mode, replay.seed);
+    let mut builder = PlatformConfig::builder()
+        .for_mode(replay.mode, replay.seed)
+        .record_traces(false);
     if replay.policy.is_default() {
         let mut spec = SpeculationConfig::for_mode(replay.mode);
         spec.aggressiveness = replay.aggressiveness;

@@ -203,7 +203,7 @@ fn serve_audit_stays_drained_and_ids_stay_global() {
     let store = SegmentLog::open(dir.join("ck")).unwrap().replay().unwrap();
     let (doc, _) = store.get("serve/audit").expect("audit checkpoint doc");
     let audit: AuditCheckpoint = serde_json::from_value(doc.clone()).unwrap();
-    assert_eq!(audit.requests, EVENTS, "every stream event completed");
+    assert_eq!(audit.tally.requests, EVENTS, "every stream event completed");
     assert!(audit.exemplars.len() <= audit.exemplars_cap);
     assert!(!audit.exemplars.is_empty(), "reservoir captured nothing");
     // Exemplar ids are global (offset per epoch before merging), so they

@@ -1,8 +1,9 @@
 //! Streaming telemetry against ground truth: on randomized chaos runs
 //! the bounded-memory [`StreamingAudit`] must agree with the exact
-//! [`Audit`] — integer counters exactly, float totals to accumulation
-//! noise, quantiles within one histogram bucket — and every streaming
-//! export must be byte-identical at any `--shards` width.
+//! [`Audit`] — counts and integer-microsecond totals exactly (both run
+//! the same per-request fold and tally), wasted CPU and means to
+//! accumulation noise, quantiles within one histogram bucket — and every
+//! streaming export must be byte-identical at any `--shards` width.
 
 use xanadu::prelude::*;
 use xanadu_platform::export::{metrics_json_string, slo_json_string, streaming_json_string};
@@ -11,8 +12,9 @@ use xanadu_platform::stream::latency_bucket;
 use xanadu_platform::{Audit, SloConfig, StreamingAudit, StreamingConfig, StreamingSummary};
 use xanadu_simcore::RngStream;
 
-/// Relative-epsilon float comparison for totals that only differ by
-/// accumulation order.
+/// Relative-epsilon float comparison for sums the two audits accumulate
+/// differently (wasted CPU: integer µs versus per-request `f64` ms;
+/// means: bucket order versus sorted samples).
 fn close(a: f64, b: f64, what: &str) {
     let tol = 1e-6 * a.abs().max(b.abs()).max(1.0);
     assert!((a - b).abs() <= tol, "{what}: streaming {a} vs exact {b}");
@@ -93,11 +95,16 @@ fn streaming_matches_exact_audit_on_randomized_chaos_runs() {
         assert_eq!(s.waste.deploys, e.waste.deploys, "{}", ctx("waste deploys"));
         close(s.waste.cpu_ms, e.waste.cpu_ms, &ctx("waste cpu_ms"));
 
-        // Critical-path component totals.
-        close(s.exec_ms, e.exec_ms, &ctx("exec_ms"));
-        close(s.cold_start_wait_ms, e.cold_start_wait_ms, &ctx("cold_ms"));
-        close(s.queue_wait_ms, e.queue_wait_ms, &ctx("queue_ms"));
-        close(s.stall_ms, e.stall_ms, &ctx("stall_ms"));
+        // Critical-path component totals: both sides sum integer µs.
+        assert_eq!(s.exec_ms, e.exec_ms, "{}", ctx("exec_ms"));
+        assert_eq!(
+            s.cold_start_wait_ms,
+            e.cold_start_wait_ms,
+            "{}",
+            ctx("cold_ms")
+        );
+        assert_eq!(s.queue_wait_ms, e.queue_wait_ms, "{}", ctx("queue_ms"));
+        assert_eq!(s.stall_ms, e.stall_ms, "{}", ctx("stall_ms"));
 
         // JIT lateness bookkeeping.
         assert_eq!(s.jit.planned, e.jit.planned, "{}", ctx("jit planned"));
@@ -108,6 +115,12 @@ fn streaming_matches_exact_audit_on_randomized_chaos_runs() {
             e.jit.late_ms.count,
             "{}",
             ctx("late n")
+        );
+        assert_eq!(
+            s.jit.slack_ms.count,
+            e.jit.slack_ms.count,
+            "{}",
+            ctx("slack n")
         );
         close(
             s.jit.late_ms.sum_ms,

@@ -139,8 +139,9 @@ pub struct RequestAudit {
 /// One lifecycle step of a request as the audit fold reads it: the
 /// borrowed, common view of a recorded [`TraceEventKind`] and of a
 /// request-scoped [`BusEvent`](crate::events::BusEvent). Function names
-/// come first. `Triggered`, `Planned`, `Retried` and `Completed` matter
-/// only to a recorded timeline; the fold reads the rest.
+/// come first. `Triggered`, `Planned`, `Crashed`, `DeployFailed`,
+/// `Retried` and `Completed` matter only to a recorded timeline; the fold
+/// reads the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Step<'a> {
     Triggered,
@@ -151,6 +152,10 @@ pub(crate) enum Step<'a> {
     /// `true` when the sandbox was warm.
     ExecStarted(&'a str, bool),
     ExecEnded(&'a str),
+    /// The worker serving the function crashed.
+    Crashed(&'a str),
+    /// A speculative pre-deployment failed; carries the fault attempt.
+    DeployFailed(&'a str, u64),
     /// Ends the execution; carries the fault attempt.
     TimedOut(&'a str, u64),
     Retried(&'a str, u64),
@@ -177,8 +182,9 @@ impl<'a> Step<'a> {
         })
     }
 
-    /// The trace event recording this step (the streaming tier's exemplar
-    /// timelines).
+    /// The trace event recording this step: the one constructor of
+    /// recorded timelines ([`Platform::trace`](crate::Platform::trace) and
+    /// the streaming tier's exemplars alike).
     pub(crate) fn to_trace(self) -> TraceEventKind {
         use TraceEventKind as K;
         match self {
@@ -195,6 +201,11 @@ impl<'a> Step<'a> {
                 warm,
             },
             Step::ExecEnded(f) => K::ExecEnded { function: f.into() },
+            Step::Crashed(f) => K::WorkerCrashed { function: f.into() },
+            Step::DeployFailed(f, attempt) => K::DeployFailed {
+                function: f.into(),
+                attempt,
+            },
             Step::TimedOut(f, attempt) => K::TimedOut {
                 function: f.into(),
                 attempt,
@@ -300,7 +311,12 @@ impl RequestFold {
                     self.missed.push(function.to_string());
                 }
             }
-            Step::Triggered | Step::Planned(_) | Step::Retried(..) | Step::Completed => {}
+            Step::Triggered
+            | Step::Planned(_)
+            | Step::Crashed(_)
+            | Step::DeployFailed(..)
+            | Step::Retried(..)
+            | Step::Completed => {}
         }
     }
 

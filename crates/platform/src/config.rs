@@ -135,7 +135,8 @@ pub struct PlatformConfig {
     /// CLI's `--trace` rendering and Chrome export all read them.
     /// Fleet-scale replays (millions of invocations) turn this off so
     /// per-request memory stays flat; aggregate results and metrics are
-    /// unaffected either way.
+    /// unaffected either way. The timelines are rebuilt from the bus, so
+    /// recording turns event emission on like an attached observer.
     #[serde(default = "default_record_traces")]
     pub record_traces: bool,
     /// Fault injection: rate, fault seed, timeout and retry policy.

@@ -37,6 +37,8 @@ pub enum Topic {
     PredictionMiss,
     /// A worker crashed (fault injection).
     WorkerCrashed,
+    /// A speculative pre-deployment died before any invocation used it.
+    DeployFailed,
     /// An invocation exceeded the per-invocation timeout.
     InvokeTimeout,
     /// A crashed or timed-out invocation was rescheduled after backoff.
@@ -65,7 +67,7 @@ pub enum Topic {
 
 impl Topic {
     /// Every topic, in declaration order.
-    pub const ALL: [Topic; 21] = [
+    pub const ALL: [Topic; 22] = [
         Topic::RequestTriggered,
         Topic::PlanComputed,
         Topic::FunctionInvoked,
@@ -75,6 +77,7 @@ impl Topic {
         Topic::ExecEnded,
         Topic::PredictionMiss,
         Topic::WorkerCrashed,
+        Topic::DeployFailed,
         Topic::InvokeTimeout,
         Topic::InvokeRetried,
         Topic::RequestCompleted,
@@ -101,6 +104,7 @@ impl Topic {
             Topic::ExecEnded => "exec.ended",
             Topic::PredictionMiss => "prediction.miss",
             Topic::WorkerCrashed => "worker.crashed",
+            Topic::DeployFailed => "deploy.failed",
             Topic::InvokeTimeout => "invoke.timeout",
             Topic::InvokeRetried => "invoke.retried",
             Topic::RequestCompleted => "request.completed",
@@ -226,6 +230,21 @@ pub enum BusEvent {
         worker: u64,
         /// Function the worker hosted.
         function: String,
+        /// The request whose invocation the crash orphaned (and which
+        /// retries it), or `None` when no invocation was bound to the
+        /// worker. A worker serves one invocation at a time, so a crash
+        /// orphans at most one.
+        request: Option<u64>,
+    },
+    /// A speculative pre-deployment died during startup with no
+    /// invocation waiting on it; the plan retries or drops it.
+    DeployFailed {
+        /// Request whose plan scheduled the deployment.
+        request: u64,
+        /// Function being pre-deployed.
+        function: String,
+        /// Fault attempt count after this failure.
+        attempt: u64,
     },
     /// An invocation exceeded the timeout.
     InvokeTimeout {
@@ -366,6 +385,7 @@ impl BusEvent {
             BusEvent::ExecEnded { .. } => Topic::ExecEnded,
             BusEvent::PredictionMiss { .. } => Topic::PredictionMiss,
             BusEvent::WorkerCrashed { .. } => Topic::WorkerCrashed,
+            BusEvent::DeployFailed { .. } => Topic::DeployFailed,
             BusEvent::InvokeTimeout { .. } => Topic::InvokeTimeout,
             BusEvent::InvokeRetried { .. } => Topic::InvokeRetried,
             BusEvent::RequestCompleted { .. } => Topic::RequestCompleted,
@@ -477,6 +497,12 @@ mod tests {
             BusEvent::WorkerCrashed {
                 worker: 7,
                 function: "f".into(),
+                request: Some(1),
+            },
+            BusEvent::DeployFailed {
+                request: 1,
+                function: "f".into(),
+                attempt: 1,
             },
             BusEvent::InvokeTimeout {
                 request: 1,

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use xanadu_sandbox::WorkerId;
-use xanadu_simcore::RngStream;
+use xanadu_simcore::{fnv1a64, RngStream};
 
 /// Identifier of a host (a machine running a Dispatch Daemon).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -498,15 +498,6 @@ impl ClusterReport {
         self.hosts_booted += other.hosts_booted;
         self.hosts_failed += other.hosts_failed;
     }
-}
-
-/// FNV-1a over a byte slice: deterministic workflow → tenant hashing.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The cluster view: every registered host, which worker lives where,

@@ -12,6 +12,7 @@ use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use xanadu_simcore::fnv1a64_digest;
 
 /// Error from a conflicting or missing-document operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,16 +175,6 @@ pub struct Manifest {
     pub segments: Vec<SegmentRef>,
 }
 
-/// FNV-1a over `bytes` (the same digest the CLI prints for reports).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// Writes `contents` to `path` atomically: a `.tmp` sibling is written
 /// in full, then renamed over the target.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), LogError> {
@@ -263,7 +254,7 @@ impl SegmentLog {
         let entry = SegmentRef {
             file,
             docs: docs.len() as u64,
-            digest: format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes())),
+            digest: fnv1a64_digest(text.as_bytes()),
         };
         manifest.segments.push(entry.clone());
         let manifest_text = serde_json::to_string_pretty(&manifest)
@@ -279,7 +270,7 @@ impl SegmentLog {
         let mut store = MetaStore::new();
         for seg in &manifest.segments {
             let text = std::fs::read_to_string(self.dir.join(&seg.file))?;
-            let digest = format!("fnv1a64:{:016x}", fnv1a64(text.as_bytes()));
+            let digest = fnv1a64_digest(text.as_bytes());
             if digest != seg.digest {
                 return Err(LogError::Corrupt(format!(
                     "{}: digest {} does not match manifest {}",

@@ -300,6 +300,8 @@ impl Observer for MetricsRegistry {
             BusEvent::ExecEnded { exec_ms, .. } => self.observe_ms("exec_ms", *exec_ms),
             BusEvent::PredictionMiss { .. } => self.incr("prediction.misses", 1),
             BusEvent::WorkerCrashed { .. } => self.incr("faults.crashes", 1),
+            // Already counted as the `WorkerCrashed` that caused it.
+            BusEvent::DeployFailed { .. } => {}
             BusEvent::InvokeTimeout { .. } => self.incr("faults.timeouts", 1),
             BusEvent::InvokeRetried { backoff_ms, .. } => {
                 self.incr("retries", 1);

@@ -23,8 +23,8 @@ use crate::hosts::{ClusterReport, HostId, HostRegistry, HostSpec, PlacementReque
 use crate::metastore::MetaStore;
 use crate::obs::{MetricsRegistry, Observer, ObserverHandle};
 use crate::result::{PlatformReport, RunResult};
-use crate::stream::{SloConfig, SloMonitor};
-use crate::timeline::{Trace, TraceEventKind};
+use crate::stream::{SloConfig, SloMonitor, TraceRecorder};
+use crate::timeline::Trace;
 use serde_json::json;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -232,8 +232,6 @@ struct RunState {
     faults: u32,
     /// Invocation attempts beyond the first.
     retries: u32,
-    /// Orchestration event timeline (Figure 10).
-    trace: Trace,
     /// Host of the request's most recent execution start: the locality
     /// locus the affinity policy and retargeting co-locate against.
     locus: Option<HostId>,
@@ -320,8 +318,6 @@ pub struct Platform {
     /// Advisor implementing the paper's future-work adaptive keep-alive
     /// (§7): it observes which invocations speculation covered.
     keepalive_advisor: AdaptiveKeepAlive,
-    /// Completed request timelines, by request id.
-    traces: HashMap<u64, Trace>,
     bus: Bus,
     metastore: MetaStore,
     /// The seeded fault schedule (inert when the configured rate is 0).
@@ -336,6 +332,10 @@ pub struct Platform {
     /// The monitor attached via [`Platform::attach_slo`]; alerts raised by
     /// closed windows are re-emitted as [`BusEvent::SloAlert`].
     slo: Option<ObserverHandle<SloMonitor>>,
+    /// Request timelines rebuilt from every emitted event; present when
+    /// `config.record_traces` is on, which makes recording a form of
+    /// observation.
+    recorder: Option<TraceRecorder>,
 }
 
 impl Platform {
@@ -407,13 +407,13 @@ impl Platform {
             shielded_workers: HashSet::new(),
             active_runs: 0,
             keepalive_advisor: AdaptiveKeepAlive::new(KeepAliveConfig::default()),
-            traces: HashMap::new(),
             bus: Bus::new(),
             metastore: MetaStore::new(),
             faults,
             observers: Vec::new(),
             registry: None,
             slo: None,
+            recorder: config.record_traces.then(TraceRecorder::default),
             config,
         }
     }
@@ -581,45 +581,23 @@ impl Platform {
     /// Drains the event queue, advancing virtual time until no events
     /// remain. Returns the number of events processed.
     pub fn run_until_idle(&mut self) -> u64 {
-        let mut processed = 0;
-        while let Some((t, event)) = self.queue.pop() {
-            assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.handle(event);
-            processed += 1;
-        }
-        processed
+        self.process_through(SimTime::MAX)
     }
 
     /// Processes events up to and including `deadline`, then stops with
-    /// later events still queued (stepped simulation, e.g. for live
-    /// monitoring through the bus). Advances the clock to `deadline` even
-    /// if the queue empties earlier. Returns the number of events
+    /// later events still queued, leaving the clock at the last processed
+    /// event. The sharded driver ([`crate::shard`]) steps with this so the
+    /// final clock value — which prices end-of-run worker teardown in
+    /// [`finish`](Self::finish) — depends only on the event stream, never
+    /// on the driver's barrier-window width. Returns the number of events
     /// processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, event) = self.queue.pop().expect("peeked event exists");
-            assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.handle(event);
-            processed += 1;
-        }
-        self.now = self.now.max(deadline);
-        processed
+    pub fn step_window(&mut self, deadline: SimTime) -> u64 {
+        self.process_through(deadline)
     }
 
-    /// Processes events up to and including `deadline` like
-    /// [`run_until`](Self::run_until), but leaves the clock at the last
-    /// processed event instead of advancing it to `deadline`. The
-    /// sharded driver ([`crate::shard`]) steps with this so the final
-    /// clock value — which prices end-of-run worker teardown in
-    /// [`finish`](Self::finish) — depends only on the event stream,
-    /// never on the driver's barrier-window width.
-    pub fn step_window(&mut self, deadline: SimTime) -> u64 {
+    /// The event loop: pops and handles every event due at or before
+    /// `deadline`, in time order.
+    fn process_through(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
@@ -709,19 +687,24 @@ impl Platform {
         self.bus.published_count()
     }
 
-    /// Whether an emission to `topic` would reach anyone. Checked before
-    /// constructing any [`BusEvent`] so the unobserved hot path pays a
-    /// branch, not an allocation.
+    /// Whether an emission to `topic` would reach anyone: the trace
+    /// recorder, an observer or a subscriber. Checked before constructing
+    /// any [`BusEvent`] so the unobserved hot path pays a branch, not an
+    /// allocation.
     fn observing(&self, topic: Topic) -> bool {
-        !self.observers.is_empty() || self.bus.has_subscribers(topic)
+        self.recorder.is_some() || !self.observers.is_empty() || self.bus.has_subscribers(topic)
     }
 
-    /// Delivers `event` to every observer, then publishes it on the bus.
+    /// Records `event` into the request timelines, delivers it to every
+    /// observer, then publishes it on the bus.
     /// When a live [`SloMonitor`] is attached, any alerts its windows
     /// raised while absorbing the event are re-emitted immediately as
     /// [`BusEvent::SloAlert`] (the monitor ignores alert events, so the
     /// recursion is one level deep).
     fn emit(&mut self, event: BusEvent) {
+        if let Some(recorder) = &mut self.recorder {
+            recorder.on_event(self.now, &event);
+        }
         for obs in &self.observers {
             obs.lock()
                 .expect("observer lock poisoned")
@@ -773,9 +756,10 @@ impl Platform {
     }
 
     /// The orchestration timeline of a completed request (Figure 10's
-    /// sequence as actually executed), if the request has finished.
+    /// sequence as actually executed); `None` until the request has
+    /// finished, and always with `record_traces` off.
     pub fn trace(&self, request: u64) -> Option<&Trace> {
-        self.traces.get(&request)
+        self.recorder.as_ref()?.get(request)
     }
 
     /// Rolls the detector's exponential-averaging window (§3.1 "metrics
@@ -1175,7 +1159,6 @@ impl Platform {
             fault_attempts: vec![0; dag.len()],
             faults: 0,
             retries: 0,
-            trace: Trace::default(),
             locus: None,
         };
         let idx = req as usize;
@@ -1185,18 +1168,6 @@ impl Platform {
         debug_assert!(self.runs[idx].is_none(), "request id reused");
         self.runs[idx] = Some(Box::new(state));
         self.active_runs += 1;
-        if self.config.record_traces {
-            let run = self.runs[idx].as_deref_mut().expect("just inserted");
-            run.trace.record(self.now, TraceEventKind::Triggered);
-            if plan_active {
-                run.trace.record(
-                    self.now,
-                    TraceEventKind::PlanComputed {
-                        planned: planned_count,
-                    },
-                );
-            }
-        }
         if self.observing(Topic::RequestTriggered) {
             let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::RequestTriggered {
@@ -1258,8 +1229,6 @@ impl Platform {
     }
 
     fn on_invoke(&mut self, req: u64, node: NodeId, parent: Option<NodeId>) {
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         let Some(run) = self.run_mut(req) else {
             return;
         };
@@ -1267,14 +1236,6 @@ impl Platform {
             return; // defensive: barrier delivered twice
         }
         run.invoked[node.index()] = true;
-        if record_traces {
-            run.trace.record(
-                now,
-                TraceEventKind::Invoked {
-                    function: run.dag.node(node).spec().name().to_string(),
-                },
-            );
-        }
         let dag = run.dag.clone();
         let function = dag.node(node).spec().name();
         let parent_name = parent.map(|p| dag.node(p).spec().name());
@@ -1308,14 +1269,6 @@ impl Platform {
         let run = self.run_mut(req).expect("run exists");
         if run.had_plan && !run.planned.contains(node) {
             run.misses += 1;
-            if record_traces {
-                run.trace.record(
-                    now,
-                    TraceEventKind::PredictionMiss {
-                        function: function.to_string(),
-                    },
-                );
-            }
             self.on_prediction_miss(req, node);
         }
 
@@ -1447,8 +1400,6 @@ impl Platform {
         invoked_at: SimTime,
     ) {
         self.claimed.remove(&worker);
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         let Some(run) = self.run_mut(req) else {
             // Request finished while we were waiting (should not happen for
             // activated nodes); release the claim.
@@ -1502,16 +1453,6 @@ impl Platform {
         let covered = acquired != Acquired::Fresh && self.spawner_of(worker) == Some(req);
         self.keepalive_advisor
             .observe(function, invoked_at, covered);
-        if record_traces {
-            let run = self.run_mut(req).expect("run exists");
-            run.trace.record(
-                now,
-                TraceEventKind::ExecStarted {
-                    function: function.to_string(),
-                    warm: acquired == Acquired::Warm,
-                },
-            );
-        }
         if self.observing(Topic::ExecStarted) {
             self.emit(BusEvent::ExecStarted {
                 request: req,
@@ -1572,22 +1513,11 @@ impl Platform {
             self.evict_worker(evicted);
         }
 
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         let run = self.run_mut(req).expect("run exists");
         let dag = run.dag.clone();
         let spec = dag.node(node).spec();
         let function = spec.name();
         self.metrics.record_warm_runtime(function, exec_duration);
-        if record_traces {
-            let run = self.run_mut(req).expect("run exists");
-            run.trace.record(
-                now,
-                TraceEventKind::ExecEnded {
-                    function: function.to_string(),
-                },
-            );
-        }
         if self.observing(Topic::ExecEnded) {
             self.emit(BusEvent::ExecEnded {
                 request: req,
@@ -1681,15 +1611,16 @@ impl Platform {
             Event::ExecTimeout { worker: w, .. } => *w == worker,
             _ => false,
         });
-        let mut orphans: Vec<(u64, NodeId)> = Vec::new();
-        for (_, e) in removed {
-            match e {
-                Event::ExecStart { req, node, .. }
-                | Event::ExecEnd { req, node, .. }
-                | Event::ExecTimeout { req, node, .. } => orphans.push((req, node)),
-                _ => {}
-            }
-        }
+        // A worker is claimed by one invocation at a time and runs at most
+        // one, so the crash orphans at most one.
+        let mut orphans = removed.into_iter().filter_map(|(_, e)| match e {
+            Event::ExecStart { req, node, .. }
+            | Event::ExecEnd { req, node, .. }
+            | Event::ExecTimeout { req, node, .. } => Some((req, node)),
+            _ => None,
+        });
+        let orphan = orphans.next();
+        assert!(orphans.next().is_none(), "a crash orphaned two invocations");
         self.claimed.remove(&worker);
         self.pool.crash(worker, self.now);
         self.cluster.release(worker);
@@ -1697,54 +1628,38 @@ impl Platform {
             self.emit(BusEvent::WorkerCrashed {
                 worker: worker.0,
                 function: function.clone(),
+                request: orphan.map(|(req, _)| req),
             });
         }
 
-        if orphans.is_empty() && was_provisioning {
-            // Nothing was waiting on this sandbox: a failed speculative
-            // pre-deployment. Let the speculation engine decide.
-            self.on_predeploy_failure(worker, &function);
+        let Some((req, node)) = orphan else {
+            if was_provisioning {
+                // Nothing was waiting on this sandbox: a failed speculative
+                // pre-deployment. Let the speculation engine decide.
+                self.on_predeploy_failure(worker, &function);
+            }
             return;
+        };
+        let Some(run) = self.run_mut(req) else {
+            return;
+        };
+        let dag = run.dag.clone();
+        let function = dag.node(node).spec().name();
+        let attempt = run.fault_attempts[node.index()];
+        run.fault_attempts[node.index()] += 1;
+        run.faults += 1;
+        run.retries += 1;
+        let delay = self.config.faults.backoff(attempt);
+        if self.observing(Topic::InvokeRetried) {
+            self.emit(BusEvent::InvokeRetried {
+                request: req,
+                function: function.to_string(),
+                attempt: u64::from(attempt) + 1,
+                backoff_ms: delay.as_millis_f64(),
+            });
         }
-        let record_traces = self.config.record_traces;
-        let now = self.now;
-        for (req, node) in orphans {
-            let Some(run) = self.run_mut(req) else {
-                continue;
-            };
-            let dag = run.dag.clone();
-            let function = dag.node(node).spec().name();
-            let attempt = run.fault_attempts[node.index()];
-            run.fault_attempts[node.index()] += 1;
-            run.faults += 1;
-            run.retries += 1;
-            if record_traces {
-                run.trace.record(
-                    now,
-                    TraceEventKind::WorkerCrashed {
-                        function: function.to_string(),
-                    },
-                );
-                run.trace.record(
-                    now,
-                    TraceEventKind::Retried {
-                        function: function.to_string(),
-                        attempt: u64::from(attempt) + 1,
-                    },
-                );
-            }
-            let delay = self.config.faults.backoff(attempt);
-            if self.observing(Topic::InvokeRetried) {
-                self.emit(BusEvent::InvokeRetried {
-                    request: req,
-                    function: function.to_string(),
-                    attempt: u64::from(attempt) + 1,
-                    backoff_ms: delay.as_millis_f64(),
-                });
-            }
-            self.queue
-                .schedule(self.now + delay, Event::Redispatch { req, node });
-        }
+        self.queue
+            .schedule(self.now + delay, Event::Redispatch { req, node });
     }
 
     /// A sandbox died during startup with no invocation waiting on it: a
@@ -1778,19 +1693,15 @@ impl Platform {
             self.config.faults.max_retries,
             startup_ms,
         );
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         let run = self.run_mut(req).expect("run exists");
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
-        if record_traces {
-            run.trace.record(
-                now,
-                TraceEventKind::DeployFailed {
-                    function: function.to_string(),
-                    attempt: u64::from(attempt) + 1,
-                },
-            );
+        if self.observing(Topic::DeployFailed) {
+            self.emit(BusEvent::DeployFailed {
+                request: req,
+                function: function.to_string(),
+                attempt: u64::from(attempt) + 1,
+            });
         }
         match action {
             DeployFailureAction::Retry { delay } => {
@@ -1813,8 +1724,6 @@ impl Platform {
         // The sandbox survives — only the invocation is aborted; the
         // worker returns to the warm pool and the attempt is retried.
         self.pool.abort_exec(worker, began, self.now);
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         let Some(run) = self.run_mut(req) else {
             return;
         };
@@ -1824,22 +1733,6 @@ impl Platform {
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
         run.retries += 1;
-        if record_traces {
-            run.trace.record(
-                now,
-                TraceEventKind::TimedOut {
-                    function: function.to_string(),
-                    attempt: u64::from(attempt) + 1,
-                },
-            );
-            run.trace.record(
-                now,
-                TraceEventKind::Retried {
-                    function: function.to_string(),
-                    attempt: u64::from(attempt) + 1,
-                },
-            );
-        }
         if self.observing(Topic::InvokeTimeout) {
             self.emit(BusEvent::InvokeTimeout {
                 request: req,
@@ -1951,12 +1844,8 @@ impl Platform {
     }
 
     fn finalize_run(&mut self, req: u64) {
-        let mut run = self.runs[req as usize].take().expect("run exists");
+        let run = self.runs[req as usize].take().expect("run exists");
         self.active_runs -= 1;
-        if self.config.record_traces {
-            run.trace.record(self.now, TraceEventKind::Completed);
-            self.traces.insert(req, std::mem::take(&mut run.trace));
-        }
         let run = &run;
         // Discard speculated workers that never served (per-request
         // accounting hygiene; §3.2's discarded mispredictions).
@@ -2230,20 +2119,8 @@ impl Platform {
         );
         self.pool.insert(worker);
         self.set_spawner(id, req);
-        let record_traces = self.config.record_traces;
-        let now = self.now;
         if let Some(run) = self.run_mut(req) {
             run.spawned.push(id);
-            if record_traces {
-                run.trace.record(
-                    now,
-                    TraceEventKind::DeployStarted {
-                        function: spec.name().to_string(),
-                        on_demand,
-                        ready_at,
-                    },
-                );
-            }
         }
         self.queue
             .schedule(ready_at, Event::WorkerReady { worker: id });
@@ -2729,7 +2606,13 @@ mod tests {
 
     #[test]
     fn unobserved_platforms_emit_no_events() {
-        let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 2));
+        // Trace recording is a form of observation: it reads the bus.
+        let config = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 2)
+            .record_traces(false)
+            .build()
+            .unwrap();
+        let mut p = Platform::new(config);
         p.deploy(chain(3, 100.0)).unwrap();
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
@@ -3270,7 +3153,7 @@ mod proptests {
             stepped.trigger_at("chain", SimTime::ZERO).unwrap();
             // Step in 1-second increments far past completion.
             for sec in 1..=120u64 {
-                stepped.run_until(SimTime::from_secs(sec));
+                stepped.step_window(SimTime::from_secs(sec));
             }
             stepped.run_until_idle();
 

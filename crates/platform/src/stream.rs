@@ -9,7 +9,8 @@
 //! - One mapping turns each request-scoped bus event into the lifecycle
 //!   step the fold consumes, keeps one fold per in-flight request, and —
 //!   when exemplars are kept — records the step into the request's
-//!   reconstructed trace.
+//!   reconstructed trace, through the same recorder that builds
+//!   [`Platform::trace`](crate::Platform::trace).
 //! - [`StreamingAudit`] folds each finished request into the shared
 //!   [`Tally`] with fixed-bucket [`Histogram`]s as the sample sink, plus
 //!   a deterministic reservoir of the K worst requests (kept as
@@ -43,7 +44,7 @@ use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
 use crate::timeline::{SpanTree, Trace};
 use serde::{Deserialize, Map, Serialize, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use xanadu_simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
@@ -89,6 +90,16 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
         E::ExecEnded {
             request, function, ..
         } => (request, Step::ExecEnded(function)),
+        E::WorkerCrashed {
+            request: Some(request),
+            function,
+            ..
+        } => (request, Step::Crashed(function)),
+        E::DeployFailed {
+            request,
+            function,
+            attempt,
+        } => (request, Step::DeployFailed(function, *attempt)),
         E::InvokeTimeout {
             request,
             function,
@@ -105,7 +116,7 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
         } => (request, Step::Missed(function)),
         E::RequestCompleted { request, .. } => (request, Step::Completed),
         E::WorkerReady { .. }
-        | E::WorkerCrashed { .. }
+        | E::WorkerCrashed { request: None, .. }
         | E::SloAlert { .. }
         | E::HostUp { .. }
         | E::HostDown { .. }
@@ -119,6 +130,48 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
     Some((*request, step))
 }
 
+/// Rebuilds each request's [`Trace`] from the bus: every request-scoped
+/// event is recorded as the [`Step`] [`request_step`] maps it to. This
+/// one reconstruction backs both [`Platform::trace`](crate::Platform::trace)
+/// (with `record_traces` on) and the streaming audit's exemplars. It
+/// runs no audit fold.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TraceRecorder {
+    /// Timelines of requests in flight, opened at their trigger.
+    open: BTreeMap<u64, Trace>,
+    /// Timelines of completed requests.
+    done: HashMap<u64, Trace>,
+}
+
+impl TraceRecorder {
+    /// Records one event at `at`, keeping the timeline it completes.
+    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        if let Some((request, step)) = request_step(at.as_micros(), event) {
+            if let Some(trace) = self.record(at, request, step) {
+                self.done.insert(request, trace);
+            }
+        }
+    }
+
+    /// Records `request`'s step at `at`. Returns the timeline when the
+    /// step completes it.
+    fn record(&mut self, at: SimTime, request: u64, step: Step<'_>) -> Option<Trace> {
+        if step == Step::Triggered {
+            self.open.insert(request, Trace::default());
+        }
+        self.open.get_mut(&request)?.record(at, step.to_trace());
+        if step == Step::Completed {
+            return self.open.remove(&request);
+        }
+        None
+    }
+
+    /// The timeline of a completed request.
+    pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
+        self.done.get(&request)
+    }
+}
+
 /// A request the tracker just saw complete.
 struct Finished {
     audit: RequestAudit,
@@ -128,28 +181,21 @@ struct Finished {
     trace: Option<Trace>,
 }
 
-/// One in-flight request: its fold and its reconstructed timeline (left
-/// empty unless the tracker keeps traces).
-#[derive(Debug, Clone)]
-struct Pending {
-    fold: RequestFold,
-    trace: Trace,
-}
-
 /// Feeds bus events to one audit fold per in-flight request. A request's
 /// state is dropped the moment it completes, so live memory is bounded by
 /// in-flight concurrency, not by run length.
 #[derive(Debug, Clone, Default)]
 struct RequestTracker {
-    pending: BTreeMap<u64, Pending>,
-    keep_traces: bool,
+    pending: BTreeMap<u64, RequestFold>,
+    /// Reconstructed timelines, kept only for exemplars.
+    traces: Option<TraceRecorder>,
 }
 
 impl RequestTracker {
     fn new(keep_traces: bool) -> Self {
         RequestTracker {
             pending: BTreeMap::new(),
-            keep_traces,
+            traces: keep_traces.then(TraceRecorder::default),
         }
     }
 
@@ -157,25 +203,24 @@ impl RequestTracker {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
         let at_us = at.as_micros();
         let (request, step) = request_step(at_us, event)?;
+        let trace = self
+            .traces
+            .as_mut()
+            .and_then(|t| t.record(at, request, step));
         if step == Step::Triggered {
-            let fold = RequestFold::new(at_us);
-            let trace = Trace::default();
-            self.pending.insert(request, Pending { fold, trace });
-        }
-        let pending = self.pending.get_mut(&request)?;
-        if self.keep_traces {
-            pending.trace.record(at, step.to_trace());
+            self.pending.insert(request, RequestFold::new(at_us));
         }
         if step != Step::Completed {
-            pending.fold.apply(at_us, step);
+            if let Some(fold) = self.pending.get_mut(&request) {
+                fold.apply(at_us, step);
+            }
             return None;
         }
-        let Pending { fold, trace } = self.pending.remove(&request)?;
-        let (audit, wasted_us) = fold.finish(request, at_us);
+        let (audit, wasted_us) = self.pending.remove(&request)?.finish(request, at_us);
         Some(Finished {
             audit,
             wasted_us,
-            trace: self.keep_traces.then_some(trace),
+            trace,
         })
     }
 }
@@ -1483,11 +1528,11 @@ mod tests {
         }
     }
 
-    /// The platform writes every lifecycle event twice, into the request's
-    /// trace and onto the bus. On the randomized chaos runs of
-    /// `tests/streaming.rs`, with faults on and off, the fold fed from the
-    /// bus must give every request the audit `RequestAudit::from_trace`
-    /// gives its recorded trace.
+    /// The recorded trace and the live fold read the same bus events, the
+    /// trace through `Step::to_trace` and back through `Step::from_trace`.
+    /// On the randomized chaos runs of `tests/streaming.rs`, with faults on
+    /// and off, the fold fed from the bus must give every request the audit
+    /// `RequestAudit::from_trace` gives its recorded trace.
     #[test]
     fn bus_fed_fold_equals_the_trace_audit_for_every_request() {
         use crate::{FaultConfig, Platform, PlatformConfig};

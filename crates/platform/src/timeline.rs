@@ -3,9 +3,10 @@
 //! The platform records, for every request, the sequence of orchestration
 //! events that Figure 10 of the paper narrates — planning-driven
 //! deployments, function invocations, dispatches into workers, completions
-//! and prediction misses — as a [`Trace`]. Traces power debugging, the
-//! CLI's `--trace` output, and assertions about *when* things happened
-//! rather than only aggregate latencies.
+//! and prediction misses — as a [`Trace`], rebuilt from the same bus
+//! events its observers see. Traces power debugging, the CLI's `--trace`
+//! output, and assertions about *when* things happened rather than only
+//! aggregate latencies.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -209,65 +210,6 @@ impl Trace {
             );
         }
         out
-    }
-
-    /// Renders the raw event list (`t+…  event`), one per line.
-    pub fn render_events(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            let desc = match &e.kind {
-                TraceEventKind::Triggered => "triggered".to_string(),
-                TraceEventKind::DeployStarted {
-                    function,
-                    on_demand,
-                    ..
-                } => format!(
-                    "deploy {} ({})",
-                    function,
-                    if *on_demand { "on-demand" } else { "planned" }
-                ),
-                TraceEventKind::Invoked { function } => format!("invoke {function}"),
-                TraceEventKind::ExecStarted { function, warm } => format!(
-                    "exec-start {} ({})",
-                    function,
-                    if *warm { "warm" } else { "cold" }
-                ),
-                TraceEventKind::ExecEnded { function } => format!("exec-end {function}"),
-                TraceEventKind::PredictionMiss { function } => {
-                    format!("prediction-miss {function}")
-                }
-                TraceEventKind::PlanComputed { planned } => {
-                    format!("plan-computed ({planned} deployments)")
-                }
-                TraceEventKind::WorkerCrashed { function } => {
-                    format!("worker-crash {function}")
-                }
-                TraceEventKind::TimedOut { function, attempt } => {
-                    format!("timeout {function} (attempt {attempt})")
-                }
-                TraceEventKind::Retried { function, attempt } => {
-                    format!("retry {function} (attempt {attempt})")
-                }
-                TraceEventKind::DeployFailed { function, attempt } => {
-                    format!("deploy-failed {function} (attempt {attempt})")
-                }
-                TraceEventKind::Completed => "completed".to_string(),
-            };
-            let _ = writeln!(out, "{}  {desc}", e.at);
-        }
-        out
-    }
-
-    /// Total time `function` spent between its (planned or on-demand)
-    /// deployment start and its execution start — the provisioning + idle
-    /// window the cost model charges.
-    pub fn prestart_window(&self, function: &str) -> Option<SimDuration> {
-        let deploy = self.events.iter().find_map(|e| match &e.kind {
-            TraceEventKind::DeployStarted { function: f, .. } if f == function => Some(e.at),
-            _ => None,
-        })?;
-        let (exec_start, _) = self.exec_interval(function)?;
-        Some(exec_start.saturating_since(deploy))
     }
 }
 
@@ -584,8 +526,6 @@ mod tests {
             Some((SimTime::from_millis(3000), SimTime::from_millis(3500)))
         );
         assert_eq!(t.exec_interval("ghost"), None);
-        assert_eq!(t.prestart_window("a"), Some(SimDuration::from_millis(3000)));
-        assert_eq!(t.prestart_window("b"), Some(SimDuration::from_millis(3080)));
         assert_eq!(t.len(), 11);
         assert!(!t.is_empty());
     }
@@ -612,22 +552,9 @@ mod tests {
     }
 
     #[test]
-    fn event_log_renders_each_event() {
-        let log = sample().render_events();
-        assert!(log.contains("triggered"));
-        assert!(log.contains("deploy a (planned)"));
-        assert!(log.contains("deploy b (on-demand)"));
-        assert!(log.contains("exec-start a (cold)"));
-        assert!(log.contains("prediction-miss b"));
-        assert!(log.contains("completed"));
-        assert_eq!(log.lines().count(), 11);
-    }
-
-    #[test]
     fn empty_trace_renders_empty() {
         let t = Trace::default();
         assert!(t.render_gantt(60).is_empty());
-        assert!(t.render_events().is_empty());
         assert!(t.is_empty());
     }
 

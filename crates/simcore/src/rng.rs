@@ -13,6 +13,34 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a hash of `bytes`: the workspace's one stable digest
+/// (report digests, checkpoint manifests, tenant assignment, stream
+/// derivation).
+///
+/// ```
+/// assert_eq!(xanadu_simcore::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(xanadu_simcore::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a64`] rendered as the `fnv1a64:<16 hex digits>` digest string
+/// the CLI prints and checkpoint manifests store.
+pub fn fnv1a64_digest(bytes: &[u8]) -> String {
+    format!("fnv1a64:{:016x}", fnv1a64(bytes))
+}
+
+/// Continues an FNV-1a hash whose state so far is `hash`.
+fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// A deterministic random-number stream derived from a master seed and a
 /// stream name.
 ///
@@ -40,13 +68,7 @@ impl RngStream {
     /// FNV is not cryptographic but is stable across Rust versions (unlike
     /// `DefaultHasher`), which keeps recorded experiment outputs valid.
     pub fn derive(master_seed: u64, name: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in master_seed.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        let h = fnv1a64_extend(fnv1a64(&master_seed.to_le_bytes()), name.as_bytes());
         RngStream {
             rng: SmallRng::seed_from_u64(h),
         }

@@ -26,7 +26,7 @@ use xanadu_platform::{
     MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig, SloConfig,
     StreamingConfig,
 };
-use xanadu_simcore::{SimDuration, SimTime};
+use xanadu_simcore::{fnv1a64_digest, SimDuration, SimTime};
 use xanadu_workloads::azure::{
     generate_trace, scale_to_invocations, total_invocations, AzureTraceConfig,
 };
@@ -696,50 +696,14 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
             )
         }
         None => {
-            let mode = match flag_value(args, "--mode")? {
-                None => ExecutionMode::Jit,
-                Some(v) => match PlatformChoice::parse(&v)? {
-                    PlatformChoice::Xanadu(mode) => mode,
-                    PlatformChoice::Baseline(_) => {
-                        return Err(CliError::BadValue {
-                            flag: "--mode".into(),
-                            value: v,
-                            expected: "cold|spec|jit (baselines are not sharded)".into(),
-                        })
-                    }
-                },
-            };
+            let mode = parse_xanadu_mode(args, "baselines are not sharded")?;
             (mode, PolicySpec::Xanadu, 1.0, parse_miss_policy(args)?)
         }
     };
-    let window_secs = parse_num(args, "--window-secs", 60)?;
-    if window_secs == 0 {
-        return Err(CliError::BadValue {
-            flag: "--window-secs".into(),
-            value: "0".into(),
-            expected: "a positive number of simulated seconds".into(),
-        });
-    }
-    let depth = parse_num(args, "--depth", 5)?;
-    if depth == 0 {
-        return Err(CliError::BadValue {
-            flag: "--depth".into(),
-            value: "0".into(),
-            expected: "a positive chain depth".into(),
-        });
-    }
-    let slo_window_secs = parse_num(args, "--slo-window-secs", 60)?;
-    if slo_window_secs == 0 {
-        return Err(CliError::BadValue {
-            flag: "--slo-window-secs".into(),
-            value: "0".into(),
-            expected: "a positive number of simulated seconds".into(),
-        });
-    }
     Ok(ReplayArgs {
         invocations: parse_num(args, "--invocations", 10_000)?,
         shards: parse_num(args, "--shards", 1)?.max(1) as usize,
-        window_secs,
+        window_secs: parse_positive(args, "--window-secs", 60, SIM_SECONDS)?,
         seed: parse_num(args, "--seed", 42)?,
         mode,
         plan_cache: !args.iter().any(|a| a == "--no-plan-cache"),
@@ -753,13 +717,13 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
         miss_policy,
         policy,
         aggressiveness,
-        depth,
+        depth: parse_positive(args, "--depth", 5, CHAIN_DEPTH)?,
         report_out: flag_value(args, "--report-out")?,
         audit_out: flag_value(args, "--audit-out")?,
         metrics_out: flag_value(args, "--metrics-out")?,
         slo: flag_value(args, "--slo")?,
         slo_out: flag_value(args, "--slo-out")?,
-        slo_window_secs,
+        slo_window_secs: parse_positive(args, "--slo-window-secs", 60, SIM_SECONDS)?,
         progress: args.iter().any(|a| a == "--progress"),
         bench_out: flag_value(args, "--bench-out")?,
     })
@@ -768,22 +732,6 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
 /// Stream-population flags shared by `record` and `serve`:
 /// `(events, workflows, depth, rate_per_hour, seed)`.
 fn parse_stream_flags(args: &[String]) -> Result<(u64, u32, u32, f64, u64), CliError> {
-    let workflows = parse_num(args, "--workflows", 6)? as u32;
-    if workflows == 0 {
-        return Err(CliError::BadValue {
-            flag: "--workflows".into(),
-            value: "0".into(),
-            expected: "a non-empty workflow population".into(),
-        });
-    }
-    let depth = parse_num(args, "--depth", 4)? as u32;
-    if depth == 0 {
-        return Err(CliError::BadValue {
-            flag: "--depth".into(),
-            value: "0".into(),
-            expected: "a positive chain depth".into(),
-        });
-    }
     let rate = parse_float(args, "--rate-per-hour", 120.0)?;
     if rate <= 0.0 {
         return Err(CliError::BadValue {
@@ -792,10 +740,11 @@ fn parse_stream_flags(args: &[String]) -> Result<(u64, u32, u32, f64, u64), CliE
             expected: "a positive arrival rate".into(),
         });
     }
+    let population = "a non-empty workflow population";
     Ok((
         parse_num(args, "--events", 600)?,
-        workflows,
-        depth,
+        parse_positive(args, "--workflows", 6, population)?,
+        parse_positive(args, "--depth", 4, CHAIN_DEPTH)?,
         rate,
         parse_num(args, "--seed", 42)?,
     ))
@@ -818,43 +767,11 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeArgs, CliError> {
     let checkpoint_dir = flag_value(args, "--checkpoint-dir")?
         .ok_or_else(|| CliError::MissingFlag("--checkpoint-dir".into()))?;
     let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(args)?;
-    let mode = match flag_value(args, "--mode")? {
-        None => ExecutionMode::Jit,
-        Some(v) => match PlatformChoice::parse(&v)? {
-            PlatformChoice::Xanadu(mode) => mode,
-            PlatformChoice::Baseline(_) => {
-                return Err(CliError::BadValue {
-                    flag: "--mode".into(),
-                    value: v,
-                    expected: "cold|spec|jit (the service tier is Xanadu-only)".into(),
-                })
-            }
-        },
-    };
-    let checkpoint_every = parse_num(args, "--checkpoint-every", 200)?;
-    if checkpoint_every == 0 {
-        return Err(CliError::BadValue {
-            flag: "--checkpoint-every".into(),
-            value: "0".into(),
-            expected: "a positive number of events per epoch".into(),
-        });
-    }
-    let slo_window_secs = parse_num(args, "--slo-window-secs", 60)?;
-    if slo_window_secs == 0 {
-        return Err(CliError::BadValue {
-            flag: "--slo-window-secs".into(),
-            value: "0".into(),
-            expected: "a positive number of simulated seconds".into(),
-        });
-    }
-    let sketch_edges = parse_num(args, "--sketch-edges", 64)? as usize;
-    if sketch_edges == 0 {
-        return Err(CliError::BadValue {
-            flag: "--sketch-edges".into(),
-            value: "0".into(),
-            expected: "a positive sketch capacity".into(),
-        });
-    }
+    let mode = parse_xanadu_mode(args, "the service tier is Xanadu-only")?;
+    let epoch = "a positive number of events per epoch";
+    let checkpoint_every = parse_positive(args, "--checkpoint-every", 200, epoch)?;
+    let slo_window_secs = parse_positive(args, "--slo-window-secs", 60, SIM_SECONDS)?;
+    let sketch_edges = parse_positive(args, "--sketch-edges", 64, "a positive sketch capacity")?;
     Ok(ServeArgs {
         stream: flag_value(args, "--stream")?,
         events,
@@ -887,6 +804,46 @@ fn parse_miss_policy(args: &[String]) -> Result<MissPolicy, CliError> {
             flag: "--miss-policy".into(),
             value: v.into(),
             expected: "stop|replan-and-reuse".into(),
+        }),
+    }
+}
+
+/// `--mode` limited to Xanadu's own modes (JIT when absent). A baseline
+/// platform is rejected; `why` completes the expected-value text.
+fn parse_xanadu_mode(args: &[String], why: &str) -> Result<ExecutionMode, CliError> {
+    let Some(v) = flag_value(args, "--mode")? else {
+        return Ok(ExecutionMode::Jit);
+    };
+    match PlatformChoice::parse(&v)? {
+        PlatformChoice::Xanadu(mode) => Ok(mode),
+        PlatformChoice::Baseline(_) => Err(CliError::BadValue {
+            flag: "--mode".into(),
+            value: v,
+            expected: format!("cold|spec|jit ({why})"),
+        }),
+    }
+}
+
+/// Expected-value texts shared by several positive flags.
+const SIM_SECONDS: &str = "a positive number of simulated seconds";
+const CHAIN_DEPTH: &str = "a positive chain depth";
+
+/// The "must be positive" rule for counts: `flag`'s integer value (or
+/// `default`), rejected with `expected` when it is zero or does not fit
+/// the target type.
+fn parse_positive<T: TryFrom<u64>>(
+    args: &[String],
+    flag: &str,
+    default: u64,
+    expected: &str,
+) -> Result<T, CliError> {
+    let n = parse_num(args, flag, default)?;
+    match T::try_from(n) {
+        Ok(value) if n > 0 => Ok(value),
+        _ => Err(CliError::BadValue {
+            flag: flag.into(),
+            value: n.to_string(),
+            expected: expected.into(),
         }),
     }
 }
@@ -1276,7 +1233,7 @@ fn execute_replay(
         .expect("report serializes")
         .to_json_string_pretty()
         + "\n";
-    let digest = format!("fnv1a64:{:016x}", fnv1a64(report_json.as_bytes()));
+    let digest = fnv1a64_digest(report_json.as_bytes());
 
     let label = if replay.policy.is_default() {
         replay.mode.label().to_string()
@@ -1452,17 +1409,6 @@ fn kernel_profile_json(run: &xanadu_platform::ShardedRun) -> serde_json::Value {
         "shards_total": profile.shards.len(),
         "busiest_shards": rows,
     })
-}
-
-/// FNV-1a over a byte slice: the stable digest `xanadu replay` prints so
-/// CI can byte-compare merged reports across shard counts without
-/// shipping the (potentially huge) report files around.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A finished workload run: the platform still holds per-request traces.

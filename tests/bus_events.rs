@@ -53,6 +53,12 @@ fn sample_events() -> Vec<BusEvent> {
         BusEvent::WorkerCrashed {
             worker: 9,
             function: "f".into(),
+            request: Some(1),
+        },
+        BusEvent::DeployFailed {
+            request: 1,
+            function: "f".into(),
+            attempt: 2,
         },
         BusEvent::InvokeTimeout {
             request: 1,

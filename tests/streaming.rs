@@ -9,7 +9,10 @@ use xanadu::prelude::*;
 use xanadu_platform::export::{metrics_json_string, slo_json_string, streaming_json_string};
 use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
 use xanadu_platform::stream::latency_bucket;
-use xanadu_platform::{Audit, SloConfig, StreamingAudit, StreamingConfig, StreamingSummary};
+use xanadu_platform::timeline::SpanTree;
+use xanadu_platform::{
+    Audit, ObserverHandle, SloConfig, StreamingAudit, StreamingConfig, StreamingSummary,
+};
 use xanadu_simcore::RngStream;
 
 /// Relative-epsilon float comparison for sums the two audits accumulate
@@ -31,17 +34,24 @@ fn bucket_close(stream_ms: f64, exact_ms: f64, what: &str) {
     );
 }
 
+/// A drained chaos run: the platform (traces on), the streaming audit
+/// folded live off its bus, and the triggered request ids.
+type ChaosRun = (Platform, ObserverHandle<StreamingAudit>, Vec<u64>);
+
 /// One randomized single-platform run: chain shape, service time, gap,
-/// mode and fault rate all drawn from the seed. Returns the streaming
-/// summary folded live off the bus and the exact audit recomputed from
-/// full traces.
-fn random_run(seed: u64) -> (StreamingSummary, Audit) {
+/// mode and fault rate all drawn from the seed; `faults` forces the fault
+/// rate on without changing any other draw.
+fn chaos_run(seed: u64, faults: bool, config: StreamingConfig) -> ChaosRun {
     let mut rng = RngStream::derive(seed, "streaming-chaos");
     let depth = rng.uniform_inclusive(2, 5) as usize;
     let triggers = rng.uniform_inclusive(3, 8);
     let gap_s = rng.uniform_inclusive(10, 240);
     let service_ms = rng.uniform_inclusive(100, 2000) as f64;
-    let fault_rate = if rng.bernoulli(0.5) { 0.35 } else { 0.0 };
+    let fault_rate = if rng.bernoulli(0.5) || faults {
+        0.35
+    } else {
+        0.0
+    };
     let mode = if rng.bernoulli(0.5) {
         ExecutionMode::Jit
     } else {
@@ -56,7 +66,7 @@ fn random_run(seed: u64) -> (StreamingSummary, Audit) {
         builder = builder.faults(FaultConfig::with_rate(fault_rate, seed ^ 0xFA17));
     }
     let mut platform = Platform::new(builder.build().unwrap());
-    let streaming = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
+    let streaming = platform.attach_observer(StreamingAudit::new(config));
     platform.deploy(chain).unwrap();
     let mut ids = Vec::new();
     let mut t = SimTime::ZERO;
@@ -65,7 +75,13 @@ fn random_run(seed: u64) -> (StreamingSummary, Audit) {
         t += SimDuration::from_secs(gap_s);
     }
     platform.run_until_idle();
+    (platform, streaming, ids)
+}
 
+/// [`chaos_run`] with the seed's own fault coin. Returns the streaming
+/// summary and the exact audit recomputed from full traces.
+fn random_run(seed: u64) -> (StreamingSummary, Audit) {
+    let (platform, streaming, ids) = chaos_run(seed, false, StreamingConfig::default());
     let traces: Vec<_> = ids
         .iter()
         .filter_map(|&id| platform.trace(id).map(|tr| (id, tr.clone())))
@@ -145,6 +161,40 @@ fn streaming_matches_exact_audit_on_randomized_chaos_runs() {
             &ctx("p95"),
         );
     }
+}
+
+/// `Platform::trace` and the exemplar reservoir are one reconstruction of
+/// the bus: with a reservoir that keeps every request, each exemplar's
+/// span tree equals the one built from the platform's recorded trace,
+/// crash and failed-deploy markers included.
+#[test]
+fn exemplar_span_trees_equal_the_recorded_traces_under_faults() {
+    let mut crashes = 0;
+    for seed in 0..16u64 {
+        let (platform, streaming, ids) = chaos_run(seed, true, StreamingConfig { exemplars: 64 });
+        let exemplars = streaming.with(|a| a.exemplars().to_vec());
+        assert_eq!(
+            exemplars.len(),
+            ids.len(),
+            "seed {seed}: every request kept"
+        );
+        for exemplar in &exemplars {
+            let request = exemplar.request;
+            let trace = platform.trace(request).expect("trace recorded");
+            let tree = exemplar.span_tree().expect("exemplar trace is non-empty");
+            assert_eq!(
+                Some(&tree),
+                SpanTree::from_trace(request, trace).as_ref(),
+                "seed {seed}, request {request}"
+            );
+            crashes += tree
+                .markers
+                .iter()
+                .filter(|m| m.label.starts_with("crash "))
+                .count();
+        }
+    }
+    assert!(crashes > 0, "no seed crashed a worker mid-invocation");
 }
 
 /// A deterministic multi-workflow fleet with staggered triggers.

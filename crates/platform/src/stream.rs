@@ -43,7 +43,7 @@ use crate::analysis::{
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
 use crate::timeline::{SpanTree, Trace};
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use xanadu_simcore::{SimDuration, SimTime};
 
@@ -403,14 +403,18 @@ impl Buckets {
 /// Everything a drained [`StreamingAudit`] holds: its state, and the
 /// service tier's `serve/audit` checkpoint document. Checkpoint → restore
 /// is lossless: floats round-trip through JSON via shortest-round-trip
-/// formatting, so a restored audit continues byte-identically.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// formatting, so a restored audit continues byte-identically. The
+/// document is flat: the tally's and the buckets' fields sit beside the
+/// rest.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AuditCheckpoint {
     /// Exemplar-reservoir capacity the audit was configured with.
     pub exemplars_cap: usize,
     /// The counters the exact audit keeps too.
+    #[serde(flatten)]
     pub tally: Tally,
     /// The latency distributions.
+    #[serde(flatten)]
     pub(crate) buckets: Buckets,
     /// Wasted deploy CPU, integer microseconds.
     pub wasted_us: u64,
@@ -418,41 +422,6 @@ pub struct AuditCheckpoint {
     pub cluster: ClusterActivity,
     /// The worst-request reservoir, worst first.
     pub exemplars: Vec<Exemplar>,
-}
-
-// The document is flat, the layout serde's `flatten` gives: the tally's
-// and the buckets' fields sit beside the rest.
-impl Serialize for AuditCheckpoint {
-    fn to_json(&self) -> Value {
-        let mut doc = Map::new();
-        for part in [self.tally.to_json(), self.buckets.to_json()] {
-            if let Value::Object(fields) = part {
-                doc.extend(fields);
-            }
-        }
-        doc.insert("exemplars_cap".into(), self.exemplars_cap.to_json());
-        doc.insert("wasted_us".into(), self.wasted_us.to_json());
-        doc.insert("cluster".into(), self.cluster.to_json());
-        doc.insert("exemplars".into(), self.exemplars.to_json());
-        Value::Object(doc)
-    }
-}
-
-impl Deserialize for AuditCheckpoint {
-    fn from_json(doc: &Value) -> Result<Self, serde::Error> {
-        let field = |key: &str| {
-            doc.get(key)
-                .ok_or_else(|| serde::Error::missing_field(key, "AuditCheckpoint"))
-        };
-        Ok(AuditCheckpoint {
-            exemplars_cap: Deserialize::from_json(field("exemplars_cap")?)?,
-            tally: Tally::from_json(doc)?,
-            buckets: Buckets::from_json(doc)?,
-            wasted_us: Deserialize::from_json(field("wasted_us")?)?,
-            cluster: Deserialize::from_json(field("cluster")?)?,
-            exemplars: Deserialize::from_json(field("exemplars")?)?,
-        })
-    }
 }
 
 /// Bounded-memory audit over the live event stream.

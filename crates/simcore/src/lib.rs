@@ -54,5 +54,5 @@ mod time;
 pub use dist::{Distribution, SampleError};
 pub use events::{EventQueue, ScheduledEvent};
 pub use interner::{Interner, Sym};
-pub use rng::{fnv1a64, fnv1a64_digest, RngStream};
+pub use rng::{fnv1a64, fnv1a64_digest, Fnv1a64, RngStream};
 pub use time::{SimDuration, SimTime};

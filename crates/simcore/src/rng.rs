@@ -12,6 +12,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::fmt;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -25,13 +26,60 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// assert_eq!(xanadu_simcore::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
+    let mut hash = Fnv1a64::default();
+    hash.update(bytes);
+    hash.finish()
 }
 
 /// [`fnv1a64`] rendered as the `fnv1a64:<16 hex digits>` digest string
 /// the CLI prints and checkpoint manifests store.
 pub fn fnv1a64_digest(bytes: &[u8]) -> String {
-    format!("fnv1a64:{:016x}", fnv1a64(bytes))
+    let mut hash = Fnv1a64::default();
+    hash.update(bytes);
+    hash.digest()
+}
+
+/// An incremental [`fnv1a64`]: bytes fed in pieces hash as their
+/// concatenation. As a [`fmt::Write`] sink it digests a document while
+/// the document is written, without holding its text.
+///
+/// ```
+/// use std::fmt::Write;
+/// let mut hash = xanadu_simcore::Fnv1a64::default();
+/// write!(hash, "{}{}", "a", "bc").unwrap();
+/// assert_eq!(hash.digest(), xanadu_simcore::fnv1a64_digest(b"abc"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(FNV_OFFSET)
+    }
+}
+
+impl Fnv1a64 {
+    /// Hashes `bytes` after everything fed so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64_extend(self.0, bytes);
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// [`finish`](Fnv1a64::finish) as a `fnv1a64:<16 hex digits>` string.
+    pub fn digest(&self) -> String {
+        format!("fnv1a64:{:016x}", self.0)
+    }
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Continues an FNV-1a hash whose state so far is `hash`.

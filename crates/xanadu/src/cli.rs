@@ -14,6 +14,7 @@
 //! thin shell.
 
 use crate::serve::{RecordArgs, ServeArgs};
+use serde::JsonWriter;
 use std::fmt;
 use xanadu_baselines::BaselineKind;
 use xanadu_chain::{linear_chain, sdl, FunctionSpec};
@@ -26,7 +27,7 @@ use xanadu_platform::{
     MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig, SloConfig,
     StreamingConfig,
 };
-use xanadu_simcore::{fnv1a64_digest, SimDuration, SimTime};
+use xanadu_simcore::{Fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::azure::{
     generate_trace, scale_to_invocations, total_invocations, AzureTraceConfig,
 };
@@ -1229,11 +1230,16 @@ fn execute_replay(
         0.0
     };
 
-    let report_json = serde_json::to_value(&run.report)
-        .expect("report serializes")
-        .to_json_string_pretty()
-        + "\n";
-    let digest = fnv1a64_digest(report_json.as_bytes());
+    // The report holds one result per invocation: digest it while it is
+    // written, and keep its text only when `--report-out` asks for it.
+    let mut report_text = DigestingText {
+        digest: Fnv1a64::default(),
+        text: replay.report_out.is_some().then(String::new),
+    };
+    serde::Serialize::write_json(&run.report, &mut JsonWriter::new(&mut report_text, true))
+        .and_then(|()| fmt::Write::write_char(&mut report_text, '\n'))
+        .expect("writing the report into memory cannot fail");
+    let digest = report_text.digest.digest();
 
     let label = if replay.policy.is_default() {
         replay.mode.label().to_string()
@@ -1307,10 +1313,10 @@ fn execute_replay(
     }
     out.push_str(&format!("report digest: {digest}\n"));
 
-    if let Some(path) = &replay.report_out {
+    if let (Some(path), Some(contents)) = (&replay.report_out, report_text.text) {
         exports.push(ExportFile {
             path: path.clone(),
-            contents: report_json,
+            contents,
         });
     }
     if let Some(path) = &replay.audit_out {
@@ -1375,6 +1381,23 @@ fn execute_replay(
         }
     }
     Ok(out)
+}
+
+/// A text sink that digests everything written to it and keeps a copy
+/// only when `text` is `Some`.
+struct DigestingText {
+    digest: Fnv1a64,
+    text: Option<String>,
+}
+
+impl fmt::Write for DigestingText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.digest.update(s.as_bytes());
+        if let Some(text) = &mut self.text {
+            text.push_str(s);
+        }
+        Ok(())
+    }
 }
 
 /// One human-readable line per SLO breach, mirroring how `xanadu diff`

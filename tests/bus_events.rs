@@ -1,7 +1,8 @@
 //! The typed event taxonomy end to end: every [`BusEvent`] variant
-//! round-trips through serde, and a chaos-mode run emits every topic at
-//! least once — asserted through a subscribing [`Observer`], exercising
-//! the same hook the metrics registry uses.
+//! round-trips through serde and streams the bytes its tree renders, and
+//! a chaos-mode run emits every topic at least once — asserted through a
+//! subscribing [`Observer`], exercising the same hook the metrics
+//! registry uses.
 
 use xanadu::prelude::*;
 use xanadu_platform::events::Topic;
@@ -133,6 +134,15 @@ fn every_variant_roundtrips_through_serde() {
         let value = serde_json::to_value(event).unwrap();
         let back: BusEvent = serde_json::from_value(value.clone()).unwrap();
         assert_eq!(&back, event, "roundtrip of {value:?}");
+        // Streamed text equals the tree render (tests/json_streaming.rs).
+        assert_eq!(
+            serde_json::to_string_pretty(event).unwrap(),
+            value.to_json_string_pretty()
+        );
+        assert_eq!(
+            serde_json::to_string(event).unwrap(),
+            value.to_json_string()
+        );
     }
 }
 

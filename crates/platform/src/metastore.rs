@@ -7,12 +7,13 @@
 //! for scanning related documents (function profiles, branch trees, run
 //! results).
 
-use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use xanadu_simcore::fnv1a64_digest;
+use xanadu_simcore::{fnv1a64_digest, Fnv1a64};
 
 /// Error from a conflicting or missing-document operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,6 +136,9 @@ pub enum LogError {
     Io(std::io::Error),
     /// The on-disk state is unparseable or fails integrity checks.
     Corrupt(String),
+    /// An append named this document id twice. A segment is one JSON
+    /// object, so it could hold only one of them; nothing was written.
+    DuplicateId(String),
 }
 
 impl fmt::Display for LogError {
@@ -142,6 +146,9 @@ impl fmt::Display for LogError {
         match self {
             LogError::Io(e) => write!(f, "checkpoint log I/O error: {e}"),
             LogError::Corrupt(msg) => write!(f, "checkpoint log corrupt: {msg}"),
+            LogError::DuplicateId(id) => {
+                write!(f, "checkpoint append names document `{id}` twice")
+            }
         }
     }
 }
@@ -175,13 +182,50 @@ pub struct Manifest {
     pub segments: Vec<SegmentRef>,
 }
 
-/// Writes `contents` to `path` atomically: a `.tmp` sibling is written
-/// in full, then renamed over the target.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), LogError> {
+/// A [`fmt::Write`] sink over a buffered file that digests every byte
+/// as it is written. `fmt::Error` carries no cause, so the first I/O
+/// error is kept here.
+struct DigestingFile {
+    file: BufWriter<File>,
+    digest: Fnv1a64,
+    error: Option<std::io::Error>,
+}
+
+impl fmt::Write for DigestingFile {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.digest.update(s.as_bytes());
+        self.file.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Writes a pretty JSON document to `path` atomically and returns the
+/// FNV-1a digest of its bytes. `write` streams the document into a
+/// `.tmp` sibling, which is fsynced and then renamed over the target;
+/// the text is never held whole in memory.
+fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut JsonWriter<'_>) -> fmt::Result,
+) -> Result<String, LogError> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
+    let mut sink = DigestingFile {
+        file: BufWriter::new(File::create(&tmp)?),
+        digest: Fnv1a64::default(),
+        error: None,
+    };
+    let written = write(&mut JsonWriter::new(&mut sink, true));
+    if let Some(e) = sink.error {
+        return Err(LogError::Io(e));
+    }
+    written.map_err(|_| std::io::Error::other("a document failed to serialize"))?;
+    sink.file
+        .into_inner()
+        .map_err(|e| e.into_error())?
+        .sync_all()?;
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(sink.digest.digest())
 }
 
 /// Append-only segment log with an atomic manifest — the durable tier
@@ -240,26 +284,44 @@ impl SegmentLog {
 
     /// Commits `docs` as the next segment: the segment file is written
     /// atomically, then the manifest is atomically replaced to reference
-    /// it. Returns the new segment's manifest entry.
-    pub fn append(&self, docs: &[(String, Value)]) -> Result<SegmentRef, LogError> {
+    /// it, and the directory is fsynced. Returns the new segment's
+    /// manifest entry.
+    ///
+    /// The segment is one pretty JSON object of id → document, ids in
+    /// byte order. Each document writes itself straight into the file
+    /// and its digest ([`Serialize::write_json`]), so a typed document
+    /// and its `to_value` tree produce the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::DuplicateId`] if two entries share an id (checked
+    /// before anything is written); I/O and encoding failures otherwise.
+    pub fn append<D: Serialize>(&self, docs: &[(String, D)]) -> Result<SegmentRef, LogError> {
+        let mut sorted: Vec<&(String, D)> = docs.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(LogError::DuplicateId(pair[0].0.clone()));
+        }
         let mut manifest = self.manifest()?;
         let seq = manifest.segments.len() as u64;
         let file = format!("segment-{seq:06}.json");
-        let mut body = Map::new();
-        for (id, doc) in docs {
-            body.insert(id.clone(), doc.clone());
-        }
-        let text = Value::Object(body).to_json_string_pretty();
-        write_atomic(&self.dir.join(&file), &text)?;
+        let digest = write_atomic(&self.dir.join(&file), |out| {
+            out.open('{')?;
+            for (id, doc) in sorted {
+                out.key(id)?;
+                doc.write_json(out)?;
+            }
+            out.close('}')
+        })?;
         let entry = SegmentRef {
             file,
             docs: docs.len() as u64,
-            digest: fnv1a64_digest(text.as_bytes()),
+            digest,
         };
         manifest.segments.push(entry.clone());
-        let manifest_text = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| LogError::Corrupt(format!("{e:?}")))?;
-        write_atomic(&self.manifest_path(), &manifest_text)?;
+        write_atomic(&self.manifest_path(), |out| manifest.write_json(out))?;
+        // Makes both renames durable.
+        File::open(&self.dir)?.sync_all()?;
         Ok(entry)
     }
 
@@ -279,9 +341,9 @@ impl SegmentLog {
             }
             let body: Value = serde_json::from_str(&text)
                 .map_err(|e| LogError::Corrupt(format!("{}: {e:?}", seg.file)))?;
-            let docs = body
-                .as_object()
-                .ok_or_else(|| LogError::Corrupt(format!("{}: not an object", seg.file)))?;
+            let Value::Object(docs) = body else {
+                return Err(LogError::Corrupt(format!("{}: not an object", seg.file)));
+            };
             if docs.len() as u64 != seg.docs {
                 return Err(LogError::Corrupt(format!(
                     "{}: holds {} docs, manifest says {}",
@@ -291,7 +353,7 @@ impl SegmentLog {
                 )));
             }
             for (id, doc) in docs {
-                store.put(id, doc.clone());
+                store.put(&id, doc);
             }
         }
         Ok(store)
@@ -408,6 +470,134 @@ mod tests {
             Err(LogError::Corrupt(msg)) => assert!(msg.contains("digest"), "{msg}"),
             other => panic!("expected digest mismatch, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Appends `docs` as the first segment of a fresh log; returns the
+    /// segment file's bytes and its manifest digest.
+    fn appended<D: Serialize>(tag: &str, docs: &[(String, D)]) -> (Vec<u8>, String) {
+        let dir = scratch_dir(tag);
+        let entry = SegmentLog::open(&dir).unwrap().append(docs).unwrap();
+        let bytes = std::fs::read(dir.join(&entry.file)).unwrap();
+        assert_eq!(fnv1a64_digest(&bytes), entry.digest, "digest of the bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+        (bytes, entry.digest)
+    }
+
+    #[test]
+    fn typed_documents_write_the_bytes_of_their_trees() {
+        use crate::stream::{SloAlert, SloCheckpoint, SloWindow, StreamingAudit, StreamingConfig};
+        use crate::{DiffThresholds, Histogram, Platform, PlatformConfig};
+        use xanadu_chain::{linear_chain, FunctionSpec};
+        use xanadu_core::speculation::ExecutionMode;
+        use xanadu_core::{CountMinSketch, SpaceSaving};
+
+        // A real audit: histograms, exemplar traces, and the flattened
+        // members that write through their tree.
+        let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 7));
+        let dag = linear_chain("chain", 3, &FunctionSpec::new("f").service_ms(300.0)).unwrap();
+        platform.deploy(dag).unwrap();
+        let handle = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
+        for i in 0..12 {
+            let at = xanadu_simcore::SimTime::from_millis(i * 4_000);
+            platform.trigger_at("chain", at).unwrap();
+        }
+        platform.run_until_idle();
+        let audit = handle.snapshot().checkpoint();
+        assert!(!audit.exemplars.is_empty());
+
+        let windows = (0..1200u64)
+            .map(|i| {
+                let mut end_to_end = Histogram::latency();
+                for k in 0..i % 7 {
+                    end_to_end.observe((i * 37 + k * 101) as f64 / 3.0);
+                }
+                SloWindow {
+                    index: 2 * i,
+                    requests: i % 7,
+                    end_to_end,
+                    wasted_us: i * 13,
+                    invoked: i % 11,
+                    misses: i % 3,
+                }
+            })
+            .collect();
+        let slo = SloCheckpoint {
+            window_us: 60_000_000,
+            thresholds: DiffThresholds::default(),
+            windows,
+            baseline: Some(0),
+            evaluated: Some(2398),
+            alerts: (1..4)
+                .map(|w| SloAlert {
+                    window: 2 * w,
+                    path: format!("$.windows[{w}].p95_ms"),
+                    baseline: 1.5,
+                    candidate: 1.5 + w as f64,
+                    allowed: "+10% \"p95\"\n".into(),
+                })
+                .collect(),
+        };
+        let mut edges = SpaceSaving::new(3);
+        for key in ["a>b", "b>c", "a>b", "c>d", "d>e", "a>b"] {
+            edges.observe(key);
+        }
+        let mut rates = CountMinSketch::new(2, 8);
+        rates.observe("wf-0", 3);
+        rates.observe("wf-1", 1);
+
+        let evictions = edges.evictions();
+        // Ids out of byte order, so the segment's own ordering is tested.
+        let typed: Vec<(String, &dyn Serialize)> = vec![
+            ("serve/slo".into(), &slo),
+            ("serve/audit".into(), &audit),
+            ("serve/sketch/rates".into(), &rates),
+            ("serve/sketch/edges".into(), &edges),
+            ("Serve".into(), &evictions),
+        ];
+        let trees: Vec<(String, Value)> = typed
+            .iter()
+            .map(|(id, doc)| (id.clone(), serde_json::to_value(doc).unwrap()))
+            .collect();
+        let (typed_bytes, typed_digest) = appended("typed", &typed);
+        let (tree_bytes, tree_digest) = appended("trees", &trees);
+        assert!(typed_bytes == tree_bytes, "typed and tree segments differ");
+        assert_eq!(typed_digest, tree_digest);
+        // Both equal the id → document object rendered as one tree.
+        let object = Value::Object(trees.into_iter().collect());
+        assert!(typed_bytes == object.to_json_string_pretty().into_bytes());
+
+        let (empty, _) = appended::<Value>("empty", &[]);
+        assert_eq!(empty, b"{}");
+    }
+
+    #[test]
+    fn segment_log_rejects_duplicate_ids_before_writing() {
+        let dir = scratch_dir("duplicate");
+        let log = SegmentLog::open(&dir).unwrap();
+        log.append(&[("a".to_string(), doc("1"))]).unwrap();
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let (files, manifest) = (listing(), std::fs::read(log.manifest_path()).unwrap());
+
+        let docs = [
+            ("b".to_string(), doc("1")),
+            ("c".to_string(), doc("2")),
+            ("b".to_string(), doc("3")),
+        ];
+        match log.append(&docs) {
+            Err(LogError::DuplicateId(id)) => assert_eq!(id, "b"),
+            other => panic!("expected a duplicate-id error, got {other:?}"),
+        }
+        assert_eq!(listing(), files, "no segment or temp file was written");
+        assert_eq!(std::fs::read(log.manifest_path()).unwrap(), manifest);
+        assert_eq!(log.replay().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -799,9 +799,9 @@ impl Platform {
         let (detector_doc, _) = store
             .get("learned/branches")
             .ok_or_else(|| restore("learned/branches document missing".into()))?;
-        self.metrics = serde_json::from_value(metrics_doc.clone())
+        self.metrics = serde::Deserialize::from_json(metrics_doc)
             .map_err(|e| restore(format!("bad metrics document: {e}")))?;
-        self.detector = serde_json::from_value(detector_doc.clone())
+        self.detector = serde::Deserialize::from_json(detector_doc)
             .map_err(|e| restore(format!("bad branch document: {e}")))?;
         // The restored engines restart their epoch counters, which could
         // collide with the epochs a cached plan was tagged with.

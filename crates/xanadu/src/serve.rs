@@ -123,6 +123,7 @@ const DOC_CURSOR: &str = "serve/cursor";
 const DOC_AUDIT: &str = "serve/audit";
 const DOC_SLO: &str = "serve/slo";
 const DOC_SKETCH: &str = "serve/sketch";
+const SERVICE_DOCS: [&str; 4] = [DOC_CURSOR, DOC_AUDIT, DOC_SLO, DOC_SKETCH];
 const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
 /// The resume cursor: where in the stream the durable state ends.
@@ -219,6 +220,19 @@ struct ServiceState {
     epoch: u64,
 }
 
+/// Reads checkpoint document `id` from the replayed store, straight from
+/// its tree (no copy of it is made).
+fn checkpoint_doc<T: Deserialize>(
+    durable: &xanadu_platform::MetaStore,
+    id: &str,
+) -> Result<T, CliError> {
+    let (doc, _) = durable
+        .get(id)
+        .ok_or_else(|| CliError::Workflow(format!("checkpoint document {id} is missing")))?;
+    T::from_json(doc)
+        .map_err(|e| CliError::Workflow(format!("checkpoint document {id} is corrupt: {e}")))
+}
+
 /// Loads the durable service state from a replayed checkpoint store, or
 /// builds the fresh epoch-zero state.
 fn load_state(
@@ -227,7 +241,7 @@ fn load_state(
     slo_config: &SloConfig,
     header_digest: &str,
 ) -> Result<(ServiceState, bool), CliError> {
-    let Some((cursor_doc, _)) = durable.get(DOC_CURSOR) else {
+    if durable.get(DOC_CURSOR).is_none() {
         return Ok((
             ServiceState {
                 audit: StreamingAudit::new(StreamingConfig::default()),
@@ -242,12 +256,8 @@ fn load_state(
             },
             false,
         ));
-    };
-    let bad_doc = |id: &str, e: &dyn std::fmt::Display| {
-        CliError::Workflow(format!("checkpoint document {id} is corrupt: {e}"))
-    };
-    let cursor: ServeCursor =
-        serde_json::from_value(cursor_doc.clone()).map_err(|e| bad_doc(DOC_CURSOR, &e))?;
+    }
+    let cursor: ServeCursor = checkpoint_doc(durable, DOC_CURSOR)?;
     if cursor.header_digest != header_digest {
         return Err(CliError::Workflow(format!(
             "checkpoint in {} was recorded from a different stream \
@@ -263,16 +273,8 @@ fn load_state(
             serve.checkpoint_dir, cursor.checkpoint_every, serve.checkpoint_every
         )));
     }
-    let typed = |id: &str| -> Result<Value, CliError> {
-        durable
-            .get(id)
-            .map(|(doc, _)| doc.clone())
-            .ok_or_else(|| CliError::Workflow(format!("checkpoint document {id} is missing")))
-    };
-    let audit_cp: AuditCheckpoint =
-        serde_json::from_value(typed(DOC_AUDIT)?).map_err(|e| bad_doc(DOC_AUDIT, &e))?;
-    let slo_cp: SloCheckpoint =
-        serde_json::from_value(typed(DOC_SLO)?).map_err(|e| bad_doc(DOC_SLO, &e))?;
+    let audit_cp: AuditCheckpoint = checkpoint_doc(durable, DOC_AUDIT)?;
+    let slo_cp: SloCheckpoint = checkpoint_doc(durable, DOC_SLO)?;
     if slo_cp.window_us != slo_config.window.as_micros() {
         return Err(CliError::Workflow(format!(
             "checkpointed SLO window is {}µs but --slo-window-secs asks for \
@@ -281,8 +283,7 @@ fn load_state(
             slo_config.window.as_micros()
         )));
     }
-    let sketch: SketchState =
-        serde_json::from_value(typed(DOC_SKETCH)?).map_err(|e| bad_doc(DOC_SKETCH, &e))?;
+    let sketch: SketchState = checkpoint_doc(durable, DOC_SKETCH)?;
     let slo = SloMonitor::from_checkpoint(&slo_cp);
     debug_assert_eq!(slo.alerts().len() as u64, cursor.alerts_emitted);
     Ok((
@@ -394,6 +395,11 @@ pub fn run_serve(
         .len() as u64;
 
     let (mut state, resumed) = load_state(&durable, serve, &slo_config, &header_digest)?;
+    // From here on `durable` carries only the learned documents between
+    // epochs; the service documents now live in `state`.
+    for id in SERVICE_DOCS {
+        durable.delete(id);
+    }
     let mut restored_event = resumed.then_some(BusEvent::CheckpointRestored {
         epoch: state.epoch,
         segments,
@@ -513,28 +519,20 @@ pub fn run_serve(
             alerts_emitted: state.slo.alerts().len() as u64,
         };
         let checkpoint_started = Instant::now();
-        let mut docs: Vec<(String, Value)> = Vec::with_capacity(6);
+        // The documents are borrowed as typed values and write themselves
+        // straight into the segment file (`SegmentLog::append`).
+        let audit_cp = state.audit.checkpoint();
+        let slo_cp = state.slo.checkpoint();
+        let mut docs: Vec<(String, &dyn Serialize)> = Vec::with_capacity(6);
         for id in LEARNED_DOCS {
             if let Some((doc, _)) = durable.get(id) {
-                docs.push((id.to_string(), doc.clone()));
+                docs.push((id.to_string(), doc));
             }
         }
-        docs.push((
-            DOC_AUDIT.to_string(),
-            serde_json::to_value(state.audit.checkpoint()).expect("audit checkpoint serializes"),
-        ));
-        docs.push((
-            DOC_SLO.to_string(),
-            serde_json::to_value(state.slo.checkpoint()).expect("slo checkpoint serializes"),
-        ));
-        docs.push((
-            DOC_SKETCH.to_string(),
-            serde_json::to_value(&state.sketch).expect("sketch state serializes"),
-        ));
-        docs.push((
-            DOC_CURSOR.to_string(),
-            serde_json::to_value(&cursor).expect("cursor serializes"),
-        ));
+        docs.push((DOC_AUDIT.to_string(), &audit_cp));
+        docs.push((DOC_SLO.to_string(), &slo_cp));
+        docs.push((DOC_SKETCH.to_string(), &state.sketch));
+        docs.push((DOC_CURSOR.to_string(), &cursor));
         let doc_count = docs.len() as u64;
         log.append(&docs)
             .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;

@@ -223,6 +223,33 @@ fn serve_audit_stays_drained_and_ids_stay_global() {
     );
 }
 
+/// The log's write path is blind to document types: re-appending a
+/// finished serve's segments, parsed back as `Value` documents, to a
+/// fresh log reproduces every manifest entry and digest. perfbench's
+/// re-append timing checks its segments against serve's this way.
+#[test]
+fn reappended_value_segments_reproduce_serve_digests() {
+    let dir = scratch_dir("reappend");
+    run_to_end(&dir, true, None);
+    let served = SegmentLog::open(dir.join("ck")).unwrap();
+    let manifest = served.manifest().unwrap();
+    assert_eq!(manifest.segments.len() as u64, EVENTS / EPOCH);
+
+    let fresh = SegmentLog::open(dir.join("reappend")).unwrap();
+    for seg in &manifest.segments {
+        let text = std::fs::read_to_string(served.dir().join(&seg.file)).unwrap();
+        let body: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let docs: Vec<(String, serde_json::Value)> =
+            body.as_object().unwrap().clone().into_iter().collect();
+        let entry = fresh.append(&docs).unwrap();
+        assert_eq!(&entry, seg, "re-appended {} differs", seg.file);
+    }
+    assert_eq!(
+        std::fs::read(fresh.manifest_path()).unwrap(),
+        std::fs::read(served.manifest_path()).unwrap()
+    );
+}
+
 /// Resuming against a different stream or a different epoch cadence is
 /// a hard error, not a silent divergence.
 #[test]

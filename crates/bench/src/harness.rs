@@ -6,7 +6,9 @@ use xanadu_chain::{linear_chain, FunctionSpec, WorkflowDag};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_platform::export::{audit_json_string, chrome_trace_string, metrics_json_string};
 use xanadu_platform::timeline::Trace;
-use xanadu_platform::{Audit, FaultConfig, Platform, PlatformConfig, RequestAudit, RunResult};
+use xanadu_platform::{
+    Audit, FaultConfig, MetricsRegistry, Platform, PlatformConfig, RequestAudit, RunResult,
+};
 use xanadu_simcore::report::fmt_f64;
 use xanadu_simcore::{SimDuration, SimTime};
 
@@ -327,7 +329,7 @@ fn probe_run(seed: u64, plan_cache: bool) -> (Platform, Vec<u64>, String) {
         .build()
         .expect("valid config");
     let mut platform = Platform::new(config);
-    let registry = platform.attach_metrics();
+    let registry = platform.attach_observer(MetricsRegistry::new());
     platform.deploy(dag).expect("deploy");
     let mut requests = Vec::new();
     for i in 0..4u64 {

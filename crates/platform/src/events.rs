@@ -2,9 +2,9 @@
 //!
 //! The paper's prototype publishes worker and request lifecycle signals
 //! over Kafka (§4) and derives the whole evaluation from them. Here those
-//! signals are a closed, typed vocabulary: every emission on the
-//! [`Bus`](crate::bus::Bus) is a [`BusEvent`] variant and every topic is a
-//! [`Topic`] constant. Untyped JSON values appear only at the
+//! signals are a closed, typed vocabulary: every emission the platform
+//! delivers to its [`Observer`](crate::Observer)s is a [`BusEvent`]
+//! variant and every topic is a [`Topic`] constant. Untyped JSON values appear only at the
 //! serialization boundary (the [`export`](crate::export) module); nothing
 //! inside the dispatch path builds untyped JSON — CI greps for the type's
 //! literal name to keep it that way.
@@ -14,9 +14,8 @@ use std::fmt;
 
 /// The bus topics, one per [`BusEvent`] variant.
 ///
-/// Topics are a closed enum rather than free-form strings so a typo in a
-/// subscription is a compile error, and so the bus can answer
-/// "does anyone listen?" with a bitmask test instead of a map lookup.
+/// Topics are a closed enum rather than free-form strings, so a typo in
+/// an observer's match is a compile error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Topic {
     /// A workflow trigger arrived at the Dispatch Manager.
@@ -45,7 +44,7 @@ pub enum Topic {
     InvokeRetried,
     /// A request's last function completed; the run result is final.
     RequestCompleted,
-    /// A live SLO window breached its thresholds.
+    /// An SLO window breached its thresholds.
     SloAlert,
     /// A host came up (autoscaled boot or post-failure reboot).
     HostUp,
@@ -120,8 +119,8 @@ impl Topic {
         }
     }
 
-    /// Stable position in [`Topic::ALL`]; used for the bus's subscriber
-    /// bitmask.
+    /// Stable position in [`Topic::ALL`], for observers that index
+    /// per-topic state by topic.
     pub const fn index(self) -> usize {
         self as usize
     }
@@ -277,8 +276,9 @@ pub enum BusEvent {
         /// End-to-end latency in milliseconds.
         end_to_end_ms: f64,
     },
-    /// A live SLO window breached its thresholds (emitted by an attached
-    /// [`SloMonitor`](crate::stream::SloMonitor)).
+    /// An SLO window breached its thresholds (evaluated by
+    /// [`SloMonitor::evaluate_below`](crate::stream::SloMonitor::evaluate_below)
+    /// and announced by the service tier).
     SloAlert {
         /// Index of the tumbling window that breached.
         window: u64,

@@ -14,8 +14,10 @@
 //! * [`PlatformConfig`] — execution mode (cold / speculative / JIT),
 //!   aggressiveness, keep-alive and pool policy, plus the platform-shape
 //!   knobs that the baseline emulations (`xanadu-baselines`) override.
-//! * [`bus`] — the internal topic-based message bus (the paper's Kafka
-//!   substitute) carrying worker/request lifecycle messages.
+//! * [`events`] and [`obs`] — the typed worker/request lifecycle events
+//!   ([`BusEvent`]) and the synchronous [`Observer`]s that are their only
+//!   consumers. The paper's Kafka traffic between the Dispatch Manager
+//!   and the Dispatch Daemons is the discrete-event queue itself.
 //! * [`metastore`] — the revisioned JSON document store (the paper's
 //!   CouchDB substitute) persisting metrics and branch metadata.
 //!
@@ -41,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bus;
 mod config;
 mod estimates;
 pub mod events;

@@ -1,16 +1,17 @@
 //! Observers and the metrics registry.
 //!
-//! The [`Observer`] trait is the synchronous counterpart of a bus
-//! subscription: the platform calls [`Observer::on_event`] inline for
-//! every emitted [`BusEvent`], in deterministic simulation order. Because
-//! the platform only *constructs* events when at least one observer or
-//! subscriber is attached (see `Platform::attach_observer`), an
-//! unobserved platform pays nothing — not even the `String` clones a
-//! payload would need.
+//! [`Observer`]s are the only consumers of platform events: the platform
+//! calls [`Observer::on_event`] inline for every emitted [`BusEvent`], in
+//! deterministic simulation order. Because the platform only
+//! *constructs* events when trace recording is on or at least one
+//! observer is attached (see `Platform::attach_observer`), an unobserved
+//! platform pays nothing — not even the `String` clones a payload would
+//! need.
 //!
-//! [`MetricsRegistry`] is the built-in observer: a deterministic set of
-//! counters and fixed-bucket histograms aggregated from the event stream,
-//! embeddable into a `PlatformReport` and exportable as flat JSON.
+//! [`MetricsRegistry`] is an observer like any other: a deterministic set
+//! of counters and fixed-bucket histograms aggregated from the event
+//! stream, read back through its [`ObserverHandle`] and exportable as
+//! flat JSON.
 
 use crate::events::BusEvent;
 use serde::{Deserialize, Serialize};
@@ -63,12 +64,6 @@ impl<T> ObserverHandle<T> {
     /// Runs `f` against the observer's current state.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         f(&self.inner.lock().expect("observer lock poisoned"))
-    }
-
-    /// Runs `f` against the observer's state with mutable access (e.g. to
-    /// drain accumulated output out of an attached observer).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.inner.lock().expect("observer lock poisoned"))
     }
 
     /// Clones the observer's current state out of the handle.

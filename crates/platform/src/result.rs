@@ -1,7 +1,6 @@
 //! Per-request and per-run results.
 
 use crate::hosts::ClusterReport;
-use crate::obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use xanadu_core::cost::{PenaltyFactors, ResourceCosts, WorkflowRunCosts};
 use xanadu_sandbox::WorkerRecord;
@@ -68,11 +67,6 @@ pub struct PlatformReport {
     pub results: Vec<RunResult>,
     /// Lifetime records of every worker the platform ever created.
     pub worker_records: Vec<WorkerRecord>,
-    /// Aggregated metrics, present only when a metrics registry was
-    /// attached via `Platform::attach_metrics` — reports from unobserved
-    /// platforms serialize byte-identically to pre-observability ones.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub metrics: Option<MetricsRegistry>,
     /// Cluster scheduling outcome (per-host utilization, tenant
     /// admission, cross-host cold attribution). Present only when the
     /// platform ran with an explicit multi-host cluster — default
@@ -208,14 +202,9 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         assert!(!json.contains("metrics"), "{json}");
         assert!(!json.contains("cluster"), "{json}");
-        let with = PlatformReport {
-            metrics: Some(MetricsRegistry::new()),
-            ..PlatformReport::default()
-        };
-        let json = serde_json::to_string(&with).unwrap();
-        assert!(json.contains("metrics"), "{json}");
+        assert_eq!(json, r#"{"results":[],"worker_records":[]}"#);
         let back: PlatformReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, with);
+        assert_eq!(back, report);
     }
 
     #[test]

@@ -440,10 +440,9 @@ fn drive_shards(
                     .trigger_at(&input.name, at)
                     .expect("workflow was just deployed");
             }
-            // Telemetry observers: collector-mode SLO (evaluation happens
-            // once, post-merge) and a plain metrics observer (not
-            // `attach_metrics`, which would embed the registry into the
-            // report and change its bytes).
+            // Telemetry observers: an SLO collector (evaluation happens
+            // once, post-merge), the streaming audit and the metrics
+            // registry, each read back through its handle.
             let streaming = telemetry
                 .streaming
                 .map(|cfg| platform.attach_observer(StreamingAudit::new(cfg)));
@@ -657,7 +656,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
         report: PlatformReport {
             results,
             worker_records: records,
-            metrics: None,
             cluster,
         },
         traces,

@@ -14,16 +14,15 @@
 //! one exists and provisions otherwise; prediction misses stop (or replan)
 //! outstanding speculation.
 
-use crate::bus::Bus;
 use crate::config::PlatformConfig;
 use crate::estimates::PlatformEstimates;
-use crate::events::{BusEvent, Topic};
+use crate::events::BusEvent;
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::hosts::{ClusterReport, HostId, HostRegistry, HostSpec, PlacementRequest};
 use crate::metastore::MetaStore;
-use crate::obs::{MetricsRegistry, Observer, ObserverHandle};
+use crate::obs::{Observer, ObserverHandle};
 use crate::result::{PlatformReport, RunResult};
-use crate::stream::{SloConfig, SloMonitor, TraceRecorder};
+use crate::stream::TraceRecorder;
 use crate::timeline::Trace;
 use serde_json::json;
 use std::collections::{HashMap, HashSet};
@@ -318,7 +317,6 @@ pub struct Platform {
     /// Advisor implementing the paper's future-work adaptive keep-alive
     /// (§7): it observes which invocations speculation covered.
     keepalive_advisor: AdaptiveKeepAlive,
-    bus: Bus,
     metastore: MetaStore,
     /// The seeded fault schedule (inert when the configured rate is 0).
     faults: FaultPlan,
@@ -326,12 +324,8 @@ pub struct Platform {
     /// event. Empty on an unobserved platform, in which case no event is
     /// ever constructed (see [`Platform::observing`]).
     observers: Vec<Arc<Mutex<dyn Observer>>>,
-    /// The registry attached via [`Platform::attach_metrics`], snapshotted
-    /// into the final report by [`Platform::finish`].
-    registry: Option<ObserverHandle<MetricsRegistry>>,
-    /// The monitor attached via [`Platform::attach_slo`]; alerts raised by
-    /// closed windows are re-emitted as [`BusEvent::SloAlert`].
-    slo: Option<ObserverHandle<SloMonitor>>,
+    /// Events emitted so far (see [`Platform::published_events`]).
+    published: u64,
     /// Request timelines rebuilt from every emitted event; present when
     /// `config.record_traces` is on, which makes recording a form of
     /// observation.
@@ -407,12 +401,10 @@ impl Platform {
             shielded_workers: HashSet::new(),
             active_runs: 0,
             keepalive_advisor: AdaptiveKeepAlive::new(KeepAliveConfig::default()),
-            bus: Bus::new(),
             metastore: MetaStore::new(),
             faults,
             observers: Vec::new(),
-            registry: None,
-            slo: None,
+            published: 0,
             recorder: config.record_traces.then(TraceRecorder::default),
             config,
         }
@@ -642,65 +634,35 @@ impl Platform {
         &self.metastore
     }
 
-    /// Subscribes to a bus [`Topic`]; every [`BusEvent`] subsequently
-    /// emitted on it is delivered to the returned handle.
-    pub fn subscribe(&mut self, topic: Topic) -> crate::bus::Subscription {
-        self.bus.subscribe(topic)
-    }
-
     /// Attaches a synchronous [`Observer`]: it sees every emitted event,
     /// in deterministic simulation order, for the rest of the platform's
     /// life. The returned handle reads the observer's state back out.
     ///
-    /// Attaching any observer (or bus subscriber) is what turns event
-    /// emission on — an unobserved platform never constructs events, so
-    /// observability costs nothing when unused.
+    /// Observers are the only consumers of platform events. Attaching one
+    /// is what turns event emission on — an unobserved platform never
+    /// constructs events, so observability costs nothing when unused.
     pub fn attach_observer<O: Observer + 'static>(&mut self, observer: O) -> ObserverHandle<O> {
         let handle = ObserverHandle::new(observer);
         self.observers.push(handle.shared());
         handle
     }
 
-    /// Attaches a [`MetricsRegistry`] observer and remembers it:
-    /// [`finish`](Self::finish) embeds its final snapshot into
-    /// [`PlatformReport::metrics`].
-    pub fn attach_metrics(&mut self) -> ObserverHandle<MetricsRegistry> {
-        let handle = self.attach_observer(MetricsRegistry::new());
-        self.registry = Some(handle.clone());
-        handle
-    }
-
-    /// Attaches a live [`SloMonitor`]: it folds every completed request
-    /// into tumbling windows, and whenever a closed window breaches the
-    /// configured thresholds the platform re-emits the breach as a typed
-    /// [`BusEvent::SloAlert`] (subscribable like any other topic). The
-    /// final partial window is evaluated by [`finish`](Self::finish).
-    pub fn attach_slo(&mut self, config: SloConfig) -> ObserverHandle<SloMonitor> {
-        let handle = self.attach_observer(SloMonitor::live(config));
-        self.slo = Some(handle.clone());
-        handle
-    }
-
-    /// Total events published on the bus so far. Zero on an unobserved
-    /// platform — the emission guard skips construction entirely.
+    /// Total events emitted so far; every attached observer received each
+    /// of them once. Zero on an unobserved platform — the emission guard
+    /// skips construction entirely.
     pub fn published_events(&self) -> u64 {
-        self.bus.published_count()
+        self.published
     }
 
-    /// Whether an emission to `topic` would reach anyone: the trace
-    /// recorder, an observer or a subscriber. Checked before constructing
-    /// any [`BusEvent`] so the unobserved hot path pays a branch, not an
-    /// allocation.
-    fn observing(&self, topic: Topic) -> bool {
-        self.recorder.is_some() || !self.observers.is_empty() || self.bus.has_subscribers(topic)
+    /// Whether an emission would reach anyone: the trace recorder or an
+    /// observer. Checked before constructing any [`BusEvent`] so the
+    /// unobserved hot path pays a branch, not an allocation.
+    fn observing(&self) -> bool {
+        self.recorder.is_some() || !self.observers.is_empty()
     }
 
-    /// Records `event` into the request timelines, delivers it to every
-    /// observer, then publishes it on the bus.
-    /// When a live [`SloMonitor`] is attached, any alerts its windows
-    /// raised while absorbing the event are re-emitted immediately as
-    /// [`BusEvent::SloAlert`] (the monitor ignores alert events, so the
-    /// recursion is one level deep).
+    /// Records `event` into the request timelines and delivers it to
+    /// every observer, in attach order.
     fn emit(&mut self, event: BusEvent) {
         if let Some(recorder) = &mut self.recorder {
             recorder.on_event(self.now, &event);
@@ -710,21 +672,16 @@ impl Platform {
                 .expect("observer lock poisoned")
                 .on_event(self.now, &event);
         }
-        self.bus.publish(self.now, event);
-        if let Some(slo) = self.slo.clone() {
-            for alert in slo.with_mut(SloMonitor::take_alerts) {
-                self.emit(alert.into_event());
-            }
-        }
+        self.published += 1;
     }
 
-    /// Publishes an externally-constructed event at the current
-    /// simulation time, subject to the same anyone-listening guard as
-    /// internal emissions. The service tier uses this to surface
-    /// checkpoint, restore, sketch-eviction, and boundary-evaluated SLO
-    /// alert activity to the platform's observers and subscribers.
+    /// Emits an externally-constructed event at the current simulation
+    /// time, subject to the same anyone-listening guard as internal
+    /// emissions. The service tier uses this to surface checkpoint,
+    /// restore, sketch-eviction, and boundary-evaluated SLO alert activity
+    /// to the platform's observers.
     pub fn announce(&mut self, event: BusEvent) {
-        if self.observing(event.topic()) {
+        if self.observing() {
             self.emit(event);
         }
     }
@@ -815,13 +772,6 @@ impl Platform {
     /// pool-owned workers are charged through to the end of the run.
     pub fn finish(mut self) -> PlatformReport {
         self.run_until_idle();
-        // Close and evaluate the SLO monitor's final partial window, so a
-        // breach in the stream's tail still alerts before teardown.
-        if let Some(slo) = self.slo.clone() {
-            for alert in slo.with_mut(SloMonitor::finish_stream) {
-                self.emit(alert.into_event());
-            }
-        }
         let keep_alive = self.pool.config().keep_alive;
         let ids: Vec<(WorkerId, SimTime)> = self
             .pool
@@ -850,7 +800,6 @@ impl Platform {
         PlatformReport {
             results: self.results,
             worker_records: records,
-            metrics: self.registry.as_ref().map(ObserverHandle::snapshot),
             cluster,
         }
     }
@@ -925,7 +874,7 @@ impl Platform {
             .into_iter()
             .partition(|w| !self.shielded_workers.contains(w));
         let _ = shielded; // survive hostless: nothing to do
-        if self.observing(Topic::HostDown) {
+        if self.observing() {
             self.emit(BusEvent::HostDown {
                 host,
                 workers_lost: lost.len() as u32,
@@ -950,7 +899,7 @@ impl Platform {
         if !self.cluster.activate_host(id) {
             return;
         }
-        if self.observing(Topic::HostUp) {
+        if self.observing() {
             self.emit(BusEvent::HostUp {
                 host,
                 memory_mb: self.cluster.memory_mb(id),
@@ -1168,14 +1117,14 @@ impl Platform {
         debug_assert!(self.runs[idx].is_none(), "request id reused");
         self.runs[idx] = Some(Box::new(state));
         self.active_runs += 1;
-        if self.observing(Topic::RequestTriggered) {
+        if self.observing() {
             let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::RequestTriggered {
                 request: req,
                 workflow: name,
             });
         }
-        if plan_active && self.observing(Topic::PlanComputed) {
+        if plan_active && self.observing() {
             let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::PlanComputed {
                 request: req,
@@ -1183,7 +1132,7 @@ impl Platform {
                 planned: planned_count,
             });
         }
-        if plan_generation != 0 && self.observing(Topic::PolicyDecision) {
+        if plan_generation != 0 && self.observing() {
             let policy = self.policy.label().to_string();
             self.emit(BusEvent::PolicyDecision {
                 request: req,
@@ -1239,7 +1188,7 @@ impl Platform {
         let dag = run.dag.clone();
         let function = dag.node(node).spec().name();
         let parent_name = parent.map(|p| dag.node(p).spec().name());
-        if self.observing(Topic::FunctionInvoked) {
+        if self.observing() {
             self.emit(BusEvent::FunctionInvoked {
                 request: req,
                 function: function.to_string(),
@@ -1386,7 +1335,7 @@ impl Platform {
         // The worker's provisioning burst on its host is over: it stops
         // contending with concurrent cold starts there.
         self.cluster.worker_ready(worker);
-        if self.pool.mark_ready(worker) && self.observing(Topic::WorkerReady) {
+        if self.pool.mark_ready(worker) && self.observing() {
             self.emit(BusEvent::WorkerReady { worker: worker.0 });
         }
     }
@@ -1453,7 +1402,7 @@ impl Platform {
         let covered = acquired != Acquired::Fresh && self.spawner_of(worker) == Some(req);
         self.keepalive_advisor
             .observe(function, invoked_at, covered);
-        if self.observing(Topic::ExecStarted) {
+        if self.observing() {
             self.emit(BusEvent::ExecStarted {
                 request: req,
                 function: function.to_string(),
@@ -1518,7 +1467,7 @@ impl Platform {
         let spec = dag.node(node).spec();
         let function = spec.name();
         self.metrics.record_warm_runtime(function, exec_duration);
-        if self.observing(Topic::ExecEnded) {
+        if self.observing() {
             self.emit(BusEvent::ExecEnded {
                 request: req,
                 function: function.to_string(),
@@ -1624,7 +1573,7 @@ impl Platform {
         self.claimed.remove(&worker);
         self.pool.crash(worker, self.now);
         self.cluster.release(worker);
-        if self.observing(Topic::WorkerCrashed) {
+        if self.observing() {
             self.emit(BusEvent::WorkerCrashed {
                 worker: worker.0,
                 function: function.clone(),
@@ -1650,7 +1599,7 @@ impl Platform {
         run.faults += 1;
         run.retries += 1;
         let delay = self.config.faults.backoff(attempt);
-        if self.observing(Topic::InvokeRetried) {
+        if self.observing() {
             self.emit(BusEvent::InvokeRetried {
                 request: req,
                 function: function.to_string(),
@@ -1696,7 +1645,7 @@ impl Platform {
         let run = self.run_mut(req).expect("run exists");
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
-        if self.observing(Topic::DeployFailed) {
+        if self.observing() {
             self.emit(BusEvent::DeployFailed {
                 request: req,
                 function: function.to_string(),
@@ -1733,7 +1682,7 @@ impl Platform {
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
         run.retries += 1;
-        if self.observing(Topic::InvokeTimeout) {
+        if self.observing() {
             self.emit(BusEvent::InvokeTimeout {
                 request: req,
                 function: function.to_string(),
@@ -1741,7 +1690,7 @@ impl Platform {
             });
         }
         let delay = self.config.faults.backoff(attempt);
-        if self.observing(Topic::InvokeRetried) {
+        if self.observing() {
             self.emit(BusEvent::InvokeRetried {
                 request: req,
                 function: function.to_string(),
@@ -1754,7 +1703,7 @@ impl Platform {
     }
 
     fn on_prediction_miss(&mut self, req: u64, actual: NodeId) {
-        if self.observing(Topic::PredictionMiss) {
+        if self.observing() {
             let function = {
                 let run = self.run(req).expect("run exists");
                 run.dag.node(actual).spec().name().to_string()
@@ -1830,7 +1779,7 @@ impl Platform {
                         },
                     );
                 }
-                if self.observing(Topic::PolicyDecision) {
+                if self.observing() {
                     let policy = self.policy.label().to_string();
                     self.emit(BusEvent::PolicyDecision {
                         request: req,
@@ -1916,7 +1865,7 @@ impl Platform {
                 serde_json::to_value(&result).expect("result serializes"),
             );
         }
-        if self.observing(Topic::RequestCompleted) {
+        if self.observing() {
             self.emit(BusEvent::RequestCompleted {
                 request: req,
                 workflow: result.workflow.clone(),
@@ -1944,7 +1893,7 @@ impl Platform {
     /// event stream.
     fn evict_worker(&mut self, id: WorkerId) {
         self.cluster.note_evicted(id);
-        if self.cluster_enabled && self.observing(Topic::WorkerEvicted) {
+        if self.cluster_enabled && self.observing() {
             if let Some(host) = self.cluster.host_of(id) {
                 self.emit(BusEvent::WorkerEvicted {
                     worker: id.0,
@@ -2132,7 +2081,7 @@ impl Platform {
         }
         let total_wait = extra + cold_total;
         if let Some(host) = placed {
-            if self.cluster_enabled && self.observing(Topic::WorkerPlaced) {
+            if self.cluster_enabled && self.observing() {
                 self.emit(BusEvent::WorkerPlaced {
                     worker: id.0,
                     host: host.0,
@@ -2141,7 +2090,7 @@ impl Platform {
                 });
             }
         }
-        if self.observing(Topic::WorkerProvisioned) {
+        if self.observing() {
             self.emit(BusEvent::WorkerProvisioned {
                 worker: id.0,
                 request: req,
@@ -2257,6 +2206,8 @@ pub fn report_total_costs(report: &PlatformReport) -> ResourceCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MetricsRegistry;
+    use crate::stream::{SloConfig, SloMonitor, StreamingAudit, StreamingConfig};
     use xanadu_chain::{linear_chain, FunctionSpec, WorkflowBuilder};
     use xanadu_core::speculation::{ExecutionMode, MissPolicy};
     use xanadu_sandbox::PoolConfig;
@@ -2582,19 +2533,38 @@ mod tests {
         assert_eq!(report.results[0].executed_functions, 2);
     }
 
+    /// Records every delivered event with its simulation time.
+    #[derive(Default)]
+    struct Recording(Vec<(SimTime, BusEvent)>);
+
+    impl Observer for Recording {
+        fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+            self.0.push((at, event.clone()));
+        }
+    }
+
     #[test]
     fn bus_and_metastore_observe_lifecycle() {
         let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Cold, 2));
-        let completions = p.subscribe(Topic::RequestCompleted);
-        let provisions = p.subscribe(Topic::WorkerProvisioned);
+        let recording = p.attach_observer(Recording::default());
         p.deploy(chain(2, 100.0)).unwrap();
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
-        assert_eq!(completions.drain().len(), 1);
-        let provisioned = provisions.drain();
+        let events = recording.with(|r| r.0.clone());
+        assert_eq!(events.len() as u64, p.published_events());
+        let completions = events
+            .iter()
+            .filter(|(_, e)| matches!(e, BusEvent::RequestCompleted { .. }))
+            .count();
+        assert_eq!(completions, 1);
+        let provisioned: Vec<&BusEvent> = events
+            .iter()
+            .map(|(_, e)| e)
+            .filter(|e| matches!(e, BusEvent::WorkerProvisioned { .. }))
+            .collect();
         assert_eq!(provisioned.len(), 2);
-        assert!(provisioned.iter().all(|m| matches!(
-            m.event,
+        assert!(provisioned.iter().all(|e| matches!(
+            e,
             BusEvent::WorkerProvisioned {
                 on_demand: true,
                 ..
@@ -2606,7 +2576,7 @@ mod tests {
 
     #[test]
     fn unobserved_platforms_emit_no_events() {
-        // Trace recording is a form of observation: it reads the bus.
+        // Trace recording is a form of observation: it reads every event.
         let config = PlatformConfig::builder()
             .for_mode(ExecutionMode::Jit, 2)
             .record_traces(false)
@@ -2621,8 +2591,13 @@ mod tests {
 
     #[test]
     fn attached_observer_turns_emission_on_and_aggregates() {
-        let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 2));
-        let metrics = p.attach_metrics();
+        let config = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 2)
+            .record_traces(false)
+            .build()
+            .unwrap();
+        let mut p = Platform::new(config);
+        let metrics = p.attach_observer(MetricsRegistry::new());
         p.deploy(chain(3, 100.0)).unwrap();
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
@@ -2635,23 +2610,35 @@ mod tests {
             3,
             "every executed function started exactly once: {snap:?}"
         );
-        let report = p.finish();
-        assert_eq!(report.metrics.as_ref(), Some(&snap));
+        p.finish();
+        assert_eq!(metrics.snapshot(), snap, "teardown emits nothing");
     }
 
+    /// Observers read the run; they never steer it. A run with the audit,
+    /// SLO and metrics observers attached serializes to the same report
+    /// bytes as one that constructs no events at all.
     #[test]
     fn observer_presence_does_not_change_results() {
         let run = |observe: bool| {
-            let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 31));
+            let config = PlatformConfig::builder()
+                .for_mode(ExecutionMode::Jit, 31)
+                .record_traces(false)
+                .faults(FaultConfig::with_rate(0.5, 0xFA17))
+                .build()
+                .unwrap();
+            let mut p = Platform::new(config);
             if observe {
-                p.attach_metrics();
+                p.attach_observer(StreamingAudit::new(StreamingConfig::default()));
+                p.attach_observer(SloMonitor::collector(SloConfig::default()));
+                p.attach_observer(MetricsRegistry::new());
             }
             p.deploy(chain(4, 300.0)).unwrap();
-            p.trigger_at("chain", SimTime::ZERO).unwrap();
+            for i in 0..3 {
+                p.trigger_at("chain", SimTime::from_mins(i * 5)).unwrap();
+            }
             p.run_until_idle();
-            let mut report = p.finish();
-            report.metrics = None;
-            report
+            assert_eq!(p.published_events() > 0, observe);
+            serde_json::to_string(&p.finish()).unwrap()
         };
         assert_eq!(run(false), run(true));
     }

@@ -1,4 +1,4 @@
-//! Streaming telemetry: bounded-memory audits and live SLO gates.
+//! Streaming telemetry: bounded-memory audits and windowed SLO gates.
 //!
 //! The batch audit ([`analysis`](crate::analysis)) can read full
 //! per-request [`Trace`]s; a fleet-scale replay cannot afford them — a
@@ -17,8 +17,8 @@
 //!   reconstructed traces, so exemplar [`SpanTree`]s survive without
 //!   retaining everything else).
 //! - [`SloMonitor`] folds finished requests into tumbling windows and
-//!   evaluates [`DiffThresholds`] against the first non-empty window; in
-//!   live mode every breach becomes a typed
+//!   evaluates [`DiffThresholds`] against the first non-empty window;
+//!   `xanadu serve` announces every breach as a typed
 //!   [`BusEvent::SloAlert`](crate::events::BusEvent::SloAlert).
 //!
 //! Agreement with the exact audit is by construction: both run one fold
@@ -45,6 +45,7 @@ use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
 use crate::timeline::{SpanTree, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeBounds;
 use xanadu_simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
@@ -772,8 +773,7 @@ pub struct SloCheckpoint {
     pub alerts: Vec<SloAlert>,
 }
 
-/// Evaluates windowed telemetry against [`DiffThresholds`], live or
-/// post-merge.
+/// Evaluates windowed telemetry against [`DiffThresholds`].
 ///
 /// Requests are bucketed into tumbling windows by *completion* time. The
 /// first non-empty window becomes the baseline; every later non-empty
@@ -781,29 +781,30 @@ pub struct SloCheckpoint {
 /// `xanadu diff` (p50/p95 relative regression, wasted-CPU-per-request
 /// relative regression, absolute recall drop).
 ///
-/// In live mode (attached via `Platform::attach_slo`) a window is
-/// evaluated the moment a completion lands in a later window, and the
-/// resulting [`SloAlert`]s are re-emitted by the platform as typed
-/// [`BusEvent::SloAlert`]s. In collector mode (sharded replay) windows
-/// only accumulate; the driver merges per-shard windows canonically and
-/// evaluates once, which yields the identical alert list because
-/// evaluation is a pure function of the merged windows.
+/// A monitor attached to a platform only collects. Per-shard or
+/// per-epoch monitors merge canonically, and evaluation runs on the
+/// merged windows: incrementally at serve's checkpoint cuts
+/// ([`evaluate_below`](Self::evaluate_below)) or all at once after
+/// replay's merge ([`report`](Self::report)). Both walk the windows
+/// through one gate routine, so the alerts of successive cuts
+/// concatenate to exactly the report's alert list.
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     tracker: RequestTracker,
     config: SloConfig,
     windows: BTreeMap<u64, SloWindow>,
-    live: bool,
     baseline: Option<u64>,
-    /// Highest window index already evaluated (live mode).
+    /// Highest window index [`evaluate_below`](Self::evaluate_below) has
+    /// walked.
     evaluated: Option<u64>,
     alerts: Vec<SloAlert>,
-    /// Alerts raised but not yet drained by the platform (live mode).
-    pending_alerts: Vec<SloAlert>,
 }
 
 impl SloMonitor {
-    fn with_mode(config: SloConfig, live: bool) -> Self {
+    /// A collector: accumulates windows until the caller evaluates them
+    /// with [`evaluate_below`](Self::evaluate_below) or
+    /// [`report`](Self::report).
+    pub fn collector(config: SloConfig) -> Self {
         assert!(
             config.window > SimDuration::ZERO,
             "SLO window must be positive"
@@ -812,25 +813,10 @@ impl SloMonitor {
             tracker: RequestTracker::new(false),
             config,
             windows: BTreeMap::new(),
-            live,
             baseline: None,
             evaluated: None,
             alerts: Vec::new(),
-            pending_alerts: Vec::new(),
         }
-    }
-
-    /// A live monitor: evaluates each window as it closes (attach via
-    /// `Platform::attach_slo` so breaches are re-emitted as bus events).
-    pub fn live(config: SloConfig) -> Self {
-        SloMonitor::with_mode(config, true)
-    }
-
-    /// A collector: accumulates windows without evaluating. Used by the
-    /// sharded replay driver, which merges shard collectors canonically
-    /// and evaluates once via [`report`](Self::report).
-    pub fn collector(config: SloConfig) -> Self {
-        SloMonitor::with_mode(config, false)
     }
 
     /// The monitor's configuration.
@@ -838,16 +824,8 @@ impl SloMonitor {
         &self.config
     }
 
-    /// The accumulated windows, index-ordered.
-    pub fn windows(&self) -> impl Iterator<Item = &SloWindow> {
-        self.windows.values()
-    }
-
     fn fold(&mut self, completed_us: u64, finished: &Finished) {
         let index = completed_us / self.config.window.as_micros();
-        if self.live {
-            self.evaluate_windows_below(Some(index));
-        }
         let w = self
             .windows
             .entry(index)
@@ -858,48 +836,6 @@ impl SloMonitor {
         w.wasted_us += finished.wasted_us;
         w.invoked += audit.invoked.len() as u64;
         w.misses += audit.missed.len() as u64;
-    }
-
-    /// Evaluates, in index order, every not-yet-evaluated window below
-    /// `horizon` (all of them for `None`). Live mode calls it as each
-    /// completion lands — completion times are nondecreasing, so lower
-    /// windows can no longer change.
-    fn evaluate_windows_below(&mut self, horizon: Option<u64>) {
-        let ready: Vec<u64> = self
-            .windows
-            .keys()
-            .copied()
-            .filter(|&i| horizon.is_none_or(|h| i < h) && self.evaluated.is_none_or(|e| i > e))
-            .collect();
-        for index in ready {
-            self.evaluate_window(index);
-            self.evaluated = Some(index);
-        }
-    }
-
-    fn evaluate_window(&mut self, index: u64) {
-        let Some(window) = self.windows.get(&index) else {
-            return;
-        };
-        if window.requests == 0 {
-            return;
-        }
-        match self.baseline {
-            None => self.baseline = Some(index),
-            Some(b) if b == index => {}
-            Some(b) => {
-                let baseline = self.windows.get(&b).expect("baseline window exists");
-                let fresh = gate_window(baseline, window, &self.config.thresholds);
-                self.pending_alerts.extend(fresh.iter().cloned());
-                self.alerts.extend(fresh);
-            }
-        }
-    }
-
-    /// Drains alerts raised since the last call (live mode; the platform
-    /// calls this after every delivery and re-emits them as bus events).
-    pub fn take_alerts(&mut self) -> Vec<SloAlert> {
-        std::mem::take(&mut self.pending_alerts)
     }
 
     /// Evaluates every not-yet-evaluated window strictly below `horizon`
@@ -921,23 +857,22 @@ impl SloMonitor {
             self.tracker.pending.is_empty(),
             "evaluating an SLO monitor with in-flight requests"
         );
-        self.evaluate_windows_below(Some(horizon));
-        self.take_alerts()
+        let from = self.evaluated.map_or(0, |e| e + 1);
+        let (fresh, last) = gate_windows(
+            &self.windows,
+            from..horizon.max(from),
+            &mut self.baseline,
+            &self.config.thresholds,
+        );
+        self.evaluated = last.or(self.evaluated);
+        self.alerts.extend(fresh.iter().cloned());
+        fresh
     }
 
-    /// Every alert raised so far, in emission order.
+    /// Every alert [`evaluate_below`](Self::evaluate_below) has raised,
+    /// in emission order.
     pub fn alerts(&self) -> &[SloAlert] {
         &self.alerts
-    }
-
-    /// Closes the stream: evaluates the final (still-open) window and
-    /// returns any remaining alerts. Collector-mode monitors defer all
-    /// evaluation to [`report`](Self::report) and return nothing.
-    pub fn finish_stream(&mut self) -> Vec<SloAlert> {
-        if self.live {
-            self.evaluate_windows_below(None);
-        }
-        self.take_alerts()
     }
 
     /// Folds another monitor's windows into this one (shard merge; both
@@ -968,15 +903,11 @@ impl SloMonitor {
     /// baseline, evaluation cursor, and alerts raised so far).
     ///
     /// # Panics
-    /// If requests are in flight or alerts are pending un-drained.
+    /// If requests are in flight.
     pub fn checkpoint(&self) -> SloCheckpoint {
         assert!(
             self.tracker.pending.is_empty(),
             "checkpointing an SLO monitor with in-flight requests"
-        );
-        assert!(
-            self.pending_alerts.is_empty(),
-            "checkpointing an SLO monitor with undrained alerts"
         );
         SloCheckpoint {
             window_us: self.config.window.as_micros(),
@@ -988,9 +919,9 @@ impl SloMonitor {
         }
     }
 
-    /// Rebuilds a collector-mode monitor from a checkpoint — the exact
-    /// state [`checkpoint`](Self::checkpoint) captured, ready to resume
-    /// folding and incremental evaluation.
+    /// Rebuilds a monitor from a checkpoint — the exact state
+    /// [`checkpoint`](Self::checkpoint) captured, ready to resume folding
+    /// and incremental evaluation.
     pub fn from_checkpoint(c: &SloCheckpoint) -> SloMonitor {
         let mut monitor = SloMonitor::collector(SloConfig {
             window: SimDuration::from_micros(c.window_us),
@@ -1004,20 +935,22 @@ impl SloMonitor {
     }
 
     /// Builds the windowed export: every non-empty window summarized, plus
-    /// the full evaluation (pure function of the windows, so a live
-    /// monitor's report lists exactly the alerts it already emitted).
+    /// the full evaluation (a pure function of the windows, so it lists
+    /// exactly the alerts successive [`evaluate_below`](Self::evaluate_below)
+    /// cuts raised).
     pub fn report(&self) -> SloReport {
         let window_ms = self.config.window.as_micros() as f64 / 1000.0;
-        let occupied: Vec<&SloWindow> = self.windows.values().filter(|w| w.requests > 0).collect();
-        let baseline_window = occupied.first().map(|w| w.index);
-        let mut alerts = Vec::new();
-        if let Some(baseline) = occupied.first() {
-            for window in occupied.iter().skip(1) {
-                alerts.extend(gate_window(baseline, window, &self.config.thresholds));
-            }
-        }
-        let windows = occupied
-            .iter()
+        let mut baseline_window = None;
+        let (alerts, _) = gate_windows(
+            &self.windows,
+            ..,
+            &mut baseline_window,
+            &self.config.thresholds,
+        );
+        let windows = self
+            .windows
+            .values()
+            .filter(|w| w.requests > 0)
             .map(|w| SloWindowSummary {
                 index: w.index,
                 start_ms: w.index as f64 * window_ms,
@@ -1047,6 +980,32 @@ impl Observer for SloMonitor {
             self.fold(at.as_micros(), &finished);
         }
     }
+}
+
+/// The one gate routine behind both evaluations: walks the windows of
+/// `range` in index order. The first non-empty window becomes the
+/// baseline unless one is already set, and every later non-empty window
+/// is gated against it. Returns the alerts, in (window, gate) order, and
+/// the highest window index walked.
+fn gate_windows(
+    windows: &BTreeMap<u64, SloWindow>,
+    range: impl RangeBounds<u64>,
+    baseline: &mut Option<u64>,
+    thresholds: &DiffThresholds,
+) -> (Vec<SloAlert>, Option<u64>) {
+    let mut alerts = Vec::new();
+    let mut last = None;
+    for (&index, window) in windows.range(range) {
+        last = Some(index);
+        if window.requests == 0 {
+            continue;
+        }
+        match *baseline {
+            None => *baseline = Some(index),
+            Some(b) => alerts.extend(gate_window(&windows[&b], window, thresholds)),
+        }
+    }
+    (alerts, last)
 }
 
 /// Applies the diff gates to one window against the baseline window.
@@ -1394,12 +1353,12 @@ mod tests {
 
     #[test]
     fn clean_stream_raises_no_alerts() {
-        let mut slo = SloMonitor::live(slo_config(1));
+        let mut slo = SloMonitor::collector(slo_config(1));
         for (i, base) in [100u64, 1_100, 2_100, 3_100].iter().enumerate() {
             feed(&mut slo, &simple_request(i as u64 + 1, *base, 100));
-            assert!(slo.take_alerts().is_empty());
+            assert!(slo.evaluate_below(i as u64).is_empty());
         }
-        assert!(slo.finish_stream().is_empty());
+        assert!(slo.evaluate_below(u64::MAX).is_empty());
         let report = slo.report();
         assert_eq!(report.baseline_window, Some(0));
         assert_eq!(report.windows.len(), 4);
@@ -1408,7 +1367,7 @@ mod tests {
 
     #[test]
     fn degraded_window_raises_alert_in_the_correct_window() {
-        let mut slo = SloMonitor::live(slo_config(1));
+        let mut slo = SloMonitor::collector(slo_config(1));
         // Window 0: healthy baseline (100ms).
         for (req, base) in [(1u64, 100u64), (2, 300), (3, 500)] {
             feed(&mut slo, &simple_request(req, base, 100));
@@ -1418,24 +1377,71 @@ mod tests {
             feed(&mut slo, &simple_request(req, base, 300));
         }
         assert!(
-            slo.take_alerts().is_empty(),
-            "window 2 still open, nothing evaluated yet"
+            slo.evaluate_below(2).is_empty(),
+            "window 2 is not final yet; window 0 only sets the baseline"
         );
-        // Window 3: healthy again; its arrival closes window 2 live.
+        // Window 3: healthy again; the cut below it makes window 2 final.
         feed(&mut slo, &simple_request(7, 3_100, 100));
-        let live = slo.take_alerts();
-        assert!(!live.is_empty(), "closing window 2 evaluates it");
-        assert!(live.iter().all(|a| a.window == 2));
-        assert!(live
+        let cut = slo.evaluate_below(3);
+        assert!(!cut.is_empty(), "the cut evaluates window 2");
+        assert!(cut.iter().all(|a| a.window == 2));
+        assert!(cut
             .iter()
             .any(|a| a.path == "$.windows[2].end_to_end_ms.p95"));
-        // The final (healthy) window closes without alerts.
-        assert!(slo.finish_stream().is_empty());
+        // The final (healthy) window evaluates without alerts.
+        assert!(slo.evaluate_below(u64::MAX).is_empty());
+        assert_eq!(slo.alerts(), cut.as_slice());
         let report = slo.report();
         assert_eq!(report.baseline_window, Some(0));
-        assert_eq!(report.alerts, live, "batch evaluation matches live");
+        assert_eq!(report.alerts, cut, "the report matches the cut evaluation");
         let w2 = report.windows.iter().find(|w| w.index == 2).unwrap();
         assert!(w2.p95_ms > report.windows[0].p95_ms * 2.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Requests complete in any order; after each one the stream may
+        /// be cut at an arbitrary horizon that no later completion falls
+        /// below (serve's rule). The cuts' alerts, concatenated, are
+        /// exactly the report's — and so is the alert list a
+        /// checkpoint round trip carries across a cut.
+        #[test]
+        fn cut_alerts_concatenate_to_the_report(
+            requests in proptest::collection::vec((0u64..2_500, 50u64..3_000), 1..40),
+            cuts in proptest::collection::vec(0u64..6, 40..41),
+            strict in 0u64..2,
+        ) {
+            let mut config = slo_config(1);
+            if strict == 1 {
+                // Every non-baseline window breaches.
+                config.thresholds.max_recall_drop = -1.0;
+            }
+            let mut base = 0;
+            let completions: Vec<(u64, u64)> = requests
+                .iter()
+                .map(|&(gap, e2e)| {
+                    base += gap;
+                    (base, e2e)
+                })
+                .collect();
+            let window_of = |&(base, e2e): &(u64, u64)| (base + e2e) / 1_000;
+            let mut slo = SloMonitor::collector(config);
+            let mut concatenated = Vec::new();
+            for (i, request) in completions.iter().enumerate() {
+                feed(&mut slo, &simple_request(i as u64, request.0, request.1));
+                if cuts[i] < 3 {
+                    let floor = completions[i + 1..].iter().map(window_of).min();
+                    let horizon = floor.map_or(u64::MAX, |f| f.saturating_sub(cuts[i]));
+                    concatenated.extend(slo.evaluate_below(horizon));
+                    slo = SloMonitor::from_checkpoint(&slo.checkpoint());
+                }
+            }
+            concatenated.extend(slo.evaluate_below(u64::MAX));
+            let report = slo.report();
+            proptest::prop_assert_eq!(&concatenated, &report.alerts);
+            proptest::prop_assert_eq!(slo.alerts(), report.alerts.as_slice());
+        }
     }
 
     #[test]
@@ -1456,6 +1462,9 @@ mod tests {
         }
     }
 
+    /// Shard collectors merge into the single-stream collector's report,
+    /// and that report lists exactly the alerts the single stream raised
+    /// live, at its cuts.
     #[test]
     fn collector_merge_reproduces_the_live_report() {
         let streams: Vec<Vec<(SimTime, BusEvent)>> = vec![
@@ -1463,23 +1472,24 @@ mod tests {
             simple_request(2, 2_100, 300),
             simple_request(3, 2_400, 320),
         ];
-        let mut live = SloMonitor::live(slo_config(1));
+        let mut live = SloMonitor::collector(slo_config(1));
+        let mut raised = Vec::new();
         for s in &streams {
             feed(&mut live, s);
+            raised.extend(live.evaluate_below(2));
         }
-        live.finish_stream();
+        raised.extend(live.evaluate_below(u64::MAX));
 
         let mut shard_a = SloMonitor::collector(slo_config(1));
         feed(&mut shard_a, &streams[0]);
         feed(&mut shard_a, &streams[1]);
         let mut shard_b = SloMonitor::collector(slo_config(1));
         feed(&mut shard_b, &streams[2]);
-        assert!(shard_a.finish_stream().is_empty(), "collectors never alert");
-        assert!(shard_b.finish_stream().is_empty());
         shard_a.merge_from(&shard_b);
 
         assert_eq!(shard_a.report(), live.report());
-        assert!(!live.report().alerts.is_empty());
+        assert!(!raised.is_empty());
+        assert_eq!(live.report().alerts, raised);
     }
 
     /// Collects the bus-fed fold's audit of every completed request.
@@ -1540,7 +1550,7 @@ mod tests {
                 }
                 platform.run_until_idle();
 
-                let audits = bus.with_mut(|b| std::mem::take(&mut b.audits));
+                let audits = bus.with(|b| b.audits.clone());
                 assert_eq!(audits.len() as u64, triggers, "seed {seed}");
                 for audit in &audits {
                     let trace = platform.trace(audit.request).expect("trace recorded");

@@ -1467,7 +1467,10 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
             ..FaultConfig::with_rate(run.fault_rate, run.fault_seed)
         });
     }
-    let registry = run.metrics_out.as_ref().map(|_| platform.attach_metrics());
+    let registry = run
+        .metrics_out
+        .as_ref()
+        .map(|_| platform.attach_observer(MetricsRegistry::new()));
     let result = if run.implicit {
         platform.deploy_implicit(dag)
     } else {

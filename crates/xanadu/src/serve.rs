@@ -285,7 +285,16 @@ fn load_state(
     }
     let sketch: SketchState = checkpoint_doc(durable, DOC_SKETCH)?;
     let slo = SloMonitor::from_checkpoint(&slo_cp);
-    debug_assert_eq!(slo.alerts().len() as u64, cursor.alerts_emitted);
+    if slo.alerts().len() as u64 != cursor.alerts_emitted {
+        return Err(CliError::Workflow(format!(
+            "checkpoint in {} is inconsistent: its cursor counts {} emitted \
+             alerts but its SLO document holds {}; refusing to resume from \
+             a log whose documents disagree",
+            serve.checkpoint_dir,
+            cursor.alerts_emitted,
+            slo.alerts().len()
+        )));
+    }
     Ok((
         ServiceState {
             audit: StreamingAudit::from_checkpoint(&audit_cp),

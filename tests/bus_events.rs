@@ -1,8 +1,7 @@
 //! The typed event taxonomy end to end: every [`BusEvent`] variant
 //! round-trips through serde and streams the bytes its tree renders, and
-//! a chaos-mode run emits every topic at least once — asserted through a
-//! subscribing [`Observer`], exercising the same hook the metrics
-//! registry uses.
+//! a chaos-mode run emits every topic at least once — asserted through an
+//! [`Observer`], the one hook every consumer of platform events uses.
 
 use xanadu::prelude::*;
 use xanadu_platform::events::Topic;
@@ -208,9 +207,9 @@ fn chaos_run_emits_every_topic_at_least_once() {
     platform.run_until_idle();
 
     let (seen, events) = coverage.with(|c| (c.seen, c.events));
-    // `slo.alert` needs a live monitor and the `checkpoint.*`/`sketch.*`
-    // topics belong to the service tier (`xanadu serve`); the dedicated
-    // tests below cover them.
+    // `slo.alert` and the `checkpoint.*`/`sketch.*` topics are announced
+    // by the service tier (`xanadu serve`); the dedicated tests below
+    // cover them.
     let service_only = [
         Topic::SloAlert,
         Topic::CheckpointWritten,
@@ -239,7 +238,7 @@ fn announced_service_events_reach_observers_and_metrics() {
         .build()
         .unwrap();
     let mut platform = Platform::new(config);
-    let registry = platform.attach_metrics();
+    let registry = platform.attach_observer(MetricsRegistry::new());
     let coverage = platform.attach_observer(TopicCoverage {
         seen: [false; Topic::ALL.len()],
         events: 0,
@@ -282,12 +281,13 @@ fn announced_service_events_reach_observers_and_metrics() {
     assert_eq!(snapshot.counter("sketch.evictions"), 5);
 }
 
-/// A live [`SloMonitor`] re-emits breaches as typed [`BusEvent::SloAlert`]
-/// events on the bus, in the window the degradation actually landed in —
-/// and a healthy stream emits none.
+/// The SLO path serve takes: a collector attached to the platform folds
+/// completions into windows, a cut evaluates the final windows, and each
+/// breach is announced as a typed [`BusEvent::SloAlert`], in the window
+/// the degradation actually landed in. A healthy stream announces none.
 #[test]
-fn live_slo_monitor_emits_typed_alerts_on_the_bus() {
-    use xanadu_platform::SloConfig;
+fn slo_alerts_evaluated_at_a_cut_reach_observers_through_announce() {
+    use xanadu_platform::{SloConfig, SloMonitor};
 
     let run = |with_degradation: bool| {
         let fast = linear_chain("fast", 1, &FunctionSpec::new("fast-f").service_ms(100.0)).unwrap();
@@ -298,7 +298,8 @@ fn live_slo_monitor_emits_typed_alerts_on_the_bus() {
             .build()
             .unwrap();
         let mut platform = Platform::new(config);
-        let monitor = platform.attach_slo(SloConfig::default()); // 1-minute windows
+        // 1-minute windows.
+        let collector = platform.attach_observer(SloMonitor::collector(SloConfig::default()));
         let coverage = platform.attach_observer(TopicCoverage {
             seen: [false; Topic::ALL.len()],
             events: 0,
@@ -306,8 +307,7 @@ fn live_slo_monitor_emits_typed_alerts_on_the_bus() {
         platform.deploy(fast).unwrap();
         platform.deploy(slow).unwrap();
         // Window 0 is the baseline; the 10s-slower workflow lands its
-        // completions in window 2; a final fast trigger in window 5
-        // closes window 2 mid-stream so its breach re-emits on the bus.
+        // completions in window 2; a final fast trigger lands in window 5.
         for s in [0u64, 5, 10] {
             platform.trigger_at("fast", SimTime::from_secs(s)).unwrap();
         }
@@ -323,29 +323,38 @@ fn live_slo_monitor_emits_typed_alerts_on_the_bus() {
             .trigger_at("fast", SimTime::from_secs(300))
             .unwrap();
         platform.run_until_idle();
+        // Cut below window 5: windows 0–4 are final.
+        let mut monitor = collector.snapshot();
+        let alerts = monitor.evaluate_below(5);
+        let published = platform.published_events();
+        for alert in &alerts {
+            platform.announce(alert.clone().into_event());
+        }
+        assert_eq!(
+            platform.published_events(),
+            published + alerts.len() as u64,
+            "one announced event per alert"
+        );
+        let tail = monitor.evaluate_below(u64::MAX);
+        assert!(tail.is_empty(), "window 5 is healthy: {tail:?}");
+        assert_eq!(monitor.report().alerts, alerts);
         let seen = coverage.with(|c| c.seen);
-        let report = monitor.with(|m| m.report());
-        (seen[Topic::SloAlert.index()], report)
+        (seen[Topic::SloAlert.index()], alerts)
     };
 
-    let (alert_seen, report) = run(true);
-    assert!(alert_seen, "breach never reached the bus");
-    assert!(!report.alerts.is_empty());
+    let (alert_seen, alerts) = run(true);
+    assert!(alert_seen, "breach never reached the observers");
+    assert!(!alerts.is_empty());
     assert!(
-        report.alerts.iter().all(|a| a.window == 2),
-        "alerts outside the degraded window: {:?}",
-        report.alerts
+        alerts.iter().all(|a| a.window == 2),
+        "alerts outside the degraded window: {alerts:?}"
     );
     assert!(
-        report
-            .alerts
-            .iter()
-            .any(|a| a.path.contains("end_to_end_ms.p95")),
-        "{:?}",
-        report.alerts
+        alerts.iter().any(|a| a.path.contains("end_to_end_ms.p95")),
+        "{alerts:?}"
     );
 
-    let (alert_seen, report) = run(false);
-    assert!(!alert_seen, "clean stream raised a bus alert");
-    assert!(report.alerts.is_empty(), "{:?}", report.alerts);
+    let (alert_seen, alerts) = run(false);
+    assert!(!alert_seen, "clean stream announced an alert");
+    assert!(alerts.is_empty(), "{alerts:?}");
 }

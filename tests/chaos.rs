@@ -40,8 +40,18 @@ fn branchy_dag() -> WorkflowDag {
     b.build().unwrap()
 }
 
+/// Counts the events delivered to it.
+struct Deliveries(u64);
+
+impl Observer for Deliveries {
+    fn on_event(&mut self, _at: SimTime, _event: &BusEvent) {
+        self.0 += 1;
+    }
+}
+
 /// Runs the standard chaos workload (3 triggers of each workflow) and
-/// asserts the liveness invariant: every request terminates.
+/// asserts the liveness invariant: every request terminates. Two
+/// counting observers check that each sees every published event once.
 fn run_chaos(
     mode: ExecutionMode,
     platform_seed: u64,
@@ -55,6 +65,10 @@ fn run_chaos(
         .build()
         .unwrap();
     let mut platform = Platform::new(config);
+    let counters = [
+        platform.attach_observer(Deliveries(0)),
+        platform.attach_observer(Deliveries(0)),
+    ];
     platform.deploy(chain_dag()).unwrap();
     platform.deploy(branchy_dag()).unwrap();
     let mut triggered = 0usize;
@@ -67,6 +81,15 @@ fn run_chaos(
         triggered += 2;
     }
     platform.run_until_idle();
+    let published = platform.published_events();
+    assert!(published > 0);
+    for counter in &counters {
+        assert_eq!(
+            counter.with(|c| c.0),
+            published,
+            "an observer missed events: {mode:?} seed {platform_seed} faults {faults:?}"
+        );
+    }
     let report = platform.finish();
     assert_eq!(
         report.results.len(),

@@ -3,6 +3,27 @@
 
 use xanadu::prelude::*;
 
+/// Records every delivered event with its simulation time.
+#[derive(Default)]
+struct Recording(Vec<(SimTime, BusEvent)>);
+
+impl Observer for Recording {
+    fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        self.0.push((at, event.clone()));
+    }
+}
+
+impl Recording {
+    /// The recorded events on `topic`, in emission order.
+    fn on(&self, topic: Topic) -> Vec<(SimTime, BusEvent)> {
+        self.0
+            .iter()
+            .filter(|(_, e)| e.topic() == topic)
+            .cloned()
+            .collect()
+    }
+}
+
 const CONDITIONAL_SDL: &str = r#"{
     "ingest": {"type": "function", "memory": 512, "runtime": "container",
                "wait_for": [], "service_ms": 800, "conditional": "check"},
@@ -23,7 +44,7 @@ const CONDITIONAL_SDL: &str = r#"{
 #[test]
 fn sdl_conditional_workflow_runs_end_to_end() {
     let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 9));
-    let completions = platform.subscribe(Topic::RequestCompleted);
+    let recording = platform.attach_observer(Recording::default());
     platform.deploy_sdl("approval", CONDITIONAL_SDL).unwrap();
 
     let n = 12u64;
@@ -36,7 +57,8 @@ fn sdl_conditional_workflow_runs_end_to_end() {
 
     // Every request completed and was persisted + announced.
     assert_eq!(platform.results().len(), n as usize);
-    assert_eq!(completions.drain().len(), n as usize);
+    let completions = recording.with(|r| r.on(Topic::RequestCompleted));
+    assert_eq!(completions.len(), n as usize);
     for i in 0..n {
         assert!(
             platform.metastore().get(&format!("runs/{i}")).is_some(),
@@ -66,36 +88,36 @@ fn sdl_conditional_workflow_runs_end_to_end() {
 fn figure10_operation_sequence_over_the_bus() {
     // Figure 10 of the paper: trigger → planning/deployments → worker
     // readiness → function dispatch → completion. Verify that ordering as
-    // it appears on the message bus for a JIT run.
+    // the platform's observers receive it for a JIT run.
     let dag = linear_chain("seq", 3, &FunctionSpec::new("f").service_ms(500.0)).unwrap();
     let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 21));
-    let provisioned = platform.subscribe(Topic::WorkerProvisioned);
-    let ready = platform.subscribe(Topic::WorkerReady);
-    let completed = platform.subscribe(Topic::RequestCompleted);
+    let recording = platform.attach_observer(Recording::default());
     platform.deploy(dag).unwrap();
     platform.trigger_at("seq", SimTime::ZERO).unwrap();
     platform.run_until_idle();
 
-    let provisioned = provisioned.drain();
-    let ready = ready.drain();
-    let completed = completed.drain();
+    let provisioned = recording.with(|r| r.on(Topic::WorkerProvisioned));
+    let ready = recording.with(|r| r.on(Topic::WorkerReady));
+    let completed = recording.with(|r| r.on(Topic::RequestCompleted));
     assert_eq!(provisioned.len(), 3, "one deployment per chain hop");
     assert_eq!(ready.len(), 3);
     assert_eq!(completed.len(), 1);
 
     // JIT staggers the deployments across the workflow's lifetime.
-    assert!(provisioned[0].at < provisioned[2].at);
+    assert!(provisioned[0].0 < provisioned[2].0);
     // Each worker becomes ready after it was provisioned.
-    for (p, r) in provisioned.iter().zip(&ready) {
-        assert!(p.at < r.at, "provisioned {} before ready {}", p.at, r.at);
+    for ((p, _), (r, _)) in provisioned.iter().zip(&ready) {
+        assert!(p < r, "provisioned {p} before ready {r}");
     }
     // Completion is the last event of the run.
-    assert!(completed[0].at >= ready.last().unwrap().at);
+    assert!(completed[0].0 >= ready.last().unwrap().0);
+    let last = recording.with(|r| r.0.last().cloned()).unwrap();
+    assert_eq!(last.1.topic(), Topic::RequestCompleted);
     // None of the provisions were on-demand: speculation covered the chain.
     for p in &provisioned {
         assert!(
             matches!(
-                p.event,
+                p.1,
                 BusEvent::WorkerProvisioned {
                     on_demand: false,
                     ..

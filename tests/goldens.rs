@@ -1,0 +1,143 @@
+//! Every checked-in golden regenerates byte for byte.
+//!
+//! Each artifact under `docs/golden/` is rebuilt in-process from the
+//! command line CI's `cmp` steps run (`xanadu::cli::parse_args` +
+//! `execute_with_exports`, the code path of the `xanadu_cli` binary) and
+//! compared with the checked-in bytes. Output paths are only names here:
+//! `execute_with_exports` returns the files instead of writing them,
+//! except serve's checkpoint log, which goes to a scratch directory.
+
+use std::path::{Path, PathBuf};
+
+use xanadu::cli::{execute_with_exports, parse_args, ExportFile};
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Runs one command line in-process; SDL paths resolve against the
+/// repository root, as they do for CI.
+fn run(command: &str) -> Vec<ExportFile> {
+    let args: Vec<String> = command.split_whitespace().map(String::from).collect();
+    let cmd = parse_args(&args).unwrap_or_else(|e| panic!("{command}: {e}"));
+    let root = repo_root();
+    let source = |p: &str| std::fs::read_to_string(root.join(p)).map_err(|e| format!("{p}: {e}"));
+    let (_, exports) =
+        execute_with_exports(&cmd, source).unwrap_or_else(|e| panic!("{command}: {e}"));
+    exports
+}
+
+/// The export `command` writes to `out`.
+fn export(command: &str, out: &str) -> String {
+    run(command)
+        .into_iter()
+        .find(|e| e.path == out)
+        .unwrap_or_else(|| panic!("{command}: no export {out}"))
+        .contents
+}
+
+/// Asserts `regenerated` equals `docs/golden/{name}`, naming the first
+/// differing line rather than dumping both documents.
+fn assert_golden(name: &str, regenerated: &str) {
+    let golden = read(&repo_root().join("docs/golden").join(name));
+    if golden == regenerated {
+        return;
+    }
+    let (line, (want, got)) = golden
+        .lines()
+        .zip(regenerated.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+        .map(|(i, pair)| (i + 1, pair))
+        .unwrap_or((0, ("<length differs>", "<length differs>")));
+    panic!(
+        "docs/golden/{name} does not regenerate byte-identically \
+         ({} vs {} bytes); first difference at line {line}:\n  golden:      {want}\n  regenerated: {got}",
+        golden.len(),
+        regenerated.len()
+    );
+}
+
+#[test]
+fn flow_audit_regenerates() {
+    let audit = export(
+        "analyze --sdl docs/golden/flow.json --mode jit --triggers 5 --audit-out flow.audit.json",
+        "flow.audit.json",
+    );
+    assert_golden("flow.audit.json", &audit);
+}
+
+#[test]
+fn cluster_audit_regenerates() {
+    let audit = export(
+        "analyze --sdl docs/golden/cluster.json --mode spec --triggers 12 \
+         --miss-policy replan-and-reuse --hosts 4 --host-memory-mb 2048 \
+         --placement affinity --audit-out cluster.audit.json",
+        "cluster.audit.json",
+    );
+    assert_golden("cluster.audit.json", &audit);
+}
+
+#[test]
+fn faults_trace_and_audit_regenerate() {
+    let faults =
+        "--sdl docs/golden/faults.json --mode jit --triggers 12 --fault-rate 1.0 --fault-seed 2";
+    let trace = export(
+        &format!("run {faults} --trace-out faults.trace.json"),
+        "faults.trace.json",
+    );
+    assert_golden("faults.trace.json", &trace);
+    let audit = export(
+        &format!("analyze {faults} --audit-out faults.audit.json"),
+        "faults.audit.json",
+    );
+    assert_golden("faults.audit.json", &audit);
+}
+
+/// The default policy spelled three ways: legacy flags, the bare policy
+/// name, and the fully-parameterized spec.
+#[test]
+fn policies_audit_regenerates_from_every_default_spelling() {
+    let base = "analyze --sdl docs/golden/policies.json --triggers 12";
+    for spelling in [
+        "--mode jit",
+        "--policy xanadu",
+        "--policy xanadu:mode=jit,aggressiveness=1.0,miss=stop",
+    ] {
+        let audit = export(
+            &format!("{base} {spelling} --audit-out policies.audit.json"),
+            "policies.audit.json",
+        );
+        assert_golden("policies.audit.json", &audit);
+    }
+}
+
+#[test]
+fn replay_stream_audit_regenerates() {
+    let audit = export(
+        "replay --invocations 2000 --seed 7 --shards 2 --audit-out replay.stream-audit.json",
+        "replay.stream-audit.json",
+    );
+    assert_golden("replay.stream-audit.json", &audit);
+}
+
+#[test]
+fn serve_audit_and_manifest_regenerate() {
+    let dir = std::env::temp_dir().join(format!("xanadu-goldens-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let audit = export(
+        &format!(
+            "serve --events 20000 --checkpoint-every 5000 --seed 42 \
+             --checkpoint-dir {} --audit-out serve.audit.json",
+            dir.display()
+        ),
+        "serve.audit.json",
+    );
+    assert_golden("serve.audit.json", &audit);
+    assert_golden("serve.MANIFEST.json", &read(&dir.join("MANIFEST.json")));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -30,7 +30,7 @@ fn assert_streams_like_tree<T: Serialize>(value: &T) -> String {
 }
 
 /// A cluster + faults run with metrics and a streaming audit attached.
-fn chaos_run() -> (PlatformReport, AuditCheckpoint) {
+fn chaos_run() -> (PlatformReport, AuditCheckpoint, MetricsRegistry) {
     let chain = linear_chain("chain", 4, &FunctionSpec::new("f").service_ms(900.0)).unwrap();
     let config = PlatformConfig::builder()
         .for_mode(ExecutionMode::Jit, 3)
@@ -42,7 +42,7 @@ fn chaos_run() -> (PlatformReport, AuditCheckpoint) {
         .build()
         .unwrap();
     let mut platform = Platform::new(config);
-    platform.attach_metrics();
+    let metrics = platform.attach_observer(MetricsRegistry::new());
     let audit = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
     platform.deploy(chain).unwrap();
     for i in 0..8u64 {
@@ -51,22 +51,26 @@ fn chaos_run() -> (PlatformReport, AuditCheckpoint) {
             .unwrap();
     }
     let report = platform.finish();
-    (report, audit.with(|a| a.checkpoint()))
+    (report, audit.with(|a| a.checkpoint()), metrics.snapshot())
 }
 
 #[test]
 fn platform_reports_stream_like_their_tree() {
-    let (report, _) = chaos_run();
-    assert!(report.cluster.is_some() && report.metrics.is_some());
+    let (report, _, metrics) = chaos_run();
+    assert!(report.cluster.is_some());
     assert!(!report.results.is_empty() && !report.worker_records.is_empty());
     assert_streams_like_tree(&report);
+    // The metrics registry, read back through its observer handle.
+    assert!(metrics.counter("requests.completed") > 0);
+    assert!(metrics.histogram("end_to_end_ms").is_some());
+    assert_streams_like_tree(&metrics);
     let empty = assert_streams_like_tree(&PlatformReport::default());
     assert_eq!(empty, "{\n  \"results\": [],\n  \"worker_records\": []\n}");
 }
 
 #[test]
 fn flattened_audit_checkpoint_streams_and_roundtrips() {
-    let (_, checkpoint) = chaos_run();
+    let (_, checkpoint, _) = chaos_run();
     assert!(checkpoint.cluster.placed > 0 && !checkpoint.exemplars.is_empty());
     let text = assert_streams_like_tree(&checkpoint);
     let doc: Value = serde_json::from_str(&text).unwrap();

@@ -25,7 +25,7 @@ fn probe(seed: u64, plan_cache: bool) -> (String, String) {
         .build()
         .unwrap();
     let mut platform = Platform::new(config);
-    let registry = platform.attach_metrics();
+    let registry = platform.attach_observer(MetricsRegistry::new());
     platform.deploy(dag).unwrap();
     let mut requests = Vec::new();
     for i in 0..4u64 {
@@ -92,35 +92,31 @@ fn exports_are_byte_identical_with_plan_cache_on_and_off() {
     }
 }
 
+/// Metrics live only in the registry an observer handle reads back: the
+/// report carries no metrics key, observed or not, and attaching the
+/// registry changes no report byte.
 #[test]
 fn unobserved_reports_serialize_without_metrics_and_observers_only_add_them() {
     let run = |attach: bool| {
         let dag = linear_chain("r", 3, &FunctionSpec::new("f").service_ms(400.0)).unwrap();
         let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 11));
-        if attach {
-            platform.attach_metrics();
-        }
+        let registry = attach.then(|| platform.attach_observer(MetricsRegistry::new()));
         platform.deploy(dag).unwrap();
         platform.trigger_at("r", SimTime::ZERO).unwrap();
         platform.run_until_idle();
-        platform.finish()
+        let report = serde_json::to_string(&platform.finish()).unwrap();
+        (report, registry.map(|r| r.snapshot()))
     };
-    let bare = run(false);
-    let bare_json = serde_json::to_string(&bare).unwrap();
+    let (bare, none) = run(false);
+    assert!(none.is_none());
     assert!(
-        !bare_json.contains("\"metrics\""),
+        !bare.contains("\"metrics\""),
         "unobserved report grew a metrics key"
     );
-    // The observed report is the bare report plus the metrics snapshot —
-    // nothing else about the run may change.
-    let mut observed = run(true);
-    assert!(observed.metrics.is_some(), "registry snapshot missing");
-    observed.metrics = None;
-    assert_eq!(
-        serde_json::to_string(&observed).unwrap(),
-        bare_json,
-        "observer presence changed the report body"
-    );
+    let (observed, registry) = run(true);
+    assert_eq!(observed, bare, "observer presence changed the report");
+    let registry = registry.expect("registry handle");
+    assert_eq!(registry.counter("requests.completed"), 1);
 }
 
 #[test]

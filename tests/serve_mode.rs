@@ -276,6 +276,43 @@ fn resume_guards_reject_mismatches() {
     );
 }
 
+/// A log whose cursor and SLO document disagree about how many alerts
+/// were emitted is refused with a typed error naming the directory and
+/// both counts, in release and debug builds alike.
+#[test]
+fn resume_rejects_a_cursor_that_disagrees_with_the_slo_alerts() {
+    let dir = scratch_dir("alert-count");
+    let mut args = base_args(&dir, true);
+    args.stop_after_checkpoints = 1;
+    run_serve(&args, &read_file, &mut Vec::new()).unwrap();
+
+    let log = SegmentLog::open(&args.checkpoint_dir).unwrap();
+    let store = log.replay().unwrap();
+    let (cursor, _) = store.get("serve/cursor").expect("cursor doc");
+    let emitted = cursor
+        .get("alerts_emitted")
+        .and_then(|v| v.as_u64())
+        .unwrap();
+    let mut forged = cursor.clone();
+    let serde_json::Value::Object(fields) = &mut forged else {
+        panic!("cursor is not an object: {cursor:?}");
+    };
+    fields.insert("alerts_emitted".into(), serde_json::json!(emitted + 1));
+    log.append(&[("serve/cursor".to_string(), forged)]).unwrap();
+
+    args.stop_after_checkpoints = 0;
+    let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
+    let CliError::Workflow(message) = &err else {
+        panic!("expected a workflow error, got {err}");
+    };
+    assert!(message.contains(&args.checkpoint_dir), "{message}");
+    assert!(
+        message.contains(&format!("counts {} emitted alerts", emitted + 1)),
+        "{message}"
+    );
+    assert!(message.contains(&format!("holds {emitted}")), "{message}");
+}
+
 /// `record` → `serve --stream` replays the exact stream the generator
 /// flags would produce: both paths end in byte-identical audits.
 #[test]

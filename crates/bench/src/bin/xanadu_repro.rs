@@ -123,7 +123,7 @@ fn write_bench_report(jobs: usize, timed: &[(Experiment, f64)], total_wall_ms: f
             })
         })
         .collect();
-    let mut report = serde_json::json!({
+    let report = serde_json::json!({
         "jobs": jobs,
         "experiments": timed
             .iter()
@@ -135,20 +135,6 @@ fn write_bench_report(jobs: usize, timed: &[(Experiment, f64)], total_wall_ms: f
         "speedup_vs_serial": speedup,
     });
     let path = "BENCH_harness.json";
-    // The `microbench`, `kernel` and `service` sections are produced
-    // out-of-band (`cargo bench --bench worker_index`, `xanadu replay
-    // --bench-out`, `xanadu serve --bench-out`); carry them over so
-    // regenerating the experiment timings does not drop them.
-    if let Some(previous) = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-    {
-        for section in ["microbench", "kernel", "service"] {
-            if let (Some(value), Some(obj)) = (previous.get(section), report.as_object_mut()) {
-                obj.insert(section.to_string(), value.clone());
-            }
-        }
-    }
     match std::fs::write(path, report.to_json_string_pretty() + "\n") {
         Ok(()) => eprintln!(
             "wrote {path}: {} experiments, {:.0}ms wall ({:.0}ms serial estimate, {speedup:.2}x)",

@@ -864,26 +864,32 @@ impl PolicyRegistry {
     /// Registered policy names.
     pub const NAMES: [&'static str; 3] = ["xanadu", "mpc", "rl"];
 
-    /// Parses a `name[:param=val,...]` spec.
+    /// Parses a `name[:param=val,...]` spec. A parameter given twice
+    /// (in either spelling of its name) is an error, not a last-wins.
     pub fn parse(s: &str) -> Result<ConfiguredPolicy, PolicyParseError> {
         let (name, params) = match s.split_once(':') {
             Some((n, p)) => (n.trim(), Some(p)),
             None => (s.trim(), None),
         };
         let pairs = |params: Option<&str>| -> Result<Vec<(String, String)>, PolicyParseError> {
-            let Some(params) = params else {
-                return Ok(Vec::new());
-            };
-            params
-                .split(',')
-                .filter(|kv| !kv.trim().is_empty())
-                .map(|kv| {
-                    let (k, v) = kv.split_once('=').ok_or_else(|| {
-                        PolicyParseError(format!("expected `key=value`, got `{kv}`"))
-                    })?;
-                    Ok((k.trim().to_string(), v.trim().to_string()))
-                })
-                .collect()
+            let mut pairs: Vec<(String, String)> = Vec::new();
+            for kv in params.unwrap_or("").split(',') {
+                if kv.trim().is_empty() {
+                    continue;
+                }
+                let (k, v) = kv
+                    .split_once('=')
+                    .ok_or_else(|| PolicyParseError(format!("expected `key=value`, got `{kv}`")))?;
+                let k = k.trim().to_string();
+                if pairs
+                    .iter()
+                    .any(|(seen, _)| seen.replace('_', "-") == k.replace('_', "-"))
+                {
+                    return Err(PolicyParseError(format!("parameter `{k}` is given twice")));
+                }
+                pairs.push((k, v.trim().to_string()));
+            }
+            Ok(pairs)
         };
         match name {
             "xanadu" => {
@@ -904,7 +910,14 @@ impl PolicyRegistry {
                                 }
                             }
                         }
-                        "aggressiveness" => spec.aggressiveness = parse_f64(&k, &v)?,
+                        "aggressiveness" => {
+                            spec.aggressiveness = parse_f64(&k, &v)?;
+                            if !(0.0..=1.0).contains(&spec.aggressiveness) {
+                                return Err(PolicyParseError(format!(
+                                    "`aggressiveness` must be in [0, 1], got `{v}`"
+                                )));
+                            }
+                        }
                         "miss" => {
                             spec.miss_policy = match v.as_str() {
                                 "stop" => MissPolicy::StopSpeculation,
@@ -916,7 +929,14 @@ impl PolicyRegistry {
                                 }
                             }
                         }
-                        "hedge" => spec.hedge_margin = parse_f64(&k, &v)?,
+                        "hedge" => {
+                            spec.hedge_margin = parse_f64(&k, &v)?;
+                            if !spec.hedge_margin.is_finite() || spec.hedge_margin < 0.0 {
+                                return Err(PolicyParseError(format!(
+                                    "`hedge` must be finite and >= 0, got `{v}`"
+                                )));
+                            }
+                        }
                         other => {
                             return Err(PolicyParseError(format!(
                                 "unknown xanadu parameter `{other}` (mode, aggressiveness, miss, hedge)"
@@ -1236,6 +1256,28 @@ mod tests {
         assert!(PolicyRegistry::parse("nope").is_err());
         assert!(PolicyRegistry::parse("mpc:bogus=1").is_err());
         assert!(PolicyRegistry::parse("rl:epsilon").is_err());
+    }
+
+    #[test]
+    fn registry_rejects_malformed_specs() {
+        for (spec, parameter) in [
+            ("xanadu:aggressiveness=NaN", "aggressiveness"),
+            ("xanadu:aggressiveness=7", "aggressiveness"),
+            ("xanadu:aggressiveness=-0.5", "aggressiveness"),
+            ("xanadu:hedge=-0.1", "hedge"),
+            ("xanadu:hedge=inf", "hedge"),
+            ("xanadu:hedge=NaN", "hedge"),
+            ("xanadu:mode=jit,mode=cold", "mode"),
+            ("mpc:horizon=3,horizon=4", "horizon"),
+            ("mpc:cold-weight=1,cold_weight=2", "cold_weight"),
+            ("rl:seed=1,seed=2", "seed"),
+        ] {
+            let err = PolicyRegistry::parse(spec).expect_err(spec);
+            assert!(err.0.contains(&format!("`{parameter}`")), "{spec}: {err}");
+        }
+        let edge = PolicyRegistry::parse("xanadu:aggressiveness=0,hedge=0.25").unwrap();
+        let knobs = edge.speculation.expect("xanadu params desugar");
+        assert_eq!((knobs.aggressiveness, knobs.hedge_margin), (0.0, 0.25));
     }
 
     #[test]

@@ -46,7 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use serde::Serialize;
 use xanadu_chain::WorkflowDag;
 use xanadu_sandbox::WorkerId;
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
@@ -115,10 +114,8 @@ pub struct ShardTelemetry {
 }
 
 /// Deterministic per-shard kernel counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardProfile {
-    /// Shard index in canonical (workflow-name) order.
-    pub index: usize,
     /// The workflow this shard simulated.
     pub workflow: String,
     /// Simulation events the shard processed.
@@ -134,8 +131,8 @@ pub struct ShardProfile {
 /// streams and are safe to include in deterministic exports via
 /// [`deterministic_registry`](Self::deterministic_registry). The
 /// wall-clock numbers (`barrier_wait_us`, `merge_us`) vary run to run and
-/// belong only in bench output.
-#[derive(Debug, Clone, Default, Serialize)]
+/// never enter an export.
+#[derive(Debug, Clone, Default)]
 pub struct KernelProfile {
     /// Per-shard counters, shard-index order.
     pub shards: Vec<ShardProfile>,
@@ -613,7 +610,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
         worker_offset = next_offset;
         events_processed += out.events;
         shard_profiles.push(ShardProfile {
-            index: out.index,
             workflow: out.name,
             events: out.events,
             queue_peak: out.queue_peak,

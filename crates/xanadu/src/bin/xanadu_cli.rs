@@ -1,6 +1,7 @@
 //! Thin shell around [`xanadu::cli`]: reads SDL files from disk and prints
 //! the rendered report. See `xanadu help` for usage.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use xanadu::cli::{execute_with_exports, parse_args, CliError, USAGE};
 
@@ -23,8 +24,20 @@ fn main() -> ExitCode {
                 }
                 eprintln!("wrote {}", file.path);
             }
-            println!("{report}");
-            ExitCode::SUCCESS
+            // A reader that stopped early (`| head`) closed stdout: the
+            // work is done and the exports are written, so that is no error.
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout
+                .write_all(report.as_bytes())
+                .and_then(|()| stdout.write_all(b"\n"))
+                .and_then(|()| stdout.flush());
+            match written {
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing the report: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             // An SLO breach still writes the staged exports (the windowed

@@ -212,9 +212,6 @@ pub struct ReplayArgs {
     /// Print a wall-clock heartbeat (progress, events/sec, backlog, ETA)
     /// to stderr while replaying. Never affects stdout or exports.
     pub progress: bool,
-    /// Merge an `events_per_sec` kernel-throughput row into this
-    /// `BENCH_harness.json`-style file (other sections are preserved).
-    pub bench_out: Option<String>,
 }
 
 /// A file the CLI wants written: path plus full contents. Returned by
@@ -313,6 +310,29 @@ pub enum CliError {
     },
     /// A required flag is absent.
     MissingFlag(String),
+    /// A flag the subcommand does not read.
+    UnknownFlag {
+        /// The subcommand.
+        command: String,
+        /// The flag as given.
+        flag: String,
+    },
+    /// A flag given more than once.
+    RepeatedFlag {
+        /// The subcommand.
+        command: String,
+        /// The repeated flag.
+        flag: String,
+    },
+    /// A value that follows no flag taking one.
+    StrayValue {
+        /// The subcommand.
+        command: String,
+        /// The stray value.
+        value: String,
+        /// The nearest flag before it, if any.
+        after: Option<String>,
+    },
     /// `--policy` was combined with one of its back-compat alias flags
     /// (`--mode`, `--aggressiveness`, `--miss-policy`); the aliases only
     /// exist to desugar into a policy spec, so mixing the two spellings
@@ -362,6 +382,23 @@ impl fmt::Display for CliError {
                 expected,
             } => write!(f, "bad value `{value}` for {flag}, expected {expected}"),
             CliError::MissingFlag(flag) => write!(f, "required flag {flag} is missing"),
+            CliError::UnknownFlag { command, flag } => {
+                write!(f, "`{command}` does not take the flag {flag}")
+            }
+            CliError::RepeatedFlag { command, flag } => {
+                write!(f, "flag {flag} is given more than once to `{command}`")
+            }
+            CliError::StrayValue {
+                command,
+                value,
+                after,
+            } => {
+                write!(f, "stray value `{value}` in `{command}`")?;
+                match after {
+                    Some(flag) => write!(f, " after {flag}"),
+                    None => Ok(()),
+                }
+            }
             CliError::PolicyConflict {
                 policy,
                 conflicting,
@@ -439,7 +476,7 @@ USAGE:
                 [--host-fail-rate R]
                 [--audit-out <file>] [--metrics-out <file>]
                 [--slo <thresholds.json>] [--slo-out <file>]
-                [--slo-window-secs W] [--progress] [--bench-out <file>]
+                [--slo-window-secs W] [--progress]
   xanadu record --out <file> [--events N] [--workflows W] [--depth D]
                 [--rate-per-hour R] [--seed S]
   xanadu serve --checkpoint-dir <dir> [--stream <file>]
@@ -449,8 +486,7 @@ USAGE:
                [--metrics-text <file>] [--audit-out <file>]
                [--slo <thresholds.json>] [--slo-out <file>]
                [--slo-window-secs W] [--stop-after-checkpoints K]
-               [--status-every K] [--sketch-edges K]
-               [--bench-out <file>] [--fail-on-alert]
+               [--status-every K] [--sketch-edges K] [--fail-on-alert]
   xanadu diff --baseline <file> --candidate <file>
               [--max-p95-regress-pct P] [--max-wasted-cpu-regress-pct W]
               [--max-recall-drop D]
@@ -468,7 +504,10 @@ waste-weight, slack-ms) or `rl` (tabular Q-learning; params seed,
 warmup, epsilon, alpha, gamma, cold-penalty-ms, waste-penalty-ms).
 `--mode`/`--aggressiveness`/`--miss-policy` are back-compat aliases for
 `--policy xanadu:...` parameters and conflict with an explicit
-`--policy`.
+`--policy`. A policy parameter given twice is an error, as is an
+`aggressiveness` outside [0, 1] or a negative or non-finite `hedge`.
+Every subcommand rejects a flag it does not take (`serve` has no
+`--policy`), a repeated flag and a value that follows no flag.
 `--fault-rate R` (0..1) injects deterministic worker crashes and latency
 spikes at rate R, seeded by `--fault-seed` (default 0xFA17); recovery
 (timeouts, bounded retry, re-planning) is reported per request.
@@ -506,10 +545,6 @@ tumbling `--slo-window-secs` windows (default 60) against the first
 non-empty window with `diff` semantics, exits non-zero on any breach
 and, with `--slo-out`, writes the windowed evaluation JSON.
 `--progress` prints a stderr heartbeat (events/sec, backlog, ETA).
-`--bench-out` merges an `events_per_sec` kernel-throughput row plus a
-`kernel_profile` section (per-shard events and queue peaks, barrier and
-merge costs) into the named BENCH_harness.json, preserving its other
-sections.
 `diff` compares two audit or metrics snapshots and exits non-zero when
 the candidate regresses past a threshold (p95 end-to-end +10%, wasted
 CPU-ms +25%, MLP recall −0.05 by default), printing the JSON path of
@@ -531,9 +566,7 @@ K` prints a stderr status line (uptime, events/sec, window quantiles,
 open alerts, sketch occupancy, checkpoint lag) every K checkpoints.
 `--stop-after-checkpoints K` pauses at an exact boundary (the restart
 suites use this); `--fail-on-alert` exits non-zero when any alert was
-raised. `--bench-out` merges a `service` row (sustained events/sec,
-amortized checkpoint cost, streaming-vs-batch p95 delta) into the named
-BENCH_harness.json.
+raised.
 `validate` checks a JSON document against a schema file and exits
 non-zero on mismatch (CI uses it on the exports); a `.jsonl` document
 (e.g. the serve alerts stream) is validated line by line.";
@@ -547,62 +580,58 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(command) = args.first() else {
         return Ok(Command::Help);
     };
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "inspect" => {
-            let sdl_path =
-                flag_value(args, "--sdl")?.ok_or_else(|| CliError::MissingFlag("--sdl".into()))?;
-            let dot = args.iter().any(|a| a == "--dot");
-            Ok(Command::Inspect { sdl_path, dot })
-        }
-        "run" => Ok(Command::Run(parse_run_flags(args)?)),
-        "analyze" => Ok(Command::Analyze(parse_run_flags(args)?)),
-        "replay" => Ok(Command::Replay(parse_replay_flags(args)?)),
-        "record" => Ok(Command::Record(parse_record_flags(args)?)),
-        "serve" => Ok(Command::Serve(parse_serve_flags(args)?)),
+    let mut f = Flags::new(args);
+    let parsed = match command.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "inspect" => Command::Inspect {
+            sdl_path: f.required("--sdl")?,
+            dot: f.switch("--dot")?,
+        },
+        "run" => Command::Run(parse_run_flags(&mut f)?),
+        "analyze" => Command::Analyze(parse_run_flags(&mut f)?),
+        "replay" => Command::Replay(parse_replay_flags(&mut f)?),
+        "record" => Command::Record(parse_record_flags(&mut f)?),
+        "serve" => Command::Serve(parse_serve_flags(&mut f)?),
         "diff" => {
-            let baseline_path = flag_value(args, "--baseline")?
-                .ok_or_else(|| CliError::MissingFlag("--baseline".into()))?;
-            let candidate_path = flag_value(args, "--candidate")?
-                .ok_or_else(|| CliError::MissingFlag("--candidate".into()))?;
+            let baseline_path = f.required("--baseline")?;
+            let candidate_path = f.required("--candidate")?;
             let defaults = DiffThresholds::default();
             let thresholds = DiffThresholds {
                 max_p95_regress_pct: parse_float(
-                    args,
+                    &mut f,
                     "--max-p95-regress-pct",
                     defaults.max_p95_regress_pct,
                 )?,
                 max_wasted_cpu_regress_pct: parse_float(
-                    args,
+                    &mut f,
                     "--max-wasted-cpu-regress-pct",
                     defaults.max_wasted_cpu_regress_pct,
                 )?,
-                max_recall_drop: parse_float(args, "--max-recall-drop", defaults.max_recall_drop)?,
+                max_recall_drop: parse_float(
+                    &mut f,
+                    "--max-recall-drop",
+                    defaults.max_recall_drop,
+                )?,
             };
-            Ok(Command::Diff(DiffArgs {
+            Command::Diff(DiffArgs {
                 baseline_path,
                 candidate_path,
                 thresholds,
-            }))
-        }
-        "validate" => {
-            let json_path = flag_value(args, "--json")?
-                .ok_or_else(|| CliError::MissingFlag("--json".into()))?;
-            let schema_path = flag_value(args, "--schema")?
-                .ok_or_else(|| CliError::MissingFlag("--schema".into()))?;
-            Ok(Command::Validate {
-                json_path,
-                schema_path,
             })
         }
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+        "validate" => Command::Validate {
+            json_path: f.required("--json")?,
+            schema_path: f.required("--schema")?,
+        },
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    f.finish()?;
+    Ok(parsed)
 }
 
-fn parse_run_flags(args: &[String]) -> Result<RunArgs, CliError> {
-    let sdl_path =
-        flag_value(args, "--sdl")?.ok_or_else(|| CliError::MissingFlag("--sdl".into()))?;
-    let (platform, policy, aggressiveness, miss_policy) = match parse_policy(args)? {
+fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
+    let sdl_path = f.required("--sdl")?;
+    let (platform, policy, aggressiveness, miss_policy) = match parse_policy(f)? {
         Some(configured) => {
             let knobs = configured.speculation.unwrap_or_default();
             (
@@ -613,40 +642,40 @@ fn parse_run_flags(args: &[String]) -> Result<RunArgs, CliError> {
             )
         }
         None => {
-            let platform = match flag_value(args, "--mode")? {
+            let platform = match f.value("--mode")? {
                 Some(v) => PlatformChoice::parse(&v)?,
                 None => PlatformChoice::Xanadu(ExecutionMode::Jit),
             };
             (
                 platform,
                 PolicySpec::Xanadu,
-                parse_fraction(args, "--aggressiveness", 1.0)?,
-                parse_miss_policy(args)?,
+                parse_fraction(f, "--aggressiveness", 1.0)?,
+                parse_miss_policy(f)?,
             )
         }
     };
     Ok(RunArgs {
         sdl_path,
         platform,
-        triggers: parse_num(args, "--triggers", 1)?,
-        gap_min: parse_num(args, "--gap-min", 20)?,
-        seed: parse_num(args, "--seed", 42)?,
-        implicit: args.iter().any(|a| a == "--implicit"),
-        trace: args.iter().any(|a| a == "--trace"),
-        fault_rate: parse_fraction(args, "--fault-rate", 0.0)?,
-        fault_seed: parse_num(args, "--fault-seed", 0xFA17)?,
-        hosts: parse_num(args, "--hosts", 0)? as u32,
-        host_memory_mb: parse_num(args, "--host-memory-mb", 4096)?,
-        placement: parse_placement(args)?,
-        tenants: parse_num(args, "--tenants", 0)? as u32,
-        host_fail_rate: parse_fraction(args, "--host-fail-rate", 0.0)?,
-        autoscale_max: parse_num(args, "--autoscale-max", 0)? as u32,
+        triggers: parse_num(f, "--triggers", 1)?,
+        gap_min: parse_num(f, "--gap-min", 20)?,
+        seed: parse_num(f, "--seed", 42)?,
+        implicit: f.switch("--implicit")?,
+        trace: f.switch("--trace")?,
+        fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
+        fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
+        hosts: parse_num(f, "--hosts", 0)? as u32,
+        host_memory_mb: parse_num(f, "--host-memory-mb", 4096)?,
+        placement: parse_placement(f)?,
+        tenants: parse_num(f, "--tenants", 0)? as u32,
+        host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
+        autoscale_max: parse_num(f, "--autoscale-max", 0)? as u32,
         aggressiveness,
         miss_policy,
         policy,
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
-        audit_out: flag_value(args, "--audit-out")?,
+        trace_out: f.value("--trace-out")?,
+        metrics_out: f.value("--metrics-out")?,
+        audit_out: f.value("--audit-out")?,
     })
 }
 
@@ -656,13 +685,13 @@ fn parse_run_flags(args: &[String]) -> Result<RunArgs, CliError> {
 const POLICY_ALIAS_FLAGS: [&str; 3] = ["--mode", "--aggressiveness", "--miss-policy"];
 
 /// Parses `--policy name[:param=val,...]`, rejecting alias-flag mixes.
-fn parse_policy(args: &[String]) -> Result<Option<ConfiguredPolicy>, CliError> {
-    let Some(value) = flag_value(args, "--policy")? else {
+fn parse_policy(f: &mut Flags) -> Result<Option<ConfiguredPolicy>, CliError> {
+    let Some(value) = f.value("--policy")? else {
         return Ok(None);
     };
     let conflicting: Vec<String> = POLICY_ALIAS_FLAGS
         .iter()
-        .filter(|flag| args.iter().any(|a| a == *flag))
+        .filter(|flag| f.args.iter().any(|a| a == *flag))
         .map(|flag| (*flag).to_string())
         .collect();
     if !conflicting.is_empty() {
@@ -685,8 +714,8 @@ fn parse_policy(args: &[String]) -> Result<Option<ConfiguredPolicy>, CliError> {
         })
 }
 
-fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
-    let (mode, policy, aggressiveness, miss_policy) = match parse_policy(args)? {
+fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
+    let (mode, policy, aggressiveness, miss_policy) = match parse_policy(f)? {
         Some(configured) => {
             let knobs = configured.speculation.unwrap_or_default();
             (
@@ -697,43 +726,42 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
             )
         }
         None => {
-            let mode = parse_xanadu_mode(args, "baselines are not sharded")?;
-            (mode, PolicySpec::Xanadu, 1.0, parse_miss_policy(args)?)
+            let mode = parse_xanadu_mode(f, "baselines are not sharded")?;
+            (mode, PolicySpec::Xanadu, 1.0, parse_miss_policy(f)?)
         }
     };
     Ok(ReplayArgs {
-        invocations: parse_num(args, "--invocations", 10_000)?,
-        shards: parse_num(args, "--shards", 1)?.max(1) as usize,
-        window_secs: parse_positive(args, "--window-secs", 60, SIM_SECONDS)?,
-        seed: parse_num(args, "--seed", 42)?,
+        invocations: parse_num(f, "--invocations", 10_000)?,
+        shards: parse_num(f, "--shards", 1)?.max(1) as usize,
+        window_secs: parse_positive(f, "--window-secs", 60, SIM_SECONDS)?,
+        seed: parse_num(f, "--seed", 42)?,
         mode,
-        plan_cache: !args.iter().any(|a| a == "--no-plan-cache"),
-        fault_rate: parse_fraction(args, "--fault-rate", 0.0)?,
-        fault_seed: parse_num(args, "--fault-seed", 0xFA17)?,
-        hosts: parse_num(args, "--hosts", 0)? as u32,
-        host_memory_mb: parse_num(args, "--host-memory-mb", 4096)?,
-        placement: parse_placement(args)?,
-        tenants: parse_num(args, "--tenants", 0)? as u32,
-        host_fail_rate: parse_fraction(args, "--host-fail-rate", 0.0)?,
+        plan_cache: !f.switch("--no-plan-cache")?,
+        fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
+        fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
+        hosts: parse_num(f, "--hosts", 0)? as u32,
+        host_memory_mb: parse_num(f, "--host-memory-mb", 4096)?,
+        placement: parse_placement(f)?,
+        tenants: parse_num(f, "--tenants", 0)? as u32,
+        host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
         miss_policy,
         policy,
         aggressiveness,
-        depth: parse_positive(args, "--depth", 5, CHAIN_DEPTH)?,
-        report_out: flag_value(args, "--report-out")?,
-        audit_out: flag_value(args, "--audit-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
-        slo: flag_value(args, "--slo")?,
-        slo_out: flag_value(args, "--slo-out")?,
-        slo_window_secs: parse_positive(args, "--slo-window-secs", 60, SIM_SECONDS)?,
-        progress: args.iter().any(|a| a == "--progress"),
-        bench_out: flag_value(args, "--bench-out")?,
+        depth: parse_positive(f, "--depth", 5, CHAIN_DEPTH)?,
+        report_out: f.value("--report-out")?,
+        audit_out: f.value("--audit-out")?,
+        metrics_out: f.value("--metrics-out")?,
+        slo: f.value("--slo")?,
+        slo_out: f.value("--slo-out")?,
+        slo_window_secs: parse_positive(f, "--slo-window-secs", 60, SIM_SECONDS)?,
+        progress: f.switch("--progress")?,
     })
 }
 
 /// Stream-population flags shared by `record` and `serve`:
 /// `(events, workflows, depth, rate_per_hour, seed)`.
-fn parse_stream_flags(args: &[String]) -> Result<(u64, u32, u32, f64, u64), CliError> {
-    let rate = parse_float(args, "--rate-per-hour", 120.0)?;
+fn parse_stream_flags(f: &mut Flags) -> Result<(u64, u32, u32, f64, u64), CliError> {
+    let rate = parse_float(f, "--rate-per-hour", 120.0)?;
     if rate <= 0.0 {
         return Err(CliError::BadValue {
             flag: "--rate-per-hour".into(),
@@ -743,17 +771,17 @@ fn parse_stream_flags(args: &[String]) -> Result<(u64, u32, u32, f64, u64), CliE
     }
     let population = "a non-empty workflow population";
     Ok((
-        parse_num(args, "--events", 600)?,
-        parse_positive(args, "--workflows", 6, population)?,
-        parse_positive(args, "--depth", 4, CHAIN_DEPTH)?,
+        parse_num(f, "--events", 600)?,
+        parse_positive(f, "--workflows", 6, population)?,
+        parse_positive(f, "--depth", 4, CHAIN_DEPTH)?,
         rate,
-        parse_num(args, "--seed", 42)?,
+        parse_num(f, "--seed", 42)?,
     ))
 }
 
-fn parse_record_flags(args: &[String]) -> Result<RecordArgs, CliError> {
-    let out = flag_value(args, "--out")?.ok_or_else(|| CliError::MissingFlag("--out".into()))?;
-    let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(args)?;
+fn parse_record_flags(f: &mut Flags) -> Result<RecordArgs, CliError> {
+    let out = f.required("--out")?;
+    let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(f)?;
     Ok(RecordArgs {
         out,
         events,
@@ -764,17 +792,16 @@ fn parse_record_flags(args: &[String]) -> Result<RecordArgs, CliError> {
     })
 }
 
-fn parse_serve_flags(args: &[String]) -> Result<ServeArgs, CliError> {
-    let checkpoint_dir = flag_value(args, "--checkpoint-dir")?
-        .ok_or_else(|| CliError::MissingFlag("--checkpoint-dir".into()))?;
-    let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(args)?;
-    let mode = parse_xanadu_mode(args, "the service tier is Xanadu-only")?;
+fn parse_serve_flags(f: &mut Flags) -> Result<ServeArgs, CliError> {
+    let checkpoint_dir = f.required("--checkpoint-dir")?;
+    let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(f)?;
+    let mode = parse_xanadu_mode(f, "the service tier is Xanadu-only")?;
     let epoch = "a positive number of events per epoch";
-    let checkpoint_every = parse_positive(args, "--checkpoint-every", 200, epoch)?;
-    let slo_window_secs = parse_positive(args, "--slo-window-secs", 60, SIM_SECONDS)?;
-    let sketch_edges = parse_positive(args, "--sketch-edges", 64, "a positive sketch capacity")?;
+    let checkpoint_every = parse_positive(f, "--checkpoint-every", 200, epoch)?;
+    let slo_window_secs = parse_positive(f, "--slo-window-secs", 60, SIM_SECONDS)?;
+    let sketch_edges = parse_positive(f, "--sketch-edges", 64, "a positive sketch capacity")?;
     Ok(ServeArgs {
-        stream: flag_value(args, "--stream")?,
+        stream: f.value("--stream")?,
         events,
         workflows,
         depth,
@@ -783,22 +810,21 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeArgs, CliError> {
         mode,
         checkpoint_dir,
         checkpoint_every,
-        alerts_out: flag_value(args, "--alerts-out")?,
-        metrics_text: flag_value(args, "--metrics-text")?,
-        audit_out: flag_value(args, "--audit-out")?,
-        slo_out: flag_value(args, "--slo-out")?,
-        slo: flag_value(args, "--slo")?,
+        alerts_out: f.value("--alerts-out")?,
+        metrics_text: f.value("--metrics-text")?,
+        audit_out: f.value("--audit-out")?,
+        slo_out: f.value("--slo-out")?,
+        slo: f.value("--slo")?,
         slo_window_secs,
-        stop_after_checkpoints: parse_num(args, "--stop-after-checkpoints", 0)?,
-        status_every: parse_num(args, "--status-every", 0)?,
+        stop_after_checkpoints: parse_num(f, "--stop-after-checkpoints", 0)?,
+        status_every: parse_num(f, "--status-every", 0)?,
         sketch_edges,
-        bench_out: flag_value(args, "--bench-out")?,
-        fail_on_alert: args.iter().any(|a| a == "--fail-on-alert"),
+        fail_on_alert: f.switch("--fail-on-alert")?,
     })
 }
 
-fn parse_miss_policy(args: &[String]) -> Result<MissPolicy, CliError> {
-    match flag_value(args, "--miss-policy")?.as_deref() {
+fn parse_miss_policy(f: &mut Flags) -> Result<MissPolicy, CliError> {
+    match f.value("--miss-policy")?.as_deref() {
         None | Some("stop") => Ok(MissPolicy::StopSpeculation),
         Some("replan-and-reuse") => Ok(MissPolicy::ReplanAndReuse),
         Some(v) => Err(CliError::BadValue {
@@ -811,8 +837,8 @@ fn parse_miss_policy(args: &[String]) -> Result<MissPolicy, CliError> {
 
 /// `--mode` limited to Xanadu's own modes (JIT when absent). A baseline
 /// platform is rejected; `why` completes the expected-value text.
-fn parse_xanadu_mode(args: &[String], why: &str) -> Result<ExecutionMode, CliError> {
-    let Some(v) = flag_value(args, "--mode")? else {
+fn parse_xanadu_mode(f: &mut Flags, why: &str) -> Result<ExecutionMode, CliError> {
+    let Some(v) = f.value("--mode")? else {
         return Ok(ExecutionMode::Jit);
     };
     match PlatformChoice::parse(&v)? {
@@ -833,12 +859,12 @@ const CHAIN_DEPTH: &str = "a positive chain depth";
 /// `default`), rejected with `expected` when it is zero or does not fit
 /// the target type.
 fn parse_positive<T: TryFrom<u64>>(
-    args: &[String],
+    f: &mut Flags,
     flag: &str,
     default: u64,
     expected: &str,
 ) -> Result<T, CliError> {
-    let n = parse_num(args, flag, default)?;
+    let n = parse_num(f, flag, default)?;
     match T::try_from(n) {
         Ok(value) if n > 0 => Ok(value),
         _ => Err(CliError::BadValue {
@@ -849,8 +875,8 @@ fn parse_positive<T: TryFrom<u64>>(
     }
 }
 
-fn parse_placement(args: &[String]) -> Result<PlacementPolicy, CliError> {
-    match flag_value(args, "--placement")? {
+fn parse_placement(f: &mut Flags) -> Result<PlacementPolicy, CliError> {
+    match f.value("--placement")? {
         None => Ok(PlacementPolicy::default()),
         Some(v) => v.parse().map_err(|_| CliError::BadValue {
             flag: "--placement".into(),
@@ -860,18 +886,84 @@ fn parse_placement(args: &[String]) -> Result<PlacementPolicy, CliError> {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+/// One subcommand's arguments. Each read takes the flag (and its value)
+/// it asks for; [`Flags::finish`] rejects every argument no read took, so
+/// a subcommand accepts exactly the flags its parser reads.
+struct Flags<'a> {
+    args: &'a [String],
+    taken: Vec<bool>,
+}
+
+impl<'a> Flags<'a> {
+    /// `args[0]` is the subcommand.
+    fn new(args: &'a [String]) -> Self {
+        let mut taken = vec![false; args.len()];
+        taken[0] = true;
+        Flags { args, taken }
+    }
+
+    /// Takes `flag`, returning its position; a second occurrence is an
+    /// error rather than a silent first-wins.
+    fn take(&mut self, flag: &str) -> Result<Option<usize>, CliError> {
+        let mut at = (1..self.args.len()).filter(|&i| self.args[i] == flag);
+        let first = at.next();
+        if at.next().is_some() {
+            return Err(CliError::RepeatedFlag {
+                command: self.args[0].clone(),
+                flag: flag.into(),
+            });
+        }
+        if let Some(i) = first {
+            self.taken[i] = true;
+        }
+        Ok(first)
+    }
+
+    /// A flag without a value.
+    fn switch(&mut self, flag: &str) -> Result<bool, CliError> {
+        Ok(self.take(flag)?.is_some())
+    }
+
+    fn value(&mut self, flag: &str) -> Result<Option<String>, CliError> {
+        let Some(i) = self.take(flag)? else {
+            return Ok(None);
+        };
+        match self.args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => {
+                self.taken[i + 1] = true;
+                Ok(Some(v.clone()))
+            }
             _ => Err(CliError::MissingValue(flag.to_string())),
-        },
+        }
+    }
+
+    fn required(&mut self, flag: &str) -> Result<String, CliError> {
+        self.value(flag)?
+            .ok_or_else(|| CliError::MissingFlag(flag.into()))
+    }
+
+    /// Rejects the first argument no read took: an unknown flag, or a
+    /// value that follows no flag taking one.
+    fn finish(self) -> Result<(), CliError> {
+        let Some(i) = self.taken.iter().position(|taken| !taken) else {
+            return Ok(());
+        };
+        let command = self.args[0].clone();
+        let arg = self.args[i].clone();
+        if arg.starts_with("--") {
+            return Err(CliError::UnknownFlag { command, flag: arg });
+        }
+        let after = self.args[1..i].iter().rev().find(|a| a.starts_with("--"));
+        Err(CliError::StrayValue {
+            command,
+            value: arg,
+            after: after.cloned(),
+        })
     }
 }
 
-fn parse_num(args: &[String], flag: &str, default: u64) -> Result<u64, CliError> {
-    match flag_value(args, flag)? {
+fn parse_num(f: &mut Flags, flag: &str, default: u64) -> Result<u64, CliError> {
+    match f.value(flag)? {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| CliError::BadValue {
             flag: flag.into(),
@@ -881,8 +973,8 @@ fn parse_num(args: &[String], flag: &str, default: u64) -> Result<u64, CliError>
     }
 }
 
-fn parse_float(args: &[String], flag: &str, default: f64) -> Result<f64, CliError> {
-    match flag_value(args, flag)? {
+fn parse_float(f: &mut Flags, flag: &str, default: f64) -> Result<f64, CliError> {
+    match f.value(flag)? {
         None => Ok(default),
         Some(v) => match v.parse::<f64>() {
             Ok(x) if x >= 0.0 => Ok(x),
@@ -895,8 +987,8 @@ fn parse_float(args: &[String], flag: &str, default: f64) -> Result<f64, CliErro
     }
 }
 
-fn parse_fraction(args: &[String], flag: &str, default: f64) -> Result<f64, CliError> {
-    match flag_value(args, flag)? {
+fn parse_fraction(f: &mut Flags, flag: &str, default: f64) -> Result<f64, CliError> {
+    match f.value(flag)? {
         None => Ok(default),
         Some(v) => match v.parse::<f64>() {
             Ok(x) if (0.0..=1.0).contains(&x) => Ok(x),
@@ -1343,34 +1435,6 @@ fn execute_replay(
             contents: xanadu_platform::export::slo_json_string(slo),
         });
     }
-    if let Some(path) = &replay.bench_out {
-        // Read-modify-write: keep every other section of the bench
-        // report (experiments, audits, microbench) intact.
-        let mut root: serde_json::Value = sdl_source(path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_else(|| serde_json::json!({}));
-        if let Some(obj) = root.as_object_mut() {
-            obj.insert(
-                "kernel".to_string(),
-                serde_json::json!({
-                    "events_per_sec": events_per_sec,
-                    "events": run.events_processed,
-                    "invocations": realized,
-                    "logical_shards": run.logical_shards,
-                    "shard_threads": replay.shards,
-                    "wall_ms": wall * 1000.0,
-                    "report_digest": digest,
-                    "source": "xanadu replay",
-                }),
-            );
-            obj.insert("kernel_profile".to_string(), kernel_profile_json(&run));
-        }
-        exports.push(ExportFile {
-            path: path.clone(),
-            contents: root.to_json_string_pretty() + "\n",
-        });
-    }
     if let Some(slo) = &slo_report {
         if !slo.alerts.is_empty() {
             return Err(CliError::SloBreach {
@@ -1407,31 +1471,6 @@ pub(crate) fn render_slo_alert(alert: &xanadu_platform::SloAlert) -> String {
         "window {}: {} {:.3} -> {:.3} ({})",
         alert.window, alert.path, alert.baseline, alert.candidate, alert.allowed
     )
-}
-
-/// The `kernel_profile` section of `--bench-out`: driver costs plus the
-/// busiest shards. Per-shard rows are capped so a fleet-scale replay
-/// cannot balloon the bench report; `shards_total` records the real
-/// count when rows are dropped.
-fn kernel_profile_json(run: &xanadu_platform::ShardedRun) -> serde_json::Value {
-    const MAX_SHARD_ROWS: usize = 16;
-    let profile = &run.profile;
-    let mut busiest: Vec<_> = profile.shards.iter().collect();
-    busiest.sort_by(|a, b| b.events.cmp(&a.events).then(a.index.cmp(&b.index)));
-    busiest.truncate(MAX_SHARD_ROWS);
-    let rows: Vec<serde_json::Value> = busiest
-        .iter()
-        .map(|s| serde_json::to_value(s).expect("shard profile serializes"))
-        .collect();
-    serde_json::json!({
-        "threads": profile.threads,
-        "windows": profile.windows,
-        "merge_us": profile.merge_us,
-        "barrier_wait_us": profile.barrier_wait_us,
-        "queue_peak": profile.queue_peak(),
-        "shards_total": profile.shards.len(),
-        "busiest_shards": rows,
-    })
 }
 
 /// A finished workload run: the platform still holds per-request traces.
@@ -1722,6 +1761,10 @@ mod tests {
             parse_args(&args(&["run", "--sdl", "x", "--policy", "mpc:horizon=0"])),
             Err(CliError::BadValue { .. })
         ));
+        let err =
+            parse_args(&args(&["replay", "--policy", "xanadu:aggressiveness=NaN"])).unwrap_err();
+        assert!(matches!(err, CliError::BadValue { .. }), "{err}");
+        assert!(err.to_string().contains("`aggressiveness`"), "{err}");
     }
 
     #[test]
@@ -1771,6 +1814,196 @@ mod tests {
             ])),
             Err(CliError::PolicyConflict { .. })
         ));
+    }
+
+    fn rejected(list: &[&str]) -> CliError {
+        parse_args(&args(list)).expect_err("the command must be rejected")
+    }
+
+    fn unknown(command: &str, flag: &str) -> CliError {
+        CliError::UnknownFlag {
+            command: command.into(),
+            flag: flag.into(),
+        }
+    }
+
+    #[test]
+    fn misspelled_flag_is_rejected() {
+        let err = rejected(&["replay", "--shrads", "4"]);
+        assert_eq!(err, unknown("replay", "--shrads"));
+        assert!(err.to_string().contains("--shrads"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_the_policy_flag() {
+        assert_eq!(
+            rejected(&["serve", "--checkpoint-dir", "ck", "--policy", "mpc"]),
+            unknown("serve", "--policy")
+        );
+    }
+
+    #[test]
+    fn replay_rejects_the_aggressiveness_alias() {
+        assert_eq!(
+            rejected(&["replay", "--aggressiveness", "0.5"]),
+            unknown("replay", "--aggressiveness")
+        );
+    }
+
+    #[test]
+    fn repeated_flag_is_rejected() {
+        let err = rejected(&["replay", "--seed", "1", "--seed", "2"]);
+        assert_eq!(
+            err,
+            CliError::RepeatedFlag {
+                command: "replay".into(),
+                flag: "--seed".into()
+            }
+        );
+        assert!(err.to_string().contains("--seed"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_a_removed_flag() {
+        assert_eq!(
+            rejected(&["replay", "--bench-out", "x"]),
+            unknown("replay", "--bench-out")
+        );
+    }
+
+    #[test]
+    fn serve_rejects_a_removed_flag() {
+        assert_eq!(
+            rejected(&["serve", "--checkpoint-dir", "ck", "--bench-out", "x"]),
+            unknown("serve", "--bench-out")
+        );
+    }
+
+    #[test]
+    fn stray_values_are_rejected() {
+        let stray = |value: &str, after: Option<&str>| CliError::StrayValue {
+            command: "replay".into(),
+            value: value.into(),
+            after: after.map(String::from),
+        };
+        assert_eq!(rejected(&["replay", "200"]), stray("200", None));
+        assert_eq!(
+            rejected(&["replay", "--progress", "yes"]),
+            stray("yes", Some("--progress"))
+        );
+        assert_eq!(
+            rejected(&["replay", "--seed", "3", "4"]),
+            stray("4", Some("--seed"))
+        );
+    }
+
+    /// The argument lists `perfbench/run.py` passes for its three
+    /// workloads, verbatim, and the fields its harness reads from them.
+    #[test]
+    fn benchmark_commands_parse() {
+        let Command::Replay(fleet) = parse_args(&args(&[
+            "replay",
+            "--invocations",
+            "20000",
+            "--seed",
+            "42",
+            "--shards",
+            "2",
+        ]))
+        .unwrap() else {
+            panic!("expected replay")
+        };
+        assert_eq!(
+            (
+                fleet.invocations,
+                fleet.seed,
+                fleet.shards,
+                fleet.window_secs
+            ),
+            (20_000, 42, 2, 60)
+        );
+        assert_eq!(
+            (fleet.mode, fleet.depth, fleet.hosts),
+            (ExecutionMode::Jit, 5, 0)
+        );
+        assert!(fleet.policy.is_default() && fleet.plan_cache);
+        assert_eq!((fleet.audit_out, fleet.metrics_out), (None, None));
+
+        let Command::Replay(chaos) = parse_args(&args(&[
+            "replay",
+            "--invocations",
+            "20000",
+            "--seed",
+            "42",
+            "--shards",
+            "1",
+            "--policy",
+            "mpc",
+            "--hosts",
+            "4",
+            "--placement",
+            "affinity",
+            "--tenants",
+            "2",
+            "--fault-rate",
+            "0.05",
+            "--host-fail-rate",
+            "0.01",
+            "--audit-out",
+            "work/audit-rep.json",
+            "--metrics-out",
+            "work/metrics-rep.json",
+        ]))
+        .unwrap() else {
+            panic!("expected replay")
+        };
+        assert_eq!(chaos.policy, "mpc".parse().unwrap());
+        assert_eq!(chaos.shards, 1);
+        assert_eq!(
+            (
+                chaos.hosts,
+                chaos.placement,
+                chaos.tenants,
+                chaos.host_memory_mb
+            ),
+            (4, PlacementPolicy::Affinity, 2, 4096)
+        );
+        assert_eq!(
+            (chaos.fault_rate, chaos.host_fail_rate, chaos.fault_seed),
+            (0.05, 0.01, 0xFA17)
+        );
+        assert_eq!(chaos.audit_out.as_deref(), Some("work/audit-rep.json"));
+        assert_eq!(chaos.metrics_out.as_deref(), Some("work/metrics-rep.json"));
+        assert_eq!((chaos.slo_out, chaos.slo_window_secs), (None, 60));
+
+        let Command::Serve(serve) = parse_args(&args(&[
+            "serve",
+            "--events",
+            "40000",
+            "--checkpoint-every",
+            "5000",
+            "--seed",
+            "42",
+            "--checkpoint-dir",
+            "work/ckpt-rep",
+        ]))
+        .unwrap() else {
+            panic!("expected serve")
+        };
+        assert_eq!(
+            (serve.events, serve.checkpoint_every, serve.seed),
+            (40_000, 5000, 42)
+        );
+        assert_eq!(serve.checkpoint_dir, "work/ckpt-rep");
+        assert_eq!(
+            (serve.workflows, serve.depth, serve.rate_per_hour),
+            (6, 4, 120.0)
+        );
+        assert_eq!(
+            (serve.mode, serve.slo_window_secs),
+            (ExecutionMode::Jit, 60)
+        );
+        assert_eq!(serve.audit_out, None);
     }
 
     #[test]
@@ -1862,8 +2095,6 @@ mod tests {
             "--no-plan-cache",
             "--fault-rate",
             "0.1",
-            "--bench-out",
-            "BENCH_harness.json",
         ]))
         .unwrap() else {
             panic!("expected replay")
@@ -1873,7 +2104,6 @@ mod tests {
         assert_eq!(replay.mode, ExecutionMode::Speculative);
         assert!(!replay.plan_cache);
         assert_eq!(replay.fault_rate, 0.1);
-        assert_eq!(replay.bench_out.as_deref(), Some("BENCH_harness.json"));
 
         assert!(matches!(
             parse_args(&args(&["replay", "--mode", "knative"])),
@@ -2066,53 +2296,6 @@ mod tests {
             .expect("slo export rides the breach error");
         assert!(slo.contents.contains("\"alerts\""), "{}", slo.contents);
         assert!(err.to_string().contains("$.windows["), "{err}");
-    }
-
-    #[test]
-    fn replay_bench_out_merges_kernel_row() {
-        let cmd = parse_args(&args(&[
-            "replay",
-            "--invocations",
-            "200",
-            "--bench-out",
-            "bench.json",
-        ]))
-        .unwrap();
-        // The source returns workflow SDL (not JSON matching a bench
-        // report), exercising the "start fresh" path.
-        let existing = |_: &str| -> Result<String, String> {
-            Ok(r#"{"microbench": {"keep": 1}}"#.to_string())
-        };
-        let (out, exports) = execute_with_exports(&cmd, existing).unwrap();
-        assert!(out.contains("events/sec"), "{out}");
-        let bench = exports.iter().find(|e| e.path == "bench.json").unwrap();
-        let value: serde_json::Value = serde_json::from_str(&bench.contents).unwrap();
-        assert!(value.get("kernel").is_some(), "{}", bench.contents);
-        assert_eq!(
-            value.get("microbench").and_then(|m| m.get("keep")),
-            Some(&serde_json::json!(1)),
-            "existing sections must be preserved"
-        );
-        let kernel = value.get("kernel").unwrap();
-        assert!(kernel.get("events_per_sec").is_some());
-        assert!(kernel
-            .get("report_digest")
-            .and_then(|d| d.as_str())
-            .unwrap()
-            .starts_with("fnv1a64:"));
-        let profile = value.get("kernel_profile").unwrap();
-        assert!(profile.get("windows").and_then(|w| w.as_u64()).is_some());
-        let shards = profile
-            .get("busiest_shards")
-            .and_then(|s| s.as_array())
-            .expect("per-shard profiler rows");
-        assert!(!shards.is_empty());
-        assert!(shards[0].get("queue_peak").is_some(), "{}", shards[0]);
-        assert_eq!(
-            profile.get("shards_total"),
-            kernel.get("logical_shards"),
-            "profile covers the whole fleet"
-        );
     }
 
     #[test]

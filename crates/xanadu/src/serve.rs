@@ -28,14 +28,13 @@
 //! Unlike the other subcommands, `serve` touches the filesystem
 //! directly while running (the checkpoint log, the alerts stream and
 //! the metrics text are *live* artifacts, not end-of-run exports); only
-//! the final `--audit-out`/`--slo-out`/`--bench-out` documents go
-//! through the staged-[`ExportFile`] path.
+//! the final `--audit-out`/`--slo-out` documents go through the
+//! staged-[`ExportFile`] path.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 use crate::cli::{render_slo_alert, CliError, ExportFile};
 use xanadu_chain::{linear_chain, FunctionSpec};
@@ -95,8 +94,6 @@ pub struct ServeArgs {
     pub status_every: u64,
     /// Capacity of the space-saving edge sketch.
     pub sketch_edges: usize,
-    /// Merge a `service` throughput row into this `BENCH_harness.json`.
-    pub bench_out: Option<String>,
     /// Exit non-zero when the run ends with any SLO alert raised.
     pub fail_on_alert: bool,
 }
@@ -437,9 +434,6 @@ pub fn run_serve(
     let started = Instant::now();
     let start_events = state.events_consumed;
     let mut checkpoints_this_run = 0u64;
-    // Wall time spent checkpointing: encoding the documents plus the log
-    // append, summed over this run's checkpoints.
-    let mut checkpoint_s = 0.0;
 
     while state.events_consumed < total {
         if serve.stop_after_checkpoints > 0 && checkpoints_this_run >= serve.stop_after_checkpoints
@@ -527,7 +521,6 @@ pub fn run_serve(
             epochs: state.epoch,
             alerts_emitted: state.slo.alerts().len() as u64,
         };
-        let checkpoint_started = Instant::now();
         // The documents are borrowed as typed values and write themselves
         // straight into the segment file (`SegmentLog::append`).
         let audit_cp = state.audit.checkpoint();
@@ -545,7 +538,6 @@ pub fn run_serve(
         let doc_count = docs.len() as u64;
         log.append(&docs)
             .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
-        checkpoint_s += checkpoint_started.elapsed().as_secs_f64();
         checkpoints_this_run += 1;
         platform.announce(BusEvent::CheckpointWritten {
             epoch: state.epoch - 1,
@@ -677,46 +669,6 @@ pub fn run_serve(
             contents: slo_json_string(&slo_report),
         });
     }
-    if let Some(path) = &serve.bench_out {
-        let delta = (state.events_consumed == total)
-            .then(|| {
-                batch_p95_delta_ms(
-                    &config,
-                    &header,
-                    &events,
-                    summary.end_to_end.quantile_ms(0.95),
-                )
-            })
-            .transpose()?;
-        let mut root: Value = source(path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_else(|| serde_json::json!({}));
-        if let Some(obj) = root.as_object_mut() {
-            let checkpoint_ms = if checkpoints_this_run > 0 {
-                checkpoint_s * 1000.0 / checkpoints_this_run as f64
-            } else {
-                0.0
-            };
-            obj.insert(
-                "service".to_string(),
-                serde_json::json!({
-                    "events_per_sec": events_per_sec,
-                    "events": state.events_consumed,
-                    "requests": state.request_base,
-                    "checkpoints": state.epoch,
-                    "checkpoint_amortized_ms": checkpoint_ms,
-                    "streaming_vs_batch_p95_delta_ms": delta,
-                    "audit_digest": audit_digest,
-                    "source": "xanadu serve",
-                }),
-            );
-        }
-        exports.push(ExportFile {
-            path: path.clone(),
-            contents: root.to_json_string_pretty() + "\n",
-        });
-    }
 
     if serve.fail_on_alert && !state.slo.alerts().is_empty() {
         return Err(CliError::SloBreach {
@@ -726,32 +678,4 @@ pub fn run_serve(
         });
     }
     Ok(out)
-}
-
-/// The `streaming_vs_batch_p95_delta_ms` bench figure: replays the whole
-/// stream through ONE platform (no epoch resets, warm state persists
-/// across what would have been checkpoint boundaries) and reports how
-/// far the epoch-generational service's p95 sits from that batch
-/// reference. This prices the service tier's restart-anywhere guarantee.
-fn batch_p95_delta_ms(
-    config: &PlatformConfig,
-    header: &StreamHeader,
-    events: &[StreamEvent],
-    streaming_p95_ms: f64,
-) -> Result<f64, CliError> {
-    let durable = xanadu_platform::MetaStore::new();
-    let mut platform = epoch_platform(config, header, &durable, 0, header.seed)?;
-    let audit_handle = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
-    for ev in events {
-        platform
-            .trigger_at(&header.workflow_name(ev.wf), ev.at())
-            .map_err(workflow_err)?;
-    }
-    platform.run_until_idle();
-    let batch_p95 = audit_handle
-        .snapshot()
-        .summary()
-        .end_to_end
-        .quantile_ms(0.95);
-    Ok(streaming_p95_ms - batch_p95)
 }

@@ -157,3 +157,22 @@ fn misses_are_bounded_by_executed_functions() {
         assert!(r.overhead <= r.end_to_end);
     }
 }
+
+/// A reader that closes the pipe early (`xanadu_cli replay | head -1`)
+/// must not make the binary panic while it prints the report.
+#[test]
+fn cli_survives_a_closed_stdout() {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xanadu_cli"))
+        .args(["replay", "--invocations", "200"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xanadu_cli");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for xanadu_cli");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.status.success(), "{stderr}");
+}

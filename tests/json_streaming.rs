@@ -14,9 +14,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use xanadu::cli::{execute_with_exports, parse_args};
 use xanadu::prelude::*;
-use xanadu_platform::{
-    AuditCheckpoint, KernelProfile, ShardProfile, StreamingAudit, StreamingConfig,
-};
+use xanadu_platform::{AuditCheckpoint, StreamingAudit, StreamingConfig};
 use xanadu_simcore::fnv1a64_digest;
 
 /// Asserts that the streamed compact and pretty text of `value` equal
@@ -81,24 +79,6 @@ fn flattened_audit_checkpoint_streams_and_roundtrips() {
     assert!(doc.get("tally").is_none() && doc.get("buckets").is_none());
     let back: AuditCheckpoint = serde_json::from_str(&text).unwrap();
     assert_eq!(back, checkpoint);
-}
-
-#[test]
-fn kernel_profile_streams_like_its_tree() {
-    let shard = |index: usize, events: u64| ShardProfile {
-        index,
-        workflow: format!("wf-{index}"),
-        events,
-        queue_peak: events / 10,
-    };
-    assert_streams_like_tree(&KernelProfile {
-        shards: vec![shard(0, 120), shard(1, 80)],
-        threads: 2,
-        windows: 17,
-        barrier_wait_us: vec![5, 9],
-        merge_us: 42,
-    });
-    assert_streams_like_tree(&KernelProfile::default());
 }
 
 mod as_tagged {

@@ -69,7 +69,6 @@ fn base_args(dir: &Path, strict_slo: bool) -> ServeArgs {
         stop_after_checkpoints: 0,
         status_every: 0,
         sketch_edges: 64,
-        bench_out: None,
         fail_on_alert: false,
     }
 }

@@ -25,9 +25,6 @@
 //!   their workers only seconds, not tens of minutes.
 //! * [`estimate`] — the estimate source abstraction connecting profiled
 //!   metrics (from `xanadu-profiler`) to the planner.
-//! * [`sketch`] — bounded-memory streaming summaries (count-min arrival
-//!   rates, space-saving top-K edge candidates) for the online-learning
-//!   service tier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +35,6 @@ pub mod jit;
 pub mod keepalive;
 pub mod mlp;
 pub mod policy;
-pub mod sketch;
 pub mod speculation;
 
 pub use cost::{PenaltyFactors, ResourceCosts, WorkflowRunCosts};
@@ -50,5 +46,4 @@ pub use policy::{
     CompletionObservation, ConfiguredPolicy, MpcConfig, MpcPolicy, PlanContext, PolicyParseError,
     PolicyRegistry, PolicySpec, RlConfig, RlPolicy, SpeculationPolicy, XanaduPolicy,
 };
-pub use sketch::{CountMinSketch, SketchEntry, SpaceSaving};
 pub use speculation::{ExecutionMode, MissPolicy, SpeculationConfig, SpeculationEngine};

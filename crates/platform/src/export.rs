@@ -267,12 +267,6 @@ pub struct ServiceStatus {
     pub checkpoints: u64,
     /// SLO alerts raised.
     pub alerts: u64,
-    /// Keys currently tracked by the edge sketch.
-    pub sketch_occupancy: u64,
-    /// The edge sketch's fixed capacity.
-    pub sketch_capacity: u64,
-    /// Sketch counters displaced so far.
-    pub sketch_evictions: u64,
     /// Events ingested since the last durable checkpoint.
     pub checkpoint_lag_events: u64,
     /// Wall-clock ingest throughput, events per second.
@@ -311,11 +305,6 @@ pub fn service_metrics_text(status: &ServiceStatus, summary: &StreamingSummary) 
         status.alerts as f64,
     );
     counter(
-        "xanadu_sketch_evictions_total",
-        "Sketch counters displaced under capacity pressure.",
-        status.sketch_evictions as f64,
-    );
-    counter(
         "xanadu_wasted_deploys_total",
         "Speculative deployments that served no invocation.",
         summary.waste.deploys as f64,
@@ -334,16 +323,6 @@ pub fn service_metrics_text(status: &ServiceStatus, summary: &StreamingSummary) 
         "xanadu_events_per_second",
         "Wall-clock ingest throughput.",
         status.events_per_sec,
-    );
-    gauge(
-        "xanadu_sketch_occupancy",
-        "Keys tracked by the edge sketch.",
-        status.sketch_occupancy as f64,
-    );
-    gauge(
-        "xanadu_sketch_capacity",
-        "Fixed capacity of the edge sketch.",
-        status.sketch_capacity as f64,
     );
     gauge(
         "xanadu_checkpoint_lag_events",
@@ -620,16 +599,13 @@ mod tests {
             requests: 480,
             checkpoints: 5,
             alerts: 1,
-            sketch_occupancy: 40,
-            sketch_capacity: 64,
-            sketch_evictions: 7,
             checkpoint_lag_events: 0,
             events_per_sec: 1234.5,
         };
         let text = service_metrics_text(&status, &summary);
         assert!(text.contains("# TYPE xanadu_stream_events_total counter"));
         assert!(text.contains("xanadu_stream_events_total 500"));
-        assert!(text.contains("xanadu_sketch_occupancy 40"));
+        assert!(text.contains("xanadu_checkpoint_lag_events 0"));
         assert!(text.contains("xanadu_end_to_end_ms{quantile=\"0.999\"}"));
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

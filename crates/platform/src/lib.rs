@@ -62,7 +62,7 @@ pub use analysis::{
     LatencyStats, MlpStats, Regression, RequestAudit, WasteStats,
 };
 pub use config::{ClusterConfig, ConfigError, PlatformConfig, PlatformConfigBuilder};
-pub use events::{BusEvent, Topic};
+pub use events::BusEvent;
 pub use faults::{FaultConfig, FaultPlan};
 pub use hosts::{
     AutoscaleConfig, ClusterReport, HostId, HostRegistry, HostReport, HostSpec, PlacementError,
@@ -77,6 +77,6 @@ pub use shard::{
 };
 pub use sim::{report_total_costs, LearnedState, Platform, PlatformError};
 pub use stream::{
-    AuditCheckpoint, ClusterActivity, SloAlert, SloCheckpoint, SloConfig, SloMonitor, SloReport,
-    StreamingAudit, StreamingConfig, StreamingSummary,
+    AuditCheckpoint, SloAlert, SloCheckpoint, SloConfig, SloMonitor, SloReport, StreamingAudit,
+    StreamingConfig, StreamingSummary,
 };

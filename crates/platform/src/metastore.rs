@@ -490,7 +490,6 @@ mod tests {
         use crate::{DiffThresholds, Histogram, Platform, PlatformConfig};
         use xanadu_chain::{linear_chain, FunctionSpec};
         use xanadu_core::speculation::ExecutionMode;
-        use xanadu_core::{CountMinSketch, SpaceSaving};
 
         // A real audit: histograms, exemplar traces, and the flattened
         // members that write through their tree.
@@ -538,22 +537,12 @@ mod tests {
                 })
                 .collect(),
         };
-        let mut edges = SpaceSaving::new(3);
-        for key in ["a>b", "b>c", "a>b", "c>d", "d>e", "a>b"] {
-            edges.observe(key);
-        }
-        let mut rates = CountMinSketch::new(2, 8);
-        rates.observe("wf-0", 3);
-        rates.observe("wf-1", 1);
-
-        let evictions = edges.evictions();
+        let scalar = 3u64;
         // Ids out of byte order, so the segment's own ordering is tested.
         let typed: Vec<(String, &dyn Serialize)> = vec![
             ("serve/slo".into(), &slo),
             ("serve/audit".into(), &audit),
-            ("serve/sketch/rates".into(), &rates),
-            ("serve/sketch/edges".into(), &edges),
-            ("Serve".into(), &evictions),
+            ("Serve".into(), &scalar),
         ];
         let trees: Vec<(String, Value)> = typed
             .iter()

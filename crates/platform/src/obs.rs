@@ -194,10 +194,11 @@ impl Histogram {
 /// `BTreeMap`-ordered so serialization is deterministic.
 ///
 /// Counters: `faults.crashes`, `faults.timeouts`, `functions.invoked`,
-/// `plans.computed`, `prediction.misses`, `requests.completed`,
-/// `requests.triggered`, `retries`, `slo.alerts`, `starts.cold`,
-/// `starts.warm`, `workers.on_demand`, `workers.provisioned`,
-/// `workers.ready`.
+/// `hosts.down`, `hosts.up`, `hosts.workers_lost`, `plans.computed`,
+/// `policy.decisions`, `prediction.misses`, `requests.completed`,
+/// `requests.triggered`, `retries`, `starts.cold`, `starts.warm`,
+/// `workers.evicted`, `workers.on_demand`, `workers.placed`,
+/// `workers.provisioned`, `workers.ready`.
 ///
 /// Histograms: `cold_start_ms`, `end_to_end_ms`, `exec_ms`,
 /// `overhead_ms`, `queue_wait_ms`, `retry_backoff_ms`.
@@ -311,7 +312,6 @@ impl Observer for MetricsRegistry {
                 self.observe_ms("overhead_ms", *overhead_ms);
                 self.observe_ms("end_to_end_ms", *end_to_end_ms);
             }
-            BusEvent::SloAlert { .. } => self.incr("slo.alerts", 1),
             BusEvent::HostUp { .. } => self.incr("hosts.up", 1),
             BusEvent::HostDown { workers_lost, .. } => {
                 self.incr("hosts.down", 1);
@@ -320,12 +320,6 @@ impl Observer for MetricsRegistry {
             BusEvent::WorkerPlaced { .. } => self.incr("workers.placed", 1),
             BusEvent::WorkerEvicted { .. } => self.incr("workers.evicted", 1),
             BusEvent::PolicyDecision { .. } => self.incr("policy.decisions", 1),
-            BusEvent::CheckpointWritten { docs, .. } => {
-                self.incr("checkpoints.written", 1);
-                self.incr("checkpoints.docs", *docs);
-            }
-            BusEvent::CheckpointRestored { .. } => self.incr("checkpoints.restored", 1),
-            BusEvent::SketchEviction { evicted, .. } => self.incr("sketch.evictions", *evicted),
         }
     }
 }

@@ -675,17 +675,6 @@ impl Platform {
         self.published += 1;
     }
 
-    /// Emits an externally-constructed event at the current simulation
-    /// time, subject to the same anyone-listening guard as internal
-    /// emissions. The service tier uses this to surface checkpoint,
-    /// restore, sketch-eviction, and boundary-evaluated SLO alert activity
-    /// to the platform's observers.
-    pub fn announce(&mut self, event: BusEvent) {
-        if self.observing() {
-            self.emit(event);
-        }
-    }
-
     /// Number of live workers (any state).
     pub fn live_workers(&self) -> usize {
         self.pool.live_count()

@@ -17,9 +17,7 @@
 //!   reconstructed traces, so exemplar [`SpanTree`]s survive without
 //!   retaining everything else).
 //! - [`SloMonitor`] folds finished requests into tumbling windows and
-//!   evaluates [`DiffThresholds`] against the first non-empty window;
-//!   `xanadu serve` announces every breach as a typed
-//!   [`BusEvent::SloAlert`](crate::events::BusEvent::SloAlert).
+//!   evaluates [`DiffThresholds`] against the first non-empty window.
 //!
 //! Agreement with the exact audit is by construction: both run one fold
 //! and one [`Tally`], so every count and integer-microsecond total is
@@ -118,15 +116,11 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
         E::RequestCompleted { request, .. } => (request, Step::Completed),
         E::WorkerReady { .. }
         | E::WorkerCrashed { request: None, .. }
-        | E::SloAlert { .. }
         | E::HostUp { .. }
         | E::HostDown { .. }
         | E::WorkerPlaced { .. }
         | E::WorkerEvicted { .. }
-        | E::PolicyDecision { .. }
-        | E::CheckpointWritten { .. }
-        | E::CheckpointRestored { .. }
-        | E::SketchEviction { .. } => return None,
+        | E::PolicyDecision { .. } => return None,
     };
     Some((*request, step))
 }
@@ -279,39 +273,6 @@ pub struct StreamingJitStats {
     pub slack_ms: Histogram,
 }
 
-/// Cluster-scheduling activity observed on the event stream: host churn
-/// and placement/eviction traffic. All counters stay zero on a default
-/// single-testbed run (the platform gates Host*/Placed/Evicted emission
-/// on an explicit cluster), so the summary serializes unchanged there.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ClusterActivity {
-    /// Host activations (autoscaled boots and post-failure reboots).
-    pub hosts_up: u64,
-    /// Injected host failures.
-    pub hosts_down: u64,
-    /// Workers lost to host failures.
-    pub workers_lost: u64,
-    /// Successful worker placements.
-    pub placed: u64,
-    /// Forced evictions (capacity/quota/warm-cap pressure).
-    pub evicted: u64,
-}
-
-impl ClusterActivity {
-    /// Whether no cluster activity was observed (serialization gate).
-    pub fn is_empty(&self) -> bool {
-        *self == ClusterActivity::default()
-    }
-
-    fn merge_from(&mut self, other: &ClusterActivity) {
-        self.hosts_up += other.hosts_up;
-        self.hosts_down += other.hosts_down;
-        self.workers_lost += other.workers_lost;
-        self.placed += other.placed;
-        self.evicted += other.evicted;
-    }
-}
-
 /// The run-level aggregates a [`StreamingAudit`] reports — the
 /// bounded-memory analogue of `AuditSummary`.
 ///
@@ -348,11 +309,6 @@ pub struct StreamingSummary {
     pub waste: WasteStats,
     /// JIT timing quality with streaming distributions.
     pub jit: StreamingJitStats,
-    /// Cluster scheduling activity (host churn, placements, evictions).
-    /// Omitted from serialization when all-zero, so summaries from
-    /// single-testbed runs keep their pre-cluster shape.
-    #[serde(default, skip_serializing_if = "ClusterActivity::is_empty")]
-    pub cluster: ClusterActivity,
 }
 
 /// The streaming sample sink: fixed-bucket latency histograms of
@@ -419,8 +375,6 @@ pub struct AuditCheckpoint {
     pub(crate) buckets: Buckets,
     /// Wasted deploy CPU, integer microseconds.
     pub wasted_us: u64,
-    /// Cluster scheduling activity.
-    pub cluster: ClusterActivity,
     /// The worst-request reservoir, worst first.
     pub exemplars: Vec<Exemplar>,
 }
@@ -524,7 +478,6 @@ impl StreamingAudit {
         state.tally.merge_from(&theirs.tally);
         state.buckets.merge_from(&theirs.buckets);
         state.wasted_us += theirs.wasted_us;
-        state.cluster.merge_from(&theirs.cluster);
         state.exemplars.extend(theirs.exemplars.iter().cloned());
         self.sort_exemplars();
     }
@@ -558,7 +511,6 @@ impl StreamingAudit {
                 late_ms: b.late_ms.clone(),
                 slack_ms: b.slack_ms.clone(),
             },
-            cluster: self.state.cluster.clone(),
         }
     }
 
@@ -588,17 +540,6 @@ impl StreamingAudit {
 
 impl Observer for StreamingAudit {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        let cluster = &mut self.state.cluster;
-        match event {
-            BusEvent::HostUp { .. } => cluster.hosts_up += 1,
-            BusEvent::HostDown { workers_lost, .. } => {
-                cluster.hosts_down += 1;
-                cluster.workers_lost += u64::from(*workers_lost);
-            }
-            BusEvent::WorkerPlaced { .. } => cluster.placed += 1,
-            BusEvent::WorkerEvicted { .. } => cluster.evicted += 1,
-            _ => {}
-        }
         if let Some(finished) = self.tracker.on_event(at, event) {
             self.fold(finished);
         }
@@ -697,19 +638,6 @@ pub struct SloAlert {
     pub candidate: f64,
     /// Human-readable statement of the exceeded limit.
     pub allowed: String,
-}
-
-impl SloAlert {
-    /// The typed bus event announcing this breach.
-    pub fn into_event(self) -> BusEvent {
-        BusEvent::SloAlert {
-            window: self.window,
-            path: self.path,
-            baseline: self.baseline,
-            candidate: self.candidate,
-            allowed: self.allowed,
-        }
-    }
 }
 
 /// Scalar view of one window, as exported in the SLO report.
@@ -1441,24 +1369,6 @@ mod tests {
             let report = slo.report();
             proptest::prop_assert_eq!(&concatenated, &report.alerts);
             proptest::prop_assert_eq!(slo.alerts(), report.alerts.as_slice());
-        }
-    }
-
-    #[test]
-    fn alert_converts_into_typed_bus_event() {
-        let alert = SloAlert {
-            window: 2,
-            path: "$.windows[2].end_to_end_ms.p95".into(),
-            baseline: 100.0,
-            candidate: 300.0,
-            allowed: "+200.0% > allowed +10.0%".into(),
-        };
-        match alert.clone().into_event() {
-            BusEvent::SloAlert { window, path, .. } => {
-                assert_eq!(window, 2);
-                assert_eq!(path, alert.path);
-            }
-            other => panic!("expected SloAlert, got {other:?}"),
         }
     }
 

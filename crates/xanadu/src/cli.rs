@@ -343,6 +343,13 @@ pub enum CliError {
         /// The alias flags also present.
         conflicting: Vec<String>,
     },
+    /// `serve --stream` was combined with a flag that sets a generated
+    /// stream's population; the recorded stream's header fixes that
+    /// population, so the flag could only be ignored.
+    StreamConflict {
+        /// The population flag given.
+        flag: String,
+    },
     /// Reading or parsing the SDL document failed.
     Workflow(String),
     /// `xanadu diff` found metrics past their thresholds; each detail line
@@ -407,6 +414,11 @@ impl fmt::Display for CliError {
                 "--policy {policy} conflicts with {}; encode them as policy parameters \
                  instead (e.g. --policy xanadu:mode=jit,aggressiveness=0.5,miss=replan-and-reuse)",
                 conflicting.join(", ")
+            ),
+            CliError::StreamConflict { flag } => write!(
+                f,
+                "{flag} sets a generated stream's population, but --stream replays \
+                 a recorded stream whose header fixes it; drop {flag} or --stream"
             ),
             CliError::Workflow(msg) => write!(f, "workflow error: {msg}"),
             CliError::Regressions {
@@ -479,14 +491,14 @@ USAGE:
                 [--slo-window-secs W] [--progress]
   xanadu record --out <file> [--events N] [--workflows W] [--depth D]
                 [--rate-per-hour R] [--seed S]
-  xanadu serve --checkpoint-dir <dir> [--stream <file>]
-               [--events N] [--workflows W] [--depth D]
-               [--rate-per-hour R] [--seed S] [--mode cold|spec|jit]
+  xanadu serve --checkpoint-dir <dir>
+               [--stream <file> | [--events N] [--workflows W] [--depth D]
+                [--rate-per-hour R]] [--seed S] [--mode cold|spec|jit]
                [--checkpoint-every N] [--alerts-out <file.jsonl>]
                [--metrics-text <file>] [--audit-out <file>]
                [--slo <thresholds.json>] [--slo-out <file>]
                [--slo-window-secs W] [--stop-after-checkpoints K]
-               [--status-every K] [--sketch-edges K] [--fail-on-alert]
+               [--status-every K] [--fail-on-alert]
   xanadu diff --baseline <file> --candidate <file>
               [--max-p95-regress-pct P] [--max-wasted-cpu-regress-pct W]
               [--max-recall-drop D]
@@ -554,16 +566,21 @@ each offending field.
 one `{at_us, wf}` event per line) that `serve --stream` replays
 deterministically.
 `serve` is the service tier: it ingests the stream in `--checkpoint-every`
-event epochs, learns implicit chains online into bounded-memory sketches
-(`--sketch-edges` space-saving edge candidates plus count-min arrival
-rates) and appends the full service state to an atomic segment log under
+event epochs, learns implicit chains online (profiled metrics and the
+branch tree) and appends the learned state, the streaming audit, the SLO
+windows and the stream cursor to an atomic segment log under
 `--checkpoint-dir` after every epoch. Killing and rerunning the same
 command resumes from the last checkpoint with byte-identical final
-exports. `--alerts-out` appends one schema-validated JSON line per SLO
+exports; a rerun whose stream, `--mode`, `--seed`, `--checkpoint-every`,
+`--slo` or `--slo-window-secs` differs from the log's is refused. The
+stream is the `--stream` file or is generated from `--events`,
+`--workflows`, `--depth` and `--rate-per-hour` (with `--seed`); next to
+`--stream`, whose header fixes the population, those four flags are an
+error. `--alerts-out` appends one schema-validated JSON line per SLO
 breach the moment its window becomes final; `--metrics-text` atomically
 rewrites a Prometheus-style text exposition each flush; `--status-every
 K` prints a stderr status line (uptime, events/sec, window quantiles,
-open alerts, sketch occupancy, checkpoint lag) every K checkpoints.
+open alerts, checkpoint lag) every K checkpoints.
 `--stop-after-checkpoints K` pauses at an exact boundary (the restart
 suites use this); `--fail-on-alert` exits non-zero when any alert was
 raised.
@@ -792,16 +809,27 @@ fn parse_record_flags(f: &mut Flags) -> Result<RecordArgs, CliError> {
     })
 }
 
+/// The stream-population flags a recorded `serve --stream` rejects.
+const POPULATION_FLAGS: [&str; 4] = ["--events", "--workflows", "--depth", "--rate-per-hour"];
+
 fn parse_serve_flags(f: &mut Flags) -> Result<ServeArgs, CliError> {
     let checkpoint_dir = f.required("--checkpoint-dir")?;
+    let stream = f.value("--stream")?;
+    if stream.is_some() {
+        let given = |flag: &&str| f.args.iter().any(|a| a == flag);
+        if let Some(flag) = POPULATION_FLAGS.into_iter().find(given) {
+            return Err(CliError::StreamConflict {
+                flag: flag.to_string(),
+            });
+        }
+    }
     let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(f)?;
     let mode = parse_xanadu_mode(f, "the service tier is Xanadu-only")?;
     let epoch = "a positive number of events per epoch";
     let checkpoint_every = parse_positive(f, "--checkpoint-every", 200, epoch)?;
     let slo_window_secs = parse_positive(f, "--slo-window-secs", 60, SIM_SECONDS)?;
-    let sketch_edges = parse_positive(f, "--sketch-edges", 64, "a positive sketch capacity")?;
     Ok(ServeArgs {
-        stream: f.value("--stream")?,
+        stream,
         events,
         workflows,
         depth,
@@ -818,7 +846,6 @@ fn parse_serve_flags(f: &mut Flags) -> Result<ServeArgs, CliError> {
         slo_window_secs,
         stop_after_checkpoints: parse_num(f, "--stop-after-checkpoints", 0)?,
         status_every: parse_num(f, "--status-every", 0)?,
-        sketch_edges,
         fail_on_alert: f.switch("--fail-on-alert")?,
     })
 }
@@ -1873,10 +1900,39 @@ mod tests {
 
     #[test]
     fn serve_rejects_a_removed_flag() {
-        assert_eq!(
-            rejected(&["serve", "--checkpoint-dir", "ck", "--bench-out", "x"]),
-            unknown("serve", "--bench-out")
-        );
+        for flag in ["--bench-out", "--sketch-edges"] {
+            assert_eq!(
+                rejected(&["serve", "--checkpoint-dir", "ck", flag, "64"]),
+                unknown("serve", flag)
+            );
+        }
+    }
+
+    #[test]
+    fn serve_rejects_population_flags_with_a_recorded_stream() {
+        for (flag, value) in [
+            ("--events", "5"),
+            ("--workflows", "2"),
+            ("--depth", "3"),
+            ("--rate-per-hour", "60"),
+        ] {
+            let err = rejected(&[
+                "serve",
+                "--checkpoint-dir",
+                "ck",
+                "--stream",
+                "s.jsonl",
+                flag,
+                value,
+            ]);
+            assert_eq!(err, CliError::StreamConflict { flag: flag.into() });
+            assert!(err.to_string().contains(flag), "{err}");
+            // Without --stream the same flag sets the generated stream.
+            assert!(parse_args(&args(&["serve", "--checkpoint-dir", "ck", flag, value])).is_ok());
+        }
+        // --seed still seeds the epoch platforms of a recorded stream.
+        let recorded = ["serve", "--checkpoint-dir", "ck", "--stream", "s.jsonl"];
+        assert!(parse_args(&args(&[&recorded[..], &["--seed", "7"]].concat())).is_ok());
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! `serve` turns the batch simulator into a long-running service. A
 //! trigger stream (replayed from a `xanadu record` file or regenerated
 //! from a seed) is consumed in fixed-size *epochs*; after each epoch the
-//! full service state — streaming audit, SLO windows, learning sketches,
-//! learned chain profiles and the stream cursor — is appended to a
-//! [`SegmentLog`] under `--checkpoint-dir`. Killing the process between
-//! checkpoints loses nothing that was durable: rerunning the same
-//! command replays the manifest, resumes at the recorded cursor and
-//! produces **byte-identical** final audit and alert exports, because
-//! every epoch's platform is seeded from `derive(seed, "serve-epoch")
-//! .child(epoch)` and never from wall-clock state.
+//! full service state — streaming audit, SLO windows, learned chain
+//! profiles and the stream cursor — is appended to a [`SegmentLog`] under
+//! `--checkpoint-dir`. Killing the process between checkpoints loses
+//! nothing that was durable: rerunning the same command replays the
+//! manifest, resumes at the recorded cursor and produces
+//! **byte-identical** final audit and alert exports, because every
+//! epoch's platform is seeded from `derive(seed, "serve-epoch")
+//! .child(epoch)` and never from wall-clock state. A rerun that differs
+//! from the log in anything that shaped it is refused instead.
 //!
 //! Observability while running:
 //!
@@ -23,7 +24,7 @@
 //!   atomically (`.tmp` + rename) after every checkpoint.
 //! * `--status-every K` — a human status line on stderr every K
 //!   checkpoints (stream uptime, ingest rate, window quantiles, open
-//!   alerts, sketch occupancy, checkpoint lag).
+//!   alerts, checkpoint lag).
 //!
 //! Unlike the other subcommands, `serve` touches the filesystem
 //! directly while running (the checkpoint log, the alerts stream and
@@ -35,17 +36,17 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::cli::{render_slo_alert, CliError, ExportFile};
 use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_core::speculation::ExecutionMode;
-use xanadu_core::{CountMinSketch, SpaceSaving};
 use xanadu_platform::export::{
     alert_json_line, service_metrics_text, slo_json_string, streaming_json_string, ServiceStatus,
 };
 use xanadu_platform::{
-    AuditCheckpoint, BusEvent, DiffThresholds, Platform, PlatformConfig, SegmentLog, SloCheckpoint,
-    SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
+    AuditCheckpoint, DiffThresholds, MetaStore, Platform, PlatformConfig, SegmentLog,
+    SloCheckpoint, SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
 };
 use xanadu_simcore::{fnv1a64_digest, RngStream, SimDuration};
 use xanadu_workloads::stream::{
@@ -56,15 +57,17 @@ use xanadu_workloads::stream::{
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
     /// Path of a recorded stream file (`xanadu record`); when absent the
-    /// stream is regenerated from the population flags below.
+    /// stream is regenerated from the population fields below, which a
+    /// recorded stream's header replaces (the CLI rejects their flags
+    /// next to `--stream`).
     pub stream: Option<String>,
-    /// Generated-stream length (ignored with `--stream`).
+    /// Generated-stream length.
     pub events: u64,
-    /// Generated-stream workflow population (ignored with `--stream`).
+    /// Generated-stream workflow population.
     pub workflows: u32,
-    /// Linear-chain depth of every workflow (ignored with `--stream`).
+    /// Linear-chain depth of every workflow.
     pub depth: u32,
-    /// Per-workflow Poisson arrival rate (ignored with `--stream`).
+    /// Per-workflow Poisson arrival rate.
     pub rate_per_hour: f64,
     /// Master seed: arrival processes and per-epoch platform seeds.
     pub seed: u64,
@@ -92,8 +95,6 @@ pub struct ServeArgs {
     pub stop_after_checkpoints: u64,
     /// Print a stderr status line every K checkpoints (0 = off).
     pub status_every: u64,
-    /// Capacity of the space-saving edge sketch.
-    pub sketch_edges: usize,
     /// Exit non-zero when the run ends with any SLO alert raised.
     pub fail_on_alert: bool,
 }
@@ -115,22 +116,28 @@ pub struct RecordArgs {
     pub seed: u64,
 }
 
-/// Checkpoint-document ids inside the segment log.
+/// Checkpoint-document ids inside the segment log. Every segment holds
+/// all five, and a resume reads each of them.
 const DOC_CURSOR: &str = "serve/cursor";
 const DOC_AUDIT: &str = "serve/audit";
 const DOC_SLO: &str = "serve/slo";
-const DOC_SKETCH: &str = "serve/sketch";
-const SERVICE_DOCS: [&str; 4] = [DOC_CURSOR, DOC_AUDIT, DOC_SLO, DOC_SKETCH];
+const SERVICE_DOCS: [&str; 3] = [DOC_CURSOR, DOC_AUDIT, DOC_SLO];
 const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
+
+/// The [`ServeCursor`] format this build writes and resumes from.
+const CURSOR_VERSION: u64 = 2;
 
 /// The resume cursor: where in the stream the durable state ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ServeCursor {
-    /// Cursor format version.
-    version: u32,
+    /// Cursor format version ([`CURSOR_VERSION`]).
+    version: u64,
     /// Digest of the stream header — resuming against a different
     /// stream (or epoch cadence) is a mechanical error, not a guess.
     header_digest: String,
+    /// Digest of the resolved [`PlatformConfig`] every epoch is reseeded
+    /// from, which `--mode` and `--seed` determine.
+    config_digest: String,
     /// Epoch width the checkpoints were cut at.
     checkpoint_every: u64,
     /// Stream events durably consumed.
@@ -143,24 +150,14 @@ struct ServeCursor {
     alerts_emitted: u64,
 }
 
-/// The bounded-memory learning plane: hot invocation edges (candidates
-/// for speculative pre-warm across implicit chains) plus per-workflow
-/// arrival-rate estimates. Serialized whole into each checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SketchState {
-    /// Space-saving top-K over `caller>callee` edge keys.
-    edges: SpaceSaving,
-    /// Count-min per-workflow arrival counts.
-    rates: CountMinSketch,
-}
-
-/// Rows of the count-min arrival sketch (error bound `e/width · N` per
-/// estimate with probability `1 − e^−depth`).
-const RATE_SKETCH_DEPTH: usize = 4;
-const RATE_SKETCH_WIDTH: usize = 512;
-
 fn workflow_err(e: impl std::fmt::Display) -> CliError {
     CliError::Workflow(e.to_string())
+}
+
+/// The fnv1a64 digest of a document's compact JSON.
+fn digest_of(doc: &impl Serialize) -> Result<String, CliError> {
+    let json = serde_json::to_string(doc).map_err(workflow_err)?;
+    Ok(fnv1a64_digest(json.as_bytes()))
 }
 
 /// Drains a stream source into its header and full event list.
@@ -211,107 +208,137 @@ pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<
 struct ServiceState {
     audit: StreamingAudit,
     slo: SloMonitor,
-    sketch: SketchState,
     events_consumed: u64,
     request_base: u64,
     epoch: u64,
 }
 
-/// Reads checkpoint document `id` from the replayed store, straight from
-/// its tree (no copy of it is made).
-fn checkpoint_doc<T: Deserialize>(
-    durable: &xanadu_platform::MetaStore,
-    id: &str,
-) -> Result<T, CliError> {
-    let (doc, _) = durable
-        .get(id)
-        .ok_or_else(|| CliError::Workflow(format!("checkpoint document {id} is missing")))?;
+/// Checkpoint document `id` of the replayed store; a log that lacks it
+/// is refused, never resumed around.
+fn checkpoint_doc<'a>(durable: &'a MetaStore, dir: &str, id: &str) -> Result<&'a Value, CliError> {
+    durable.get(id).map(|(doc, _)| doc).ok_or_else(|| {
+        CliError::Workflow(format!(
+            "checkpoint in {dir} has no `{id}` document; refusing to resume \
+             from an incomplete log (point --checkpoint-dir at a fresh \
+             directory to start over)"
+        ))
+    })
+}
+
+/// Deserializes checkpoint document `id` straight from its tree (no copy
+/// of it is made).
+fn parse_doc<T: Deserialize>(doc: &Value, id: &str) -> Result<T, CliError> {
     T::from_json(doc)
         .map_err(|e| CliError::Workflow(format!("checkpoint document {id} is corrupt: {e}")))
 }
 
-/// Loads the durable service state from a replayed checkpoint store, or
-/// builds the fresh epoch-zero state.
+/// Loads the durable service state from a replayed checkpoint store of
+/// `segments` segments, or builds the fresh epoch-zero state when the log
+/// has none. A resume must match the log in everything that shaped it:
+/// the stream and platform configuration (by digest), the epoch cadence,
+/// and the SLO window and thresholds.
 fn load_state(
-    durable: &xanadu_platform::MetaStore,
+    durable: &MetaStore,
+    segments: u64,
     serve: &ServeArgs,
     slo_config: &SloConfig,
     header_digest: &str,
-) -> Result<(ServiceState, bool), CliError> {
-    if durable.get(DOC_CURSOR).is_none() {
-        return Ok((
-            ServiceState {
-                audit: StreamingAudit::new(StreamingConfig::default()),
-                slo: SloMonitor::collector(slo_config.clone()),
-                sketch: SketchState {
-                    edges: SpaceSaving::new(serve.sketch_edges),
-                    rates: CountMinSketch::new(RATE_SKETCH_DEPTH, RATE_SKETCH_WIDTH),
-                },
-                events_consumed: 0,
-                request_base: 0,
-                epoch: 0,
-            },
-            false,
-        ));
+    config_digest: &str,
+) -> Result<ServiceState, CliError> {
+    if segments == 0 {
+        return Ok(ServiceState {
+            audit: StreamingAudit::new(StreamingConfig::default()),
+            slo: SloMonitor::collector(slo_config.clone()),
+            events_consumed: 0,
+            request_base: 0,
+            epoch: 0,
+        });
     }
-    let cursor: ServeCursor = checkpoint_doc(durable, DOC_CURSOR)?;
+    let dir = &serve.checkpoint_dir;
+    for id in LEARNED_DOCS {
+        checkpoint_doc(durable, dir, id)?;
+    }
+    let cursor_doc = checkpoint_doc(durable, dir, DOC_CURSOR)?;
+    let audit_doc = checkpoint_doc(durable, dir, DOC_AUDIT)?;
+    let slo_doc = checkpoint_doc(durable, dir, DOC_SLO)?;
+    let version = cursor_doc.get("version").and_then(Value::as_u64);
+    if version != Some(CURSOR_VERSION) {
+        let found = version.map_or("no version".to_string(), |v| format!("version {v}"));
+        return Err(CliError::Workflow(format!(
+            "checkpoint in {dir} has a cursor of {found}, but this build \
+             resumes only version {CURSOR_VERSION}; point --checkpoint-dir \
+             at a fresh directory"
+        )));
+    }
+    let cursor: ServeCursor = parse_doc(cursor_doc, DOC_CURSOR)?;
     if cursor.header_digest != header_digest {
         return Err(CliError::Workflow(format!(
-            "checkpoint in {} was recorded from a different stream \
+            "checkpoint in {dir} was recorded from a different stream \
              (header digest {} != {header_digest}); point --checkpoint-dir \
              at a fresh directory or replay the original stream",
-            serve.checkpoint_dir, cursor.header_digest
+            cursor.header_digest
+        )));
+    }
+    if cursor.config_digest != config_digest {
+        return Err(CliError::Workflow(format!(
+            "checkpoint in {dir} was served under a different platform \
+             configuration (config digest {} != {config_digest}); --mode \
+             and --seed must match the run that wrote it",
+            cursor.config_digest
         )));
     }
     if cursor.checkpoint_every != serve.checkpoint_every {
         return Err(CliError::Workflow(format!(
-            "checkpoint in {} was cut every {} events but --checkpoint-every \
+            "checkpoint in {dir} was cut every {} events but --checkpoint-every \
              is {}; epoch boundaries must match for a byte-identical resume",
-            serve.checkpoint_dir, cursor.checkpoint_every, serve.checkpoint_every
+            cursor.checkpoint_every, serve.checkpoint_every
         )));
     }
-    let audit_cp: AuditCheckpoint = checkpoint_doc(durable, DOC_AUDIT)?;
-    let slo_cp: SloCheckpoint = checkpoint_doc(durable, DOC_SLO)?;
+    let audit_cp: AuditCheckpoint = parse_doc(audit_doc, DOC_AUDIT)?;
+    let slo_cp: SloCheckpoint = parse_doc(slo_doc, DOC_SLO)?;
     if slo_cp.window_us != slo_config.window.as_micros() {
         return Err(CliError::Workflow(format!(
-            "checkpointed SLO window is {}µs but --slo-window-secs asks for \
-             {}µs; window widths must match to resume",
+            "checkpoint in {dir} has SLO windows of {}µs but --slo-window-secs \
+             asks for {}µs; window widths must match to resume",
             slo_cp.window_us,
             slo_config.window.as_micros()
         )));
     }
-    let sketch: SketchState = checkpoint_doc(durable, DOC_SKETCH)?;
+    if slo_cp.thresholds != slo_config.thresholds {
+        let render = |t: &DiffThresholds| serde_json::to_string(t).unwrap_or_default();
+        return Err(CliError::Workflow(format!(
+            "checkpoint in {dir} gates its SLO windows with {} but --slo \
+             asks for {}; thresholds must match to resume",
+            render(&slo_cp.thresholds),
+            render(&slo_config.thresholds)
+        )));
+    }
     let slo = SloMonitor::from_checkpoint(&slo_cp);
     if slo.alerts().len() as u64 != cursor.alerts_emitted {
         return Err(CliError::Workflow(format!(
-            "checkpoint in {} is inconsistent: its cursor counts {} emitted \
+            "checkpoint in {dir} is inconsistent: its cursor counts {} emitted \
              alerts but its SLO document holds {}; refusing to resume from \
              a log whose documents disagree",
-            serve.checkpoint_dir,
             cursor.alerts_emitted,
             slo.alerts().len()
         )));
     }
-    Ok((
-        ServiceState {
-            audit: StreamingAudit::from_checkpoint(&audit_cp),
-            slo,
-            sketch,
-            events_consumed: cursor.events_consumed,
-            request_base: cursor.requests,
-            epoch: cursor.epochs,
-        },
-        true,
-    ))
+    Ok(ServiceState {
+        audit: StreamingAudit::from_checkpoint(&audit_cp),
+        slo,
+        events_consumed: cursor.events_consumed,
+        request_base: cursor.requests,
+        epoch: cursor.epochs,
+    })
 }
 
 /// Builds one epoch's platform: reseeded config, the full implicit
-/// workflow population, and the learned chain profiles restored from the
-/// durable store (when any epoch has persisted them yet).
+/// workflow population, and — after epoch 0 — the learned chain profiles
+/// restored from the durable store.
 fn epoch_platform(
     config: &PlatformConfig,
     header: &StreamHeader,
-    durable: &xanadu_platform::MetaStore,
+    durable: &MetaStore,
     epoch: u64,
     base_seed: u64,
 ) -> Result<Platform, CliError> {
@@ -325,7 +352,7 @@ fn epoch_platform(
         let dag = linear_chain(&name, header.depth as usize, &template).map_err(workflow_err)?;
         platform.deploy_implicit(dag).map_err(workflow_err)?;
     }
-    if LEARNED_DOCS.iter().all(|id| durable.get(id).is_some()) {
+    if epoch > 0 {
         platform
             .restore_learned_state(durable)
             .map_err(workflow_err)?;
@@ -369,10 +396,7 @@ pub fn run_serve(
             serve.events,
         )),
     };
-    let header_json = serde_json::to_value(&header)
-        .expect("header serializes")
-        .to_json_string();
-    let header_digest = fnv1a64_digest(header_json.as_bytes());
+    let header_digest = digest_of(&header)?;
 
     let thresholds: DiffThresholds = match &serve.slo {
         None => DiffThresholds::default(),
@@ -389,6 +413,13 @@ pub fn run_serve(
     };
     let window_us = slo_config.window.as_micros();
 
+    let config = PlatformConfig::builder()
+        .for_mode(serve.mode, serve.seed)
+        .record_traces(false)
+        .build()
+        .map_err(workflow_err)?;
+    let config_digest = digest_of(&config)?;
+
     let log = SegmentLog::open(&serve.checkpoint_dir)
         .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
     let mut durable = log
@@ -400,17 +431,19 @@ pub fn run_serve(
         .segments
         .len() as u64;
 
-    let (mut state, resumed) = load_state(&durable, serve, &slo_config, &header_digest)?;
+    let mut state = load_state(
+        &durable,
+        segments,
+        serve,
+        &slo_config,
+        &header_digest,
+        &config_digest,
+    )?;
     // From here on `durable` carries only the learned documents between
     // epochs; the service documents now live in `state`.
     for id in SERVICE_DOCS {
         durable.delete(id);
     }
-    let mut restored_event = resumed.then_some(BusEvent::CheckpointRestored {
-        epoch: state.epoch,
-        segments,
-        events: state.events_consumed,
-    });
 
     // The alerts stream is rewritten to exactly the durable alert list on
     // startup: a crash after an append but before the matching checkpoint
@@ -423,12 +456,6 @@ pub fn run_serve(
         }
         std::fs::write(path, text).map_err(|e| workflow_err(format!("{path}: {e}")))?;
     }
-
-    let config = PlatformConfig::builder()
-        .for_mode(serve.mode, serve.seed)
-        .record_traces(false)
-        .build()
-        .map_err(workflow_err)?;
 
     let total = events.len() as u64;
     let started = Instant::now();
@@ -444,22 +471,14 @@ pub fn run_serve(
         let slice = &events[state.events_consumed as usize..slice_end as usize];
 
         let mut platform = epoch_platform(&config, &header, &durable, state.epoch, serve.seed)?;
-        if let Some(event) = restored_event.take() {
-            platform.announce(event);
-        }
         let audit_handle =
             platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
         let slo_handle = platform.attach_observer(SloMonitor::collector(slo_config.clone()));
 
-        let evictions_before = state.sketch.edges.evictions();
         for ev in slice {
-            let name = header.workflow_name(ev.wf);
-            state.sketch.rates.observe(&name, 1);
-            for hop in 1..header.depth {
-                let edge = format!("{name}-f{}>{name}-f{hop}", hop - 1);
-                state.sketch.edges.observe(&edge);
-            }
-            platform.trigger_at(&name, ev.at()).map_err(workflow_err)?;
+            platform
+                .trigger_at(&header.workflow_name(ev.wf), ev.at())
+                .map_err(workflow_err)?;
         }
         platform.run_until_idle();
         platform.roll_profile_window();
@@ -493,17 +512,6 @@ pub fn run_serve(
                         .map_err(|e| workflow_err(format!("{path}: {e}")))?;
                 }
             }
-            for alert in fresh_alerts {
-                platform.announce(alert.into_event());
-            }
-        }
-        let evicted = state.sketch.edges.evictions() - evictions_before;
-        if evicted > 0 {
-            platform.announce(BusEvent::SketchEviction {
-                evicted,
-                occupancy: state.sketch.edges.occupancy() as u64,
-                capacity: state.sketch.edges.capacity() as u64,
-            });
         }
 
         platform.persist_learned_state();
@@ -513,8 +521,9 @@ pub fn run_serve(
             }
         }
         let cursor = ServeCursor {
-            version: 1,
+            version: CURSOR_VERSION,
             header_digest: header_digest.clone(),
+            config_digest: config_digest.clone(),
             checkpoint_every: serve.checkpoint_every,
             events_consumed: state.events_consumed,
             requests: state.request_base,
@@ -525,7 +534,7 @@ pub fn run_serve(
         // straight into the segment file (`SegmentLog::append`).
         let audit_cp = state.audit.checkpoint();
         let slo_cp = state.slo.checkpoint();
-        let mut docs: Vec<(String, &dyn Serialize)> = Vec::with_capacity(6);
+        let mut docs: Vec<(String, &dyn Serialize)> = Vec::with_capacity(5);
         for id in LEARNED_DOCS {
             if let Some((doc, _)) = durable.get(id) {
                 docs.push((id.to_string(), doc));
@@ -533,18 +542,10 @@ pub fn run_serve(
         }
         docs.push((DOC_AUDIT.to_string(), &audit_cp));
         docs.push((DOC_SLO.to_string(), &slo_cp));
-        docs.push((DOC_SKETCH.to_string(), &state.sketch));
         docs.push((DOC_CURSOR.to_string(), &cursor));
-        let doc_count = docs.len() as u64;
         log.append(&docs)
             .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
         checkpoints_this_run += 1;
-        platform.announce(BusEvent::CheckpointWritten {
-            epoch: state.epoch - 1,
-            segment: segments,
-            docs: doc_count,
-            events: state.events_consumed,
-        });
         segments += 1;
 
         let summary = state.audit.summary();
@@ -556,9 +557,6 @@ pub fn run_serve(
             requests: state.request_base,
             checkpoints: state.epoch,
             alerts: state.slo.alerts().len() as u64,
-            sketch_occupancy: state.sketch.edges.occupancy() as u64,
-            sketch_capacity: state.sketch.edges.capacity() as u64,
-            sketch_evictions: state.sketch.edges.evictions(),
             checkpoint_lag_events: total - state.events_consumed,
             events_per_sec: if wall > 0.0 {
                 ingested as f64 / wall
@@ -569,7 +567,7 @@ pub fn run_serve(
         if serve.status_every > 0 && checkpoints_this_run.is_multiple_of(serve.status_every) {
             eprintln!(
                 "serve: epoch {} | stream {:.1}s | {}/{} events | {:.0} ev/s | \
-                 p50 {:.0}ms p95 {:.0}ms | alerts {} | sketch {}/{} | lag {}",
+                 p50 {:.0}ms p95 {:.0}ms | alerts {} | lag {}",
                 state.epoch - 1,
                 status.uptime_ms / 1000.0,
                 status.events,
@@ -578,8 +576,6 @@ pub fn run_serve(
                 summary.end_to_end.quantile_ms(0.5),
                 summary.end_to_end.quantile_ms(0.95),
                 status.alerts,
-                status.sketch_occupancy,
-                status.sketch_capacity,
                 status.checkpoint_lag_events,
             );
         }
@@ -628,15 +624,6 @@ pub fn run_serve(
         summary.end_to_end.quantile_ms(0.5),
         summary.end_to_end.quantile_ms(0.95),
         summary.end_to_end.quantile_ms(0.999),
-    ));
-    out.push_str(&format!(
-        "sketches: {}/{} edges tracked ({} evictions), {} arrivals counted \
-         (±{:.1} per estimate)\n",
-        state.sketch.edges.occupancy(),
-        state.sketch.edges.capacity(),
-        state.sketch.edges.evictions(),
-        state.sketch.rates.total(),
-        state.sketch.rates.error_bound(),
     ));
     out.push_str(&format!(
         "slo: {} window(s) of {}s, {} alert(s)\n",

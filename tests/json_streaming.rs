@@ -69,14 +69,15 @@ fn platform_reports_stream_like_their_tree() {
 #[test]
 fn flattened_audit_checkpoint_streams_and_roundtrips() {
     let (_, checkpoint, _) = chaos_run();
-    assert!(checkpoint.cluster.placed > 0 && !checkpoint.exemplars.is_empty());
+    assert!(!checkpoint.exemplars.is_empty());
     let text = assert_streams_like_tree(&checkpoint);
     let doc: Value = serde_json::from_str(&text).unwrap();
     // Flattened: the tally's and the buckets' members sit at top level.
-    for key in ["requests", "end_to_end", "exemplars_cap", "cluster"] {
+    for key in ["requests", "end_to_end", "exemplars_cap"] {
         assert!(doc.get(key).is_some(), "missing {key} in {text}");
     }
     assert!(doc.get("tally").is_none() && doc.get("buckets").is_none());
+    assert!(doc.get("cluster").is_none(), "no cluster counters: {text}");
     let back: AuditCheckpoint = serde_json::from_str(&text).unwrap();
     assert_eq!(back, checkpoint);
 }

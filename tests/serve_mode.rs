@@ -1,6 +1,6 @@
 //! The service tier end to end: kill-and-restart determinism at every
-//! checkpoint boundary, live-alert/offline-report equivalence,
-//! bounded-memory sketches at stream scale, and the resume guards.
+//! checkpoint boundary, live-alert/offline-report equivalence, and the
+//! resume guards.
 //!
 //! The core invariant is *mechanical restart equivalence*: a serve run
 //! interrupted after any number of checkpoints and resumed produces the
@@ -9,15 +9,15 @@
 //! `cmp`-grade equality, the same check CI's serve-soak job performs on
 //! the real binary.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use xanadu::cli::{execute_with_exports, parse_args, CliError, Command, ExportFile};
 use xanadu::serve::{run_record, run_serve, RecordArgs, ServeArgs};
-use xanadu_core::{CountMinSketch, SpaceSaving};
+use xanadu_core::speculation::ExecutionMode;
 use xanadu_platform::{AuditCheckpoint, SegmentLog};
-use xanadu_workloads::stream::{GeneratedStream, StreamSource};
 
 /// Stream population every test below shares: 4 workflows × depth 3 at
 /// 240/h for 360 events cuts into 6 epochs of 60.
@@ -57,7 +57,7 @@ fn base_args(dir: &Path, strict_slo: bool) -> ServeArgs {
         depth: DEPTH,
         rate_per_hour: RATE,
         seed: SEED,
-        mode: xanadu_core::speculation::ExecutionMode::Jit,
+        mode: ExecutionMode::Jit,
         checkpoint_dir: dir.join("ck").to_string_lossy().into_owned(),
         checkpoint_every: EPOCH,
         alerts_out: Some(dir.join("alerts.jsonl").to_string_lossy().into_owned()),
@@ -68,7 +68,6 @@ fn base_args(dir: &Path, strict_slo: bool) -> ServeArgs {
         slo_window_secs: 60,
         stop_after_checkpoints: 0,
         status_every: 0,
-        sketch_edges: 64,
         fail_on_alert: false,
     }
 }
@@ -154,43 +153,6 @@ fn clean_stream_emits_no_alerts() {
     assert!(alerts.is_empty(), "phantom alert lines: {alerts}");
 }
 
-/// The learning plane stays flat across a million-event stream: the
-/// space-saving sketch never exceeds its capacity and the count-min
-/// grid never grows, no matter how many distinct workflows (and so
-/// edges) flow past. Debug builds shrink the stream to keep the tier-1
-/// suite quick; release CI runs the full million.
-#[test]
-fn sketches_stay_bounded_across_a_million_events() {
-    let n: u64 = if cfg!(debug_assertions) {
-        100_000
-    } else {
-        1_000_000
-    };
-    // 500 workflows × 2 edges each = 1000 distinct edge keys against a
-    // 64-counter sketch: eviction pressure is constant.
-    let mut src = GeneratedStream::new(500, DEPTH, 30.0, 9, n);
-    let header = src.header().clone();
-    let mut edges = SpaceSaving::new(64);
-    let mut rates = CountMinSketch::new(4, 512);
-    let mut seen = 0u64;
-    while let Some(ev) = src.next_event() {
-        let name = header.workflow_name(ev.wf);
-        rates.observe(&name, 1);
-        for hop in 1..header.depth {
-            edges.observe(&format!("{name}-f{}>{name}-f{hop}", hop - 1));
-        }
-        seen += 1;
-        if seen.is_multiple_of(100_000) {
-            assert!(edges.occupancy() <= 64, "sketch grew past capacity");
-        }
-    }
-    assert_eq!(seen, n);
-    assert_eq!(rates.total(), n, "count-min absorbed every arrival");
-    assert_eq!(rates.counters(), 4 * 512, "count-min grid never grows");
-    assert!(edges.occupancy() <= 64);
-    assert!(edges.evictions() > 0, "1000 keys vs 64 counters must evict");
-}
-
 /// Serve's own memory plane: every checkpoint proves the audit was
 /// drained (`checkpoint()` panics on in-flight requests), the exemplar
 /// reservoir respects its cap, and exemplar request ids are globally
@@ -249,30 +211,167 @@ fn reappended_value_segments_reproduce_serve_digests() {
     );
 }
 
-/// Resuming against a different stream or a different epoch cadence is
-/// a hard error, not a silent divergence.
+/// Every file of a checkpoint directory, by name.
+fn log_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// Records the shared stream population to `dir/stream.jsonl`.
+fn record_stream(dir: &Path) -> String {
+    let path = dir.join("stream.jsonl").to_string_lossy().into_owned();
+    let mut exports = Vec::new();
+    run_record(
+        &RecordArgs {
+            out: path.clone(),
+            events: EVENTS,
+            workflows: WORKFLOWS,
+            depth: DEPTH,
+            rate_per_hour: RATE,
+            seed: SEED,
+        },
+        &mut exports,
+    )
+    .unwrap();
+    std::fs::write(&path, &exports[0].contents).unwrap();
+    path
+}
+
+/// Resuming against anything that shaped the log — the stream, the epoch
+/// cadence, the execution mode, the seed of a recorded stream's epoch
+/// platforms, the SLO thresholds — is a hard error that names the
+/// mismatch and the directory, not a silent divergence, and it leaves the
+/// log untouched.
 #[test]
 fn resume_guards_reject_mismatches() {
     let dir = scratch_dir("guards");
-    let mut args = base_args(&dir, false);
-    args.stop_after_checkpoints = 1;
+    let mut generated = base_args(&dir, false);
+    generated.stop_after_checkpoints = 1;
+    run_serve(&generated, &read_file, &mut Vec::new()).unwrap();
+
+    let mut recorded = base_args(&dir, false);
+    recorded.stream = Some(record_stream(&dir));
+    recorded.checkpoint_dir = dir.join("ck-recorded").to_string_lossy().into_owned();
+    recorded.stop_after_checkpoints = 1;
+    run_serve(&recorded, &read_file, &mut Vec::new()).unwrap();
+
+    let cases = [
+        (
+            ServeArgs {
+                seed: SEED + 1,
+                ..generated.clone()
+            },
+            "different stream",
+        ),
+        (
+            ServeArgs {
+                checkpoint_every: EPOCH * 2,
+                ..generated.clone()
+            },
+            "boundaries must match",
+        ),
+        (
+            ServeArgs {
+                mode: ExecutionMode::Cold,
+                ..generated.clone()
+            },
+            "--mode and --seed must match",
+        ),
+        (
+            ServeArgs {
+                seed: SEED + 1,
+                ..recorded.clone()
+            },
+            "--mode and --seed must match",
+        ),
+        (
+            ServeArgs {
+                slo: base_args(&dir, true).slo,
+                ..generated.clone()
+            },
+            "--slo asks for",
+        ),
+    ];
+    for (i, (args, expected)) in cases.iter().enumerate() {
+        let before = log_bytes(&args.checkpoint_dir);
+        let err = run_serve(args, &read_file, &mut Vec::new()).unwrap_err();
+        let CliError::Workflow(message) = &err else {
+            panic!("case {i}: expected a workflow error, got {err}");
+        };
+        assert!(message.contains(expected), "case {i}: {message}");
+        assert!(
+            message.contains(&args.checkpoint_dir),
+            "case {i}: {message}"
+        );
+        assert_eq!(
+            log_bytes(&args.checkpoint_dir),
+            before,
+            "case {i} touched the log"
+        );
+    }
+}
+
+/// Every checkpoint document has a reader: a finished log rewritten
+/// without any one of them (each segment re-appended, so digests stay
+/// valid) is refused with an error naming the missing document instead
+/// of resuming from a fresh start or an unrestored epoch.
+#[test]
+fn resume_requires_every_checkpoint_document() {
+    let dir = scratch_dir("missing-doc");
+    let args = base_args(&dir, false);
     run_serve(&args, &read_file, &mut Vec::new()).unwrap();
-
-    let mut other_stream = args.clone();
-    other_stream.seed = SEED + 1;
-    let err = run_serve(&other_stream, &read_file, &mut Vec::new()).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Workflow(m) if m.contains("different stream")),
-        "{err}"
+    let served = SegmentLog::open(&args.checkpoint_dir).unwrap();
+    let segments: Vec<Vec<(String, serde_json::Value)>> = served
+        .manifest()
+        .unwrap()
+        .segments
+        .iter()
+        .map(|seg| {
+            let text = std::fs::read_to_string(served.dir().join(&seg.file)).unwrap();
+            let body: serde_json::Value = serde_json::from_str(&text).unwrap();
+            body.as_object().unwrap().clone().into_iter().collect()
+        })
+        .collect();
+    let ids: Vec<&str> = segments[0].iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(
+        ids,
+        [
+            "learned/branches",
+            "learned/metrics",
+            "serve/audit",
+            "serve/cursor",
+            "serve/slo"
+        ]
     );
 
-    let mut other_cadence = args.clone();
-    other_cadence.checkpoint_every = EPOCH * 2;
-    let err = run_serve(&other_cadence, &read_file, &mut Vec::new()).unwrap_err();
-    assert!(
-        matches!(&err, CliError::Workflow(m) if m.contains("boundaries must match")),
-        "{err}"
-    );
+    for id in ids {
+        let mut copy = args.clone();
+        copy.checkpoint_dir = dir
+            .join(format!("without-{}", id.replace('/', "-")))
+            .to_string_lossy()
+            .into_owned();
+        let log = SegmentLog::open(&copy.checkpoint_dir).unwrap();
+        for docs in &segments {
+            let kept: Vec<_> = docs.iter().filter(|(d, _)| d != id).cloned().collect();
+            log.append(&kept).unwrap();
+        }
+        let before = log_bytes(&copy.checkpoint_dir);
+        let err = run_serve(&copy, &read_file, &mut Vec::new()).unwrap_err();
+        let CliError::Workflow(message) = &err else {
+            panic!("without {id}: expected a workflow error, got {err}");
+        };
+        assert!(
+            message.contains(&format!("`{id}`")),
+            "without {id}: {message}"
+        );
+        assert_eq!(log_bytes(&copy.checkpoint_dir), before, "without {id}");
+    }
 }
 
 /// A log whose cursor and SLO document disagree about how many alerts
@@ -317,25 +416,11 @@ fn resume_rejects_a_cursor_that_disagrees_with_the_slo_alerts() {
 #[test]
 fn recorded_and_generated_streams_are_equivalent() {
     let dir = scratch_dir("roundtrip");
-    let stream_path = dir.join("stream.jsonl");
-    let mut exports = Vec::new();
-    run_record(
-        &RecordArgs {
-            out: stream_path.to_string_lossy().into_owned(),
-            events: EVENTS,
-            workflows: WORKFLOWS,
-            depth: DEPTH,
-            rate_per_hour: RATE,
-            seed: SEED,
-        },
-        &mut exports,
-    )
-    .unwrap();
-    std::fs::write(&stream_path, &exports[0].contents).unwrap();
+    let stream_path = record_stream(&dir);
 
     let replay_dir = scratch_dir("roundtrip-replay");
     let mut args = base_args(&replay_dir, true);
-    args.stream = Some(stream_path.to_string_lossy().into_owned());
+    args.stream = Some(stream_path);
     let mut exports = Vec::new();
     run_serve(&args, &read_file, &mut exports).unwrap();
     let audit = &exports
@@ -381,7 +466,6 @@ fn cli_parses_serve_and_record() {
         Command::Serve(s) => {
             assert_eq!(s.checkpoint_every, 200);
             assert_eq!(s.workflows, 6);
-            assert_eq!(s.sketch_edges, 64);
             assert!(!s.fail_on_alert);
         }
         other => panic!("{other:?}"),

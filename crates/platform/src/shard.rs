@@ -26,11 +26,16 @@
 //! self-contained deterministic event loop seeded from
 //! `(seed, workflow-name)`, and the merge is canonical —
 //!
-//! * global request ids are assigned by sorting *all* triggers by
-//!   `(time, shard, local sequence)`, shards ordered by workflow name;
-//! * worker ids are remapped by prefix sums of per-shard worker counts
-//!   in the same shard order;
-//! * results and traces are emitted in global-request-id order.
+//! * global request ids are assigned before the run by ordering *all*
+//!   triggers by `(time, shard, local sequence)`, shards ordered by
+//!   workflow name;
+//! * at every window barrier each thread moves its shards' new results,
+//!   dead-worker records and traces into run-wide vectors, results and
+//!   traces under their global request ids;
+//! * worker ids keep each shard's gaps and are offset by prefix sums of
+//!   each shard's (max local id + 1), in the same shard order;
+//! * results, worker records and traces are then sorted in place by
+//!   their unique ids.
 //!
 //! Thread scheduling can only change *wall-clock* interleaving, never
 //! which events a shard sees or in what order.
@@ -42,12 +47,14 @@
 //! the sharded one. The legacy path remains the default; sharding is
 //! opt-in for fleet-scale runs (CLI `--shards`).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use xanadu_chain::WorkflowDag;
-use xanadu_sandbox::WorkerId;
+use xanadu_sandbox::{WorkerId, WorkerRecord};
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
 
 use crate::config::PlatformConfig;
@@ -143,8 +150,12 @@ pub struct KernelProfile {
     /// Wall-clock microseconds each OS thread spent waiting at barriers
     /// (thread-id order; nondeterministic).
     pub barrier_wait_us: Vec<u64>,
-    /// Wall-clock microseconds the canonical merge took
-    /// (nondeterministic).
+    /// Wall-clock microseconds the canonical merge took after the threads
+    /// joined: the worker-id rewrite, the in-place sorts of results,
+    /// worker records and traces, and the telemetry and cluster folds
+    /// (nondeterministic). The hand-off of outputs at each window barrier
+    /// is part of the drive, not of this figure. perfbench's ledger-only
+    /// `shard.merge_s` reads it.
     pub merge_us: u64,
 }
 
@@ -175,8 +186,10 @@ impl KernelProfile {
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
     /// The canonically merged report: results in global-request-id
-    /// order, worker ids remapped by shard prefix sums, `metrics`
-    /// always `None`. Byte-identical for any `threads`/`window`.
+    /// order, worker ids offset by shard prefix sums (each shard's id
+    /// gaps kept), `metrics` always `None`. Byte-identical for any
+    /// `threads`/`window`. Its vectors are the ones the shards handed
+    /// their outputs over into during the run, sorted in place.
     pub report: PlatformReport,
     /// Per-request orchestration timelines keyed by global request id,
     /// ascending. Empty when the config disables
@@ -199,32 +212,102 @@ pub struct ShardedRun {
     pub profile: KernelProfile,
 }
 
+/// Largest local worker id a shard may hand over: the shard index takes
+/// the high 32 bits of a worker id until [`merge`] rewrites it.
+const LOCAL_WORKER_MAX: u64 = u32::MAX as u64;
+
+/// A shard's id translation for the hand-off.
+struct ShardIds {
+    /// Index in name-sorted shard order (the canonical merge order).
+    shard: usize,
+    /// Global request id of each local request, indexed by local id.
+    global: Vec<u64>,
+}
+
+impl ShardIds {
+    fn result(&self, mut result: RunResult) -> RunResult {
+        result.request = self.global[result.request as usize];
+        result
+    }
+
+    fn trace(&self, (local, trace): (u64, Trace)) -> (u64, Trace) {
+        (self.global[local as usize], trace)
+    }
+
+    /// Puts the shard index in the id's high 32 bits.
+    fn record(&self, mut record: WorkerRecord) -> WorkerRecord {
+        assert!(
+            record.id.0 <= LOCAL_WORKER_MAX,
+            "shard {} worker id {} does not fit in 32 bits",
+            self.shard,
+            record.id.0
+        );
+        record.id = WorkerId((self.shard as u64) << 32 | record.id.0);
+        record
+    }
+}
+
 /// Everything a worker thread needs to build and drive one shard.
 struct ShardInput {
-    /// Index in name-sorted shard order (the canonical merge order).
-    index: usize,
+    ids: ShardIds,
     name: String,
     dag: WorkflowDag,
     triggers: Vec<SimTime>,
 }
 
-/// A shard's raw output before merging.
+/// What a shard leaves besides the outputs it handed over.
 struct ShardOutput {
     index: usize,
     name: String,
-    triggers: Vec<SimTime>,
-    report: PlatformReport,
-    /// `(local request id, trace)`, present only when traces are on.
-    traces: Vec<(u64, Trace)>,
     events: u64,
     queue_peak: u64,
+    cluster: Option<ClusterReport>,
     streaming: Option<StreamingAudit>,
     slo: Option<SloMonitor>,
     metrics: Option<MetricsRegistry>,
 }
 
-/// Cross-thread driver state: quiescence accounting plus the shared
-/// progress counters the heartbeat reads.
+/// The run-wide home of every per-request output. Shard threads move
+/// their shards' new results, dead-worker records and traces in at each
+/// window barrier; worker ids carry the shard index in their high 32
+/// bits until [`merge`] rewrites them.
+#[derive(Default)]
+struct Outputs {
+    results: Vec<RunResult>,
+    records: Vec<WorkerRecord>,
+    traces: Vec<(u64, Trace)>,
+}
+
+impl Outputs {
+    /// Moves the results, dead-worker records and traces `platform`
+    /// produced since the last call in.
+    fn hand_over(&mut self, ids: &ShardIds, platform: &mut Platform) {
+        self.results
+            .extend(platform.drain_results().map(|r| ids.result(r)));
+        self.records
+            .extend(platform.drain_dead_workers().map(|r| ids.record(r)));
+        self.traces
+            .extend(platform.drain_traces().map(|t| ids.trace(t)));
+    }
+
+    /// Moves in what [`Platform::finish`] reported besides the outputs
+    /// already handed over: the records of the workers live at the end.
+    /// Returns the cluster report.
+    fn hand_over_report(
+        &mut self,
+        ids: &ShardIds,
+        report: PlatformReport,
+    ) -> Option<ClusterReport> {
+        self.results
+            .extend(report.results.into_iter().map(|r| ids.result(r)));
+        self.records
+            .extend(report.worker_records.into_iter().map(|r| ids.record(r)));
+        report.cluster
+    }
+}
+
+/// Cross-thread driver state: quiescence accounting, the shared
+/// progress counters the heartbeat reads, and the run-wide outputs.
 struct SharedDriver {
     pending: AtomicU64,
     events: AtomicU64,
@@ -232,6 +315,7 @@ struct SharedDriver {
     horizon_us: u64,
     progress: bool,
     start: Instant,
+    outputs: Mutex<Outputs>,
 }
 
 /// Replays a fleet of independent workflows as logical shards over
@@ -288,6 +372,12 @@ pub fn replay_sharded(
 /// The merged report bytes are identical to a telemetry-free run — the
 /// observers only *read* the event stream — and every telemetry export
 /// is itself byte-identical at any `threads`/`window` width.
+///
+/// Every result, worker record and trace has one home: global request
+/// ids are fixed before the shard threads start, each thread moves its
+/// shards' new outputs into the run's vectors at every window barrier,
+/// and after the threads join those vectors are sorted in place. Nothing
+/// the size of the run is allocated after the drive.
 pub fn replay_sharded_with(
     base: &PlatformConfig,
     workloads: Vec<ShardWorkload>,
@@ -304,7 +394,10 @@ pub fn replay_sharded_with(
     let mut inputs: Vec<ShardInput> = workloads
         .into_iter()
         .map(|w| ShardInput {
-            index: 0,
+            ids: ShardIds {
+                shard: 0,
+                global: Vec::with_capacity(w.triggers.len()),
+            },
             name: w.dag.name().to_string(),
             dag: w.dag,
             triggers: {
@@ -321,7 +414,7 @@ pub fn replay_sharded_with(
         }
     }
     for (i, input) in inputs.iter_mut().enumerate() {
-        input.index = i;
+        input.ids.shard = i;
     }
     let logical_shards = inputs.len();
     if logical_shards == 0 {
@@ -336,12 +429,14 @@ pub fn replay_sharded_with(
             profile: KernelProfile::default(),
         });
     }
+    assign_global_ids(&mut inputs);
+    let invocations = inputs.iter().map(|i| i.triggers.len()).sum();
 
     let threads = opts.threads.clamp(1, logical_shards);
     // Round-robin assignment: shard i runs on thread i % threads.
     let mut per_thread: Vec<Vec<ShardInput>> = (0..threads).map(|_| Vec::new()).collect();
     for input in inputs {
-        per_thread[input.index % threads].push(input);
+        per_thread[input.ids.shard % threads].push(input);
     }
 
     let barrier = Barrier::new(threads);
@@ -358,6 +453,10 @@ pub fn replay_sharded_with(
             .unwrap_or(0),
         progress: telemetry.progress,
         start: Instant::now(),
+        outputs: Mutex::new(Outputs {
+            results: Vec::with_capacity(invocations),
+            ..Outputs::default()
+        }),
     };
     let window = opts.window;
     let thread_outputs: Vec<(Vec<ShardOutput>, u64, u64)> = std::thread::scope(|scope| {
@@ -379,16 +478,20 @@ pub fn replay_sharded_with(
     });
     let mut barrier_wait_us = Vec::with_capacity(threads);
     let mut windows = 0u64;
-    let mut outputs: Vec<ShardOutput> = Vec::with_capacity(logical_shards);
+    let mut shards: Vec<ShardOutput> = Vec::with_capacity(logical_shards);
     for (outs, waited, wins) in thread_outputs {
-        outputs.extend(outs);
+        shards.extend(outs);
         barrier_wait_us.push(waited);
         windows = windows.max(wins);
     }
-    outputs.sort_by_key(|o| o.index);
+    shards.sort_by_key(|o| o.index);
+    let outputs = shared
+        .outputs
+        .into_inner()
+        .expect("shard threads joined without panicking");
 
     let merge_start = Instant::now();
-    let mut run = merge(outputs, logical_shards);
+    let mut run = merge(outputs, shards);
     run.profile.threads = threads;
     run.profile.windows = windows;
     run.profile.barrier_wait_us = barrier_wait_us;
@@ -396,10 +499,30 @@ pub fn replay_sharded_with(
     Ok(run)
 }
 
+/// Global request ids: every trigger of the fleet ranked by `(time,
+/// shard, local sequence)`. Each shard's triggers are sorted, so this is
+/// a k-way merge of the shards' schedules.
+fn assign_global_ids(inputs: &mut [ShardInput]) {
+    let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = inputs
+        .iter()
+        .filter_map(|i| i.triggers.first().map(|&at| Reverse((at, i.ids.shard, 0))))
+        .collect();
+    let mut next = 0u64;
+    while let Some(Reverse((_, shard, local))) = heads.pop() {
+        let input = &mut inputs[shard];
+        input.ids.global.push(next);
+        next += 1;
+        if let Some(&at) = input.triggers.get(local + 1) {
+            heads.push(Reverse((at, shard, local + 1)));
+        }
+    }
+}
+
 /// Thread body: build each assigned shard's platform, advance all of
-/// them window by window under the fleet barrier, then finish them.
-/// Returns the shard outputs plus this thread's total barrier-wait
-/// micros and the number of windows stepped.
+/// them window by window under the fleet barrier, handing their outputs
+/// over at every barrier, then finish them. Returns the shard outputs
+/// plus this thread's total barrier-wait micros and the number of
+/// windows stepped.
 fn drive_shards(
     base: &PlatformConfig,
     inputs: Vec<ShardInput>,
@@ -410,7 +533,8 @@ fn drive_shards(
     telemetry: &ShardTelemetry,
 ) -> (Vec<ShardOutput>, u64, u64) {
     struct Running {
-        input: ShardInput,
+        ids: ShardIds,
+        name: String,
         platform: Platform,
         events: u64,
         queue_peak: u64,
@@ -430,9 +554,9 @@ fn drive_shards(
             let mut platform = Platform::new(config);
             platform.reserve_invocations(input.triggers.len());
             platform
-                .deploy(input.dag.clone())
+                .deploy(input.dag)
                 .expect("fresh platform has no deployments");
-            for &at in &input.triggers {
+            for at in input.triggers {
                 platform
                     .trigger_at(&input.name, at)
                     .expect("workflow was just deployed");
@@ -451,7 +575,8 @@ fn drive_shards(
                 .metrics
                 .then(|| platform.attach_observer(MetricsRegistry::new()));
             Running {
-                input,
+                ids: input.ids,
+                name: input.name,
                 platform,
                 events: 0,
                 queue_peak: 0,
@@ -463,11 +588,12 @@ fn drive_shards(
         .collect();
 
     // Conservative time-window loop. Three barrier phases per window:
-    // (A) every thread has advanced its shards and published its pending
-    // count, (B) every thread has read the fleet total (the phase-B
-    // leader then resets the accumulator), (C) the reset is visible
-    // before anyone publishes for the next window. All threads observe
-    // the same `done`, so they exit on the same window.
+    // (A) every thread has advanced its shards, handed their outputs over
+    // and published its pending count, (B) every thread has read the
+    // fleet total (the phase-B leader then resets the accumulator), (C)
+    // the reset is visible before anyone publishes for the next window.
+    // All threads observe the same `done`, so they exit on the same
+    // window.
     let mut window_end = SimTime::ZERO;
     let mut barrier_wait_us = 0u64;
     let mut windows = 0u64;
@@ -477,6 +603,12 @@ fn drive_shards(
         let result = barrier.wait();
         *acc += begin.elapsed().as_micros() as u64;
         result
+    };
+    let lock_outputs = || {
+        shared
+            .outputs
+            .lock()
+            .expect("no shard thread panics while handing outputs over")
     };
     loop {
         windows += 1;
@@ -492,6 +624,12 @@ fn drive_shards(
             shard.queue_peak = shard.queue_peak.max(backlog);
             my_peak = my_peak.max(backlog);
             mine += backlog;
+        }
+        {
+            let mut outputs = lock_outputs();
+            for shard in &mut shards {
+                outputs.hand_over(&shard.ids, &mut shard.platform);
+            }
         }
         shared.pending.fetch_add(mine, Ordering::SeqCst);
         shared.events.fetch_add(processed, Ordering::SeqCst);
@@ -512,28 +650,29 @@ fn drive_shards(
         }
     }
 
-    let outputs = shards
+    let leftovers = shards
         .into_iter()
         .map(|shard| {
-            let requests = shard.input.triggers.len() as u64;
-            let traces: Vec<(u64, Trace)> = (0..requests)
-                .filter_map(|req| shard.platform.trace(req).cloned().map(|t| (req, t)))
-                .collect();
+            let report = shard.platform.finish();
+            let cluster = lock_outputs().hand_over_report(&shard.ids, report);
+            let ids = &shard.ids;
             ShardOutput {
-                index: shard.input.index,
-                name: shard.input.name,
-                triggers: shard.input.triggers,
-                report: shard.platform.finish(),
-                traces,
+                index: ids.shard,
+                name: shard.name,
                 events: shard.events,
                 queue_peak: shard.queue_peak,
-                streaming: shard.streaming.map(|h| h.snapshot()),
+                cluster,
+                streaming: shard.streaming.map(|h| {
+                    let mut audit = h.snapshot();
+                    audit.remap_exemplar_requests(|local| ids.global[local as usize]);
+                    audit
+                }),
                 slo: shard.slo.map(|h| h.snapshot()),
                 metrics: shard.metrics.map(|h| h.snapshot()),
             }
         })
         .collect();
-    (outputs, barrier_wait_us, windows)
+    (leftovers, barrier_wait_us, windows)
 }
 
 /// One stderr progress line. Wall-clock only — never touches exports.
@@ -560,54 +699,47 @@ fn heartbeat(shared: &SharedDriver, window_end: SimTime) {
     );
 }
 
-/// Canonical merge of per-shard outputs (inputs sorted by shard index).
-fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
-    // Global request ids: all triggers sorted by (time, shard, local
-    // sequence). Local ids within a shard are already trigger-time
-    // ordered, so this is a stable k-way interleave.
-    let mut order: Vec<(SimTime, usize, u64)> = Vec::new();
-    for out in &outputs {
-        for (local, &at) in out.triggers.iter().enumerate() {
-            order.push((at, out.index, local as u64));
-        }
+/// Canonical merge of the handed-over outputs and the per-shard leftovers
+/// (`shards` sorted by shard index). It allocates nothing the size of the
+/// run: results, records and traces are rewritten and sorted in place.
+fn merge(outputs: Outputs, shards: Vec<ShardOutput>) -> ShardedRun {
+    let Outputs {
+        mut results,
+        mut records,
+        mut traces,
+    } = outputs;
+    // Worker ids are not dense: an id taken for a speculative placement
+    // that tenant admission refused has no record. Each shard's ids keep
+    // their gaps and are offset by the earlier shards' (max id + 1).
+    let untag = |id: WorkerId| ((id.0 >> 32) as usize, id.0 & LOCAL_WORKER_MAX);
+    let mut offsets = vec![0u64; shards.len()];
+    for record in &records {
+        let (shard, local) = untag(record.id);
+        offsets[shard] = offsets[shard].max(local + 1);
     }
-    order.sort();
-    let mut global: Vec<Vec<u64>> = outputs.iter().map(|o| vec![0; o.triggers.len()]).collect();
-    for (gid, &(_, shard, local)) in order.iter().enumerate() {
-        global[shard][local as usize] = gid as u64;
+    let mut next = 0u64;
+    for offset in &mut offsets {
+        let width = *offset;
+        *offset = next;
+        next += width;
     }
+    for record in &mut records {
+        let (shard, local) = untag(record.id);
+        record.id = WorkerId(offsets[shard] + local);
+    }
+    // Every id is unique, so unstable sorts give the canonical order.
+    results.sort_unstable_by_key(|r| r.request);
+    records.sort_unstable_by_key(|r| r.id);
+    traces.sort_unstable_by_key(|&(gid, _)| gid);
 
-    let mut results: Vec<RunResult> = Vec::with_capacity(order.len());
-    let mut traces: Vec<(u64, Trace)> = Vec::new();
-    let mut records = Vec::new();
+    let logical_shards = shards.len();
     let mut events_processed = 0u64;
-    let mut worker_offset = 0u64;
-    let mut shard_profiles: Vec<ShardProfile> = Vec::new();
+    let mut shard_profiles: Vec<ShardProfile> = Vec::with_capacity(logical_shards);
     let mut streaming: Option<StreamingAudit> = None;
     let mut slo: Option<SloMonitor> = None;
     let mut metrics: Option<MetricsRegistry> = None;
     let mut cluster: Option<ClusterReport> = None;
-    for out in outputs {
-        let map = &global[out.index];
-        for mut r in out.report.results {
-            r.request = map[r.request as usize];
-            results.push(r);
-        }
-        for (local, trace) in out.traces {
-            traces.push((map[local as usize], trace));
-        }
-        // finish() sorts records by id and ids are dense per platform,
-        // so offsetting by (max id + 1) keeps the merged ledger dense.
-        let next_offset = out
-            .report
-            .worker_records
-            .last()
-            .map_or(worker_offset, |r| worker_offset + r.id.0 + 1);
-        for mut r in out.report.worker_records {
-            r.id = WorkerId(r.id.0 + worker_offset);
-            records.push(r);
-        }
-        worker_offset = next_offset;
+    for out in shards {
         events_processed += out.events;
         shard_profiles.push(ShardProfile {
             workflow: out.name,
@@ -616,37 +748,14 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
         });
         // Telemetry merges in shard-index order — the same canonical
         // order as everything above, so merged telemetry is as
-        // thread-invariant as the report itself.
-        if let Some(mut audit) = out.streaming {
-            audit.remap_exemplar_requests(|local| map[local as usize]);
-            match &mut streaming {
-                None => streaming = Some(audit),
-                Some(acc) => acc.merge_from(&audit),
-            }
-        }
-        if let Some(monitor) = out.slo {
-            match &mut slo {
-                None => slo = Some(monitor),
-                Some(acc) => acc.merge_from(&monitor),
-            }
-        }
-        if let Some(registry) = out.metrics {
-            match &mut metrics {
-                None => metrics = Some(registry),
-                Some(acc) => acc.merge_from(&registry),
-            }
-        }
-        // Every logical shard runs its own replica of the configured
-        // cluster, so host rows fold by id and counters sum.
-        if let Some(report) = out.report.cluster {
-            match &mut cluster {
-                None => cluster = Some(report),
-                Some(acc) => acc.merge_from(&report),
-            }
-        }
+        // thread-invariant as the report itself. Every logical shard
+        // runs its own replica of the configured cluster, so host rows
+        // fold by id and counters sum.
+        fold(&mut streaming, out.streaming, StreamingAudit::merge_from);
+        fold(&mut slo, out.slo, SloMonitor::merge_from);
+        fold(&mut metrics, out.metrics, MetricsRegistry::merge_from);
+        fold(&mut cluster, out.cluster, ClusterReport::merge_from);
     }
-    results.sort_by_key(|r| r.request);
-    traces.sort_by_key(|&(gid, _)| gid);
 
     ShardedRun {
         report: PlatformReport {
@@ -670,11 +779,23 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
     }
 }
 
+/// Folds `next` into `acc`, or makes it the accumulator.
+fn fold<T>(acc: &mut Option<T>, next: Option<T>, merge_from: impl Fn(&mut T, &T)) {
+    match (acc.as_mut(), next) {
+        (_, None) => {}
+        (None, Some(next)) => *acc = Some(next),
+        (Some(acc), Some(next)) => merge_from(acc, &next),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClusterConfig;
     use crate::faults::FaultConfig;
+    use crate::hosts::PlacementPolicy;
     use xanadu_chain::{linear_chain, FunctionSpec};
+    use xanadu_core::policy::{MpcConfig, PolicySpec};
     use xanadu_core::speculation::ExecutionMode;
 
     fn fleet(workflows: usize, triggers_each: usize) -> Vec<ShardWorkload> {
@@ -759,8 +880,146 @@ mod tests {
     #[test]
     fn worker_ids_are_dense_after_merge() {
         let run = run_with(3, 60, false);
+        // Dense only without tenants (here, without any cluster): tenant
+        // admission can refuse a speculative placement after its worker
+        // id was taken, which leaves a gap (see `gaps_config`).
+        assert!(run.report.cluster.is_none(), "precondition: no tenants");
         for (i, r) in run.report.worker_records.iter().enumerate() {
             assert_eq!(r.id.0, i as u64, "dense remapped worker ids");
+        }
+    }
+
+    /// The reference the barrier hand-off is checked against: every
+    /// workload on its own platform with the shard's derived seeds, run
+    /// to idle and finished, then concatenated in shard order,
+    /// stable-sorted by global request id (all triggers ranked by
+    /// `(time, shard, local)`), with worker ids offset by prefix sums of
+    /// each shard's max id + 1.
+    fn reference_merge(
+        base: &PlatformConfig,
+        mut workloads: Vec<ShardWorkload>,
+    ) -> (PlatformReport, Vec<(u64, Trace)>) {
+        workloads.sort_by(|a, b| a.dag.name().cmp(b.dag.name()));
+        let shards: Vec<_> = workloads
+            .into_iter()
+            .map(|w| {
+                let name = w.dag.name().to_string();
+                let mut config = base.clone();
+                config.seed = RngStream::derive(base.seed, &name).next_u64();
+                config.faults.seed = RngStream::derive(base.faults.seed, &name).next_u64();
+                let mut platform = Platform::new(config);
+                platform.deploy(w.dag).unwrap();
+                let mut triggers = w.triggers;
+                triggers.sort();
+                for &at in &triggers {
+                    platform.trigger_at(&name, at).unwrap();
+                }
+                platform.run_until_idle();
+                let traces: Vec<(u64, Trace)> = (0..triggers.len() as u64)
+                    .filter_map(|req| platform.trace(req).cloned().map(|t| (req, t)))
+                    .collect();
+                (triggers, platform.finish(), traces)
+            })
+            .collect();
+
+        let mut order: Vec<(SimTime, usize, usize)> = Vec::new();
+        for (shard, (triggers, _, _)) in shards.iter().enumerate() {
+            order.extend(triggers.iter().enumerate().map(|(l, &at)| (at, shard, l)));
+        }
+        order.sort();
+        let mut global: Vec<Vec<u64>> = shards.iter().map(|s| vec![0; s.0.len()]).collect();
+        for (gid, &(_, shard, local)) in order.iter().enumerate() {
+            global[shard][local] = gid as u64;
+        }
+
+        let mut merged = PlatformReport::default();
+        let mut traces = Vec::new();
+        let mut offset = 0u64;
+        for (shard, (_, report, shard_traces)) in shards.into_iter().enumerate() {
+            let map = &global[shard];
+            for mut r in report.results {
+                r.request = map[r.request as usize];
+                merged.results.push(r);
+            }
+            traces.extend(shard_traces.into_iter().map(|(l, t)| (map[l as usize], t)));
+            let next = report
+                .worker_records
+                .last()
+                .map_or(offset, |r| offset + r.id.0 + 1);
+            for mut r in report.worker_records {
+                r.id = WorkerId(r.id.0 + offset);
+                merged.worker_records.push(r);
+            }
+            offset = next;
+            if let Some(cluster) = report.cluster {
+                match &mut merged.cluster {
+                    None => merged.cluster = Some(cluster),
+                    Some(acc) => acc.merge_from(&cluster),
+                }
+            }
+        }
+        merged.results.sort_by_key(|r| r.request);
+        traces.sort_by_key(|&(gid, _)| gid);
+        (merged, traces)
+    }
+
+    /// One 2048 MB host shared by 2 tenants: speculative placements the
+    /// tenant's fair share refuses leave gaps in the worker ids.
+    fn gaps_config() -> PlatformConfig {
+        PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 77)
+            .cluster(ClusterConfig::uniform(PlacementPolicy::default(), 1, 2048).with_tenants(2))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn handed_over_outputs_equal_the_reference_merge() {
+        let chaos = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 77)
+            .policy(PolicySpec::Mpc(MpcConfig::default()))
+            .cluster(ClusterConfig::uniform(PlacementPolicy::Affinity, 4, 4096).with_tenants(2))
+            .faults(FaultConfig {
+                host_failure_rate: 0.01,
+                ..FaultConfig::with_rate(0.05, 5)
+            })
+            .build()
+            .unwrap();
+        let configs = [
+            ("jit", PlatformConfig::for_mode(ExecutionMode::Jit, 77)),
+            ("chaos", chaos),
+            ("gaps", gaps_config()),
+        ];
+        for (label, config) in configs {
+            let (expected, expected_traces) = reference_merge(&config, fleet(6, 8));
+            let expected_json = serde_json::to_string(&expected).unwrap();
+            assert_eq!(expected_traces.len(), 48, "{label}: a trace per request");
+            if label == "chaos" {
+                assert!(expected.worker_records.iter().any(|r| r.crashed));
+            }
+            if label == "gaps" {
+                let max_id = expected.worker_records.last().unwrap().id.0;
+                assert!(
+                    max_id + 1 > expected.worker_records.len() as u64,
+                    "the gaps config leaves worker-id gaps"
+                );
+            }
+            for threads in [1, 2, 3, 5, 8] {
+                for window_secs in [1, 60, 3600] {
+                    let opts = ShardOptions {
+                        threads,
+                        window: SimDuration::from_secs(window_secs),
+                    };
+                    let run = replay_sharded(&config, fleet(6, 8), &opts).unwrap();
+                    let at = format!("{label}, threads={threads}, window={window_secs}s");
+                    assert_eq!(
+                        serde_json::to_string(&run.report).unwrap(),
+                        expected_json,
+                        "report at {at}"
+                    );
+                    assert!(run.traces == expected_traces, "traces at {at}");
+                }
+            }
         }
     }
 

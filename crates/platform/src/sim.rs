@@ -35,7 +35,7 @@ use xanadu_core::policy::{PlanContext, PolicyRegistry, SpeculationPolicy};
 use xanadu_core::speculation::{DeployFailureAction, PlanCacheStats};
 use xanadu_profiler::{BranchDetector, MetricsEngine, RequestCorrelator};
 use xanadu_sandbox::{
-    SandboxProvider, SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerState,
+    SandboxProvider, SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerRecord, WorkerState,
 };
 use xanadu_simcore::{EventQueue, Interner, RngStream, SimDuration, SimTime, Sym};
 
@@ -607,6 +607,27 @@ impl Platform {
     /// Completed request results so far.
     pub fn results(&self) -> &[RunResult] {
         &self.results
+    }
+
+    /// Moves out the results completed since the last call, in completion
+    /// order. [`results`](Self::results) and [`finish`](Self::finish)
+    /// then hold only the results not moved out. The sharded driver
+    /// ([`crate::shard`]) drains every window so each result has one home.
+    pub(crate) fn drain_results(&mut self) -> std::vec::Drain<'_, RunResult> {
+        self.results.drain(..)
+    }
+
+    /// Moves out the records of workers that died since the last call, in
+    /// death order; [`finish`](Self::finish) reports only the rest.
+    pub(crate) fn drain_dead_workers(&mut self) -> std::vec::Drain<'_, WorkerRecord> {
+        self.pool.drain_dead()
+    }
+
+    /// Moves out the timelines of requests completed since the last call,
+    /// in no particular order; [`trace`](Self::trace) then returns `None`
+    /// for them. Yields nothing with `record_traces` off.
+    pub(crate) fn drain_traces(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
+        self.recorder.iter_mut().flat_map(TraceRecorder::drain)
     }
 
     /// The metrics engine (profiled EMAs).

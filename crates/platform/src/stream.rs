@@ -165,6 +165,11 @@ impl TraceRecorder {
     pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
         self.done.get(&request)
     }
+
+    /// Moves out every completed timeline, in no particular order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
+        self.done.drain()
+    }
 }
 
 /// A request the tracker just saw complete.

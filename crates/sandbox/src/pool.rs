@@ -495,6 +495,13 @@ impl WorkerPool {
         &self.dead
     }
 
+    /// Moves out the records of workers that died since the last call,
+    /// in death order. [`drain`](Self::drain) returns only the records
+    /// not moved out here.
+    pub fn drain_dead(&mut self) -> std::vec::Drain<'_, WorkerRecord> {
+        self.dead.drain(..)
+    }
+
     /// Kills everything at `now` and returns the complete set of worker
     /// records (dead + just-killed), consuming the pool. Called at the end
     /// of an experiment to finalize accounting.

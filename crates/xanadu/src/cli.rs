@@ -1269,7 +1269,7 @@ fn execute_replay(
     let traces = generate_trace(&scaled, replay.seed);
     let realized = total_invocations(&traces);
     let workloads: Vec<ShardWorkload> = traces
-        .iter()
+        .into_iter()
         .map(|t| {
             // Per-workflow function namespaces: no cross-workflow warm
             // sharing, the property the per-workflow sharding relies on.
@@ -1278,7 +1278,7 @@ fn execute_replay(
                 .map_err(|e| CliError::Workflow(e.to_string()))?;
             Ok(ShardWorkload {
                 dag,
-                triggers: t.arrivals.clone(),
+                triggers: t.arrivals,
             })
         })
         .collect::<Result<_, CliError>>()?;

@@ -6,7 +6,9 @@
 //! streaming export must be byte-identical at any `--shards` width.
 
 use xanadu::prelude::*;
-use xanadu_platform::export::{metrics_json_string, slo_json_string, streaming_json_string};
+use xanadu_platform::export::{
+    metrics_json_string, slo_json_string, streaming_json_string, validate_schema,
+};
 use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
 use xanadu_platform::stream::latency_bucket;
 use xanadu_platform::timeline::SpanTree;
@@ -242,4 +244,35 @@ fn streaming_exports_are_byte_identical_at_any_thread_width() {
     let (audit, slo, _) = &serial;
     assert!(audit.contains("\"exemplars\""), "{audit}");
     assert!(slo.contains("\"baseline_window\""), "{slo}");
+}
+
+/// The streaming audit's own schema (CI validates replay's and serve's
+/// `--audit-out` against it): both checked-in streaming audits
+/// validate, and a copy with one extra top-level key does not.
+#[test]
+fn streaming_audit_goldens_validate_against_their_schema() {
+    let schema: serde_json::Value =
+        serde_json::from_str(include_str!("../docs/schemas/streaming-audit.schema.json")).unwrap();
+    let goldens = [
+        (
+            "replay.stream-audit.json",
+            include_str!("../docs/golden/replay.stream-audit.json"),
+        ),
+        (
+            "serve.audit.json",
+            include_str!("../docs/golden/serve.audit.json"),
+        ),
+    ];
+    for (name, text) in goldens {
+        let mut doc: serde_json::Value = serde_json::from_str(text).unwrap();
+        validate_schema(&doc, &schema).unwrap_or_else(|e| panic!("{name}: {e}"));
+        doc.as_object_mut()
+            .unwrap()
+            .insert("summary".into(), serde_json::Value::Null);
+        let err = validate_schema(&doc, &schema).expect_err(name);
+        assert!(
+            err.contains("unexpected property \"summary\""),
+            "{name}: {err}"
+        );
+    }
 }

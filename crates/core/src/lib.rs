@@ -20,9 +20,6 @@
 //! * [`cost`] — the cost model of §2.4: latency overhead `C_D`, resource
 //!   overheads `C_R_cpu` / `C_R_mem`, and the joint penalties `φ_cpu` /
 //!   `φ_mem`.
-//! * [`keepalive`] — the adaptive keep-alive controller of the paper's
-//!   future work (§7): functions reliably covered by speculation keep
-//!   their workers only seconds, not tens of minutes.
 //! * [`estimate`] — the estimate source abstraction connecting profiled
 //!   metrics (from `xanadu-profiler`) to the planner.
 
@@ -32,7 +29,6 @@
 pub mod cost;
 pub mod estimate;
 pub mod jit;
-pub mod keepalive;
 pub mod mlp;
 pub mod policy;
 pub mod speculation;
@@ -40,7 +36,6 @@ pub mod speculation;
 pub use cost::{PenaltyFactors, ResourceCosts, WorkflowRunCosts};
 pub use estimate::{EstimateSource, NodeEstimate, StaticEstimates};
 pub use jit::{JitPlan, PlannedDeployment};
-pub use keepalive::{AdaptiveKeepAlive, KeepAliveConfig};
 pub use mlp::{infer_mlp, infer_mlp_hedged, infer_mlp_learned, MlpResult};
 pub use policy::{
     CompletionObservation, ConfiguredPolicy, MpcConfig, MpcPolicy, PlanContext, PolicyParseError,

@@ -42,7 +42,6 @@ pub struct PlanCacheStats {
 struct CachedPlan {
     estimates_epoch: u64,
     prob_epoch: u64,
-    mlp: MlpResult,
     plan: JitPlan,
 }
 
@@ -212,7 +211,13 @@ impl SpeculationEngine {
             return JitPlan::default();
         }
         let mlp = self.infer(dag, rho);
-        self.plan_from_mlp(dag, estimates, &mlp)
+        let limited = self.limit_by_aggressiveness(dag, &mlp);
+        let jit = plan_jit(dag, &limited, estimates);
+        match self.config.mode {
+            ExecutionMode::Speculative => flatten_to_zero(&jit),
+            ExecutionMode::Jit => jit,
+            ExecutionMode::Cold => unreachable!("handled above"),
+        }
     }
 
     /// MLP inference under the engine's hedging configuration.
@@ -225,22 +230,6 @@ impl SpeculationEngine {
             infer_mlp_hedged(dag, rho, self.config.hedge_margin)
         } else {
             infer_mlp(dag, rho)
-        }
-    }
-
-    /// Turns an inferred MLP into the mode's deployment plan.
-    fn plan_from_mlp(
-        &self,
-        dag: &WorkflowDag,
-        estimates: &dyn EstimateSource,
-        mlp: &MlpResult,
-    ) -> JitPlan {
-        let limited = self.limit_by_aggressiveness(dag, mlp);
-        let jit = plan_jit(dag, &limited, estimates);
-        match self.config.mode {
-            ExecutionMode::Speculative => flatten_to_zero(&jit),
-            ExecutionMode::Jit => jit,
-            ExecutionMode::Cold => unreachable!("handled above"),
         }
     }
 
@@ -276,14 +265,12 @@ impl SpeculationEngine {
             }
         }
         self.stats.misses += 1;
-        let mlp = self.infer(dag, rho);
-        let plan = self.plan_from_mlp(dag, estimates, &mlp);
+        let plan = self.plan(dag, estimates, rho);
         self.cache.insert(
             dag.name().to_string(),
             CachedPlan {
                 estimates_epoch,
                 prob_epoch,
-                mlp,
                 plan: plan.clone(),
             },
         );
@@ -293,11 +280,6 @@ impl SpeculationEngine {
     /// Hit/miss counters of the plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.stats
-    }
-
-    /// The memoized MLP of `workflow`, if a cached plan exists.
-    pub fn cached_mlp(&self, workflow: &str) -> Option<&MlpResult> {
-        self.cache.get(workflow).map(|c| &c.mlp)
     }
 
     /// Enables or disables the plan cache; disabling drops all cached
@@ -630,7 +612,6 @@ mod tests {
         let stats = engine.plan_cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-        assert_eq!(engine.cached_mlp("c").map(|m| m.len()), Some(5));
     }
 
     #[test]
@@ -659,7 +640,6 @@ mod tests {
         let plan = engine.plan_cached(&dag, &est(), 0, 0, |_, _| None);
         assert_eq!(plan, engine.plan(&dag, &est(), |_, _| None));
         assert_eq!(engine.plan_cache_stats(), PlanCacheStats::default());
-        assert!(engine.cached_mlp("c").is_none());
     }
 
     #[test]

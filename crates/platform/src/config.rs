@@ -129,10 +129,9 @@ pub struct PlatformConfig {
     /// paper's related work (§6), used by the `abl-pool` ablation as a
     /// cost foil for JIT speculation.
     pub static_prewarm: usize,
-    /// Record per-request artifacts: the orchestration timeline
-    /// ([`Trace`](crate::timeline::Trace)) of every request plus its
-    /// `runs/{id}` metadata-store document. On by default — audits, the
-    /// CLI's `--trace` rendering and Chrome export all read them.
+    /// Record the orchestration timeline ([`Trace`](crate::timeline::Trace))
+    /// of every request. On by default — audits, the CLI's `--trace`
+    /// rendering and Chrome export all read them.
     /// Fleet-scale replays (millions of invocations) turn this off so
     /// per-request memory stays flat; aggregate results and metrics are
     /// unaffected either way. The timelines are rebuilt from the bus, so
@@ -161,10 +160,11 @@ impl std::error::Error for ConfigError {}
 /// [`build`](PlatformConfigBuilder::build).
 ///
 /// Preferred over poking the config's public fields in tests and
-/// benchmarks: the builder keeps presets ([`for_mode`]
-/// (PlatformConfigBuilder::for_mode)) and overrides in one expression and
-/// rejects nonsense (empty label, fault rates outside `[0, 1]`, a
-/// zero-worker live cap) before a platform is ever constructed.
+/// benchmarks: the builder keeps presets
+/// ([`for_mode`](PlatformConfigBuilder::for_mode)) and overrides in one
+/// expression and rejects nonsense (empty label, fault rates outside
+/// `[0, 1]`, a zero-worker live cap) before a platform is ever
+/// constructed.
 ///
 /// ```
 /// use xanadu_core::speculation::ExecutionMode;
@@ -286,7 +286,7 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Whether per-request traces and run documents are recorded.
+    /// Whether per-request traces are recorded.
     pub fn record_traces(mut self, record: bool) -> Self {
         self.config.record_traces = record;
         self

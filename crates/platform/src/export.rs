@@ -23,7 +23,7 @@
 //!   `Audit` for `xanadu diff`).
 //!
 //! Both are deterministic functions of their typed inputs: spans are
-//! ordered by the [`SpanTree`](crate::timeline::SpanTree) contract, map
+//! ordered by the [`SpanTree`] contract, map
 //! keys are `BTreeMap`-ordered, and timestamps come from `SimTime` in
 //! integer microseconds — so the same seed yields byte-identical files
 //! regardless of harness thread count.
@@ -171,7 +171,7 @@ pub fn audit_json_string(audit: &Audit) -> String {
 }
 
 /// Builds the bounded-memory audit document of a [`StreamingAudit`]:
-/// the run-level [`StreamingSummary`](crate::stream::StreamingSummary)
+/// the run-level [`StreamingSummary`]
 /// rendered with derived quantiles, plus the worst-request exemplar
 /// span trees.
 ///

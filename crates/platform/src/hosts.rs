@@ -592,11 +592,6 @@ impl HostRegistry {
         &self.autoscale
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Resolves a workflow to its owning tenant: an explicit listing
     /// wins, otherwise the name hashes onto a tenant deterministically.
     /// `None` when no tenants are configured.
@@ -612,19 +607,9 @@ impl HostRegistry {
         Some((fnv1a64(workflow.as_bytes()) % self.tenants.len() as u64) as u32)
     }
 
-    /// A tenant's hard quota (0 = unlimited).
-    pub fn tenant_quota_mb(&self, tenant: u32) -> u64 {
-        self.tenants[tenant as usize].config.quota_mb
-    }
-
     /// Memory currently charged to a tenant, MB.
     pub fn tenant_used_mb(&self, tenant: u32) -> u64 {
         self.tenants[tenant as usize].used_mb
-    }
-
-    /// A tenant's name.
-    pub fn tenant_name(&self, tenant: u32) -> &str {
-        &self.tenants[tenant as usize].config.name
     }
 
     /// A tenant's weighted fair share of live capacity, MB.
@@ -646,9 +631,9 @@ impl HostRegistry {
     }
 
     /// Reserves the next host id for an autoscaled host. The host is
-    /// `Booting` — invisible to placement until [`activate_host`]
-    /// (HostRegistry::activate_host) — and its id depends only on how
-    /// many hosts were ever registered, never on event timing.
+    /// `Booting` — invisible to placement until
+    /// [`activate_host`](Self::activate_host) — and its id depends only
+    /// on how many hosts were ever registered, never on event timing.
     pub fn reserve_host(&mut self, spec: HostSpec) -> HostId {
         let id = HostId(self.hosts.len() as u32);
         self.hosts.push(HostState::new(spec, HostHealth::Booting));

@@ -75,7 +75,7 @@ pub use shard::{
     replay_sharded, replay_sharded_with, KernelProfile, ShardOptions, ShardProfile, ShardTelemetry,
     ShardWorkload, ShardedRun,
 };
-pub use sim::{report_total_costs, LearnedState, Platform, PlatformError};
+pub use sim::{report_total_costs, Platform, PlatformError};
 pub use stream::{
     AuditCheckpoint, SloAlert, SloCheckpoint, SloConfig, SloMonitor, SloReport, StreamingAudit,
     StreamingConfig, StreamingSummary,

@@ -2,10 +2,10 @@
 //!
 //! Xanadu "uses Apache CouchDB to store metrics and function
 //! branch-related metadata", chosen for "native JSON data support" (§4).
-//! This in-memory store preserves that usage pattern: JSON documents keyed
-//! by id, optimistic concurrency via revision numbers, and prefix queries
-//! for scanning related documents (function profiles, branch trees, run
-//! results).
+//! This in-memory store preserves that usage pattern: revisioned JSON
+//! documents keyed by id. The platform writes two of them, the function
+//! profiles and the branch model; serve checkpoints both through the
+//! [`SegmentLog`].
 
 use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
@@ -14,31 +14,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use xanadu_simcore::{fnv1a64_digest, Fnv1a64};
-
-/// Error from a conflicting or missing-document operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
-    /// The supplied revision does not match the stored one.
-    Conflict {
-        /// The revision currently stored.
-        current: u64,
-    },
-    /// No document with the given id exists.
-    NotFound,
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Conflict { current } => {
-                write!(f, "revision conflict, current revision is {current}")
-            }
-            StoreError::NotFound => write!(f, "document not found"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
 
 /// An in-memory revisioned JSON document store.
 ///
@@ -74,27 +49,6 @@ impl MetaStore {
         rev
     }
 
-    /// Updates a document only if `expected_rev` matches the stored
-    /// revision (optimistic concurrency, CouchDB-style).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the document does not exist,
-    /// [`StoreError::Conflict`] if the revision does not match.
-    pub fn put_rev(&mut self, id: &str, doc: Value, expected_rev: u64) -> Result<u64, StoreError> {
-        match self.docs.get_mut(id) {
-            None => Err(StoreError::NotFound),
-            Some((rev, stored)) => {
-                if *rev != expected_rev {
-                    return Err(StoreError::Conflict { current: *rev });
-                }
-                *rev += 1;
-                *stored = doc;
-                Ok(*rev)
-            }
-        }
-    }
-
     /// Fetches a document and its revision.
     pub fn get(&self, id: &str) -> Option<(&Value, u64)> {
         self.docs.get(id).map(|(rev, doc)| (doc, *rev))
@@ -103,15 +57,6 @@ impl MetaStore {
     /// Deletes a document; returns whether it existed.
     pub fn delete(&mut self, id: &str) -> bool {
         self.docs.remove(id).is_some()
-    }
-
-    /// All documents whose id starts with `prefix`, in id order.
-    pub fn query_prefix(&self, prefix: &str) -> Vec<(&str, &Value)> {
-        self.docs
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, (_, v))| (k.as_str(), v))
-            .collect()
     }
 
     /// Number of stored documents.
@@ -376,21 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_concurrency() {
-        let mut s = MetaStore::new();
-        let rev = s.put("a", json!({"v": 1}));
-        assert_eq!(s.put_rev("a", json!({"v": 2}), rev), Ok(2));
-        assert_eq!(
-            s.put_rev("a", json!({"v": 3}), rev),
-            Err(StoreError::Conflict { current: 2 })
-        );
-        assert_eq!(
-            s.put_rev("missing", json!(null), 1),
-            Err(StoreError::NotFound)
-        );
-    }
-
-    #[test]
     fn delete_and_emptiness() {
         let mut s = MetaStore::new();
         assert!(s.is_empty());
@@ -398,20 +328,6 @@ mod tests {
         assert!(s.delete("a"));
         assert!(!s.delete("a"));
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn prefix_queries_scan_in_order() {
-        let mut s = MetaStore::new();
-        s.put("profile/b", json!(2));
-        s.put("profile/a", json!(1));
-        s.put("runs/0", json!(0));
-        let profiles = s.query_prefix("profile/");
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].0, "profile/a");
-        assert_eq!(profiles[1].0, "profile/b");
-        assert!(s.query_prefix("ghost/").is_empty());
-        assert_eq!(s.len(), 3);
     }
 
     #[test]

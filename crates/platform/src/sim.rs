@@ -24,13 +24,11 @@ use crate::obs::{Observer, ObserverHandle};
 use crate::result::{PlatformReport, RunResult};
 use crate::stream::TraceRecorder;
 use crate::timeline::Trace;
-use serde_json::json;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use xanadu_chain::{BranchMode, ChainError, DeclaredOutputs, NodeId, NodeSet, WorkflowDag};
 use xanadu_core::cost::{total_resource_cost, CpuRates, ResourceCosts};
-use xanadu_core::keepalive::{AdaptiveKeepAlive, KeepAliveConfig};
 use xanadu_core::policy::{PlanContext, PolicyRegistry, SpeculationPolicy};
 use xanadu_core::speculation::{DeployFailureAction, PlanCacheStats};
 use xanadu_profiler::{BranchDetector, MetricsEngine, RequestCorrelator};
@@ -81,16 +79,6 @@ impl From<ChainError> for PlatformError {
     fn from(e: ChainError) -> Self {
         PlatformError::Chain(e)
     }
-}
-
-/// Metadata-store document ids of persisted learned state, returned by
-/// [`Platform::persist_learned_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LearnedState {
-    /// Document holding the profiled function metrics (EMAs).
-    pub metrics_doc: String,
-    /// Document holding the learned branch model.
-    pub branch_doc: String,
 }
 
 /// Sentinel request id marking workers owned by the static pre-warm pool
@@ -314,9 +302,6 @@ pub struct Platform {
     /// Requests triggered but not yet finalized. Host reboots are only
     /// scheduled while this is non-zero, so an idle platform quiesces.
     active_runs: usize,
-    /// Advisor implementing the paper's future-work adaptive keep-alive
-    /// (§7): it observes which invocations speculation covered.
-    keepalive_advisor: AdaptiveKeepAlive,
     metastore: MetaStore,
     /// The seeded fault schedule (inert when the configured rate is 0).
     faults: FaultPlan,
@@ -400,7 +385,6 @@ impl Platform {
             retargets_colocated: 0,
             shielded_workers: HashSet::new(),
             active_runs: 0,
-            keepalive_advisor: AdaptiveKeepAlive::new(KeepAliveConfig::default()),
             metastore: MetaStore::new(),
             faults,
             observers: Vec::new(),
@@ -484,10 +468,6 @@ impl Platform {
         if self.workflow_ids.get(&name).is_some() {
             return Err(PlatformError::AlreadyDeployed(name));
         }
-        self.metastore.put(
-            &format!("workflow/{name}"),
-            json!({"functions": dag.len(), "depth": dag.depth(), "implicit": implicit}),
-        );
         let declared_outputs = Arc::new(dag.declared_outputs());
         let dag = Arc::new(dag);
         if self.config.static_prewarm > 0 {
@@ -713,15 +693,6 @@ impl Platform {
         &self.cluster
     }
 
-    /// The adaptive keep-alive advisor (§7 future work): per-function
-    /// recommendations derived from observed speculation coverage and
-    /// inter-arrival gaps. Advisory only — the pool keeps its configured
-    /// keep-alive; an operator (or the `abl-keepalive` ablation) applies
-    /// the recommendations.
-    pub fn keepalive_advisor(&self) -> &AdaptiveKeepAlive {
-        &self.keepalive_advisor
-    }
-
     /// The orchestration timeline of a completed request (Figure 10's
     /// sequence as actually executed); `None` until the request has
     /// finished, and always with `record_traces` off.
@@ -737,16 +708,13 @@ impl Platform {
 
     /// Persists the learned state — function profiles and the branch
     /// model — into the metadata store, the paper's "backing everything up
-    /// on the Metadata DB for persistence" (§4). Returns the document ids.
-    pub fn persist_learned_state(&mut self) -> LearnedState {
+    /// on the Metadata DB for persistence" (§4), as the documents
+    /// `learned/metrics` and `learned/branches`.
+    pub fn persist_learned_state(&mut self) {
         let metrics_doc = serde_json::to_value(&self.metrics).expect("metrics serialize");
         let detector_doc = serde_json::to_value(&self.detector).expect("detector serialize");
         self.metastore.put("learned/metrics", metrics_doc);
         self.metastore.put("learned/branches", detector_doc);
-        LearnedState {
-            metrics_doc: "learned/metrics".into(),
-            branch_doc: "learned/branches".into(),
-        }
     }
 
     /// Restores learned state previously persisted with
@@ -1252,50 +1220,18 @@ impl Platform {
         let invoked_at = self.now;
         let shielded = (self.faults.enabled() || self.faults.hosts_enabled())
             && run.fault_attempts[node.index()] >= self.config.faults.max_retries;
-        if shielded {
-            let (worker, ready_at) = self
-                .provision_worker(req, spec, true, true)
+        let fresh = |p: &mut Self| {
+            let (worker, ready_at) = p
+                .provision_worker(req, spec, true, shielded)
                 .expect("on-demand provisioning always yields a worker");
-            self.claimed.insert(worker);
-            let dispatch = self.provider.warm_dispatch(spec.isolation_level());
-            self.queue.schedule(
-                ready_at + dispatch,
-                Event::ExecStart {
-                    req,
-                    node,
-                    worker,
-                    acquired: Acquired::Fresh,
-                    invoked_at,
-                },
-            );
-            return;
-        }
-        if let Some(worker) = self.find_claimable_warm(function) {
-            self.claimed.insert(worker);
-            let dispatch = self.provider.warm_dispatch(spec.isolation_level());
-            self.queue.schedule(
-                self.now + dispatch,
-                Event::ExecStart {
-                    req,
-                    node,
-                    worker,
-                    acquired: Acquired::Warm,
-                    invoked_at,
-                },
-            );
+            (worker, ready_at, Acquired::Fresh)
+        };
+        let (worker, ready_at, acquired) = if shielded {
+            fresh(self)
+        } else if let Some(worker) = self.find_claimable_warm(function) {
+            (worker, self.now, Acquired::Warm)
         } else if let Some((worker, ready_at)) = self.find_claimable_pending(function) {
-            self.claimed.insert(worker);
-            let dispatch = self.provider.warm_dispatch(spec.isolation_level());
-            self.queue.schedule(
-                ready_at.max(self.now) + dispatch,
-                Event::ExecStart {
-                    req,
-                    node,
-                    worker,
-                    acquired: Acquired::Pending,
-                    invoked_at,
-                },
-            );
+            (worker, ready_at, Acquired::Pending)
         } else if self.policy.allows_retarget() && self.try_retarget(req, spec) {
             // Future work §7: a mispredicted branch left this request a
             // compatible unused spare (co-located when running clustered).
@@ -1304,35 +1240,22 @@ impl Platform {
             let worker = self
                 .find_claimable_warm(function)
                 .expect("retargeting produced a warm worker for this function");
-            self.claimed.insert(worker);
-            let dispatch = self.provider.warm_dispatch(spec.isolation_level());
-            self.queue.schedule(
-                self.now + dispatch,
-                Event::ExecStart {
-                    req,
-                    node,
-                    worker,
-                    acquired: Acquired::Warm,
-                    invoked_at,
-                },
-            );
+            (worker, self.now, Acquired::Warm)
         } else {
-            let (worker, ready_at) = self
-                .provision_worker(req, spec, true, false)
-                .expect("on-demand provisioning always yields a worker");
-            self.claimed.insert(worker);
-            let dispatch = self.provider.warm_dispatch(spec.isolation_level());
-            self.queue.schedule(
-                ready_at + dispatch,
-                Event::ExecStart {
-                    req,
-                    node,
-                    worker,
-                    acquired: Acquired::Fresh,
-                    invoked_at,
-                },
-            );
-        }
+            fresh(self)
+        };
+        self.claimed.insert(worker);
+        let dispatch = self.provider.warm_dispatch(spec.isolation_level());
+        self.queue.schedule(
+            ready_at.max(self.now) + dispatch,
+            Event::ExecStart {
+                req,
+                node,
+                worker,
+                acquired,
+                invoked_at,
+            },
+        );
     }
 
     fn on_redispatch(&mut self, req: u64, node: NodeId) {
@@ -1405,13 +1328,6 @@ impl Platform {
         if acquired != Acquired::Warm {
             self.metrics.record_startup(function, startup_wait);
         }
-        // Feed the adaptive keep-alive advisor: an invocation is "covered
-        // by speculation" when its worker was spawned for this very
-        // request's plan (not an on-demand provision, not a keep-alive
-        // reuse of an older worker).
-        let covered = acquired != Acquired::Fresh && self.spawner_of(worker) == Some(req);
-        self.keepalive_advisor
-            .observe(function, invoked_at, covered);
         if self.observing() {
             self.emit(BusEvent::ExecStarted {
                 request: req,
@@ -1599,26 +1515,7 @@ impl Platform {
             }
             return;
         };
-        let Some(run) = self.run_mut(req) else {
-            return;
-        };
-        let dag = run.dag.clone();
-        let function = dag.node(node).spec().name();
-        let attempt = run.fault_attempts[node.index()];
-        run.fault_attempts[node.index()] += 1;
-        run.faults += 1;
-        run.retries += 1;
-        let delay = self.config.faults.backoff(attempt);
-        if self.observing() {
-            self.emit(BusEvent::InvokeRetried {
-                request: req,
-                function: function.to_string(),
-                attempt: u64::from(attempt) + 1,
-                backoff_ms: delay.as_millis_f64(),
-            });
-        }
-        self.queue
-            .schedule(self.now + delay, Event::Redispatch { req, node });
+        self.retry_attempt(req, node, false);
     }
 
     /// A sandbox died during startup with no invocation waiting on it: a
@@ -1683,6 +1580,14 @@ impl Platform {
         // The sandbox survives — only the invocation is aborted; the
         // worker returns to the warm pool and the attempt is retried.
         self.pool.abort_exec(worker, began, self.now);
+        self.retry_attempt(req, node, true);
+    }
+
+    /// Counts a failed attempt of `node` — orphaned by a crash, or timed
+    /// out — and re-dispatches it after the attempt's backoff. A timeout
+    /// emits [`BusEvent::InvokeTimeout`] before the retry's
+    /// [`BusEvent::InvokeRetried`].
+    fn retry_attempt(&mut self, req: u64, node: NodeId, timed_out: bool) {
         let Some(run) = self.run_mut(req) else {
             return;
         };
@@ -1692,19 +1597,20 @@ impl Platform {
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
         run.retries += 1;
-        if self.observing() {
-            self.emit(BusEvent::InvokeTimeout {
-                request: req,
-                function: function.to_string(),
-                attempt: u64::from(attempt) + 1,
-            });
-        }
         let delay = self.config.faults.backoff(attempt);
         if self.observing() {
+            let attempt = u64::from(attempt) + 1;
+            if timed_out {
+                self.emit(BusEvent::InvokeTimeout {
+                    request: req,
+                    function: function.to_string(),
+                    attempt,
+                });
+            }
             self.emit(BusEvent::InvokeRetried {
                 request: req,
                 function: function.to_string(),
-                attempt: u64::from(attempt) + 1,
+                attempt,
                 backoff_ms: delay.as_millis_f64(),
             });
         }
@@ -1869,12 +1775,6 @@ impl Platform {
                 executed,
             },
         );
-        if self.config.record_traces {
-            self.metastore.put(
-                &format!("runs/{req}"),
-                serde_json::to_value(&result).expect("result serializes"),
-            );
-        }
         if self.observing() {
             self.emit(BusEvent::RequestCompleted {
                 request: req,
@@ -2580,8 +2480,8 @@ mod tests {
                 ..
             }
         )));
-        assert!(p.metastore().get("runs/0").is_some());
-        assert!(p.metastore().get("workflow/chain").is_some());
+        // Running writes no document: only persist_learned_state does.
+        assert!(p.metastore().is_empty());
     }
 
     #[test]
@@ -2668,6 +2568,11 @@ mod tests {
         }
         first.persist_learned_state();
         let store = first.metastore().clone();
+        // The durable surface is exactly the two learned documents, the
+        // ones serve checkpoints and resume reads.
+        assert_eq!(store.len(), 2);
+        assert!(store.get("learned/metrics").is_some());
+        assert!(store.get("learned/branches").is_some());
 
         let mut second = Platform::new(PlatformConfig::for_mode(ExecutionMode::Speculative, 99));
         second.deploy_implicit(dag).unwrap();
@@ -2746,40 +2651,6 @@ mod tests {
             }
         }
         assert!(saw_replan_benefit, "no seed exercised replan-and-reuse");
-    }
-
-    #[test]
-    fn keepalive_advisor_learns_speculation_coverage() {
-        // JIT-run chain, triggered repeatedly past keep-alive: downstream
-        // functions are always speculation-covered (floor recommendation);
-        // the root's worker is also plan-spawned, so it too collapses —
-        // contrast with a Cold platform where nothing is covered.
-        let mut jit = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 4));
-        jit.deploy(chain(3, 500.0)).unwrap();
-        for i in 0..6 {
-            jit.trigger_at("chain", SimTime::from_mins(i * 20)).unwrap();
-            jit.run_until_idle();
-        }
-        let advisor = jit.keepalive_advisor();
-        assert!(advisor.speculation_hit_rate("f1") > 0.8);
-        assert_eq!(
-            advisor.recommend("f1"),
-            SimDuration::from_secs(5),
-            "covered downstream function gets the floor"
-        );
-
-        let mut cold = Platform::new(PlatformConfig::for_mode(ExecutionMode::Cold, 4));
-        cold.deploy(chain(3, 500.0)).unwrap();
-        for i in 0..6 {
-            cold.trigger_at("chain", SimTime::from_mins(i * 20))
-                .unwrap();
-            cold.run_until_idle();
-        }
-        let advisor = cold.keepalive_advisor();
-        assert_eq!(advisor.speculation_hit_rate("f1"), 0.0);
-        // Uncovered: sized to the observed 20-minute gaps, clamped at the
-        // 10-minute ceiling.
-        assert_eq!(advisor.recommend("f1"), SimDuration::from_mins(10));
     }
 
     #[test]

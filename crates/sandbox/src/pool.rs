@@ -72,7 +72,7 @@ impl FnIndex {
 ///
 /// The pool maintains two secondary indexes so the dispatch hot path never
 /// scans the full worker map: per-function, per-state id buckets
-/// ([`FnIndex`]) and a global LRU order of warm workers keyed by
+/// (`FnIndex`) and a global LRU order of warm workers keyed by
 /// `(last_active, id)`. Both are kept consistent by routing every state
 /// transition through the pool ([`mark_ready`](Self::mark_ready),
 /// [`begin_exec`](Self::begin_exec), [`end_exec`](Self::end_exec),
@@ -427,26 +427,6 @@ impl WorkerPool {
         }
     }
 
-    /// Reaps every warm worker whose idle time exceeded keep-alive at
-    /// `now`, returning how many were reaped.
-    pub fn reap_expired(&mut self, now: SimTime) -> usize {
-        // Expiry is monotone in `last_active`, so the expired set is an
-        // ascending prefix of the LRU order.
-        let expired: Vec<WorkerId> = self
-            .warm_by_activity
-            .iter()
-            .take_while(|(last_active, _)| {
-                now.saturating_since(*last_active) > self.config.keep_alive
-            })
-            .map(|&(_, id)| id)
-            .collect();
-        let n = expired.len();
-        for id in expired {
-            self.kill(id, now);
-        }
-        n
-    }
-
     /// Enforces the warm-pool cap at `now` by evicting least-recently-
     /// active warm workers until at most `max_warm` remain. Workers in
     /// `exempt` (e.g. claimed for an in-flight dispatch) are never
@@ -488,11 +468,6 @@ impl WorkerPool {
     /// Number of live workers (any state).
     pub fn live_count(&self) -> usize {
         self.live.len()
-    }
-
-    /// Records of all dead workers so far.
-    pub fn dead_records(&self) -> &[WorkerRecord] {
-        &self.dead
     }
 
     /// Moves out the records of workers that died since the last call,
@@ -578,25 +553,6 @@ mod tests {
         );
         pool.insert(w);
         assert_eq!(pool.find_warm("f", SimTime::from_secs(1)), None);
-    }
-
-    #[test]
-    fn reap_expired_kills_only_stale_warm_workers() {
-        let mut pool = WorkerPool::new(PoolConfig {
-            keep_alive: SimDuration::from_secs(60),
-            max_warm: None,
-        });
-        let _a = add_worker(&mut pool, "f", 0);
-        let b = add_worker(&mut pool, "f", 0);
-        // Keep b fresh.
-        let t0 = SimTime::from_secs(50);
-        pool.begin_exec(b, t0);
-        pool.end_exec(b, t0, SimTime::from_secs(55));
-        let reaped = pool.reap_expired(SimTime::from_secs(70));
-        assert_eq!(reaped, 1);
-        assert_eq!(pool.live_count(), 1);
-        assert!(pool.get(b).is_some());
-        assert_eq!(pool.dead_records().len(), 1);
     }
 
     #[test]
@@ -778,7 +734,7 @@ mod tests {
         assert_eq!(pool.live_count(), 0);
         assert!(pool.check_index_consistency().is_ok());
         // All three records are flagged.
-        assert!(pool.dead_records().iter().all(|r| r.crashed));
+        assert!(pool.drain_dead().all(|r| r.crashed));
         // Unknown ids are a no-op.
         assert!(pool.crash(WorkerId(99), SimTime::ZERO).is_none());
     }
@@ -832,13 +788,13 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Drives the pool through an arbitrary sequence of lifecycle
-        /// transitions — insert, mark-ready, begin/end/abort exec, retarget,
-        /// kill, crash, keep-alive reaping and warm-cap eviction — and
+        /// transitions — insert, mark-ready, begin/end/abort exec, kill,
+        /// crash and warm-cap eviction — and
         /// checks after every step that the FnIndex buckets and the warm-LRU
         /// agree exactly with the live worker map.
         #[test]
         fn indexes_agree_with_live_map_under_arbitrary_transitions(
-            ops in proptest::collection::vec((0u8..9, 0u64..24, 1u64..2_000), 1..60),
+            ops in proptest::collection::vec((0u8..8, 0u64..24, 1u64..2_000), 1..60),
             max_warm in 0usize..6,
         ) {
             let mut pool = WorkerPool::new(PoolConfig {
@@ -912,9 +868,6 @@ mod proptests {
                         if let Some(id) = target {
                             pool.crash(id, now);
                         }
-                    }
-                    7 => {
-                        pool.reap_expired(now);
                     }
                     _ => {
                         pool.enforce_warm_cap(now, &HashSet::new());

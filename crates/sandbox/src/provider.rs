@@ -104,11 +104,6 @@ impl SimSandboxProvider {
         &self.profiles
     }
 
-    /// Mutable profiles, for experiment-specific recalibration.
-    pub fn profiles_mut(&mut self) -> &mut SandboxProfiles {
-        &mut self.profiles
-    }
-
     /// Number of provisions still in flight at `now` (after garbage-
     /// collecting finished ones).
     pub fn inflight_at(&mut self, now: SimTime) -> u32 {

@@ -1,7 +1,7 @@
 //! # xanadu-simcore
 //!
-//! Deterministic discrete-event simulation (DES) kernel and statistics
-//! toolkit underpinning the Xanadu reproduction.
+//! Deterministic discrete-event simulation (DES) kernel underpinning the
+//! Xanadu reproduction.
 //!
 //! The Xanadu paper evaluates a serverless orchestrator whose experiments
 //! span tens of simulated hours (keep-alive studies) down to millisecond
@@ -19,8 +19,8 @@
 //!   adding a new consumer of randomness never perturbs existing ones.
 //! * [`Distribution`] — latency/service-time distributions (constant,
 //!   uniform, truncated normal, log-normal, exponential) with serde support.
-//! * [`stats`] — online summary statistics, percentiles, linear regression
-//!   with R² (used to reproduce the paper's linearity claims), histograms.
+//! * [`stats`] — linear regression with R² (used to reproduce the paper's
+//!   linearity claims).
 //! * [`report`] — plain-text table/series rendering used by the experiment
 //!   harness to print each paper table and figure.
 //!

@@ -63,31 +63,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (header + rows), for downstream plotting.
-    /// Cells containing commas or quotes are quoted per RFC 4180.
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let render_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let _ = writeln!(out, "{}", render_row(&self.header));
-        for r in &self.rows {
-            let _ = writeln!(out, "{}", render_row(r));
-        }
-        out
-    }
-
     /// Renders the table as aligned text.
     pub fn render(&self) -> String {
         let ncols = self
@@ -211,18 +186,6 @@ mod tests {
         let mut t = Table::new("T", &["a"]);
         t.row_owned(vec!["zz".to_string()]);
         assert!(t.render().contains("zz"));
-    }
-
-    #[test]
-    fn csv_escapes_and_renders() {
-        let mut t = Table::new("T", &["name", "value"]);
-        t.row(&["plain", "1"]);
-        t.row(&["with,comma", "quote\"inside"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"quote\"\"inside\"");
     }
 
     #[test]

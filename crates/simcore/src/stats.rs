@@ -1,202 +1,11 @@
-//! Summary statistics used by the experiment harness.
+//! Linear regression with R², used by the experiment harness.
 //!
-//! The paper's evaluation reports means, percentiles, linear fits with R²
-//! (the cascading-cold-start linearity claims of §2.3), and scatter/series
-//! data. This module provides those primitives: [`OnlineStats`] (Welford),
-//! [`Percentiles`] over recorded samples, [`linear_regression`] with R²,
-//! and [`Histogram`] for coarse latency profiles.
-
-use serde::{Deserialize, Serialize};
-
-/// Online mean/variance accumulator (Welford's algorithm), O(1) memory.
-///
-/// # Example
-///
-/// ```
-/// use xanadu_simcore::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 1 sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample variance with Bessel's correction (0 if fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Sample-recording percentile estimator (exact, keeps all samples).
-///
-/// # Example
-///
-/// ```
-/// use xanadu_simcore::stats::Percentiles;
-///
-/// let mut p = Percentiles::new();
-/// for x in 1..=100 {
-///     p.record(x as f64);
-/// }
-/// assert_eq!(p.quantile(0.5), Some(50.5));
-/// assert_eq!(p.quantile(1.0), Some(100.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Percentiles {
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) with linear interpolation, or `None`
-    /// if empty or `q` is out of range.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample recorded"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        if n == 1 {
-            return Some(self.samples[0]);
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
-    }
-
-    /// The median, or `None` if empty.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// A borrowed view of all recorded samples (unsorted insertion order is
-    /// not guaranteed after a quantile query).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
+//! The paper's cascading-cold-start linearity claims (§2.3) are linear
+//! fits of overhead against chain length. [`linear_regression`]
+//! reproduces them; latency summaries live with the platform's reports.
 
 /// Result of an ordinary-least-squares linear fit `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,
@@ -257,254 +66,9 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// A normal-approximation confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConfidenceInterval {
-    /// Sample mean.
-    pub mean: f64,
-    /// Half-width of the interval.
-    pub half_width: f64,
-}
-
-impl ConfidenceInterval {
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
-    }
-}
-
-impl OnlineStats {
-    /// A 95 % normal-approximation confidence interval for the mean
-    /// (`z = 1.96`), or `None` with fewer than 2 samples. Experiments use
-    /// this to report the stability of repeated-trigger means.
-    pub fn confidence_interval_95(&self) -> Option<ConfidenceInterval> {
-        if self.n < 2 {
-            return None;
-        }
-        let se = (self.sample_variance() / self.n as f64).sqrt();
-        Some(ConfidenceInterval {
-            mean: self.mean(),
-            half_width: 1.96 * se,
-        })
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// # Example
-///
-/// ```
-/// use xanadu_simcore::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 10);
-/// h.record(5.0);
-/// h.record(95.0);
-/// h.record(-3.0);   // underflow
-/// h.record(120.0);  // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(9), 1);
-/// assert_eq!(h.underflow(), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_empty_defaults() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn online_stats_known_values() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.mean(), 5.0);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(1.0);
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn confidence_interval_behaviour() {
-        let mut s = OnlineStats::new();
-        assert!(s.confidence_interval_95().is_none());
-        s.record(10.0);
-        assert!(s.confidence_interval_95().is_none());
-        for x in [10.0, 12.0, 8.0, 11.0, 9.0] {
-            s.record(x);
-        }
-        let ci = s.confidence_interval_95().unwrap();
-        assert!(ci.contains(s.mean()));
-        assert!(ci.lo() < s.mean() && s.mean() < ci.hi());
-        // A tight constant sample collapses the interval.
-        let mut tight = OnlineStats::new();
-        for _ in 0..100 {
-            tight.record(5.0);
-        }
-        let tci = tight.confidence_interval_95().unwrap();
-        assert!(tci.half_width < 1e-9);
-        assert!(tci.contains(5.0));
-        assert!(!tci.contains(5.1));
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let mut p = Percentiles::new();
-        for x in [10.0, 20.0, 30.0, 40.0] {
-            p.record(x);
-        }
-        assert_eq!(p.quantile(0.0), Some(10.0));
-        assert_eq!(p.quantile(1.0), Some(40.0));
-        assert_eq!(p.median(), Some(25.0));
-        assert_eq!(p.quantile(0.25), Some(17.5));
-    }
-
-    #[test]
-    fn percentiles_edge_cases() {
-        let mut p = Percentiles::new();
-        assert_eq!(p.quantile(0.5), None);
-        p.record(7.0);
-        assert_eq!(p.quantile(0.5), Some(7.0));
-        assert_eq!(p.quantile(-0.1), None);
-        assert_eq!(p.quantile(1.1), None);
-    }
-
-    #[test]
-    fn percentiles_unsorted_insertion() {
-        let mut p = Percentiles::new();
-        for x in [5.0, 1.0, 4.0, 2.0, 3.0] {
-            p.record(x);
-        }
-        assert_eq!(p.median(), Some(3.0));
-        // record after a query re-marks unsorted
-        p.record(0.0);
-        assert_eq!(p.quantile(0.0), Some(0.0));
-    }
 
     #[test]
     fn regression_perfect_line() {
@@ -539,31 +103,6 @@ mod tests {
         assert_eq!(f.intercept, 5.0);
         assert_eq!(f.r_squared, 1.0);
     }
-
-    #[test]
-    fn histogram_buckets_and_bounds() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(4), 1);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.num_buckets(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_zero_buckets_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn histogram_empty_range_panics() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
 }
 
 #[cfg(test)]
@@ -572,61 +111,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn welford_matches_naive(data in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut s = OnlineStats::new();
-            for &x in &data {
-                s.record(x);
-            }
-            let n = data.len() as f64;
-            let mean = data.iter().sum::<f64>() / n;
-            let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-            prop_assert!((s.population_variance() - var).abs() < 1e-4 * (1.0 + var));
-        }
-
-        #[test]
-        fn merge_is_order_independent(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..50),
-            b in proptest::collection::vec(-1e3f64..1e3, 1..50),
-        ) {
-            let acc = |xs: &[f64]| {
-                let mut s = OnlineStats::new();
-                for &x in xs { s.record(x); }
-                s
-            };
-            let mut ab = acc(&a);
-            ab.merge(&acc(&b));
-            let mut ba = acc(&b);
-            ba.merge(&acc(&a));
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            prop_assert!((ab.population_variance() - ba.population_variance()).abs() < 1e-6);
-        }
-
-        #[test]
-        fn quantiles_are_monotone(
-            data in proptest::collection::vec(-1e6f64..1e6, 2..100),
-            q1 in 0.0f64..1.0,
-            q2 in 0.0f64..1.0,
-        ) {
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            let mut p = Percentiles::new();
-            for &x in &data { p.record(x); }
-            let vlo = p.quantile(lo).unwrap();
-            let vhi = p.quantile(hi).unwrap();
-            prop_assert!(vlo <= vhi + 1e-9);
-        }
-
-        #[test]
-        fn histogram_total_counts_everything(
-            data in proptest::collection::vec(-100.0f64..200.0, 0..300)
-        ) {
-            let mut h = Histogram::new(0.0, 100.0, 7);
-            for &x in &data { h.record(x); }
-            prop_assert_eq!(h.total(), data.len() as u64);
-        }
-
         #[test]
         fn regression_r2_in_unit_interval(
             pts in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..60)

@@ -193,8 +193,9 @@ pub struct ReplayArgs {
     /// Write the full merged `PlatformReport` JSON here.
     pub report_out: Option<String>,
     /// Write the streaming speculation-audit JSON here. Backed by the
-    /// bounded-memory [`StreamingAudit`] — no per-request trace recording,
-    /// so fleet-scale replays stay flat in memory.
+    /// bounded-memory [`StreamingAudit`](xanadu_platform::StreamingAudit)
+    /// — no per-request trace recording, so fleet-scale replays stay flat
+    /// in memory.
     pub audit_out: Option<String>,
     /// Write the merged per-shard metrics registry (plus the
     /// deterministic `kernel.*` counters) as flat JSON here.
@@ -671,22 +672,38 @@ fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
             )
         }
     };
+    let triggers: u64 = parse_num(f, "--triggers", 1)?;
+    let gap_min: u64 = parse_num(f, "--gap-min", 20)?;
+    // The last trigger fires (triggers − 1) × gap after the first, and
+    // that instant must fit simulated time.
+    let max_minutes = max_units(SimDuration::from_mins(1));
+    let last_minute = triggers.saturating_sub(1).checked_mul(gap_min);
+    if last_minute.is_none_or(|minute| minute > max_minutes) {
+        return Err(CliError::BadValue {
+            flag: "--gap-min".into(),
+            value: gap_min.to_string(),
+            expected: format!(
+                "at most {} minutes between {triggers} triggers",
+                max_minutes / (triggers - 1)
+            ),
+        });
+    }
     Ok(RunArgs {
         sdl_path,
         platform,
-        triggers: parse_num(f, "--triggers", 1)?,
-        gap_min: parse_num(f, "--gap-min", 20)?,
+        triggers,
+        gap_min,
         seed: parse_num(f, "--seed", 42)?,
         implicit: f.switch("--implicit")?,
         trace: f.switch("--trace")?,
         fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
         fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
-        hosts: parse_num(f, "--hosts", 0)? as u32,
+        hosts: parse_num(f, "--hosts", 0)?,
         host_memory_mb: parse_num(f, "--host-memory-mb", 4096)?,
         placement: parse_placement(f)?,
-        tenants: parse_num(f, "--tenants", 0)? as u32,
+        tenants: parse_num(f, "--tenants", 0)?,
         host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
-        autoscale_max: parse_num(f, "--autoscale-max", 0)? as u32,
+        autoscale_max: parse_num(f, "--autoscale-max", 0)?,
         aggressiveness,
         miss_policy,
         policy,
@@ -749,17 +766,17 @@ fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
     };
     Ok(ReplayArgs {
         invocations: parse_num(f, "--invocations", 10_000)?,
-        shards: parse_num(f, "--shards", 1)?.max(1) as usize,
-        window_secs: parse_positive(f, "--window-secs", 60, SIM_SECONDS)?,
+        shards: parse_num::<usize>(f, "--shards", 1)?.max(1),
+        window_secs: parse_window_secs(f, "--window-secs")?,
         seed: parse_num(f, "--seed", 42)?,
         mode,
         plan_cache: !f.switch("--no-plan-cache")?,
         fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
         fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
-        hosts: parse_num(f, "--hosts", 0)? as u32,
+        hosts: parse_num(f, "--hosts", 0)?,
         host_memory_mb: parse_num(f, "--host-memory-mb", 4096)?,
         placement: parse_placement(f)?,
-        tenants: parse_num(f, "--tenants", 0)? as u32,
+        tenants: parse_num(f, "--tenants", 0)?,
         host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
         miss_policy,
         policy,
@@ -770,7 +787,7 @@ fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
         metrics_out: f.value("--metrics-out")?,
         slo: f.value("--slo")?,
         slo_out: f.value("--slo-out")?,
-        slo_window_secs: parse_positive(f, "--slo-window-secs", 60, SIM_SECONDS)?,
+        slo_window_secs: parse_window_secs(f, "--slo-window-secs")?,
         progress: f.switch("--progress")?,
     })
 }
@@ -827,7 +844,7 @@ fn parse_serve_flags(f: &mut Flags) -> Result<ServeArgs, CliError> {
     let mode = parse_xanadu_mode(f, "the service tier is Xanadu-only")?;
     let epoch = "a positive number of events per epoch";
     let checkpoint_every = parse_positive(f, "--checkpoint-every", 200, epoch)?;
-    let slo_window_secs = parse_positive(f, "--slo-window-secs", 60, SIM_SECONDS)?;
+    let slo_window_secs = parse_window_secs(f, "--slo-window-secs")?;
     Ok(ServeArgs {
         stream,
         events,
@@ -878,9 +895,13 @@ fn parse_xanadu_mode(f: &mut Flags, why: &str) -> Result<ExecutionMode, CliError
     }
 }
 
-/// Expected-value texts shared by several positive flags.
-const SIM_SECONDS: &str = "a positive number of simulated seconds";
+/// Expected-value text shared by the depth flags.
 const CHAIN_DEPTH: &str = "a positive chain depth";
+
+/// The largest number of `unit`s that fits simulated time.
+fn max_units(unit: SimDuration) -> u64 {
+    SimDuration::MAX.as_micros() / unit.as_micros()
+}
 
 /// The "must be positive" rule for counts: `flag`'s integer value (or
 /// `default`), rejected with `expected` when it is zero or does not fit
@@ -891,7 +912,7 @@ fn parse_positive<T: TryFrom<u64>>(
     default: u64,
     expected: &str,
 ) -> Result<T, CliError> {
-    let n = parse_num(f, flag, default)?;
+    let n: u64 = parse_num(f, flag, default)?;
     match T::try_from(n) {
         Ok(value) if n > 0 => Ok(value),
         _ => Err(CliError::BadValue {
@@ -900,6 +921,22 @@ fn parse_positive<T: TryFrom<u64>>(
             expected: expected.into(),
         }),
     }
+}
+
+/// A window width in simulated seconds (60 when absent): positive, and
+/// small enough that its microseconds fit simulated time.
+fn parse_window_secs(f: &mut Flags, flag: &str) -> Result<u64, CliError> {
+    let max = max_units(SimDuration::from_secs(1));
+    let expected = format!("a positive number of simulated seconds, at most {max}");
+    let secs: u64 = parse_positive(f, flag, 60, &expected)?;
+    if secs > max {
+        return Err(CliError::BadValue {
+            flag: flag.into(),
+            value: secs.to_string(),
+            expected,
+        });
+    }
+    Ok(secs)
 }
 
 fn parse_placement(f: &mut Flags) -> Result<PlacementPolicy, CliError> {
@@ -989,15 +1026,25 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn parse_num(f: &mut Flags, flag: &str, default: u64) -> Result<u64, CliError> {
-    match f.value(flag)? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| CliError::BadValue {
+/// `flag`'s integer value (or `default`) in its field's type `T`. A
+/// value that is not a non-negative integer, or does not fit `T`, is
+/// rejected rather than truncated.
+fn parse_num<T: TryFrom<u64>>(f: &mut Flags, flag: &str, default: u64) -> Result<T, CliError> {
+    let value = f.value(flag)?;
+    let parsed = match &value {
+        None => Some(default),
+        Some(v) => v.parse::<u64>().ok(),
+    };
+    parsed
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| CliError::BadValue {
             flag: flag.into(),
-            value: v,
-            expected: "a non-negative integer".into(),
-        }),
-    }
+            value: value.unwrap_or_else(|| default.to_string()),
+            expected: format!(
+                "a non-negative integer that fits in {}",
+                std::any::type_name::<T>()
+            ),
+        })
 }
 
 fn parse_float(f: &mut Flags, flag: &str, default: f64) -> Result<f64, CliError> {
@@ -1543,16 +1590,16 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
         platform.deploy(dag)
     };
     result.map_err(|e| CliError::Workflow(e.to_string()))?;
-    let mut t = SimTime::ZERO;
     let mut request_ids = Vec::new();
-    for _ in 0..run.triggers {
+    for i in 0..run.triggers {
+        // Parsing bounded the last trigger's minutes so they fit.
+        let at = SimTime::from_mins(i * run.gap_min);
         let id = platform
-            .trigger_at(&name, t)
+            .trigger_at(&name, at)
             .map_err(|e| CliError::Workflow(e.to_string()))?;
         request_ids.push(id);
         platform.run_until_idle();
         platform.roll_profile_window();
-        t += SimDuration::from_mins(run.gap_min);
     }
     Ok(Workload {
         name,
@@ -2522,6 +2569,54 @@ mod tests {
         assert_eq!(replay.hosts, 2);
         assert_eq!(replay.placement, PlacementPolicy::RoundRobin);
         assert_eq!(replay.host_fail_rate, 0.1);
+    }
+
+    #[test]
+    fn numeric_flags_reject_values_their_field_cannot_hold() {
+        // (command line before the flag, flag, largest valid value, first
+        // out-of-range value). Counts are u32. A window's microseconds
+        // must fit u64, and so must run's last trigger time, (triggers −
+        // 1) × gap minutes.
+        const U32_MAX: &str = "4294967295";
+        const U32_OVER: &str = "4294967296";
+        const SECS_MAX: &str = "18446744073709";
+        const SECS_OVER: &str = "18446744073710";
+        let run: &[&str] = &["run", "--sdl", "x"];
+        let serve: &[&str] = &["serve", "--checkpoint-dir", "d"];
+        let rows: [(&[&str], &str, &str, &str); 9] = [
+            (run, "--hosts", U32_MAX, U32_OVER),
+            (run, "--tenants", U32_MAX, U32_OVER),
+            (run, "--autoscale-max", U32_MAX, U32_OVER),
+            (
+                &["run", "--sdl", "x", "--triggers", "3"],
+                "--gap-min",
+                "153722867280",
+                "153722867281",
+            ),
+            (&["replay"], "--hosts", U32_MAX, U32_OVER),
+            (&["replay"], "--tenants", U32_MAX, U32_OVER),
+            (&["replay"], "--window-secs", SECS_MAX, SECS_OVER),
+            (&["replay"], "--slo-window-secs", SECS_MAX, SECS_OVER),
+            (serve, "--slo-window-secs", SECS_MAX, SECS_OVER),
+        ];
+        let mut wrong = Vec::new();
+        for (before, flag, valid, over) in rows {
+            let line = |value: &str| {
+                let mut line = before.to_vec();
+                line.extend([flag, value]);
+                args(&line)
+            };
+            if let Err(e) = parse_args(&line(valid)) {
+                wrong.push(format!("{} {flag} {valid} is rejected: {e}", before[0]));
+            }
+            match parse_args(&line(over)) {
+                Err(CliError::BadValue {
+                    flag: named, value, ..
+                }) if named == flag && value == over => {}
+                other => wrong.push(format!("{} {flag} {over} gives {other:?}", before[0])),
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub mod prelude {
     pub use xanadu_platform::{
         diff_audits, diff_metrics, Audit, AuditSummary, AutoscaleConfig, BusEvent, ClusterConfig,
         ClusterReport, DiffThresholds, FaultConfig, Histogram, HostSpec, JitStats, LatencyStats,
-        LearnedState, MetricsRegistry, MlpStats, Observer, ObserverHandle, PlacementPolicy,
-        Platform, PlatformConfig, PlatformError, PlatformReport, Regression, RequestAudit,
-        RunResult, TenantConfig, WasteStats,
+        MetricsRegistry, MlpStats, Observer, ObserverHandle, PlacementPolicy, Platform,
+        PlatformConfig, PlatformError, PlatformReport, Regression, RequestAudit, RunResult,
+        TenantConfig, WasteStats,
     };
     pub use xanadu_simcore::{Distribution, SimDuration, SimTime};
 }

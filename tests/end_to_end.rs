@@ -56,16 +56,10 @@ fn sdl_conditional_workflow_runs_end_to_end() {
     }
     platform.run_until_idle();
 
-    // Every request completed and was persisted and emitted.
+    // Every request completed and was emitted.
     assert_eq!(platform.results().len(), n as usize);
     let completions = recording.with(|r| r.on(completed));
     assert_eq!(completions.len(), n as usize);
-    for i in 0..n {
-        assert!(
-            platform.metastore().get(&format!("runs/{i}")).is_some(),
-            "run {i} persisted"
-        );
-    }
 
     // The XOR decision took both paths across 12 requests with p=0.85.
     let results = platform.results().to_vec();

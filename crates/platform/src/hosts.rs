@@ -6,9 +6,9 @@
 //! decides *what* to provision. This module models that layer as a full
 //! cluster scheduler:
 //!
-//! * **Per-host capacity** plus a **provisioning-contention curve**: each
-//!   concurrent provision on a host inflates cold starts by the host's
-//!   `contention_alpha` (the Docker concurrency bottleneck of §2.3).
+//! * **Per-host capacity**: a worker is placed only where its memory
+//!   fits, and the registry counts the workers still provisioning on each
+//!   host.
 //! * **Pluggable placement**: round-robin, least-loaded, first-fit,
 //!   seeded random, and *affinity* — co-locate a request's chain
 //!   neighbors on one host (per ICPS, co-location cuts invocation delay
@@ -23,10 +23,11 @@
 //!   re-place their workers.
 //!
 //! Placement matters for the cost model: a saturated host delays
-//! provisioning (the request queues at the daemon), and co-locating many
-//! provisioning containers on one host amplifies the Docker concurrency
-//! bottleneck. The default single-host registry reproduces the paper's
-//! single 64-core testbed byte-for-byte.
+//! provisioning (the request queues at the daemon). The Docker
+//! concurrency bottleneck of §2.3 is the sandbox provider's, which slows
+//! concurrent cold starts wherever they are placed. The default
+//! single-host registry reproduces the paper's single 64-core testbed
+//! byte-for-byte.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -51,29 +52,15 @@ pub struct HostSpec {
     pub name: String,
     /// Memory capacity in MB available to workers.
     pub memory_mb: u64,
-    /// Provisioning-contention slope: each *other* worker concurrently
-    /// provisioning on this host inflates a cold start by this fraction
-    /// (`total · (1 + alpha · concurrent)`). 0 (the default) disables the
-    /// curve, keeping single-host runs byte-identical to the pre-cluster
-    /// model.
-    #[serde(default)]
-    pub contention_alpha: f64,
 }
 
 impl HostSpec {
-    /// A host with `memory_mb` MB and no contention curve.
+    /// A host with `memory_mb` MB.
     pub fn new(name: impl Into<String>, memory_mb: u64) -> Self {
         HostSpec {
             name: name.into(),
             memory_mb,
-            contention_alpha: 0.0,
         }
-    }
-
-    /// Builder-style contention-curve override.
-    pub fn with_contention(mut self, alpha: f64) -> Self {
-        self.contention_alpha = alpha;
-        self
     }
 }
 
@@ -868,8 +855,8 @@ impl HostRegistry {
 
     /// Places a worker, applying tenant admission control then the
     /// registry's placement policy, charging the chosen host (and
-    /// tenant). The charge counts as *provisioning* for the contention
-    /// curve until [`worker_ready`](HostRegistry::worker_ready).
+    /// tenant). The worker counts as *provisioning* on the host until
+    /// [`worker_ready`](HostRegistry::worker_ready).
     ///
     /// # Errors
     ///
@@ -945,7 +932,8 @@ impl HostRegistry {
     }
 
     /// Marks a placed worker's provisioning as finished (its sandbox is
-    /// ready), ending its contribution to the host's contention curve.
+    /// ready), so [`provisioning_on`](HostRegistry::provisioning_on) no
+    /// longer counts it.
     pub fn worker_ready(&mut self, worker: WorkerId) {
         if let Some(p) = self.location.get_mut(&worker) {
             if p.provisioning {
@@ -956,21 +944,9 @@ impl HostRegistry {
         }
     }
 
-    /// Number of workers currently provisioning on `host` (the contention
-    /// signal).
+    /// Number of workers currently provisioning on `host`.
     pub fn provisioning_on(&self, host: HostId) -> u32 {
         self.hosts[host.0 as usize].provisioning
-    }
-
-    /// Cold-start inflation on `host` for a worker placed while
-    /// `provisioning_on` counts it: `alpha · (concurrent − 1)`, i.e. the
-    /// *other* in-flight provisions. 0 with the default `alpha = 0`.
-    pub fn contention_penalty(&self, host: HostId) -> f64 {
-        let state = &self.hosts[host.0 as usize];
-        if state.spec.contention_alpha <= 0.0 {
-            return 0.0;
-        }
-        state.spec.contention_alpha * f64::from(state.provisioning.saturating_sub(1))
     }
 
     /// Releases a worker's memory back to its host and tenant. Unknown
@@ -1342,13 +1318,11 @@ mod tests {
     #[test]
     fn contention_counts_concurrent_provisions() {
         let mut r = HostRegistry::new(PlacementPolicy::FirstFit);
-        let h = r.add_host(HostSpec::new("a", 4096).with_contention(0.5));
+        let h = r.add_host(HostSpec::new("a", 4096));
         r.place(WorkerId(0), 256).unwrap();
         assert_eq!(r.provisioning_on(h), 1);
-        assert_eq!(r.contention_penalty(h), 0.0, "alone: no penalty");
         r.place(WorkerId(1), 256).unwrap();
         assert_eq!(r.provisioning_on(h), 2);
-        assert_eq!(r.contention_penalty(h), 0.5);
         r.worker_ready(WorkerId(0));
         assert_eq!(r.provisioning_on(h), 1);
         r.worker_ready(WorkerId(0)); // idempotent

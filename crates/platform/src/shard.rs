@@ -127,7 +127,9 @@ pub struct ShardProfile {
     pub workflow: String,
     /// Simulation events the shard processed.
     pub events: u64,
-    /// Queue high-water mark observed at window barriers.
+    /// High-water mark of [`Platform::pending_events`] observed at window
+    /// barriers: queued events plus the triggers not yet pulled from the
+    /// shard's arrival cursor.
     pub queue_peak: u64,
 }
 
@@ -552,15 +554,12 @@ fn drive_shards(
             config.seed = RngStream::derive(base.seed, &input.name).next_u64();
             config.faults.seed = RngStream::derive(base.faults.seed, &input.name).next_u64();
             let mut platform = Platform::new(config);
-            platform.reserve_invocations(input.triggers.len());
             platform
                 .deploy(input.dag)
                 .expect("fresh platform has no deployments");
-            for at in input.triggers {
-                platform
-                    .trigger_at(&input.name, at)
-                    .expect("workflow was just deployed");
-            }
+            platform
+                .trigger_arrivals(&input.name, input.triggers)
+                .expect("workflow was just deployed");
             // Telemetry observers: an SLO collector (evaluation happens
             // once, post-merge), the streaming audit and the metrics
             // registry, each read back through its handle.
@@ -889,18 +888,15 @@ mod tests {
         }
     }
 
-    /// The reference the barrier hand-off is checked against: every
-    /// workload on its own platform with the shard's derived seeds, run
-    /// to idle and finished, then concatenated in shard order,
-    /// stable-sorted by global request id (all triggers ranked by
-    /// `(time, shard, local)`), with worker ids offset by prefix sums of
-    /// each shard's max id + 1.
-    fn reference_merge(
+    /// Each workload on its own platform with the shard's derived seeds
+    /// and its whole schedule queued up front with `trigger_at`, in shard
+    /// order. Returns each shard's name, sorted triggers and platform.
+    fn up_front_platforms(
         base: &PlatformConfig,
         mut workloads: Vec<ShardWorkload>,
-    ) -> (PlatformReport, Vec<(u64, Trace)>) {
+    ) -> Vec<(String, Vec<SimTime>, Platform)> {
         workloads.sort_by(|a, b| a.dag.name().cmp(b.dag.name()));
-        let shards: Vec<_> = workloads
+        workloads
             .into_iter()
             .map(|w| {
                 let name = w.dag.name().to_string();
@@ -914,6 +910,23 @@ mod tests {
                 for &at in &triggers {
                     platform.trigger_at(&name, at).unwrap();
                 }
+                (name, triggers, platform)
+            })
+            .collect()
+    }
+
+    /// The reference the barrier hand-off is checked against: the
+    /// [`up_front_platforms`] run to idle and finished, then concatenated
+    /// in shard order, stable-sorted by global request id (all triggers
+    /// ranked by `(time, shard, local)`), with worker ids offset by
+    /// prefix sums of each shard's max id + 1.
+    fn reference_merge(
+        base: &PlatformConfig,
+        workloads: Vec<ShardWorkload>,
+    ) -> (PlatformReport, Vec<(u64, Trace)>) {
+        let shards: Vec<_> = up_front_platforms(base, workloads)
+            .into_iter()
+            .map(|(_, triggers, mut platform)| {
                 platform.run_until_idle();
                 let traces: Vec<(u64, Trace)> = (0..triggers.len() as u64)
                     .filter_map(|req| platform.trace(req).cloned().map(|t| (req, t)))
@@ -973,9 +986,10 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn handed_over_outputs_equal_the_reference_merge() {
-        let chaos = PlatformConfig::builder()
+    /// perfbench's chaos mix: MPC planning, affinity placement on 4
+    /// hosts, 2 tenants, worker faults and host failures.
+    fn chaos_config() -> PlatformConfig {
+        PlatformConfig::builder()
             .for_mode(ExecutionMode::Jit, 77)
             .policy(PolicySpec::Mpc(MpcConfig::default()))
             .cluster(ClusterConfig::uniform(PlacementPolicy::Affinity, 4, 4096).with_tenants(2))
@@ -984,10 +998,14 @@ mod tests {
                 ..FaultConfig::with_rate(0.05, 5)
             })
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn handed_over_outputs_equal_the_reference_merge() {
         let configs = [
             ("jit", PlatformConfig::for_mode(ExecutionMode::Jit, 77)),
-            ("chaos", chaos),
+            ("chaos", chaos_config()),
             ("gaps", gaps_config()),
         ];
         for (label, config) in configs {
@@ -1018,6 +1036,84 @@ mod tests {
                         "report at {at}"
                     );
                     assert!(run.traces == expected_traces, "traces at {at}");
+                }
+            }
+        }
+    }
+
+    /// Triggers that collide: every workflow fires three requests on
+    /// each of four microseconds 0.4 s apart, shorter than a request
+    /// lasts, so requests overlap within and across the bursts.
+    fn colliding_fleet() -> Vec<ShardWorkload> {
+        (0..3)
+            .map(|i| {
+                let name = format!("burst{i}");
+                let template = FunctionSpec::new(format!("{name}-f")).service_ms(300.0);
+                ShardWorkload {
+                    dag: linear_chain(&name, 4, &template).expect("valid chain"),
+                    triggers: (0..12u64)
+                        .map(|k| SimTime::from_micros(1_000_000 + k / 3 * 400_000))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Per-shard `(events, queue_peak)` of the [`up_front_platforms`]
+    /// stepped window by window with `step_window`, sampling pending
+    /// events at each window end as `drive_shards` does.
+    fn up_front_profiles(
+        base: &PlatformConfig,
+        workloads: Vec<ShardWorkload>,
+        window: SimDuration,
+    ) -> Vec<ShardProfile> {
+        up_front_platforms(base, workloads)
+            .into_iter()
+            .map(|(workflow, _, mut platform)| {
+                let (mut events, mut queue_peak) = (0, 0);
+                let mut window_end = SimTime::ZERO;
+                loop {
+                    window_end += window;
+                    events += platform.step_window(window_end);
+                    let pending = platform.pending_events() as u64;
+                    queue_peak = queue_peak.max(pending);
+                    if pending == 0 {
+                        break;
+                    }
+                }
+                ShardProfile {
+                    workflow,
+                    events,
+                    queue_peak,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pulled_triggers_pop_in_the_up_front_order() {
+        let configs = [
+            ("jit", PlatformConfig::for_mode(ExecutionMode::Jit, 77)),
+            ("chaos", chaos_config()),
+        ];
+        for (label, config) in configs {
+            let (expected, expected_traces) = reference_merge(&config, colliding_fleet());
+            let expected_json = serde_json::to_string(&expected).unwrap();
+            assert_eq!(expected.results.len(), 36, "{label}: every request ends");
+            for window_secs in [1, 60] {
+                let window = SimDuration::from_secs(window_secs);
+                let expected_profiles = up_front_profiles(&config, colliding_fleet(), window);
+                for threads in [1, 2] {
+                    let opts = ShardOptions { threads, window };
+                    let run = replay_sharded(&config, colliding_fleet(), &opts).unwrap();
+                    let at = format!("{label}, threads={threads}, window={window_secs}s");
+                    assert_eq!(
+                        serde_json::to_string(&run.report).unwrap(),
+                        expected_json,
+                        "report at {at}"
+                    );
+                    assert!(run.traces == expected_traces, "traces at {at}");
+                    assert_eq!(run.profile.shards, expected_profiles, "profile at {at}");
                 }
             }
         }

@@ -178,6 +178,46 @@ struct WorkflowEntry {
     tenant: Option<u32>,
 }
 
+/// Triggers handed over by [`Platform::trigger_arrivals`] that have not
+/// fired yet. Exactly one of them waits in the event queue; each enters
+/// it when its predecessor fires.
+#[derive(Debug)]
+struct Arrivals {
+    workflow: Sym,
+    /// Trigger times, ascending.
+    times: Vec<SimTime>,
+    /// Index in `times` of the trigger in the queue.
+    next: usize,
+    /// Trigger `i` is request `first_req + i` and takes queue sequence
+    /// number `first_seq + i`, as a `trigger_at` loop would have given it.
+    first_req: u64,
+    first_seq: u64,
+}
+
+impl Arrivals {
+    fn queued_req(&self) -> u64 {
+        self.first_req + self.next as u64
+    }
+
+    /// The queued trigger: its time, sequence number and event.
+    fn queued(&self) -> (SimTime, u64, Event) {
+        let trigger = Event::Trigger {
+            req: self.queued_req(),
+            workflow: self.workflow,
+        };
+        (
+            self.times[self.next],
+            self.first_seq + self.next as u64,
+            trigger,
+        )
+    }
+
+    /// Triggers not yet in the event queue.
+    fn unpulled(&self) -> usize {
+        self.times.len() - self.next - 1
+    }
+}
+
 #[derive(Debug)]
 struct RunState {
     workflow: Sym,
@@ -266,6 +306,9 @@ pub struct Platform {
     /// Registered workflows, indexed by interned id.
     workflows: Vec<WorkflowEntry>,
     queue: EventQueue<Event>,
+    /// Arrival cursors of [`Platform::trigger_arrivals`], each with its
+    /// next trigger in `queue`; a cursor goes once its last trigger fires.
+    arrivals: Vec<Arrivals>,
     now: SimTime,
     /// In-flight requests, indexed by request id (dense: ids are handed
     /// out sequentially). Boxed so the slab stays compact after a request
@@ -369,6 +412,7 @@ impl Platform {
             workflow_ids: Interner::new(),
             workflows: Vec::new(),
             queue,
+            arrivals: Vec::new(),
             now: SimTime::ZERO,
             runs: Vec::new(),
             results: Vec::new(),
@@ -512,14 +556,81 @@ impl Platform {
         Ok(req)
     }
 
-    /// Pre-sizes the event queue and per-request tables for a workload of
-    /// roughly `invocations` triggers, avoiding incremental re-allocation
-    /// during fleet-scale replays. Purely an optimization: results are
-    /// identical with or without the call.
+    /// Schedules a trigger of `workflow` at each of `times`, with the
+    /// request ids, in order, that a [`trigger_at`](Self::trigger_at)
+    /// loop over `times` would return.
+    ///
+    /// Only the first trigger enters the event queue. Each later one is
+    /// pulled in when its predecessor fires, under the sequence number
+    /// that loop would have given it, so every event pops in the loop's
+    /// order while the queue holds only in-flight work. The triggers not
+    /// yet pulled count as [pending](Self::pending_events).
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::UnknownWorkflow`] if the name is not deployed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is not ascending, and, like `trigger_at`, if a
+    /// time is in the simulated past once the clock has advanced beyond
+    /// it.
+    pub(crate) fn trigger_arrivals(
+        &mut self,
+        workflow: &str,
+        times: Vec<SimTime>,
+    ) -> Result<(), PlatformError> {
+        let Some(sym) = self.workflow_ids.get(workflow) else {
+            return Err(PlatformError::UnknownWorkflow(workflow.to_string()));
+        };
+        assert!(
+            times.windows(2).all(|w| w[0] <= w[1]),
+            "trigger times must be ascending"
+        );
+        let n = times.len() as u64;
+        let first_req = self.next_request;
+        self.next_request += n;
+        let first_seq = self.queue.reserve_seqs(n);
+        self.runs.reserve(times.len());
+        if !times.is_empty() {
+            let cursor = Arrivals {
+                workflow: sym,
+                times,
+                next: 0,
+                first_req,
+                first_seq,
+            };
+            let (at, seq, trigger) = cursor.queued();
+            self.queue.schedule_reserved(at, seq, trigger);
+            self.arrivals.push(cursor);
+        }
+        Ok(())
+    }
+
+    /// Queues the trigger after `req` when `req` is an arrival cursor's
+    /// queued trigger, dropping the cursor after its last.
+    fn pull_arrival(&mut self, req: u64) {
+        let Some(i) = self.arrivals.iter().position(|a| a.queued_req() == req) else {
+            return;
+        };
+        let cursor = &mut self.arrivals[i];
+        cursor.next += 1;
+        if cursor.next == cursor.times.len() {
+            self.arrivals.swap_remove(i);
+            return;
+        }
+        let (at, seq, trigger) = cursor.queued();
+        self.queue.schedule_reserved(at, seq, trigger);
+    }
+
+    /// Pre-sizes the per-request slab for a workload of roughly
+    /// `invocations` triggers, avoiding incremental re-allocation. The
+    /// event queue is not pre-sized: it holds only in-flight work, and a
+    /// sharded replay's triggers wait in an arrival cursor until pulled,
+    /// counted as [pending](Self::pending_events). Purely an
+    /// optimization: results are identical with or without the call.
     pub fn reserve_invocations(&mut self, invocations: usize) {
-        self.queue.reserve(invocations.saturating_mul(2));
         self.runs.reserve(invocations);
-        self.results.reserve(invocations);
     }
 
     /// The in-flight run for `req`, if it has not finished.
@@ -681,11 +792,13 @@ impl Platform {
         self.pool.live_count()
     }
 
-    /// Number of events still queued. The sharded replay driver
-    /// ([`crate::shard`]) polls this at every time-window barrier to
-    /// detect fleet-wide quiescence.
+    /// Number of events still to process: those queued plus, in a
+    /// sharded replay, the triggers not yet pulled from the shard's
+    /// arrival cursor, so it reads as if every trigger had been scheduled
+    /// up front. The sharded replay driver ([`crate::shard`]) polls this
+    /// at every time-window barrier to detect fleet-wide quiescence.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.arrivals.iter().map(Arrivals::unpulled).sum::<usize>()
     }
 
     /// The cluster view: host placement and load of every live worker.
@@ -907,6 +1020,7 @@ impl Platform {
     }
 
     fn on_trigger(&mut self, req: u64, workflow: Sym) {
+        self.pull_arrival(req);
         // Lazy keep-alive reaping (the Dispatch Daemons' maintenance duty):
         // workers idle past keep-alive are torn down before new work is
         // admitted, returning their host memory. `find_warm` already
@@ -1955,18 +2069,10 @@ impl Platform {
                 }
             }
         }
-        let cold = self
+        let cold_total = self
             .provider
-            .cold_start(spec.isolation_level(), self.now + extra);
-        // Provisioning contention (the host's `contention_alpha` curve):
-        // concurrent cold starts on the same host inflate each other.
-        // Zero on the default testbed and for unplaced workers.
-        let penalty = placed.map_or(0.0, |host| self.cluster.contention_penalty(host));
-        let cold_total = if penalty > 0.0 {
-            cold.total().mul_f64(1.0 + penalty)
-        } else {
-            cold.total()
-        };
+            .cold_start(spec.isolation_level(), self.now + extra)
+            .total();
         let ready_at = self.now + extra + cold_total;
         let worker = Worker::provisioning(
             id,
@@ -2096,7 +2202,7 @@ impl fmt::Debug for Platform {
             .field("label", &self.config.label)
             .field("now", &self.now)
             .field("live_workers", &self.pool.live_count())
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &self.pending_events())
             .field("completed", &self.results.len())
             .finish()
     }
@@ -2132,6 +2238,42 @@ mod tests {
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
         p.finish()
+    }
+
+    #[test]
+    fn handed_over_schedules_run_like_trigger_at_loops() {
+        // Two workflows on one platform, each handed over as one schedule
+        // whose triggers collide with the other's, against the same
+        // schedules fed through `trigger_at` loops in the same order.
+        let times: Vec<SimTime> = (0..9u64)
+            .map(|k| SimTime::from_millis(k / 3 * 400))
+            .collect();
+        let platform = || {
+            let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 42));
+            for name in ["a", "b"] {
+                let template = FunctionSpec::new(format!("{name}-f")).service_ms(300.0);
+                p.deploy(linear_chain(name, 3, &template).unwrap()).unwrap();
+            }
+            p
+        };
+        let (mut looped, mut pulled) = (platform(), platform());
+        for name in ["a", "b"] {
+            for &at in &times {
+                looped.trigger_at(name, at).unwrap();
+            }
+            pulled.trigger_arrivals(name, times.clone()).unwrap();
+        }
+        assert_eq!(pulled.pending_events(), looped.pending_events());
+        assert_eq!(pulled.run_until_idle(), looped.run_until_idle());
+        assert_eq!(pulled.pending_events(), 0);
+        assert_eq!(
+            pulled.trigger_arrivals("ghost", times),
+            Err(PlatformError::UnknownWorkflow("ghost".into()))
+        );
+        assert_eq!(
+            serde_json::to_string(&pulled.finish()).unwrap(),
+            serde_json::to_string(&looped.finish()).unwrap()
+        );
     }
 
     #[test]

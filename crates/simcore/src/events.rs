@@ -7,25 +7,14 @@
 //! order they were scheduled (FIFO), independent of the container's
 //! internal layout.
 //!
-//! # Calendar-queue implementation
-//!
-//! Fleet-scale replays push tens of millions of events through this queue,
-//! so since PR 6 the backing store is a *calendar queue* (Brown 1988): a
-//! ring of time buckets of fixed width, plus a binary-heap overflow for
-//! events beyond the wheel's horizon. Scheduling an in-horizon event is an
-//! O(1) append to its bucket; popping sorts one bucket at a time into a
-//! staging area and pops from its end, which is O(1) amortized because each
-//! event is sorted exactly once in a bucket-sized batch. Far-future events
-//! (keep-alive deadlines, trace arrivals hours ahead) wait in the overflow
-//! heap and migrate into buckets when the wheel re-anchors, costing the
-//! same O(log n) they would in a plain heap — so the calendar queue is
-//! never worse than the `BinaryHeap` it replaced and is allocation- and
-//! comparison-free for the dense near-future traffic that dominates a
-//! replay.
-//!
-//! The observable contract is unchanged and is property-tested against a
-//! `BinaryHeap` model: pops come out in strictly increasing `(time, seq)`
-//! order, i.e. time order with FIFO tie-breaking.
+//! The backing store is a binary heap ordered by `(time, seq)`. A
+//! platform queues only in-flight work: trace arrivals wait in the
+//! platform's arrival cursor and enter the queue one at a time, under
+//! sequence numbers reserved with [`EventQueue::reserve_seqs`], so an
+//! arrival pops exactly where it would have had the whole trace been
+//! scheduled up front. The contract — pops come out in strictly
+//! increasing `(time, seq)` order — is property-tested against a
+//! linear-scan model.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -62,13 +51,6 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Number of buckets on the wheel. With 1 ms buckets the wheel spans
-/// ~1 s of virtual time — wide enough that deploy/exec/redispatch traffic
-/// stays on the wheel while trace arrivals hours ahead overflow to the heap.
-const BUCKETS: usize = 1024;
-/// Bucket width in microseconds (1 ms).
-const BUCKET_WIDTH_MICROS: u64 = 1_000;
-
 /// A deterministic priority queue of timestamped events.
 ///
 /// Events with equal timestamps are returned in insertion order, which makes
@@ -91,60 +73,27 @@ const BUCKET_WIDTH_MICROS: u64 = 1_000;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The bucket currently being drained, sorted *descending* by
-    /// `(time, seq)` so the earliest event pops from the end. Invariant:
-    /// non-empty whenever `len > 0`, and every event outside `staging`
-    /// orders after every event inside it.
-    staging: Vec<ScheduledEvent<E>>,
-    /// The wheel: bucket `i` holds events in
-    /// `[anchor + i·width, anchor + (i+1)·width)`, unsorted.
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
-    /// Next wheel bucket to stage; buckets before `cursor` are empty.
-    cursor: usize,
-    /// Virtual time (µs) at the start of bucket 0's window.
-    anchor: u64,
-    /// Events at or beyond the wheel horizon, in a min-ordered heap.
-    overflow: BinaryHeap<ScheduledEvent<E>>,
-    len: usize,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue with room for `capacity` pending events.
+    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            staging: Vec::new(),
-            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            anchor: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
     }
 
-    /// Creates an empty queue pre-sized for roughly `capacity` pending
-    /// events, so a replay that schedules its whole trace up front never
-    /// regrows the overflow heap mid-run.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.reserve(capacity);
-        q
-    }
-
     /// Reserves capacity for at least `additional` more scheduled events.
     pub fn reserve(&mut self, additional: usize) {
-        // Trace-driven replays park almost everything in the overflow heap
-        // (arrivals span hours; the wheel spans ~1 s), so that is where the
-        // reservation pays off. A slice also goes to the staging vector,
-        // which absorbs every event on its way out.
-        self.overflow.reserve(additional);
-        let per_bucket = additional / BUCKETS;
-        if per_bucket > 0 {
-            for b in &mut self.buckets {
-                b.reserve(per_bucket);
-            }
-        }
+        self.heap.reserve(additional);
     }
 
     /// Schedules `event` to fire at `time`. Returns the sequence number
@@ -153,62 +102,65 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.place(ScheduledEvent { time, seq, event });
-        self.len += 1;
-        self.settle();
+        self.heap.push(ScheduledEvent { time, seq, event });
         seq
+    }
+
+    /// Sets aside `n` consecutive sequence numbers for events scheduled
+    /// later with [`schedule_reserved`](Self::schedule_reserved), and
+    /// returns the first. Every event [`schedule`](Self::schedule)d after
+    /// this call orders after all of them at equal timestamps, as if the
+    /// `n` events had been scheduled now.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` at `time` under `seq`, a number taken from
+    /// [`reserve_seqs`](Self::reserve_seqs) and not used before, so it
+    /// pops where it would have had it been scheduled when the number was
+    /// reserved.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
+        self.heap.push(ScheduledEvent { time, seq, event });
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.staging.pop()?;
-        self.len -= 1;
-        self.settle();
-        Some((s.time, s.event))
+        self.heap.pop().map(|s| (s.time, s.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.staging.last().map(|s| s.time)
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
-        self.staging.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.anchor = 0;
-        self.len = 0;
+        self.heap.clear();
     }
 
     /// Removes all pending events matching `pred`, returning how many were
     /// removed. Used by JIT deployment to cancel planned provisioning when a
     /// prediction miss is detected (§3.2.2 of the paper).
     pub fn cancel_where<F: FnMut(&E) -> bool>(&mut self, mut pred: F) -> usize {
-        let mut kept = Vec::with_capacity(self.len);
-        let mut removed = 0usize;
-        for s in self.drain_all() {
-            if pred(&s.event) {
-                removed += 1;
-            } else {
-                kept.push(s);
-            }
-        }
-        self.rebuild(kept);
-        removed
+        let before = self.heap.len();
+        self.heap.retain(|s| !pred(&s.event));
+        before - self.heap.len()
     }
 
     /// Removes all pending events matching `pred` and returns them (with
@@ -217,115 +169,11 @@ impl<E> EventQueue<E> {
     /// payloads back — fault recovery uses this to re-dispatch invocations
     /// that were waiting on a worker that just crashed.
     pub fn drain_where<F: FnMut(&E) -> bool>(&mut self, mut pred: F) -> Vec<(SimTime, E)> {
-        let mut kept = Vec::with_capacity(self.len);
-        let mut removed = Vec::new();
-        for s in self.drain_all() {
-            if pred(&s.event) {
-                removed.push(s);
-            } else {
-                kept.push(s);
-            }
-        }
-        self.rebuild(kept);
-        removed.sort_by_key(|s| (s.time, s.seq));
+        let mut kept = std::mem::take(&mut self.heap).into_vec();
+        let mut removed: Vec<_> = kept.extract_if(.., |s| pred(&s.event)).collect();
+        self.heap = kept.into();
+        removed.sort_unstable_by_key(|s| (s.time, s.seq));
         removed.into_iter().map(|s| (s.time, s.event)).collect()
-    }
-
-    /// Places an already-sequenced event into staging, a wheel bucket, or
-    /// the overflow heap according to its timestamp.
-    fn place(&mut self, s: ScheduledEvent<E>) {
-        let t = s.time.as_micros();
-        // Everything strictly before the staged window's end belongs in
-        // staging (including "late" events scheduled for already-passed
-        // windows — the simulation never does this, but the API allows it).
-        // The u128 widening keeps the comparison exact even when the anchor
-        // sits near u64::MAX (SimTime::MAX keep-alive sentinels).
-        let staged_end = self.anchor as u128 + self.cursor as u128 * BUCKET_WIDTH_MICROS as u128;
-        if (t as u128) < staged_end {
-            let at = self
-                .staging
-                .partition_point(|e| (e.time, e.seq) > (s.time, s.seq));
-            self.staging.insert(at, s);
-        } else {
-            // t >= staged_end >= anchor, so this subtraction cannot wrap.
-            let idx = ((t - self.anchor) / BUCKET_WIDTH_MICROS) as usize;
-            if idx < self.buckets.len() {
-                self.buckets[idx].push(s);
-            } else {
-                self.overflow.push(s);
-            }
-        }
-    }
-
-    /// Restores the invariant that `staging` is non-empty whenever events
-    /// are pending: advances the cursor to the next occupied bucket, sorting
-    /// it into staging, and re-anchors the wheel from the overflow heap when
-    /// a full rotation is exhausted.
-    fn settle(&mut self) {
-        if !self.staging.is_empty() || self.len == 0 {
-            return;
-        }
-        loop {
-            while self.cursor < self.buckets.len() && self.buckets[self.cursor].is_empty() {
-                self.cursor += 1;
-            }
-            if self.cursor < self.buckets.len() {
-                std::mem::swap(&mut self.staging, &mut self.buckets[self.cursor]);
-                self.cursor += 1;
-                self.staging
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                return;
-            }
-            // Wheel exhausted: every pending event is in the overflow heap
-            // (all at or beyond the old horizon). Re-anchor so the earliest
-            // lands in bucket 0 and migrate one wheel-span of events.
-            debug_assert!(!self.overflow.is_empty(), "len > 0 but no events stored");
-            let min_t = self
-                .overflow
-                .peek()
-                .expect("len > 0 but no events stored")
-                .time
-                .as_micros();
-            self.anchor = min_t - min_t % BUCKET_WIDTH_MICROS;
-            self.cursor = 0;
-            while let Some(head) = self.overflow.peek() {
-                let t = head.time.as_micros();
-                let idx = ((t - self.anchor) / BUCKET_WIDTH_MICROS) as usize;
-                if idx >= self.buckets.len() {
-                    break;
-                }
-                let s = self.overflow.pop().expect("peeked");
-                self.buckets[idx].push(s);
-            }
-        }
-    }
-
-    /// Empties every internal container into one unordered vector,
-    /// resetting the wheel. Cold path shared by `cancel_where`/`drain_where`.
-    fn drain_all(&mut self) -> Vec<ScheduledEvent<E>> {
-        let mut all = Vec::with_capacity(self.len);
-        all.append(&mut self.staging);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        all.extend(self.overflow.drain());
-        self.cursor = 0;
-        self.anchor = 0;
-        self.len = 0;
-        all
-    }
-
-    /// Re-inserts events (which keep their original sequence numbers) after
-    /// a `drain_all`, re-anchoring the wheel at the earliest timestamp.
-    fn rebuild(&mut self, events: Vec<ScheduledEvent<E>>) {
-        if let Some(min_t) = events.iter().map(|s| s.time.as_micros()).min() {
-            self.anchor = min_t - min_t % BUCKET_WIDTH_MICROS;
-        }
-        self.len = events.len();
-        for s in events {
-            self.place(s);
-        }
-        self.settle();
     }
 }
 
@@ -445,8 +293,8 @@ mod tests {
 
     #[test]
     fn far_future_events_overflow_and_return() {
-        // Events hours ahead (trace arrivals) park in the overflow heap and
-        // come back in order after the wheel re-anchors many times over.
+        // Events hours ahead and microseconds ahead, scheduled out of
+        // order, come back in time order.
         let mut q = EventQueue::new();
         let times = [
             SimTime::from_hours(5),
@@ -487,8 +335,8 @@ mod tests {
 
     #[test]
     fn simtime_max_sentinel_is_schedulable() {
-        // Keep-alive code uses SimTime::MAX as a "never due" deadline; the
-        // wheel's re-anchoring math must not overflow on it.
+        // Keep-alive code uses SimTime::MAX as a "never due" deadline; it
+        // must order after every finite time.
         let mut q = EventQueue::new();
         q.schedule(SimTime::MAX, "never");
         q.schedule(SimTime::from_millis(1), "soon");
@@ -527,60 +375,86 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Reference model: the plain BinaryHeap future-event list the calendar
-    /// queue replaced. Pop order must be identical.
-    struct HeapModel {
-        heap: BinaryHeap<ScheduledEvent<u32>>,
+    /// Reference model that shares no code with the heap: a plain vector
+    /// of `(time, seq, payload)`, popped by a linear scan for the least
+    /// `(time, seq)`, with the cancellations as `retain`.
+    #[derive(Default)]
+    struct ScanModel {
+        events: Vec<(SimTime, u64, u32)>,
         next_seq: u64,
     }
 
-    impl HeapModel {
-        fn new() -> Self {
-            HeapModel {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
+    impl ScanModel {
+        fn take_seq(&mut self) -> u64 {
+            self.next_seq += 1;
+            self.next_seq - 1
         }
         fn schedule(&mut self, time: SimTime, event: u32) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(ScheduledEvent { time, seq, event });
+            let seq = self.take_seq();
+            self.events.push((time, seq, event));
+        }
+        fn earliest(&self) -> Option<usize> {
+            (0..self.events.len()).min_by_key(|&i| (self.events[i].0, self.events[i].1))
         }
         fn pop(&mut self) -> Option<(SimTime, u32)> {
-            self.heap.pop().map(|s| (s.time, s.event))
+            let (time, _, event) = self.events.remove(self.earliest()?);
+            Some((time, event))
         }
-        fn cancel_where<F: FnMut(&u32) -> bool>(&mut self, mut pred: F) -> usize {
-            let before = self.heap.len();
-            let kept: Vec<_> = self.heap.drain().filter(|s| !pred(&s.event)).collect();
-            self.heap = kept.into();
-            before - self.heap.len()
+        fn peek_time(&self) -> Option<SimTime> {
+            self.earliest().map(|i| self.events[i].0)
+        }
+        fn cancel_where(&mut self, pred: impl Fn(u32) -> bool) -> usize {
+            let before = self.events.len();
+            self.events.retain(|&(_, _, e)| !pred(e));
+            before - self.events.len()
+        }
+        fn drain_where(&mut self, pred: impl Fn(u32) -> bool) -> Vec<(SimTime, u32)> {
+            let mut removed: Vec<_> = self
+                .events
+                .iter()
+                .copied()
+                .filter(|&(_, _, e)| pred(e))
+                .collect();
+            self.events.retain(|&(_, _, e)| !pred(e));
+            removed.sort_by_key(|&(time, seq, _)| (time, seq));
+            removed.into_iter().map(|(time, _, e)| (time, e)).collect()
         }
     }
 
     #[derive(Debug, Clone)]
     enum Op {
         Schedule(u64),
+        /// Reserve a sequence number now for an event at this time that
+        /// is scheduled later, by `Release`.
+        Reserve(u64),
+        Release,
         Pop,
         CancelMod(u32),
+        DrainMod(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        // Mix of near-future (on-wheel), coarse duplicate timestamps (FIFO
-        // tie-breaking), far-future (overflow heap), pops, and cancels.
-        (0u32..10, 0u64..5_000_000, 2u32..5).prop_map(|(kind, t, m)| match kind {
+        // Mix of near-future, coarse duplicate timestamps (FIFO
+        // tie-breaking), far-future, reserved-then-released events, pops
+        // and cancels.
+        (0u32..14, 0u64..5_000_000, 2u32..5).prop_map(|(kind, t, m)| match kind {
             0..=3 => Op::Schedule(t),
             4 => Op::Schedule((t % 64) * 1_000),
             5 => Op::Schedule((t % 4) * 3_600_000_000),
-            6..=8 => Op::Pop,
+            6 => Op::Reserve((t % 64) * 1_000),
+            7 => Op::Release,
+            8..=10 => Op::Pop,
+            11 => Op::DrainMod(m),
             _ => Op::CancelMod(m),
         })
     }
 
     proptest! {
         #[test]
-        fn pop_order_matches_binary_heap_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        fn pop_order_matches_linear_scan_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
             let mut q = EventQueue::new();
-            let mut model = HeapModel::new();
+            let mut model = ScanModel::default();
+            let mut held = std::collections::VecDeque::new();
             let mut payload = 0u32;
             for op in ops {
                 match op {
@@ -588,6 +462,18 @@ mod proptests {
                         q.schedule(SimTime::from_micros(t), payload);
                         model.schedule(SimTime::from_micros(t), payload);
                         payload += 1;
+                    }
+                    Op::Reserve(t) => {
+                        let seq = q.reserve_seqs(1);
+                        prop_assert_eq!(seq, model.take_seq());
+                        held.push_back((SimTime::from_micros(t), seq, payload));
+                        payload += 1;
+                    }
+                    Op::Release => {
+                        if let Some((time, seq, event)) = held.pop_front() {
+                            q.schedule_reserved(time, seq, event);
+                            model.events.push((time, seq, event));
+                        }
                     }
                     Op::Pop => {
                         prop_assert_eq!(q.pop(), model.pop());
@@ -597,9 +483,14 @@ mod proptests {
                         let b = model.cancel_where(|e| e % m == 0);
                         prop_assert_eq!(a, b);
                     }
+                    Op::DrainMod(m) => {
+                        let a = q.drain_where(|e| e % m == 1);
+                        let b = model.drain_where(|e| e % m == 1);
+                        prop_assert_eq!(a, b);
+                    }
                 }
-                prop_assert_eq!(q.len(), model.heap.len());
-                prop_assert_eq!(q.peek_time(), model.heap.peek().map(|s| s.time));
+                prop_assert_eq!(q.len(), model.events.len());
+                prop_assert_eq!(q.peek_time(), model.peek_time());
             }
             // Drain both to the end: full order must agree.
             loop {

@@ -12,7 +12,8 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
 //! * [`EventQueue`] — a deterministic future-event list with stable
 //!   tie-breaking (equal timestamps pop in insertion order), backed by a
-//!   calendar queue with a heap overflow for far-future events.
+//!   binary heap; sequence numbers can be reserved so an event scheduled
+//!   late pops where it would have had it been scheduled early.
 //! * [`Interner`] — dense `u32` ids for workflow/function names so the
 //!   event hot path moves `Copy` payloads instead of `String`s.
 //! * [`RngStream`] — named, independently seeded random-number streams so

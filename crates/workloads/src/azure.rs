@@ -108,9 +108,9 @@ pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace
 }
 
 /// Expected number of invocations the whole fleet produces over the
-/// trace duration: `workflows × hours × blended class rate`. This is
-/// the estimator fleet replays feed to queue pre-sizing
-/// (`Platform::reserve_invocations`) before generating any arrivals.
+/// trace duration: `workflows × hours × blended class rate`.
+/// [`scale_to_invocations`] sizes a fleet with it before generating any
+/// arrivals.
 pub fn expected_invocations(config: &AzureTraceConfig) -> f64 {
     let hours = config.duration.as_secs_f64() / 3600.0;
     let blended = config.rare_fraction * config.rare_rate_per_hour

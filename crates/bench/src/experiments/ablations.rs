@@ -379,7 +379,7 @@ pub fn fleet_trace() -> Experiment {
             mean(
                 p.results()
                     .iter()
-                    .filter(|r| rare_names.contains(r.workflow.as_str()) == rare)
+                    .filter(|r| rare_names.contains(&*r.workflow) == rare)
                     .map(|r| r.overhead.as_millis_f64()),
             )
         };

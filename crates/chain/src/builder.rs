@@ -5,6 +5,7 @@ use crate::error::ChainError;
 use crate::id::NodeId;
 use crate::spec::FunctionSpec;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Incremental, validating builder for [`WorkflowDag`].
 ///
@@ -182,7 +183,12 @@ impl WorkflowBuilder {
         if self.nodes.is_empty() {
             return Err(ChainError::EmptyWorkflow);
         }
-        let dag = WorkflowDag::from_parts(self.name, self.nodes, self.children, self.parents);
+        let dag = WorkflowDag::from_parts(
+            Arc::from(self.name),
+            self.nodes,
+            self.children,
+            self.parents,
+        );
         dag.validate()?;
         Ok(dag)
     }

@@ -25,6 +25,7 @@ use crate::spec::FunctionSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// The workflow's declared function outputs, keyed by function name —
 /// the inputs [`Condition::evaluate`] reads.
@@ -152,7 +153,8 @@ impl NodeData {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkflowDag {
-    name: String,
+    /// Shared by every result and event that names the workflow.
+    name: Arc<str>,
     nodes: Vec<NodeData>,
     children: Vec<Vec<Edge>>,
     parents: Vec<Vec<NodeId>>,
@@ -160,7 +162,7 @@ pub struct WorkflowDag {
 
 impl WorkflowDag {
     pub(crate) fn from_parts(
-        name: String,
+        name: Arc<str>,
         nodes: Vec<NodeData>,
         children: Vec<Vec<Edge>>,
         parents: Vec<Vec<NodeId>>,
@@ -175,6 +177,12 @@ impl WorkflowDag {
 
     /// The workflow's name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The workflow's name as the one shared allocation every holder
+    /// clones.
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

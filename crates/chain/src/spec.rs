@@ -4,6 +4,7 @@ use crate::error::ChainError;
 use crate::isolation::IsolationLevel;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::sync::Arc;
 use xanadu_simcore::Distribution;
 
 /// Deployment parameters for one function of a workflow, mirroring the
@@ -31,7 +32,9 @@ use xanadu_simcore::Distribution;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FunctionSpec {
-    name: String,
+    /// Shared by every worker, record, event and result that names the
+    /// function: they clone this `Arc` instead of copying the string.
+    name: Arc<str>,
     memory_mb: u32,
     isolation: IsolationLevel,
     service: Distribution,
@@ -49,10 +52,11 @@ pub(crate) const DEFAULT_SERVICE_MS: f64 = 500.0;
 
 impl FunctionSpec {
     /// Creates a spec with defaults: 512 MB, container isolation, constant
-    /// 500 ms service time.
+    /// 500 ms service time. The name is copied once into the shared
+    /// [`shared_name`](Self::shared_name).
     pub fn new(name: impl Into<String>) -> Self {
         FunctionSpec {
-            name: name.into(),
+            name: Arc::from(name.into()),
             memory_mb: DEFAULT_MEMORY_MB,
             isolation: IsolationLevel::default(),
             service: Distribution::Constant {
@@ -101,8 +105,14 @@ impl FunctionSpec {
         &self.name
     }
 
+    /// The function's name as the one shared allocation every holder
+    /// clones.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     pub(crate) fn set_name(&mut self, name: String) {
-        self.name = name;
+        self.name = Arc::from(name);
     }
 
     /// Memory allocation in MB.

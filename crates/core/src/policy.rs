@@ -667,7 +667,12 @@ impl SpeculationPolicy for RlPolicy {
         rho: &mut ProbabilityFn,
     ) -> JitPlan {
         let depth = node_levels(dag).iter().copied().max().unwrap_or(0) + 1;
-        let entry = self.state.entry(dag.name().to_string()).or_default();
+        // Probed by `&str`: the workflow's key is allocated once, at its
+        // first trigger.
+        let entry = match self.state.get_mut(dag.name()) {
+            Some(entry) => entry,
+            None => self.state.entry(dag.name().to_string()).or_default(),
+        };
         let idle_ms = entry
             .last_trigger
             .map(|t| ctx.now.saturating_since(t).as_millis_f64())

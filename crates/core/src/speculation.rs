@@ -266,14 +266,19 @@ impl SpeculationEngine {
         }
         self.stats.misses += 1;
         let plan = self.plan(dag, estimates, rho);
-        self.cache.insert(
-            dag.name().to_string(),
-            CachedPlan {
-                estimates_epoch,
-                prob_epoch,
-                plan: plan.clone(),
-            },
-        );
+        let cached = CachedPlan {
+            estimates_epoch,
+            prob_epoch,
+            plan: plan.clone(),
+        };
+        // A stale entry is overwritten in place: the workflow's key is
+        // allocated only on its first miss.
+        match self.cache.get_mut(dag.name()) {
+            Some(slot) => *slot = cached,
+            None => {
+                self.cache.insert(dag.name().to_string(), cached);
+            }
+        }
         plan
     }
 

@@ -43,6 +43,7 @@ use crate::timeline::{Trace, TraceEventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xanadu_simcore::SimTime;
 
 /// Order statistics of a latency sample set, in milliseconds.
@@ -89,7 +90,7 @@ impl LatencyStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JitSample {
     /// The deployed function.
-    pub function: String,
+    pub function: Arc<str>,
     /// Whether the deployment was forced by a waiting request (on-demand
     /// provisions are late by a full cold start, by construction).
     pub on_demand: bool,
@@ -120,12 +121,12 @@ pub struct RequestAudit {
     pub stall_us: u64,
     /// Functions speculatively pre-deployed for this request (first-deploy
     /// order). On-demand provisions are *not* predictions.
-    pub predicted: Vec<String>,
+    pub predicted: Vec<Arc<str>>,
     /// Functions invoked, in invocation order — a function's index is its
     /// cascade depth.
-    pub invoked: Vec<String>,
+    pub invoked: Vec<Arc<str>>,
     /// Invoked functions absent from the speculation plan.
-    pub missed: Vec<String>,
+    pub missed: Vec<Arc<str>>,
     /// Speculative deployments that never served an invocation.
     pub unused_deploys: u64,
     /// CPU-ms charged to those unused speculative sandboxes (deploy start
@@ -139,27 +140,28 @@ pub struct RequestAudit {
 /// One lifecycle step of a request as the audit fold reads it: the
 /// borrowed, common view of a recorded [`TraceEventKind`] and of a
 /// request-scoped [`BusEvent`](crate::events::BusEvent). Function names
-/// come first. `Triggered`, `Planned`, `Crashed`, `DeployFailed`,
-/// `Retried` and `Completed` matter only to a recorded timeline; the fold
-/// reads the rest.
+/// come first, borrowed as the shared `Arc<str>` the event or trace
+/// holds, so the fold keeps a name by cloning it. `Triggered`, `Planned`,
+/// `Crashed`, `DeployFailed`, `Retried` and `Completed` matter only to a
+/// recorded timeline; the fold reads the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Step<'a> {
     Triggered,
     Planned(u64),
     /// A deployment started: on demand or not, ready at the given µs.
-    Deployed(&'a str, bool, u64),
-    Invoked(&'a str),
+    Deployed(&'a Arc<str>, bool, u64),
+    Invoked(&'a Arc<str>),
     /// `true` when the sandbox was warm.
-    ExecStarted(&'a str, bool),
-    ExecEnded(&'a str),
+    ExecStarted(&'a Arc<str>, bool),
+    ExecEnded(&'a Arc<str>),
     /// The worker serving the function crashed.
-    Crashed(&'a str),
+    Crashed(&'a Arc<str>),
     /// A speculative pre-deployment failed; carries the fault attempt.
-    DeployFailed(&'a str, u64),
+    DeployFailed(&'a Arc<str>, u64),
     /// Ends the execution; carries the fault attempt.
-    TimedOut(&'a str, u64),
-    Retried(&'a str, u64),
-    Missed(&'a str),
+    TimedOut(&'a Arc<str>, u64),
+    Retried(&'a Arc<str>, u64),
+    Missed(&'a Arc<str>),
     Completed,
 }
 
@@ -191,30 +193,38 @@ impl<'a> Step<'a> {
             Step::Triggered => K::Triggered,
             Step::Planned(planned) => K::PlanComputed { planned },
             Step::Deployed(f, on_demand, ready_us) => K::DeployStarted {
-                function: f.into(),
+                function: f.clone(),
                 on_demand,
                 ready_at: SimTime::from_micros(ready_us),
             },
-            Step::Invoked(f) => K::Invoked { function: f.into() },
+            Step::Invoked(f) => K::Invoked {
+                function: f.clone(),
+            },
             Step::ExecStarted(f, warm) => K::ExecStarted {
-                function: f.into(),
+                function: f.clone(),
                 warm,
             },
-            Step::ExecEnded(f) => K::ExecEnded { function: f.into() },
-            Step::Crashed(f) => K::WorkerCrashed { function: f.into() },
+            Step::ExecEnded(f) => K::ExecEnded {
+                function: f.clone(),
+            },
+            Step::Crashed(f) => K::WorkerCrashed {
+                function: f.clone(),
+            },
             Step::DeployFailed(f, attempt) => K::DeployFailed {
-                function: f.into(),
+                function: f.clone(),
                 attempt,
             },
             Step::TimedOut(f, attempt) => K::TimedOut {
-                function: f.into(),
+                function: f.clone(),
                 attempt,
             },
             Step::Retried(f, attempt) => K::Retried {
-                function: f.into(),
+                function: f.clone(),
                 attempt,
             },
-            Step::Missed(f) => K::PredictionMiss { function: f.into() },
+            Step::Missed(f) => K::PredictionMiss {
+                function: f.clone(),
+            },
             Step::Completed => K::Completed,
         }
     }
@@ -223,7 +233,7 @@ impl<'a> Step<'a> {
 /// One deployment attributed to a request.
 #[derive(Debug, Clone)]
 struct Deploy {
-    function: String,
+    function: Arc<str>,
     start_us: u64,
     ready_us: u64,
     on_demand: bool,
@@ -238,16 +248,16 @@ struct Deploy {
 pub(crate) struct RequestFold {
     t0_us: u64,
     deploys: Vec<Deploy>,
-    open_waits: Vec<(String, u64)>,
-    open_execs: Vec<(String, u64)>,
+    open_waits: Vec<(Arc<str>, u64)>,
+    open_execs: Vec<(Arc<str>, u64)>,
     exec_iv: Vec<(u64, u64)>,
     cold_iv: Vec<(u64, u64)>,
     warm_iv: Vec<(u64, u64)>,
-    predicted: Vec<String>,
-    invoked: Vec<String>,
+    predicted: Vec<Arc<str>>,
+    invoked: Vec<Arc<str>>,
     /// First-invocation time of each `invoked` entry, index-aligned.
     invoked_at: Vec<u64>,
-    missed: Vec<String>,
+    missed: Vec<Arc<str>>,
 }
 
 impl RequestFold {
@@ -263,11 +273,11 @@ impl RequestFold {
     pub(crate) fn apply(&mut self, at_us: u64, step: Step<'_>) {
         match step {
             Step::Deployed(function, on_demand, ready_us) => {
-                if !on_demand && !self.predicted.iter().any(|f| f == function) {
-                    self.predicted.push(function.to_string());
+                if !on_demand && !self.predicted.contains(function) {
+                    self.predicted.push(Arc::clone(function));
                 }
                 self.deploys.push(Deploy {
-                    function: function.to_string(),
+                    function: Arc::clone(function),
                     start_us: at_us,
                     ready_us,
                     on_demand,
@@ -275,17 +285,17 @@ impl RequestFold {
                 });
             }
             Step::Invoked(function) => {
-                if !self.invoked.iter().any(|f| f == function) {
-                    self.invoked.push(function.to_string());
+                if !self.invoked.contains(function) {
+                    self.invoked.push(Arc::clone(function));
                     self.invoked_at.push(at_us);
                 }
-                self.open_waits.push((function.to_string(), at_us));
+                self.open_waits.push((Arc::clone(function), at_us));
             }
             Step::ExecStarted(function, warm) => {
                 if let Some(d) = self
                     .deploys
                     .iter_mut()
-                    .find(|d| d.function == function && !d.used)
+                    .find(|d| d.function == *function && !d.used)
                 {
                     d.used = true;
                 }
@@ -298,7 +308,7 @@ impl RequestFold {
                     };
                     waits.push((start, at_us));
                 }
-                self.open_execs.push((function.to_string(), at_us));
+                self.open_execs.push((Arc::clone(function), at_us));
             }
             Step::ExecEnded(function) | Step::TimedOut(function, _) => {
                 if let Some(i) = self.open_execs.iter().position(|(f, _)| f == function) {
@@ -307,8 +317,8 @@ impl RequestFold {
                 }
             }
             Step::Missed(function) => {
-                if !self.missed.iter().any(|f| f == function) {
-                    self.missed.push(function.to_string());
+                if !self.missed.contains(function) {
+                    self.missed.push(Arc::clone(function));
                 }
             }
             Step::Triggered
@@ -374,7 +384,7 @@ impl RequestFold {
             .filter_map(|(function, &inv_us)| {
                 let d = deploys.iter().find(|d| d.function == *function)?;
                 Some(JitSample {
-                    function: function.clone(),
+                    function: Arc::clone(function),
                     on_demand: d.on_demand,
                     lateness_ms: (d.ready_us as f64 - inv_us as f64) / 1000.0,
                 })
@@ -645,8 +655,12 @@ impl Tally {
         sink.request(r);
 
         let mlp = &mut self.mlp;
+        // Name keys are probed as `&str` and allocated only on a miss.
         for f in &r.predicted {
-            let edge = mlp.per_function.entry(f.clone()).or_default();
+            let edge = match mlp.per_function.get_mut(&**f) {
+                Some(edge) => edge,
+                None => mlp.per_function.entry(f.to_string()).or_default(),
+            };
             edge.predicted += 1;
             mlp.predicted += 1;
             if r.invoked.contains(f) {
@@ -655,7 +669,10 @@ impl Tally {
             }
         }
         for (depth, f) in r.invoked.iter().enumerate() {
-            let edge = mlp.per_function.entry(f.clone()).or_default();
+            let edge = match mlp.per_function.get_mut(&**f) {
+                Some(edge) => edge,
+                None => mlp.per_function.entry(f.to_string()).or_default(),
+            };
             edge.invoked += 1;
             mlp.invoked += 1;
             if r.missed.contains(f) {
@@ -690,7 +707,10 @@ impl Tally {
         self.queue_us += other.queue_us;
         self.stall_us += other.stall_us;
         for (name, edge) in &other.mlp.per_function {
-            let mine = self.mlp.per_function.entry(name.clone()).or_default();
+            let mine = match self.mlp.per_function.get_mut(name) {
+                Some(mine) => mine,
+                None => self.mlp.per_function.entry(name.clone()).or_default(),
+            };
             mine.predicted += edge.predicted;
             mine.hits += edge.hits;
             mine.invoked += edge.invoked;
@@ -1169,9 +1189,9 @@ mod tests {
     #[test]
     fn prediction_waste_and_jit_are_attributed() {
         let audit = RequestAudit::from_trace(0, &sample_trace()).unwrap();
-        assert_eq!(audit.predicted, vec!["a".to_string(), "spare".to_string()]);
-        assert_eq!(audit.invoked, vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(audit.missed, vec!["b".to_string()]);
+        assert_eq!(audit.predicted, ["a", "spare"].map(Arc::<str>::from));
+        assert_eq!(audit.invoked, ["a", "b"].map(Arc::<str>::from));
+        assert_eq!(audit.missed, [Arc::<str>::from("b")]);
         assert!((audit.precision() - 0.5).abs() < 1e-9, "spare never served");
         assert!((audit.recall() - 0.5).abs() < 1e-9, "b was a miss");
         assert_eq!(audit.unused_deploys, 1);

@@ -10,12 +10,16 @@
 //! name to keep it that way.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A typed platform lifecycle event.
 ///
 /// All payload fields are plain data — durations pre-converted to
 /// milliseconds, ids as integers — so events serialize deterministically
-/// and observers never parse JSON.
+/// and observers never parse JSON. Names are shared `Arc<str>`s cloned
+/// from the deployed DAG (and the policy label and decision reasons from
+/// the platform), so building an event allocates no string; they
+/// serialize exactly as the `String`s they replace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BusEvent {
     /// A workflow trigger arrived.
@@ -23,14 +27,14 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Workflow name.
-        workflow: String,
+        workflow: Arc<str>,
     },
     /// The speculation engine planned a request's deployments.
     PlanComputed {
         /// Request id.
         request: u64,
         /// Workflow name.
-        workflow: String,
+        workflow: Arc<str>,
         /// Number of functions the plan schedules for pre-deployment.
         planned: u64,
     },
@@ -39,7 +43,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// The invoked function.
-        function: String,
+        function: Arc<str>,
         /// Node index of the invoked function in the workflow DAG.
         node: u64,
     },
@@ -51,7 +55,7 @@ pub enum BusEvent {
         /// pool-owned provisions (static pre-warming, replenishment).
         request: u64,
         /// Function the worker hosts.
-        function: String,
+        function: Arc<str>,
         /// Sampled cold-start latency in milliseconds.
         cold_start_ms: f64,
         /// Total delay until the sandbox is ready, in milliseconds —
@@ -72,7 +76,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Worker id serving the invocation.
         worker: u64,
         /// `true` when served from the warm pool (no startup wait).
@@ -86,7 +90,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Worker id that served the invocation.
         worker: u64,
         /// Execution duration in milliseconds.
@@ -97,7 +101,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Function that was actually invoked.
-        function: String,
+        function: Arc<str>,
         /// Node index of the actual branch.
         node: u64,
     },
@@ -106,7 +110,7 @@ pub enum BusEvent {
         /// Worker id.
         worker: u64,
         /// Function the worker hosted.
-        function: String,
+        function: Arc<str>,
         /// The request whose invocation the crash orphaned (and which
         /// retries it), or `None` when no invocation was bound to the
         /// worker. A worker serves one invocation at a time, so a crash
@@ -119,7 +123,7 @@ pub enum BusEvent {
         /// Request whose plan scheduled the deployment.
         request: u64,
         /// Function being pre-deployed.
-        function: String,
+        function: Arc<str>,
         /// Fault attempt count after this failure.
         attempt: u64,
     },
@@ -128,7 +132,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Fault attempt count at the time of the timeout.
         attempt: u64,
     },
@@ -137,7 +141,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Retry attempt number (1 = first retry).
         attempt: u64,
         /// Backoff delay before the retry, in milliseconds.
@@ -148,7 +152,7 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Workflow name.
-        workflow: String,
+        workflow: Arc<str>,
         /// Platform-attributable overhead in milliseconds.
         overhead_ms: f64,
         /// End-to-end latency in milliseconds.
@@ -195,11 +199,11 @@ pub enum BusEvent {
         /// Request id.
         request: u64,
         /// Label of the deciding policy (e.g. `xanadu-jit`, `mpc`, `rl`).
-        policy: String,
+        policy: Arc<str>,
         /// Nodes in the committed plan.
         planned: u64,
         /// Why the decision was taken: `trigger` or `miss`.
-        reason: String,
+        reason: Arc<str>,
     },
 }
 

@@ -5,8 +5,8 @@
 //! deterministic simulation order. Because the platform only
 //! *constructs* events when trace recording is on or at least one
 //! observer is attached (see `Platform::attach_observer`), an unobserved
-//! platform pays nothing — not even the `String` clones a payload would
-//! need.
+//! platform pays nothing — not even the `Arc` reference counts a
+//! payload's shared names would take.
 //!
 //! [`MetricsRegistry`] is an observer like any other: a deterministic set
 //! of counters and fixed-bucket histograms aggregated from the event
@@ -221,18 +221,29 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to counter `name` (creating it at zero).
+    /// Adds `by` to counter `name` (creating it at zero). The name is
+    /// probed as `&str`; its key is allocated only when it is new.
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Records `ms` into histogram `name` (creating it with the standard
-    /// latency buckets).
+    /// latency buckets). Like [`incr`](Self::incr), allocates a key only
+    /// for a new name.
     pub fn observe_ms(&mut self, name: &str, ms: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::latency)
-            .observe(ms);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(ms),
+            None => {
+                let mut histogram = Histogram::latency();
+                histogram.observe(ms);
+                self.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 when absent).

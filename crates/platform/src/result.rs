@@ -2,6 +2,7 @@
 
 use crate::hosts::ClusterReport;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xanadu_core::cost::{PenaltyFactors, ResourceCosts, WorkflowRunCosts};
 use xanadu_sandbox::WorkerRecord;
 use xanadu_simcore::{SimDuration, SimTime};
@@ -11,8 +12,8 @@ use xanadu_simcore::{SimDuration, SimTime};
 pub struct RunResult {
     /// Request id (platform-assigned, dense).
     pub request: u64,
-    /// The triggered workflow's name.
-    pub workflow: String,
+    /// The triggered workflow's name, shared with its DAG.
+    pub workflow: Arc<str>,
     /// When the trigger fired.
     pub trigger: SimTime,
     /// When the last activated function completed.

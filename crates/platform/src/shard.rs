@@ -520,11 +520,47 @@ fn assign_global_ids(inputs: &mut [ShardInput]) {
     }
 }
 
+/// A shard being driven: its platform and the handles of its telemetry.
+struct Running {
+    ids: ShardIds,
+    name: String,
+    platform: Platform,
+    events: u64,
+    queue_peak: u64,
+    streaming: Option<ObserverHandle<StreamingAudit>>,
+    slo: Option<ObserverHandle<SloMonitor>>,
+    metrics: Option<ObserverHandle<MetricsRegistry>>,
+}
+
+impl Running {
+    /// Finishes the platform, hands its report over and keeps only what
+    /// the merge reads.
+    fn finish(self, outputs: &mut Outputs) -> ShardOutput {
+        let report = self.platform.finish();
+        let cluster = outputs.hand_over_report(&self.ids, report);
+        let ids = &self.ids;
+        ShardOutput {
+            index: ids.shard,
+            name: self.name,
+            events: self.events,
+            queue_peak: self.queue_peak,
+            cluster,
+            streaming: self.streaming.map(|h| {
+                let mut audit = h.snapshot();
+                audit.remap_exemplar_requests(|local| ids.global[local as usize]);
+                audit
+            }),
+            slo: self.slo.map(|h| h.snapshot()),
+            metrics: self.metrics.map(|h| h.snapshot()),
+        }
+    }
+}
+
 /// Thread body: build each assigned shard's platform, advance all of
 /// them window by window under the fleet barrier, handing their outputs
-/// over at every barrier, then finish them. Returns the shard outputs
-/// plus this thread's total barrier-wait micros and the number of
-/// windows stepped.
+/// over at every barrier, and finish each one at the first barrier where
+/// it is idle. Returns the shard outputs plus this thread's total
+/// barrier-wait micros and the number of windows stepped.
 fn drive_shards(
     base: &PlatformConfig,
     inputs: Vec<ShardInput>,
@@ -534,16 +570,6 @@ fn drive_shards(
     window: SimDuration,
     telemetry: &ShardTelemetry,
 ) -> (Vec<ShardOutput>, u64, u64) {
-    struct Running {
-        ids: ShardIds,
-        name: String,
-        platform: Platform,
-        events: u64,
-        queue_peak: u64,
-        streaming: Option<ObserverHandle<StreamingAudit>>,
-        slo: Option<ObserverHandle<SloMonitor>>,
-        metrics: Option<ObserverHandle<MetricsRegistry>>,
-    }
     let mut shards: Vec<Running> = inputs
         .into_iter()
         .map(|input| {
@@ -594,6 +620,7 @@ fn drive_shards(
     // All threads observe the same `done`, so they exit on the same
     // window.
     let mut window_end = SimTime::ZERO;
+    let mut finished: Vec<ShardOutput> = Vec::with_capacity(shards.len());
     let mut barrier_wait_us = 0u64;
     let mut windows = 0u64;
     let mut last_beat = shared.start;
@@ -629,6 +656,14 @@ fn drive_shards(
             for shard in &mut shards {
                 outputs.hand_over(&shard.ids, &mut shard.platform);
             }
+            // An idle shard has nothing queued and no trigger left to
+            // pull, so no event can reach it again: finish it now, which
+            // drops its platform before the fleet quiesces. Its clock
+            // stopped at its last event, so the report is the one a
+            // finish after quiescence would give.
+            for shard in shards.extract_if(.., |s| s.platform.pending_events() == 0) {
+                finished.push(shard.finish(&mut outputs));
+            }
         }
         shared.pending.fetch_add(mine, Ordering::SeqCst);
         shared.events.fetch_add(processed, Ordering::SeqCst);
@@ -649,29 +684,8 @@ fn drive_shards(
         }
     }
 
-    let leftovers = shards
-        .into_iter()
-        .map(|shard| {
-            let report = shard.platform.finish();
-            let cluster = lock_outputs().hand_over_report(&shard.ids, report);
-            let ids = &shard.ids;
-            ShardOutput {
-                index: ids.shard,
-                name: shard.name,
-                events: shard.events,
-                queue_peak: shard.queue_peak,
-                cluster,
-                streaming: shard.streaming.map(|h| {
-                    let mut audit = h.snapshot();
-                    audit.remap_exemplar_requests(|local| ids.global[local as usize]);
-                    audit
-                }),
-                slo: shard.slo.map(|h| h.snapshot()),
-                metrics: shard.metrics.map(|h| h.snapshot()),
-            }
-        })
-        .collect();
-    (leftovers, barrier_wait_us, windows)
+    debug_assert!(shards.is_empty(), "a quiescent fleet has no busy shard");
+    (finished, barrier_wait_us, windows)
 }
 
 /// One stderr progress line. Wall-clock only — never touches exports.
@@ -934,16 +948,7 @@ mod tests {
                 (triggers, platform.finish(), traces)
             })
             .collect();
-
-        let mut order: Vec<(SimTime, usize, usize)> = Vec::new();
-        for (shard, (triggers, _, _)) in shards.iter().enumerate() {
-            order.extend(triggers.iter().enumerate().map(|(l, &at)| (at, shard, l)));
-        }
-        order.sort();
-        let mut global: Vec<Vec<u64>> = shards.iter().map(|s| vec![0; s.0.len()]).collect();
-        for (gid, &(_, shard, local)) in order.iter().enumerate() {
-            global[shard][local] = gid as u64;
-        }
+        let global = global_ids(shards.iter().map(|(triggers, _, _)| triggers));
 
         let mut merged = PlatformReport::default();
         let mut traces = Vec::new();
@@ -974,6 +979,55 @@ mod tests {
         merged.results.sort_by_key(|r| r.request);
         traces.sort_by_key(|&(gid, _)| gid);
         (merged, traces)
+    }
+
+    /// Each shard's local request id → global id: every trigger ranked
+    /// by `(time, shard, local)`.
+    fn global_ids<'a>(schedules: impl Iterator<Item = &'a Vec<SimTime>>) -> Vec<Vec<u64>> {
+        let mut global: Vec<Vec<u64>> = Vec::new();
+        let mut order: Vec<(SimTime, usize, usize)> = Vec::new();
+        for (shard, triggers) in schedules.enumerate() {
+            order.extend(triggers.iter().enumerate().map(|(l, &at)| (at, shard, l)));
+            global.push(vec![0; triggers.len()]);
+        }
+        order.sort();
+        for (gid, &(_, shard, local)) in order.iter().enumerate() {
+            global[shard][local] = gid as u64;
+        }
+        global
+    }
+
+    /// The streaming audit and metrics registry of the
+    /// [`up_front_platforms`], each observed, run to idle and finished,
+    /// then folded in shard order with exemplars re-keyed to global ids:
+    /// the reference for the telemetry [`replay_sharded_with`] merges.
+    fn reference_telemetry(
+        base: &PlatformConfig,
+        workloads: Vec<ShardWorkload>,
+        exemplars: usize,
+    ) -> (StreamingAudit, MetricsRegistry) {
+        let shards: Vec<_> = up_front_platforms(base, workloads)
+            .into_iter()
+            .map(|(_, triggers, mut platform)| {
+                let audit =
+                    platform.attach_observer(StreamingAudit::new(StreamingConfig { exemplars }));
+                let metrics = platform.attach_observer(MetricsRegistry::new());
+                platform.finish();
+                (triggers, audit.snapshot(), metrics.snapshot())
+            })
+            .collect();
+        let global = global_ids(shards.iter().map(|(triggers, _, _)| triggers));
+        let (mut audit, mut metrics) = (None, None);
+        for ((_, mut shard_audit, shard_metrics), map) in shards.into_iter().zip(&global) {
+            shard_audit.remap_exemplar_requests(|local| map[local as usize]);
+            fold(&mut audit, Some(shard_audit), StreamingAudit::merge_from);
+            fold(
+                &mut metrics,
+                Some(shard_metrics),
+                MetricsRegistry::merge_from,
+            );
+        }
+        (audit.unwrap(), metrics.unwrap())
     }
 
     /// One 2048 MB host shared by 2 tenants: speculative placements the
@@ -1037,6 +1091,74 @@ mod tests {
                     );
                     assert!(run.traces == expected_traces, "traces at {at}");
                 }
+            }
+        }
+    }
+
+    /// `fleet(3, 8)`, whose triggers run to 282 s, plus a workflow
+    /// triggered only at 0 and 1 s: its shard goes idle, and is finished,
+    /// hundreds of one-second windows before the rest of the fleet.
+    fn early_idle_fleet() -> Vec<ShardWorkload> {
+        let mut workloads = fleet(3, 8);
+        let template = FunctionSpec::new("early-f").service_ms(300.0);
+        workloads.push(ShardWorkload {
+            dag: linear_chain("early", 4, &template).expect("valid chain"),
+            triggers: vec![SimTime::from_secs(0), SimTime::from_secs(1)],
+        });
+        workloads
+    }
+
+    #[test]
+    fn shards_finished_while_the_fleet_runs_equal_the_reference_merge() {
+        let configs = [
+            ("jit", PlatformConfig::for_mode(ExecutionMode::Jit, 77)),
+            ("chaos", chaos_config()),
+        ];
+        let streaming = StreamingConfig { exemplars: 3 };
+        for (label, config) in configs {
+            let (expected, expected_traces) = reference_merge(&config, early_idle_fleet());
+            let (audit, metrics) =
+                reference_telemetry(&config, early_idle_fleet(), streaming.exemplars);
+            let end_of = |workflow: &str| {
+                let ends = expected.results.iter().filter(|r| &*r.workflow == workflow);
+                ends.map(|r| r.end).max().unwrap()
+            };
+            assert!(
+                end_of("early") + SimDuration::from_secs(200) < end_of("wf0"),
+                "{label}: the early shard idles long before the fleet"
+            );
+            let expected_json = serde_json::to_string(&expected).unwrap();
+            let audit_json = crate::export::streaming_json_string(&audit);
+            let metrics_json = crate::export::metrics_json_string(&metrics);
+            for threads in [1, 2] {
+                let opts = ShardOptions {
+                    threads,
+                    window: SimDuration::from_secs(1),
+                };
+                let telemetry = ShardTelemetry {
+                    streaming: Some(streaming),
+                    metrics: true,
+                    ..ShardTelemetry::default()
+                };
+                let run = replay_sharded_with(&config, early_idle_fleet(), &opts, &telemetry)
+                    .expect("replay succeeds");
+                let at = format!("{label}, threads={threads}");
+                assert_eq!(
+                    serde_json::to_string(&run.report).unwrap(),
+                    expected_json,
+                    "report at {at}"
+                );
+                assert!(run.traces == expected_traces, "traces at {at}");
+                assert_eq!(
+                    crate::export::streaming_json_string(run.streaming.as_ref().unwrap()),
+                    audit_json,
+                    "audit at {at}"
+                );
+                assert_eq!(
+                    crate::export::metrics_json_string(run.metrics.as_ref().unwrap()),
+                    metrics_json,
+                    "metrics at {at}"
+                );
             }
         }
     }

@@ -165,6 +165,18 @@ enum Event {
     },
 }
 
+/// The names a [`BusEvent::PolicyDecision`] carries, allocated once per
+/// platform so that emitting a decision only clones them.
+#[derive(Debug)]
+struct DecisionLabels {
+    /// The deciding policy's label (e.g. `xanadu-jit`, `mpc`, `rl`).
+    policy: Arc<str>,
+    /// The reason of a decision committed at trigger time.
+    trigger: Arc<str>,
+    /// The reason of a decision committed while replanning after a miss.
+    miss: Arc<str>,
+}
+
 #[derive(Debug, Clone)]
 struct WorkflowEntry {
     dag: Arc<WorkflowDag>,
@@ -296,12 +308,14 @@ pub struct Platform {
     /// The speculation policy (DESIGN.md §11): the paper's engine by
     /// default, or a learned planner selected via `config.policy`.
     policy: Box<dyn SpeculationPolicy>,
+    labels: DecisionLabels,
     provider: SimSandboxProvider,
     pool: WorkerPool,
     metrics: MetricsEngine,
     detector: BranchDetector,
     correlator: RequestCorrelator,
-    /// Workflow name → dense id; ids index [`Platform::workflows`].
+    /// Workflow name → dense id; ids index [`Platform::workflows`]. It
+    /// shares each DAG's name rather than copying it.
     workflow_ids: Interner,
     /// Registered workflows, indexed by interned id.
     workflows: Vec<WorkflowEntry>,
@@ -402,8 +416,14 @@ impl Platform {
         }
         let mut policy = PolicyRegistry::build(&config.policy, config.speculation);
         policy.set_plan_cache(config.plan_cache);
+        let labels = DecisionLabels {
+            policy: Arc::from(policy.label()),
+            trigger: Arc::from("trigger"),
+            miss: Arc::from("miss"),
+        };
         Platform {
             policy,
+            labels,
             provider,
             pool,
             metrics: MetricsEngine::new(),
@@ -508,9 +528,8 @@ impl Platform {
 
     fn deploy_entry(&mut self, dag: WorkflowDag, implicit: bool) -> Result<(), PlatformError> {
         dag.validate()?;
-        let name = dag.name().to_string();
-        if self.workflow_ids.get(&name).is_some() {
-            return Err(PlatformError::AlreadyDeployed(name));
+        if self.workflow_ids.get(dag.name()).is_some() {
+            return Err(PlatformError::AlreadyDeployed(dag.name().to_string()));
         }
         let declared_outputs = Arc::new(dag.declared_outputs());
         let dag = Arc::new(dag);
@@ -522,9 +541,9 @@ impl Platform {
                 }
             }
         }
-        let sym = self.workflow_ids.intern(&name);
+        let sym = self.workflow_ids.intern(dag.shared_name());
         debug_assert_eq!(sym.index(), self.workflows.len());
-        let tenant = self.cluster.tenant_for_workflow(&name);
+        let tenant = self.cluster.tenant_for_workflow(dag.name());
         self.workflows.push(WorkflowEntry {
             dag,
             implicit,
@@ -1210,27 +1229,24 @@ impl Platform {
         self.runs[idx] = Some(Box::new(state));
         self.active_runs += 1;
         if self.observing() {
-            let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::RequestTriggered {
                 request: req,
-                workflow: name,
+                workflow: Arc::clone(dag.shared_name()),
             });
         }
         if plan_active && self.observing() {
-            let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::PlanComputed {
                 request: req,
-                workflow: name,
+                workflow: Arc::clone(dag.shared_name()),
                 planned: planned_count,
             });
         }
         if plan_generation != 0 && self.observing() {
-            let policy = self.policy.label().to_string();
             self.emit(BusEvent::PolicyDecision {
                 request: req,
-                policy,
+                policy: Arc::clone(&self.labels.policy),
                 planned: planned_count,
-                reason: "trigger".to_string(),
+                reason: Arc::clone(&self.labels.trigger),
             });
         }
 
@@ -1278,12 +1294,12 @@ impl Platform {
         }
         run.invoked[node.index()] = true;
         let dag = run.dag.clone();
-        let function = dag.node(node).spec().name();
+        let function = dag.node(node).spec().shared_name();
         let parent_name = parent.map(|p| dag.node(p).spec().name());
         if self.observing() {
             self.emit(BusEvent::FunctionInvoked {
                 request: req,
-                function: function.to_string(),
+                function: Arc::clone(function),
                 node: node.index() as u64,
             });
         }
@@ -1403,7 +1419,7 @@ impl Platform {
         };
         let dag = run.dag.clone();
         let spec = dag.node(node).spec();
-        let function = spec.name();
+        let function = spec.shared_name();
         let level = spec.isolation_level();
         // Observed startup latency: invocation to execution start.
         let startup_wait = self.now.saturating_since(invoked_at);
@@ -1445,7 +1461,7 @@ impl Platform {
         if self.observing() {
             self.emit(BusEvent::ExecStarted {
                 request: req,
-                function: function.to_string(),
+                function: Arc::clone(function),
                 worker: worker.0,
                 warm: acquired == Acquired::Warm,
                 queue_wait_ms: startup_wait.as_millis_f64(),
@@ -1505,12 +1521,12 @@ impl Platform {
         let run = self.run_mut(req).expect("run exists");
         let dag = run.dag.clone();
         let spec = dag.node(node).spec();
-        let function = spec.name();
+        let function = spec.shared_name();
         self.metrics.record_warm_runtime(function, exec_duration);
         if self.observing() {
             self.emit(BusEvent::ExecEnded {
                 request: req,
-                function: function.to_string(),
+                function: Arc::clone(function),
                 worker: worker.0,
                 exec_ms: exec_duration.as_millis_f64(),
             });
@@ -1586,7 +1602,7 @@ impl Platform {
         let Some(w) = self.pool.get(worker) else {
             return;
         };
-        let function = w.function().to_string();
+        let function = Arc::clone(w.shared_function());
         let was_provisioning = w.state() == WorkerState::Provisioning;
 
         // Remove every scheduled event referencing the dead worker. The
@@ -1616,7 +1632,7 @@ impl Platform {
         if self.observing() {
             self.emit(BusEvent::WorkerCrashed {
                 worker: worker.0,
-                function: function.clone(),
+                function: Arc::clone(&function),
                 request: orphan.map(|(req, _)| req),
             });
         }
@@ -1637,7 +1653,7 @@ impl Platform {
     /// deployment is re-submitted with backoff; afterwards the node is
     /// dropped from the plan so its eventual invocation is accounted as
     /// the prediction miss it is — never silently counted warm.
-    fn on_predeploy_failure(&mut self, worker: WorkerId, function: &str) {
+    fn on_predeploy_failure(&mut self, worker: WorkerId, function: &Arc<str>) {
         let Some(req) = self.spawner_of(worker) else {
             return;
         };
@@ -1669,7 +1685,7 @@ impl Platform {
         if self.observing() {
             self.emit(BusEvent::DeployFailed {
                 request: req,
-                function: function.to_string(),
+                function: Arc::clone(function),
                 attempt: u64::from(attempt) + 1,
             });
         }
@@ -1706,7 +1722,7 @@ impl Platform {
             return;
         };
         let dag = run.dag.clone();
-        let function = dag.node(node).spec().name();
+        let function = dag.node(node).spec().shared_name();
         let attempt = run.fault_attempts[node.index()];
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
@@ -1717,13 +1733,13 @@ impl Platform {
             if timed_out {
                 self.emit(BusEvent::InvokeTimeout {
                     request: req,
-                    function: function.to_string(),
+                    function: Arc::clone(function),
                     attempt,
                 });
             }
             self.emit(BusEvent::InvokeRetried {
                 request: req,
-                function: function.to_string(),
+                function: Arc::clone(function),
                 attempt,
                 backoff_ms: delay.as_millis_f64(),
             });
@@ -1736,7 +1752,7 @@ impl Platform {
         if self.observing() {
             let function = {
                 let run = self.run(req).expect("run exists");
-                run.dag.node(actual).spec().name().to_string()
+                Arc::clone(run.dag.node(actual).spec().shared_name())
             };
             self.emit(BusEvent::PredictionMiss {
                 request: req,
@@ -1810,12 +1826,11 @@ impl Platform {
                     );
                 }
                 if self.observing() {
-                    let policy = self.policy.label().to_string();
                     self.emit(BusEvent::PolicyDecision {
                         request: req,
-                        policy,
+                        policy: Arc::clone(&self.labels.policy),
                         planned: planned_count,
-                        reason: "miss".to_string(),
+                        reason: Arc::clone(&self.labels.miss),
                     });
                 }
             }
@@ -1862,7 +1877,7 @@ impl Platform {
         let executed = run.completed.iter().filter(|&&c| c).count() as u32;
         let result = RunResult {
             request: req,
-            workflow: self.workflow_ids.resolve(run.workflow).to_string(),
+            workflow: Arc::clone(run.dag.shared_name()),
             trigger: run.trigger,
             end: self.now,
             end_to_end,
@@ -2076,7 +2091,7 @@ impl Platform {
         let ready_at = self.now + extra + cold_total;
         let worker = Worker::provisioning(
             id,
-            spec.name(),
+            Arc::clone(spec.shared_name()),
             spec.isolation_level(),
             spec.memory(),
             self.now,
@@ -2110,7 +2125,7 @@ impl Platform {
             self.emit(BusEvent::WorkerProvisioned {
                 worker: id.0,
                 request: req,
-                function: spec.name().to_string(),
+                function: Arc::clone(spec.shared_name()),
                 cold_start_ms: cold_total.as_millis_f64(),
                 ready_in_ms: total_wait.as_millis_f64(),
                 on_demand,
@@ -2149,7 +2164,7 @@ impl Platform {
             .map(Worker::id);
         match candidate {
             Some(id) => {
-                let reused = self.pool.retarget(id, spec.name()).is_ok();
+                let reused = self.pool.retarget(id, spec.shared_name()).is_ok();
                 if reused && self.cluster_enabled {
                     self.retargets_colocated += 1;
                 }
@@ -2442,7 +2457,7 @@ mod tests {
                 assert!(report
                     .worker_records
                     .iter()
-                    .any(|w| w.function == "hot" && !w.ever_used));
+                    .any(|w| &*w.function == "hot" && !w.ever_used));
                 break;
             }
         }

@@ -10,9 +10,11 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
-/// One traced orchestration event.
+/// One traced orchestration event. Function names are shared with the
+/// workflow's DAG.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEventKind {
     /// The workflow trigger arrived.
@@ -21,7 +23,7 @@ pub enum TraceEventKind {
     /// or on-demand).
     DeployStarted {
         /// The function being provisioned.
-        function: String,
+        function: Arc<str>,
         /// Whether a waiting request forced this provision.
         on_demand: bool,
         /// When the sandbox is scheduled to become warm. The analysis tier
@@ -33,24 +35,24 @@ pub enum TraceEventKind {
     /// The orchestrator invoked `function` (its dependencies were met).
     Invoked {
         /// The invoked function.
-        function: String,
+        function: Arc<str>,
     },
     /// `function` began executing in a worker.
     ExecStarted {
         /// The executing function.
-        function: String,
+        function: Arc<str>,
         /// Whether its sandbox was warm at invocation.
         warm: bool,
     },
     /// `function` finished executing.
     ExecEnded {
         /// The finished function.
-        function: String,
+        function: Arc<str>,
     },
     /// `function` was invoked but absent from the speculation plan.
     PredictionMiss {
         /// The mispredicted function.
-        function: String,
+        function: Arc<str>,
     },
     /// The speculation engine produced this request's deployment plan
     /// (MLP inference + JIT timeline slots).
@@ -61,19 +63,19 @@ pub enum TraceEventKind {
     /// The worker executing `function` crashed (fault injection).
     WorkerCrashed {
         /// The function whose worker died.
-        function: String,
+        function: Arc<str>,
     },
     /// The invocation of `function` exceeded the per-invocation timeout.
     TimedOut {
         /// The timed-out function.
-        function: String,
+        function: Arc<str>,
         /// Fault attempt count at the time of the timeout.
         attempt: u64,
     },
     /// A crashed or timed-out invocation was rescheduled after backoff.
     Retried {
         /// The function being retried.
-        function: String,
+        function: Arc<str>,
         /// Retry attempt number (1 = first retry).
         attempt: u64,
     },
@@ -81,7 +83,7 @@ pub enum TraceEventKind {
     /// (no request was waiting on it yet).
     DeployFailed {
         /// The function whose pre-deployment died.
-        function: String,
+        function: Arc<str>,
         /// Fault attempt count after this failure.
         attempt: u64,
     },
@@ -129,11 +131,11 @@ impl Trace {
     /// ran to completion.
     pub fn exec_interval(&self, function: &str) -> Option<(SimTime, SimTime)> {
         let start = self.events.iter().find_map(|e| match &e.kind {
-            TraceEventKind::ExecStarted { function: f, .. } if f == function => Some(e.at),
+            TraceEventKind::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
             _ => None,
         })?;
         let end = self.events.iter().find_map(|e| match &e.kind {
-            TraceEventKind::ExecEnded { function: f } if f == function => Some(e.at),
+            TraceEventKind::ExecEnded { function: f } if **f == *function => Some(e.at),
             _ => None,
         })?;
         Some((start, end))
@@ -157,7 +159,7 @@ impl Trace {
         };
 
         // Collect per-function milestones.
-        let mut functions: Vec<String> = Vec::new();
+        let mut functions: Vec<&str> = Vec::new();
         for e in &self.events {
             let name = match &e.kind {
                 TraceEventKind::DeployStarted { function, .. }
@@ -168,12 +170,12 @@ impl Trace {
                 _ => None,
             };
             if let Some(n) = name {
-                if !functions.contains(n) {
-                    functions.push(n.clone());
+                if !functions.contains(&&**n) {
+                    functions.push(n);
                 }
             }
         }
-        let name_width = functions.iter().map(String::len).max().unwrap_or(4).max(4);
+        let name_width = functions.iter().map(|f| f.len()).max().unwrap_or(4).max(4);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -182,9 +184,9 @@ impl Trace {
             "-".repeat(width),
             span / 1000.0
         );
-        for f in &functions {
+        for &f in &functions {
             let deploy = self.events.iter().find_map(|e| match &e.kind {
-                TraceEventKind::DeployStarted { function, .. } if function == f => Some(e.at),
+                TraceEventKind::DeployStarted { function, .. } if **function == *f => Some(e.at),
                 _ => None,
             });
             let exec = self.exec_interval(f);
@@ -200,7 +202,7 @@ impl Trace {
                 }
             }
             let missed = self.events.iter().any(
-                |e| matches!(&e.kind, TraceEventKind::PredictionMiss { function } if function == f),
+                |e| matches!(&e.kind, TraceEventKind::PredictionMiss { function } if **function == *f),
             );
             let marker = if missed { " (miss)" } else { "" };
             let _ = writeln!(
@@ -296,32 +298,32 @@ impl SpanTree {
         let mut children: Vec<Span> = Vec::new();
         let mut markers: Vec<SpanMarker> = Vec::new();
         // Open intervals per function, closed as their end events arrive.
-        let mut open_deploys: Vec<(String, SimTime)> = Vec::new();
-        let mut open_waits: Vec<(String, SimTime)> = Vec::new();
-        let mut open_execs: Vec<(String, SimTime, u64)> = Vec::new();
+        let mut open_deploys: Vec<(&str, SimTime)> = Vec::new();
+        let mut open_waits: Vec<(&str, SimTime)> = Vec::new();
+        let mut open_execs: Vec<(&str, SimTime, u64)> = Vec::new();
         // Attempt numbering per function, so retried executions get
         // distinct span names.
-        let mut attempts: Vec<(String, u64)> = Vec::new();
+        let mut attempts: Vec<(&str, u64)> = Vec::new();
 
-        fn take(open: &mut Vec<(String, SimTime)>, function: &str) -> Option<SimTime> {
-            let idx = open.iter().position(|(f, _)| f == function)?;
+        fn take(open: &mut Vec<(&str, SimTime)>, function: &str) -> Option<SimTime> {
+            let idx = open.iter().position(|&(f, _)| f == function)?;
             Some(open.remove(idx).1)
         }
 
         for e in events {
             match &e.kind {
                 TraceEventKind::DeployStarted { function, .. } => {
-                    open_deploys.push((function.clone(), e.at));
+                    open_deploys.push((function, e.at));
                 }
                 TraceEventKind::Invoked { function } => {
-                    open_waits.push((function.clone(), e.at));
+                    open_waits.push((function, e.at));
                 }
                 TraceEventKind::ExecStarted { function, .. } => {
                     if let Some(at) = take(&mut open_deploys, function) {
                         children.push(Span {
                             name: format!("deploy {function}"),
                             kind: SpanKind::Deploy,
-                            function: function.clone(),
+                            function: function.to_string(),
                             start: at,
                             end: e.at,
                         });
@@ -330,26 +332,26 @@ impl SpanTree {
                         children.push(Span {
                             name: format!("wait {function}"),
                             kind: SpanKind::Wait,
-                            function: function.clone(),
+                            function: function.to_string(),
                             start: at,
                             end: e.at,
                         });
                     }
-                    let attempt = match attempts.iter_mut().find(|(f, _)| f == function) {
+                    let attempt = match attempts.iter_mut().find(|(f, _)| **f == **function) {
                         Some((_, n)) => {
                             *n += 1;
                             *n
                         }
                         None => {
-                            attempts.push((function.clone(), 1));
+                            attempts.push((function, 1));
                             1
                         }
                     };
-                    open_execs.push((function.clone(), e.at, attempt));
+                    open_execs.push((function, e.at, attempt));
                 }
                 TraceEventKind::ExecEnded { function }
                 | TraceEventKind::TimedOut { function, .. } => {
-                    if let Some(idx) = open_execs.iter().position(|(f, _, _)| f == function) {
+                    if let Some(idx) = open_execs.iter().position(|&(f, _, _)| f == &**function) {
                         let (function, at, attempt) = open_execs.remove(idx);
                         let name = if attempt == 1 {
                             format!("exec {function}")
@@ -359,7 +361,7 @@ impl SpanTree {
                         children.push(Span {
                             name,
                             kind: SpanKind::Exec,
-                            function,
+                            function: function.to_string(),
                             start: at,
                             end: e.at,
                         });
@@ -368,29 +370,29 @@ impl SpanTree {
                         markers.push(SpanMarker {
                             at: e.at,
                             label: format!("timeout {function} (attempt {attempt})"),
-                            function: function.clone(),
+                            function: function.to_string(),
                         });
                     }
                 }
                 TraceEventKind::PredictionMiss { function } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("miss {function}"),
-                    function: function.clone(),
+                    function: function.to_string(),
                 }),
                 TraceEventKind::WorkerCrashed { function } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("crash {function}"),
-                    function: function.clone(),
+                    function: function.to_string(),
                 }),
                 TraceEventKind::Retried { function, attempt } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("retry {function} #{attempt}"),
-                    function: function.clone(),
+                    function: function.to_string(),
                 }),
                 TraceEventKind::DeployFailed { function, attempt } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("deploy-failed {function} (attempt {attempt})"),
-                    function: function.clone(),
+                    function: function.to_string(),
                 }),
                 TraceEventKind::PlanComputed { planned } => markers.push(SpanMarker {
                     at: e.at,
@@ -405,7 +407,7 @@ impl SpanTree {
             children.push(Span {
                 name: format!("deploy {function} (unused)"),
                 kind: SpanKind::Deploy,
-                function,
+                function: function.to_string(),
                 start: at,
                 end,
             });

@@ -15,6 +15,7 @@
 //! smoothed values.
 
 use crate::ema::Ema;
+use crate::update_named;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -104,14 +105,16 @@ impl BranchDetector {
         self.epoch += 1;
         // Every request to `function` counts toward its own invocation
         // total (it may itself be a parent later).
-        let entry = self.parents.entry(function.to_string()).or_default();
-        entry.request_count += 1;
-        entry.window_parent += 1;
+        update_named(&mut self.parents, function, ParentEntry::default, |entry| {
+            entry.request_count += 1;
+            entry.window_parent += 1;
+        });
 
         if let Some(parent) = parent {
-            let p = self.parents.entry(parent.to_string()).or_default();
-            *p.child_hits.entry(function.to_string()).or_insert(0) += 1;
-            *p.window_child_hits.entry(function.to_string()).or_insert(0) += 1;
+            update_named(&mut self.parents, parent, ParentEntry::default, |p| {
+                update_named(&mut p.child_hits, function, || 0, |n| *n += 1);
+                update_named(&mut p.window_child_hits, function, || 0, |n| *n += 1);
+            });
         }
     }
 
@@ -203,14 +206,15 @@ impl BranchDetector {
             // Every known child participates: unobserved-in-window children
             // record a 0 ratio (their share shrank), matching Algorithm 3's
             // sibling updates.
-            let known: Vec<String> = p.child_hits.keys().cloned().collect();
-            for child in known {
-                let hits = p.window_child_hits.get(&child).copied().unwrap_or(0);
+            for child in p.child_hits.keys() {
+                let hits = p.window_child_hits.get(child).copied().unwrap_or(0);
                 let ratio = hits as f64 / p.window_parent as f64;
-                p.smoothed
-                    .entry(child)
-                    .or_insert_with(|| Ema::new(alpha))
-                    .record(ratio);
+                update_named(
+                    &mut p.smoothed,
+                    child,
+                    || Ema::new(alpha),
+                    |ema| ema.record(ratio),
+                );
             }
             p.window_parent = 0;
             p.window_child_hits.clear();

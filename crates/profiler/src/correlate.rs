@@ -8,6 +8,7 @@
 //! one-to-one FIFO mapping between parent and child requests from which the
 //! invocation delay is inferred.
 
+use crate::update_named;
 use std::collections::{HashMap, VecDeque};
 use xanadu_simcore::{SimDuration, SimTime};
 
@@ -41,9 +42,10 @@ struct ArrivalLog {
 #[derive(Debug, Clone, Default)]
 pub struct RequestCorrelator {
     arrivals: HashMap<String, ArrivalLog>,
-    /// Matches consumed so far per (parent, child) edge — the absolute
-    /// index of the next parent arrival this edge will claim.
-    matched: HashMap<(String, String), u64>,
+    /// Matches consumed so far per parent, then child — the absolute
+    /// index of the next parent arrival that edge will claim. Nested so
+    /// both names are probed as `&str`.
+    matched: HashMap<String, HashMap<String, u64>>,
     capacity: usize,
 }
 
@@ -69,12 +71,14 @@ impl RequestCorrelator {
 
     /// Records the arrival of a request to `function` at `now`.
     pub fn observe_arrival(&mut self, function: &str, now: SimTime) {
-        let log = self.arrivals.entry(function.to_string()).or_default();
-        log.times.push_back(now);
-        while log.times.len() > self.capacity {
-            log.times.pop_front();
-            log.dropped += 1;
-        }
+        let capacity = self.capacity;
+        update_named(&mut self.arrivals, function, ArrivalLog::default, |log| {
+            log.times.push_back(now);
+            while log.times.len() > capacity {
+                log.times.pop_front();
+                log.dropped += 1;
+            }
+        });
     }
 
     /// Records the arrival of a request to `child` carrying a parent header
@@ -88,15 +92,21 @@ impl RequestCorrelator {
         child: &str,
         now: SimTime,
     ) -> Option<SimDuration> {
-        let key = (parent.to_string(), child.to_string());
-        let next = self.matched.get(&key).copied().unwrap_or(0);
+        let next = self
+            .matched
+            .get(parent)
+            .and_then(|children| children.get(child))
+            .copied()
+            .unwrap_or(0);
         let log = self.arrivals.get(parent)?;
         // If the arrival this edge should match was evicted, skip forward to
         // the oldest remembered arrival rather than mismatching.
         let next = next.max(log.dropped);
         let idx = (next - log.dropped) as usize;
         let parent_arrival = *log.times.get(idx)?;
-        self.matched.insert(key, next + 1);
+        update_named(&mut self.matched, parent, HashMap::new, |children| {
+            update_named(children, child, || 0, |claimed| *claimed = next + 1);
+        });
         Some(now.saturating_since(parent_arrival))
     }
 

@@ -20,6 +20,10 @@
 //! * [`RequestCorrelator`] — the chronological parent↔child request
 //!   matching (§3.2.2) used to infer invocation delays for implicit
 //!   chains.
+//!
+//! Every map here is keyed by function name and probed with a borrowed
+//! `&str`; a key is allocated only the first time its name is seen, so
+//! steady-state observations allocate nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,3 +37,24 @@ pub use branch::{BranchDetector, LearnedEdge};
 pub use correlate::RequestCorrelator;
 pub use ema::Ema;
 pub use metrics::{FunctionProfile, MetricsEngine};
+
+use std::collections::HashMap;
+
+/// Applies `update` to the value under `name`, first inserting a fresh
+/// `init()` under an owned copy of `name` when there is none. A present
+/// key costs one lookup and no allocation.
+fn update_named<V>(
+    map: &mut HashMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(value) => update(value),
+        None => {
+            let mut value = init();
+            update(&mut value);
+            map.insert(name.to_string(), value);
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! The metrics engine: per-function and per-edge runtime profiles.
 
 use crate::ema::Ema;
+use crate::update_named;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xanadu_simcore::SimDuration;
@@ -60,14 +61,18 @@ impl FunctionProfile {
 /// m.record_warm_runtime("pay", SimDuration::from_millis(2500));
 /// assert_eq!(m.profile("pay").unwrap().warm_runtime_ms(0.0), 2500.0);
 /// ```
+///
+/// Every map is keyed by name and probed with a `&str`: a key is
+/// allocated only when a name is first observed.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MetricsEngine {
     alpha: f64,
     profiles: HashMap<String, FunctionProfile>,
-    /// Keyed by `(parent, child)`; serialized as a list of entries because
-    /// JSON maps need string keys.
+    /// Keyed by parent, then child (a `(String, String)` key could not be
+    /// probed with borrowed halves); serialized as a list of `(parent,
+    /// child, ema)` entries because JSON maps need string keys.
     #[serde(with = "invoke_delay_serde")]
-    invoke_delays: HashMap<(String, String), Ema>,
+    invoke_delays: HashMap<String, HashMap<String, Ema>>,
     /// Bumped on every recorded observation; consumers (the plan cache)
     /// use it to detect that estimates may have changed.
     #[serde(default)]
@@ -79,18 +84,23 @@ mod invoke_delay_serde {
     use serde::{Deserialize, Error, Serialize, Value};
     use std::collections::HashMap;
 
-    pub fn to_json(map: &HashMap<(String, String), Ema>) -> Value {
+    pub fn to_json(map: &HashMap<String, HashMap<String, Ema>>) -> Value {
         // Sort entries so the persisted document is deterministic
         // regardless of hash-map iteration order.
-        let mut entries: Vec<(&String, &String, &Ema)> =
-            map.iter().map(|((p, c), e)| (p, c, e)).collect();
+        let mut entries: Vec<(&String, &String, &Ema)> = map
+            .iter()
+            .flat_map(|(p, children)| children.iter().map(move |(c, e)| (p, c, e)))
+            .collect();
         entries.sort_by_key(|(p, c, _)| (p.as_str(), c.as_str()));
         entries.to_json()
     }
 
-    pub fn from_json(value: &Value) -> Result<HashMap<(String, String), Ema>, Error> {
-        let entries = Vec::<(String, String, Ema)>::from_json(value)?;
-        Ok(entries.into_iter().map(|(p, c, e)| ((p, c), e)).collect())
+    pub fn from_json(value: &Value) -> Result<HashMap<String, HashMap<String, Ema>>, Error> {
+        let mut map: HashMap<String, HashMap<String, Ema>> = HashMap::new();
+        for (p, c, e) in Vec::<(String, String, Ema)>::from_json(value)? {
+            map.entry(p).or_default().insert(c, e);
+        }
+        Ok(map)
     }
 }
 
@@ -117,35 +127,34 @@ impl MetricsEngine {
         self.epoch
     }
 
-    fn profile_entry(&mut self, function: &str) -> &mut FunctionProfile {
+    /// Records `ms` into the EMA `field` selects from `function`'s
+    /// profile.
+    fn record(&mut self, function: &str, ms: f64, field: fn(&mut FunctionProfile) -> &mut Ema) {
+        self.epoch += 1;
         let alpha = self.alpha;
-        self.profiles
-            .entry(function.to_string())
-            .or_insert_with(|| FunctionProfile::with_alpha(alpha))
+        update_named(
+            &mut self.profiles,
+            function,
+            || FunctionProfile::with_alpha(alpha),
+            |profile| field(profile).record(ms),
+        );
     }
 
     /// Records an observed cold-start latency for `function`.
     pub fn record_cold_start(&mut self, function: &str, latency: SimDuration) {
-        self.epoch += 1;
-        self.profile_entry(function)
-            .cold_start_ms
-            .record(latency.as_millis_f64());
+        self.record(function, latency.as_millis_f64(), |p| &mut p.cold_start_ms);
     }
 
     /// Records an observed worker startup latency for `function`.
     pub fn record_startup(&mut self, function: &str, latency: SimDuration) {
-        self.epoch += 1;
-        self.profile_entry(function)
-            .startup_ms
-            .record(latency.as_millis_f64());
+        self.record(function, latency.as_millis_f64(), |p| &mut p.startup_ms);
     }
 
     /// Records an observed warm-start runtime for `function`.
     pub fn record_warm_runtime(&mut self, function: &str, runtime: SimDuration) {
-        self.epoch += 1;
-        self.profile_entry(function)
-            .warm_runtime_ms
-            .record(runtime.as_millis_f64());
+        self.record(function, runtime.as_millis_f64(), |p| {
+            &mut p.warm_runtime_ms
+        });
     }
 
     /// Records an observed parent→child invocation delay (implicit chains,
@@ -153,10 +162,14 @@ impl MetricsEngine {
     pub fn record_invoke_delay(&mut self, parent: &str, child: &str, delay: SimDuration) {
         self.epoch += 1;
         let alpha = self.alpha;
-        self.invoke_delays
-            .entry((parent.to_string(), child.to_string()))
-            .or_insert_with(|| Ema::new(alpha))
-            .record(delay.as_millis_f64());
+        update_named(&mut self.invoke_delays, parent, HashMap::new, |children| {
+            update_named(
+                children,
+                child,
+                || Ema::new(alpha),
+                |ema| ema.record(delay.as_millis_f64()),
+            );
+        });
     }
 
     /// The profile of `function`, if any observation exists.
@@ -168,7 +181,8 @@ impl MetricsEngine {
     /// unobserved.
     pub fn invoke_delay_ms(&self, parent: &str, child: &str) -> Option<f64> {
         self.invoke_delays
-            .get(&(parent.to_string(), child.to_string()))
+            .get(parent)?
+            .get(child)
             .and_then(Ema::value)
     }
 

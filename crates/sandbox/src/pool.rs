@@ -16,6 +16,7 @@
 use crate::worker::{Worker, WorkerId, WorkerRecord, WorkerState};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
 /// Configuration of a [`WorkerPool`].
@@ -84,7 +85,9 @@ pub struct WorkerPool {
     next_id: u64,
     live: HashMap<WorkerId, Worker>,
     dead: Vec<WorkerRecord>,
-    by_function: HashMap<String, FnIndex>,
+    /// Keyed by each worker's own shared name, so indexing a worker
+    /// clones an `Arc` and lookups borrow a `&str`.
+    by_function: HashMap<Arc<str>, FnIndex>,
     /// Warm workers ordered by `(last_active, id)`: LRU victims and
     /// keep-alive expiry scans read an ascending prefix.
     warm_by_activity: BTreeSet<(SimTime, WorkerId)>,
@@ -126,7 +129,7 @@ impl WorkerPool {
         let id = worker.id();
         let state = worker.state();
         assert_ne!(state, WorkerState::Dead, "cannot insert a dead worker");
-        let function = worker.function().to_string();
+        let function = Arc::clone(worker.shared_function());
         let last_active = worker.last_active();
         let prev = self.live.insert(id, worker);
         assert!(prev.is_none(), "worker id reused");
@@ -204,19 +207,20 @@ impl WorkerPool {
 
     /// Re-targets an unused warm worker to `function` (see
     /// [`Worker::retarget`] for the eligibility rules), moving it between
-    /// function buckets on success.
+    /// function buckets on success. The worker takes a clone of
+    /// `function`'s shared name.
     ///
     /// # Errors
     ///
     /// Propagates [`Worker::retarget`] errors; unknown ids error too.
-    pub fn retarget(&mut self, id: WorkerId, function: &str) -> Result<(), String> {
+    pub fn retarget(&mut self, id: WorkerId, function: &Arc<str>) -> Result<(), String> {
         let w = self
             .live
             .get_mut(&id)
             .ok_or_else(|| format!("worker {id} not live"))?;
-        let old = w.function().to_string();
-        w.retarget(function)?;
-        if old != function {
+        let old = Arc::clone(w.shared_function());
+        w.retarget(Arc::clone(function))?;
+        if old != *function {
             if let Some(fx) = self.by_function.get_mut(&old) {
                 fx.warm.remove(&id);
                 if fx.is_empty() {
@@ -224,7 +228,7 @@ impl WorkerPool {
                 }
             }
             self.by_function
-                .entry(function.to_string())
+                .entry(Arc::clone(function))
                 .or_default()
                 .warm
                 .insert(id);
@@ -386,7 +390,7 @@ impl WorkerPool {
                 indexed += 1;
                 match self.live.get(id) {
                     None => return Err(format!("FnIndex `{function}` references dead {id}")),
-                    Some(w) if w.function() != function => {
+                    Some(w) if w.function() != &**function => {
                         return Err(format!(
                             "FnIndex `{function}` holds {id} hosting `{}`",
                             w.function()
@@ -761,7 +765,7 @@ mod tests {
     fn retarget_moves_between_function_buckets() {
         let mut pool = WorkerPool::new(PoolConfig::default());
         let a = add_worker(&mut pool, "f", 0);
-        assert!(pool.retarget(a, "g").is_ok());
+        assert!(pool.retarget(a, &Arc::from("g")).is_ok());
         assert_eq!(pool.warm_count("f"), 0);
         assert_eq!(
             pool.warm_workers("g").map(Worker::id).collect::<Vec<_>>(),
@@ -772,9 +776,9 @@ mod tests {
         let t0 = SimTime::from_millis(10);
         pool.begin_exec(a, t0);
         pool.end_exec(a, t0, SimTime::from_millis(20));
-        assert!(pool.retarget(a, "h").is_err());
+        assert!(pool.retarget(a, &Arc::from("h")).is_err());
         assert_eq!(pool.warm_count("g"), 1);
-        assert!(pool.retarget(WorkerId(99), "h").is_err());
+        assert!(pool.retarget(WorkerId(99), &Arc::from("h")).is_err());
     }
 }
 

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use xanadu_chain::IsolationLevel;
 use xanadu_simcore::{SimDuration, SimTime};
 
@@ -39,7 +40,9 @@ pub enum WorkerState {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Worker {
     id: WorkerId,
-    function: String,
+    /// The hosted function's shared name
+    /// ([`FunctionSpec::shared_name`](xanadu_chain::FunctionSpec::shared_name)).
+    function: Arc<str>,
     isolation: IsolationLevel,
     memory_mb: u32,
     state: WorkerState,
@@ -56,10 +59,12 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Creates a worker in the `Provisioning` state.
+    /// Creates a worker in the `Provisioning` state. `function` is the
+    /// hosted function's name: pass its shared `Arc<str>` to clone it, or
+    /// a `&str`/`String` to copy it once.
     pub fn provisioning(
         id: WorkerId,
-        function: impl Into<String>,
+        function: impl Into<Arc<str>>,
         isolation: IsolationLevel,
         memory_mb: u32,
         now: SimTime,
@@ -87,6 +92,11 @@ impl Worker {
 
     /// The function this worker hosts.
     pub fn function(&self) -> &str {
+        &self.function
+    }
+
+    /// The hosted function's shared name.
+    pub fn shared_function(&self) -> &Arc<str> {
         &self.function
     }
 
@@ -180,14 +190,15 @@ impl Worker {
     /// The paper's future work (§7) proposes reusing speculatively deployed
     /// workers for functions on the alternate branch after a prediction
     /// miss, "provided they are of similar architectures" — the caller is
-    /// responsible for checking isolation/memory compatibility.
+    /// responsible for checking isolation/memory compatibility. `function`
+    /// is taken as in [`provisioning`](Self::provisioning).
     ///
     /// # Errors
     ///
     /// Returns `Err` with the unchanged worker name if the worker has
     /// already served a request (its runtime state is function-specific) or
     /// is not warm.
-    pub fn retarget(&mut self, function: impl Into<String>) -> Result<(), String> {
+    pub fn retarget(&mut self, function: impl Into<Arc<str>>) -> Result<(), String> {
         if self.served > 0 || self.first_exec_at.is_some() {
             return Err(format!(
                 "worker {} already served {}",
@@ -245,8 +256,8 @@ impl Worker {
 pub struct WorkerRecord {
     /// Worker id.
     pub id: WorkerId,
-    /// Hosted function name.
-    pub function: String,
+    /// Hosted function name, shared with the worker it records.
+    pub function: Arc<str>,
     /// Isolation level.
     pub isolation: IsolationLevel,
     /// Memory allocation in MB.

@@ -1,12 +1,15 @@
 //! String interning for the simulation hot path.
 //!
-//! Fleet-scale replays dispatch millions of events; carrying `String`
-//! payloads (workflow names, function names) through the future-event list
-//! costs an allocation per event and a hash of the full string per lookup.
-//! The [`Interner`] maps each distinct name to a dense [`Sym`] (`u32`) once
-//! at registration time; the hot path then moves `Copy`-able ids and indexes
-//! `Vec` tables directly, resolving back to `&str` only at report/export
-//! boundaries.
+//! Fleet-scale replays dispatch millions of events. The [`Interner`] maps
+//! each distinct name to a dense [`Sym`] (`u32`) once at registration
+//! time, so the future-event list moves `Copy`-able ids and indexes `Vec`
+//! tables directly instead of hashing a string per event.
+//!
+//! Names themselves are allocated once, as the `Arc<str>` the workflow's
+//! DAG holds. The interner keeps clones of those `Arc`s, and everything
+//! that outlives an event (workers, results, bus events, trace steps)
+//! clones the same `Arc` rather than copying the string, so resolving a
+//! `Sym` or reporting a name never allocates.
 //!
 //! Ids are assigned in insertion order, so a simulation that registers its
 //! workflows in a deterministic order gets deterministic ids — interning
@@ -15,12 +18,14 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use xanadu_simcore::Interner;
 //!
+//! let (checkout, thumbnail): (Arc<str>, Arc<str>) = ("checkout".into(), "thumbnail".into());
 //! let mut names = Interner::new();
-//! let a = names.intern("checkout");
-//! let b = names.intern("thumbnail");
-//! assert_eq!(names.intern("checkout"), a); // idempotent
+//! let a = names.intern(&checkout);
+//! let b = names.intern(&thumbnail);
+//! assert_eq!(names.intern(&checkout), a); // idempotent
 //! assert_eq!(a.index(), 0);
 //! assert_eq!(b.index(), 1);
 //! assert_eq!(names.resolve(a), "checkout");
@@ -29,6 +34,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A dense interned-string id.
 ///
@@ -58,12 +64,14 @@ impl Sym {
 /// An insertion-ordered string interner with dense `u32` ids.
 ///
 /// Lookups by name hash once; lookups by [`Sym`] are direct indexing.
-/// Cloning is cheap enough for snapshotting but the intended use is one
-/// interner per simulation, owned by the platform.
+/// Both tables hold clones of the caller's `Arc<str>`, so interning a new
+/// name allocates table slots but never a string. Cloning is cheap enough
+/// for snapshotting but the intended use is one interner per simulation,
+/// owned by the platform.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    ids: HashMap<String, Sym>,
-    names: Vec<String>,
+    ids: HashMap<Arc<str>, Sym>,
+    names: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -81,14 +89,15 @@ impl Interner {
     }
 
     /// Interns `name`, returning its id. Repeated calls with the same name
-    /// return the same id; new names get the next dense index.
-    pub fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&sym) = self.ids.get(name) {
+    /// return the same id; new names get the next dense index and keep a
+    /// clone of `name`'s `Arc`.
+    pub fn intern(&mut self, name: &Arc<str>) -> Sym {
+        if let Some(&sym) = self.ids.get(&**name) {
             return sym;
         }
         let sym = Sym(self.names.len() as u32);
-        self.ids.insert(name.to_string(), sym);
-        self.names.push(name.to_string());
+        self.ids.insert(Arc::clone(name), sym);
+        self.names.push(Arc::clone(name));
         sym
     }
 
@@ -121,7 +130,7 @@ impl Interner {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_str()))
+            .map(|(i, n)| (Sym(i as u32), &**n))
     }
 }
 
@@ -129,10 +138,14 @@ impl Interner {
 mod tests {
     use super::*;
 
+    fn name(s: &str) -> Arc<str> {
+        Arc::from(s)
+    }
+
     #[test]
     fn ids_are_dense_and_insertion_ordered() {
         let mut i = Interner::new();
-        let syms: Vec<Sym> = ["a", "b", "c"].iter().map(|n| i.intern(n)).collect();
+        let syms: Vec<Sym> = ["a", "b", "c"].iter().map(|n| i.intern(&name(n))).collect();
         assert_eq!(
             syms.iter().map(|s| s.index()).collect::<Vec<_>>(),
             [0, 1, 2]
@@ -143,20 +156,20 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut i = Interner::new();
-        let a = i.intern("x");
-        let b = i.intern("y");
-        assert_eq!(i.intern("x"), a);
-        assert_eq!(i.intern("y"), b);
+        let a = i.intern(&name("x"));
+        let b = i.intern(&name("y"));
+        assert_eq!(i.intern(&name("x")), a);
+        assert_eq!(i.intern(&name("y")), b);
         assert_eq!(i.len(), 2);
     }
 
     #[test]
     fn resolve_round_trips() {
         let mut i = Interner::with_capacity(8);
-        for name in ["wf0", "wf1", "wf2"] {
-            let s = i.intern(name);
-            assert_eq!(i.resolve(s), name);
-            assert_eq!(i.get(name), Some(s));
+        for n in ["wf0", "wf1", "wf2"] {
+            let s = i.intern(&Arc::from(n));
+            assert_eq!(i.resolve(s), n);
+            assert_eq!(i.get(n), Some(s));
         }
         assert_eq!(i.get("absent"), None);
     }
@@ -164,8 +177,8 @@ mod tests {
     #[test]
     fn iter_in_id_order() {
         let mut i = Interner::new();
-        i.intern("z");
-        i.intern("a");
+        i.intern(&name("z"));
+        i.intern(&name("a"));
         let pairs: Vec<(usize, &str)> = i.iter().map(|(s, n)| (s.index(), n)).collect();
         assert_eq!(pairs, vec![(0, "z"), (1, "a")]);
     }

@@ -14,8 +14,9 @@
 //!   tie-breaking (equal timestamps pop in insertion order), backed by a
 //!   binary heap; sequence numbers can be reserved so an event scheduled
 //!   late pops where it would have had it been scheduled early.
-//! * [`Interner`] — dense `u32` ids for workflow/function names so the
-//!   event hot path moves `Copy` payloads instead of `String`s.
+//! * [`Interner`] — dense `u32` ids for workflow names, sharing each
+//!   name's `Arc<str>`, so the event hot path moves `Copy` payloads and
+//!   never allocates a name.
 //! * [`RngStream`] — named, independently seeded random-number streams so
 //!   adding a new consumer of randomness never perturbs existing ones.
 //! * [`Distribution`] — latency/service-time distributions (constant,

@@ -5,6 +5,7 @@ use crate::error::ChainError;
 use crate::id::NodeId;
 use crate::spec::FunctionSpec;
 use std::collections::HashSet;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Incremental, validating builder for [`WorkflowDag`].
@@ -33,7 +34,8 @@ use std::sync::Arc;
 pub struct WorkflowBuilder {
     name: String,
     nodes: Vec<NodeData>,
-    names: HashSet<String>,
+    /// The specs' own shared names, so checking uniqueness copies none.
+    names: HashSet<Arc<str>>,
     children: Vec<Vec<Edge>>,
     parents: Vec<Vec<NodeId>>,
 }
@@ -41,12 +43,17 @@ pub struct WorkflowBuilder {
 impl WorkflowBuilder {
     /// Starts an empty workflow with the given name.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_capacity(name, 0)
+    }
+
+    /// Starts an empty workflow sized for `nodes` functions.
+    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
         WorkflowBuilder {
             name: name.into(),
-            nodes: Vec::new(),
-            names: HashSet::new(),
-            children: Vec::new(),
-            parents: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            names: HashSet::with_capacity(nodes),
+            children: Vec::with_capacity(nodes),
+            parents: Vec::with_capacity(nodes),
         }
     }
 
@@ -59,7 +66,7 @@ impl WorkflowBuilder {
     /// validation.
     pub fn add(&mut self, spec: FunctionSpec) -> Result<NodeId, ChainError> {
         spec.validate()?;
-        if !self.names.insert(spec.name().to_string()) {
+        if !self.names.insert(Arc::clone(spec.shared_name())) {
             return Err(ChainError::DuplicateFunction(spec.name().into()));
         }
         let id = NodeId::from_index(self.nodes.len());
@@ -201,8 +208,13 @@ impl WorkflowBuilder {
         }
     }
 
-    /// DFS reachability from `start` to `target` over current edges.
+    /// DFS reachability from `start` to `target` over current edges. A
+    /// `start` without children (every link to a fresh node, so every
+    /// link of a [`linear_chain`]) answers without a search.
     fn reaches(&self, start: NodeId, target: NodeId) -> bool {
+        if self.children[start.index()].is_empty() {
+            return start == target;
+        }
         let mut stack = vec![start];
         let mut seen = vec![false; self.nodes.len()];
         while let Some(id) = stack.pop() {
@@ -224,6 +236,9 @@ impl WorkflowBuilder {
 /// Convenience constructor for the paper's workhorse workload: a linear
 /// chain `f0 -> f1 -> … -> f(n-1)` of identical functions.
 ///
+/// Each function costs three heap allocations: its shared name and its
+/// one-entry child and parent lists.
+///
 /// # Errors
 ///
 /// Returns [`ChainError::EmptyWorkflow`] if `n == 0`.
@@ -243,10 +258,18 @@ pub fn linear_chain(
     n: usize,
     template: &FunctionSpec,
 ) -> Result<WorkflowDag, ChainError> {
-    let mut b = WorkflowBuilder::new(name);
+    let mut b = WorkflowBuilder::with_capacity(name, n);
+    // Every name is written into one buffer and copied once, into its
+    // `Arc`; 20 bytes hold any index.
+    let stem = template.name().len();
+    let mut fn_name = String::with_capacity(stem + 20);
+    fn_name.push_str(template.name());
     let mut prev: Option<NodeId> = None;
     for i in 0..n {
-        let spec = template.clone().rename(format!("{}{}", template.name(), i));
+        fn_name.truncate(stem);
+        write!(fn_name, "{i}").expect("writing to a String cannot fail");
+        let mut spec = template.clone();
+        spec.set_name(Arc::from(fn_name.as_str()));
         let id = b.add(spec)?;
         if let Some(p) = prev {
             b.link(p, id)?;
@@ -254,15 +277,6 @@ pub fn linear_chain(
         prev = Some(id);
     }
     b.build()
-}
-
-impl FunctionSpec {
-    /// Returns a copy of this spec with a different name (used when stamping
-    /// out chains from a template).
-    pub fn rename(mut self, name: impl Into<String>) -> Self {
-        self.set_name(name.into());
-        self
-    }
 }
 
 #[cfg(test)]

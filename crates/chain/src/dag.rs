@@ -21,9 +21,10 @@
 use crate::condition::Condition;
 use crate::error::ChainError;
 use crate::id::NodeId;
+use crate::nodeset::NodeSet;
 use crate::spec::FunctionSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -384,15 +385,16 @@ impl WorkflowDag {
                 "adjacency tables disagree with node count".into(),
             ));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut names = HashSet::with_capacity(n);
         for node in &self.nodes {
             node.spec().validate()?;
-            if !seen.insert(node.spec().name().to_string()) {
+            if !names.insert(node.spec().name()) {
                 return Err(ChainError::DuplicateFunction(node.spec().name().into()));
             }
         }
+        // One set serves every node: each clears the bits it set.
+        let mut targets = NodeSet::with_capacity(n);
         for (i, edges) in self.children.iter().enumerate() {
-            let mut targets = std::collections::HashSet::new();
             for e in edges {
                 if e.to.index() >= n {
                     return Err(ChainError::UnknownNode(e.to));
@@ -412,6 +414,9 @@ impl WorkflowDag {
                         e.to
                     )));
                 }
+            }
+            for e in edges {
+                targets.remove(e.to);
             }
         }
         // Cycle check: Kahn must visit everything.
@@ -581,6 +586,40 @@ mod tests {
             dag.validate(),
             Err(ChainError::CycleDetected { .. })
         ));
+    }
+
+    #[test]
+    fn validate_catches_duplicate_edges_and_missing_parents() {
+        let id = NodeId::from_index;
+        let edge = |to: usize| Edge {
+            to: id(to),
+            weight: 1.0,
+        };
+        // Two nodes sharing a target is no duplicate: each node's check
+        // starts from an empty set.
+        let mut dag = linear(3);
+        dag.children[0].push(edge(2));
+        dag.parents[2].push(id(0));
+        assert_eq!(dag.validate(), Ok(()));
+
+        let mut duplicate = dag.clone();
+        duplicate.children[1].push(edge(2));
+        assert_eq!(
+            duplicate.validate(),
+            Err(ChainError::DuplicateEdge {
+                from: id(1),
+                to: id(2)
+            })
+        );
+
+        let mut missing = linear(3);
+        missing.children[0].push(edge(2));
+        assert_eq!(
+            missing.validate(),
+            Err(ChainError::Sdl(
+                "edge n0 -> n2 missing from parent table".into()
+            ))
+        );
     }
 
     #[test]

@@ -111,8 +111,11 @@ impl FunctionSpec {
         &self.name
     }
 
-    pub(crate) fn set_name(&mut self, name: String) {
-        self.name = Arc::from(name);
+    /// Renames the spec to an already shared name (how
+    /// [`linear_chain`](crate::linear_chain) stamps its functions out of
+    /// a template).
+    pub(crate) fn set_name(&mut self, name: Arc<str>) {
+        self.name = name;
     }
 
     /// Memory allocation in MB.

@@ -73,6 +73,19 @@ impl<T> ObserverHandle<T> {
     {
         self.with(T::clone)
     }
+
+    /// Moves the observer's state out of the handle once the platform
+    /// that fed it is gone; clones it only while another handle (a live
+    /// platform's) still shares it.
+    pub(crate) fn into_inner(self) -> T
+    where
+        T: Clone,
+    {
+        match Arc::try_unwrap(self.inner) {
+            Ok(observer) => observer.into_inner().expect("observer lock poisoned"),
+            Err(inner) => ObserverHandle { inner }.snapshot(),
+        }
+    }
 }
 
 /// Upper bounds (milliseconds) of the fixed latency buckets, chosen to
@@ -338,6 +351,24 @@ impl Observer for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts how many clones stand between it and the original.
+    #[derive(Debug)]
+    struct Copies(u32);
+
+    impl Clone for Copies {
+        fn clone(&self) -> Self {
+            Copies(self.0 + 1)
+        }
+    }
+
+    #[test]
+    fn into_inner_moves_a_sole_handle_and_clones_a_shared_one() {
+        let handle = ObserverHandle::new(Copies(0));
+        let shared = handle.clone();
+        assert_eq!(handle.into_inner().0, 1, "a live clone keeps the state");
+        assert_eq!(shared.into_inner().0, 0, "the last handle moves it out");
+    }
 
     #[test]
     fn histogram_buckets_values_and_tracks_mean() {

@@ -48,7 +48,7 @@
 //! opt-in for fleet-scale runs (CLI `--shards`).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -510,12 +510,18 @@ fn assign_global_ids(inputs: &mut [ShardInput]) {
         .filter_map(|i| i.triggers.first().map(|&at| Reverse((at, i.ids.shard, 0))))
         .collect();
     let mut next = 0u64;
-    while let Some(Reverse((_, shard, local))) = heads.pop() {
+    // A shard's next trigger replaces its head in place (one sift down);
+    // its head leaves the heap only when its schedule ends.
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, shard, local)) = *head;
         let input = &mut inputs[shard];
         input.ids.global.push(next);
         next += 1;
-        if let Some(&at) = input.triggers.get(local + 1) {
-            heads.push(Reverse((at, shard, local + 1)));
+        match input.triggers.get(local + 1) {
+            Some(&at) => *head = Reverse((at, shard, local + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
         }
     }
 }
@@ -546,12 +552,12 @@ impl Running {
             queue_peak: self.queue_peak,
             cluster,
             streaming: self.streaming.map(|h| {
-                let mut audit = h.snapshot();
+                let mut audit = h.into_inner();
                 audit.remap_exemplar_requests(|local| ids.global[local as usize]);
                 audit
             }),
-            slo: self.slo.map(|h| h.snapshot()),
-            metrics: self.metrics.map(|h| h.snapshot()),
+            slo: self.slo.map(ObserverHandle::into_inner),
+            metrics: self.metrics.map(ObserverHandle::into_inner),
         }
     }
 }

@@ -6,10 +6,10 @@
 //! tables directly instead of hashing a string per event.
 //!
 //! Names themselves are allocated once, as the `Arc<str>` the workflow's
-//! DAG holds. The interner keeps clones of those `Arc`s, and everything
-//! that outlives an event (workers, results, bus events, trace steps)
-//! clones the same `Arc` rather than copying the string, so resolving a
-//! `Sym` or reporting a name never allocates.
+//! DAG holds. The interner keys its map with clones of those `Arc`s, and
+//! everything that outlives an event (workers, results, bus events, trace
+//! steps) clones the same `Arc` from the DAG rather than copying the
+//! string, so reporting a name never allocates.
 //!
 //! Ids are assigned in insertion order, so a simulation that registers its
 //! workflows in a deterministic order gets deterministic ids — interning
@@ -28,7 +28,6 @@
 //! assert_eq!(names.intern(&checkout), a); // idempotent
 //! assert_eq!(a.index(), 0);
 //! assert_eq!(b.index(), 1);
-//! assert_eq!(names.resolve(a), "checkout");
 //! assert_eq!(names.get("thumbnail"), Some(b));
 //! assert_eq!(names.get("missing"), None);
 //! ```
@@ -38,9 +37,9 @@ use std::sync::Arc;
 
 /// A dense interned-string id.
 ///
-/// `Sym`s are plain `u32` indexes into their [`Interner`]'s table, handed
-/// out in insertion order starting at 0 — suitable for direct `Vec`
-/// indexing via [`Sym::index`].
+/// `Sym`s are plain `u32` ids, handed out by their [`Interner`] in
+/// insertion order starting at 0 — suitable for direct `Vec` indexing via
+/// [`Sym::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(u32);
 
@@ -63,29 +62,19 @@ impl Sym {
 
 /// An insertion-ordered string interner with dense `u32` ids.
 ///
-/// Lookups by name hash once; lookups by [`Sym`] are direct indexing.
-/// Both tables hold clones of the caller's `Arc<str>`, so interning a new
-/// name allocates table slots but never a string. Cloning is cheap enough
-/// for snapshotting but the intended use is one interner per simulation,
-/// owned by the platform.
+/// Lookups by name hash once. The map holds clones of the caller's
+/// `Arc<str>`, so interning a new name allocates a table slot but never
+/// a string. The intended use is one interner per simulation, owned by
+/// the platform.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     ids: HashMap<Arc<str>, Sym>,
-    names: Vec<Arc<str>>,
 }
 
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty interner pre-sized for `capacity` distinct names.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Interner {
-            ids: HashMap::with_capacity(capacity),
-            names: Vec::with_capacity(capacity),
-        }
     }
 
     /// Interns `name`, returning its id. Repeated calls with the same name
@@ -95,9 +84,8 @@ impl Interner {
         if let Some(&sym) = self.ids.get(&**name) {
             return sym;
         }
-        let sym = Sym(self.names.len() as u32);
+        let sym = Sym(self.ids.len() as u32);
         self.ids.insert(Arc::clone(name), sym);
-        self.names.push(Arc::clone(name));
         sym
     }
 
@@ -106,31 +94,14 @@ impl Interner {
         self.ids.get(name).copied()
     }
 
-    /// Resolves an id back to its name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` was not produced by this interner.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
-    }
-
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ids.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates `(Sym, name)` pairs in insertion (= id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> + '_ {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Sym(i as u32), &**n))
+        self.ids.is_empty()
     }
 }
 
@@ -156,30 +127,14 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut i = Interner::new();
+        assert!(i.is_empty());
         let a = i.intern(&name("x"));
         let b = i.intern(&name("y"));
         assert_eq!(i.intern(&name("x")), a);
         assert_eq!(i.intern(&name("y")), b);
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn resolve_round_trips() {
-        let mut i = Interner::with_capacity(8);
-        for n in ["wf0", "wf1", "wf2"] {
-            let s = i.intern(&Arc::from(n));
-            assert_eq!(i.resolve(s), n);
-            assert_eq!(i.get(n), Some(s));
-        }
+        assert_eq!(i.get("x"), Some(a));
+        assert_eq!(i.get("y"), Some(b));
         assert_eq!(i.get("absent"), None);
-    }
-
-    #[test]
-    fn iter_in_id_order() {
-        let mut i = Interner::new();
-        i.intern(&name("z"));
-        i.intern(&name("a"));
-        let pairs: Vec<(usize, &str)> = i.iter().map(|(s, n)| (s.index(), n)).collect();
-        assert_eq!(pairs, vec![(0, "z"), (1, "a")]);
     }
 }

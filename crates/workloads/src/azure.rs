@@ -76,6 +76,7 @@ impl WorkflowTrace {
 /// ```
 pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace> {
     let rng = RngStream::derive(seed, "azure-trace");
+    let hours = config.duration.as_secs_f64() / 3600.0;
     let rare_count = (config.workflows as f64 * config.rare_fraction).round() as usize;
     (0..config.workflows)
         .map(|i| {
@@ -86,7 +87,7 @@ pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace
                 config.popular_rate_per_hour
             };
             let mut wf_rng = rng.child(i as u64);
-            let mut arrivals = Vec::new();
+            let mut arrivals = Vec::with_capacity(poisson_capacity(rate * hours));
             if rate > 0.0 {
                 let mean_gap_ms = 3_600_000.0 / rate;
                 let mut t = SimTime::ZERO;
@@ -105,6 +106,13 @@ pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace
             }
         })
         .collect()
+}
+
+/// Room for a Poisson count of mean `mean`: four standard deviations
+/// above it, which a draw exceeds with probability under 0.1%, so a
+/// workflow's schedule is allocated once.
+fn poisson_capacity(mean: f64) -> usize {
+    (mean + 4.0 * mean.sqrt()).ceil() as usize
 }
 
 /// Expected number of invocations the whole fleet produces over the

@@ -201,7 +201,9 @@ impl StreamSource for RecordedStream {
 pub struct GeneratedStream {
     header: StreamHeader,
     /// Min-heap of (next arrival µs, workflow index) — ties break on the
-    /// lower workflow index, so the merge order is total and stable.
+    /// lower workflow index, so the merge order is total and stable. It
+    /// holds each workflow once, so every key is unique and the order
+    /// does not depend on how the heap sifts.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     rngs: Vec<RngStream>,
     mean_gap_ms: f64,
@@ -234,7 +236,7 @@ impl GeneratedStream {
     pub fn from_header(header: StreamHeader) -> Self {
         let mean_gap_ms = 3_600_000.0 / header.rate_per_hour;
         let base = RngStream::derive(header.seed, "stream-arrivals");
-        let mut heap = BinaryHeap::new();
+        let mut heap = BinaryHeap::with_capacity(header.workflows as usize);
         let mut rngs = Vec::with_capacity(header.workflows as usize);
         for wf in 0..header.workflows {
             let mut rng = base.child(u64::from(wf));
@@ -270,11 +272,13 @@ impl StreamSource for GeneratedStream {
         if self.emitted >= self.header.events {
             return None;
         }
-        let Reverse((at_us, wf)) = self.heap.pop()?;
+        // The emitted workflow's next arrival replaces it at the top, so
+        // an event costs one sift down.
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((at_us, wf)) = *top;
         let rng = &mut self.rngs[wf as usize];
         let gap = SimDuration::from_millis_f64(rng.exponential(self.mean_gap_ms));
-        let next = at_us + gap.as_micros().max(1);
-        self.heap.push(Reverse((next, wf)));
+        *top = Reverse((at_us + gap.as_micros().max(1), wf));
         self.emitted += 1;
         Some(StreamEvent { at_us, wf })
     }
@@ -353,5 +357,50 @@ mod tests {
         let mean_gap_ms = span_us as f64 / 1000.0 / (events.len() - 1) as f64;
         // 3600/hour → 1s mean gap; allow generous stochastic tolerance.
         assert!((500.0..2000.0).contains(&mean_gap_ms), "mean {mean_gap_ms}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The merge `GeneratedStream` replaced: pop the earliest workflow,
+    /// draw its next gap, push it back.
+    fn pop_push_merge(header: &StreamHeader) -> Vec<StreamEvent> {
+        let mean_gap_ms = 3_600_000.0 / header.rate_per_hour;
+        let base = RngStream::derive(header.seed, "stream-arrivals");
+        let mut rngs: Vec<RngStream> = (0..header.workflows)
+            .map(|wf| base.child(u64::from(wf)))
+            .collect();
+        let mut heap = BinaryHeap::new();
+        for (wf, rng) in (0u32..).zip(&mut rngs) {
+            let first = SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
+            heap.push(Reverse((first.as_micros(), wf)));
+        }
+        let mut events = Vec::new();
+        while (events.len() as u64) < header.events {
+            let Reverse((at_us, wf)) = heap.pop().expect("a non-empty population");
+            let gap = SimDuration::from_millis_f64(rngs[wf as usize].exponential(mean_gap_ms));
+            heap.push(Reverse((at_us + gap.as_micros().max(1), wf)));
+            events.push(StreamEvent { at_us, wf });
+        }
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn in_place_merge_equals_the_pop_push_merge(
+            workflows in 1u32..=1000,
+            seed in 0u64..u64::MAX,
+            rate_per_hour in 0.5f64..50_000.0,
+            events in 0u64..3000,
+        ) {
+            let (header, merged) =
+                GeneratedStream::new(workflows, 2, rate_per_hour, seed, events).collect_events();
+            prop_assert_eq!(merged, pop_push_merge(&header));
+        }
     }
 }

@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::cli::{render_slo_alert, CliError, ExportFile};
-use xanadu_chain::{linear_chain, FunctionSpec};
+use xanadu_chain::{linear_chain, FunctionSpec, WorkflowDag};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_platform::export::{
     alert_json_line, service_metrics_text, slo_json_string, streaming_json_string, ServiceStatus,
@@ -332,12 +332,25 @@ fn load_state(
     })
 }
 
+/// The stream's workflow population, built once per run: workflow `wf`
+/// of the header is the linear chain `population[wf]`, named
+/// `header.workflow_name(wf)`.
+fn population(header: &StreamHeader) -> Result<Vec<WorkflowDag>, CliError> {
+    (0..header.workflows)
+        .map(|wf| {
+            let name = header.workflow_name(wf);
+            let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
+            linear_chain(name, header.depth as usize, &template).map_err(workflow_err)
+        })
+        .collect()
+}
+
 /// Builds one epoch's platform: reseeded config, the full implicit
 /// workflow population, and — after epoch 0 — the learned chain profiles
 /// restored from the durable store.
 fn epoch_platform(
     config: &PlatformConfig,
-    header: &StreamHeader,
+    population: &[WorkflowDag],
     durable: &MetaStore,
     epoch: u64,
     base_seed: u64,
@@ -346,11 +359,10 @@ fn epoch_platform(
         .child(epoch)
         .next_u64();
     let mut platform = Platform::new(config.reseeded(epoch_seed));
-    for wf in 0..header.workflows {
-        let name = header.workflow_name(wf);
-        let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
-        let dag = linear_chain(&name, header.depth as usize, &template).map_err(workflow_err)?;
-        platform.deploy_implicit(dag).map_err(workflow_err)?;
+    for dag in population {
+        platform
+            .deploy_implicit(dag.clone())
+            .map_err(workflow_err)?;
     }
     if epoch > 0 {
         platform
@@ -457,6 +469,7 @@ pub fn run_serve(
         std::fs::write(path, text).map_err(|e| workflow_err(format!("{path}: {e}")))?;
     }
 
+    let population = population(&header)?;
     let total = events.len() as u64;
     let started = Instant::now();
     let start_events = state.events_consumed;
@@ -470,14 +483,14 @@ pub fn run_serve(
         let slice_end = (state.events_consumed + serve.checkpoint_every).min(total);
         let slice = &events[state.events_consumed as usize..slice_end as usize];
 
-        let mut platform = epoch_platform(&config, &header, &durable, state.epoch, serve.seed)?;
+        let mut platform = epoch_platform(&config, &population, &durable, state.epoch, serve.seed)?;
         let audit_handle =
             platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
         let slo_handle = platform.attach_observer(SloMonitor::collector(slo_config.clone()));
 
         for ev in slice {
             platform
-                .trigger_at(&header.workflow_name(ev.wf), ev.at())
+                .trigger_at(population[ev.wf as usize].name(), ev.at())
                 .map_err(workflow_err)?;
         }
         platform.run_until_idle();

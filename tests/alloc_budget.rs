@@ -9,15 +9,21 @@
 //! This binary installs a counting global allocator that counts only on
 //! the thread that drives the platform (a const-initialized thread-local
 //! counter, which itself never allocates), so the test harness's own
-//! threads do not disturb the figures. Each case runs the same linear
-//! chain for N and then 2N triggers on a fresh platform; the difference
-//! divided by N is the allocation cost of one extra request, with every
-//! per-run cost (deploy, first cold starts, report) cancelled out.
+//! threads do not disturb the figures. Each request case runs the same
+//! linear chain for N and then 2N triggers on a fresh platform; the
+//! difference divided by N is the allocation cost of one extra request,
+//! with every per-run cost (deploy, first cold starts, report) cancelled
+//! out. The construction cases bound the workload every run builds
+//! first: a chain's cost per function (depth N against 2N) and the
+//! arrivals of the 20k-invocation fleet.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use xanadu::prelude::*;
 use xanadu_platform::{StreamingAudit, StreamingConfig};
+use xanadu_workloads::azure::{
+    generate_trace, scale_to_invocations, total_invocations, AzureTraceConfig,
+};
 
 /// Allocations one extra request may cost on an unobserved platform:
 /// 51.7 measured, plus a small margin. Copying each name where it is
@@ -28,6 +34,18 @@ const BUDGET_UNOBSERVED: f64 = 56.0;
 /// measured, plus a small margin (202.7 with a copied name in every
 /// event and metric key).
 const BUDGET_OBSERVED: f64 = 74.0;
+
+/// Allocations one more function costs `linear_chain`: its shared name
+/// and its one-entry child and parent lists, 3.00 measured. Copying each
+/// name through `format!` into the spec and the builder's name set, and
+/// two search buffers per link, made 9.02.
+const BUDGET_CHAIN_FUNCTION: f64 = 3.5;
+
+/// Allocations to generate the 20k-invocation fleet's trace (75
+/// workflows): a name and an arrival vector each, and the fleet's
+/// vector, 151 measured. Growing every arrival vector as it fills made
+/// 502.
+const BUDGET_FLEET_TRACE: u64 = 160;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -144,5 +162,44 @@ fn observed_requests_stay_within_their_allocation_budget() {
     assert!(
         per_request <= BUDGET_OBSERVED,
         "{per_request:.2} allocations per request, budget {BUDGET_OBSERVED}"
+    );
+}
+
+/// Allocations on this thread to build a linear chain of `depth`
+/// functions.
+fn chain(depth: usize) -> u64 {
+    let template = FunctionSpec::new("wf0-f").service_ms(400.0);
+    let before = allocations();
+    let dag = linear_chain("wf0", depth, &template).expect("valid chain");
+    let after = allocations();
+    assert_eq!(dag.len(), depth);
+    after - before
+}
+
+#[test]
+fn chain_functions_stay_within_their_allocation_budget() {
+    const N: usize = 256;
+    let per_function = (chain(2 * N) - chain(N)) as f64 / N as f64;
+    println!("linear_chain: {per_function:.2} allocations per function");
+    assert!(
+        per_function <= BUDGET_CHAIN_FUNCTION,
+        "{per_function:.2} allocations per function, budget {BUDGET_CHAIN_FUNCTION}"
+    );
+}
+
+#[test]
+fn fleet_trace_stays_within_its_allocation_budget() {
+    let fleet = scale_to_invocations(&AzureTraceConfig::default(), 20_000);
+    let before = allocations();
+    let traces = generate_trace(&fleet, 42);
+    let allocated = allocations() - before;
+    assert!(total_invocations(&traces) >= 19_000);
+    println!(
+        "generate_trace: {allocated} allocations for {} workflows",
+        traces.len()
+    );
+    assert!(
+        allocated <= BUDGET_FLEET_TRACE,
+        "{allocated} allocations, budget {BUDGET_FLEET_TRACE}"
     );
 }

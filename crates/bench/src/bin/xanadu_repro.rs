@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use xanadu_bench::experiments::{all_timed, run_by_id, ALL_IDS};
+use xanadu_bench::experiments::{all_timed, run_by_id, ALL_EXPERIMENTS};
 use xanadu_bench::harness::{observability_audit, observability_probe, set_jobs};
 use xanadu_bench::Experiment;
 use xanadu_platform::export::audit_json_string;
@@ -26,7 +26,10 @@ fn usage() {
         "usage: xanadu-repro [--list] [--jobs N] [--trace-out F] [--metrics-out F] \
          [--audit-out DIR] <experiment-id>... | all"
     );
-    eprintln!("known ids: {}", ALL_IDS.join(", "));
+    eprintln!(
+        "known ids: {}",
+        ALL_EXPERIMENTS.map(|(id, _)| id).join(", ")
+    );
     eprintln!(
         "--trace-out/--metrics-out additionally run the observability probe \
          (seed 7) and write its Chrome-trace / metrics JSON exports"
@@ -153,7 +156,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list") {
-        for id in ALL_IDS {
+        for (id, _) in ALL_EXPERIMENTS {
             println!("{id}");
         }
         return ExitCode::SUCCESS;

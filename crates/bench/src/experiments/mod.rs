@@ -106,30 +106,3 @@ pub fn all_timed() -> Vec<(Experiment, f64)> {
         (e, start.elapsed().as_secs_f64() * 1000.0)
     })
 }
-
-/// All known experiment ids.
-pub const ALL_IDS: [&str; 23] = [
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig9",
-    "tab1",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "cluster",
-    "policies",
-    "abl-aggr",
-    "abl-keepalive",
-    "abl-ema",
-    "abl-miss",
-    "abl-trace",
-    "abl-hedge",
-    "abl-pool",
-];

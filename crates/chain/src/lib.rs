@@ -43,7 +43,6 @@ mod error;
 mod id;
 mod isolation;
 mod nodeset;
-pub mod paths;
 pub mod sdl;
 mod spec;
 

@@ -112,12 +112,6 @@ pub struct WorkflowRunCosts {
 }
 
 impl WorkflowRunCosts {
-    /// Computes `C_D` per Equation 1: end-to-end runtime minus the expected
-    /// execution time of the workflow's critical path.
-    pub fn latency_overhead(end_to_end: SimDuration, critical_path: SimDuration) -> SimDuration {
-        end_to_end.saturating_sub(critical_path)
-    }
-
     /// The joint penalties `φ = C_R · C_D`.
     pub fn penalties(&self) -> PenaltyFactors {
         let cd_s = self.c_d.as_secs_f64();
@@ -218,20 +212,6 @@ mod tests {
         let total = total_resource_cost(&records, |_| RATES);
         assert!((total.cpu_s - (1.0 + 1.0 + 0.01)).abs() < 1e-9);
         assert!((total.mem_mbs - 128.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_overhead_is_saturating() {
-        let cd = WorkflowRunCosts::latency_overhead(
-            SimDuration::from_millis(8000),
-            SimDuration::from_millis(2500),
-        );
-        assert_eq!(cd, SimDuration::from_millis(5500));
-        let zero = WorkflowRunCosts::latency_overhead(
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(2500),
-        );
-        assert_eq!(zero, SimDuration::ZERO);
     }
 
     #[test]

@@ -63,7 +63,8 @@ impl MlpResult {
 /// Infers the MLP of `dag` using the probability lookup `rho`, which maps
 /// `(parent, child)` to an estimate of `ρ(child | parent)`; return `None`
 /// from the lookup to fall back to the DAG's ground-truth probability
-/// (useful while the learned model is still incomplete).
+/// (useful while the learned model is still incomplete). This is
+/// [`infer_mlp_hedged`] with a margin of zero.
 ///
 /// # Example
 ///
@@ -82,100 +83,19 @@ impl MlpResult {
 /// assert!(mlp.contains(a) && mlp.contains(hot) && !mlp.contains(cold));
 /// # Ok::<(), xanadu_chain::ChainError>(())
 /// ```
-pub fn infer_mlp(
-    dag: &WorkflowDag,
-    mut rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
-) -> MlpResult {
-    let n = dag.len();
-    // Likelihood of each node executing, propagated along selected edges.
-    let mut likelihood = vec![0.0f64; n];
-    let mut selected = vec![false; n];
-
-    for root in dag.roots() {
-        likelihood[root.index()] = 1.0;
-        selected[root.index()] = true;
-    }
-
-    // Process in topological order; when we reach a selected node, decide
-    // which of its children join the MLP.
-    for id in dag.topo_order() {
-        if !selected[id.index()] {
-            continue;
-        }
-        let edges = dag.children(id);
-        if edges.is_empty() {
-            continue;
-        }
-        let prob_of = |rho: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>, child: NodeId| {
-            rho(id, child)
-                .or_else(|| dag.edge_probability(id, child))
-                .unwrap_or(0.0)
-                .clamp(0.0, 1.0)
-        };
-        match dag.node(id).branch_mode() {
-            BranchMode::Multicast => {
-                // Every child with nonzero firing probability fires;
-                // accumulate likelihood across parents (the L_j summation,
-                // §3.1 Equation 3). Zero-probability edges occur when a
-                // learned model has not yet discovered an edge — those
-                // children must not be speculated on.
-                for e in edges {
-                    let p = prob_of(&mut rho, e.to);
-                    likelihood[e.to.index()] += likelihood[id.index()] * p;
-                    if p > 0.0 {
-                        selected[e.to.index()] = true;
-                    }
-                }
-            }
-            BranchMode::Xor => {
-                // Exactly one sibling fires: the maximum-likelihood one.
-                // Accumulate contributions first (a sibling can have other
-                // parents), then mark only the argmax child selected *via
-                // this decision*.
-                let mut best: Option<(NodeId, f64)> = None;
-                for e in edges {
-                    let p = prob_of(&mut rho, e.to);
-                    let contribution = likelihood[id.index()] * p;
-                    likelihood[e.to.index()] += contribution;
-                    let cand = likelihood[e.to.index()];
-                    // Deterministic tie-break: earlier node id wins.
-                    let better = match best {
-                        None => true,
-                        Some((bid, bl)) => {
-                            cand > bl + 1e-15 || ((cand - bl).abs() <= 1e-15 && e.to < bid)
-                        }
-                    };
-                    if better {
-                        best = Some((e.to, cand));
-                    }
-                }
-                if let Some((winner, _)) = best {
-                    selected[winner.index()] = true;
-                }
-            }
-        }
-    }
-
-    let mut path = Vec::new();
-    let mut out_likelihood = Vec::new();
-    for id in dag.topo_order() {
-        if selected[id.index()] {
-            path.push(id);
-            out_likelihood.push(likelihood[id.index()]);
-        }
-    }
-    MlpResult::new(path, out_likelihood)
+pub fn infer_mlp(dag: &WorkflowDag, rho: impl FnMut(NodeId, NodeId) -> Option<f64>) -> MlpResult {
+    walk(dag, &dag.roots(), rho, 0.0)
 }
 
 /// Infers a *hedged* most-likely path: like [`infer_mlp`], but at XOR
-/// points whose top two siblings are within `hedge_margin` of each other
-/// (absolute likelihood difference), **both** are selected.
+/// points whose siblings are within `hedge_margin` of the most likely one
+/// (absolute likelihood difference), **all** of those are selected.
 ///
 /// This extends the paper: §5.3 observes that weakly biased conditional
 /// points make the MLP "oscillate between equiprobable paths" and §5.4
 /// shows prediction misses eroding speculation's benefit. Hedging trades a
 /// bounded amount of extra pre-provisioning for immunity to exactly those
-/// coin-flip branches. `hedge_margin = 0.0` reduces to [`infer_mlp`].
+/// coin-flip branches. `hedge_margin = 0.0` is [`infer_mlp`].
 ///
 /// # Example
 ///
@@ -196,25 +116,45 @@ pub fn infer_mlp(
 /// ```
 pub fn infer_mlp_hedged(
     dag: &WorkflowDag,
+    rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
+    hedge_margin: f64,
+) -> MlpResult {
+    walk(dag, &dag.roots(), rho, hedge_margin)
+}
+
+/// MLP inference rooted at an arbitrary node: `start` is taken as certain
+/// (likelihood 1) and selection proceeds only through its descendants.
+pub(crate) fn infer_mlp_from(
+    dag: &WorkflowDag,
+    start: NodeId,
+    rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
+) -> MlpResult {
+    walk(dag, &[start], rho, 0.0)
+}
+
+/// The one MLP walk: `starts` execute with likelihood 1, and each selected
+/// node, in topological order, decides which of its children join.
+fn walk(
+    dag: &WorkflowDag,
+    starts: &[NodeId],
     mut rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
     hedge_margin: f64,
 ) -> MlpResult {
     let n = dag.len();
+    // Likelihood of each node executing, propagated along selected edges.
     let mut likelihood = vec![0.0f64; n];
     let mut selected = vec![false; n];
-    for root in dag.roots() {
-        likelihood[root.index()] = 1.0;
-        selected[root.index()] = true;
+    for &start in starts {
+        likelihood[start.index()] = 1.0;
+        selected[start.index()] = true;
     }
+
     for id in dag.topo_order() {
         if !selected[id.index()] {
             continue;
         }
         let edges = dag.children(id);
-        if edges.is_empty() {
-            continue;
-        }
-        let prob_of = |rho: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>, child: NodeId| {
+        let mut prob_of = |child: NodeId| {
             rho(id, child)
                 .or_else(|| dag.edge_probability(id, child))
                 .unwrap_or(0.0)
@@ -222,8 +162,13 @@ pub fn infer_mlp_hedged(
         };
         match dag.node(id).branch_mode() {
             BranchMode::Multicast => {
+                // Every child with nonzero firing probability fires;
+                // accumulate likelihood across parents (the L_j summation,
+                // §3.1 Equation 3). Zero-probability edges occur when a
+                // learned model has not yet discovered an edge — those
+                // children must not be speculated on.
                 for e in edges {
-                    let p = prob_of(&mut rho, e.to);
+                    let p = prob_of(e.to);
                     likelihood[e.to.index()] += likelihood[id.index()] * p;
                     if p > 0.0 {
                         selected[e.to.index()] = true;
@@ -231,29 +176,42 @@ pub fn infer_mlp_hedged(
                 }
             }
             BranchMode::Xor => {
-                let mut scored: Vec<(NodeId, f64)> = Vec::with_capacity(edges.len());
+                // Exactly one sibling fires: the maximum-likelihood one.
+                // Accumulate contributions first (a sibling can have other
+                // parents), then mark only the argmax child selected *via
+                // this decision*.
+                let mut best: Option<(NodeId, f64)> = None;
+                let mut top = f64::NEG_INFINITY;
                 for e in edges {
-                    let p = prob_of(&mut rho, e.to);
-                    likelihood[e.to.index()] += likelihood[id.index()] * p;
-                    scored.push((e.to, likelihood[e.to.index()]));
+                    likelihood[e.to.index()] += likelihood[id.index()] * prob_of(e.to);
+                    let cand = likelihood[e.to.index()];
+                    top = top.max(cand);
+                    // Deterministic tie-break: earlier node id wins.
+                    let better = match best {
+                        None => true,
+                        Some((bid, bl)) => {
+                            cand > bl + 1e-15 || ((cand - bl).abs() <= 1e-15 && e.to < bid)
+                        }
+                    };
+                    if better {
+                        best = Some((e.to, cand));
+                    }
                 }
-                scored.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                if let Some(&(winner, best)) = scored.first() {
-                    selected[winner.index()] = true;
-                    // Hedge: also select runners-up within the margin.
-                    for &(candidate, score) in scored.iter().skip(1) {
-                        if best - score <= hedge_margin {
-                            selected[candidate.index()] = true;
+                let Some((winner, _)) = best else { continue };
+                selected[winner.index()] = true;
+                // Hedge: also select the siblings within the margin of
+                // the most likely one.
+                if hedge_margin > 0.0 {
+                    for e in edges {
+                        if top - likelihood[e.to.index()] <= hedge_margin {
+                            selected[e.to.index()] = true;
                         }
                     }
                 }
             }
         }
     }
+
     let mut path = Vec::new();
     let mut out_likelihood = Vec::new();
     for id in dag.topo_order() {
@@ -541,30 +499,185 @@ mod proptests {
     use proptest::prelude::*;
     use xanadu_chain::{FunctionSpec, WorkflowBuilder};
 
-    fn random_xor_tree(depth: usize, fanout: usize, weights: &[f64]) -> WorkflowDag {
+    /// A layered DAG: every frontier node gets `fanout` fresh children,
+    /// weighted in turn from `weights`, as an XOR point or, where the
+    /// `multicast` flags (cycled over parents) say so, a multicast one.
+    /// With `joins`, each node after the first on a level also links to
+    /// its left neighbour's first child, which then has two parents.
+    fn random_xor_tree(
+        depth: usize,
+        fanout: usize,
+        weights: &[f64],
+        multicast: &[bool],
+        joins: bool,
+    ) -> WorkflowDag {
         let mut b = WorkflowBuilder::new("pt");
         let root = b.add(FunctionSpec::new("n0")).unwrap();
         let mut frontier = vec![root];
         let mut next_name = 1usize;
-        let mut widx = 0usize;
+        let (mut widx, mut pidx) = (0usize, 0usize);
         for _ in 0..depth {
             let mut next_frontier = Vec::new();
-            for &parent in &frontier {
+            for (i, &parent) in frontier.iter().enumerate() {
                 let mut branches = Vec::new();
                 for _ in 0..fanout {
                     let id = b.add(FunctionSpec::new(format!("n{next_name}"))).unwrap();
                     next_name += 1;
-                    let w = weights[widx % weights.len()].max(0.01);
-                    widx += 1;
-                    branches.push((id, w));
+                    branches.push((id, 0.0));
                 }
-                b.link_xor(parent, &branches).unwrap();
-                next_frontier.extend(branches.iter().map(|(id, _)| *id));
+                if joins && i > 0 {
+                    branches.push((next_frontier[(i - 1) * fanout], 0.0));
+                }
+                for branch in &mut branches {
+                    branch.1 = weights[widx % weights.len()].max(0.01);
+                    widx += 1;
+                }
+                let is_multicast = !multicast.is_empty() && multicast[pidx % multicast.len()];
+                pidx += 1;
+                if is_multicast {
+                    for &(to, w) in &branches {
+                        b.link_weighted(parent, to, w).unwrap();
+                    }
+                } else {
+                    b.link_xor(parent, &branches).unwrap();
+                }
+                next_frontier.extend(branches.iter().take(fanout).map(|(id, _)| *id));
             }
             frontier = next_frontier;
         }
         b.build().unwrap()
     }
+
+    /// Ground-truth `ρ(child | parent)`, clamped as the walk clamps it.
+    fn truth(dag: &WorkflowDag, parent: NodeId, child: NodeId) -> f64 {
+        dag.edge_probability(parent, child)
+            .unwrap_or(0.0)
+            .clamp(0.0, 1.0)
+    }
+
+    /// The strict walk as it stood before the hedged walk was folded into
+    /// it (tolerance argmax, earlier id wins), seeded at `starts`: the
+    /// former `infer_mlp` with the roots, the former replan walk with one
+    /// node.
+    fn strict_reference(dag: &WorkflowDag, starts: &[NodeId]) -> MlpResult {
+        let n = dag.len();
+        let mut likelihood = vec![0.0f64; n];
+        let mut selected = vec![false; n];
+        for &s in starts {
+            likelihood[s.index()] = 1.0;
+            selected[s.index()] = true;
+        }
+        for id in dag.topo_order() {
+            if !selected[id.index()] {
+                continue;
+            }
+            let edges = dag.children(id);
+            if edges.is_empty() {
+                continue;
+            }
+            match dag.node(id).branch_mode() {
+                BranchMode::Multicast => {
+                    for e in edges {
+                        let p = truth(dag, id, e.to);
+                        likelihood[e.to.index()] += likelihood[id.index()] * p;
+                        if p > 0.0 {
+                            selected[e.to.index()] = true;
+                        }
+                    }
+                }
+                BranchMode::Xor => {
+                    let mut best: Option<(NodeId, f64)> = None;
+                    for e in edges {
+                        likelihood[e.to.index()] += likelihood[id.index()] * truth(dag, id, e.to);
+                        let cand = likelihood[e.to.index()];
+                        let better = match best {
+                            None => true,
+                            Some((bid, bl)) => {
+                                cand > bl + 1e-15 || ((cand - bl).abs() <= 1e-15 && e.to < bid)
+                            }
+                        };
+                        if better {
+                            best = Some((e.to, cand));
+                        }
+                    }
+                    if let Some((winner, _)) = best {
+                        selected[winner.index()] = true;
+                    }
+                }
+            }
+        }
+        let path: Vec<NodeId> = dag
+            .topo_order()
+            .into_iter()
+            .filter(|id| selected[id.index()])
+            .collect();
+        let like = path.iter().map(|id| likelihood[id.index()]).collect();
+        MlpResult::new(path, like)
+    }
+
+    /// The sort-based hedged walk as it stood before it was folded into
+    /// the strict one: siblings sorted by likelihood (descending, earlier
+    /// id first), the first selected with every runner-up within
+    /// `margin` of it.
+    fn hedged_reference(dag: &WorkflowDag, margin: f64) -> MlpResult {
+        let n = dag.len();
+        let mut likelihood = vec![0.0f64; n];
+        let mut selected = vec![false; n];
+        for root in dag.roots() {
+            likelihood[root.index()] = 1.0;
+            selected[root.index()] = true;
+        }
+        for id in dag.topo_order() {
+            if !selected[id.index()] {
+                continue;
+            }
+            let edges = dag.children(id);
+            if edges.is_empty() {
+                continue;
+            }
+            match dag.node(id).branch_mode() {
+                BranchMode::Multicast => {
+                    for e in edges {
+                        let p = truth(dag, id, e.to);
+                        likelihood[e.to.index()] += likelihood[id.index()] * p;
+                        if p > 0.0 {
+                            selected[e.to.index()] = true;
+                        }
+                    }
+                }
+                BranchMode::Xor => {
+                    let mut scored: Vec<(NodeId, f64)> = Vec::new();
+                    for e in edges {
+                        likelihood[e.to.index()] += likelihood[id.index()] * truth(dag, id, e.to);
+                        scored.push((e.to, likelihood[e.to.index()]));
+                    }
+                    scored.sort_by(|a, b| {
+                        b.1.partial_cmp(&a.1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then_with(|| a.0.cmp(&b.0))
+                    });
+                    if let Some(&(winner, best)) = scored.first() {
+                        selected[winner.index()] = true;
+                        for &(candidate, score) in scored.iter().skip(1) {
+                            if best - score <= margin {
+                                selected[candidate.index()] = true;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let path: Vec<NodeId> = dag
+            .topo_order()
+            .into_iter()
+            .filter(|id| selected[id.index()])
+            .collect();
+        let like = path.iter().map(|id| likelihood[id.index()]).collect();
+        MlpResult::new(path, like)
+    }
+
+    /// Weights from a small set, so sibling likelihoods tie exactly.
+    const TIED_WEIGHTS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -574,7 +687,7 @@ mod proptests {
             depth in 1usize..4,
             weights in proptest::collection::vec(0.01f64..1.0, 4..32),
         ) {
-            let dag = random_xor_tree(depth, 2, &weights);
+            let dag = random_xor_tree(depth, 2, &weights, &[], false);
             let mlp = infer_mlp(&dag, |_, _| None);
             // For a binary XOR tree, the MLP is exactly one node per level.
             prop_assert_eq!(mlp.len(), depth + 1);
@@ -589,7 +702,7 @@ mod proptests {
             depth in 1usize..4,
             weights in proptest::collection::vec(0.01f64..1.0, 4..32),
         ) {
-            let dag = random_xor_tree(depth, 3, &weights);
+            let dag = random_xor_tree(depth, 3, &weights, &[], false);
             let mlp = infer_mlp(&dag, |_, _| None);
             for w in mlp.likelihood.windows(2) {
                 prop_assert!(w[1] <= w[0] + 1e-12);
@@ -601,8 +714,36 @@ mod proptests {
             depth in 1usize..4,
             weights in proptest::collection::vec(0.01f64..1.0, 4..16),
         ) {
-            let dag = random_xor_tree(depth, 2, &weights);
+            let dag = random_xor_tree(depth, 2, &weights, &[], false);
             prop_assert_eq!(infer_mlp(&dag, |_, _| None), infer_mlp(&dag, |_, _| None));
+        }
+
+        #[test]
+        fn the_one_walk_equals_both_former_walks(
+            depth in 1usize..5,
+            fanout in 1usize..4,
+            picks in proptest::collection::vec(0usize..4, 1..24),
+            flags in proptest::collection::vec(0u8..3, 1..8),
+            joins in 0u8..2,
+            start in 0usize..1000,
+        ) {
+            let weights: Vec<f64> = picks.iter().map(|&i| TIED_WEIGHTS[i]).collect();
+            let multicast: Vec<bool> = flags.iter().map(|&f| f == 0).collect();
+            let dag = random_xor_tree(depth, fanout, &weights, &multicast, joins == 1);
+            let strict = strict_reference(&dag, &dag.roots());
+            prop_assert_eq!(&infer_mlp(&dag, |_, _| None), &strict);
+            prop_assert_eq!(&infer_mlp_hedged(&dag, |_, _| None, 0.0), &strict);
+            for margin in [0.05, 0.2, 1.0] {
+                prop_assert_eq!(
+                    infer_mlp_hedged(&dag, |_, _| None, margin),
+                    hedged_reference(&dag, margin)
+                );
+            }
+            let start = NodeId::from_index(start % dag.len());
+            prop_assert_eq!(
+                infer_mlp_from(&dag, start, |_, _| None),
+                strict_reference(&dag, &[start])
+            );
         }
     }
 }

@@ -258,20 +258,6 @@ impl SpeculationPolicy for XanaduPolicy {
 // Shared DAG helpers
 // ---------------------------------------------------------------------------
 
-/// Longest-path level of every node (roots at 0), in `NodeId` index order.
-fn node_levels(dag: &WorkflowDag) -> Vec<u32> {
-    let mut level = vec![0u32; dag.len()];
-    for id in dag.topo_order() {
-        for e in dag.children(id) {
-            let next = level[id.index()] + 1;
-            if level[e.to.index()] < next {
-                level[e.to.index()] = next;
-            }
-        }
-    }
-    level
-}
-
 /// Probability of reaching each node from the given weighted roots,
 /// propagated along every edge (XOR children partition their parent's
 /// mass, so the sum over a request's realized path is exact).
@@ -387,10 +373,10 @@ impl MpcPolicy {
         dag: &WorkflowDag,
         estimates: &dyn EstimateSource,
         roots: &[(NodeId, f64)],
-        base_level: u32,
+        base_level: usize,
         rho: &mut ProbabilityFn,
     ) -> Vec<NodeId> {
-        let levels = node_levels(dag);
+        let levels = dag.levels();
         let like = reach_likelihood(dag, roots, rho);
         let mut selected = vec![false; dag.len()];
         let mut out = Vec::new();
@@ -404,7 +390,7 @@ impl MpcPolicy {
             if !connected {
                 continue;
             }
-            if levels[id.index()].saturating_sub(base_level) >= self.config.horizon {
+            if levels[id.index()].saturating_sub(base_level) >= self.config.horizon as usize {
                 continue;
             }
             let est = estimates.estimate(id, dag.node(id).spec());
@@ -475,7 +461,7 @@ impl SpeculationPolicy for MpcPolicy {
         elapsed: SimDuration,
         rho: &mut ProbabilityFn,
     ) -> Option<JitPlan> {
-        let base_level = node_levels(dag)[actual.index()];
+        let base_level = dag.levels()[actual.index()];
         let picks = self.select(dag, estimates, &[(actual, 1.0)], base_level, rho);
         Some(shift_plan(&self.planned(dag, estimates, &picks), elapsed))
     }
@@ -615,7 +601,7 @@ impl RlPolicy {
         }
     }
 
-    fn state_index(idle_ms: f64, depth: u32) -> usize {
+    fn state_index(idle_ms: f64, depth: usize) -> usize {
         let idle = if idle_ms < 60_000.0 {
             0
         } else if idle_ms < 600_000.0 {
@@ -666,7 +652,7 @@ impl SpeculationPolicy for RlPolicy {
         estimates: &dyn EstimateSource,
         rho: &mut ProbabilityFn,
     ) -> JitPlan {
-        let depth = node_levels(dag).iter().copied().max().unwrap_or(0) + 1;
+        let depth = dag.depth();
         // Probed by `&str`: the workflow's key is allocated once, at its
         // first trigger.
         let entry = match self.state.get_mut(dag.name()) {

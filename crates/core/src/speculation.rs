@@ -20,7 +20,7 @@
 
 use crate::estimate::EstimateSource;
 use crate::jit::{plan_jit, JitPlan, PlannedDeployment};
-use crate::mlp::{infer_mlp, infer_mlp_hedged, MlpResult};
+use crate::mlp::{infer_mlp_from, infer_mlp_hedged, MlpResult};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xanadu_chain::{NodeId, WorkflowDag};
@@ -196,7 +196,7 @@ impl SpeculationEngine {
     /// Computes the pre-deployment plan for one trigger of `dag`.
     ///
     /// `rho` supplies learned probabilities (return `None` to use the
-    /// DAG's ground truth, as in [`infer_mlp`]).
+    /// DAG's ground truth, as in [`infer_mlp`](crate::mlp::infer_mlp)).
     ///
     /// In [`ExecutionMode::Cold`] the plan is empty. In
     /// [`ExecutionMode::Speculative`] all selected nodes deploy at offset
@@ -210,26 +210,13 @@ impl SpeculationEngine {
         if self.config.mode == ExecutionMode::Cold {
             return JitPlan::default();
         }
-        let mlp = self.infer(dag, rho);
+        let mlp = infer_mlp_hedged(dag, rho, self.config.hedge_margin);
         let limited = self.limit_by_aggressiveness(dag, &mlp);
         let jit = plan_jit(dag, &limited, estimates);
         match self.config.mode {
             ExecutionMode::Speculative => flatten_to_zero(&jit),
             ExecutionMode::Jit => jit,
             ExecutionMode::Cold => unreachable!("handled above"),
-        }
-    }
-
-    /// MLP inference under the engine's hedging configuration.
-    fn infer(
-        &self,
-        dag: &WorkflowDag,
-        rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
-    ) -> MlpResult {
-        if self.config.hedge_margin > 0.0 {
-            infer_mlp_hedged(dag, rho, self.config.hedge_margin)
-        } else {
-            infer_mlp(dag, rho)
         }
     }
 
@@ -368,7 +355,7 @@ impl SpeculationEngine {
                 // node: select it unconditionally, then extend the MLP
                 // below it.
                 let mlp = infer_mlp_from(dag, actual, rho);
-                let jit = plan_jit(dag, &mlp, estimates);
+                let jit = plan_jit(dag, &mlp.path, estimates);
                 let shifted: Vec<PlannedDeployment> = jit
                     .deployments()
                     .iter()
@@ -383,67 +370,6 @@ impl SpeculationEngine {
             }
         }
     }
-}
-
-/// MLP inference rooted at an arbitrary node: `start` is taken as certain
-/// (likelihood 1) and selection proceeds only through its descendants.
-fn infer_mlp_from(
-    dag: &WorkflowDag,
-    start: NodeId,
-    mut rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
-) -> Vec<NodeId> {
-    let mut selected = vec![false; dag.len()];
-    let mut likelihood = vec![0.0f64; dag.len()];
-    selected[start.index()] = true;
-    likelihood[start.index()] = 1.0;
-    for id in dag.topo_order() {
-        if !selected[id.index()] {
-            continue;
-        }
-        let edges = dag.children(id);
-        if edges.is_empty() {
-            continue;
-        }
-        match dag.node(id).branch_mode() {
-            xanadu_chain::BranchMode::Multicast => {
-                for e in edges {
-                    let p = rho(id, e.to)
-                        .or_else(|| dag.edge_probability(id, e.to))
-                        .unwrap_or(0.0);
-                    likelihood[e.to.index()] += likelihood[id.index()] * p;
-                    if p > 0.0 {
-                        selected[e.to.index()] = true;
-                    }
-                }
-            }
-            xanadu_chain::BranchMode::Xor => {
-                let mut best: Option<(NodeId, f64)> = None;
-                for e in edges {
-                    let p = rho(id, e.to)
-                        .or_else(|| dag.edge_probability(id, e.to))
-                        .unwrap_or(0.0);
-                    likelihood[e.to.index()] += likelihood[id.index()] * p;
-                    let cand = likelihood[e.to.index()];
-                    let better = match best {
-                        None => true,
-                        Some((bid, bl)) => {
-                            cand > bl + 1e-15 || ((cand - bl).abs() <= 1e-15 && e.to < bid)
-                        }
-                    };
-                    if better {
-                        best = Some((e.to, cand));
-                    }
-                }
-                if let Some((winner, _)) = best {
-                    selected[winner.index()] = true;
-                }
-            }
-        }
-    }
-    dag.topo_order()
-        .into_iter()
-        .filter(|n| selected[n.index()])
-        .collect()
 }
 
 /// Collapses a JIT plan to all-at-zero deployments (speculative mode).

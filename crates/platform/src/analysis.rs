@@ -21,10 +21,11 @@
 //!   request waited out, negative is *slack* the platform paid for early.
 //!
 //! There is one auditor. One per-request fold turns a request's
-//! lifecycle steps into its [`RequestAudit`]: [`RequestAudit::from_trace`]
-//! feeds it a recorded [`Trace`], the [`stream`](crate::stream) tier feeds
-//! it bus events. [`Tally`] then aggregates finished requests for both
-//! the exact [`Audit`] and the bounded-memory
+//! lifecycle events, each a [`TraceEventKind`], into its
+//! [`RequestAudit`]: [`RequestAudit::from_trace`] feeds it a recorded
+//! [`Trace`] as it stands, the [`stream`](crate::stream) tier feeds it
+//! bus events mapped to the same type. [`Tally`] then aggregates
+//! finished requests for both the exact [`Audit`] and the bounded-memory
 //! [`StreamingAudit`](crate::stream::StreamingAudit), which differ only in
 //! where latency samples go (exact values or fixed-bucket histograms) and
 //! in how they sum wasted CPU (per-request `f64` ms or integer µs).
@@ -44,7 +45,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use xanadu_simcore::SimTime;
 
 /// Order statistics of a latency sample set, in milliseconds.
 ///
@@ -137,99 +137,6 @@ pub struct RequestAudit {
     pub jit: Vec<JitSample>,
 }
 
-/// One lifecycle step of a request as the audit fold reads it: the
-/// borrowed, common view of a recorded [`TraceEventKind`] and of a
-/// request-scoped [`BusEvent`](crate::events::BusEvent). Function names
-/// come first, borrowed as the shared `Arc<str>` the event or trace
-/// holds, so the fold keeps a name by cloning it. `Triggered`, `Planned`,
-/// `Crashed`, `DeployFailed`, `Retried` and `Completed` matter only to a
-/// recorded timeline; the fold reads the rest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Step<'a> {
-    Triggered,
-    Planned(u64),
-    /// A deployment started: on demand or not, ready at the given µs.
-    Deployed(&'a Arc<str>, bool, u64),
-    Invoked(&'a Arc<str>),
-    /// `true` when the sandbox was warm.
-    ExecStarted(&'a Arc<str>, bool),
-    ExecEnded(&'a Arc<str>),
-    /// The worker serving the function crashed.
-    Crashed(&'a Arc<str>),
-    /// A speculative pre-deployment failed; carries the fault attempt.
-    DeployFailed(&'a Arc<str>, u64),
-    /// Ends the execution; carries the fault attempt.
-    TimedOut(&'a Arc<str>, u64),
-    Retried(&'a Arc<str>, u64),
-    Missed(&'a Arc<str>),
-    Completed,
-}
-
-impl<'a> Step<'a> {
-    /// The step a recorded trace event stands for, or `None` for events
-    /// the audit does not read.
-    fn from_trace(kind: &'a TraceEventKind) -> Option<Step<'a>> {
-        Some(match kind {
-            TraceEventKind::DeployStarted {
-                function,
-                on_demand,
-                ready_at,
-            } => Step::Deployed(function, *on_demand, ready_at.as_micros()),
-            TraceEventKind::Invoked { function } => Step::Invoked(function),
-            TraceEventKind::ExecStarted { function, warm } => Step::ExecStarted(function, *warm),
-            TraceEventKind::ExecEnded { function } => Step::ExecEnded(function),
-            TraceEventKind::TimedOut { function, attempt } => Step::TimedOut(function, *attempt),
-            TraceEventKind::PredictionMiss { function } => Step::Missed(function),
-            _ => return None,
-        })
-    }
-
-    /// The trace event recording this step: the one constructor of
-    /// recorded timelines ([`Platform::trace`](crate::Platform::trace) and
-    /// the streaming tier's exemplars alike).
-    pub(crate) fn to_trace(self) -> TraceEventKind {
-        use TraceEventKind as K;
-        match self {
-            Step::Triggered => K::Triggered,
-            Step::Planned(planned) => K::PlanComputed { planned },
-            Step::Deployed(f, on_demand, ready_us) => K::DeployStarted {
-                function: f.clone(),
-                on_demand,
-                ready_at: SimTime::from_micros(ready_us),
-            },
-            Step::Invoked(f) => K::Invoked {
-                function: f.clone(),
-            },
-            Step::ExecStarted(f, warm) => K::ExecStarted {
-                function: f.clone(),
-                warm,
-            },
-            Step::ExecEnded(f) => K::ExecEnded {
-                function: f.clone(),
-            },
-            Step::Crashed(f) => K::WorkerCrashed {
-                function: f.clone(),
-            },
-            Step::DeployFailed(f, attempt) => K::DeployFailed {
-                function: f.clone(),
-                attempt,
-            },
-            Step::TimedOut(f, attempt) => K::TimedOut {
-                function: f.clone(),
-                attempt,
-            },
-            Step::Retried(f, attempt) => K::Retried {
-                function: f.clone(),
-                attempt,
-            },
-            Step::Missed(f) => K::PredictionMiss {
-                function: f.clone(),
-            },
-            Step::Completed => K::Completed,
-        }
-    }
-}
-
 /// One deployment attributed to a request.
 #[derive(Debug, Clone)]
 struct Deploy {
@@ -241,7 +148,7 @@ struct Deploy {
 }
 
 /// The per-request audit fold: the one place a request's lifecycle
-/// [`Step`]s become its [`RequestAudit`]. It holds only the open-interval
+/// events become its [`RequestAudit`]. It holds only the open-interval
 /// state of one request, so the streaming tier keeps one per in-flight
 /// request and drops it at completion.
 #[derive(Debug, Clone, Default)]
@@ -269,29 +176,37 @@ impl RequestFold {
         }
     }
 
-    /// Applies one lifecycle step that happened at `at_us`.
-    pub(crate) fn apply(&mut self, at_us: u64, step: Step<'_>) {
-        match step {
-            Step::Deployed(function, on_demand, ready_us) => {
+    /// Applies one lifecycle event that happened at `at_us`. Only
+    /// deployments, invocations, executions, timeouts and prediction
+    /// misses move the fold; the other events matter only to a recorded
+    /// timeline.
+    pub(crate) fn apply(&mut self, at_us: u64, kind: &TraceEventKind) {
+        use TraceEventKind as K;
+        match kind {
+            K::DeployStarted {
+                function,
+                on_demand,
+                ready_at,
+            } => {
                 if !on_demand && !self.predicted.contains(function) {
                     self.predicted.push(Arc::clone(function));
                 }
                 self.deploys.push(Deploy {
                     function: Arc::clone(function),
                     start_us: at_us,
-                    ready_us,
-                    on_demand,
+                    ready_us: ready_at.as_micros(),
+                    on_demand: *on_demand,
                     used: false,
                 });
             }
-            Step::Invoked(function) => {
+            K::Invoked { function } => {
                 if !self.invoked.contains(function) {
                     self.invoked.push(Arc::clone(function));
                     self.invoked_at.push(at_us);
                 }
                 self.open_waits.push((Arc::clone(function), at_us));
             }
-            Step::ExecStarted(function, warm) => {
+            K::ExecStarted { function, warm } => {
                 if let Some(d) = self
                     .deploys
                     .iter_mut()
@@ -301,7 +216,7 @@ impl RequestFold {
                 }
                 if let Some(i) = self.open_waits.iter().position(|(f, _)| f == function) {
                     let (_, start) = self.open_waits.remove(i);
-                    let waits = if warm {
+                    let waits = if *warm {
                         &mut self.warm_iv
                     } else {
                         &mut self.cold_iv
@@ -310,23 +225,23 @@ impl RequestFold {
                 }
                 self.open_execs.push((Arc::clone(function), at_us));
             }
-            Step::ExecEnded(function) | Step::TimedOut(function, _) => {
+            K::ExecEnded { function } | K::TimedOut { function, .. } => {
                 if let Some(i) = self.open_execs.iter().position(|(f, _)| f == function) {
                     let (_, start) = self.open_execs.remove(i);
                     self.exec_iv.push((start, at_us));
                 }
             }
-            Step::Missed(function) => {
+            K::PredictionMiss { function } => {
                 if !self.missed.contains(function) {
                     self.missed.push(Arc::clone(function));
                 }
             }
-            Step::Triggered
-            | Step::Planned(_)
-            | Step::Crashed(_)
-            | Step::DeployFailed(..)
-            | Step::Retried(..)
-            | Step::Completed => {}
+            K::Triggered
+            | K::PlanComputed { .. }
+            | K::WorkerCrashed { .. }
+            | K::DeployFailed { .. }
+            | K::Retried { .. }
+            | K::Completed => {}
         }
     }
 
@@ -419,9 +334,7 @@ impl RequestAudit {
         let tn = events.last().map_or(t0, |e| e.at.as_micros());
         let mut fold = RequestFold::new(t0);
         for e in events {
-            if let Some(step) = Step::from_trace(&e.kind) {
-                fold.apply(e.at.as_micros(), step);
-            }
+            fold.apply(e.at.as_micros(), &e.kind);
         }
         Some(fold.finish(request, tn).0)
     }

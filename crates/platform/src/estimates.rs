@@ -10,7 +10,7 @@
 use xanadu_chain::{FunctionSpec, NodeId, WorkflowDag};
 use xanadu_core::estimate::{EstimateSource, NodeEstimate};
 use xanadu_profiler::MetricsEngine;
-use xanadu_sandbox::{SandboxProvider, SimSandboxProvider};
+use xanadu_sandbox::SimSandboxProvider;
 
 /// Estimate source backed by the metrics engine, with provider/spec
 /// fallbacks. Implicit workflows additionally expose learned invoke

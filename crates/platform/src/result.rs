@@ -124,25 +124,6 @@ impl PlatformReport {
             .iter()
             .fold((0, 0), |(f, r), x| (f + x.faults, r + x.retries))
     }
-
-    /// Mean per-request penalties `φ`.
-    pub fn mean_penalties(&self) -> PenaltyFactors {
-        if self.results.is_empty() {
-            return PenaltyFactors::default();
-        }
-        let n = self.results.len() as f64;
-        let mut phi_cpu = 0.0;
-        let mut phi_mem = 0.0;
-        for r in &self.results {
-            let p = r.penalties();
-            phi_cpu += p.phi_cpu_s2;
-            phi_mem += p.phi_mem_mbs2;
-        }
-        PenaltyFactors {
-            phi_cpu_s2: phi_cpu / n,
-            phi_mem_mbs2: phi_mem / n,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,8 +174,6 @@ mod tests {
         assert_eq!(total.mem_mbs, 40.0);
         assert_eq!(report.start_counts(), (2, 4));
         assert_eq!(report.fault_counts(), (2, 0));
-        let p = report.mean_penalties();
-        assert!((p.phi_cpu_s2 - (1.0 + 9.0) / 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -212,6 +191,5 @@ mod tests {
     fn empty_report_is_zero() {
         let report = PlatformReport::default();
         assert_eq!(report.mean_overhead_ms(), 0.0);
-        assert_eq!(report.mean_penalties(), PenaltyFactors::default());
     }
 }

@@ -32,9 +32,7 @@ use xanadu_core::cost::{total_resource_cost, CpuRates, ResourceCosts};
 use xanadu_core::policy::{PlanContext, PolicyRegistry, SpeculationPolicy};
 use xanadu_core::speculation::{DeployFailureAction, PlanCacheStats};
 use xanadu_profiler::{BranchDetector, MetricsEngine, RequestCorrelator};
-use xanadu_sandbox::{
-    SandboxProvider, SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerRecord, WorkerState,
-};
+use xanadu_sandbox::{SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerRecord, WorkerState};
 use xanadu_simcore::{EventQueue, Interner, RngStream, SimDuration, SimTime, Sym};
 
 /// Errors surfaced by the platform API.

@@ -6,9 +6,10 @@
 //! the *same* per-request audit fold online, fed by the typed
 //! [`BusEvent`] stream through the [`Observer`] trait:
 //!
-//! - One mapping turns each request-scoped bus event into the lifecycle
-//!   step the fold consumes, keeps one fold per in-flight request, and —
-//!   when exemplars are kept — records the step into the request's
+//! - One mapping turns each request-scoped bus event into the
+//!   [`TraceEventKind`] a recorded trace holds, which is what the fold
+//!   consumes. The tracker keeps one fold per in-flight request and —
+//!   when exemplars are kept — records the event into the request's
 //!   reconstructed trace, through the same recorder that builds
 //!   [`Platform::trace`](crate::Platform::trace).
 //! - [`StreamingAudit`] folds each finished request into the shared
@@ -36,14 +37,15 @@
 
 use crate::analysis::{
     drop_regression, pct_regression, recall, DiffThresholds, MlpStats, RequestAudit, RequestFold,
-    SampleSink, Step, Tally, WasteStats, ABS_FLOOR_MS,
+    SampleSink, Tally, WasteStats, ABS_FLOOR_MS,
 };
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
-use crate::timeline::{SpanTree, Trace};
+use crate::timeline::{SpanTree, Trace, TraceEventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
+use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
@@ -56,20 +58,27 @@ fn ms_to_us(ms: f64) -> u64 {
     (ms * 1000.0).round().max(0.0) as u64
 }
 
-/// The request a bus event belongs to and the lifecycle step it records,
-/// or `None` for events outside every request's lifecycle. Pool-owned
+/// The request a bus event belongs to and the trace event it records, or
+/// `None` for events outside every request's lifecycle. Pool-owned
 /// provisions (`request == u64::MAX`) name a request that is never in
-/// flight, exactly as they have no trace in the batch tier.
-fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
+/// flight, exactly as they have no trace in the batch tier. Names are the
+/// event's shared `Arc<str>`s, so the mapping allocates nothing.
+fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, TraceEventKind)> {
     use BusEvent as E;
-    let (request, step) = match event {
-        E::RequestTriggered { request, .. } => (request, Step::Triggered),
+    use TraceEventKind as K;
+    let (request, kind) = match event {
+        E::RequestTriggered { request, .. } => (request, K::Triggered),
         E::PlanComputed {
             request, planned, ..
-        } => (request, Step::Planned(*planned)),
+        } => (request, K::PlanComputed { planned: *planned }),
         E::FunctionInvoked {
             request, function, ..
-        } => (request, Step::Invoked(function)),
+        } => (
+            request,
+            K::Invoked {
+                function: Arc::clone(function),
+            },
+        ),
         E::WorkerProvisioned {
             request,
             function,
@@ -77,43 +86,87 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
             on_demand,
             ..
         } => {
-            let ready_us = at_us + ms_to_us(*ready_in_ms);
-            (request, Step::Deployed(function, *on_demand, ready_us))
+            let ready_at = SimTime::from_micros(at_us + ms_to_us(*ready_in_ms));
+            let kind = K::DeployStarted {
+                function: Arc::clone(function),
+                on_demand: *on_demand,
+                ready_at,
+            };
+            (request, kind)
         }
         E::ExecStarted {
             request,
             function,
             warm,
             ..
-        } => (request, Step::ExecStarted(function, *warm)),
+        } => {
+            let kind = K::ExecStarted {
+                function: Arc::clone(function),
+                warm: *warm,
+            };
+            (request, kind)
+        }
         E::ExecEnded {
             request, function, ..
-        } => (request, Step::ExecEnded(function)),
+        } => (
+            request,
+            K::ExecEnded {
+                function: Arc::clone(function),
+            },
+        ),
         E::WorkerCrashed {
             request: Some(request),
             function,
             ..
-        } => (request, Step::Crashed(function)),
+        } => (
+            request,
+            K::WorkerCrashed {
+                function: Arc::clone(function),
+            },
+        ),
         E::DeployFailed {
             request,
             function,
             attempt,
-        } => (request, Step::DeployFailed(function, *attempt)),
+        } => {
+            let kind = K::DeployFailed {
+                function: Arc::clone(function),
+                attempt: *attempt,
+            };
+            (request, kind)
+        }
         E::InvokeTimeout {
             request,
             function,
             attempt,
-        } => (request, Step::TimedOut(function, *attempt)),
+        } => {
+            let kind = K::TimedOut {
+                function: Arc::clone(function),
+                attempt: *attempt,
+            };
+            (request, kind)
+        }
         E::InvokeRetried {
             request,
             function,
             attempt,
             ..
-        } => (request, Step::Retried(function, *attempt)),
+        } => {
+            let kind = K::Retried {
+                function: Arc::clone(function),
+                attempt: *attempt,
+            };
+            (request, kind)
+        }
         E::PredictionMiss {
             request, function, ..
-        } => (request, Step::Missed(function)),
-        E::RequestCompleted { request, .. } => (request, Step::Completed),
+        } => (
+            request,
+            K::PredictionMiss {
+                function: Arc::clone(function),
+            },
+        ),
+        E::RequestCompleted { request, .. } => (request, K::Completed),
         E::WorkerReady { .. }
         | E::WorkerCrashed { request: None, .. }
         | E::HostUp { .. }
@@ -122,14 +175,14 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, Step<'_>)> {
         | E::WorkerEvicted { .. }
         | E::PolicyDecision { .. } => return None,
     };
-    Some((*request, step))
+    Some((*request, kind))
 }
 
 /// Rebuilds each request's [`Trace`] from the bus: every request-scoped
-/// event is recorded as the [`Step`] [`request_step`] maps it to. This
-/// one reconstruction backs both [`Platform::trace`](crate::Platform::trace)
-/// (with `record_traces` on) and the streaming audit's exemplars. It
-/// runs no audit fold.
+/// event is recorded as the [`TraceEventKind`] [`request_step`] maps it
+/// to. This one reconstruction backs both
+/// [`Platform::trace`](crate::Platform::trace) (with `record_traces` on)
+/// and the streaming audit's exemplars. It runs no audit fold.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceRecorder {
     /// Timelines of requests in flight, opened at their trigger.
@@ -141,21 +194,22 @@ pub(crate) struct TraceRecorder {
 impl TraceRecorder {
     /// Records one event at `at`, keeping the timeline it completes.
     pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some((request, step)) = request_step(at.as_micros(), event) {
-            if let Some(trace) = self.record(at, request, step) {
+        if let Some((request, kind)) = request_step(at.as_micros(), event) {
+            if let Some(trace) = self.record(at, request, kind) {
                 self.done.insert(request, trace);
             }
         }
     }
 
-    /// Records `request`'s step at `at`. Returns the timeline when the
-    /// step completes it.
-    fn record(&mut self, at: SimTime, request: u64, step: Step<'_>) -> Option<Trace> {
-        if step == Step::Triggered {
+    /// Records `request`'s event at `at`. Returns the timeline when the
+    /// event completes it.
+    fn record(&mut self, at: SimTime, request: u64, kind: TraceEventKind) -> Option<Trace> {
+        let completed = kind == TraceEventKind::Completed;
+        if kind == TraceEventKind::Triggered {
             self.open.insert(request, Trace::default());
         }
-        self.open.get_mut(&request)?.record(at, step.to_trace());
-        if step == Step::Completed {
+        self.open.get_mut(&request)?.record(at, kind);
+        if completed {
             return self.open.remove(&request);
         }
         None
@@ -202,18 +256,21 @@ impl RequestTracker {
     /// Feeds one event; returns the request it completed, if any.
     fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
         let at_us = at.as_micros();
-        let (request, step) = request_step(at_us, event)?;
+        let (request, kind) = request_step(at_us, event)?;
+        let completed = kind == TraceEventKind::Completed;
+        if kind == TraceEventKind::Triggered {
+            self.pending.insert(request, RequestFold::new(at_us));
+        }
+        if !completed {
+            if let Some(fold) = self.pending.get_mut(&request) {
+                fold.apply(at_us, &kind);
+            }
+        }
         let trace = self
             .traces
             .as_mut()
-            .and_then(|t| t.record(at, request, step));
-        if step == Step::Triggered {
-            self.pending.insert(request, RequestFold::new(at_us));
-        }
-        if step != Step::Completed {
-            if let Some(fold) = self.pending.get_mut(&request) {
-                fold.apply(at_us, step);
-            }
+            .and_then(|t| t.record(at, request, kind));
+        if !completed {
             return None;
         }
         let (audit, wasted_us) = self.pending.remove(&request)?.finish(request, at_us);
@@ -1422,11 +1479,13 @@ mod tests {
         }
     }
 
-    /// The recorded trace and the live fold read the same bus events, the
-    /// trace through `Step::to_trace` and back through `Step::from_trace`.
-    /// On the randomized chaos runs of `tests/streaming.rs`, with faults on
-    /// and off, the fold fed from the bus must give every request the audit
-    /// `RequestAudit::from_trace` gives its recorded trace.
+    /// The live fold and the recorded trace read the same bus events,
+    /// each mapped once to a `TraceEventKind`: the fold applies it as it
+    /// arrives, the recorder stores it, and `RequestAudit::from_trace`
+    /// folds the stored events afterwards. On the randomized chaos runs of
+    /// `tests/streaming.rs`, with faults on and off, the fold fed from the
+    /// bus must give every request the audit `RequestAudit::from_trace`
+    /// gives its recorded trace.
     #[test]
     fn bus_fed_fold_equals_the_trace_audit_for_every_request() {
         use crate::{FaultConfig, Platform, PlatformConfig};

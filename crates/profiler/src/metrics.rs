@@ -40,11 +40,6 @@ impl FunctionProfile {
     pub fn warm_runtime_ms(&self, fallback: f64) -> f64 {
         self.warm_runtime_ms.value_or(fallback)
     }
-
-    /// Whether any warm runtime has been observed yet.
-    pub fn has_runtime_observation(&self) -> bool {
-        self.warm_runtime_ms.count() > 0
-    }
 }
 
 /// Collects runtime observations for every function of every workflow and
@@ -185,11 +180,6 @@ impl MetricsEngine {
             .get(child)
             .and_then(Ema::value)
     }
-
-    /// Number of functions with at least one observation.
-    pub fn profiled_functions(&self) -> usize {
-        self.profiles.len()
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +192,7 @@ mod tests {
         assert!(m.profile("f").is_none());
         m.record_startup("f", SimDuration::from_millis(400));
         assert_eq!(m.profile("f").unwrap().startup_ms(0.0), 400.0);
-        assert_eq!(m.profiled_functions(), 1);
+        assert!(m.profile("g").is_none());
     }
 
     #[test]
@@ -212,7 +202,6 @@ mod tests {
         let p = m.profile("f").unwrap();
         assert_eq!(p.cold_start_ms(1.0), 3000.0);
         assert_eq!(p.warm_runtime_ms(777.0), 777.0);
-        assert!(!p.has_runtime_observation());
     }
 
     #[test]

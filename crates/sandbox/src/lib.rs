@@ -21,10 +21,11 @@
 //! * [`WorkerPool`] — warm-worker pools with keep-alive reclamation and an
 //!   optional pool-size cap (modelling OpenWhisk's limited warm pool,
 //!   §2.3).
-//! * [`SimSandboxProvider`] — the discrete-event provider used by all
-//!   simulated experiments.
-//! * [`os_process`] — a real OS-process provider demonstrating the same
-//!   orchestration code against actual processes.
+//! * [`SimSandboxProvider`] — the discrete-event provider every platform
+//!   model holds and every simulated experiment draws from.
+//! * [`os_process`] — a standalone demonstration of the worker lifecycle
+//!   and pre-warming against real OS processes; the simulated platform
+//!   does not run through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +37,5 @@ mod provider;
 mod worker;
 
 pub use pool::{PoolConfig, WorkerPool};
-pub use provider::{ColdStart, SandboxProvider, SimSandboxProvider};
+pub use provider::{ColdStart, SimSandboxProvider};
 pub use worker::{Worker, WorkerId, WorkerRecord, WorkerState};

@@ -1,19 +1,20 @@
-//! A real OS-process sandbox provider.
+//! Real OS-process workers and a pre-warmer: a standalone demonstration.
 //!
 //! The simulated provider reproduces the paper's latency *model*; this
-//! module demonstrates the same worker lifecycle against real operating-
-//! system processes, which is the "process" isolation level of §4. It is
-//! used by the `os_process_demo` example and by integration tests to show
-//! the orchestration concepts are not simulation-only.
+//! module demonstrates the worker lifecycle and speculative pre-warming
+//! against real operating-system processes, which is the "process"
+//! isolation level of §4. It is used by the `os_process_demo` example and
+//! by integration tests to show the orchestration concepts are not
+//! simulation-only; the simulated platform does not run through it.
 //!
 //! A worker here is a child process that performs a tiny amount of real
 //! startup work (allocating its stack/heap, executing a shell) and then
 //! sleeps until a request is dispatched, mimicking a warm function runtime
 //! waiting for work.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::{Duration, Instant};
 
 /// A real process-backed worker.
@@ -104,13 +105,13 @@ impl Drop for OsProcessWorker {
 #[derive(Debug)]
 pub struct OsProcessPrewarmer {
     rx: Receiver<io::Result<OsProcessWorker>>,
-    _tx: Sender<io::Result<OsProcessWorker>>,
+    _tx: SyncSender<io::Result<OsProcessWorker>>,
 }
 
 impl OsProcessPrewarmer {
     /// Starts pre-warming `count` workers for `function` in the background.
     pub fn start(function: &str, count: usize) -> Self {
-        let (tx, rx) = bounded(count.max(1));
+        let (tx, rx) = sync_channel(count.max(1));
         let tx_bg = tx.clone();
         let function = function.to_string();
         std::thread::spawn(move || {

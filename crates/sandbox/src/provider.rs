@@ -1,9 +1,5 @@
-//! Sandbox providers: sources of cold-start latency samples.
-//!
-//! The orchestration layers are written against the [`SandboxProvider`]
-//! trait so the identical planner/speculator code drives both the
-//! calibrated discrete-event provider used by the experiments and the real
-//! OS-process provider in [`crate::os_process`].
+//! The simulated sandbox provider: the source of cold-start and dispatch
+//! latency samples every platform model draws from.
 
 use crate::profile::SandboxProfiles;
 use serde::{Deserialize, Serialize};
@@ -31,42 +27,19 @@ impl ColdStart {
     }
 }
 
-/// A source of sandbox provisioning and dispatch latencies.
-///
-/// Implementations must be deterministic given their construction seed so
-/// simulated experiments reproduce exactly.
-pub trait SandboxProvider {
-    /// Samples a cold start for `level` beginning at `now`. The provider
-    /// tracks in-flight provisions internally to apply concurrency
-    /// penalties.
-    fn cold_start(&mut self, level: IsolationLevel, now: SimTime) -> ColdStart;
-
-    /// Samples the warm-dispatch latency (queueing/signalling into an
-    /// already warm worker).
-    fn warm_dispatch(&mut self, level: IsolationLevel) -> SimDuration;
-
-    /// Fraction of a CPU core consumed while provisioning a sandbox of
-    /// `level`.
-    fn provision_cpu_rate(&self, level: IsolationLevel) -> f64;
-
-    /// Fraction of a CPU core consumed by a warm idle sandbox of `level`.
-    fn idle_cpu_rate(&self, level: IsolationLevel) -> f64;
-
-    /// Mean cold-start latency for planning purposes (ms).
-    fn mean_cold_start_ms(&self, level: IsolationLevel) -> f64;
-}
-
 /// The calibrated simulated provider.
 ///
 /// Latencies are drawn from [`SandboxProfiles`]; container provisioning is
 /// slowed when many provisions are in flight (the Docker concurrent-
 /// scalability bottleneck of §3.2/§5.2 — this is what makes Xanadu JIT
-/// slightly *faster* than Xanadu Speculative in Figure 12a).
+/// slightly *faster* than Xanadu Speculative in Figure 12a). Draws are
+/// deterministic given the construction seed, so simulated experiments
+/// reproduce exactly.
 ///
 /// # Example
 ///
 /// ```
-/// use xanadu_sandbox::{SandboxProvider, SimSandboxProvider};
+/// use xanadu_sandbox::SimSandboxProvider;
 /// use xanadu_chain::IsolationLevel;
 /// use xanadu_simcore::SimTime;
 ///
@@ -110,10 +83,10 @@ impl SimSandboxProvider {
         self.inflight.retain(|&ready| ready > now);
         self.inflight.len() as u32
     }
-}
 
-impl SandboxProvider for SimSandboxProvider {
-    fn cold_start(&mut self, level: IsolationLevel, now: SimTime) -> ColdStart {
+    /// Samples a cold start for `level` beginning at `now`. In-flight
+    /// provisions are tracked to apply the concurrency penalty.
+    pub fn cold_start(&mut self, level: IsolationLevel, now: SimTime) -> ColdStart {
         let concurrent = self.inflight_at(now) + 1; // include this provision
         let factor = self.profiles.concurrency_penalty(level).factor(concurrent);
         let prof = self.profiles.profile(level);
@@ -130,22 +103,28 @@ impl SandboxProvider for SimSandboxProvider {
         cs
     }
 
-    fn warm_dispatch(&mut self, level: IsolationLevel) -> SimDuration {
+    /// Samples the warm-dispatch latency (queueing/signalling into an
+    /// already warm worker).
+    pub fn warm_dispatch(&mut self, level: IsolationLevel) -> SimDuration {
         self.profiles
             .profile(level)
             .warm_dispatch
             .sample(&mut self.rng)
     }
 
-    fn provision_cpu_rate(&self, level: IsolationLevel) -> f64 {
+    /// Fraction of a CPU core consumed while provisioning a sandbox of
+    /// `level`.
+    pub fn provision_cpu_rate(&self, level: IsolationLevel) -> f64 {
         self.profiles.profile(level).provision_cpu_rate
     }
 
-    fn idle_cpu_rate(&self, level: IsolationLevel) -> f64 {
+    /// Fraction of a CPU core consumed by a warm idle sandbox of `level`.
+    pub fn idle_cpu_rate(&self, level: IsolationLevel) -> f64 {
         self.profiles.profile(level).idle_cpu_rate
     }
 
-    fn mean_cold_start_ms(&self, level: IsolationLevel) -> f64 {
+    /// Mean cold-start latency for planning purposes (ms).
+    pub fn mean_cold_start_ms(&self, level: IsolationLevel) -> f64 {
         self.profiles.profile(level).mean_cold_start_ms()
     }
 }

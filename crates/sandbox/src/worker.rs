@@ -115,11 +115,6 @@ impl Worker {
         self.state
     }
 
-    /// When provisioning began.
-    pub fn provision_started(&self) -> SimTime {
-        self.provision_started
-    }
-
     /// When the sandbox became (or will become) warm.
     pub fn ready_at(&self) -> SimTime {
         self.ready_at

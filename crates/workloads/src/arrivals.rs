@@ -6,9 +6,6 @@
 //! * [`uniform_random`] — Figure 6's lightly loaded trace: inter-arrival
 //!   times drawn from U(0, 60) minutes (~2 requests/hour) over a 16 h run.
 //! * [`poisson`] — Poisson arrivals for load experiments.
-//! * [`closed_loop`] — back-to-back triggers (the "10 requests in cold
-//!   start condition" pattern of §5.1, where each request is fired after
-//!   the previous completes / pool is cleared).
 
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
 
@@ -97,12 +94,6 @@ pub fn poisson(
     times
 }
 
-/// Closed-loop triggers: `count` requests spaced `gap` apart (wide enough
-/// gaps emulate the paper's independent cold-start triggers).
-pub fn closed_loop(start: SimTime, count: usize, gap: SimDuration) -> Vec<SimTime> {
-    (0..count).map(|i| start + gap * i as u64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,19 +140,5 @@ mod tests {
         let per_hour = times.len() as f64 / 100.0;
         assert!((5.0..7.0).contains(&per_hour), "rate {per_hour}/h");
         assert!(poisson(SimTime::ZERO, SimDuration::from_mins(60), 0.0, 9).is_empty());
-    }
-
-    #[test]
-    fn closed_loop_spacing() {
-        let times = closed_loop(SimTime::from_secs(5), 3, SimDuration::from_mins(20));
-        assert_eq!(
-            times,
-            vec![
-                SimTime::from_secs(5),
-                SimTime::from_secs(5 + 1200),
-                SimTime::from_secs(5 + 2400)
-            ]
-        );
-        assert!(closed_loop(SimTime::ZERO, 0, SimDuration::ZERO).is_empty());
     }
 }

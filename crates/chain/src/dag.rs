@@ -289,6 +289,14 @@ impl WorkflowDag {
     /// A topological ordering of the nodes (Kahn's algorithm; determinate
     /// because ties pop in id order).
     pub fn topo_order(&self) -> Vec<NodeId> {
+        let order = self.kahn();
+        debug_assert_eq!(order.len(), self.len(), "dag invariants violated");
+        order
+    }
+
+    /// Kahn's algorithm. Nodes on or below a cycle never reach in-degree
+    /// zero, so a cyclic (unvalidated) DAG yields a short order.
+    fn kahn(&self) -> Vec<NodeId> {
         let mut indegree: Vec<usize> = self.parents.iter().map(Vec::len).collect();
         let mut queue: VecDeque<NodeId> = self
             .node_ids()
@@ -304,7 +312,6 @@ impl WorkflowDag {
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.len(), "dag invariants violated");
         order
     }
 
@@ -420,34 +427,13 @@ impl WorkflowDag {
             }
         }
         // Cycle check: Kahn must visit everything.
-        if self.topo_order_len() != n {
+        if self.kahn().len() != n {
             return Err(ChainError::CycleDetected {
                 from: NodeId::from_index(0),
                 to: NodeId::from_index(0),
             });
         }
         Ok(())
-    }
-
-    fn topo_order_len(&self) -> usize {
-        let mut indegree: Vec<usize> = self.parents.iter().map(Vec::len).collect();
-        let mut queue: VecDeque<usize> = indegree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut visited = 0;
-        while let Some(i) = queue.pop_front() {
-            visited += 1;
-            for e in &self.children[i] {
-                indegree[e.to.index()] -= 1;
-                if indegree[e.to.index()] == 0 {
-                    queue.push_back(e.to.index());
-                }
-            }
-        }
-        visited
     }
 }
 

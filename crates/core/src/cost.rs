@@ -80,19 +80,6 @@ pub fn worker_steady_cost(record: &WorkerRecord, rates: CpuRates) -> ResourceCos
     ResourceCosts { cpu_s, mem_mbs }
 }
 
-/// Sums [`worker_resource_cost`] over many workers, looking rates up per
-/// worker through `rates_for`.
-pub fn total_resource_cost(
-    records: &[WorkerRecord],
-    mut rates_for: impl FnMut(&WorkerRecord) -> CpuRates,
-) -> ResourceCosts {
-    let mut total = ResourceCosts::default();
-    for r in records {
-        total.add(worker_resource_cost(r, rates_for(r)));
-    }
-    total
-}
-
 /// The joint penalty factors of §2.4.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PenaltyFactors {
@@ -201,17 +188,6 @@ mod tests {
         assert!((pre.mem_mbs - 512.0 * 0.05).abs() < 1e-9);
         assert!((steady.mem_mbs - 512.0 * 3600.0).abs() < 1e-6);
         assert!(steady.cpu_s > pre.cpu_s);
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let records = vec![
-            record(1000, 0, 0, 128, true),
-            record(1000, 1000, 1000, 128, true),
-        ];
-        let total = total_resource_cost(&records, |_| RATES);
-        assert!((total.cpu_s - (1.0 + 1.0 + 0.01)).abs() < 1e-9);
-        assert!((total.mem_mbs - 128.0).abs() < 1e-9);
     }
 
     #[test]

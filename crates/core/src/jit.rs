@@ -23,6 +23,12 @@
 //!   reverse proxy forwarded the request into a warm worker), which keeps
 //!   the estimate independent of how long the parent itself waited for a
 //!   sandbox.
+//!
+//! Every transform of a plan's offsets is a [`JitPlan`] method:
+//! [`shifted`](JitPlan::shifted) re-expresses a replan from the original
+//! trigger, and [`deployed_earlier`](JitPlan::deployed_earlier) moves
+//! deployments toward the trigger — all the way for Speculative mode, by
+//! a slack for the MPC policy.
 
 use crate::estimate::EstimateSource;
 use serde::{Deserialize, Serialize};
@@ -91,29 +97,28 @@ impl JitPlan {
         self.deployments.is_empty()
     }
 
-    /// The plan with `node`'s deployment removed. Used when a pre-deploy
-    /// permanently fails (retries exhausted): the node must leave the plan
-    /// so its eventual invocation is accounted as a miss rather than
-    /// silently counted warm.
-    pub fn without(&self, node: NodeId) -> JitPlan {
-        JitPlan {
-            deployments: self
-                .deployments
-                .iter()
-                .copied()
-                .filter(|d| d.node != node)
-                .collect(),
+    /// The plan with every offset `elapsed` later: a replan computed
+    /// from a prediction miss, re-expressed from the original trigger.
+    /// A uniform shift keeps the deployment order.
+    pub fn shifted(mut self, elapsed: SimDuration) -> JitPlan {
+        for d in &mut self.deployments {
+            d.deploy_at += elapsed;
+            d.expected_invocation += elapsed;
+            d.expected_completion += elapsed;
         }
+        self
     }
 
-    /// Expected completion of the whole plan (max over nodes), i.e. the
-    /// planner's estimate of workflow makespan.
-    pub fn expected_makespan(&self) -> SimDuration {
-        self.deployments
-            .iter()
-            .map(|d| d.expected_completion)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+    /// The plan with every deployment `lead` earlier, clamped at the
+    /// trigger; the expected invocations and completions stay. A lead of
+    /// [`SimDuration::MAX`] deploys everything at the trigger
+    /// (Speculative mode, §3.1).
+    pub fn deployed_earlier(self, lead: SimDuration) -> JitPlan {
+        let mut deployments = self.deployments;
+        for d in &mut deployments {
+            d.deploy_at = d.deploy_at.saturating_sub(lead);
+        }
+        JitPlan::from_deployments(deployments)
     }
 }
 
@@ -219,6 +224,15 @@ mod tests {
         })
     }
 
+    /// The planner's makespan estimate: the latest expected completion.
+    fn makespan(plan: &JitPlan) -> SimDuration {
+        plan.deployments()
+            .iter()
+            .map(|d| d.expected_completion)
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
     #[test]
     fn linear_chain_staggered_deployments() {
         let dag = linear_chain("c", 4, &FunctionSpec::new("f").service_ms(5000.0)).unwrap();
@@ -232,7 +246,7 @@ mod tests {
         // Root at 0; completion(root)=3000+5000=8000; child deploys at
         // 8000−3000=5000; completion(child)=8000+5000=13000; etc.
         assert_eq!(d, vec![0.0, 5000.0, 10_000.0, 15_000.0]);
-        assert_eq!(plan.expected_makespan().as_millis_f64(), 23_000.0);
+        assert_eq!(makespan(&plan).as_millis_f64(), 23_000.0);
     }
 
     #[test]
@@ -353,24 +367,39 @@ mod tests {
         let dag = linear_chain("c", 2, &FunctionSpec::new("f")).unwrap();
         let plan = plan_jit(&dag, &[], &est(1.0, 1.0, 1.0));
         assert!(plan.is_empty());
-        assert_eq!(plan.expected_makespan(), SimDuration::ZERO);
+        assert_eq!(makespan(&plan), SimDuration::ZERO);
     }
 
     #[test]
-    fn without_drops_only_the_failed_node() {
+    fn shift_and_lead_move_only_their_offsets() {
         let dag = linear_chain("c", 3, &FunctionSpec::new("f").service_ms(2000.0)).unwrap();
         let mlp = infer_mlp(&dag, |_, _| None);
         let plan = plan_jit(&dag, &mlp.path, &est(500.0, 500.0, 2000.0));
-        let dropped = mlp.path[1];
-        let pruned = plan.without(dropped);
-        assert_eq!(pruned.len(), 2);
-        assert!(pruned.deployment(dropped).is_none());
-        assert!(pruned.deployment(mlp.path[0]).is_some());
-        assert!(pruned.deployment(mlp.path[2]).is_some());
-        // Removing an absent node is a no-op.
-        assert_eq!(pruned.without(dropped), pruned);
-        // The original plan is untouched.
-        assert_eq!(plan.len(), 3);
+        let second = SimDuration::from_secs(1);
+        let shifted = plan.clone().shifted(second);
+        for (d, s) in plan.deployments().iter().zip(shifted.deployments()) {
+            assert_eq!(s.node, d.node);
+            assert_eq!(s.deploy_at, d.deploy_at + second);
+            assert_eq!(s.expected_invocation, d.expected_invocation + second);
+            assert_eq!(s.expected_completion, d.expected_completion + second);
+        }
+        // Everything at the trigger: the latest expected invocation is
+        // submitted first, and the expectations survive.
+        let flat = plan.clone().deployed_earlier(SimDuration::MAX);
+        let nodes: Vec<NodeId> = flat.deployments().iter().map(|d| d.node).collect();
+        assert_eq!(nodes, vec![mlp.path[2], mlp.path[1], mlp.path[0]]);
+        assert!(flat
+            .deployments()
+            .iter()
+            .all(|d| d.deploy_at == SimDuration::ZERO));
+        assert_eq!(makespan(&flat), makespan(&plan));
+        // A lead shorter than an offset only moves that deployment up.
+        let led = plan.clone().deployed_earlier(second);
+        assert_eq!(led.deployments()[0].deploy_at, SimDuration::ZERO);
+        assert_eq!(
+            led.deployments()[2].deploy_at,
+            plan.deployments()[2].deploy_at - second
+        );
     }
 
     #[test]
@@ -430,9 +459,13 @@ mod proptests {
             let mlp = infer_mlp(&dag, |_, _| None);
             let plan = plan_jit(&dag, &mlp.path, &est);
             let total_runtime = warm * n as f64;
-            prop_assert!(
-                plan.expected_makespan().as_millis_f64() >= total_runtime - 1e-6
-            );
+            let makespan = plan
+                .deployments()
+                .iter()
+                .map(|d| d.expected_completion)
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            prop_assert!(makespan.as_millis_f64() >= total_runtime - 1e-6);
         }
     }
 }

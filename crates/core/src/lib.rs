@@ -9,14 +9,14 @@
 //! * [`jit`] — **Algorithm 2**: generation of the just-in-time deployment
 //!   plan, timing each sandbox's provisioning so it becomes warm exactly
 //!   when its function is expected to be invoked.
-//! * [`speculation`] — the speculation engine: deployment aggressiveness
-//!   (§3.2.1), execution modes (cold / speculative / JIT), and prediction-
-//!   miss policies including the paper's future-work replan-and-reuse
-//!   (§7).
-//! * [`policy`] — the pluggable [`policy::SpeculationPolicy`] trait that
-//!   generalizes the engine's surface, with the paper's planner as the
-//!   default implementation plus MPC and tabular-RL competitors and the
-//!   name-based [`policy::PolicyRegistry`].
+//! * [`speculation`] — the speculation engine, the paper's planner:
+//!   deployment aggressiveness (§3.2.1), execution modes (cold /
+//!   speculative / JIT), and prediction-miss policies including the
+//!   paper's future-work replan-and-reuse (§7).
+//! * [`policy`] — the pluggable [`policy::SpeculationPolicy`] trait the
+//!   platform plans through, which the engine implements as the default,
+//!   plus the MPC and tabular-RL competitors and the name-based
+//!   [`policy::PolicyRegistry`].
 //! * [`cost`] — the cost model of §2.4: latency overhead `C_D`, resource
 //!   overheads `C_R_cpu` / `C_R_mem`, and the joint penalties `φ_cpu` /
 //!   `φ_mem`.
@@ -39,6 +39,6 @@ pub use jit::{JitPlan, PlannedDeployment};
 pub use mlp::{infer_mlp, infer_mlp_hedged, infer_mlp_learned, MlpResult};
 pub use policy::{
     CompletionObservation, ConfiguredPolicy, MpcConfig, MpcPolicy, PlanContext, PolicyParseError,
-    PolicyRegistry, PolicySpec, RlConfig, RlPolicy, SpeculationPolicy, XanaduPolicy,
+    PolicyRegistry, PolicySpec, RlConfig, RlPolicy, SpeculationPolicy,
 };
 pub use speculation::{ExecutionMode, MissPolicy, SpeculationConfig, SpeculationEngine};

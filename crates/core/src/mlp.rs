@@ -133,7 +133,10 @@ pub(crate) fn infer_mlp_from(
 }
 
 /// The one MLP walk: `starts` execute with likelihood 1, and each selected
-/// node, in topological order, decides which of its children join.
+/// node, in topological order, decides which of its children join. Only a
+/// node's parents write its `selected` and `likelihood`, and they precede
+/// it, so both are final when the walk reaches it: the path is collected
+/// in the same pass.
 fn walk(
     dag: &WorkflowDag,
     starts: &[NodeId],
@@ -149,10 +152,14 @@ fn walk(
         selected[start.index()] = true;
     }
 
+    let mut path = Vec::new();
+    let mut path_likelihood = Vec::new();
     for id in dag.topo_order() {
         if !selected[id.index()] {
             continue;
         }
+        path.push(id);
+        path_likelihood.push(likelihood[id.index()]);
         let edges = dag.children(id);
         let mut prob_of = |child: NodeId| {
             rho(id, child)
@@ -212,15 +219,7 @@ fn walk(
         }
     }
 
-    let mut path = Vec::new();
-    let mut out_likelihood = Vec::new();
-    for id in dag.topo_order() {
-        if selected[id.index()] {
-            path.push(id);
-            out_likelihood.push(likelihood[id.index()]);
-        }
-    }
-    MlpResult::new(path, out_likelihood)
+    MlpResult::new(path, path_likelihood)
 }
 
 /// Infers the MLP of an *implicit* chain from the learned branch tree
@@ -494,7 +493,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
     use xanadu_chain::{FunctionSpec, WorkflowBuilder};
@@ -504,7 +503,7 @@ mod proptests {
     /// `multicast` flags (cycled over parents) say so, a multicast one.
     /// With `joins`, each node after the first on a level also links to
     /// its left neighbour's first child, which then has two parents.
-    fn random_xor_tree(
+    pub(crate) fn random_xor_tree(
         depth: usize,
         fanout: usize,
         weights: &[f64],
@@ -677,7 +676,7 @@ mod proptests {
     }
 
     /// Weights from a small set, so sibling likelihoods tie exactly.
-    const TIED_WEIGHTS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
+    pub(crate) const TIED_WEIGHTS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

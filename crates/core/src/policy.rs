@@ -1,15 +1,14 @@
 //! Pluggable speculation policies.
 //!
-//! The paper's MLP/JIT planner (wrapped by [`SpeculationEngine`]) is one
-//! way to decide *what to pre-deploy and when*. This module generalizes
-//! that surface into the object-safe [`SpeculationPolicy`] trait — plan at
-//! trigger, replan on a prediction miss, react to deploy failures, observe
-//! completions — so alternative planners from the literature can be
-//! evaluated head-to-head on the same platform and judged by the same
-//! audit layer:
+//! The object-safe [`SpeculationPolicy`] trait is the platform's planning
+//! seam — plan at trigger, replan on a prediction miss, react to deploy
+//! failures, observe completions — so alternative planners from the
+//! literature run head-to-head with the paper's on the same platform and
+//! are judged by the same audit layer:
 //!
-//! * [`XanaduPolicy`] — the default: the paper's engine behind the trait.
-//!   Runs through this adapter are byte-identical to the pre-trait code.
+//! * [`SpeculationEngine`] — the default: the paper's planner itself (MLP
+//!   inference, then the Algorithm 2 timeline, in Cold, Speculative or
+//!   JIT mode; see [`crate::speculation`]).
 //! * [`MpcPolicy`] — a receding-horizon model-predictive planner (after
 //!   Nguyen et al., *Taming Cold Starts with Model Predictive Control*):
 //!   each decision point optimizes a cold-penalty vs. waste-cost objective
@@ -18,11 +17,11 @@
 //! * [`RlPolicy`] — a tabular off-policy Q-learner (after Agarwal et al.,
 //!   *Cold Start Frequency Reduction with Off-Policy Reinforcement
 //!   Learning*) over a discretized (idle-gap, chain-depth) state, choosing
-//!   between skipping speculation, JIT planning, and eager pre-deployment.
-//!   Exploration is seeded per `(policy seed, workflow, trigger index)` —
-//!   never from the platform seed — so learned state is a pure function of
-//!   the per-workflow trigger history and reports stay byte-identical at
-//!   any shard count.
+//!   per trigger which of the paper's modes — Cold, JIT or Speculative —
+//!   the engine's pipeline plans in. Exploration is seeded per
+//!   `(policy seed, workflow, trigger index)` — never from the platform
+//!   seed — so learned state is a pure function of the per-workflow
+//!   trigger history and reports stay byte-identical at any shard count.
 //!
 //! Policies are named and parsed through [`PolicyRegistry`] /
 //! [`PolicySpec`] (`name[:param=val,...]` labels, e.g. `mpc:horizon=6`).
@@ -36,8 +35,7 @@ use xanadu_chain::{NodeId, WorkflowDag};
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
 
 use crate::estimate::EstimateSource;
-use crate::jit::{plan_jit, JitPlan, PlannedDeployment};
-use crate::mlp::infer_mlp;
+use crate::jit::{plan_jit, JitPlan};
 use crate::speculation::{
     DeployFailureAction, ExecutionMode, MissPolicy, PlanCacheStats, SpeculationConfig,
     SpeculationEngine,
@@ -76,8 +74,9 @@ pub struct CompletionObservation {
     pub executed: u32,
 }
 
-/// A speculation policy: the generalized `plan`/`on_miss`/
-/// `on_deploy_failure` surface of the paper's [`SpeculationEngine`].
+/// A speculation policy: the surface the platform plans through, which
+/// the paper's [`SpeculationEngine`] implements and the learned planners
+/// share.
 ///
 /// Implementations must be deterministic: the same sequence of calls (per
 /// workflow) must produce the same decisions regardless of how workflows
@@ -119,9 +118,16 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
         rho: &mut ProbabilityFn,
     ) -> Option<JitPlan>;
 
-    /// Reacts to a failed speculative pre-deployment of `failed` (attempt
-    /// numbers start at 0). The default is the engine's capped exponential
-    /// backoff, dropping the node once the retry budget is spent.
+    /// Reacts to a failed speculative pre-deployment of `failed`: its
+    /// sandbox died during startup on attempt `attempt` (0-based). Every
+    /// built-in policy keeps this default: while attempts remain the
+    /// deployment is retried with exponential backoff scaled off the
+    /// node's startup estimate (`startup_ms / 2 · 2^attempt` — short
+    /// enough that a retried sandbox can still beat the invocation it was
+    /// planned for); once `max_retries` attempts have failed the node is
+    /// dropped from the plan ([`DeployFailureAction::Drop`]), so a later
+    /// invocation pays a visible on-demand cold start instead of waiting
+    /// on a worker that will never exist.
     fn on_deploy_failure(
         &mut self,
         failed: NodeId,
@@ -130,7 +136,13 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
         startup_ms: f64,
     ) -> DeployFailureAction {
         let _ = failed;
-        default_deploy_failure(attempt, max_retries, startup_ms)
+        if attempt >= max_retries {
+            return DeployFailureAction::Drop;
+        }
+        let backoff_ms = (startup_ms.max(1.0) / 2.0) * f64::from(1u32 << attempt.min(16));
+        DeployFailureAction::Retry {
+            delay: SimDuration::from_millis_f64(backoff_ms),
+        }
     }
 
     /// Feedback hook: one completed request of `workflow`. Default no-op.
@@ -150,155 +162,6 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
     fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats::default()
     }
-}
-
-/// The engine's deploy-failure reaction, shared by all policies: retry
-/// with capped exponential backoff while the budget lasts, then drop.
-pub fn default_deploy_failure(
-    attempt: u32,
-    max_retries: u32,
-    startup_ms: f64,
-) -> DeployFailureAction {
-    if attempt >= max_retries {
-        return DeployFailureAction::Drop;
-    }
-    let backoff_ms = (startup_ms.max(1.0) / 2.0) * f64::from(1u32 << attempt.min(16));
-    DeployFailureAction::Retry {
-        delay: SimDuration::from_millis_f64(backoff_ms),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// XanaduPolicy: the paper's engine behind the trait
-// ---------------------------------------------------------------------------
-
-/// The default policy: the paper's MLP/JIT [`SpeculationEngine`] adapted
-/// to the trait. Pure delegation — trait-routed runs are byte-identical
-/// to pre-trait ones.
-#[derive(Debug, Clone)]
-pub struct XanaduPolicy {
-    engine: SpeculationEngine,
-}
-
-impl XanaduPolicy {
-    /// Wraps an engine configured with `config`.
-    pub fn new(config: SpeculationConfig) -> Self {
-        XanaduPolicy {
-            engine: SpeculationEngine::new(config),
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &SpeculationEngine {
-        &self.engine
-    }
-}
-
-impl SpeculationPolicy for XanaduPolicy {
-    fn label(&self) -> &'static str {
-        self.engine.config().mode.label()
-    }
-
-    fn plans_at_trigger(&self) -> bool {
-        self.engine.config().mode != ExecutionMode::Cold
-    }
-
-    fn allows_retarget(&self) -> bool {
-        self.engine.config().miss_policy == MissPolicy::ReplanAndReuse
-    }
-
-    fn plan(
-        &mut self,
-        ctx: &PlanContext,
-        dag: &WorkflowDag,
-        estimates: &dyn EstimateSource,
-        rho: &mut ProbabilityFn,
-    ) -> JitPlan {
-        self.engine
-            .plan_cached(dag, estimates, ctx.estimates_epoch, ctx.prob_epoch, rho)
-    }
-
-    fn on_miss(
-        &mut self,
-        _ctx: &PlanContext,
-        dag: &WorkflowDag,
-        estimates: &dyn EstimateSource,
-        actual: NodeId,
-        elapsed: SimDuration,
-        rho: &mut ProbabilityFn,
-    ) -> Option<JitPlan> {
-        self.engine.on_miss(dag, estimates, actual, elapsed, rho)
-    }
-
-    fn on_deploy_failure(
-        &mut self,
-        failed: NodeId,
-        attempt: u32,
-        max_retries: u32,
-        startup_ms: f64,
-    ) -> DeployFailureAction {
-        self.engine
-            .on_deploy_failure(failed, attempt, max_retries, startup_ms)
-    }
-
-    fn set_plan_cache(&mut self, enabled: bool) {
-        self.engine.set_plan_cache(enabled);
-    }
-
-    fn invalidate_plan_cache(&mut self) {
-        self.engine.invalidate_plan_cache();
-    }
-
-    fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.engine.plan_cache_stats()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared DAG helpers
-// ---------------------------------------------------------------------------
-
-/// Probability of reaching each node from the given weighted roots,
-/// propagated along every edge (XOR children partition their parent's
-/// mass, so the sum over a request's realized path is exact).
-fn reach_likelihood(
-    dag: &WorkflowDag,
-    roots: &[(NodeId, f64)],
-    rho: &mut ProbabilityFn,
-) -> Vec<f64> {
-    let mut like = vec![0.0f64; dag.len()];
-    for &(root, p) in roots {
-        like[root.index()] = p;
-    }
-    for id in dag.topo_order() {
-        if like[id.index()] <= 0.0 {
-            continue;
-        }
-        for e in dag.children(id) {
-            let p = rho(id, e.to)
-                .or_else(|| dag.edge_probability(id, e.to))
-                .unwrap_or(0.0)
-                .clamp(0.0, 1.0);
-            like[e.to.index()] += like[id.index()] * p;
-        }
-    }
-    like
-}
-
-/// Shifts every offset in `plan` by `elapsed` (replans are expressed as
-/// offsets from the original trigger).
-fn shift_plan(plan: &JitPlan, elapsed: SimDuration) -> JitPlan {
-    let shifted: Vec<PlannedDeployment> = plan
-        .deployments()
-        .iter()
-        .map(|d| PlannedDeployment {
-            node: d.node,
-            deploy_at: d.deploy_at + elapsed,
-            expected_invocation: d.expected_invocation + elapsed,
-            expected_completion: d.expected_completion + elapsed,
-        })
-        .collect();
-    JitPlan::from_deployments(shifted)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,30 +230,44 @@ impl MpcPolicy {
         MpcPolicy { config }
     }
 
-    /// Solves the horizon-restricted selection rooted at `roots`.
-    fn select(
+    /// Solves the horizon-restricted selection below `starts` (taken as
+    /// certain) and times it with Algorithm 2, minus the slack.
+    fn plan_from(
         &self,
         dag: &WorkflowDag,
         estimates: &dyn EstimateSource,
-        roots: &[(NodeId, f64)],
-        base_level: usize,
+        starts: &[NodeId],
         rho: &mut ProbabilityFn,
-    ) -> Vec<NodeId> {
+    ) -> JitPlan {
         let levels = dag.levels();
-        let like = reach_likelihood(dag, roots, rho);
+        // The frontier's level: 0 at the roots, the miss's own on a replan.
+        let base_level = starts.iter().map(|s| levels[s.index()]).min().unwrap_or(0);
+        // Probability of reaching each node, propagated along every edge
+        // (XOR children partition their parent's mass). Only parents add
+        // to a node's mass, so it is final when the walk reaches the node.
+        let mut like = vec![0.0f64; dag.len()];
+        for s in starts {
+            like[s.index()] = 1.0;
+        }
         let mut selected = vec![false; dag.len()];
-        let mut out = Vec::new();
+        let mut picks = Vec::new();
         for id in dag.topo_order() {
             let p = like[id.index()];
             if p <= 0.0 {
                 continue;
             }
-            let rooted = roots.iter().any(|&(r, _)| r == id);
-            let connected = rooted || dag.parents(id).iter().any(|pa| selected[pa.index()]);
-            if !connected {
-                continue;
+            for e in dag.children(id) {
+                let edge = rho(id, e.to)
+                    .or_else(|| dag.edge_probability(id, e.to))
+                    .unwrap_or(0.0)
+                    .clamp(0.0, 1.0);
+                like[e.to.index()] += p * edge;
             }
-            if levels[id.index()].saturating_sub(base_level) >= self.config.horizon as usize {
+            let connected =
+                starts.contains(&id) || dag.parents(id).iter().any(|pa| selected[pa.index()]);
+            if !connected
+                || levels[id.index()].saturating_sub(base_level) >= self.config.horizon as usize
+            {
                 continue;
             }
             let est = estimates.estimate(id, dag.node(id).spec());
@@ -398,32 +275,11 @@ impl MpcPolicy {
             let cost = (1.0 - p) * self.config.waste_weight * est.startup_ms;
             if benefit >= cost {
                 selected[id.index()] = true;
-                out.push(id);
+                picks.push(id);
             }
         }
-        out
-    }
-
-    fn planned(
-        &self,
-        dag: &WorkflowDag,
-        estimates: &dyn EstimateSource,
-        picks: &[NodeId],
-    ) -> JitPlan {
-        let plan = plan_jit(dag, picks, estimates);
-        if self.config.slack_ms <= 0.0 {
-            return plan;
-        }
         let slack = SimDuration::from_millis_f64(self.config.slack_ms);
-        JitPlan::from_deployments(
-            plan.deployments()
-                .iter()
-                .map(|d| PlannedDeployment {
-                    deploy_at: d.deploy_at.saturating_sub(slack),
-                    ..*d
-                })
-                .collect(),
-        )
+        plan_jit(dag, &picks, estimates).deployed_earlier(slack)
     }
 }
 
@@ -447,9 +303,7 @@ impl SpeculationPolicy for MpcPolicy {
         estimates: &dyn EstimateSource,
         rho: &mut ProbabilityFn,
     ) -> JitPlan {
-        let roots: Vec<(NodeId, f64)> = dag.roots().into_iter().map(|r| (r, 1.0)).collect();
-        let picks = self.select(dag, estimates, &roots, 0, rho);
-        self.planned(dag, estimates, &picks)
+        self.plan_from(dag, estimates, &dag.roots(), rho)
     }
 
     fn on_miss(
@@ -461,9 +315,10 @@ impl SpeculationPolicy for MpcPolicy {
         elapsed: SimDuration,
         rho: &mut ProbabilityFn,
     ) -> Option<JitPlan> {
-        let base_level = dag.levels()[actual.index()];
-        let picks = self.select(dag, estimates, &[(actual, 1.0)], base_level, rho);
-        Some(shift_plan(&self.planned(dag, estimates, &picks), elapsed))
+        Some(
+            self.plan_from(dag, estimates, &[actual], rho)
+                .shifted(elapsed),
+        )
     }
 }
 
@@ -540,13 +395,19 @@ const RL_IDLE_BUCKETS: usize = 4;
 const RL_DEPTH_BUCKETS: usize = 3;
 const RL_STATES: usize = RL_IDLE_BUCKETS * RL_DEPTH_BUCKETS;
 const RL_ACTIONS: usize = 3;
-const ACTION_SKIP: usize = 0;
-const ACTION_JIT: usize = 1;
-const ACTION_EAGER: usize = 2;
 
-/// Greedy tie-break order: prefer JIT, then eager, then skip — so an
-/// untrained table behaves like the paper's planner.
-const GREEDY_ORDER: [usize; RL_ACTIONS] = [ACTION_JIT, ACTION_EAGER, ACTION_SKIP];
+/// The actions in Q-table column order: the paper's modes, i.e. skip
+/// speculation, follow the JIT timeline, or deploy the whole MLP at the
+/// trigger.
+const ACTION_MODES: [ExecutionMode; RL_ACTIONS] = [
+    ExecutionMode::Cold,
+    ExecutionMode::Jit,
+    ExecutionMode::Speculative,
+];
+
+/// Greedy tie-break order: prefer JIT, then Speculative, then Cold — so
+/// an untrained table behaves like the paper's planner.
+const GREEDY_ORDER: [usize; RL_ACTIONS] = [1, 2, 0];
 
 #[derive(Debug, Clone, Copy)]
 struct PendingDecision {
@@ -575,8 +436,9 @@ impl Default for WorkflowRl {
 }
 
 /// Tabular off-policy Q-learner (Agarwal et al.) choosing, per trigger,
-/// between no speculation, the paper's JIT plan, and eager pre-deployment
-/// of the whole MLP at trigger time.
+/// the paper's mode — Cold, JIT or Speculative — and planning it through
+/// [`SpeculationEngine::plan_uncached`] at full aggressiveness without
+/// hedging.
 ///
 /// The state is the discretized (time since this workflow's previous
 /// trigger, chain depth); the reward penalizes observed cold starts and
@@ -695,26 +557,8 @@ impl SpeculationPolicy for RlPolicy {
             reward: None,
         });
 
-        match action {
-            ACTION_SKIP => JitPlan::default(),
-            ACTION_EAGER => {
-                let mlp = infer_mlp(dag, rho);
-                let plan = plan_jit(dag, &mlp.path, estimates);
-                JitPlan::from_deployments(
-                    plan.deployments()
-                        .iter()
-                        .map(|d| PlannedDeployment {
-                            deploy_at: SimDuration::ZERO,
-                            ..*d
-                        })
-                        .collect(),
-                )
-            }
-            _ => {
-                let mlp = infer_mlp(dag, rho);
-                plan_jit(dag, &mlp.path, estimates)
-            }
-        }
+        SpeculationEngine::new(SpeculationConfig::for_mode(ACTION_MODES[action]))
+            .plan_uncached(dag, estimates, rho)
     }
 
     fn on_miss(
@@ -757,7 +601,7 @@ impl SpeculationPolicy for RlPolicy {
 /// `SpeculationConfig`, so default configs serialize exactly as before.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum PolicySpec {
-    /// The paper's MLP/JIT engine ([`XanaduPolicy`]).
+    /// The paper's MLP/JIT engine ([`SpeculationEngine`]).
     #[default]
     Xanadu,
     /// Receding-horizon MPC planner ([`MpcPolicy`]).
@@ -998,7 +842,7 @@ impl PolicyRegistry {
     /// default Xanadu policy and is ignored by the learned ones.
     pub fn build(spec: &PolicySpec, speculation: SpeculationConfig) -> Box<dyn SpeculationPolicy> {
         match spec {
-            PolicySpec::Xanadu => Box::new(XanaduPolicy::new(speculation)),
+            PolicySpec::Xanadu => Box::new(SpeculationEngine::new(speculation)),
             PolicySpec::Mpc(cfg) => Box::new(MpcPolicy::new(*cfg)),
             PolicySpec::Rl(cfg) => Box::new(RlPolicy::new(*cfg)),
         }
@@ -1080,22 +924,6 @@ mod tests {
         let cold = b.add(FunctionSpec::new("cold")).unwrap();
         b.link_xor(a, &[(hot, 0.9), (cold, 0.1)]).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn xanadu_policy_matches_engine_exactly() {
-        let dag = linear_chain("c", 6, &FunctionSpec::new("f").service_ms(400.0)).unwrap();
-        let estimates = est();
-        let mut engine = SpeculationEngine::new(SpeculationConfig::default());
-        let expected = engine.plan_cached(&dag, &estimates, 0, 0, |_, _| None);
-        let mut policy = XanaduPolicy::new(SpeculationConfig::default());
-        let mut rho = |_: NodeId, _: NodeId| None;
-        let got = policy.plan(&ctx(), &dag, &estimates, &mut rho);
-        assert_eq!(expected, got);
-        assert_eq!(
-            engine.on_deploy_failure(NodeId::from_index(0), 1, 3, 2500.0),
-            policy.on_deploy_failure(NodeId::from_index(0), 1, 3, 2500.0),
-        );
     }
 
     #[test]
@@ -1299,6 +1127,125 @@ mod tests {
             let value = spec.to_json();
             let back = PolicySpec::from_json(&value).unwrap();
             assert_eq!(spec, back);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::estimate::{NodeEstimate, StaticEstimates};
+    use crate::jit::PlannedDeployment;
+    use crate::mlp::proptests::{random_xor_tree, TIED_WEIGHTS};
+    use crate::mlp::{infer_mlp, infer_mlp_from};
+    use proptest::prelude::*;
+
+    /// RL's former inline `jit` arm: the strict MLP, timed by Algorithm 2.
+    fn former_jit(dag: &WorkflowDag, estimates: &StaticEstimates) -> JitPlan {
+        plan_jit(dag, &infer_mlp(dag, |_, _| None).path, estimates)
+    }
+
+    /// RL's former inline `eager` arm: the `jit` arm with every
+    /// deployment moved to the trigger.
+    fn former_eager(dag: &WorkflowDag, estimates: &StaticEstimates) -> JitPlan {
+        let plan = former_jit(dag, estimates);
+        JitPlan::from_deployments(
+            plan.deployments()
+                .iter()
+                .map(|d| PlannedDeployment {
+                    deploy_at: SimDuration::ZERO,
+                    ..*d
+                })
+                .collect(),
+        )
+    }
+
+    /// The engine's former inline replan: the MLP below the miss, timed
+    /// by Algorithm 2, every offset shifted by `elapsed`.
+    fn former_replan(
+        dag: &WorkflowDag,
+        estimates: &StaticEstimates,
+        actual: NodeId,
+        elapsed: SimDuration,
+    ) -> JitPlan {
+        let mlp = infer_mlp_from(dag, actual, |_, _| None);
+        let plan = plan_jit(dag, &mlp.path, estimates);
+        JitPlan::from_deployments(
+            plan.deployments()
+                .iter()
+                .map(|d| PlannedDeployment {
+                    node: d.node,
+                    deploy_at: d.deploy_at + elapsed,
+                    expected_invocation: d.expected_invocation + elapsed,
+                    expected_completion: d.expected_completion + elapsed,
+                })
+                .collect(),
+        )
+    }
+
+    /// A decision point `hours` after the first trigger: an hour apart,
+    /// every RL decision falls in the same idle bucket.
+    fn at_hour(hours: u64) -> PlanContext {
+        PlanContext {
+            now: SimTime::ZERO + SimDuration::from_hours(hours),
+            estimates_epoch: 0,
+            prob_epoch: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn planners_equal_their_former_inline_pipelines(
+            depth in 1usize..5,
+            fanout in 1usize..4,
+            picks in proptest::collection::vec(0usize..4, 1..24),
+            flags in proptest::collection::vec(0u8..3, 1..8),
+            joins in 0u8..2,
+            runtimes in proptest::collection::vec(10u32..5000, 1..16),
+            startup in 100u32..4000,
+            miss in 0usize..1000,
+            elapsed_ms in 1u64..60_000,
+        ) {
+            let weights: Vec<f64> = picks.iter().map(|&i| TIED_WEIGHTS[i]).collect();
+            let multicast: Vec<bool> = flags.iter().map(|&f| f == 0).collect();
+            let dag = random_xor_tree(depth, fanout, &weights, &multicast, joins == 1);
+            let mut estimates = StaticEstimates::uniform(NodeEstimate {
+                cold_start_ms: f64::from(startup),
+                startup_ms: f64::from(startup),
+                warm_runtime_ms: 400.0,
+            });
+            for id in dag.node_ids() {
+                estimates.set(id, NodeEstimate {
+                    cold_start_ms: f64::from(startup),
+                    startup_ms: f64::from(startup),
+                    warm_runtime_ms: f64::from(runtimes[id.index() % runtimes.len()]),
+                });
+            }
+            let mut truth = |_: NodeId, _: NodeId| None;
+
+            // Greedy RL: an untrained table plans JIT; a penalized JIT
+            // leaves Speculative the best action, and a penalized
+            // Speculative leaves Cold.
+            let mut rl = RlPolicy::new(RlConfig { epsilon: 0.0, ..RlConfig::default() });
+            let penalty = CompletionObservation { cold_starts: 1, ..Default::default() };
+            let jit = rl.plan(&at_hour(0), &dag, &estimates, &mut truth);
+            prop_assert_eq!(&jit, &former_jit(&dag, &estimates));
+            rl.observe_completion(dag.name(), &penalty);
+            let eager = rl.plan(&at_hour(1), &dag, &estimates, &mut truth);
+            prop_assert_eq!(&eager, &former_eager(&dag, &estimates));
+            rl.observe_completion(dag.name(), &penalty);
+            prop_assert!(rl.plan(&at_hour(2), &dag, &estimates, &mut truth).is_empty());
+
+            let actual = NodeId::from_index(miss % dag.len());
+            let elapsed = SimDuration::from_millis(elapsed_ms);
+            let mut engine = SpeculationEngine::new(SpeculationConfig {
+                miss_policy: MissPolicy::ReplanAndReuse,
+                ..SpeculationConfig::default()
+            });
+            let replan = engine.on_miss(&at_hour(0), &dag, &estimates, actual, elapsed, &mut truth);
+            prop_assert_eq!(replan, Some(former_replan(&dag, &estimates, actual, elapsed)));
         }
     }
 }

@@ -1,10 +1,17 @@
-//! The speculation engine: execution modes, deployment aggressiveness, and
-//! prediction-miss policies.
+//! The speculation engine: the paper's planner, with its execution modes,
+//! deployment aggressiveness, and prediction-miss policies.
 //!
 //! Xanadu runs workflows in one of three modes (§5): **Cold** (no
 //! optimization, sandboxes provisioned on demand), **Speculative** (all MLP
 //! sandboxes deployed when the workflow triggers, §3.1), and **JIT**
 //! (sandboxes deployed per the Algorithm 2 timeline, §3.2.2).
+//!
+//! [`SpeculationEngine`] runs that one pipeline — MLP inference, the
+//! aggressiveness horizon, Algorithm 2, and for Speculative mode every
+//! deployment moved to the trigger — and is the platform's default
+//! [`SpeculationPolicy`], memoizing plans per workflow. The RL policy
+//! plans its chosen mode through the same uncached pipeline
+//! ([`SpeculationEngine::plan_uncached`]).
 //!
 //! Two controls bound the cost of wrong predictions:
 //!
@@ -19,15 +26,16 @@
 //!   already-deployed workers on the new path.
 
 use crate::estimate::EstimateSource;
-use crate::jit::{plan_jit, JitPlan, PlannedDeployment};
+use crate::jit::{plan_jit, JitPlan};
 use crate::mlp::{infer_mlp_from, infer_mlp_hedged, MlpResult};
+use crate::policy::{PlanContext, ProbabilityFn, SpeculationPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xanadu_chain::{NodeId, WorkflowDag};
 use xanadu_simcore::SimDuration;
 
-/// Hit/miss counters of the engine's plan cache (see
-/// [`SpeculationEngine::plan_cached`]).
+/// Hit/miss counters of a policy's plan cache (see
+/// [`SpeculationPolicy::plan_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanCacheStats {
     /// Plans served from the cache.
@@ -79,7 +87,7 @@ impl ExecutionMode {
 
 /// What to do when a planned pre-deployment fails to provision (the
 /// sandbox died during startup). Returned by
-/// [`SpeculationEngine::on_deploy_failure`].
+/// [`SpeculationPolicy::on_deploy_failure`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeployFailureAction {
     /// Re-submit the deployment after `delay` (exponential backoff on the
@@ -145,8 +153,10 @@ impl SpeculationConfig {
     }
 }
 
-/// The speculation engine: turns a workflow and its probability estimates
-/// into a pre-deployment plan, and handles prediction misses.
+/// The paper's planner, and the platform's default
+/// [`SpeculationPolicy`]: MLP inference (Algorithm 1), the aggressiveness
+/// horizon and the JIT timeline (Algorithm 2), run in the configured
+/// [`ExecutionMode`], with plans memoized per workflow.
 ///
 /// # Example
 ///
@@ -160,7 +170,7 @@ impl SpeculationConfig {
 ///     cold_start_ms: 3000.0, startup_ms: 3000.0, warm_runtime_ms: 5000.0,
 /// });
 /// let engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Speculative));
-/// let plan = engine.plan(&dag, &est, |_, _| None);
+/// let plan = engine.plan_uncached(&dag, &est, |_, _| None);
 /// assert_eq!(plan.deployments().len(), 5);
 /// // Speculative mode deploys everything at t = 0.
 /// assert!(plan.deployments().iter().all(|d| d.deploy_at.as_micros() == 0));
@@ -170,7 +180,7 @@ impl SpeculationConfig {
 pub struct SpeculationEngine {
     config: SpeculationConfig,
     /// Memoized plans per workflow name; see
-    /// [`plan_cached`](Self::plan_cached).
+    /// [`SpeculationPolicy::plan`].
     cache: HashMap<String, CachedPlan>,
     cache_enabled: bool,
     stats: PlanCacheStats,
@@ -178,7 +188,7 @@ pub struct SpeculationEngine {
 
 impl SpeculationEngine {
     /// Creates an engine with the given configuration. The plan cache
-    /// starts enabled; see [`set_plan_cache`](Self::set_plan_cache).
+    /// starts enabled; see [`SpeculationPolicy::set_plan_cache`].
     pub fn new(config: SpeculationConfig) -> Self {
         SpeculationEngine {
             config,
@@ -188,12 +198,8 @@ impl SpeculationEngine {
         }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> SpeculationConfig {
-        self.config
-    }
-
-    /// Computes the pre-deployment plan for one trigger of `dag`.
+    /// Computes the pre-deployment plan for one trigger of `dag`, without
+    /// the cache.
     ///
     /// `rho` supplies learned probabilities (return `None` to use the
     /// DAG's ground truth, as in [`infer_mlp`](crate::mlp::infer_mlp)).
@@ -201,7 +207,7 @@ impl SpeculationEngine {
     /// In [`ExecutionMode::Cold`] the plan is empty. In
     /// [`ExecutionMode::Speculative`] all selected nodes deploy at offset
     /// zero. In [`ExecutionMode::Jit`] deployments follow Algorithm 2.
-    pub fn plan(
+    pub fn plan_uncached(
         &self,
         dag: &WorkflowDag,
         estimates: &dyn EstimateSource,
@@ -211,51 +217,78 @@ impl SpeculationEngine {
             return JitPlan::default();
         }
         let mlp = infer_mlp_hedged(dag, rho, self.config.hedge_margin);
-        let limited = self.limit_by_aggressiveness(dag, &mlp);
-        let jit = plan_jit(dag, &limited, estimates);
+        let jit = plan_jit(dag, &self.limit_by_aggressiveness(dag, mlp), estimates);
         match self.config.mode {
-            ExecutionMode::Speculative => flatten_to_zero(&jit),
-            ExecutionMode::Jit => jit,
-            ExecutionMode::Cold => unreachable!("handled above"),
+            ExecutionMode::Speculative => jit.deployed_earlier(SimDuration::MAX),
+            _ => jit,
         }
     }
 
-    /// Like [`plan`](Self::plan), but memoized per workflow: recomputing
-    /// MLP inference and the Algorithm 2 timeline on every trigger is a
-    /// dominant dispatch-path cost, yet the result only changes when the
-    /// planning inputs do. Callers pass the epoch counters of those
-    /// inputs -- `estimates_epoch` for the metrics behind `estimates` and
-    /// `prob_epoch` for the probability source behind `rho` (pass a
-    /// constant, e.g. 0, when the source cannot change) -- and a cached
-    /// plan is reused exactly while both still match.
+    /// Applies the aggressiveness horizon: keeps MLP nodes whose DAG level
+    /// is below `ceil(aggressiveness · depth)` (§3.2.1).
+    fn limit_by_aggressiveness(&self, dag: &WorkflowDag, mlp: MlpResult) -> Vec<NodeId> {
+        let a = self.config.aggressiveness.clamp(0.0, 1.0);
+        if a >= 1.0 {
+            return mlp.path;
+        }
+        let levels = dag.levels();
+        // The DAG's depth, from the levels already at hand.
+        let depth = levels.iter().max().map_or(0, |deepest| deepest + 1);
+        let horizon = (a * depth as f64).ceil() as usize;
+        mlp.path
+            .into_iter()
+            .filter(|n| levels[n.index()] < horizon)
+            .collect()
+    }
+}
+
+impl SpeculationPolicy for SpeculationEngine {
+    fn label(&self) -> &'static str {
+        self.config.mode.label()
+    }
+
+    fn plans_at_trigger(&self) -> bool {
+        self.config.mode != ExecutionMode::Cold
+    }
+
+    fn allows_retarget(&self) -> bool {
+        self.config.miss_policy == MissPolicy::ReplanAndReuse
+    }
+
+    /// [`plan_uncached`](SpeculationEngine::plan_uncached), memoized per
+    /// workflow: recomputing MLP inference and the Algorithm 2 timeline
+    /// on every trigger is a dominant dispatch-path cost, yet the result
+    /// only changes when the planning inputs do. A cached plan is reused
+    /// exactly while both epochs of `ctx` still match the ones it was
+    /// computed at.
     ///
     /// [`ExecutionMode::Cold`] plans are empty and bypass the cache and
     /// its counters entirely, as does a disabled cache.
-    pub fn plan_cached(
+    fn plan(
         &mut self,
+        ctx: &PlanContext,
         dag: &WorkflowDag,
         estimates: &dyn EstimateSource,
-        estimates_epoch: u64,
-        prob_epoch: u64,
-        rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
+        rho: &mut ProbabilityFn,
     ) -> JitPlan {
         if self.config.mode == ExecutionMode::Cold {
             return JitPlan::default();
         }
         if !self.cache_enabled {
-            return self.plan(dag, estimates, rho);
+            return self.plan_uncached(dag, estimates, rho);
         }
         if let Some(cached) = self.cache.get(dag.name()) {
-            if cached.estimates_epoch == estimates_epoch && cached.prob_epoch == prob_epoch {
+            if cached.estimates_epoch == ctx.estimates_epoch && cached.prob_epoch == ctx.prob_epoch
+            {
                 self.stats.hits += 1;
                 return cached.plan.clone();
             }
         }
         self.stats.misses += 1;
-        let plan = self.plan(dag, estimates, rho);
+        let plan = self.plan_uncached(dag, estimates, rho);
         let cached = CachedPlan {
-            estimates_epoch,
-            prob_epoch,
+            estimates_epoch: ctx.estimates_epoch,
+            prob_epoch: ctx.prob_epoch,
             plan: plan.clone(),
         };
         // A stale entry is overwritten in place: the workflow's key is
@@ -269,120 +302,42 @@ impl SpeculationEngine {
         plan
     }
 
-    /// Hit/miss counters of the plan cache.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.stats
+    /// Under [`MissPolicy::StopSpeculation`], `None`. Under
+    /// [`MissPolicy::ReplanAndReuse`], the MLP below `actual` (which is
+    /// taken as certain), timed by Algorithm 2 and shifted by `elapsed`.
+    fn on_miss(
+        &mut self,
+        _ctx: &PlanContext,
+        dag: &WorkflowDag,
+        estimates: &dyn EstimateSource,
+        actual: NodeId,
+        elapsed: SimDuration,
+        rho: &mut ProbabilityFn,
+    ) -> Option<JitPlan> {
+        match self.config.miss_policy {
+            MissPolicy::StopSpeculation => None,
+            MissPolicy::ReplanAndReuse => {
+                let mlp = infer_mlp_from(dag, actual, rho);
+                Some(plan_jit(dag, &mlp.path, estimates).shifted(elapsed))
+            }
+        }
     }
 
-    /// Enables or disables the plan cache; disabling drops all cached
-    /// plans (but keeps the hit/miss counters).
-    pub fn set_plan_cache(&mut self, enabled: bool) {
+    /// Disabling drops all cached plans (but keeps the hit/miss counters).
+    fn set_plan_cache(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
         if !enabled {
             self.cache.clear();
         }
     }
 
-    /// Drops every cached plan, e.g. after learned state was swapped out
-    /// wholesale and the epoch counters restarted.
-    pub fn invalidate_plan_cache(&mut self) {
+    fn invalidate_plan_cache(&mut self) {
         self.cache.clear();
     }
 
-    /// Applies the aggressiveness horizon: keeps MLP nodes whose DAG level
-    /// is below `ceil(aggressiveness · depth)` (§3.2.1).
-    fn limit_by_aggressiveness(&self, dag: &WorkflowDag, mlp: &MlpResult) -> Vec<NodeId> {
-        let a = self.config.aggressiveness.clamp(0.0, 1.0);
-        if a >= 1.0 {
-            return mlp.path.clone();
-        }
-        let horizon = (a * dag.depth() as f64).ceil() as usize;
-        let levels = dag.levels();
-        mlp.path
-            .iter()
-            .copied()
-            .filter(|n| levels[n.index()] < horizon)
-            .collect()
+    fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.stats
     }
-
-    /// Handles a *provisioning* failure of a planned pre-deployment: the
-    /// sandbox for `failed` died during startup on attempt `attempt`
-    /// (0-based). While attempts remain the deployment is retried with
-    /// exponential backoff scaled off the node's startup estimate
-    /// (`startup_ms / 2 · 2^attempt` — short enough that a retried sandbox
-    /// can still beat the invocation it was planned for); once
-    /// `max_retries` attempts have failed the node is dropped from the
-    /// plan ([`DeployFailureAction::Drop`]), so a later invocation pays a
-    /// visible on-demand cold start instead of waiting on a worker that
-    /// will never exist.
-    pub fn on_deploy_failure(
-        &self,
-        _failed: NodeId,
-        attempt: u32,
-        max_retries: u32,
-        startup_ms: f64,
-    ) -> DeployFailureAction {
-        if attempt >= max_retries {
-            return DeployFailureAction::Drop;
-        }
-        let backoff_ms = (startup_ms.max(1.0) / 2.0) * f64::from(1u32 << attempt.min(16));
-        DeployFailureAction::Retry {
-            delay: SimDuration::from_millis_f64(backoff_ms),
-        }
-    }
-
-    /// Handles a prediction miss discovered at `actual` (a node that
-    /// executed but was not on the planned path): returns the replacement
-    /// plan for the remainder of the workflow, or `None` when the policy is
-    /// to stop speculating.
-    ///
-    /// `rho` is the probability source, as in [`plan`](Self::plan);
-    /// `elapsed` is how far into the workflow the miss was detected, so the
-    /// replanned deployments are expressed as offsets from the *original*
-    /// trigger.
-    pub fn on_miss(
-        &self,
-        dag: &WorkflowDag,
-        estimates: &dyn EstimateSource,
-        actual: NodeId,
-        elapsed: SimDuration,
-        rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
-    ) -> Option<JitPlan> {
-        match self.config.miss_policy {
-            MissPolicy::StopSpeculation => None,
-            MissPolicy::ReplanAndReuse => {
-                // Re-run inference on the sub-DAG reachable from the actual
-                // node: select it unconditionally, then extend the MLP
-                // below it.
-                let mlp = infer_mlp_from(dag, actual, rho);
-                let jit = plan_jit(dag, &mlp.path, estimates);
-                let shifted: Vec<PlannedDeployment> = jit
-                    .deployments()
-                    .iter()
-                    .map(|d| PlannedDeployment {
-                        node: d.node,
-                        deploy_at: d.deploy_at + elapsed,
-                        expected_invocation: d.expected_invocation + elapsed,
-                        expected_completion: d.expected_completion + elapsed,
-                    })
-                    .collect();
-                Some(JitPlan::from_deployments(shifted))
-            }
-        }
-    }
-}
-
-/// Collapses a JIT plan to all-at-zero deployments (speculative mode).
-fn flatten_to_zero(plan: &JitPlan) -> JitPlan {
-    let deployments = plan
-        .deployments()
-        .iter()
-        .map(|d| PlannedDeployment {
-            deploy_at: SimDuration::ZERO,
-            ..*d
-        })
-        .collect();
-    JitPlan::from_deployments(deployments)
 }
 
 #[cfg(test)]
@@ -403,10 +358,24 @@ mod tests {
         linear_chain("c", n, &FunctionSpec::new("f").service_ms(5000.0)).unwrap()
     }
 
+    /// A decision point at the trigger with the given input epochs.
+    fn at(estimates_epoch: u64, prob_epoch: u64) -> PlanContext {
+        PlanContext {
+            now: xanadu_simcore::SimTime::ZERO,
+            estimates_epoch,
+            prob_epoch,
+        }
+    }
+
+    /// The ground-truth probability source.
+    fn truth(_: NodeId, _: NodeId) -> Option<f64> {
+        None
+    }
+
     #[test]
     fn cold_mode_plans_nothing() {
         let engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Cold));
-        let plan = engine.plan(&chain(5), &est(), |_, _| None);
+        let plan = engine.plan_uncached(&chain(5), &est(), |_, _| None);
         assert!(plan.is_empty());
     }
 
@@ -414,7 +383,7 @@ mod tests {
     fn speculative_mode_deploys_all_at_zero() {
         let engine =
             SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Speculative));
-        let plan = engine.plan(&chain(5), &est(), |_, _| None);
+        let plan = engine.plan_uncached(&chain(5), &est(), |_, _| None);
         assert_eq!(plan.len(), 5);
         assert!(plan
             .deployments()
@@ -430,7 +399,7 @@ mod tests {
     #[test]
     fn jit_mode_staggers_deployments() {
         let engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Jit));
-        let plan = engine.plan(&chain(5), &est(), |_, _| None);
+        let plan = engine.plan_uncached(&chain(5), &est(), |_, _| None);
         assert_eq!(plan.len(), 5);
         let nonzero = plan
             .deployments()
@@ -448,21 +417,21 @@ mod tests {
             miss_policy: MissPolicy::StopSpeculation,
             hedge_margin: 0.0,
         };
-        let plan = SpeculationEngine::new(cfg).plan(&chain(10), &est(), |_, _| None);
+        let plan = SpeculationEngine::new(cfg).plan_uncached(&chain(10), &est(), |_, _| None);
         assert_eq!(plan.len(), 5, "half of a depth-10 chain");
 
         let cfg_zero = SpeculationConfig {
             aggressiveness: 0.0,
             ..cfg
         };
-        let plan = SpeculationEngine::new(cfg_zero).plan(&chain(10), &est(), |_, _| None);
+        let plan = SpeculationEngine::new(cfg_zero).plan_uncached(&chain(10), &est(), |_, _| None);
         assert!(plan.is_empty());
 
         let cfg_full = SpeculationConfig {
             aggressiveness: 1.0,
             ..cfg
         };
-        let plan = SpeculationEngine::new(cfg_full).plan(&chain(10), &est(), |_, _| None);
+        let plan = SpeculationEngine::new(cfg_full).plan_uncached(&chain(10), &est(), |_, _| None);
         assert_eq!(plan.len(), 10);
     }
 
@@ -474,20 +443,21 @@ mod tests {
             miss_policy: MissPolicy::StopSpeculation,
             hedge_margin: 0.0,
         };
-        let plan = SpeculationEngine::new(cfg).plan(&chain(4), &est(), |_, _| None);
+        let plan = SpeculationEngine::new(cfg).plan_uncached(&chain(4), &est(), |_, _| None);
         assert_eq!(plan.len(), 4);
     }
 
     #[test]
     fn stop_speculation_returns_none_on_miss() {
-        let engine = SpeculationEngine::new(SpeculationConfig::default());
+        let mut engine = SpeculationEngine::new(SpeculationConfig::default());
         let dag = chain(3);
         let miss = engine.on_miss(
+            &at(0, 0),
             &dag,
             &est(),
             dag.node_by_name("f1").unwrap(),
             SimDuration::from_secs(8),
-            |_, _| None,
+            &mut truth,
         );
         assert!(miss.is_none());
     }
@@ -510,10 +480,10 @@ mod tests {
             miss_policy: MissPolicy::ReplanAndReuse,
             hedge_margin: 0.0,
         };
-        let engine = SpeculationEngine::new(cfg);
+        let mut engine = SpeculationEngine::new(cfg);
         let elapsed = SimDuration::from_secs(8);
         let plan = engine
-            .on_miss(&dag, &est(), cold, elapsed, |_, _| None)
+            .on_miss(&at(0, 0), &dag, &est(), cold, elapsed, &mut truth)
             .expect("replan produced");
         let nodes: Vec<NodeId> = plan.deployments().iter().map(|d| d.node).collect();
         assert!(nodes.contains(&cold));
@@ -535,9 +505,9 @@ mod tests {
     fn plan_cache_hits_while_epochs_match() {
         let mut engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Jit));
         let dag = chain(5);
-        let reference = engine.plan(&dag, &est(), |_, _| None);
-        let first = engine.plan_cached(&dag, &est(), 3, 7, |_, _| None);
-        let second = engine.plan_cached(&dag, &est(), 3, 7, |_, _| None);
+        let reference = engine.plan_uncached(&dag, &est(), |_, _| None);
+        let first = engine.plan(&at(3, 7), &dag, &est(), &mut truth);
+        let second = engine.plan(&at(3, 7), &dag, &est(), &mut truth);
         assert_eq!(first, reference, "cache must not change the plan");
         assert_eq!(second, reference);
         let stats = engine.plan_cache_stats();
@@ -549,17 +519,17 @@ mod tests {
     fn plan_cache_invalidated_by_epoch_change() {
         let mut engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Jit));
         let dag = chain(3);
-        engine.plan_cached(&dag, &est(), 0, 0, |_, _| None);
+        engine.plan(&at(0, 0), &dag, &est(), &mut truth);
         // Either input epoch moving forces a recompute.
-        engine.plan_cached(&dag, &est(), 1, 0, |_, _| None);
-        engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
+        engine.plan(&at(1, 0), &dag, &est(), &mut truth);
+        engine.plan(&at(1, 2), &dag, &est(), &mut truth);
         assert_eq!(engine.plan_cache_stats().misses, 3);
         assert_eq!(engine.plan_cache_stats().hits, 0);
         // Explicit invalidation drops the stored plan too.
-        engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
+        engine.plan(&at(1, 2), &dag, &est(), &mut truth);
         assert_eq!(engine.plan_cache_stats().hits, 1);
         engine.invalidate_plan_cache();
-        engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
+        engine.plan(&at(1, 2), &dag, &est(), &mut truth);
         assert_eq!(engine.plan_cache_stats().misses, 4);
     }
 
@@ -568,8 +538,8 @@ mod tests {
         let mut engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Jit));
         engine.set_plan_cache(false);
         let dag = chain(3);
-        let plan = engine.plan_cached(&dag, &est(), 0, 0, |_, _| None);
-        assert_eq!(plan, engine.plan(&dag, &est(), |_, _| None));
+        let plan = engine.plan(&at(0, 0), &dag, &est(), &mut truth);
+        assert_eq!(plan, engine.plan_uncached(&dag, &est(), |_, _| None));
         assert_eq!(engine.plan_cache_stats(), PlanCacheStats::default());
     }
 
@@ -577,15 +547,14 @@ mod tests {
     fn cold_mode_bypasses_plan_cache() {
         let mut engine = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Cold));
         let dag = chain(3);
-        assert!(engine
-            .plan_cached(&dag, &est(), 0, 0, |_, _| None)
-            .is_empty());
+        assert!(engine.plan(&at(0, 0), &dag, &est(), &mut truth).is_empty());
         assert_eq!(engine.plan_cache_stats(), PlanCacheStats::default());
     }
 
     #[test]
     fn deploy_failure_backs_off_then_drops() {
-        let engine = SpeculationEngine::new(SpeculationConfig::default());
+        // The engine keeps the trait's default reaction.
+        let mut engine = SpeculationEngine::new(SpeculationConfig::default());
         let dag = chain(2);
         let node = dag.node_by_name("f1").unwrap();
         // Attempts below the cap retry with exponential backoff on the
@@ -639,11 +608,11 @@ mod tests {
         b.link_xor(a, &[(c1, 0.51), (c2, 0.49)]).unwrap();
         let dag = b.build().unwrap();
         let strict = SpeculationEngine::new(SpeculationConfig::for_mode(ExecutionMode::Jit));
-        assert_eq!(strict.plan(&dag, &est(), |_, _| None).len(), 2);
+        assert_eq!(strict.plan_uncached(&dag, &est(), |_, _| None).len(), 2);
         let hedged = SpeculationEngine::new(SpeculationConfig {
             hedge_margin: 0.1,
             ..SpeculationConfig::for_mode(ExecutionMode::Jit)
         });
-        assert_eq!(hedged.plan(&dag, &est(), |_, _| None).len(), 3);
+        assert_eq!(hedged.plan_uncached(&dag, &est(), |_, _| None).len(), 3);
     }
 }

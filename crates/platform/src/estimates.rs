@@ -38,11 +38,11 @@ impl EstimateSource for PlatformEstimates<'_> {
                 cold_start_ms: p.cold_start_ms(cold_fallback),
                 // The planner's `S_c` is "how long until a sandbox
                 // provisioned *now* becomes warm", which is the profiled
-                // provisioning duration — NOT the startup-wait EMA. The
-                // latter measures the residual wait requests observed,
-                // which collapses toward zero exactly when JIT coverage
-                // works; planning deployments against it schedules every
-                // child too late and re-introduces the cascade.
+                // provisioning duration — not the residual wait requests
+                // observe, which collapses toward zero exactly when JIT
+                // coverage works; planning deployments against that
+                // schedules every child too late and re-introduces the
+                // cascade.
                 startup_ms: p.cold_start_ms(cold_fallback),
                 warm_runtime_ms: p.warm_runtime_ms(warm_fallback) + hop,
             },

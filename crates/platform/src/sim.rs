@@ -28,8 +28,9 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use xanadu_chain::{BranchMode, ChainError, DeclaredOutputs, NodeId, NodeSet, WorkflowDag};
-use xanadu_core::cost::{total_resource_cost, CpuRates, ResourceCosts};
-use xanadu_core::policy::{PlanContext, PolicyRegistry, SpeculationPolicy};
+use xanadu_core::cost::{CpuRates, ResourceCosts};
+use xanadu_core::estimate::EstimateSource;
+use xanadu_core::policy::{PlanContext, PolicyRegistry, ProbabilityFn, SpeculationPolicy};
 use xanadu_core::speculation::{DeployFailureAction, PlanCacheStats};
 use xanadu_profiler::{BranchDetector, MetricsEngine, RequestCorrelator};
 use xanadu_sandbox::{SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerRecord, WorkerState};
@@ -1133,49 +1134,9 @@ impl Platform {
         let mut planned = NodeSet::with_capacity(dag.len());
         let mut plan_generation = 0;
         if self.policy.plans_at_trigger() {
-            let plan = {
-                let estimates = PlatformEstimates {
-                    metrics: &self.metrics,
-                    provider: &self.provider,
-                    dag: &dag,
-                    implicit: entry.implicit,
-                    hop_overhead_ms: self.config.orchestration_overhead.mean_ms(),
-                };
-                let detector = &self.detector;
-                let use_learned = self.config.use_learned_probabilities || entry.implicit;
-                let implicit = entry.implicit;
-                let dag_ref = &dag;
-                // The learned-probability stream only feeds the plan when
-                // `use_learned`; otherwise the plan is a pure function of
-                // the (immutable) DAG, so epoch 0 keeps it cached forever.
-                let estimates_epoch = self.metrics.epoch();
-                let prob_epoch = if use_learned {
-                    self.detector.epoch()
-                } else {
-                    0
-                };
-                let ctx = PlanContext {
-                    now: self.now,
-                    estimates_epoch,
-                    prob_epoch,
-                };
-                let mut rho = |p: NodeId, c: NodeId| {
-                    if !use_learned {
-                        return None; // ground truth
-                    }
-                    let pn = dag_ref.node(p).spec().name();
-                    let cn = dag_ref.node(c).spec().name();
-                    match detector.smoothed_probability(pn, cn) {
-                        Some(prob) => Some(prob),
-                        // Implicit chains must not peek at the schema: an
-                        // unlearned edge has probability zero. Explicit
-                        // chains fall back to declared probabilities.
-                        None if implicit => Some(0.0),
-                        None => None,
-                    }
-                };
-                self.policy.plan(&ctx, dag_ref, &estimates, &mut rho)
-            };
+            let plan = self.decide(&dag, entry.implicit, |policy, ctx, estimates, rho| {
+                policy.plan(ctx, &dag, estimates, rho)
+            });
             plan_generation = 1;
             for d in plan.deployments() {
                 planned.insert(d.node);
@@ -1452,9 +1413,6 @@ impl Platform {
             if host.is_some() {
                 self.run_mut(req).expect("run exists").locus = host;
             }
-        }
-        if acquired != Acquired::Warm {
-            self.metrics.record_startup(function, startup_wait);
         }
         if self.observing() {
             self.emit(BusEvent::ExecStarted {
@@ -1746,6 +1704,60 @@ impl Platform {
             .schedule(self.now + delay, Event::Redispatch { req, node });
     }
 
+    /// Hands one decision of a request of `dag` to the policy, with the
+    /// planning inputs built the same way at the trigger and on a miss:
+    /// the profiled estimates, the decision context, and ρ, the per-edge
+    /// probability source.
+    fn decide<R>(
+        &mut self,
+        dag: &WorkflowDag,
+        implicit: bool,
+        decision: impl FnOnce(
+            &mut dyn SpeculationPolicy,
+            &PlanContext,
+            &dyn EstimateSource,
+            &mut ProbabilityFn,
+        ) -> R,
+    ) -> R {
+        let estimates = PlatformEstimates {
+            metrics: &self.metrics,
+            provider: &self.provider,
+            dag,
+            implicit,
+            hop_overhead_ms: self.config.orchestration_overhead.mean_ms(),
+        };
+        // The learned-probability stream only feeds the plan when
+        // `use_learned`; otherwise the plan is a pure function of the
+        // (immutable) DAG, so epoch 0 keeps it cached forever.
+        let use_learned = self.config.use_learned_probabilities || implicit;
+        let ctx = PlanContext {
+            now: self.now,
+            estimates_epoch: self.metrics.epoch(),
+            prob_epoch: if use_learned {
+                self.detector.epoch()
+            } else {
+                0
+            },
+        };
+        let detector = &self.detector;
+        let mut rho = |p: NodeId, c: NodeId| {
+            if !use_learned {
+                return None; // ground truth
+            }
+            let pn = dag.node(p).spec().name();
+            let cn = dag.node(c).spec().name();
+            match detector.smoothed_probability(pn, cn) {
+                Some(prob) => Some(prob),
+                // Implicit chains must not peek at the schema: an
+                // unlearned edge has probability zero. Explicit chains
+                // fall back to declared probabilities.
+                None if implicit => Some(0.0),
+                None => None,
+            }
+        };
+        decision(self.policy.as_mut(), &ctx, &estimates, &mut rho)
+    }
+
     fn on_prediction_miss(&mut self, req: u64, actual: NodeId) {
         if self.observing() {
             let function = {
@@ -1765,23 +1777,9 @@ impl Platform {
         let trigger = run.trigger;
 
         let elapsed = self.now.saturating_since(trigger);
-        let new_plan = {
-            let estimates = PlatformEstimates {
-                metrics: &self.metrics,
-                provider: &self.provider,
-                dag: &dag,
-                implicit,
-                hop_overhead_ms: self.config.orchestration_overhead.mean_ms(),
-            };
-            let ctx = PlanContext {
-                now: self.now,
-                estimates_epoch: self.metrics.epoch(),
-                prob_epoch: 0,
-            };
-            let mut rho = |_: NodeId, _: NodeId| None;
-            self.policy
-                .on_miss(&ctx, &dag, &estimates, actual, elapsed, &mut rho)
-        };
+        let new_plan = self.decide(&dag, implicit, |policy, ctx, estimates, rho| {
+            policy.on_miss(ctx, &dag, estimates, actual, elapsed, rho)
+        });
         match new_plan {
             None => {
                 // "JIT deployment stops all planned proactive provisioning
@@ -2219,17 +2217,6 @@ impl fmt::Debug for Platform {
             .field("completed", &self.results.len())
             .finish()
     }
-}
-
-/// Computes the total resource cost of a full report using the calibrated
-/// default CPU rates (convenience for experiments that do not need
-/// per-request attribution).
-pub fn report_total_costs(report: &PlatformReport) -> ResourceCosts {
-    let provider = SimSandboxProvider::new(0);
-    total_resource_cost(&report.worker_records, |r| CpuRates {
-        provision_rate: provider.provision_cpu_rate(r.isolation),
-        idle_rate: provider.idle_cpu_rate(r.isolation),
-    })
 }
 
 #[cfg(test)]
@@ -2806,6 +2793,71 @@ mod tests {
             }
         }
         assert!(saw_replan_benefit, "no seed exercised replan-and-reuse");
+    }
+
+    /// A replan on an implicit chain reads the learned probabilities the
+    /// trigger-time plan reads, never the schema's: `cold → tail` has not
+    /// been observed when the first request misses at `cold`, so neither
+    /// replanning policy may pre-deploy `tail`.
+    #[test]
+    fn implicit_replans_do_not_read_declared_probabilities() {
+        let replan_and_reuse = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 42)
+            .miss_policy(MissPolicy::ReplanAndReuse)
+            .label("replan-and-reuse");
+        let mpc = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 42)
+            .policy(xanadu_core::policy::PolicySpec::Mpc(Default::default()))
+            .label("mpc");
+        for builder in [replan_and_reuse, mpc] {
+            let mut b = WorkflowBuilder::new("chain");
+            let a = b.add(FunctionSpec::new("a").service_ms(1000.0)).unwrap();
+            let hot = b.add(FunctionSpec::new("hot").service_ms(1000.0)).unwrap();
+            let cold = b.add(FunctionSpec::new("cold").service_ms(1000.0)).unwrap();
+            let tail = b.add(FunctionSpec::new("tail").service_ms(1000.0)).unwrap();
+            b.link_xor(a, &[(hot, 0.001), (cold, 0.999)]).unwrap();
+            b.link(cold, tail).unwrap();
+            let mut p = Platform::new(builder.build().unwrap());
+            let recording = p.attach_observer(Recording::default());
+            p.deploy_implicit(b.build().unwrap()).unwrap();
+            p.trigger_at("chain", SimTime::ZERO).unwrap();
+            p.run_until_idle();
+            let events = recording.with(|r| r.0.clone());
+            let label = p.config().label.clone();
+            let miss = events
+                .iter()
+                .position(|(_, e)| {
+                    matches!(e, BusEvent::PredictionMiss { function, .. } if &**function == "cold")
+                })
+                .unwrap_or_else(|| panic!("{label}: the first request must miss at `cold`"));
+            let replanned = events[miss..].iter().find_map(|(_, e)| match e {
+                BusEvent::PolicyDecision { planned, .. } => Some(*planned),
+                _ => None,
+            });
+            assert_eq!(
+                replanned,
+                Some(1),
+                "{label}: the replan covers `cold` alone"
+            );
+            let tail_at = |wanted: fn(&BusEvent) -> bool| {
+                events
+                    .iter()
+                    .filter(|(_, e)| wanted(e))
+                    .map(|&(at, _)| at)
+                    .collect::<Vec<_>>()
+            };
+            let invoked = tail_at(
+                |e| matches!(e, BusEvent::FunctionInvoked { function, .. } if &**function == "tail"),
+            );
+            let provisioned = tail_at(
+                |e| matches!(e, BusEvent::WorkerProvisioned { function, .. } if &**function == "tail"),
+            );
+            assert_eq!(invoked.len(), 1, "{label}");
+            assert!(
+                provisioned.iter().all(|&at| at >= invoked[0]),
+                "{label}: `tail` was deployed at {provisioned:?}, before its invocation at {invoked:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The function-profiling layer of Xanadu (§3.2.2 and §3.3 of the paper).
 //!
 //! Xanadu profiles the runtime characteristics of workflow functions —
-//! cold-start time, worker startup time, warm-start runtime — with
+//! cold-start time and warm-start runtime — with
 //! exponential moving averages, and for implicit chains also measures the
 //! parent→child *invocation delay*. Those profiles feed the JIT deployment
 //! planner in `xanadu-core`.
@@ -12,8 +12,8 @@
 //!
 //! * [`Ema`] — the exponential moving average primitive, with the paper's
 //!   fixed-interval update semantics (§3.1).
-//! * [`MetricsEngine`] — per-function profiles (cold start, warm runtime,
-//!   startup) and per-edge invoke-delay estimates.
+//! * [`MetricsEngine`] — per-function profiles (cold start, warm runtime)
+//!   and per-edge invoke-delay estimates.
 //! * [`BranchDetector`] — Algorithm 3: learns the workflow branch tree and
 //!   its conditional probabilities from dispatched requests carrying a
 //!   parent-function header.

@@ -6,12 +6,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xanadu_simcore::SimDuration;
 
-/// EMA-smoothed runtime profile of one function (§3.2.2): cold-start time,
-/// worker startup time, and warm-start runtime.
+/// EMA-smoothed runtime profile of one function (§3.2.2): cold-start time
+/// (which is also the planner's sandbox startup time `S_c`) and warm-start
+/// runtime.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FunctionProfile {
     cold_start_ms: Ema,
-    startup_ms: Ema,
     warm_runtime_ms: Ema,
 }
 
@@ -20,7 +20,6 @@ impl FunctionProfile {
     pub fn with_alpha(alpha: f64) -> Self {
         FunctionProfile {
             cold_start_ms: Ema::new(alpha),
-            startup_ms: Ema::new(alpha),
             warm_runtime_ms: Ema::new(alpha),
         }
     }
@@ -28,11 +27,6 @@ impl FunctionProfile {
     /// Estimated cold-start latency (ms), or `fallback` if unobserved.
     pub fn cold_start_ms(&self, fallback: f64) -> f64 {
         self.cold_start_ms.value_or(fallback)
-    }
-
-    /// Estimated worker startup (sandbox readiness) latency (ms).
-    pub fn startup_ms(&self, fallback: f64) -> f64 {
-        self.startup_ms.value_or(fallback)
     }
 
     /// Estimated warm-start runtime (ms). The JIT planner uses this "as a
@@ -140,11 +134,6 @@ impl MetricsEngine {
         self.record(function, latency.as_millis_f64(), |p| &mut p.cold_start_ms);
     }
 
-    /// Records an observed worker startup latency for `function`.
-    pub fn record_startup(&mut self, function: &str, latency: SimDuration) {
-        self.record(function, latency.as_millis_f64(), |p| &mut p.startup_ms);
-    }
-
     /// Records an observed warm-start runtime for `function`.
     pub fn record_warm_runtime(&mut self, function: &str, runtime: SimDuration) {
         self.record(function, runtime.as_millis_f64(), |p| {
@@ -190,8 +179,8 @@ mod tests {
     fn profiles_created_on_demand() {
         let mut m = MetricsEngine::new();
         assert!(m.profile("f").is_none());
-        m.record_startup("f", SimDuration::from_millis(400));
-        assert_eq!(m.profile("f").unwrap().startup_ms(0.0), 400.0);
+        m.record_cold_start("f", SimDuration::from_millis(400));
+        assert_eq!(m.profile("f").unwrap().cold_start_ms(0.0), 400.0);
         assert!(m.profile("g").is_none());
     }
 

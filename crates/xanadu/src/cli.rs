@@ -24,8 +24,8 @@ use xanadu_core::speculation::{ExecutionMode, MissPolicy, SpeculationConfig};
 use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
 use xanadu_platform::{
     diff_audits, diff_metrics, Audit, AutoscaleConfig, ClusterConfig, DiffThresholds, FaultConfig,
-    MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig, SloConfig,
-    StreamingConfig,
+    MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig,
+    PlatformConfigBuilder, SloConfig, StreamingConfig,
 };
 use xanadu_simcore::{Fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::azure::{
@@ -124,6 +124,9 @@ pub struct RunArgs {
     /// §3.2.2 behaviour) or replan and retarget compatible co-located
     /// spares (§7 future work). Ignored by the baselines.
     pub miss_policy: MissPolicy,
+    /// Hedge margin for near-tied XOR points (0 = the paper's strict
+    /// argmax); settable only through a `--policy xanadu:hedge=H` spec.
+    pub hedge_margin: f64,
     /// Speculation policy selected by `--policy name[:param=val,...]`.
     /// The default keeps the paper's engine; `--mode`/`--aggressiveness`/
     /// `--miss-policy` are back-compat aliases for its parameters and
@@ -188,6 +191,9 @@ pub struct ReplayArgs {
     /// Speculation look-ahead horizon in `[0, 1]`; settable only through
     /// a `--policy xanadu:aggressiveness=A` spec on replay.
     pub aggressiveness: f64,
+    /// Hedge margin (see [`RunArgs::hedge_margin`]); settable only
+    /// through a `--policy xanadu:hedge=H` spec.
+    pub hedge_margin: f64,
     /// Depth of each workflow's linear chain.
     pub depth: u64,
     /// Write the full merged `PlatformReport` JSON here.
@@ -252,36 +258,24 @@ impl PlatformChoice {
         }
     }
 
-    fn build(
-        self,
-        seed: u64,
-        aggressiveness: f64,
-        miss_policy: MissPolicy,
-        cluster: ClusterConfig,
-        policy: &PolicySpec,
-    ) -> Platform {
+    fn build(self, run: &RunArgs, cluster: ClusterConfig) -> Platform {
         match self {
             PlatformChoice::Xanadu(mode) => {
-                let mut builder = PlatformConfig::builder().for_mode(mode, seed);
-                if policy.is_default() {
-                    let mut spec = SpeculationConfig::for_mode(mode);
-                    spec.aggressiveness = aggressiveness;
-                    spec.miss_policy = miss_policy;
-                    builder = builder.speculation(spec);
-                } else {
-                    // Learned planners ignore the xanadu speculation knobs;
-                    // their parameters arrive inside the spec itself.
-                    builder = builder.policy(policy.clone()).label(policy.name());
-                }
-                let cfg = builder
+                let speculation = SpeculationConfig {
+                    mode,
+                    aggressiveness: run.aggressiveness,
+                    miss_policy: run.miss_policy,
+                    hedge_margin: run.hedge_margin,
+                };
+                let cfg = xanadu_platform(speculation, &run.policy, run.seed)
                     .cluster(cluster)
                     .build()
-                    .expect("mode defaults with a [0,1] aggressiveness are valid");
+                    .expect("parsed speculation knobs are valid");
                 Platform::new(cfg)
             }
             // Baselines model the paper's single-machine deployments; the
             // cluster flags are a Xanadu-mode concept and are ignored here.
-            PlatformChoice::Baseline(kind) => xanadu_baselines::baseline_platform(kind, seed),
+            PlatformChoice::Baseline(kind) => xanadu_baselines::baseline_platform(kind, run.seed),
         }
     }
 
@@ -290,6 +284,23 @@ impl PlatformChoice {
             PlatformChoice::Xanadu(mode) => mode.label().to_string(),
             PlatformChoice::Baseline(kind) => kind.label().to_string(),
         }
+    }
+}
+
+/// The Xanadu-mode platform the policy flags of `run`, `analyze` and
+/// `replay` select: the paper's engine under `speculation` (the
+/// `--policy xanadu:...` knobs or their alias flags), or the learned
+/// planner `policy` names, which reads none of those knobs.
+fn xanadu_platform(
+    speculation: SpeculationConfig,
+    policy: &PolicySpec,
+    seed: u64,
+) -> PlatformConfigBuilder {
+    let builder = PlatformConfig::builder().for_mode(speculation.mode, seed);
+    if policy.is_default() {
+        builder.speculation(speculation)
+    } else {
+        builder.policy(policy.clone()).label(policy.name())
     }
 }
 
@@ -649,27 +660,22 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 
 fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
     let sdl_path = f.required("--sdl")?;
-    let (platform, policy, aggressiveness, miss_policy) = match parse_policy(f)? {
+    let (platform, policy, knobs) = match parse_policy(f)? {
         Some(configured) => {
             let knobs = configured.speculation.unwrap_or_default();
-            (
-                PlatformChoice::Xanadu(knobs.mode),
-                configured.spec,
-                knobs.aggressiveness,
-                knobs.miss_policy,
-            )
+            (PlatformChoice::Xanadu(knobs.mode), configured.spec, knobs)
         }
         None => {
             let platform = match f.value("--mode")? {
                 Some(v) => PlatformChoice::parse(&v)?,
                 None => PlatformChoice::Xanadu(ExecutionMode::Jit),
             };
-            (
-                platform,
-                PolicySpec::Xanadu,
-                parse_fraction(f, "--aggressiveness", 1.0)?,
-                parse_miss_policy(f)?,
-            )
+            let knobs = SpeculationConfig {
+                aggressiveness: parse_fraction(f, "--aggressiveness", 1.0)?,
+                miss_policy: parse_miss_policy(f)?,
+                ..SpeculationConfig::default()
+            };
+            (platform, PolicySpec::Xanadu, knobs)
         }
     };
     let triggers: u64 = parse_num(f, "--triggers", 1)?;
@@ -704,8 +710,9 @@ fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
         tenants: parse_num(f, "--tenants", 0)?,
         host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
         autoscale_max: parse_num(f, "--autoscale-max", 0)?,
-        aggressiveness,
-        miss_policy,
+        aggressiveness: knobs.aggressiveness,
+        miss_policy: knobs.miss_policy,
+        hedge_margin: knobs.hedge_margin,
         policy,
         trace_out: f.value("--trace-out")?,
         metrics_out: f.value("--metrics-out")?,
@@ -749,19 +756,15 @@ fn parse_policy(f: &mut Flags) -> Result<Option<ConfiguredPolicy>, CliError> {
 }
 
 fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
-    let (mode, policy, aggressiveness, miss_policy) = match parse_policy(f)? {
-        Some(configured) => {
-            let knobs = configured.speculation.unwrap_or_default();
-            (
-                knobs.mode,
-                configured.spec,
-                knobs.aggressiveness,
-                knobs.miss_policy,
-            )
-        }
+    let (knobs, policy) = match parse_policy(f)? {
+        Some(configured) => (configured.speculation.unwrap_or_default(), configured.spec),
         None => {
-            let mode = parse_xanadu_mode(f, "baselines are not sharded")?;
-            (mode, PolicySpec::Xanadu, 1.0, parse_miss_policy(f)?)
+            let knobs = SpeculationConfig {
+                mode: parse_xanadu_mode(f, "baselines are not sharded")?,
+                miss_policy: parse_miss_policy(f)?,
+                ..SpeculationConfig::default()
+            };
+            (knobs, PolicySpec::Xanadu)
         }
     };
     Ok(ReplayArgs {
@@ -769,7 +772,7 @@ fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
         shards: parse_num::<usize>(f, "--shards", 1)?.max(1),
         window_secs: parse_window_secs(f, "--window-secs")?,
         seed: parse_num(f, "--seed", 42)?,
-        mode,
+        mode: knobs.mode,
         plan_cache: !f.switch("--no-plan-cache")?,
         fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
         fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
@@ -778,9 +781,10 @@ fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
         placement: parse_placement(f)?,
         tenants: parse_num(f, "--tenants", 0)?,
         host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
-        miss_policy,
+        miss_policy: knobs.miss_policy,
         policy,
-        aggressiveness,
+        aggressiveness: knobs.aggressiveness,
+        hedge_margin: knobs.hedge_margin,
         depth: parse_positive(f, "--depth", 5, CHAIN_DEPTH)?,
         report_out: f.value("--report-out")?,
         audit_out: f.value("--audit-out")?,
@@ -1355,23 +1359,19 @@ fn execute_replay(
 
     // The audit export streams (bounded memory), so per-request trace
     // recording stays off even when auditing fleet-scale replays.
-    let mut builder = PlatformConfig::builder()
-        .for_mode(replay.mode, replay.seed)
-        .record_traces(false);
-    if replay.policy.is_default() {
-        let mut spec = SpeculationConfig::for_mode(replay.mode);
-        spec.aggressiveness = replay.aggressiveness;
-        spec.miss_policy = replay.miss_policy;
-        builder = builder.speculation(spec);
-    } else {
-        builder = builder
-            .policy(replay.policy.clone())
-            .label(replay.policy.name());
-    }
-    builder = builder.plan_cache(replay.plan_cache).cluster(
-        ClusterConfig::uniform(replay.placement, replay.hosts, replay.host_memory_mb)
-            .with_tenants(replay.tenants),
-    );
+    let speculation = SpeculationConfig {
+        mode: replay.mode,
+        aggressiveness: replay.aggressiveness,
+        miss_policy: replay.miss_policy,
+        hedge_margin: replay.hedge_margin,
+    };
+    let mut builder = xanadu_platform(speculation, &replay.policy, replay.seed)
+        .record_traces(false)
+        .plan_cache(replay.plan_cache)
+        .cluster(
+            ClusterConfig::uniform(replay.placement, replay.hosts, replay.host_memory_mb)
+                .with_tenants(replay.tenants),
+        );
     if replay.fault_rate > 0.0 || replay.host_fail_rate > 0.0 {
         builder = builder.faults(FaultConfig {
             host_failure_rate: replay.host_fail_rate,
@@ -1567,13 +1567,7 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
             ..AutoscaleConfig::default()
         };
     }
-    let mut platform = run.platform.build(
-        run.seed,
-        run.aggressiveness,
-        run.miss_policy,
-        cluster,
-        &run.policy,
-    );
+    let mut platform = run.platform.build(run, cluster);
     if run.fault_rate > 0.0 || run.host_fail_rate > 0.0 {
         platform.set_faults(FaultConfig {
             host_failure_rate: run.host_fail_rate,
@@ -1820,12 +1814,24 @@ mod tests {
         assert_eq!(run.miss_policy, MissPolicy::ReplanAndReuse);
 
         let Command::Replay(replay) =
-            parse_args(&args(&["replay", "--policy", "xanadu:mode=cold"])).unwrap()
+            parse_args(&args(&["replay", "--policy", "xanadu:mode=cold,hedge=0.5"])).unwrap()
         else {
             panic!("expected replay")
         };
         assert_eq!(replay.mode, ExecutionMode::Cold);
         assert_eq!(replay.policy, PolicySpec::Xanadu);
+        assert_eq!(replay.hedge_margin, 0.5);
+        let Command::Run(run) = parse_args(&args(&[
+            "run",
+            "--sdl",
+            "wf.json",
+            "--policy",
+            "xanadu:hedge=0.25",
+        ]))
+        .unwrap() else {
+            panic!("expected run")
+        };
+        assert_eq!(run.hedge_margin, 0.25);
 
         assert!(matches!(
             parse_args(&args(&["run", "--sdl", "x", "--policy", "dqn"])),

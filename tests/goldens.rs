@@ -116,6 +116,27 @@ fn policies_audit_regenerates_from_every_default_spelling() {
     }
 }
 
+/// `--policy xanadu:hedge=H` reaches the engine: a margin of 1.0 covers
+/// both arms of the golden workload's conditional, so the hedged audit
+/// records fewer prediction misses than the unhedged golden.
+#[test]
+fn hedged_policies_audit_misses_less_than_the_golden() {
+    let misses = |audit: &str| {
+        let doc: serde_json::Value = serde_json::from_str(audit).expect("an audit document");
+        doc["summary"]["mlp"]["misses"]
+            .as_u64()
+            .expect("a miss count")
+    };
+    let golden = misses(&read(&repo_root().join("docs/golden/policies.audit.json")));
+    let hedged = misses(&export(
+        "analyze --sdl docs/golden/policies.json --triggers 12 \
+         --policy xanadu:hedge=1.0 --audit-out hedged.audit.json",
+        "hedged.audit.json",
+    ));
+    assert_eq!(golden, 6);
+    assert!(hedged < golden, "hedged misses {hedged}, golden {golden}");
+}
+
 #[test]
 fn replay_stream_audit_regenerates() {
     let audit = export(

@@ -52,12 +52,6 @@ use xanadu_simcore::{SimDuration, SimTime};
 // Bus events into the per-request fold (StreamingAudit and SloMonitor)
 // ---------------------------------------------------------------------
 
-/// Converts an event-time ready-delay (milliseconds, produced from
-/// integer microseconds by the platform) back to integer microseconds.
-fn ms_to_us(ms: f64) -> u64 {
-    (ms * 1000.0).round().max(0.0) as u64
-}
-
 /// The request a bus event belongs to and the trace event it records, or
 /// `None` for events outside every request's lifecycle. Pool-owned
 /// provisions (`request == u64::MAX`) name a request that is never in
@@ -86,7 +80,9 @@ fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, TraceEventKind)> {
             on_demand,
             ..
         } => {
-            let ready_at = SimTime::from_micros(at_us + ms_to_us(*ready_in_ms));
+            // The platform built `ready_in_ms` from whole µs, so rounding
+            // recovers them exactly.
+            let ready_at = SimTime::from_micros(at_us) + SimDuration::from_millis_f64(*ready_in_ms);
             let kind = K::DeployStarted {
                 function: Arc::clone(function),
                 on_demand: *on_demand,

@@ -139,7 +139,8 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond and clamping negatives to zero.
+    /// nearest microsecond (halves away from zero). Zero, negatives, NaN
+    /// and ±∞ give zero; a finite input past `u64::MAX` µs saturates.
     ///
     /// This is the bridge from the statistical distributions (which work in
     /// f64 milliseconds, the paper's unit of report) back to the integer
@@ -148,7 +149,7 @@ impl SimDuration {
         if !millis.is_finite() || millis <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((millis * 1_000.0).round() as u64)
+        SimDuration(round_micros(millis * 1_000.0))
     }
 
     /// Duration in whole microseconds.
@@ -172,12 +173,33 @@ impl SimDuration {
     }
 
     /// Multiplies by a non-negative float factor, rounding to the nearest
-    /// microsecond. Negative or non-finite factors yield zero.
+    /// microsecond (halves away from zero). Negative or non-finite factors
+    /// yield zero; a product past `u64::MAX` µs saturates.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         if !factor.is_finite() || factor <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_micros(self.0 as f64 * factor))
+    }
+}
+
+/// Rounds a microsecond count that is `>= 0` (possibly `+∞`, never NaN)
+/// to the nearest integer, halves away from zero, saturating at
+/// `u64::MAX` — what `micros.round() as u64` gives, without the libm
+/// `round` call the baseline x86-64 target makes for it.
+///
+/// Below 2^52 the truncation through `i64` and the fraction
+/// `micros - whole` are both exact, so comparing the fraction with 0.5
+/// rounds exactly (adding 0.5 first would not: it rounds
+/// 0.49999999999999994 up). From 2^52 on every `f64` is an integer,
+/// and the saturating cast is already the answer.
+fn round_micros(micros: f64) -> u64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    if micros < EXACT_BELOW {
+        let whole = micros as i64;
+        whole as u64 + u64::from(micros - whole as f64 >= 0.5)
+    } else {
+        micros as u64
     }
 }
 
@@ -379,5 +401,107 @@ mod tests {
                 SimTime::from_secs(3)
             ]
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `from_millis_f64` as it was written with libm's `round`.
+    fn libm_from_millis(millis: f64) -> u64 {
+        if !millis.is_finite() || millis <= 0.0 {
+            return 0;
+        }
+        (millis * 1_000.0).round() as u64
+    }
+
+    /// `mul_f64` as it was written with libm's `round`.
+    fn libm_mul(micros: u64, factor: f64) -> u64 {
+        if !factor.is_finite() || factor <= 0.0 {
+            return 0;
+        }
+        (micros as f64 * factor).round() as u64
+    }
+
+    /// Checks both conversions on `x`, both as a microsecond count
+    /// (`1 µs × x` is exactly `x`) and as milliseconds.
+    fn agrees(x: f64) -> Result<(), TestCaseError> {
+        for value in [x, x / 1_000.0] {
+            prop_assert_eq!(
+                SimDuration::from_millis_f64(value).as_micros(),
+                libm_from_millis(value),
+                "from_millis_f64({:e}) [bits {:#x}]",
+                value,
+                value.to_bits()
+            );
+        }
+        for micros in [1, 3, 1_000, 86_400_000_000] {
+            prop_assert_eq!(
+                SimDuration::from_micros(micros).mul_f64(x).as_micros(),
+                libm_mul(micros, x),
+                "{} µs × {:e} [bits {:#x}]",
+                micros,
+                x,
+                x.to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_edge_values() {
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            5e-324,
+            1e-310,
+            -1e-310,
+        ];
+        // Halves, where libm's round and a naive `+ 0.5` part ways.
+        for k in [0u64, 1, 2, 3, 999, 1_000, 12_345, (1 << 51) - 1, 1 << 51] {
+            edges.push(k as f64 + 0.5);
+        }
+        // The powers of two where the conversion changes method (2^52),
+        // where f64 stops holding every integer (2^53), and the edges of
+        // the signed and unsigned 64-bit ranges.
+        for p in [52, 53, 63, 64] {
+            edges.push(2f64.powi(p));
+        }
+        let neighbours: Vec<f64> = edges
+            .iter()
+            .flat_map(|&x| [x, x.next_up(), x.next_down(), -x])
+            .collect();
+        for x in neighbours {
+            if let Err(e) = agrees(x) {
+                panic!("{e}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn rounding_matches_libm_on_random_bit_patterns(bits in 0u64..=u64::MAX) {
+            agrees(f64::from_bits(bits))?;
+        }
+
+        /// Random bit patterns confined to the exponents where rounding
+        /// has work to do: 2^-12 to 2^66.
+        #[test]
+        fn rounding_matches_libm_on_clock_scale_values(
+            mantissa in 0u64..(1 << 52),
+            exponent in 1011u64..=1089,
+        ) {
+            agrees(f64::from_bits(exponent << 52 | mantissa))?;
+        }
     }
 }

@@ -78,20 +78,32 @@ pub fn poisson(
 ) -> Vec<SimTime> {
     let mut rng = RngStream::derive(seed, "arrivals-poisson");
     let mut times = Vec::new();
-    if rate_per_hour <= 0.0 {
-        return times;
-    }
-    let mean_gap_ms = 3_600_000.0 / rate_per_hour;
-    let mut t = start;
-    let end = start + duration;
-    loop {
-        t += SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
-        if t >= end {
-            break;
-        }
-        times.push(t);
-    }
+    extend_poisson(&mut times, &mut rng, rate_per_hour, start, start + duration);
     times
+}
+
+/// Appends to `times` the arrivals of a Poisson process of
+/// `rate_per_hour` that starts at `start` and stops before `end`: one
+/// exponential gap per arrival, plus the gap that crosses `end`. A rate
+/// that is not positive appends nothing and draws nothing.
+pub(crate) fn extend_poisson(
+    times: &mut Vec<SimTime>,
+    rng: &mut RngStream,
+    rate_per_hour: f64,
+    start: SimTime,
+    end: SimTime,
+) {
+    if rate_per_hour > 0.0 {
+        let mean_gap_ms = 3_600_000.0 / rate_per_hour;
+        let mut t = start;
+        loop {
+            t += SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
+            if t >= end {
+                break;
+            }
+            times.push(t);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! fleet of workflows whose invocation rates follow that skew: a heavy
 //! tail of rare workflows plus a small popular head.
 
+use crate::arrivals::extend_poisson;
 use serde::{Deserialize, Serialize};
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
 
@@ -88,17 +89,8 @@ pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace
             };
             let mut wf_rng = rng.child(i as u64);
             let mut arrivals = Vec::with_capacity(poisson_capacity(rate * hours));
-            if rate > 0.0 {
-                let mean_gap_ms = 3_600_000.0 / rate;
-                let mut t = SimTime::ZERO;
-                loop {
-                    t += SimDuration::from_millis_f64(wf_rng.exponential(mean_gap_ms));
-                    if t >= SimTime::ZERO + config.duration {
-                        break;
-                    }
-                    arrivals.push(t);
-                }
-            }
+            let end = SimTime::ZERO + config.duration;
+            extend_poisson(&mut arrivals, &mut wf_rng, rate, SimTime::ZERO, end);
             WorkflowTrace {
                 name: format!("wf{i}"),
                 rare,

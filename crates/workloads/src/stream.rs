@@ -27,6 +27,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hint::select_unpredictable;
 use xanadu_simcore::{RngStream, SimDuration, SimTime};
 
 /// Population and provenance metadata at the head of every stream.
@@ -195,19 +196,54 @@ impl StreamSource for RecordedStream {
     }
 }
 
+/// Workflows per merge group: eight arrival times, one cache line.
+const GROUP: usize = 8;
+
 /// Seeded merge of per-workflow Poisson processes: an endless,
 /// deterministic load generator. Bounded by `header.events`.
+///
+/// Events come out in `(at_us, wf)` order: time, then the lower
+/// workflow index. Contiguous workflows form groups of 8; a min-heap
+/// holds each group's earliest `(at_us, wf)`, and an event advances its
+/// workflow by a gap drawn one arrival earlier, rescans the workflow's
+/// group and replaces the heap's top in place. Up to 8 workflows the
+/// heap has one entry and the merge is a plain scan.
 #[derive(Debug, Clone)]
 pub struct GeneratedStream {
     header: StreamHeader,
-    /// Min-heap of (next arrival µs, workflow index) — ties break on the
-    /// lower workflow index, so the merge order is total and stable. It
-    /// holds each workflow once, so every key is unique and the order
-    /// does not depend on how the heap sifts.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Each workflow's next arrival µs, in groups; the last group is
+    /// padded with `u64::MAX`, which never wins a scan, because ties go
+    /// to the lower index and every group's first workflow is real.
+    heads: Vec<[u64; GROUP]>,
+    /// The gap (µs, at least 1) after each workflow's next arrival,
+    /// drawn one arrival early so its `ln` is off the merge's critical
+    /// path.
+    ahead: Vec<u64>,
+    /// Min-heap of each group's earliest `(at_us, wf)`. Groups are
+    /// disjoint, so every key is unique and the order does not depend
+    /// on how the heap sifts.
+    groups: BinaryHeap<Reverse<(u64, u32)>>,
     rngs: Vec<RngStream>,
     mean_gap_ms: f64,
     emitted: u64,
+}
+
+/// One exponential inter-arrival draw, in whole µs.
+fn draw_us(rng: &mut RngStream, mean_gap_ms: f64) -> u64 {
+    SimDuration::from_millis_f64(rng.exponential(mean_gap_ms)).as_micros()
+}
+
+/// The earliest `(at_us, wf)` of the group whose first workflow is
+/// `first`. The scan selects instead of branching, so it costs the same
+/// whatever the arrival times are.
+fn earliest(group: &[u64; GROUP], first: usize) -> (u64, u32) {
+    let (mut at_us, mut k) = (group[0], 0);
+    for (i, &t) in group.iter().enumerate().skip(1) {
+        let earlier = t < at_us;
+        at_us = select_unpredictable(earlier, t, at_us);
+        k = select_unpredictable(earlier, i, k);
+    }
+    (at_us, (first + k) as u32)
 }
 
 impl GeneratedStream {
@@ -236,17 +272,26 @@ impl GeneratedStream {
     pub fn from_header(header: StreamHeader) -> Self {
         let mean_gap_ms = 3_600_000.0 / header.rate_per_hour;
         let base = RngStream::derive(header.seed, "stream-arrivals");
-        let mut heap = BinaryHeap::with_capacity(header.workflows as usize);
-        let mut rngs = Vec::with_capacity(header.workflows as usize);
-        for wf in 0..header.workflows {
-            let mut rng = base.child(u64::from(wf));
-            let first = SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
-            heap.push(Reverse((first.as_micros(), wf)));
+        let n = header.workflows as usize;
+        let mut heads = vec![[u64::MAX; GROUP]; n.div_ceil(GROUP)];
+        let mut ahead = Vec::with_capacity(n);
+        let mut rngs = Vec::with_capacity(n);
+        for wf in 0..n {
+            let mut rng = base.child(wf as u64);
+            heads[wf / GROUP][wf % GROUP] = draw_us(&mut rng, mean_gap_ms);
+            ahead.push(draw_us(&mut rng, mean_gap_ms).max(1));
             rngs.push(rng);
         }
+        let groups = (0..)
+            .step_by(GROUP)
+            .zip(&heads)
+            .map(|(first, group)| Reverse(earliest(group, first)))
+            .collect();
         GeneratedStream {
             header,
-            heap,
+            heads,
+            ahead,
+            groups,
             rngs,
             mean_gap_ms,
             emitted: 0,
@@ -272,13 +317,15 @@ impl StreamSource for GeneratedStream {
         if self.emitted >= self.header.events {
             return None;
         }
-        // The emitted workflow's next arrival replaces it at the top, so
-        // an event costs one sift down.
-        let mut top = self.heap.peek_mut()?;
+        let mut top = self.groups.peek_mut()?;
         let Reverse((at_us, wf)) = *top;
-        let rng = &mut self.rngs[wf as usize];
-        let gap = SimDuration::from_millis_f64(rng.exponential(self.mean_gap_ms));
-        *top = Reverse((at_us + gap.as_micros().max(1), wf));
+        let i = wf as usize;
+        let group = &mut self.heads[i / GROUP];
+        group[i % GROUP] = at_us + self.ahead[i];
+        // The group's new earliest replaces it at the top: one sift down.
+        *top = Reverse(earliest(group, i - i % GROUP));
+        drop(top);
+        self.ahead[i] = draw_us(&mut self.rngs[i], self.mean_gap_ms).max(1);
         self.emitted += 1;
         Some(StreamEvent { at_us, wf })
     }
@@ -351,6 +398,35 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_population_yields_no_events() {
+        let header = StreamHeader {
+            version: 1,
+            workflows: 0,
+            depth: 1,
+            rate_per_hour: 60.0,
+            seed: 5,
+            events: 10,
+        };
+        let mut stream = GeneratedStream::from_header(header);
+        assert_eq!(stream.next_event(), None);
+    }
+
+    #[test]
+    fn ties_break_to_the_lower_workflow_index() {
+        // At 10^12 arrivals per hour every gap rounds below 1 µs, so each
+        // first arrival is at 0 and each later gap is the 1 µs floor: the
+        // merge must visit the workflows round-robin, across groups.
+        for workflows in [1, 7, 8, 9, 20] {
+            let events = u64::from(workflows) * 3;
+            let (_, merged) = GeneratedStream::new(workflows, 1, 1e12, 3, events).collect_events();
+            let expected: Vec<StreamEvent> = (0..3)
+                .flat_map(|at_us| (0..workflows).map(move |wf| StreamEvent { at_us, wf }))
+                .collect();
+            assert_eq!(merged, expected, "{workflows} workflows");
+        }
+    }
+
+    #[test]
     fn mean_inter_arrival_tracks_the_configured_rate() {
         let (_, events) = GeneratedStream::new(1, 1, 3600.0, 3, 2000).collect_events();
         let span_us = events.last().unwrap().at_us - events[0].at_us;
@@ -365,8 +441,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The merge `GeneratedStream` replaced: pop the earliest workflow,
-    /// draw its next gap, push it back.
+    /// The merge `GeneratedStream` replaced: a heap of every workflow's
+    /// next arrival; pop the earliest, draw its next gap, push it back.
     fn pop_push_merge(header: &StreamHeader) -> Vec<StreamEvent> {
         let mean_gap_ms = 3_600_000.0 / header.rate_per_hour;
         let base = RngStream::derive(header.seed, "stream-arrivals");
@@ -391,16 +467,25 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Rates are log-uniform from 0.1 to 10^12 per hour: at the top
+        /// gaps fall to the 1 µs floor and workflows tie constantly, so
+        /// the lower-index tie-break is exercised within and across
+        /// groups. The populations sit on the group boundaries, plus one
+        /// drawn at random.
         #[test]
-        fn in_place_merge_equals_the_pop_push_merge(
+        fn grouped_merge_equals_the_pop_push_merge(
             workflows in 1u32..=1000,
             seed in 0u64..u64::MAX,
-            rate_per_hour in 0.5f64..50_000.0,
+            log10_rate_per_hour in -1.0f64..12.0,
             events in 0u64..3000,
         ) {
-            let (header, merged) =
-                GeneratedStream::new(workflows, 2, rate_per_hour, seed, events).collect_events();
-            prop_assert_eq!(merged, pop_push_merge(&header));
+            let rate_per_hour = 10f64.powf(log10_rate_per_hour);
+            for workflows in [1, 7, 8, 9, 1000, workflows] {
+                let (header, merged) =
+                    GeneratedStream::new(workflows, 2, rate_per_hour, seed, events)
+                        .collect_events();
+                prop_assert_eq!(merged, pop_push_merge(&header));
+            }
         }
     }
 }

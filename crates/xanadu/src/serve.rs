@@ -161,13 +161,26 @@ fn digest_of(doc: &impl Serialize) -> Result<String, CliError> {
 }
 
 /// Drains a stream source into its header and full event list.
-fn drain_stream(mut src: impl StreamSource) -> (StreamHeader, Vec<StreamEvent>) {
+///
+/// # Errors
+///
+/// [`CliError::BadValue`] naming `--events` when the header's event
+/// count cannot be held in memory.
+fn drain_stream(mut src: impl StreamSource) -> Result<(StreamHeader, Vec<StreamEvent>), CliError> {
     let header = src.header().clone();
-    let mut events = Vec::with_capacity(header.events as usize);
+    let mut events = Vec::new();
+    usize::try_from(header.events)
+        .ok()
+        .and_then(|n| events.try_reserve_exact(n).ok())
+        .ok_or_else(|| CliError::BadValue {
+            flag: "--events".into(),
+            value: header.events.to_string(),
+            expected: "a stream whose events fit in memory".into(),
+        })?;
     while let Some(ev) = src.next_event() {
         events.push(ev);
     }
-    (header, events)
+    Ok((header, events))
 }
 
 /// Runs `xanadu record`: generate the seeded stream and stage it as a
@@ -186,7 +199,7 @@ pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<
         record.rate_per_hour,
         record.seed,
         record.events,
-    ));
+    ))?;
     let contents = RecordedStream::render(&header, &events);
     let span_s = events.last().map_or(0.0, |e| e.at_us as f64 / 1e6);
     exports.push(ExportFile {
@@ -398,7 +411,7 @@ pub fn run_serve(
             let text = source(path).map_err(CliError::Workflow)?;
             let recorded = RecordedStream::parse(&text)
                 .map_err(|e| CliError::Workflow(format!("{path}: {e}")))?;
-            drain_stream(recorded)
+            drain_stream(recorded)?
         }
         None => drain_stream(GeneratedStream::new(
             serve.workflows,
@@ -406,7 +419,7 @@ pub fn run_serve(
             serve.rate_per_hour,
             serve.seed,
             serve.events,
-        )),
+        ))?,
     };
     let header_digest = digest_of(&header)?;
 

@@ -485,6 +485,34 @@ fn cli_parses_serve_and_record() {
     assert!(matches!(parse_args(&args), Err(CliError::BadValue { .. })));
 }
 
+/// A stream too large to hold is a typed error naming `--events`, from
+/// `record` and from `serve` before it opens its log, not a
+/// capacity-overflow panic. `u64::MAX` events overflow the reservation's
+/// size arithmetic, so the test allocates nothing.
+#[test]
+fn an_oversized_stream_is_a_typed_error() {
+    let dir = scratch_dir("oversized");
+    let log = dir.join("ck").to_string_lossy().into_owned();
+    let max = u64::MAX.to_string();
+    let lines: [&[&str]; 2] = [
+        &["record", "--out", "stream.jsonl", "--events", &max],
+        &["serve", "--checkpoint-dir", &log, "--events", &max],
+    ];
+    for line in lines {
+        let args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+        let command = parse_args(&args).unwrap();
+        match execute_with_exports(&command, read_file) {
+            Err(CliError::BadValue { flag, value, .. }) => {
+                assert_eq!((flag.as_str(), value.as_str()), ("--events", max.as_str()));
+            }
+            Err(other) => panic!("{}: expected a bad --events, got {other}", line[0]),
+            Ok(_) => panic!("{}: an unholdable stream was accepted", line[0]),
+        }
+    }
+    assert!(!Path::new(&log).exists(), "serve opened its log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `validate` checks a `.jsonl` document line by line against the
 /// alerts schema, failing on the first malformed or off-schema line.
 #[test]

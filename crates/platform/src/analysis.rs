@@ -21,10 +21,11 @@
 //!   request waited out, negative is *slack* the platform paid for early.
 //!
 //! There is one auditor. One per-request fold turns a request's
-//! lifecycle events, each a [`TraceEventKind`], into its
-//! [`RequestAudit`]: [`RequestAudit::from_trace`] feeds it a recorded
-//! [`Trace`] as it stands, the [`stream`](crate::stream) tier feeds it
-//! bus events mapped to the same type. [`Tally`] then aggregates
+//! lifecycle events, each a [`BusEvent`], into its [`RequestAudit`]:
+//! [`RequestAudit::from_trace`] feeds it a recorded [`Trace`], which
+//! holds those events as they were emitted, and the
+//! [`stream`](crate::stream) tier feeds it the same events live from the
+//! bus. [`Tally`] then aggregates
 //! finished requests for both the exact [`Audit`] and the bounded-memory
 //! [`StreamingAudit`](crate::stream::StreamingAudit), which differ only in
 //! where latency samples go (exact values or fixed-bucket histograms) and
@@ -38,13 +39,15 @@
 //! same traces produce byte-identical audits regardless of harness thread
 //! count or plan-cache setting (plan-cache state never reaches the trace).
 
+use crate::events::BusEvent;
 use crate::hosts::ClusterReport;
 use crate::obs::MetricsRegistry;
-use crate::timeline::{Trace, TraceEventKind};
+use crate::timeline::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use xanadu_simcore::SimDuration;
 
 /// Order statistics of a latency sample set, in milliseconds.
 ///
@@ -180,33 +183,37 @@ impl RequestFold {
     /// deployments, invocations, executions, timeouts and prediction
     /// misses move the fold; the other events matter only to a recorded
     /// timeline.
-    pub(crate) fn apply(&mut self, at_us: u64, kind: &TraceEventKind) {
-        use TraceEventKind as K;
-        match kind {
-            K::DeployStarted {
+    pub(crate) fn apply(&mut self, at_us: u64, event: &BusEvent) {
+        use BusEvent as E;
+        match event {
+            E::WorkerProvisioned {
                 function,
                 on_demand,
-                ready_at,
+                ready_in_ms,
+                ..
             } => {
                 if !on_demand && !self.predicted.contains(function) {
                     self.predicted.push(Arc::clone(function));
                 }
+                // The platform built `ready_in_ms` from whole µs, so
+                // rounding recovers them exactly.
+                let ready_in = SimDuration::from_millis_f64(*ready_in_ms);
                 self.deploys.push(Deploy {
                     function: Arc::clone(function),
                     start_us: at_us,
-                    ready_us: ready_at.as_micros(),
+                    ready_us: at_us + ready_in.as_micros(),
                     on_demand: *on_demand,
                     used: false,
                 });
             }
-            K::Invoked { function } => {
+            E::FunctionInvoked { function, .. } => {
                 if !self.invoked.contains(function) {
                     self.invoked.push(Arc::clone(function));
                     self.invoked_at.push(at_us);
                 }
                 self.open_waits.push((Arc::clone(function), at_us));
             }
-            K::ExecStarted { function, warm } => {
+            E::ExecStarted { function, warm, .. } => {
                 if let Some(d) = self
                     .deploys
                     .iter_mut()
@@ -225,23 +232,16 @@ impl RequestFold {
                 }
                 self.open_execs.push((Arc::clone(function), at_us));
             }
-            K::ExecEnded { function } | K::TimedOut { function, .. } => {
+            E::ExecEnded { function, .. } | E::InvokeTimeout { function, .. } => {
                 if let Some(i) = self.open_execs.iter().position(|(f, _)| f == function) {
                     let (_, start) = self.open_execs.remove(i);
                     self.exec_iv.push((start, at_us));
                 }
             }
-            K::PredictionMiss { function } => {
-                if !self.missed.contains(function) {
-                    self.missed.push(Arc::clone(function));
-                }
+            E::PredictionMiss { function, .. } if !self.missed.contains(function) => {
+                self.missed.push(Arc::clone(function));
             }
-            K::Triggered
-            | K::PlanComputed { .. }
-            | K::WorkerCrashed { .. }
-            | K::DeployFailed { .. }
-            | K::Retried { .. }
-            | K::Completed => {}
+            _ => {}
         }
     }
 
@@ -334,7 +334,7 @@ impl RequestAudit {
         let tn = events.last().map_or(t0, |e| e.at.as_micros());
         let mut fold = RequestFold::new(t0);
         for e in events {
-            fold.apply(e.at.as_micros(), &e.kind);
+            fold.apply(e.at.as_micros(), &e.event);
         }
         Some(fold.finish(request, tn).0)
     }
@@ -1004,83 +1004,26 @@ pub fn diff_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_events as ev;
     use xanadu_simcore::SimTime;
 
     /// a: planned, slightly late. b: miss, on-demand. spare: wasted.
     fn sample_trace() -> Trace {
         let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), TraceEventKind::Triggered);
-        t.record(ms(0), TraceEventKind::PlanComputed { planned: 2 });
-        t.record(
-            ms(0),
-            TraceEventKind::DeployStarted {
-                function: "a".into(),
-                on_demand: false,
-                ready_at: ms(120),
-            },
-        );
-        t.record(
-            ms(0),
-            TraceEventKind::DeployStarted {
-                function: "spare".into(),
-                on_demand: false,
-                ready_at: ms(150),
-            },
-        );
-        t.record(
-            ms(100),
-            TraceEventKind::Invoked {
-                function: "a".into(),
-            },
-        );
-        t.record(
-            ms(120),
-            TraceEventKind::ExecStarted {
-                function: "a".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(620),
-            TraceEventKind::ExecEnded {
-                function: "a".into(),
-            },
-        );
-        t.record(
-            ms(620),
-            TraceEventKind::PredictionMiss {
-                function: "b".into(),
-            },
-        );
-        t.record(
-            ms(620),
-            TraceEventKind::Invoked {
-                function: "b".into(),
-            },
-        );
-        t.record(
-            ms(620),
-            TraceEventKind::DeployStarted {
-                function: "b".into(),
-                on_demand: true,
-                ready_at: ms(1400),
-            },
-        );
-        t.record(
-            ms(1400),
-            TraceEventKind::ExecStarted {
-                function: "b".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(1700),
-            TraceEventKind::ExecEnded {
-                function: "b".into(),
-            },
-        );
-        t.record(ms(1700), TraceEventKind::Completed);
+        t.record(ms(0), ev::triggered());
+        t.record(ms(0), ev::plan(2));
+        t.record(ms(0), ev::deploy("a", false, 120.0));
+        t.record(ms(0), ev::deploy("spare", false, 150.0));
+        t.record(ms(100), ev::invoked("a"));
+        t.record(ms(120), ev::exec_started("a", false));
+        t.record(ms(620), ev::exec_ended("a"));
+        t.record(ms(620), ev::miss("b"));
+        t.record(ms(620), ev::invoked("b"));
+        t.record(ms(620), ev::deploy("b", true, 780.0));
+        t.record(ms(1400), ev::exec_started("b", false));
+        t.record(ms(1700), ev::exec_ended("b"));
+        t.record(ms(1700), ev::completed());
         t
     }
 

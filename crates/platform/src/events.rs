@@ -207,9 +207,102 @@ pub enum BusEvent {
     },
 }
 
+impl BusEvent {
+    /// The request whose lifecycle this event belongs to, or `None` for
+    /// an event outside every request's lifecycle: worker readiness,
+    /// hosts, placements, policy decisions, and a crash that orphaned no
+    /// invocation. A pool-owned provision names `u64::MAX`, a request
+    /// that is never in flight. These events, exactly as emitted, are
+    /// what a request's [`Trace`](crate::timeline::Trace) records and
+    /// what the audit fold reads.
+    pub(crate) fn lifecycle_request(&self) -> Option<u64> {
+        use BusEvent as E;
+        match self {
+            E::RequestTriggered { request, .. }
+            | E::PlanComputed { request, .. }
+            | E::FunctionInvoked { request, .. }
+            | E::WorkerProvisioned { request, .. }
+            | E::ExecStarted { request, .. }
+            | E::ExecEnded { request, .. }
+            | E::PredictionMiss { request, .. }
+            | E::WorkerCrashed {
+                request: Some(request),
+                ..
+            }
+            | E::DeployFailed { request, .. }
+            | E::InvokeTimeout { request, .. }
+            | E::InvokeRetried { request, .. }
+            | E::RequestCompleted { request, .. } => Some(*request),
+            E::WorkerReady { .. }
+            | E::WorkerCrashed { request: None, .. }
+            | E::HostUp { .. }
+            | E::HostDown { .. }
+            | E::WorkerPlaced { .. }
+            | E::WorkerEvicted { .. }
+            | E::PolicyDecision { .. } => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
+    /// `lifecycle_request` names the request for exactly the twelve
+    /// request-lifecycle variants, and for nothing else: not worker
+    /// readiness, hosts, placements, policy decisions, nor a crash that
+    /// orphaned no invocation. A pool-owned provision keeps its
+    /// `u64::MAX` owner.
+    #[test]
+    fn lifecycle_request_names_exactly_the_lifecycle_variants() {
+        let lifecycle = [
+            "RequestTriggered",
+            "PlanComputed",
+            "FunctionInvoked",
+            "WorkerProvisioned",
+            "ExecStarted",
+            "ExecEnded",
+            "PredictionMiss",
+            "WorkerCrashed",
+            "DeployFailed",
+            "InvokeTimeout",
+            "InvokeRetried",
+            "RequestCompleted",
+        ];
+        let events = sample_events();
+        let mut named = Vec::new();
+        for event in &events {
+            let variant = format!("{event:?}");
+            let variant = variant.split([' ', '{']).next().unwrap().to_string();
+            let expected = lifecycle.contains(&variant.as_str()).then_some(1);
+            assert_eq!(event.lifecycle_request(), expected, "{variant}");
+            if expected.is_some() {
+                named.push(variant);
+            }
+        }
+        assert_eq!(named, lifecycle, "one sample per lifecycle variant");
+
+        let orphanless = BusEvent::WorkerCrashed {
+            worker: 7,
+            function: "f".into(),
+            request: None,
+        };
+        assert_eq!(orphanless.lifecycle_request(), None);
+        let pool_owned = BusEvent::WorkerProvisioned {
+            worker: 9,
+            request: u64::MAX,
+            function: "f".into(),
+            cold_start_ms: 10.0,
+            ready_in_ms: 10.0,
+            on_demand: false,
+        };
+        assert_eq!(pool_owned.lifecycle_request(), Some(u64::MAX));
+        // The samples hold one instance of each variant.
+        let variants: HashSet<_> = events.iter().map(discriminant).collect();
+        assert_eq!(variants.len(), events.len());
+    }
 
     #[test]
     fn events_roundtrip_through_serde() {

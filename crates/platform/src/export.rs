@@ -422,42 +422,19 @@ fn validate_at(value: &Value, schema: &Value, path: &str) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::TraceEventKind;
+    use crate::test_events as ev;
     use xanadu_simcore::SimTime;
 
     fn demo_trace() -> Trace {
         let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), TraceEventKind::Triggered);
-        t.record(ms(0), TraceEventKind::PlanComputed { planned: 1 });
-        t.record(
-            ms(0),
-            TraceEventKind::DeployStarted {
-                function: "f".into(),
-                on_demand: false,
-                ready_at: ms(800),
-            },
-        );
-        t.record(
-            ms(5),
-            TraceEventKind::Invoked {
-                function: "f".into(),
-            },
-        );
-        t.record(
-            ms(800),
-            TraceEventKind::ExecStarted {
-                function: "f".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(950),
-            TraceEventKind::ExecEnded {
-                function: "f".into(),
-            },
-        );
-        t.record(ms(950), TraceEventKind::Completed);
+        t.record(ms(0), ev::triggered());
+        t.record(ms(0), ev::plan(1));
+        t.record(ms(0), ev::deploy("f", false, 800.0));
+        t.record(ms(5), ev::invoked("f"));
+        t.record(ms(800), ev::exec_started("f", false));
+        t.record(ms(950), ev::exec_ended("f"));
+        t.record(ms(950), ev::completed());
         t
     }
 

@@ -55,6 +55,8 @@ mod result;
 pub mod shard;
 mod sim;
 pub mod stream;
+#[cfg(test)]
+mod test_events;
 pub mod timeline;
 
 pub use analysis::{

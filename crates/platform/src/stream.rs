@@ -6,16 +6,16 @@
 //! the *same* per-request audit fold online, fed by the typed
 //! [`BusEvent`] stream through the [`Observer`] trait:
 //!
-//! - One mapping turns each request-scoped bus event into the
-//!   [`TraceEventKind`] a recorded trace holds, which is what the fold
-//!   consumes. The tracker keeps one fold per in-flight request and —
-//!   when exemplars are kept — records the event into the request's
-//!   reconstructed trace, through the same recorder that builds
-//!   [`Platform::trace`](crate::Platform::trace).
+//! - The fold reads the request's own bus events, exactly as a recorded
+//!   [`Trace`] holds them; each event names its request, and events
+//!   outside every request's lifecycle are skipped. The tracker keeps
+//!   one fold per in-flight request and — when exemplars are kept —
+//!   records the event into the request's trace, through the same
+//!   recorder that builds [`Platform::trace`](crate::Platform::trace).
 //! - [`StreamingAudit`] folds each finished request into the shared
 //!   [`Tally`] with fixed-bucket [`Histogram`]s as the sample sink, plus
 //!   a deterministic reservoir of the K worst requests (kept as
-//!   reconstructed traces, so exemplar [`SpanTree`]s survive without
+//!   recorded traces, so exemplar [`SpanTree`]s survive without
 //!   retaining everything else).
 //! - [`SloMonitor`] folds finished requests into tumbling windows and
 //!   evaluates [`DiffThresholds`] against the first non-empty window.
@@ -41,142 +41,20 @@ use crate::analysis::{
 };
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
-use crate::timeline::{SpanTree, Trace, TraceEventKind};
+use crate::timeline::{SpanTree, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
-use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------
 // Bus events into the per-request fold (StreamingAudit and SloMonitor)
 // ---------------------------------------------------------------------
 
-/// The request a bus event belongs to and the trace event it records, or
-/// `None` for events outside every request's lifecycle. Pool-owned
-/// provisions (`request == u64::MAX`) name a request that is never in
-/// flight, exactly as they have no trace in the batch tier. Names are the
-/// event's shared `Arc<str>`s, so the mapping allocates nothing.
-fn request_step(at_us: u64, event: &BusEvent) -> Option<(u64, TraceEventKind)> {
-    use BusEvent as E;
-    use TraceEventKind as K;
-    let (request, kind) = match event {
-        E::RequestTriggered { request, .. } => (request, K::Triggered),
-        E::PlanComputed {
-            request, planned, ..
-        } => (request, K::PlanComputed { planned: *planned }),
-        E::FunctionInvoked {
-            request, function, ..
-        } => (
-            request,
-            K::Invoked {
-                function: Arc::clone(function),
-            },
-        ),
-        E::WorkerProvisioned {
-            request,
-            function,
-            ready_in_ms,
-            on_demand,
-            ..
-        } => {
-            // The platform built `ready_in_ms` from whole µs, so rounding
-            // recovers them exactly.
-            let ready_at = SimTime::from_micros(at_us) + SimDuration::from_millis_f64(*ready_in_ms);
-            let kind = K::DeployStarted {
-                function: Arc::clone(function),
-                on_demand: *on_demand,
-                ready_at,
-            };
-            (request, kind)
-        }
-        E::ExecStarted {
-            request,
-            function,
-            warm,
-            ..
-        } => {
-            let kind = K::ExecStarted {
-                function: Arc::clone(function),
-                warm: *warm,
-            };
-            (request, kind)
-        }
-        E::ExecEnded {
-            request, function, ..
-        } => (
-            request,
-            K::ExecEnded {
-                function: Arc::clone(function),
-            },
-        ),
-        E::WorkerCrashed {
-            request: Some(request),
-            function,
-            ..
-        } => (
-            request,
-            K::WorkerCrashed {
-                function: Arc::clone(function),
-            },
-        ),
-        E::DeployFailed {
-            request,
-            function,
-            attempt,
-        } => {
-            let kind = K::DeployFailed {
-                function: Arc::clone(function),
-                attempt: *attempt,
-            };
-            (request, kind)
-        }
-        E::InvokeTimeout {
-            request,
-            function,
-            attempt,
-        } => {
-            let kind = K::TimedOut {
-                function: Arc::clone(function),
-                attempt: *attempt,
-            };
-            (request, kind)
-        }
-        E::InvokeRetried {
-            request,
-            function,
-            attempt,
-            ..
-        } => {
-            let kind = K::Retried {
-                function: Arc::clone(function),
-                attempt: *attempt,
-            };
-            (request, kind)
-        }
-        E::PredictionMiss {
-            request, function, ..
-        } => (
-            request,
-            K::PredictionMiss {
-                function: Arc::clone(function),
-            },
-        ),
-        E::RequestCompleted { request, .. } => (request, K::Completed),
-        E::WorkerReady { .. }
-        | E::WorkerCrashed { request: None, .. }
-        | E::HostUp { .. }
-        | E::HostDown { .. }
-        | E::WorkerPlaced { .. }
-        | E::WorkerEvicted { .. }
-        | E::PolicyDecision { .. } => return None,
-    };
-    Some((*request, kind))
-}
-
-/// Rebuilds each request's [`Trace`] from the bus: every request-scoped
-/// event is recorded as the [`TraceEventKind`] [`request_step`] maps it
-/// to. This one reconstruction backs both
+/// Records each request's [`Trace`] from the bus: every event is filed
+/// under the request its `lifecycle_request` names, as emitted.
+/// Pool-owned provisions name a request that is never in flight, so they
+/// land in no trace. This one recorder backs both
 /// [`Platform::trace`](crate::Platform::trace) (with `record_traces` on)
 /// and the streaming audit's exemplars. It runs no audit fold.
 #[derive(Debug, Clone, Default)]
@@ -190,8 +68,8 @@ pub(crate) struct TraceRecorder {
 impl TraceRecorder {
     /// Records one event at `at`, keeping the timeline it completes.
     pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some((request, kind)) = request_step(at.as_micros(), event) {
-            if let Some(trace) = self.record(at, request, kind) {
+        if let Some(request) = event.lifecycle_request() {
+            if let Some(trace) = self.record(at, request, event) {
                 self.done.insert(request, trace);
             }
         }
@@ -199,13 +77,12 @@ impl TraceRecorder {
 
     /// Records `request`'s event at `at`. Returns the timeline when the
     /// event completes it.
-    fn record(&mut self, at: SimTime, request: u64, kind: TraceEventKind) -> Option<Trace> {
-        let completed = kind == TraceEventKind::Completed;
-        if kind == TraceEventKind::Triggered {
+    fn record(&mut self, at: SimTime, request: u64, event: &BusEvent) -> Option<Trace> {
+        if let BusEvent::RequestTriggered { .. } = event {
             self.open.insert(request, Trace::default());
         }
-        self.open.get_mut(&request)?.record(at, kind);
-        if completed {
+        self.open.get_mut(&request)?.record(at, event.clone());
+        if let BusEvent::RequestCompleted { .. } = event {
             return self.open.remove(&request);
         }
         None
@@ -227,7 +104,7 @@ struct Finished {
     audit: RequestAudit,
     /// Wasted deploy time, integer microseconds.
     wasted_us: u64,
-    /// The reconstructed timeline, when the tracker keeps traces.
+    /// The recorded timeline, when the tracker keeps traces.
     trace: Option<Trace>,
 }
 
@@ -237,7 +114,7 @@ struct Finished {
 #[derive(Debug, Clone, Default)]
 struct RequestTracker {
     pending: BTreeMap<u64, RequestFold>,
-    /// Reconstructed timelines, kept only for exemplars.
+    /// Recorded timelines, kept only for exemplars.
     traces: Option<TraceRecorder>,
 }
 
@@ -251,22 +128,19 @@ impl RequestTracker {
 
     /// Feeds one event; returns the request it completed, if any.
     fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
+        let request = event.lifecycle_request()?;
         let at_us = at.as_micros();
-        let (request, kind) = request_step(at_us, event)?;
-        let completed = kind == TraceEventKind::Completed;
-        if kind == TraceEventKind::Triggered {
+        if let BusEvent::RequestTriggered { .. } = event {
             self.pending.insert(request, RequestFold::new(at_us));
-        }
-        if !completed {
-            if let Some(fold) = self.pending.get_mut(&request) {
-                fold.apply(at_us, &kind);
-            }
         }
         let trace = self
             .traces
             .as_mut()
-            .and_then(|t| t.record(at, request, kind));
-        if !completed {
+            .and_then(|t| t.record(at, request, event));
+        if !matches!(event, BusEvent::RequestCompleted { .. }) {
+            if let Some(fold) = self.pending.get_mut(&request) {
+                fold.apply(at_us, event);
+            }
             return None;
         }
         let (audit, wasted_us) = self.pending.remove(&request)?.finish(request, at_us);
@@ -286,7 +160,7 @@ impl RequestTracker {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
     /// Size of the worst-request exemplar reservoir (0 disables trace
-    /// reconstruction entirely).
+    /// recording entirely).
     pub exemplars: usize,
 }
 
@@ -296,7 +170,7 @@ impl Default for StreamingConfig {
     }
 }
 
-/// One entry of the worst-request reservoir: the reconstructed timeline
+/// One entry of the worst-request reservoir: the recorded timeline
 /// of a completed request, kept so its [`SpanTree`] can be exported.
 /// Serializable so the service tier can checkpoint the reservoir.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -310,7 +184,7 @@ pub struct Exemplar {
 }
 
 impl Exemplar {
-    /// The span decomposition of the exemplar's reconstructed timeline.
+    /// The span decomposition of the exemplar's recorded timeline.
     pub fn span_tree(&self) -> Option<SpanTree> {
         SpanTree::from_trace(self.request, &self.trace)
     }
@@ -1272,7 +1146,7 @@ mod tests {
         assert_eq!(ex[0].request, 2, "worst first");
         assert_eq!(ex[1].request, 3);
         assert_eq!(ex[0].end_to_end_us, 400_000);
-        let tree = ex[0].span_tree().expect("reconstructed trace spans");
+        let tree = ex[0].span_tree().expect("recorded trace spans");
         assert!(tree.root.name.contains("request 2"));
     }
 
@@ -1475,10 +1349,9 @@ mod tests {
         }
     }
 
-    /// The live fold and the recorded trace read the same bus events,
-    /// each mapped once to a `TraceEventKind`: the fold applies it as it
-    /// arrives, the recorder stores it, and `RequestAudit::from_trace`
-    /// folds the stored events afterwards. On the randomized chaos runs of
+    /// The live fold and the recorded trace read the same bus events:
+    /// the fold applies each as it arrives, the recorder stores it, and
+    /// `RequestAudit::from_trace` folds the stored events afterwards. On the randomized chaos runs of
     /// `tests/streaming.rs`, with faults on and off, the fold fed from the
     /// bus must give every request the audit `RequestAudit::from_trace`
     /// gives its recorded trace.
@@ -1533,6 +1406,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every event the bus delivered, in emission order.
+    #[derive(Default)]
+    struct Collected(Vec<(SimTime, BusEvent)>);
+
+    impl Observer for Collected {
+        fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+            self.0.push((at, event.clone()));
+        }
+    }
+
+    /// A recorded trace is the request's own bus events, event for event.
+    /// The workload is `tests/bus_events.rs`'s chaos run: certain faults
+    /// and a two-host cluster under host failures, which emits every
+    /// variant. For every completed request, `Platform::trace` equals the
+    /// observer's events whose `lifecycle_request` names that request.
+    #[test]
+    fn recorded_traces_are_the_requests_own_bus_events() {
+        use crate::timeline::TraceEvent;
+        use crate::{ClusterConfig, FaultConfig, PlacementPolicy, Platform, PlatformConfig};
+        use std::collections::HashSet;
+        use std::mem::discriminant;
+        use xanadu_chain::{linear_chain, FunctionSpec, WorkflowBuilder};
+        use xanadu_core::speculation::ExecutionMode;
+
+        let chain = linear_chain("chain", 5, &FunctionSpec::new("f").service_ms(1500.0)).unwrap();
+        let mut b = WorkflowBuilder::new("branchy");
+        let head = b.add(FunctionSpec::new("head").service_ms(700.0)).unwrap();
+        let hot = b.add(FunctionSpec::new("hot").service_ms(900.0)).unwrap();
+        let alt = b.add(FunctionSpec::new("alt").service_ms(400.0)).unwrap();
+        let tail = b.add(FunctionSpec::new("tail").service_ms(600.0)).unwrap();
+        b.link_xor(head, &[(hot, 0.7), (alt, 0.3)]).unwrap();
+        b.link(hot, tail).unwrap();
+        let branchy = b.build().unwrap();
+        let faults = FaultConfig {
+            host_failure_rate: 1.0,
+            host_mtbf_ms: 90_000.0,
+            host_reboot_ms: 15_000.0,
+            ..FaultConfig::with_rate(1.0, 0xC0FFEE)
+        };
+        let config = PlatformConfig::builder()
+            .for_mode(ExecutionMode::Jit, 5)
+            .faults(faults)
+            .cluster(ClusterConfig::uniform(PlacementPolicy::Affinity, 2, 1024))
+            .record_traces(true)
+            .build()
+            .unwrap();
+        let mut platform = Platform::new(config);
+        let bus = platform.attach_observer(Collected::default());
+        platform.deploy(chain).unwrap();
+        platform.deploy(branchy).unwrap();
+        for i in 0..12u64 {
+            let base = SimTime::from_secs(i * 120);
+            platform.trigger_at("chain", base).unwrap();
+            platform
+                .trigger_at("branchy", base + SimDuration::from_secs(45))
+                .unwrap();
+        }
+        platform.run_until_idle();
+
+        let events = bus.with(|c| c.0.clone());
+        let mut traced = HashSet::new();
+        let mut completed = 0;
+        for (_, event) in &events {
+            let BusEvent::RequestCompleted { request, .. } = event else {
+                continue;
+            };
+            let own: Vec<TraceEvent> = events
+                .iter()
+                .filter(|(_, e)| e.lifecycle_request() == Some(*request))
+                .map(|(at, e)| TraceEvent {
+                    at: *at,
+                    event: e.clone(),
+                })
+                .collect();
+            let trace = platform.trace(*request).expect("trace recorded");
+            assert_eq!(trace.events(), own.as_slice(), "request {request}");
+            traced.extend(own.iter().map(|e| discriminant(&e.event)));
+            completed += 1;
+        }
+        assert_eq!(completed, 24);
+        assert_eq!(traced.len(), 12, "every lifecycle variant was traced");
+        let outside = events
+            .iter()
+            .filter(|(_, e)| e.lifecycle_request().is_none());
+        assert!(outside.count() > 0, "host, placement and policy events");
     }
 
     #[test]

@@ -3,101 +3,26 @@
 //! The platform records, for every request, the sequence of orchestration
 //! events that Figure 10 of the paper narrates — planning-driven
 //! deployments, function invocations, dispatches into workers, completions
-//! and prediction misses — as a [`Trace`], rebuilt from the same bus
-//! events its observers see. Traces power debugging, the CLI's `--trace`
-//! output, and assertions about *when* things happened rather than only
-//! aggregate latencies.
+//! and prediction misses — as a [`Trace`]: the request's own
+//! [`BusEvent`]s, exactly as its observers received them. The audit fold
+//! ([`analysis`](crate::analysis)) and the [`SpanTree`] read those same
+//! events, so the platform has one lifecycle vocabulary. Traces power
+//! debugging, the CLI's `--trace` output, and assertions about *when*
+//! things happened rather than only aggregate latencies.
 
+use crate::events::BusEvent;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
-/// One traced orchestration event. Function names are shared with the
-/// workflow's DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TraceEventKind {
-    /// The workflow trigger arrived.
-    Triggered,
-    /// A sandbox deployment started for `function` (speculation/JIT plan
-    /// or on-demand).
-    DeployStarted {
-        /// The function being provisioned.
-        function: Arc<str>,
-        /// Whether a waiting request forced this provision.
-        on_demand: bool,
-        /// When the sandbox is scheduled to become warm. The analysis tier
-        /// derives JIT timing quality (slack/lateness versus the
-        /// invocation) from this; crashes can void the schedule, in which
-        /// case the replacement provision records its own event.
-        ready_at: SimTime,
-    },
-    /// The orchestrator invoked `function` (its dependencies were met).
-    Invoked {
-        /// The invoked function.
-        function: Arc<str>,
-    },
-    /// `function` began executing in a worker.
-    ExecStarted {
-        /// The executing function.
-        function: Arc<str>,
-        /// Whether its sandbox was warm at invocation.
-        warm: bool,
-    },
-    /// `function` finished executing.
-    ExecEnded {
-        /// The finished function.
-        function: Arc<str>,
-    },
-    /// `function` was invoked but absent from the speculation plan.
-    PredictionMiss {
-        /// The mispredicted function.
-        function: Arc<str>,
-    },
-    /// The speculation engine produced this request's deployment plan
-    /// (MLP inference + JIT timeline slots).
-    PlanComputed {
-        /// Number of functions the plan schedules for pre-deployment.
-        planned: u64,
-    },
-    /// The worker executing `function` crashed (fault injection).
-    WorkerCrashed {
-        /// The function whose worker died.
-        function: Arc<str>,
-    },
-    /// The invocation of `function` exceeded the per-invocation timeout.
-    TimedOut {
-        /// The timed-out function.
-        function: Arc<str>,
-        /// Fault attempt count at the time of the timeout.
-        attempt: u64,
-    },
-    /// A crashed or timed-out invocation was rescheduled after backoff.
-    Retried {
-        /// The function being retried.
-        function: Arc<str>,
-        /// Retry attempt number (1 = first retry).
-        attempt: u64,
-    },
-    /// A speculative pre-deployment of `function` failed during startup
-    /// (no request was waiting on it yet).
-    DeployFailed {
-        /// The function whose pre-deployment died.
-        function: Arc<str>,
-        /// Fault attempt count after this failure.
-        attempt: u64,
-    },
-    /// The request completed.
-    Completed,
-}
-
-/// A timestamped trace event.
+/// A timestamped trace event: one of the request's own bus events,
+/// exactly as emitted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// When the event happened.
     pub at: SimTime,
     /// What happened.
-    pub kind: TraceEventKind,
+    pub event: BusEvent,
 }
 
 /// The ordered event timeline of one request.
@@ -108,8 +33,8 @@ pub struct Trace {
 
 impl Trace {
     /// Records an event (events arrive in simulation order).
-    pub(crate) fn record(&mut self, at: SimTime, kind: TraceEventKind) {
-        self.events.push(TraceEvent { at, kind });
+    pub(crate) fn record(&mut self, at: SimTime, event: BusEvent) {
+        self.events.push(TraceEvent { at, event });
     }
 
     /// The events, in order.
@@ -130,12 +55,12 @@ impl Trace {
     /// The execution interval of `function` (exec start → exec end), if it
     /// ran to completion.
     pub fn exec_interval(&self, function: &str) -> Option<(SimTime, SimTime)> {
-        let start = self.events.iter().find_map(|e| match &e.kind {
-            TraceEventKind::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
+        let start = self.events.iter().find_map(|e| match &e.event {
+            BusEvent::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
             _ => None,
         })?;
-        let end = self.events.iter().find_map(|e| match &e.kind {
-            TraceEventKind::ExecEnded { function: f } if **f == *function => Some(e.at),
+        let end = self.events.iter().find_map(|e| match &e.event {
+            BusEvent::ExecEnded { function: f, .. } if **f == *function => Some(e.at),
             _ => None,
         })?;
         Some((start, end))
@@ -145,7 +70,7 @@ impl Trace {
     /// bars for provisioning-to-exec (`░`) and execution (`█`), `width`
     /// columns spanning trigger to completion.
     ///
-    /// Returns an empty string for traces without a `Triggered` event.
+    /// Returns an empty string for an empty trace.
     pub fn render_gantt(&self, width: usize) -> String {
         let width = width.clamp(20, 200);
         let Some(start) = self.events.first().map(|e| e.at) else {
@@ -161,12 +86,12 @@ impl Trace {
         // Collect per-function milestones.
         let mut functions: Vec<&str> = Vec::new();
         for e in &self.events {
-            let name = match &e.kind {
-                TraceEventKind::DeployStarted { function, .. }
-                | TraceEventKind::Invoked { function }
-                | TraceEventKind::ExecStarted { function, .. }
-                | TraceEventKind::ExecEnded { function }
-                | TraceEventKind::PredictionMiss { function } => Some(function),
+            let name = match &e.event {
+                BusEvent::WorkerProvisioned { function, .. }
+                | BusEvent::FunctionInvoked { function, .. }
+                | BusEvent::ExecStarted { function, .. }
+                | BusEvent::ExecEnded { function, .. }
+                | BusEvent::PredictionMiss { function, .. } => Some(function),
                 _ => None,
             };
             if let Some(n) = name {
@@ -185,8 +110,8 @@ impl Trace {
             span / 1000.0
         );
         for &f in &functions {
-            let deploy = self.events.iter().find_map(|e| match &e.kind {
-                TraceEventKind::DeployStarted { function, .. } if **function == *f => Some(e.at),
+            let deploy = self.events.iter().find_map(|e| match &e.event {
+                BusEvent::WorkerProvisioned { function, .. } if **function == *f => Some(e.at),
                 _ => None,
             });
             let exec = self.exec_interval(f);
@@ -202,7 +127,7 @@ impl Trace {
                 }
             }
             let missed = self.events.iter().any(
-                |e| matches!(&e.kind, TraceEventKind::PredictionMiss { function } if **function == *f),
+                |e| matches!(&e.event, BusEvent::PredictionMiss { function, .. } if **function == *f),
             );
             let marker = if missed { " (miss)" } else { "" };
             let _ = writeln!(
@@ -286,7 +211,7 @@ impl SpanTree {
     /// Builds the span tree of `trace`, or `None` for an empty trace.
     ///
     /// Execution attempts are paired sequentially per function (an
-    /// `ExecStarted` closes at the next `ExecEnded` or `TimedOut` of the
+    /// `ExecStarted` closes at the next `ExecEnded` or `InvokeTimeout` of the
     /// same function), so retried invocations produce one `Exec` span per
     /// attempt. Deploy spans close at the function's next execution start
     /// (or at trace end for workers that never served).
@@ -311,14 +236,14 @@ impl SpanTree {
         }
 
         for e in events {
-            match &e.kind {
-                TraceEventKind::DeployStarted { function, .. } => {
+            match &e.event {
+                BusEvent::WorkerProvisioned { function, .. } => {
                     open_deploys.push((function, e.at));
                 }
-                TraceEventKind::Invoked { function } => {
+                BusEvent::FunctionInvoked { function, .. } => {
                     open_waits.push((function, e.at));
                 }
-                TraceEventKind::ExecStarted { function, .. } => {
+                BusEvent::ExecStarted { function, .. } => {
                     if let Some(at) = take(&mut open_deploys, function) {
                         children.push(Span {
                             name: format!("deploy {function}"),
@@ -349,8 +274,7 @@ impl SpanTree {
                     };
                     open_execs.push((function, e.at, attempt));
                 }
-                TraceEventKind::ExecEnded { function }
-                | TraceEventKind::TimedOut { function, .. } => {
+                BusEvent::ExecEnded { function, .. } | BusEvent::InvokeTimeout { function, .. } => {
                     if let Some(idx) = open_execs.iter().position(|&(f, _, _)| f == &**function) {
                         let (function, at, attempt) = open_execs.remove(idx);
                         let name = if attempt == 1 {
@@ -366,7 +290,10 @@ impl SpanTree {
                             end: e.at,
                         });
                     }
-                    if let TraceEventKind::TimedOut { function, attempt } = &e.kind {
+                    if let BusEvent::InvokeTimeout {
+                        function, attempt, ..
+                    } = &e.event
+                    {
                         markers.push(SpanMarker {
                             at: e.at,
                             label: format!("timeout {function} (attempt {attempt})"),
@@ -374,32 +301,36 @@ impl SpanTree {
                         });
                     }
                 }
-                TraceEventKind::PredictionMiss { function } => markers.push(SpanMarker {
+                BusEvent::PredictionMiss { function, .. } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("miss {function}"),
                     function: function.to_string(),
                 }),
-                TraceEventKind::WorkerCrashed { function } => markers.push(SpanMarker {
+                BusEvent::WorkerCrashed { function, .. } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("crash {function}"),
                     function: function.to_string(),
                 }),
-                TraceEventKind::Retried { function, attempt } => markers.push(SpanMarker {
+                BusEvent::InvokeRetried {
+                    function, attempt, ..
+                } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("retry {function} #{attempt}"),
                     function: function.to_string(),
                 }),
-                TraceEventKind::DeployFailed { function, attempt } => markers.push(SpanMarker {
+                BusEvent::DeployFailed {
+                    function, attempt, ..
+                } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("deploy-failed {function} (attempt {attempt})"),
                     function: function.to_string(),
                 }),
-                TraceEventKind::PlanComputed { planned } => markers.push(SpanMarker {
+                BusEvent::PlanComputed { planned, .. } => markers.push(SpanMarker {
                     at: e.at,
                     label: format!("plan ({planned} deployments)"),
                     function: String::new(),
                 }),
-                TraceEventKind::Triggered | TraceEventKind::Completed => {}
+                _ => {}
             }
         }
         // Workers that never served: their provisioning still cost time.
@@ -451,72 +382,22 @@ impl SpanTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_events as ev;
 
     fn sample() -> Trace {
         let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), TraceEventKind::Triggered);
-        t.record(
-            ms(0),
-            TraceEventKind::DeployStarted {
-                function: "a".into(),
-                on_demand: false,
-                ready_at: ms(3000),
-            },
-        );
-        t.record(
-            ms(20),
-            TraceEventKind::Invoked {
-                function: "a".into(),
-            },
-        );
-        t.record(
-            ms(3000),
-            TraceEventKind::ExecStarted {
-                function: "a".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(3500),
-            TraceEventKind::ExecEnded {
-                function: "a".into(),
-            },
-        );
-        t.record(
-            ms(3520),
-            TraceEventKind::PredictionMiss {
-                function: "b".into(),
-            },
-        );
-        t.record(
-            ms(3520),
-            TraceEventKind::Invoked {
-                function: "b".into(),
-            },
-        );
-        t.record(
-            ms(3520),
-            TraceEventKind::DeployStarted {
-                function: "b".into(),
-                on_demand: true,
-                ready_at: ms(6600),
-            },
-        );
-        t.record(
-            ms(6600),
-            TraceEventKind::ExecStarted {
-                function: "b".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(7100),
-            TraceEventKind::ExecEnded {
-                function: "b".into(),
-            },
-        );
-        t.record(ms(7100), TraceEventKind::Completed);
+        t.record(ms(0), ev::triggered());
+        t.record(ms(0), ev::deploy("a", false, 3000.0));
+        t.record(ms(20), ev::invoked("a"));
+        t.record(ms(3000), ev::exec_started("a", false));
+        t.record(ms(3500), ev::exec_ended("a"));
+        t.record(ms(3520), ev::miss("b"));
+        t.record(ms(3520), ev::invoked("b"));
+        t.record(ms(3520), ev::deploy("b", true, 3080.0));
+        t.record(ms(6600), ev::exec_started("b", false));
+        t.record(ms(7100), ev::exec_ended("b"));
+        t.record(ms(7100), ev::completed());
         t
     }
 
@@ -603,49 +484,15 @@ mod tests {
     fn span_tree_numbers_retried_attempts_and_keeps_fault_markers() {
         let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), TraceEventKind::Triggered);
-        t.record(ms(0), TraceEventKind::PlanComputed { planned: 2 });
-        t.record(
-            ms(10),
-            TraceEventKind::ExecStarted {
-                function: "f".into(),
-                warm: false,
-            },
-        );
-        t.record(
-            ms(500),
-            TraceEventKind::TimedOut {
-                function: "f".into(),
-                attempt: 1,
-            },
-        );
-        t.record(
-            ms(500),
-            TraceEventKind::Retried {
-                function: "f".into(),
-                attempt: 1,
-            },
-        );
-        t.record(
-            ms(700),
-            TraceEventKind::ExecStarted {
-                function: "f".into(),
-                warm: true,
-            },
-        );
-        t.record(
-            ms(900),
-            TraceEventKind::ExecEnded {
-                function: "f".into(),
-            },
-        );
-        t.record(
-            ms(950),
-            TraceEventKind::WorkerCrashed {
-                function: "g".into(),
-            },
-        );
-        t.record(ms(1000), TraceEventKind::Completed);
+        t.record(ms(0), ev::triggered());
+        t.record(ms(0), ev::plan(2));
+        t.record(ms(10), ev::exec_started("f", false));
+        t.record(ms(500), ev::timed_out("f", 1));
+        t.record(ms(500), ev::retried("f", 1));
+        t.record(ms(700), ev::exec_started("f", true));
+        t.record(ms(900), ev::exec_ended("f"));
+        t.record(ms(950), ev::crashed("g"));
+        t.record(ms(1000), ev::completed());
 
         let tree = SpanTree::from_trace(0, &t).unwrap();
         let names: Vec<&str> = tree.children.iter().map(|s| s.name.as_str()).collect();
@@ -670,16 +517,9 @@ mod tests {
     #[test]
     fn span_tree_charges_unused_deploys_to_trace_end() {
         let mut t = Trace::default();
-        t.record(SimTime::ZERO, TraceEventKind::Triggered);
-        t.record(
-            SimTime::from_millis(5),
-            TraceEventKind::DeployStarted {
-                function: "spare".into(),
-                on_demand: false,
-                ready_at: SimTime::from_millis(40),
-            },
-        );
-        t.record(SimTime::from_millis(100), TraceEventKind::Completed);
+        t.record(SimTime::ZERO, ev::triggered());
+        t.record(SimTime::from_millis(5), ev::deploy("spare", false, 35.0));
+        t.record(SimTime::from_millis(100), ev::completed());
         let tree = SpanTree::from_trace(0, &t).unwrap();
         assert_eq!(tree.children.len(), 1);
         assert_eq!(tree.children[0].name, "deploy spare (unused)");

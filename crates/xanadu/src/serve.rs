@@ -124,8 +124,10 @@ const DOC_SLO: &str = "serve/slo";
 const SERVICE_DOCS: [&str; 3] = [DOC_CURSOR, DOC_AUDIT, DOC_SLO];
 const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
-/// The [`ServeCursor`] format this build writes and resumes from.
-const CURSOR_VERSION: u64 = 2;
+/// The [`ServeCursor`] format this build writes and resumes from. It
+/// versions the whole log: version 3 is the first whose `serve/audit`
+/// exemplar traces hold bus events.
+const CURSOR_VERSION: u64 = 3;
 
 /// The resume cursor: where in the stream the durable state ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -411,6 +413,8 @@ pub fn run_serve(
             let text = source(path).map_err(CliError::Workflow)?;
             let recorded = RecordedStream::parse(&text)
                 .map_err(|e| CliError::Workflow(format!("{path}: {e}")))?;
+            // The parsed events are all the run reads of the file.
+            drop(text);
             drain_stream(recorded)?
         }
         None => drain_stream(GeneratedStream::new(

@@ -411,6 +411,61 @@ fn resume_rejects_a_cursor_that_disagrees_with_the_slo_alerts() {
     assert!(message.contains(&format!("holds {emitted}")), "{message}");
 }
 
+/// A log of the previous checkpoint format is refused by its cursor
+/// version, with a typed error naming the directory and both versions,
+/// and the log is left byte-equal. The forged log's exemplar traces hold
+/// events of the previous shape too, which this build cannot read: the
+/// version is checked before that document is parsed.
+#[test]
+fn resume_rejects_a_cursor_of_the_previous_version() {
+    let dir = scratch_dir("cursor-version");
+    let mut args = base_args(&dir, false);
+    args.stop_after_checkpoints = 1;
+    run_serve(&args, &read_file, &mut Vec::new()).unwrap();
+
+    let log = SegmentLog::open(&args.checkpoint_dir).unwrap();
+    let store = log.replay().unwrap();
+    let (cursor, _) = store.get("serve/cursor").expect("cursor doc");
+    let version = cursor.get("version").and_then(|v| v.as_u64()).unwrap();
+    let mut forged = cursor.clone();
+    let serde_json::Value::Object(fields) = &mut forged else {
+        panic!("cursor is not an object: {cursor:?}");
+    };
+    fields.insert("version".into(), serde_json::json!(version - 1));
+    let (audit, _) = store.get("serve/audit").expect("audit doc");
+    let mut old_audit = audit.clone();
+    let Some(serde_json::Value::Array(exemplars)) = old_audit.get_mut("exemplars") else {
+        panic!("audit has no exemplars: {audit:?}");
+    };
+    assert!(!exemplars.is_empty());
+    for exemplar in exemplars {
+        let old_trace = serde_json::json!({"events": [{"at": 0, "kind": "Triggered"}]});
+        *exemplar.get_mut("trace").expect("exemplar trace") = old_trace;
+    }
+    log.append(&[
+        ("serve/audit".to_string(), old_audit),
+        ("serve/cursor".to_string(), forged),
+    ])
+    .unwrap();
+
+    args.stop_after_checkpoints = 0;
+    let before = log_bytes(&args.checkpoint_dir);
+    let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
+    let CliError::Workflow(message) = &err else {
+        panic!("expected a workflow error, got {err}");
+    };
+    assert!(message.contains(&args.checkpoint_dir), "{message}");
+    assert!(
+        message.contains(&format!("a cursor of version {}", version - 1)),
+        "{message}"
+    );
+    assert!(
+        message.contains(&format!("resumes only version {version}")),
+        "{message}"
+    );
+    assert_eq!(log_bytes(&args.checkpoint_dir), before, "the log changed");
+}
+
 /// `record` → `serve --stream` replays the exact stream the generator
 /// flags would produce: both paths end in byte-identical audits.
 #[test]

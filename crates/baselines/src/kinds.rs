@@ -78,12 +78,8 @@ impl FromStr for BaselineKind {
     }
 }
 
-/// Constructs a ready-to-use emulated baseline platform.
-///
-/// All baselines are chain-agnostic ([`ExecutionMode::Cold`]); they differ
-/// in provisioning latency profile, keep-alive, pool caps, and per-hop
-/// orchestration overhead — see [`calibration`](crate::calibration) for the
-/// constants and the paper sentences they come from.
+/// Constructs a ready-to-use emulated baseline platform from
+/// [`baseline_setup`].
 ///
 /// # Example
 ///
@@ -102,6 +98,20 @@ impl FromStr for BaselineKind {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn baseline_platform(kind: BaselineKind, seed: u64) -> Platform {
+    let (config, provider) = baseline_setup(kind, seed);
+    Platform::with_provider(config, provider)
+}
+
+/// The configuration and calibrated sandbox provider an emulated baseline
+/// runs on. A caller that adjusts the configuration first (the CLI writes
+/// its fault flags into it) builds the platform from both with
+/// [`Platform::with_provider`].
+///
+/// All baselines are chain-agnostic ([`ExecutionMode::Cold`]); they differ
+/// in provisioning latency profile, keep-alive, pool caps, and per-hop
+/// orchestration overhead — see [`calibration`](crate::calibration) for the
+/// constants and the paper sentences they come from.
+pub fn baseline_setup(kind: BaselineKind, seed: u64) -> (PlatformConfig, SimSandboxProvider) {
     let mut config = PlatformConfig::for_mode(ExecutionMode::Cold, seed).labeled(kind.label());
     let profiles = match kind {
         BaselineKind::Knative => calibration::knative_profiles(),
@@ -132,8 +142,7 @@ pub fn baseline_platform(kind: BaselineKind, seed: u64) -> Platform {
         BaselineKind::AzureDurableFunctions => Distribution::log_normal(30.0, 12.0).expect("valid"),
         _ => Distribution::log_normal(20.0, 5.0).expect("valid"),
     };
-    let provider = SimSandboxProvider::with_profiles(profiles, seed);
-    Platform::with_provider(config, provider)
+    (config, SimSandboxProvider::with_profiles(profiles, seed))
 }
 
 #[cfg(test)]

@@ -21,4 +21,4 @@
 pub mod calibration;
 mod kinds;
 
-pub use kinds::{baseline_platform, BaselineKind};
+pub use kinds::{baseline_platform, baseline_setup, BaselineKind};

@@ -476,8 +476,9 @@ pub fn hedging() -> Experiment {
             20,
             false,
         );
-        // Audit strict (unhedged) speculation — the miss-heavy regime.
-        if margin == 0.0 {
+        // Audit full hedging: the strict (margin 0) runs are the same
+        // unhedged lattice triggers `abl-miss` audits.
+        if margin == 1.0 {
             audit = Some(run_audit);
         }
         let latency = mean(runs.iter().map(|r| r.end_to_end.as_secs_f64()));
@@ -565,9 +566,6 @@ pub fn pool_baseline() -> Experiment {
         let mut builder = xanadu_platform::PlatformConfig::builder()
             .for_mode(mode, 33)
             .static_prewarm(prewarm);
-        if prewarm > 0 {
-            builder = builder.discard_unused_after_run(false);
-        }
         if mode == ExecutionMode::Jit {
             // Speculation covers the chain, so the §7 short keep-alive is
             // safe — this is the combination the paper's future work

@@ -819,8 +819,8 @@ impl Audit {
             for t in &c.tenants {
                 let _ = writeln!(
                     out,
-                    "    tenant {}: weight {:.1}, {} placed, {} rejected, peak {} MB",
-                    t.name, t.weight, t.placed, t.rejected, t.peak_used_mb
+                    "    tenant {}: {} placed, {} rejected, peak {} MB",
+                    t.name, t.placed, t.rejected, t.peak_used_mb
                 );
             }
         }

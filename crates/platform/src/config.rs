@@ -1,7 +1,7 @@
 //! Platform configuration.
 
 use crate::faults::FaultConfig;
-use crate::hosts::{AutoscaleConfig, HostSpec, PlacementPolicy, TenantConfig};
+use crate::hosts::{AutoscaleConfig, HostSpec, PlacementPolicy};
 use serde::{Deserialize, Serialize};
 use xanadu_core::policy::{PolicyRegistry, PolicySpec};
 use xanadu_core::speculation::{ExecutionMode, SpeculationConfig};
@@ -26,10 +26,12 @@ pub struct ClusterConfig {
     pub policy: PlacementPolicy,
     /// The hosts; empty means "the paper's single-machine testbed".
     pub hosts: Vec<HostSpec>,
-    /// Tenants sharing the cluster (quotas + weighted fair admission).
-    /// Empty means single-tenant: no admission control at all.
+    /// Tenants sharing the cluster, `tenant-0..tenants`; each workflow
+    /// belongs to one by name hash. With more than one, each tenant's
+    /// speculative placements are admitted up to an equal share of live
+    /// capacity. 0 means no tenants at all.
     #[serde(default)]
-    pub tenants: Vec<TenantConfig>,
+    pub tenants: u32,
     /// Reactive fleet autoscaling; disabled by default.
     #[serde(default)]
     pub autoscale: AutoscaleConfig,
@@ -40,7 +42,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             policy: PlacementPolicy::LeastLoaded,
             hosts: Vec::new(),
-            tenants: Vec::new(),
+            tenants: 0,
             autoscale: AutoscaleConfig::default(),
         }
     }
@@ -59,11 +61,9 @@ impl ClusterConfig {
         }
     }
 
-    /// `k` equal-weight, unquota'd tenants named `tenant-0..k`.
+    /// `k` tenants named `tenant-0..k`, sharing the cluster equally.
     pub fn with_tenants(mut self, k: u32) -> Self {
-        self.tenants = (0..k)
-            .map(|i| TenantConfig::new(format!("tenant-{i}")))
-            .collect();
+        self.tenants = k;
         self
     }
 }
@@ -107,10 +107,6 @@ pub struct PlatformConfig {
     pub max_live: Option<usize>,
     /// Latency of evicting a warm worker when `max_live` forces it.
     pub eviction_delay: Distribution,
-    /// Kill speculated workers that never served once their request
-    /// completes (per-request accounting hygiene; the paper discards
-    /// mispredicted deployments, §3.2).
-    pub discard_unused_after_run: bool,
     /// Whether planning consults learned (detector/EMA) probabilities
     /// before falling back to the workflow's declared probabilities.
     pub use_learned_probabilities: bool,
@@ -138,8 +134,8 @@ pub struct PlatformConfig {
     /// recording turns event emission on like an attached observer.
     #[serde(default = "default_record_traces")]
     pub record_traces: bool,
-    /// Fault injection: rate, fault seed, timeout and retry policy.
-    /// Disabled (rate 0) by default.
+    /// Fault injection: worker and host failure rates and the fault seed.
+    /// Disabled (rates 0) by default.
     #[serde(default)]
     pub faults: FaultConfig,
 }
@@ -163,8 +159,7 @@ impl std::error::Error for ConfigError {}
 /// benchmarks: the builder keeps presets
 /// ([`for_mode`](PlatformConfigBuilder::for_mode)) and overrides in one
 /// expression and rejects nonsense (empty label, fault rates outside
-/// `[0, 1]`, a zero-worker live cap) before a platform is ever
-/// constructed.
+/// `[0, 1]`) before a platform is ever constructed.
 ///
 /// ```
 /// use xanadu_core::speculation::ExecutionMode;
@@ -202,12 +197,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Master RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Full speculation configuration (mode, aggressiveness, miss policy).
     pub fn speculation(mut self, speculation: SpeculationConfig) -> Self {
         self.config.speculation = speculation;
@@ -235,30 +224,6 @@ impl PlatformConfigBuilder {
     /// Warm-pool keep-alive and cap policy.
     pub fn pool(mut self, pool: PoolConfig) -> Self {
         self.config.pool = pool;
-        self
-    }
-
-    /// Per-hop orchestration latency distribution.
-    pub fn orchestration_overhead(mut self, dist: Distribution) -> Self {
-        self.config.orchestration_overhead = dist;
-        self
-    }
-
-    /// Live-worker cap (`None` = unlimited).
-    pub fn max_live(mut self, cap: Option<usize>) -> Self {
-        self.config.max_live = cap;
-        self
-    }
-
-    /// Latency of evicting a warm worker when the live cap forces it.
-    pub fn eviction_delay(mut self, dist: Distribution) -> Self {
-        self.config.eviction_delay = dist;
-        self
-    }
-
-    /// Whether speculated-but-unused workers die with their request.
-    pub fn discard_unused_after_run(mut self, discard: bool) -> Self {
-        self.config.discard_unused_after_run = discard;
         self
     }
 
@@ -313,21 +278,11 @@ impl PlatformConfigBuilder {
             )));
         }
         PolicyRegistry::validate(&c.policy).map_err(|e| ConfigError(e.to_string()))?;
-        if c.max_live == Some(0) {
-            return Err(ConfigError(
-                "max_live = 0 would make provisioning impossible".into(),
-            ));
-        }
         if !(0.0..=1.0).contains(&c.faults.rate) || !c.faults.rate.is_finite() {
             return Err(ConfigError(format!(
                 "fault rate {} outside [0, 1]",
                 c.faults.rate
             )));
-        }
-        if c.faults.rate > 0.0 && c.faults.timeout_ms <= 0.0 {
-            return Err(ConfigError(
-                "fault injection needs a positive invocation timeout".into(),
-            ));
         }
         if !(0.0..=1.0).contains(&c.faults.host_failure_rate)
             || !c.faults.host_failure_rate.is_finite()
@@ -344,23 +299,8 @@ impl PlatformConfigBuilder {
                 "host failure injection needs positive mtbf and reboot times".into(),
             ));
         }
-        for t in &c.cluster.tenants {
-            if t.name.trim().is_empty() {
-                return Err(ConfigError("tenant names must not be empty".into()));
-            }
-            if t.weight <= 0.0 || !t.weight.is_finite() {
-                return Err(ConfigError(format!(
-                    "tenant `{}` weight {} must be positive",
-                    t.name, t.weight
-                )));
-            }
-        }
-        if c.cluster.autoscale.enabled()
-            && (c.cluster.autoscale.host_memory_mb == 0 || c.cluster.autoscale.boot_ms < 0.0)
-        {
-            return Err(ConfigError(
-                "autoscaled hosts need memory and a non-negative boot time".into(),
-            ));
+        if c.cluster.autoscale.enabled() && c.cluster.autoscale.host_memory_mb == 0 {
+            return Err(ConfigError("autoscaled hosts need memory".into()));
         }
         Ok(c)
     }
@@ -396,7 +336,6 @@ impl PlatformConfig {
                 .expect("default overhead valid"),
             max_live: None,
             eviction_delay: Distribution::Constant { value_ms: 500.0 },
-            discard_unused_after_run: true,
             use_learned_probabilities: false,
             cluster: ClusterConfig::default(),
             plan_cache: true,
@@ -430,7 +369,6 @@ mod tests {
         assert_eq!(c.speculation.mode, ExecutionMode::Speculative);
         assert_eq!(c.seed, 7);
         assert!(c.max_live.is_none());
-        assert!(c.discard_unused_after_run);
     }
 
     #[test]
@@ -464,16 +402,9 @@ mod tests {
     #[test]
     fn builder_rejects_invalid_configs() {
         assert!(PlatformConfig::builder().label("  ").build().is_err());
-        assert!(PlatformConfig::builder().max_live(Some(0)).build().is_err());
         let mut bad = FaultConfig::with_rate(0.5, 1);
         bad.rate = 1.5;
         assert!(PlatformConfig::builder().faults(bad).build().is_err());
-        let mut no_timeout = FaultConfig::with_rate(0.5, 1);
-        no_timeout.timeout_ms = 0.0;
-        assert!(PlatformConfig::builder()
-            .faults(no_timeout)
-            .build()
-            .is_err());
         let bad_host = FaultConfig {
             host_failure_rate: 1.5,
             ..FaultConfig::default()
@@ -485,22 +416,10 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(PlatformConfig::builder().faults(no_reboot).build().is_err());
-        let bad_tenant = ClusterConfig {
-            tenants: vec![TenantConfig {
-                weight: 0.0,
-                ..TenantConfig::new("t")
-            }],
-            ..ClusterConfig::uniform(PlacementPolicy::Affinity, 2, 1024)
-        };
-        assert!(PlatformConfig::builder()
-            .cluster(bad_tenant)
-            .build()
-            .is_err());
         let bad_auto = ClusterConfig {
             autoscale: AutoscaleConfig {
                 max_hosts: 2,
                 host_memory_mb: 0,
-                ..AutoscaleConfig::default()
             },
             ..ClusterConfig::default()
         };
@@ -513,8 +432,7 @@ mod tests {
         assert_eq!(c.hosts.len(), 4);
         assert_eq!(c.hosts[3].name, "host-3");
         assert_eq!(c.hosts[0].memory_mb, 2048);
-        assert_eq!(c.tenants.len(), 2);
-        assert_eq!(c.tenants[1].name, "tenant-1");
+        assert_eq!(c.tenants, 2);
         assert!(PlatformConfig::builder().cluster(c).build().is_ok());
     }
 

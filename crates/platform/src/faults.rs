@@ -28,26 +28,6 @@ fn default_fault_seed() -> u64 {
     0xFA17
 }
 
-/// Serde default for [`FaultConfig::spike_factor`].
-fn default_spike_factor() -> f64 {
-    8.0
-}
-
-/// Serde default for [`FaultConfig::timeout_ms`].
-fn default_timeout_ms() -> f64 {
-    10_000.0
-}
-
-/// Serde default for [`FaultConfig::max_retries`].
-fn default_max_retries() -> u32 {
-    3
-}
-
-/// Serde default for [`FaultConfig::backoff_ms`].
-fn default_backoff_ms() -> f64 {
-    200.0
-}
-
 /// Serde default for [`FaultConfig::host_mtbf_ms`].
 fn default_host_mtbf_ms() -> f64 {
     120_000.0
@@ -56,6 +36,26 @@ fn default_host_mtbf_ms() -> f64 {
 /// Serde default for [`FaultConfig::host_reboot_ms`].
 fn default_host_reboot_ms() -> f64 {
     30_000.0
+}
+
+/// Multiplier a latency spike applies to an invocation's service time.
+pub const SPIKE_FACTOR: f64 = 8.0;
+
+/// Per-invocation timeout: an attempt whose effective service time
+/// exceeds it is aborted at the deadline and retried.
+pub const INVOKE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Retry budget per (request, node). After this many failed attempts the
+/// final attempt runs shielded (fresh worker, no injected fault), so every
+/// request is guaranteed to terminate.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Base retry backoff, ms; attempt `n` waits `BACKOFF_MS · 2^n`.
+const BACKOFF_MS: f64 = 200.0;
+
+/// Backoff before retry attempt `attempt` (0-based): 200 ms · 2^n.
+pub fn backoff(attempt: u32) -> SimDuration {
+    SimDuration::from_millis_f64(BACKOFF_MS * f64::from(1u32 << attempt.min(16)))
 }
 
 /// Configuration of the fault injector.
@@ -75,21 +75,6 @@ pub struct FaultConfig {
     /// the same workload can be replayed under different fault schedules.
     #[serde(default = "default_fault_seed")]
     pub seed: u64,
-    /// Multiplier applied to a spiked invocation's service time.
-    #[serde(default = "default_spike_factor")]
-    pub spike_factor: f64,
-    /// Per-invocation timeout: an attempt whose effective service time
-    /// exceeds this is aborted and retried.
-    #[serde(default = "default_timeout_ms")]
-    pub timeout_ms: f64,
-    /// Retry budget per (request, node). After this many failed attempts
-    /// the final attempt runs shielded (fresh worker, no injected spike)
-    /// so every request is guaranteed to terminate.
-    #[serde(default = "default_max_retries")]
-    pub max_retries: u32,
-    /// Base retry backoff; attempt `n` waits `backoff_ms · 2^n`.
-    #[serde(default = "default_backoff_ms")]
-    pub backoff_ms: f64,
     /// Probability in `[0, 1]` that a host fails during any one of its
     /// uptime epochs. 0 (the default) disables host failure injection,
     /// independently of the worker/invocation `rate`.
@@ -110,10 +95,6 @@ impl Default for FaultConfig {
         FaultConfig {
             rate: 0.0,
             seed: default_fault_seed(),
-            spike_factor: default_spike_factor(),
-            timeout_ms: default_timeout_ms(),
-            max_retries: default_max_retries(),
-            backoff_ms: default_backoff_ms(),
             host_failure_rate: 0.0,
             host_mtbf_ms: default_host_mtbf_ms(),
             host_reboot_ms: default_host_reboot_ms(),
@@ -150,11 +131,6 @@ impl FaultConfig {
             seed,
             ..Default::default()
         }
-    }
-
-    /// Backoff before retry attempt `attempt` (0-based): `backoff · 2^n`.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        SimDuration::from_millis_f64(self.backoff_ms * f64::from(1u32 << attempt.min(16)))
     }
 }
 
@@ -237,20 +213,15 @@ impl FaultPlan {
     }
 
     /// Decides whether attempt `attempt` of invoking `node` for request
-    /// `req` suffers a latency spike, returning the service-time
-    /// multiplier if so.
-    pub fn spike(&self, req: u64, node: usize, attempt: u32) -> Option<f64> {
+    /// `req` suffers a latency spike (its service time times
+    /// [`SPIKE_FACTOR`]).
+    pub fn spike(&self, req: u64, node: usize, attempt: u32) -> bool {
         if !self.enabled() {
-            return None;
+            return false;
         }
         let key =
             req.wrapping_mul(1_000_003) ^ (node as u64).wrapping_mul(10_007) ^ u64::from(attempt);
-        let mut rng = self.rng_invoke.child(key);
-        if rng.next_f64() < self.config.rate {
-            Some(self.config.spike_factor)
-        } else {
-            None
-        }
+        self.rng_invoke.child(key).next_f64() < self.config.rate
     }
 }
 
@@ -274,7 +245,7 @@ mod tests {
         assert!(!p.enabled());
         for w in 0..200 {
             assert_eq!(p.crash_time(w, SimTime::ZERO, SimTime::from_secs(3)), None);
-            assert_eq!(p.spike(w, 0, 0), None);
+            assert!(!p.spike(w, 0, 0));
         }
     }
 
@@ -288,7 +259,7 @@ mod tests {
             assert!(t >= SimTime::from_secs(1));
             // Window: provisioned + 2·startup + 60 s = 1 + 6 + 60 = 67 s.
             assert!(t < SimTime::from_secs(67));
-            assert_eq!(p.spike(w, 3, 0), Some(8.0));
+            assert!(p.spike(w, 3, 0));
         }
     }
 
@@ -322,8 +293,8 @@ mod tests {
     fn different_seeds_give_different_schedules() {
         let a = FaultPlan::new(FaultConfig::with_rate(0.5, 1));
         let b = FaultPlan::new(FaultConfig::with_rate(0.5, 2));
-        let sa: Vec<_> = (0..200).map(|w| a.spike(w, 0, 0).is_some()).collect();
-        let sb: Vec<_> = (0..200).map(|w| b.spike(w, 0, 0).is_some()).collect();
+        let sa: Vec<_> = (0..200).map(|w| a.spike(w, 0, 0)).collect();
+        let sb: Vec<_> = (0..200).map(|w| b.spike(w, 0, 0)).collect();
         assert_ne!(sa, sb);
     }
 
@@ -332,17 +303,16 @@ mod tests {
         // A spiked first attempt must not doom every retry: the attempt
         // number is part of the key.
         let p = plan(0.5);
-        let outcomes: Vec<bool> = (0..32).map(|a| p.spike(7, 2, a).is_some()).collect();
+        let outcomes: Vec<bool> = (0..32).map(|a| p.spike(7, 2, a)).collect();
         assert!(outcomes.iter().any(|&s| s));
         assert!(outcomes.iter().any(|&s| !s));
     }
 
     #[test]
     fn backoff_is_exponential() {
-        let c = FaultConfig::with_rate(0.1, 0);
-        assert_eq!(c.backoff(0), SimDuration::from_millis_f64(200.0));
-        assert_eq!(c.backoff(1), SimDuration::from_millis_f64(400.0));
-        assert_eq!(c.backoff(3), SimDuration::from_millis_f64(1600.0));
+        assert_eq!(backoff(0), SimDuration::from_millis_f64(200.0));
+        assert_eq!(backoff(1), SimDuration::from_millis_f64(400.0));
+        assert_eq!(backoff(3), SimDuration::from_millis_f64(1600.0));
     }
 
     #[test]
@@ -350,7 +320,6 @@ mod tests {
         let c: FaultConfig = serde_json::from_str("{\"rate\": 0.25}").unwrap();
         assert_eq!(c.rate, 0.25);
         assert_eq!(c.seed, 0xFA17);
-        assert_eq!(c.max_retries, 3);
         assert!(c.enabled());
         assert!(!c.hosts_enabled());
         assert_eq!(c.host_mtbf_ms, 120_000.0);

@@ -13,10 +13,12 @@
 //!   seeded random, and *affinity* — co-locate a request's chain
 //!   neighbors on one host (per ICPS, co-location cuts invocation delay
 //!   because warm-container retargeting is host-local).
-//! * **Tenant quotas with weighted fair admission**: on-demand placements
-//!   are admitted up to the tenant's quota; speculative placements only
-//!   up to its weighted fair share of the live capacity, so a hot tenant
-//!   cannot starve others with pre-deployments.
+//! * **Equal-share tenant admission**: each workflow belongs to one of
+//!   `k` tenants by name hash, and with more than one tenant a
+//!   speculative placement is admitted only while its tenant stays within
+//!   an equal share of the live capacity, so a hot tenant cannot starve
+//!   others with pre-deployments. On-demand placements are never refused
+//!   for admission.
 //! * **Host lifecycle for autoscaling and fault injection**: hosts are
 //!   `Up`, `Booting` or `Down`; the registry reserves deterministic host
 //!   ids for scale-ups and drains failed hosts so the platform can
@@ -33,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use xanadu_sandbox::WorkerId;
-use xanadu_simcore::{fnv1a64, RngStream};
+use xanadu_simcore::{fnv1a64, RngStream, SimDuration};
 
 /// Identifier of a host (a machine running a Dispatch Daemon).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -120,42 +122,16 @@ impl std::str::FromStr for PlacementPolicy {
     }
 }
 
-/// One tenant sharing the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantConfig {
-    /// Tenant name (report rows, error messages).
-    pub name: String,
-    /// Fair-share weight; speculative placements are admitted up to
-    /// `capacity · weight / Σweights`.
-    #[serde(default = "default_tenant_weight")]
-    pub weight: f64,
-    /// Hard memory quota in MB (0 = unlimited). On-demand placements are
-    /// admitted up to the quota; it is never exceeded by a placement.
-    #[serde(default)]
-    pub quota_mb: u64,
-    /// Workflows owned by this tenant. Workflows listed by no tenant are
-    /// hashed onto one deterministically.
-    #[serde(default)]
-    pub workflows: Vec<String>,
-}
+/// Boot latency of an autoscaled host.
+pub const HOST_BOOT: SimDuration = SimDuration::from_secs(5);
 
-fn default_tenant_weight() -> f64 {
-    1.0
-}
+/// The autoscaler adds a host when free live memory falls below this
+/// fraction of live capacity.
+const SCALE_UP_FREE_FRACTION: f64 = 0.25;
 
-impl TenantConfig {
-    /// A tenant with weight 1 and no quota.
-    pub fn new(name: impl Into<String>) -> Self {
-        TenantConfig {
-            name: name.into(),
-            weight: 1.0,
-            quota_mb: 0,
-            workflows: Vec::new(),
-        }
-    }
-}
-
-/// Reactive fleet autoscaling. Disabled unless `max_hosts > 0`.
+/// Reactive fleet autoscaling. Disabled unless `max_hosts > 0`. A host
+/// boots in [`HOST_BOOT`]; the fleet grows when free memory falls below a
+/// quarter of live capacity (or when no host is live at all).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleConfig {
     /// Fleet ceiling, counting live and booting hosts. 0 disables
@@ -165,25 +141,10 @@ pub struct AutoscaleConfig {
     /// Memory of each autoscaled host, MB.
     #[serde(default = "default_autoscale_memory_mb")]
     pub host_memory_mb: u64,
-    /// Boot latency of an autoscaled host, ms.
-    #[serde(default = "default_autoscale_boot_ms")]
-    pub boot_ms: f64,
-    /// Scale up when free memory falls below this fraction of live
-    /// capacity (or when no host is live at all).
-    #[serde(default = "default_autoscale_free_pct")]
-    pub scale_up_free_pct: f64,
 }
 
 fn default_autoscale_memory_mb() -> u64 {
     4096
-}
-
-fn default_autoscale_boot_ms() -> f64 {
-    5_000.0
-}
-
-fn default_autoscale_free_pct() -> f64 {
-    0.25
 }
 
 impl Default for AutoscaleConfig {
@@ -191,8 +152,6 @@ impl Default for AutoscaleConfig {
         AutoscaleConfig {
             max_hosts: 0,
             host_memory_mb: default_autoscale_memory_mb(),
-            boot_ms: default_autoscale_boot_ms(),
-            scale_up_free_pct: default_autoscale_free_pct(),
         }
     }
 }
@@ -214,32 +173,14 @@ pub enum PlacementError {
     },
     /// The registry has no live hosts at all.
     NoHosts,
-    /// The placement would push the tenant past its hard quota.
-    QuotaExceeded {
-        /// Offending tenant.
-        tenant: String,
-        /// Its quota, MB.
-        quota_mb: u64,
-    },
-    /// A *speculative* placement would push the tenant past its weighted
-    /// fair share of live capacity.
+    /// A *speculative* placement would push the tenant past its equal
+    /// share of live capacity.
     FairShareExceeded {
-        /// Offending tenant.
-        tenant: String,
+        /// Offending tenant (index into the tenant table).
+        tenant: u32,
         /// Its current fair share, MB.
         share_mb: u64,
     },
-}
-
-impl PlacementError {
-    /// Whether the rejection is tenant admission control (quota / fair
-    /// share) rather than physical capacity.
-    pub fn is_admission(&self) -> bool {
-        matches!(
-            self,
-            PlacementError::QuotaExceeded { .. } | PlacementError::FairShareExceeded { .. }
-        )
-    }
 }
 
 impl fmt::Display for PlacementError {
@@ -249,13 +190,10 @@ impl fmt::Display for PlacementError {
                 write!(f, "no host has {requested_mb} MB free")
             }
             PlacementError::NoHosts => write!(f, "no live hosts in the registry"),
-            PlacementError::QuotaExceeded { tenant, quota_mb } => {
-                write!(f, "tenant `{tenant}` is at its {quota_mb} MB quota")
-            }
             PlacementError::FairShareExceeded { tenant, share_mb } => {
                 write!(
                     f,
-                    "tenant `{tenant}` is past its {share_mb} MB fair share \
+                    "tenant `tenant-{tenant}` is past its {share_mb} MB fair share \
                      (speculative placement rejected)"
                 )
             }
@@ -306,8 +244,8 @@ enum HostHealth {
 struct HostState {
     spec: HostSpec,
     health: HostHealth,
-    /// Bumped on every failure (and by [`HostRegistry::bump_epochs`]) so
-    /// stale scheduled crash events can be recognized and dropped.
+    /// Bumped on every failure so stale scheduled crash events can be
+    /// recognized and dropped.
     epoch: u32,
     used_mb: u64,
     peak_used_mb: u64,
@@ -343,9 +281,8 @@ impl HostState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct TenantState {
-    config: TenantConfig,
     used_mb: u64,
     peak_used_mb: u64,
     placed: u64,
@@ -373,7 +310,7 @@ pub struct HostReport {
     pub memory_mb: u64,
     /// Workers ever placed here.
     pub placed: u64,
-    /// Workers forcibly evicted from here (capacity or quota pressure).
+    /// Workers forcibly evicted from here (capacity pressure).
     pub evicted: u64,
     /// Times this host failed.
     pub failures: u64,
@@ -395,15 +332,11 @@ impl HostReport {
 /// Per-tenant admission row of a [`ClusterReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantReport {
-    /// Tenant name.
+    /// Tenant name, `tenant-{i}`.
     pub name: String,
-    /// Fair-share weight.
-    pub weight: f64,
-    /// Hard quota, MB (0 = unlimited).
-    pub quota_mb: u64,
     /// Placements admitted.
     pub placed: u64,
-    /// Placements rejected by quota or fair-share admission.
+    /// Speculative placements rejected by fair-share admission.
     pub rejected: u64,
     /// Peak memory in use, MB.
     pub peak_used_mb: u64,
@@ -419,7 +352,7 @@ pub struct ClusterReport {
     pub policy: PlacementPolicy,
     /// Per-host rows, host-id order.
     pub hosts: Vec<HostReport>,
-    /// Per-tenant rows, config order. Empty when single-tenant.
+    /// Per-tenant rows, tenant-index order. Empty without tenants.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tenants: Vec<TenantReport>,
     /// Cold executions whose request's previous hop ran on a *different*
@@ -555,18 +488,9 @@ impl HostRegistry {
         self.seed = seed;
     }
 
-    /// Installs the tenant table (config order is tenant-index order).
-    pub fn set_tenants(&mut self, tenants: Vec<TenantConfig>) {
-        self.tenants = tenants
-            .into_iter()
-            .map(|config| TenantState {
-                config,
-                used_mb: 0,
-                peak_used_mb: 0,
-                placed: 0,
-                rejected: 0,
-            })
-            .collect();
+    /// Installs `count` tenants, `tenant-0..count`.
+    pub fn set_tenants(&mut self, count: u32) {
+        self.tenants = vec![TenantState::default(); count as usize];
     }
 
     /// Installs the autoscaler policy.
@@ -574,40 +498,16 @@ impl HostRegistry {
         self.autoscale = autoscale;
     }
 
-    /// The autoscaler policy.
-    pub fn autoscale(&self) -> &AutoscaleConfig {
-        &self.autoscale
-    }
-
-    /// Resolves a workflow to its owning tenant: an explicit listing
-    /// wins, otherwise the name hashes onto a tenant deterministically.
-    /// `None` when no tenants are configured.
+    /// Resolves a workflow to its owning tenant: the name hashes onto a
+    /// tenant deterministically. `None` when no tenants are configured.
     pub fn tenant_for_workflow(&self, workflow: &str) -> Option<u32> {
-        if self.tenants.is_empty() {
-            return None;
-        }
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.config.workflows.iter().any(|w| w == workflow) {
-                return Some(i as u32);
-            }
-        }
-        Some((fnv1a64(workflow.as_bytes()) % self.tenants.len() as u64) as u32)
+        let count = self.tenants.len() as u64;
+        (count > 0).then(|| (fnv1a64(workflow.as_bytes()) % count) as u32)
     }
 
     /// Memory currently charged to a tenant, MB.
     pub fn tenant_used_mb(&self, tenant: u32) -> u64 {
         self.tenants[tenant as usize].used_mb
-    }
-
-    /// A tenant's weighted fair share of live capacity, MB.
-    pub fn fair_share_mb(&self, tenant: u32) -> u64 {
-        let total_weight: f64 = self.tenants.iter().map(|t| t.config.weight).sum();
-        if total_weight <= 0.0 {
-            return u64::MAX;
-        }
-        let capacity = self.total_capacity_mb();
-        let share = capacity as f64 * self.tenants[tenant as usize].config.weight / total_weight;
-        share.floor() as u64
     }
 
     /// Registers a live host, returning its id.
@@ -659,14 +559,6 @@ impl HostRegistry {
         drained
     }
 
-    /// Bumps every host's epoch, invalidating previously scheduled crash
-    /// events (used when the fault plan is replaced mid-setup).
-    pub fn bump_epochs(&mut self) {
-        for h in &mut self.hosts {
-            h.epoch += 1;
-        }
-    }
-
     /// A host's current epoch.
     pub fn epoch(&self, host: HostId) -> u32 {
         self.hosts[host.0 as usize].epoch
@@ -715,7 +607,7 @@ impl HostRegistry {
             .filter(|h| h.health == HostHealth::Up)
             .map(HostState::free_mb)
             .sum();
-        (free as f64) < self.autoscale.scale_up_free_pct * capacity as f64
+        (free as f64) < SCALE_UP_FREE_FRACTION * capacity as f64
     }
 
     /// The spec an autoscaled host boots with.
@@ -769,11 +661,6 @@ impl HostRegistry {
     /// The host a worker was placed on, if it is placed.
     pub fn host_of(&self, worker: WorkerId) -> Option<HostId> {
         self.location.get(&worker).map(|p| p.host)
-    }
-
-    /// The tenant a placed worker is charged to.
-    pub fn tenant_of(&self, worker: WorkerId) -> Option<u32> {
-        self.location.get(&worker).and_then(|p| p.tenant)
     }
 
     /// Workers of `request` currently on `host` (the affinity signal).
@@ -858,35 +745,32 @@ impl HostRegistry {
     /// tenant). The worker counts as *provisioning* on the host until
     /// [`worker_ready`](HostRegistry::worker_ready).
     ///
+    /// With more than one tenant, a speculative placement is admitted
+    /// only while its tenant's usage stays within
+    /// `floor(live capacity / tenants)`; on-demand placements skip
+    /// admission.
+    ///
     /// # Errors
     ///
     /// [`PlacementError::NoHosts`] / [`PlacementError::ClusterFull`] on
-    /// capacity, [`PlacementError::QuotaExceeded`] /
-    /// [`PlacementError::FairShareExceeded`] on tenant admission. No
-    /// state changes on error except the tenant rejection counter.
+    /// capacity, [`PlacementError::FairShareExceeded`] on tenant
+    /// admission. No state changes on error except the tenant rejection
+    /// counter.
     pub fn place_for(&mut self, req: &PlacementRequest) -> Result<HostId, PlacementError> {
         if self.hosts.iter().all(|h| h.health != HostHealth::Up) {
             return Err(PlacementError::NoHosts);
         }
         let need = u64::from(req.memory_mb);
-        if let Some(t) = req.tenant {
-            let quota = self.tenants[t as usize].config.quota_mb;
-            if quota > 0 && self.tenants[t as usize].used_mb + need > quota {
-                self.tenants[t as usize].rejected += 1;
-                return Err(PlacementError::QuotaExceeded {
-                    tenant: self.tenants[t as usize].config.name.clone(),
-                    quota_mb: quota,
+        let tenants = self.tenants.len() as u64;
+        if let (Some(t), false, true) = (req.tenant, req.on_demand, tenants > 1) {
+            let share_mb = self.total_capacity_mb() / tenants;
+            let tenant = &mut self.tenants[t as usize];
+            if tenant.used_mb + need > share_mb {
+                tenant.rejected += 1;
+                return Err(PlacementError::FairShareExceeded {
+                    tenant: t,
+                    share_mb,
                 });
-            }
-            if !req.on_demand && self.tenants.len() > 1 {
-                let share = self.fair_share_mb(t);
-                if self.tenants[t as usize].used_mb + need > share {
-                    self.tenants[t as usize].rejected += 1;
-                    return Err(PlacementError::FairShareExceeded {
-                        tenant: self.tenants[t as usize].config.name.clone(),
-                        share_mb: share,
-                    });
-                }
             }
         }
         let Some(host) = self.peek(self.policy, req) else {
@@ -982,7 +866,7 @@ impl HostRegistry {
         }
     }
 
-    /// Records a forced eviction of `worker` (capacity/quota pressure)
+    /// Records a forced eviction of `worker` (capacity pressure)
     /// on its host. Call before killing/releasing it.
     pub fn note_evicted(&mut self, worker: WorkerId) {
         if let Some(p) = self.location.get(&worker) {
@@ -1022,10 +906,9 @@ impl HostRegistry {
             tenants: self
                 .tenants
                 .iter()
-                .map(|t| TenantReport {
-                    name: t.config.name.clone(),
-                    weight: t.config.weight,
-                    quota_mb: t.config.quota_mb,
+                .enumerate()
+                .map(|(i, t)| TenantReport {
+                    name: format!("tenant-{i}"),
                     placed: t.placed,
                     rejected: t.rejected,
                     peak_used_mb: t.peak_used_mb,
@@ -1206,60 +1089,42 @@ mod tests {
     }
 
     #[test]
-    fn quotas_gate_on_demand_and_fair_share_gates_speculation() {
+    fn fair_share_gates_speculation_not_on_demand() {
         let mut r = two_hosts(PlacementPolicy::LeastLoaded);
-        r.set_tenants(vec![
-            TenantConfig {
-                name: "hot".into(),
-                weight: 1.0,
-                quota_mb: 1024,
-                workflows: vec!["w-hot".into()],
-            },
-            TenantConfig::new("cold"),
-        ]);
-        assert_eq!(r.tenant_for_workflow("w-hot"), Some(0));
-        // Capacity 4096, equal weights: fair share 2048 each; the hot
-        // tenant's quota (1024) binds first.
-        let mut on_demand = PlacementRequest::bare(WorkerId(0), 512);
-        on_demand.tenant = Some(0);
-        r.place_for(&on_demand).unwrap();
-        let mut second = PlacementRequest::bare(WorkerId(1), 512);
-        second.tenant = Some(0);
-        r.place_for(&second).unwrap();
-        let mut third = PlacementRequest::bare(WorkerId(2), 512);
-        third.tenant = Some(0);
-        let err = r.place_for(&third).unwrap_err();
-        assert!(matches!(
+        r.set_tenants(2);
+        // Capacity 4096 split between two tenants: 2048 MB each.
+        // Speculative placements stop at the share, on-demand sails past.
+        let spec = |worker: u64, memory_mb: u32| PlacementRequest {
+            tenant: Some(1),
+            on_demand: false,
+            ..PlacementRequest::bare(WorkerId(worker), memory_mb)
+        };
+        r.place_for(&spec(10, 1024)).unwrap();
+        r.place_for(&spec(11, 1024)).unwrap();
+        let err = r.place_for(&spec(12, 512)).unwrap_err();
+        assert_eq!(
             err,
-            PlacementError::QuotaExceeded { quota_mb: 1024, .. }
-        ));
-        assert_eq!(r.tenant_used_mb(0), 1024);
-
-        // The unquota'd tenant: speculative placements stop at the fair
-        // share (2048), on-demand sails past it.
-        let mut spec = PlacementRequest::bare(WorkerId(10), 1024);
-        spec.tenant = Some(1);
-        spec.on_demand = false;
-        r.place_for(&spec).unwrap();
-        let mut spec2 = spec;
-        spec2.worker = WorkerId(11);
-        r.place_for(&spec2).unwrap();
-        let mut spec3 = spec;
-        spec3.worker = WorkerId(12);
-        spec3.memory_mb = 512;
-        let err = r.place_for(&spec3).unwrap_err();
-        assert!(matches!(
-            err,
-            PlacementError::FairShareExceeded { share_mb: 2048, .. }
-        ));
-        let mut od = spec3;
-        od.on_demand = true;
+            PlacementError::FairShareExceeded {
+                tenant: 1,
+                share_mb: 2048
+            }
+        );
+        assert!(err.to_string().contains("tenant-1"));
+        let od = PlacementRequest {
+            on_demand: true,
+            ..spec(12, 512)
+        };
         r.place_for(&od).unwrap();
         assert_eq!(r.tenant_used_mb(1), 2560);
+        // Tenant 0's share is its own: tenant 1's usage does not count.
+        let mut other = spec(20, 1024);
+        other.tenant = Some(0);
+        r.place_for(&other).unwrap();
         let report = r.report();
         assert_eq!(report.tenants.len(), 2);
-        assert_eq!(report.tenants[0].rejected, 1);
+        assert_eq!(report.tenants[0].name, "tenant-0");
         assert_eq!(report.tenants[1].rejected, 1);
+        assert_eq!(report.tenants[1].placed, 3);
     }
 
     #[test]
@@ -1291,7 +1156,6 @@ mod tests {
         r.set_autoscale(AutoscaleConfig {
             max_hosts: 3,
             host_memory_mb: 1024,
-            ..AutoscaleConfig::default()
         });
         assert!(r.wants_scale_up(), "empty fleet always scales up");
         let h0 = r.reserve_host(r.autoscale_host_spec());

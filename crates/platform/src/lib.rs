@@ -68,7 +68,7 @@ pub use events::BusEvent;
 pub use faults::{FaultConfig, FaultPlan};
 pub use hosts::{
     AutoscaleConfig, ClusterReport, HostId, HostRegistry, HostReport, HostSpec, PlacementError,
-    PlacementPolicy, PlacementRequest, TenantConfig, TenantReport,
+    PlacementPolicy, PlacementRequest, TenantReport,
 };
 pub use metastore::{LogError, Manifest, MetaStore, SegmentLog, SegmentRef};
 pub use obs::{Histogram, MetricsRegistry, Observer, ObserverHandle};

@@ -17,8 +17,10 @@
 use crate::config::PlatformConfig;
 use crate::estimates::PlatformEstimates;
 use crate::events::BusEvent;
-use crate::faults::{FaultConfig, FaultPlan};
-use crate::hosts::{ClusterReport, HostId, HostRegistry, HostSpec, PlacementRequest};
+use crate::faults::{self, FaultPlan};
+use crate::hosts::{
+    ClusterReport, HostId, HostRegistry, HostSpec, PlacementError, PlacementRequest, HOST_BOOT,
+};
 use crate::metastore::MetaStore;
 use crate::obs::{Observer, ObserverHandle};
 use crate::result::{PlatformReport, RunResult};
@@ -184,8 +186,8 @@ struct WorkflowEntry {
     /// registration instead of per trigger.
     declared_outputs: Arc<DeclaredOutputs>,
     /// Owning tenant (index into the cluster's tenant table), resolved
-    /// once at deploy: explicit workflow listing first, stable hash
-    /// otherwise. `None` when no tenants are configured.
+    /// once at deploy by hashing the workflow name. `None` when no
+    /// tenants are configured.
     tenant: Option<u32>,
 }
 
@@ -263,7 +265,7 @@ struct RunState {
     /// StopSpeculation already fired; no further cancellations needed.
     plan_cancelled: bool,
     /// Per-node count of failed attempts (crashes, timeouts, failed
-    /// pre-deployments). At `FaultConfig::max_retries` the next attempt
+    /// pre-deployments). At [`faults::MAX_RETRIES`] the next attempt
     /// runs shielded from injection, guaranteeing termination.
     fault_attempts: Vec<u32>,
     /// Injected faults that hit this request.
@@ -396,7 +398,7 @@ impl Platform {
             }
         }
         cluster.set_seed(seed);
-        cluster.set_tenants(config.cluster.tenants.clone());
+        cluster.set_tenants(config.cluster.tenants);
         cluster.set_autoscale(config.cluster.autoscale.clone());
         let faults = FaultPlan::new(config.faults);
         let mut queue = EventQueue::new();
@@ -454,31 +456,6 @@ impl Platform {
             published: 0,
             recorder: config.record_traces.then(TraceRecorder::default),
             config,
-        }
-    }
-
-    /// Replaces the fault-injection configuration (e.g. from the CLI's
-    /// `--fault-rate`/`--fault-seed` flags). Affects workers provisioned
-    /// and invocations dispatched after the call.
-    pub fn set_faults(&mut self, config: FaultConfig) {
-        self.config.faults = config;
-        self.faults = FaultPlan::new(config);
-        // Invalidate any host-crash events scheduled under the old plan and
-        // draw fresh crash times for every live host under the new one.
-        self.cluster.bump_epochs();
-        if self.faults.hosts_enabled() {
-            for host in self.cluster.up_hosts() {
-                let epoch = self.cluster.epoch(host);
-                if let Some(at) = self.faults.host_crash_time(host.0, epoch, self.now) {
-                    self.queue.schedule(
-                        at,
-                        Event::HostFail {
-                            host: host.0,
-                            epoch,
-                        },
-                    );
-                }
-            }
         }
     }
 
@@ -969,10 +946,10 @@ impl Platform {
     }
 
     /// An injected host failure fires. Stale if the host already cycled
-    /// into a newer uptime epoch (the fault plan was swapped, or the host
-    /// was down when the crash was drawn). Every non-shielded worker on
-    /// the host crashes; shielded final-retry workers survive hostless so
-    /// the termination guarantee holds under any fault schedule.
+    /// into a newer uptime epoch (it was down when the crash was drawn).
+    /// Every non-shielded worker on the host crashes; shielded final-retry
+    /// workers survive hostless so the termination guarantee holds under
+    /// any fault schedule.
     fn on_host_fail(&mut self, host: u32, epoch: u32) {
         let id = HostId(host);
         if self.cluster.epoch(id) != epoch || !self.cluster.is_up(id) {
@@ -1032,9 +1009,8 @@ impl Platform {
         }
         let spec = self.cluster.autoscale_host_spec();
         let id = self.cluster.reserve_host(spec);
-        let boot = SimDuration::from_millis_f64(self.cluster.autoscale().boot_ms);
         self.queue
-            .schedule(self.now + boot, Event::HostBoot { host: id.0 });
+            .schedule(self.now + HOST_BOOT, Event::HostBoot { host: id.0 });
     }
 
     fn on_trigger(&mut self, req: u64, workflow: Sym) {
@@ -1232,9 +1208,12 @@ impl Platform {
         }
         let dag = run.dag.clone();
         let spec = dag.node(node).spec();
-        // Skip when a warm or in-flight worker already covers the function
-        // (e.g. kept warm from a previous request).
-        if self.usable_worker_exists(spec.name()) {
+        // Skip when a worker an invocation could claim, warm or still
+        // provisioning, already covers the function (e.g. kept warm from a
+        // previous request).
+        if self.find_claimable_warm(spec.name()).is_some()
+            || self.find_claimable_pending(spec.name()).is_some()
+        {
             return;
         }
         let allow_retarget = self.policy.allows_retarget();
@@ -1308,7 +1287,7 @@ impl Platform {
         let function = spec.name();
         let invoked_at = self.now;
         let shielded = (self.faults.enabled() || self.faults.hosts_enabled())
-            && run.fault_attempts[node.index()] >= self.config.faults.max_retries;
+            && run.fault_attempts[node.index()] >= faults::MAX_RETRIES;
         let fresh = |p: &mut Self| {
             let (worker, ready_at) = p
                 .provision_worker(req, spec, true, shielded)
@@ -1427,23 +1406,17 @@ impl Platform {
 
         let mut service = run.service[node.index()];
         let attempt = run.fault_attempts[node.index()];
-        let shielded = attempt >= self.config.faults.max_retries;
-        if self.faults.enabled() && !shielded {
-            if let Some(factor) = self.faults.spike(req, node.index(), attempt) {
-                service = service.mul_f64(factor);
-            }
+        let shielded = attempt >= faults::MAX_RETRIES;
+        if self.faults.enabled() && !shielded && self.faults.spike(req, node.index(), attempt) {
+            service = service.mul_f64(faults::SPIKE_FACTOR);
         }
         self.correlator.observe_arrival(function, self.now);
         self.pool.begin_exec(worker, self.now);
-        if self.faults.enabled()
-            && !shielded
-            && service.as_millis_f64() > self.config.faults.timeout_ms
-        {
+        if self.faults.enabled() && !shielded && service > faults::INVOKE_TIMEOUT {
             // The attempt would exceed the per-invocation timeout: abort
             // at the deadline and retry instead of completing.
-            let timeout = SimDuration::from_millis_f64(self.config.faults.timeout_ms);
             self.queue.schedule(
-                self.now + timeout,
+                self.now + faults::INVOKE_TIMEOUT,
                 Event::ExecTimeout {
                     req,
                     node,
@@ -1629,12 +1602,9 @@ impl Platform {
         let attempt = run.fault_attempts[node.index()];
         let generation = run.plan_generation;
         let startup_ms = self.provider.mean_cold_start_ms(level);
-        let action = self.policy.on_deploy_failure(
-            node,
-            attempt,
-            self.config.faults.max_retries,
-            startup_ms,
-        );
+        let action = self
+            .policy
+            .on_deploy_failure(node, attempt, faults::MAX_RETRIES, startup_ms);
         let run = self.run_mut(req).expect("run exists");
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
@@ -1683,7 +1653,7 @@ impl Platform {
         run.fault_attempts[node.index()] += 1;
         run.faults += 1;
         run.retries += 1;
-        let delay = self.config.faults.backoff(attempt);
+        let delay = faults::backoff(attempt);
         if self.observing() {
             let attempt = u64::from(attempt) + 1;
             if timed_out {
@@ -1853,7 +1823,7 @@ impl Platform {
             // not discardable even if it has not served yet.
             let unused =
                 w.served() == 0 && w.state() != WorkerState::Busy && !self.claimed.contains(&wid);
-            let record = if unused && self.config.discard_unused_after_run {
+            let record = if unused {
                 self.cluster.release(wid);
                 self.pool.kill(wid, self.now)
             } else {
@@ -1921,7 +1891,7 @@ impl Platform {
         self.cluster.release(id);
     }
 
-    /// Forcibly evicts a worker (capacity/quota/warm-cap pressure):
+    /// Forcibly evicts a worker (capacity or warm-cap pressure):
     /// records the eviction against its host, emits [`BusEvent::WorkerEvicted`]
     /// for placed workers, then kills it. Emission is gated on an explicit
     /// cluster so default observed runs emit exactly the pre-cluster
@@ -1937,17 +1907,6 @@ impl Platform {
             }
         }
         self.kill_worker(id, self.now);
-    }
-
-    fn usable_worker_exists(&self, function: &str) -> bool {
-        let keep_alive = self.pool.config().keep_alive;
-        self.pool.warm_workers(function).any(|w| {
-            !self.claimed.contains(&w.id())
-                && self.now.saturating_since(w.last_active()) <= keep_alive
-        }) || self
-            .pool
-            .provisioning_workers(function)
-            .any(|w| !self.claimed.contains(&w.id()))
     }
 
     fn find_claimable_warm(&self, function: &str) -> Option<WorkerId> {
@@ -1983,12 +1942,11 @@ impl Platform {
     /// final retry attempt).
     ///
     /// Returns `None` only for a *speculative* placement (`on_demand`
-    /// false) refused by tenant admission (quota or weighted fair share)
-    /// with no same-tenant warm worker to reclaim: the speculation is
-    /// dropped rather than allowed to starve other tenants. On-demand
-    /// provisioning always yields a worker — a saturated cluster
-    /// overcommits (the worker runs unplaced) instead of failing the
-    /// request.
+    /// false) refused by tenant admission (its tenant's equal share of
+    /// live capacity): the speculation is dropped rather than allowed to
+    /// starve other tenants. On-demand provisioning always yields a
+    /// worker — a saturated cluster overcommits (the worker runs
+    /// unplaced) instead of failing the request.
     fn provision_worker(
         &mut self,
         req: u64,
@@ -2035,8 +1993,7 @@ impl Platform {
         };
         // Ask the Dispatch Daemons for placement; a full cluster forces
         // warm-worker evictions first, and a cluster that stays full even
-        // then overcommits (the worker runs unplaced). Quota/fair-share
-        // refusals may only reclaim *same-tenant* warm workers.
+        // then overcommits (the worker runs unplaced).
         let mut placed: Option<HostId> = None;
         loop {
             match self.cluster.place_for(&placement) {
@@ -2044,19 +2001,14 @@ impl Platform {
                     placed = Some(host);
                     break;
                 }
-                Err(e) => {
-                    if e.is_admission() && !on_demand {
-                        // Speculative placement refused by tenant admission:
-                        // drop the speculation rather than evict warm state.
-                        return None;
-                    }
+                // Tenant admission refuses only speculative placements:
+                // drop the speculation rather than evict warm state.
+                Err(PlacementError::FairShareExceeded { .. }) => return None,
+                Err(_) => {
                     let victim = self
                         .pool
                         .warm_lru()
-                        .find(|w| {
-                            !self.claimed.contains(&w.id())
-                                && (!e.is_admission() || self.cluster.tenant_of(w.id()) == tenant)
-                        })
+                        .find(|w| !self.claimed.contains(&w.id()))
                         .map(Worker::id);
                     match victim {
                         Some(v) => {
@@ -2222,6 +2174,7 @@ impl fmt::Debug for Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use crate::obs::MetricsRegistry;
     use crate::stream::{SloConfig, SloMonitor, StreamingAudit, StreamingConfig};
     use xanadu_chain::{linear_chain, FunctionSpec, WorkflowBuilder};
@@ -2865,7 +2818,6 @@ mod tests {
         let cfg = PlatformConfig::builder()
             .for_mode(ExecutionMode::Cold, 9)
             .static_prewarm(1)
-            .discard_unused_after_run(false) // pool workers persist
             .build()
             .unwrap();
         let mut p = Platform::new(cfg);
@@ -2937,28 +2889,20 @@ mod tests {
     fn timeout_retries_until_shielded_attempt() {
         let cfg = PlatformConfig::builder()
             .for_mode(ExecutionMode::Cold, 11)
-            .faults(FaultConfig {
-                rate: 1.0,
-                seed: 3,
-                spike_factor: 100.0,
-                timeout_ms: 5_000.0,
-                max_retries: 2,
-                backoff_ms: 100.0,
-                ..FaultConfig::default()
-            })
+            .faults(FaultConfig::with_rate(1.0, 3))
             .build()
             .unwrap();
         let mut p = Platform::new(cfg);
-        p.deploy(chain(1, 1000.0)).unwrap();
+        p.deploy(chain(1, 3000.0)).unwrap();
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
         let report = p.finish();
         let r = &report.results[0];
-        // Every non-shielded attempt spikes 100x past the 5 s timeout (or
-        // its worker crashes first); the shielded third attempt completes.
+        // Every non-shielded attempt spikes 8x past the 10 s timeout (or
+        // its worker crashes first); the shielded fourth attempt completes.
         assert_eq!(r.executed_functions, 1, "{r:?}");
-        assert!(r.retries >= 2, "{r:?}");
-        assert!(r.end_to_end > SimDuration::from_secs(10), "{r:?}");
+        assert!(r.retries >= faults::MAX_RETRIES, "{r:?}");
+        assert!(r.end_to_end > faults::INVOKE_TIMEOUT, "{r:?}");
     }
 
     #[test]

@@ -108,8 +108,8 @@ pub struct RunArgs {
     pub host_memory_mb: u64,
     /// Placement policy when `--hosts` is set.
     pub placement: PlacementPolicy,
-    /// Number of equal-weight tenants sharing the cluster; 0 disables
-    /// admission control.
+    /// Number of tenants sharing the cluster in equal shares; fewer than
+    /// two admit every placement.
     pub tenants: u32,
     /// Per-epoch host-failure probability in `[0, 1]`; 0 disables host
     /// faults.
@@ -180,7 +180,7 @@ pub struct ReplayArgs {
     pub host_memory_mb: u64,
     /// Placement policy when `--hosts` is set.
     pub placement: PlacementPolicy,
-    /// Number of equal-weight tenants sharing each shard's cluster.
+    /// Number of tenants sharing each shard's cluster in equal shares.
     pub tenants: u32,
     /// Per-epoch host-failure probability in `[0, 1]`.
     pub host_fail_rate: f64,
@@ -258,7 +258,10 @@ impl PlatformChoice {
         }
     }
 
+    /// The platform `run` and `analyze` drive, with the fault flags
+    /// written into its configuration before it is built.
     fn build(self, run: &RunArgs, cluster: ClusterConfig) -> Platform {
+        let faults = fault_config(run.fault_rate, run.host_fail_rate, run.fault_seed);
         match self {
             PlatformChoice::Xanadu(mode) => {
                 let speculation = SpeculationConfig {
@@ -269,13 +272,18 @@ impl PlatformChoice {
                 };
                 let cfg = xanadu_platform(speculation, &run.policy, run.seed)
                     .cluster(cluster)
+                    .faults(faults)
                     .build()
-                    .expect("parsed speculation knobs are valid");
+                    .expect("parsed speculation knobs and fault rates are valid");
                 Platform::new(cfg)
             }
             // Baselines model the paper's single-machine deployments; the
             // cluster flags are a Xanadu-mode concept and are ignored here.
-            PlatformChoice::Baseline(kind) => xanadu_baselines::baseline_platform(kind, run.seed),
+            PlatformChoice::Baseline(kind) => {
+                let (mut cfg, provider) = xanadu_baselines::baseline_setup(kind, run.seed);
+                cfg.faults = faults;
+                Platform::with_provider(cfg, provider)
+            }
         }
     }
 
@@ -301,6 +309,20 @@ fn xanadu_platform(
         builder.speculation(speculation)
     } else {
         builder.policy(policy.clone()).label(policy.name())
+    }
+}
+
+/// The fault schedule `--fault-rate`, `--host-fail-rate` and
+/// `--fault-seed` select: the default, fault-free one when both rates
+/// are 0.
+fn fault_config(rate: f64, host_rate: f64, seed: u64) -> FaultConfig {
+    if rate > 0.0 || host_rate > 0.0 {
+        FaultConfig {
+            host_failure_rate: host_rate,
+            ..FaultConfig::with_rate(rate, seed)
+        }
+    } else {
+        FaultConfig::default()
     }
 }
 
@@ -544,11 +566,12 @@ MLP precision/recall, wasted-deploy cost, JIT slack) as JSON.
 paper's single-machine testbed) of `--host-memory-mb` MB machines,
 placed by `--placement round-robin|least-loaded|first-fit|random|
 affinity` (default least-loaded; affinity co-locates chain neighbours).
-`--tenants K` splits the cluster between K equal-weight tenants with
-weighted fair admission; `--host-fail-rate R` (0..1) injects whole-host
-failures (drain, re-place, reboot) per epoch; `--autoscale-max N` lets
-a reactive autoscaler grow the fleet up to N hosts. Cluster runs add a
-per-host utilization and cross-host cold-cascade section to the audit.
+`--tenants K` splits the cluster between K tenants in equal shares:
+with two or more, a tenant's speculative placements stop at its share;
+`--host-fail-rate R` (0..1) injects whole-host failures (drain,
+re-place, reboot) per epoch; `--autoscale-max N` lets a reactive
+autoscaler grow the fleet up to N hosts. Cluster runs add a per-host
+utilization and cross-host cold-cascade section to the audit.
 `--miss-policy replan-and-reuse` enables the paper's §7 future-work miss
 handling: on a prediction miss the plan is rebuilt for the actual path
 and compatible unused spares are retargeted — on a cluster, only spares
@@ -1365,20 +1388,18 @@ fn execute_replay(
         miss_policy: replay.miss_policy,
         hedge_margin: replay.hedge_margin,
     };
-    let mut builder = xanadu_platform(speculation, &replay.policy, replay.seed)
+    let config = xanadu_platform(speculation, &replay.policy, replay.seed)
         .record_traces(false)
         .plan_cache(replay.plan_cache)
         .cluster(
             ClusterConfig::uniform(replay.placement, replay.hosts, replay.host_memory_mb)
                 .with_tenants(replay.tenants),
-        );
-    if replay.fault_rate > 0.0 || replay.host_fail_rate > 0.0 {
-        builder = builder.faults(FaultConfig {
-            host_failure_rate: replay.host_fail_rate,
-            ..FaultConfig::with_rate(replay.fault_rate, replay.fault_seed)
-        });
-    }
-    let config = builder
+        )
+        .faults(fault_config(
+            replay.fault_rate,
+            replay.host_fail_rate,
+            replay.fault_seed,
+        ))
         .build()
         .map_err(|e| CliError::Workflow(e.to_string()))?;
 
@@ -1564,16 +1585,9 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
         cluster.autoscale = AutoscaleConfig {
             max_hosts: run.autoscale_max,
             host_memory_mb: run.host_memory_mb,
-            ..AutoscaleConfig::default()
         };
     }
     let mut platform = run.platform.build(run, cluster);
-    if run.fault_rate > 0.0 || run.host_fail_rate > 0.0 {
-        platform.set_faults(FaultConfig {
-            host_failure_rate: run.host_fail_rate,
-            ..FaultConfig::with_rate(run.fault_rate, run.fault_seed)
-        });
-    }
     let registry = run
         .metrics_out
         .as_ref()

@@ -84,7 +84,7 @@ pub mod prelude {
         ClusterReport, DiffThresholds, FaultConfig, Histogram, HostSpec, JitStats, LatencyStats,
         MetricsRegistry, MlpStats, Observer, ObserverHandle, PlacementPolicy, Platform,
         PlatformConfig, PlatformError, PlatformReport, Regression, RequestAudit, RunResult,
-        TenantConfig, WasteStats,
+        WasteStats,
     };
     pub use xanadu_simcore::{Distribution, SimDuration, SimTime};
 }

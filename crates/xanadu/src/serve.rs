@@ -126,8 +126,10 @@ const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
 /// The [`ServeCursor`] format this build writes and resumes from. It
 /// versions the whole log: version 3 is the first whose `serve/audit`
-/// exemplar traces hold bus events.
-const CURSOR_VERSION: u64 = 3;
+/// exemplar traces hold bus events, and version 4 the first whose config
+/// digest covers a [`PlatformConfig`] with a tenant count and without
+/// the fault, autoscaler and discard parameters that became constants.
+const CURSOR_VERSION: u64 = 4;
 
 /// The resume cursor: where in the stream the durable state ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -12,19 +12,25 @@
 //!    `--shards` width.
 //! 3. **Bounded degradation** — p95 end-to-end latency grows with the
 //!    host-failure rate but stays bounded.
+//! 4. **One fault schedule per config** — a `--host-fail-rate` run of
+//!    the CLI fails the same hosts at the same instants as a platform
+//!    built directly from the same configuration.
 //!
 //! Plus property tests over the [`HostRegistry`] invariants: capacity
-//! is never exceeded, tenant quotas are never violated, affinity never
-//! regresses a co-location opportunity least-loaded would take for
-//! free, and autoscaled host-id assignment is deterministic under
-//! boot-event reordering.
+//! is never exceeded, equal-share admission bounds speculation and never
+//! refuses an on-demand placement, affinity never regresses a
+//! co-location opportunity least-loaded would take for free, and
+//! autoscaled host-id assignment is deterministic under boot-event
+//! reordering.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
+use xanadu::cli::{execute_with_exports, parse_args};
 use xanadu::prelude::*;
-use xanadu_platform::hosts::{HostId, HostRegistry, PlacementRequest};
+use xanadu_platform::hosts::{HostId, HostRegistry, PlacementError, PlacementRequest};
 use xanadu_platform::shard::{replay_sharded, ShardOptions, ShardWorkload};
 use xanadu_sandbox::WorkerId;
 
@@ -253,6 +259,54 @@ fn p95_degrades_monotonically_and_boundedly_with_host_failure_rate() {
     );
 }
 
+/// `run` and `analyze` write their fault flags into the platform
+/// configuration before the platform is built, so the CLI's host-crash
+/// schedule is the one a platform built directly from that configuration
+/// draws: at rate 0.5 and fault seed 7, two of the four hosts fail during
+/// the run, at the same instants, and the audits are byte-identical.
+#[test]
+fn cli_host_failures_follow_the_configured_schedule() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let source = |p: &str| std::fs::read_to_string(root.join(p)).map_err(|e| format!("{p}: {e}"));
+    let command = "analyze --sdl docs/golden/cluster.json --hosts 4 --host-memory-mb 2048 \
+                   --host-fail-rate 0.5 --fault-seed 7 --audit-out audit.json";
+    let args: Vec<String> = command.split_whitespace().map(String::from).collect();
+    let (_, exports) = execute_with_exports(&parse_args(&args).unwrap(), source).unwrap();
+    let cli_audit = &exports
+        .iter()
+        .find(|e| e.path == "audit.json")
+        .expect("--audit-out export")
+        .contents;
+
+    // The configuration those flags select, driven as `analyze` drives
+    // it: one trigger at time zero.
+    let config = PlatformConfig::builder()
+        .for_mode(ExecutionMode::Jit, 42)
+        .cluster(ClusterConfig::uniform(
+            PlacementPolicy::LeastLoaded,
+            4,
+            2048,
+        ))
+        .faults(FaultConfig::with_host_rate(0.5, 7))
+        .build()
+        .unwrap();
+    let mut platform = Platform::new(config);
+    platform
+        .deploy_sdl("cluster", &source("docs/golden/cluster.json").unwrap())
+        .unwrap();
+    let request = platform.trigger_at("cluster", SimTime::ZERO).unwrap();
+    platform.run_until_idle();
+    platform.roll_profile_window();
+    let traces = [(request, platform.trace(request).unwrap().clone())];
+    let audit = Audit::from_traces(&traces).with_cluster(platform.cluster_report());
+    let failed = audit.cluster.as_ref().map_or(0, |c| c.hosts_failed);
+    assert!(failed > 0, "no host failed: the check would be vacuous");
+    assert_eq!(
+        &xanadu_platform::export::audit_json_string(&audit),
+        cli_audit
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -295,53 +349,63 @@ proptest! {
         }
     }
 
-    /// Placements charged to a quota'd tenant never push its usage past
-    /// the quota, on-demand or speculative, no matter the interleaving.
+    /// Equal-share admission with `k` tenants: every admitted
+    /// speculative placement leaves its tenant at or under
+    /// `floor(live capacity / k)`, and no on-demand placement is refused
+    /// for admission, whatever the interleaving of placements, releases,
+    /// host failures and reboots.
     #[test]
-    fn tenant_quotas_are_never_violated(
-        quotas in proptest::collection::vec(256u64..768, 1..4),
+    fn equal_share_admission_bounds_speculation_and_spares_on_demand(
+        tenants in 1u32..5,
         ops in proptest::collection::vec(
-            ((0u64..1_000_000, 64u32..512), (0u32..4, 0u32..2, 0u32..2)),
+            ((0u64..1_000_000, 64u32..512), (0u32..4, 0u32..2, 0u32..8)),
             1..80,
         ),
     ) {
         let mut reg = HostRegistry::new(PlacementPolicy::LeastLoaded);
-        reg.add_host(HostSpec::new("big-0", 8 * 1024));
-        reg.add_host(HostSpec::new("big-1", 8 * 1024));
-        reg.set_tenants(
-            quotas
-                .iter()
-                .enumerate()
-                .map(|(i, &q)| TenantConfig {
-                    quota_mb: q,
-                    weight: 1.0 + i as f64,
-                    ..TenantConfig::new(format!("t{i}"))
-                })
-                .collect(),
-        );
+        for i in 0..3 {
+            reg.add_host(HostSpec::new(format!("h{i}"), 2048));
+        }
+        reg.set_tenants(tenants);
         let mut live: Vec<WorkerId> = Vec::new();
         let mut next = 0u64;
-        for ((pick, mem), (tenant, on_demand, release)) in ops {
-            if release == 1 && !live.is_empty() {
-                let w = live.remove(pick as usize % live.len());
-                reg.release(w);
-            } else {
-                next += 1;
-                let w = WorkerId(next);
-                let req = PlacementRequest {
-                    tenant: Some(tenant % quotas.len() as u32),
-                    on_demand: on_demand == 1,
-                    ..PlacementRequest::bare(w, mem)
-                };
-                if reg.place_for(&req).is_ok() {
-                    live.push(w);
+        for ((pick, mem), (tenant, on_demand, action)) in ops {
+            let host = HostId((pick % 3) as u32);
+            match action {
+                0 if !live.is_empty() => {
+                    let w = live.remove(pick as usize % live.len());
+                    reg.release(w);
                 }
-            }
-            for (t, &quota) in quotas.iter().enumerate() {
-                prop_assert!(
-                    reg.tenant_used_mb(t as u32) <= quota,
-                    "tenant {t} past its {quota} MB quota"
-                );
+                1 => {
+                    let drained = reg.fail_host(host);
+                    live.retain(|w| !drained.contains(w));
+                }
+                2 => {
+                    reg.activate_host(host);
+                }
+                _ => {
+                    next += 1;
+                    let tenant = tenant % tenants;
+                    let req = PlacementRequest {
+                        tenant: Some(tenant),
+                        on_demand: on_demand == 1,
+                        ..PlacementRequest::bare(WorkerId(next), mem)
+                    };
+                    match reg.place_for(&req) {
+                        Ok(_) => {
+                            live.push(req.worker);
+                            let share = reg.total_capacity_mb() / u64::from(tenants);
+                            prop_assert!(
+                                req.on_demand || reg.tenant_used_mb(tenant) <= share,
+                                "tenant {tenant} admitted past its {share} MB share"
+                            );
+                        }
+                        Err(e) => prop_assert!(
+                            !(req.on_demand && matches!(e, PlacementError::FairShareExceeded { .. })),
+                            "on-demand placement refused for admission: {e}"
+                        ),
+                    }
+                }
             }
         }
     }
@@ -402,7 +466,6 @@ proptest! {
             reg.set_autoscale(AutoscaleConfig {
                 max_hosts: 8,
                 host_memory_mb: 1024,
-                ..AutoscaleConfig::default()
             });
             let mut pending: Vec<(HostId, usize)> = Vec::new();
             let mut names = Vec::new();

@@ -28,7 +28,7 @@ fn observe_execution(dag: &WorkflowDag, detector: &mut BranchDetector, rng: &mut
     for root in dag.roots() {
         activated[root.index()] = true;
     }
-    for id in dag.topo_order() {
+    for &id in dag.topo_order() {
         if !activated[id.index()] {
             continue;
         }

@@ -1,6 +1,6 @@
 //! Programmatic workflow construction.
 
-use crate::dag::{BranchMode, Edge, NodeData, WorkflowDag, XorDecision};
+use crate::dag::{BranchMode, Edge, NodeData, Starts, WorkflowDag, XorDecision};
 use crate::error::ChainError;
 use crate::id::NodeId;
 use crate::spec::FunctionSpec;
@@ -8,11 +8,25 @@ use std::collections::HashSet;
 use std::fmt::Write;
 use std::sync::Arc;
 
+/// One linked edge, with its source and the source's previous link.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    from: NodeId,
+    edge: Edge,
+    /// The index in the builder's `links` of `from`'s previous link.
+    prev: Option<u32>,
+}
+
 /// Incremental, validating builder for [`WorkflowDag`].
 ///
 /// Cycles are rejected at `link` time so a builder can never accumulate an
 /// invalid graph; [`build`](Self::build) performs the final whole-graph
 /// validation.
+///
+/// Edges accumulate in one flat list in link order, each chained to its
+/// source's previous edge for the duplicate and cycle checks; `build`
+/// sorts them into the DAG's flat adjacency. So a builder allocates per
+/// workflow, not per node or edge.
 ///
 /// # Example
 ///
@@ -36,8 +50,14 @@ pub struct WorkflowBuilder {
     nodes: Vec<NodeData>,
     /// The specs' own shared names, so checking uniqueness copies none.
     names: HashSet<Arc<str>>,
-    children: Vec<Vec<Edge>>,
-    parents: Vec<Vec<NodeId>>,
+    /// Every edge, in link order.
+    links: Vec<Link>,
+    /// Each node's latest link, from which its earlier ones chain back.
+    last_link: Vec<Option<u32>>,
+    /// The cycle check's search stack and visited flags, reused by every
+    /// link that searches.
+    stack: Vec<NodeId>,
+    seen: Vec<bool>,
 }
 
 impl WorkflowBuilder {
@@ -46,14 +66,18 @@ impl WorkflowBuilder {
         Self::with_capacity(name, 0)
     }
 
-    /// Starts an empty workflow sized for `nodes` functions.
+    /// Starts an empty workflow sized for `nodes` functions and as many
+    /// edges, added through [`push`](Self::push): the name set stays
+    /// empty.
     pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
         WorkflowBuilder {
             name: name.into(),
             nodes: Vec::with_capacity(nodes),
-            names: HashSet::with_capacity(nodes),
-            children: Vec::with_capacity(nodes),
-            parents: Vec::with_capacity(nodes),
+            names: HashSet::new(),
+            links: Vec::with_capacity(nodes),
+            last_link: Vec::with_capacity(nodes),
+            stack: Vec::new(),
+            seen: Vec::new(),
         }
     }
 
@@ -69,11 +93,16 @@ impl WorkflowBuilder {
         if !self.names.insert(Arc::clone(spec.shared_name())) {
             return Err(ChainError::DuplicateFunction(spec.name().into()));
         }
+        Ok(self.push(spec))
+    }
+
+    /// Adds a node without checking its spec or its name, which
+    /// [`build`](Self::build) checks for every node.
+    fn push(&mut self, spec: FunctionSpec) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeData::new(spec, BranchMode::Multicast));
-        self.children.push(Vec::new());
-        self.parents.push(Vec::new());
-        Ok(id)
+        self.last_link.push(None);
+        id
     }
 
     /// Adds a multicast edge `from -> to` with probability 1 (the 1:1 /
@@ -106,14 +135,19 @@ impl WorkflowBuilder {
         if !weight.is_finite() || weight <= 0.0 {
             return Err(ChainError::InvalidWeight { weight });
         }
-        if self.children[from.index()].iter().any(|e| e.to == to) {
+        if self.edges_from(from).any(|e| e.to == to) {
             return Err(ChainError::DuplicateEdge { from, to });
         }
         if from == to || self.reaches(to, from) {
             return Err(ChainError::CycleDetected { from, to });
         }
-        self.children[from.index()].push(Edge { to, weight });
-        self.parents[to.index()].push(from);
+        let link = u32::try_from(self.links.len()).expect("fewer than 2^32 edges");
+        let prev = self.last_link[from.index()].replace(link);
+        self.links.push(Link {
+            from,
+            edge: Edge { to, weight },
+            prev,
+        });
         Ok(())
     }
 
@@ -160,7 +194,7 @@ impl WorkflowBuilder {
         self.check_node(id)?;
         for target in decision.on_true.iter().chain(&decision.on_false) {
             self.check_node(*target)?;
-            if !self.children[id.index()].iter().any(|e| e.to == *target) {
+            if !self.edges_from(id).any(|e| e.to == *target) {
                 return Err(ChainError::InvalidSpec(format!(
                     "decision on {id} references non-child {target}"
                 )));
@@ -182,6 +216,10 @@ impl WorkflowBuilder {
 
     /// Finalizes the workflow.
     ///
+    /// The links are sorted by source and by target into the DAG's flat
+    /// out-edges and parents. Both sorts count then place, and are
+    /// stable, so each node keeps its edges and its parents in link order.
+    ///
     /// # Errors
     ///
     /// Returns [`ChainError::EmptyWorkflow`] if no functions were added, or
@@ -190,14 +228,35 @@ impl WorkflowBuilder {
         if self.nodes.is_empty() {
             return Err(ChainError::EmptyWorkflow);
         }
-        let dag = WorkflowDag::from_parts(
-            Arc::from(self.name),
-            self.nodes,
-            self.children,
-            self.parents,
-        );
-        dag.validate()?;
-        Ok(dag)
+        let n = self.nodes.len();
+        let mut starts = vec![Starts::default(); n + 1];
+        for link in &self.links {
+            starts[link.from.index() + 1].edges += 1;
+            starts[link.edge.to.index() + 1].parents += 1;
+        }
+        for i in 1..=n {
+            starts[i].edges += starts[i - 1].edges;
+            starts[i].parents += starts[i - 1].parents;
+        }
+        // Each node's start is its write cursor, and ends up at the next
+        // node's start; shifting the table one entry restores it.
+        let unset = Edge {
+            to: NodeId::from_index(0),
+            weight: 0.0,
+        };
+        let mut edges = vec![unset; self.links.len()];
+        let mut parents = vec![NodeId::from_index(0); self.links.len()];
+        for link in &self.links {
+            let cursor = &mut starts[link.from.index()].edges;
+            edges[*cursor as usize] = link.edge;
+            *cursor += 1;
+            let cursor = &mut starts[link.edge.to.index()].parents;
+            parents[*cursor as usize] = link.from;
+            *cursor += 1;
+        }
+        starts.copy_within(..n, 1);
+        starts[0] = Starts::default();
+        WorkflowDag::from_parts(Arc::from(self.name), self.nodes, edges, parents, starts)
     }
 
     fn check_node(&self, id: NodeId) -> Result<(), ChainError> {
@@ -208,40 +267,60 @@ impl WorkflowBuilder {
         }
     }
 
+    /// `from`'s out-edges so far, latest first.
+    fn edges_from(&self, from: NodeId) -> impl Iterator<Item = &Edge> + '_ {
+        chained(&self.links, self.last_link[from.index()])
+    }
+
     /// DFS reachability from `start` to `target` over current edges. A
     /// `start` without children (every link to a fresh node, so every
     /// link of a [`linear_chain`]) answers without a search.
-    fn reaches(&self, start: NodeId, target: NodeId) -> bool {
-        if self.children[start.index()].is_empty() {
+    fn reaches(&mut self, start: NodeId, target: NodeId) -> bool {
+        if self.last_link[start.index()].is_none() {
             return start == target;
         }
-        let mut stack = vec![start];
-        let mut seen = vec![false; self.nodes.len()];
+        let WorkflowBuilder {
+            links,
+            last_link,
+            stack,
+            seen,
+            ..
+        } = self;
+        stack.clear();
+        stack.push(start);
+        seen.clear();
+        seen.resize(last_link.len(), false);
         while let Some(id) = stack.pop() {
             if id == target {
                 return true;
             }
-            if seen[id.index()] {
-                continue;
-            }
-            seen[id.index()] = true;
-            for e in &self.children[id.index()] {
-                stack.push(e.to);
+            if !std::mem::replace(&mut seen[id.index()], true) {
+                stack.extend(chained(links, last_link[id.index()]).map(|e| e.to));
             }
         }
         false
     }
 }
 
+/// The edges of the links chained back from `latest`, latest first.
+fn chained(links: &[Link], mut latest: Option<u32>) -> impl Iterator<Item = &Edge> {
+    std::iter::from_fn(move || {
+        let link = &links[latest? as usize];
+        latest = link.prev;
+        Some(&link.edge)
+    })
+}
+
 /// Convenience constructor for the paper's workhorse workload: a linear
 /// chain `f0 -> f1 -> … -> f(n-1)` of identical functions.
 ///
-/// Each function costs three heap allocations: its shared name and its
-/// one-entry child and parent lists.
+/// Each function costs one heap allocation, its shared name; the rest of
+/// the chain allocates a fixed number of times, whatever its length.
 ///
 /// # Errors
 ///
-/// Returns [`ChainError::EmptyWorkflow`] if `n == 0`.
+/// Returns [`ChainError::EmptyWorkflow`] if `n == 0`, or
+/// [`ChainError::InvalidSpec`] if the template's specs fail validation.
 ///
 /// # Example
 ///
@@ -260,7 +339,9 @@ pub fn linear_chain(
 ) -> Result<WorkflowDag, ChainError> {
     let mut b = WorkflowBuilder::with_capacity(name, n);
     // Every name is written into one buffer and copied once, into its
-    // `Arc`; 20 bytes hold any index.
+    // `Arc`; 20 bytes hold any index. One stem and distinct indexes make
+    // distinct names, so the nodes skip the builder's name set; an
+    // invalid template fails `build`, at its first function.
     let stem = template.name().len();
     let mut fn_name = String::with_capacity(stem + 20);
     fn_name.push_str(template.name());
@@ -268,9 +349,7 @@ pub fn linear_chain(
     for i in 0..n {
         fn_name.truncate(stem);
         write!(fn_name, "{i}").expect("writing to a String cannot fail");
-        let mut spec = template.clone();
-        spec.set_name(Arc::from(fn_name.as_str()));
-        let id = b.add(spec)?;
+        let id = b.push(template.renamed(Arc::from(fn_name.as_str())));
         if let Some(p) = prev {
             b.link(p, id)?;
         }

@@ -111,11 +111,17 @@ impl FunctionSpec {
         &self.name
     }
 
-    /// Renames the spec to an already shared name (how
+    /// A copy of the spec under an already shared name (how
     /// [`linear_chain`](crate::linear_chain) stamps its functions out of
-    /// a template).
-    pub(crate) fn set_name(&mut self, name: Arc<str>) {
-        self.name = name;
+    /// a template). The template's own name is not touched.
+    pub(crate) fn renamed(&self, name: Arc<str>) -> Self {
+        FunctionSpec {
+            name,
+            memory_mb: self.memory_mb,
+            isolation: self.isolation,
+            service: self.service.clone(),
+            output: self.output.clone(),
+        }
     }
 
     /// Memory allocation in MB.

@@ -84,7 +84,7 @@ impl MlpResult {
 /// # Ok::<(), xanadu_chain::ChainError>(())
 /// ```
 pub fn infer_mlp(dag: &WorkflowDag, rho: impl FnMut(NodeId, NodeId) -> Option<f64>) -> MlpResult {
-    walk(dag, &dag.roots(), rho, 0.0)
+    walk(dag, dag.roots(), rho, 0.0)
 }
 
 /// Infers a *hedged* most-likely path: like [`infer_mlp`], but at XOR
@@ -119,7 +119,7 @@ pub fn infer_mlp_hedged(
     rho: impl FnMut(NodeId, NodeId) -> Option<f64>,
     hedge_margin: f64,
 ) -> MlpResult {
-    walk(dag, &dag.roots(), rho, hedge_margin)
+    walk(dag, dag.roots(), rho, hedge_margin)
 }
 
 /// MLP inference rooted at an arbitrary node: `start` is taken as certain
@@ -154,7 +154,7 @@ fn walk(
 
     let mut path = Vec::new();
     let mut path_likelihood = Vec::new();
-    for id in dag.topo_order() {
+    for &id in dag.topo_order() {
         if !selected[id.index()] {
             continue;
         }
@@ -566,7 +566,7 @@ pub(crate) mod proptests {
             likelihood[s.index()] = 1.0;
             selected[s.index()] = true;
         }
-        for id in dag.topo_order() {
+        for &id in dag.topo_order() {
             if !selected[id.index()] {
                 continue;
             }
@@ -607,7 +607,8 @@ pub(crate) mod proptests {
         }
         let path: Vec<NodeId> = dag
             .topo_order()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|id| selected[id.index()])
             .collect();
         let like = path.iter().map(|id| likelihood[id.index()]).collect();
@@ -626,7 +627,7 @@ pub(crate) mod proptests {
             likelihood[root.index()] = 1.0;
             selected[root.index()] = true;
         }
-        for id in dag.topo_order() {
+        for &id in dag.topo_order() {
             if !selected[id.index()] {
                 continue;
             }
@@ -668,7 +669,8 @@ pub(crate) mod proptests {
         }
         let path: Vec<NodeId> = dag
             .topo_order()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|id| selected[id.index()])
             .collect();
         let like = path.iter().map(|id| likelihood[id.index()]).collect();
@@ -729,7 +731,7 @@ pub(crate) mod proptests {
             let weights: Vec<f64> = picks.iter().map(|&i| TIED_WEIGHTS[i]).collect();
             let multicast: Vec<bool> = flags.iter().map(|&f| f == 0).collect();
             let dag = random_xor_tree(depth, fanout, &weights, &multicast, joins == 1);
-            let strict = strict_reference(&dag, &dag.roots());
+            let strict = strict_reference(&dag, dag.roots());
             prop_assert_eq!(&infer_mlp(&dag, |_, _| None), &strict);
             prop_assert_eq!(&infer_mlp_hedged(&dag, |_, _| None, 0.0), &strict);
             for margin in [0.05, 0.2, 1.0] {

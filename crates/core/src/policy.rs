@@ -251,7 +251,7 @@ impl MpcPolicy {
         }
         let mut selected = vec![false; dag.len()];
         let mut picks = Vec::new();
-        for id in dag.topo_order() {
+        for &id in dag.topo_order() {
             let p = like[id.index()];
             if p <= 0.0 {
                 continue;
@@ -303,7 +303,7 @@ impl SpeculationPolicy for MpcPolicy {
         estimates: &dyn EstimateSource,
         rho: &mut ProbabilityFn,
     ) -> JitPlan {
-        self.plan_from(dag, estimates, &dag.roots(), rho)
+        self.plan_from(dag, estimates, dag.roots(), rho)
     }
 
     fn on_miss(

@@ -232,9 +232,7 @@ impl SpeculationEngine {
             return mlp.path;
         }
         let levels = dag.levels();
-        // The DAG's depth, from the levels already at hand.
-        let depth = levels.iter().max().map_or(0, |deepest| deepest + 1);
-        let horizon = (a * depth as f64).ceil() as usize;
+        let horizon = (a * dag.depth() as f64).ceil() as usize;
         mlp.path
             .into_iter()
             .filter(|n| levels[n.index()] < horizon)

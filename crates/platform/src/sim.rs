@@ -284,7 +284,7 @@ impl RunState {
         let dag = &self.dag;
         let mut best = vec![SimDuration::ZERO; dag.len()];
         let mut max = SimDuration::ZERO;
-        for id in dag.topo_order() {
+        for &id in dag.topo_order() {
             if !self.activated[id.index()] {
                 continue;
             }
@@ -474,8 +474,9 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`PlatformError::AlreadyDeployed`] on name collision, or a
-    /// validation error from the workflow itself.
+    /// [`PlatformError::AlreadyDeployed`] on name collision. The workflow
+    /// itself needs no check: every [`WorkflowDag`] was validated when it
+    /// was built.
     pub fn deploy(&mut self, dag: WorkflowDag) -> Result<(), PlatformError> {
         self.deploy_entry(dag, false)
     }
@@ -503,7 +504,6 @@ impl Platform {
     }
 
     fn deploy_entry(&mut self, dag: WorkflowDag, implicit: bool) -> Result<(), PlatformError> {
-        dag.validate()?;
         if self.workflow_ids.get(dag.name()).is_some() {
             return Err(PlatformError::AlreadyDeployed(dag.name().to_string()));
         }
@@ -1082,7 +1082,7 @@ impl Platform {
         for root in dag.roots() {
             activated[root.index()] = true;
         }
-        for id in dag.topo_order() {
+        for &id in dag.topo_order() {
             if !activated[id.index()] {
                 continue;
             }
@@ -1186,7 +1186,7 @@ impl Platform {
         }
 
         // Dispatch roots through the reverse proxy.
-        for root in dag.roots() {
+        for &root in dag.roots() {
             let overhead = self.sample_overhead();
             self.queue.schedule(
                 self.now + overhead,

@@ -53,6 +53,14 @@ impl SimTime {
     /// The largest representable instant; useful as an "infinitely far"
     /// sentinel for keep-alive deadlines that are never due.
     pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The latest instant a request may be triggered at: half the clock,
+    /// about 292,000 simulated years. Everything a request schedules
+    /// after its trigger (dispatch overheads, cold starts, service times,
+    /// retries, back-offs and its workers' keep-alive) spans far less
+    /// than the other half, so no event time computed from a trigger can
+    /// overflow the clock, which the kernel does not check. Stream
+    /// sources and the CLI refuse later triggers.
+    pub const LAST_TRIGGER: SimTime = SimTime(u64::MAX / 2);
 
     /// Creates an instant `micros` microseconds after simulation start.
     pub const fn from_micros(micros: u64) -> Self {
@@ -186,18 +194,24 @@ impl SimDuration {
 /// Rounds a microsecond count that is `>= 0` (possibly `+∞`, never NaN)
 /// to the nearest integer, halves away from zero, saturating at
 /// `u64::MAX` — what `micros.round() as u64` gives, without the libm
-/// `round` call the baseline x86-64 target makes for it.
+/// `round` call the baseline x86-64 target makes for it, and without a
+/// saturating float-to-integer cast on the common path.
 ///
-/// Below 2^52 the truncation through `i64` and the fraction
-/// `micros - whole` are both exact, so comparing the fraction with 0.5
-/// rounds exactly (adding 0.5 first would not: it rounds
-/// 0.49999999999999994 up). From 2^52 on every `f64` is an integer,
-/// and the saturating cast is already the answer.
+/// Below 2^52, adding 2^52 lands in `[2^52, 2^53]`, where the `f64`
+/// spacing is 1: the hardware rounds the sum to the nearest integer,
+/// halves to even. That integer is the sum's bits minus those of 2^52
+/// (2^53 is one exponent step, 2^52 in the bits, above), and, as a
+/// float, the sum minus 2^52. Both subtractions and `micros - nearest`
+/// are exact, so the difference is 0.5 exactly when a half went down to
+/// even, and one more rounds it away from zero (adding 0.5 first would
+/// not work: it rounds 0.49999999999999994 up). From 2^52 on every
+/// `f64` is an integer, and the saturating cast is already the answer.
 fn round_micros(micros: f64) -> u64 {
     const EXACT_BELOW: f64 = (1u64 << 52) as f64;
     if micros < EXACT_BELOW {
-        let whole = micros as i64;
-        whole as u64 + u64::from(micros - whole as f64 >= 0.5)
+        let shifted = micros + EXACT_BELOW;
+        let nearest = shifted.to_bits() - EXACT_BELOW.to_bits();
+        nearest + u64::from(micros - (shifted - EXACT_BELOW) == 0.5)
     } else {
         micros as u64
     }

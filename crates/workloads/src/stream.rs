@@ -132,6 +132,16 @@ impl RecordedStream {
                 line: i + 1,
                 message: format!("bad event: {e:?}"),
             })?;
+            if ev.at() > SimTime::LAST_TRIGGER {
+                return Err(StreamParseError {
+                    line: i + 1,
+                    message: format!(
+                        "trigger at {} µs is past the last simulable trigger time, {} µs",
+                        ev.at_us,
+                        SimTime::LAST_TRIGGER.as_micros()
+                    ),
+                });
+            }
             if ev.at_us < last_at {
                 return Err(StreamParseError {
                     line: i + 1,
@@ -321,7 +331,9 @@ impl StreamSource for GeneratedStream {
         let Reverse((at_us, wf)) = *top;
         let i = wf as usize;
         let group = &mut self.heads[i / GROUP];
-        group[i % GROUP] = at_us + self.ahead[i];
+        // Saturating: past the clock's end arrivals pile up at its last
+        // µs instead of wrapping back to its start.
+        group[i % GROUP] = at_us.saturating_add(self.ahead[i]);
         // The group's new earliest replaces it at the top: one sift down.
         *top = Reverse(earliest(group, i - i % GROUP));
         drop(top);
@@ -395,6 +407,41 @@ mod tests {
             serde_json::to_string(&StreamEvent { at_us: 5, wf: 9 }).unwrap()
         );
         assert!(RecordedStream::parse(&bad_wf).is_err());
+    }
+
+    #[test]
+    fn arrivals_past_the_clock_saturate_instead_of_wrapping() {
+        // At 10^-15 arrivals per hour every gap is past `u64::MAX` µs.
+        let (_, events) = GeneratedStream::new(2, 1, 1e-15, 42, 4).collect_events();
+        let at: Vec<u64> = events.iter().map(|e| e.at_us).collect();
+        assert_eq!(at, [u64::MAX; 4]);
+    }
+
+    #[test]
+    fn parse_rejects_triggers_past_the_last_simulable_time() {
+        let header = StreamHeader {
+            version: 1,
+            workflows: 1,
+            depth: 1,
+            rate_per_hour: 1.0,
+            seed: 0,
+            events: 2,
+        };
+        let last = SimTime::LAST_TRIGGER.as_micros();
+        let stream = |late: u64| {
+            let events = [
+                StreamEvent { at_us: 5, wf: 0 },
+                StreamEvent { at_us: late, wf: 0 },
+            ];
+            RecordedStream::parse(&RecordedStream::render(&header, &events))
+        };
+        assert!(stream(last).is_ok());
+        let err = stream(last + 1).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(
+            err.message.contains("past the last simulable trigger time"),
+            "{err}"
+        );
     }
 
     #[test]

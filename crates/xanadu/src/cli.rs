@@ -704,8 +704,8 @@ fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
     let triggers: u64 = parse_num(f, "--triggers", 1)?;
     let gap_min: u64 = parse_num(f, "--gap-min", 20)?;
     // The last trigger fires (triggers − 1) × gap after the first, and
-    // that instant must fit simulated time.
-    let max_minutes = max_units(SimDuration::from_mins(1));
+    // that instant must not pass the last simulable trigger time.
+    let max_minutes = SimTime::LAST_TRIGGER.as_micros() / SimDuration::from_mins(1).as_micros();
     let last_minute = triggers.saturating_sub(1).checked_mul(gap_min);
     if last_minute.is_none_or(|minute| minute > max_minutes) {
         return Err(CliError::BadValue {
@@ -2595,8 +2595,8 @@ mod tests {
     fn numeric_flags_reject_values_their_field_cannot_hold() {
         // (command line before the flag, flag, largest valid value, first
         // out-of-range value). Counts are u32. A window's microseconds
-        // must fit u64, and so must run's last trigger time, (triggers −
-        // 1) × gap minutes.
+        // must fit u64, and run's last trigger time, (triggers − 1) × gap
+        // minutes, must not pass `SimTime::LAST_TRIGGER`.
         const U32_MAX: &str = "4294967295";
         const U32_OVER: &str = "4294967296";
         const SECS_MAX: &str = "18446744073709";
@@ -2610,8 +2610,8 @@ mod tests {
             (
                 &["run", "--sdl", "x", "--triggers", "3"],
                 "--gap-min",
-                "153722867280",
-                "153722867281",
+                "76861433640",
+                "76861433641",
             ),
             (&["replay"], "--hosts", U32_MAX, U32_OVER),
             (&["replay"], "--tenants", U32_MAX, U32_OVER),

@@ -48,7 +48,7 @@ use xanadu_platform::{
     AuditCheckpoint, DiffThresholds, MetaStore, Platform, PlatformConfig, SegmentLog,
     SloCheckpoint, SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
 };
-use xanadu_simcore::{fnv1a64_digest, RngStream, SimDuration};
+use xanadu_simcore::{fnv1a64_digest, RngStream, SimDuration, SimTime};
 use xanadu_workloads::stream::{
     GeneratedStream, RecordedStream, StreamEvent, StreamHeader, StreamSource,
 };
@@ -187,6 +187,33 @@ fn drain_stream(mut src: impl StreamSource) -> Result<(StreamHeader, Vec<StreamE
     Ok((header, events))
 }
 
+/// [`drain_stream`] for the seeded stream `record` writes and `serve`
+/// runs when it is given no `--stream`.
+///
+/// # Errors
+///
+/// Those of [`drain_stream`], and [`CliError::BadValue`] naming
+/// `--rate-per-hour` when the last trigger falls past
+/// [`SimTime::LAST_TRIGGER`].
+fn drain_generated(stream: GeneratedStream) -> Result<(StreamHeader, Vec<StreamEvent>), CliError> {
+    let (header, events) = drain_stream(stream)?;
+    // Arrival times never decrease, so the last one is the latest.
+    if let Some(last) = events.last().filter(|e| e.at() > SimTime::LAST_TRIGGER) {
+        return Err(CliError::BadValue {
+            flag: "--rate-per-hour".into(),
+            value: header.rate_per_hour.to_string(),
+            expected: format!(
+                "a rate whose {} events end by {} µs, the last simulable trigger \
+                 time (the last is drawn at {} µs)",
+                events.len(),
+                SimTime::LAST_TRIGGER.as_micros(),
+                last.at_us
+            ),
+        });
+    }
+    Ok((header, events))
+}
+
 /// Runs `xanadu record`: generate the seeded stream and stage it as a
 /// JSONL export.
 pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<String, CliError> {
@@ -197,7 +224,7 @@ pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<
             expected: "a non-empty workflow population".into(),
         });
     }
-    let (header, events) = drain_stream(GeneratedStream::new(
+    let (header, events) = drain_generated(GeneratedStream::new(
         record.workflows,
         record.depth,
         record.rate_per_hour,
@@ -402,9 +429,12 @@ fn rewrite_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 ///
 /// # Errors
 ///
-/// [`CliError::Workflow`] on stream/checkpoint problems and
-/// [`CliError::SloBreach`] when `--fail-on-alert` is set and the run
-/// ends with alerts raised.
+/// [`CliError::Workflow`] on stream/checkpoint problems (a recorded
+/// trigger past [`SimTime::LAST_TRIGGER`] names its stream line),
+/// [`CliError::BadValue`] naming `--rate-per-hour` when a generated
+/// stream runs past that time, and [`CliError::SloBreach`] when
+/// `--fail-on-alert` is set and the run ends with alerts raised. Every
+/// stream error comes before the checkpoint directory is opened.
 pub fn run_serve(
     serve: &ServeArgs,
     source: &impl Fn(&str) -> Result<String, String>,
@@ -419,7 +449,7 @@ pub fn run_serve(
             drop(text);
             drain_stream(recorded)?
         }
-        None => drain_stream(GeneratedStream::new(
+        None => drain_generated(GeneratedStream::new(
             serve.workflows,
             serve.depth,
             serve.rate_per_hour,

@@ -26,20 +26,23 @@ use xanadu_workloads::azure::{
 };
 
 /// Allocations one extra request may cost on an unobserved platform:
-/// 51.7 measured, plus a small margin. Copying each name where it is
-/// used instead of sharing it adds about 48 (100.1 in all).
-const BUDGET_UNOBSERVED: f64 = 56.0;
+/// 35.7 measured, plus a small margin. Running Kahn's algorithm for the
+/// DAG's orders at every request instead of storing them at build adds
+/// 16 (51.7); copying each name where it is used instead of sharing it
+/// adds about 48 more (100.1 in all).
+const BUDGET_UNOBSERVED: f64 = 40.0;
 
-/// The same with a streaming audit and a metrics registry attached: 68.5
-/// measured, plus a small margin (202.7 with a copied name in every
-/// event and metric key).
-const BUDGET_OBSERVED: f64 = 74.0;
+/// The same with a streaming audit and a metrics registry attached: 52.5
+/// measured, plus a small margin (68.5 with per-request DAG orders, 202.7
+/// with a copied name in every event and metric key as well).
+const BUDGET_OBSERVED: f64 = 58.0;
 
-/// Allocations one more function costs `linear_chain`: its shared name
-/// and its one-entry child and parent lists, 3.00 measured. Copying each
-/// name through `format!` into the spec and the builder's name set, and
-/// two search buffers per link, made 9.02.
-const BUDGET_CHAIN_FUNCTION: f64 = 3.5;
+/// Allocations one more function costs `linear_chain`: its shared name,
+/// 1.00 measured; the DAG's flat adjacency and stored orders allocate
+/// per workflow. Per-node child and parent lists made 3.00, and copying
+/// each name through `format!` into the spec and the builder's name set,
+/// with two search buffers per link, made 9.02.
+const BUDGET_CHAIN_FUNCTION: f64 = 1.5;
 
 /// Allocations to generate the 20k-invocation fleet's trace (75
 /// workflows): a name and an arrival vector each, and the fleet's

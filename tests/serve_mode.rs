@@ -568,6 +568,66 @@ fn an_oversized_stream_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Triggers past the last simulable time are refused with a typed error
+/// before serve opens its log, not simulated until the clock wraps and
+/// the kernel panics. A generated stream at 10^-15 arrivals per hour
+/// draws every gap past the end of the clock: `record` and `serve` name
+/// `--rate-per-hour`. A recorded stream's late trigger names its line.
+#[test]
+fn triggers_past_the_last_simulable_time_are_typed_errors() {
+    let dir = scratch_dir("late");
+    let log = dir.join("ck").to_string_lossy().into_owned();
+    let population = [
+        "--events",
+        "4",
+        "--workflows",
+        "2",
+        "--rate-per-hour",
+        "1e-15",
+    ];
+    let record: Vec<&str> = ["record", "--out", "stream.jsonl"]
+        .into_iter()
+        .chain(population)
+        .collect();
+    let serve: Vec<&str> = ["serve", "--checkpoint-dir", &log]
+        .into_iter()
+        .chain(population)
+        .collect();
+    let run = |line: &[&str]| {
+        let args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+        execute_with_exports(&parse_args(&args).unwrap(), read_file)
+    };
+    for line in [&record, &serve] {
+        match run(line) {
+            Err(CliError::BadValue { flag, .. }) => assert_eq!(flag, "--rate-per-hour"),
+            Err(other) => panic!("{}: expected a bad --rate-per-hour, got {other}", line[0]),
+            Ok(_) => panic!("{}: a stream past the clock was accepted", line[0]),
+        }
+    }
+
+    let stream = dir.join("late.jsonl").to_string_lossy().into_owned();
+    std::fs::write(
+        &stream,
+        concat!(
+            r#"{"depth":2,"events":1,"rate_per_hour":60.0,"seed":1,"version":1,"workflows":1}"#,
+            "\n",
+            r#"{"at_us":18446744073709551000,"wf":0}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    match run(&["serve", "--checkpoint-dir", &log, "--stream", &stream]) {
+        Err(CliError::Workflow(message)) => {
+            assert!(message.contains("stream line 2"), "{message}");
+            assert!(message.contains("last simulable trigger time"), "{message}");
+        }
+        Err(other) => panic!("expected a refused stream line, got {other}"),
+        Ok(_) => panic!("a recorded trigger past the clock was accepted"),
+    }
+    assert!(!Path::new(&log).exists(), "serve opened its log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `validate` checks a `.jsonl` document line by line against the
 /// alerts schema, failing on the first malformed or off-schema line.
 #[test]

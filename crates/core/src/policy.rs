@@ -37,8 +37,7 @@ use xanadu_simcore::{RngStream, SimDuration, SimTime};
 use crate::estimate::EstimateSource;
 use crate::jit::{plan_jit, JitPlan};
 use crate::speculation::{
-    DeployFailureAction, ExecutionMode, MissPolicy, PlanCacheStats, SpeculationConfig,
-    SpeculationEngine,
+    DeployFailureAction, ExecutionMode, PlanCacheStats, SpeculationConfig, SpeculationEngine,
 };
 
 /// Object-safe probability lookup `ρ(child | parent)`; `None` falls back
@@ -734,16 +733,9 @@ impl PolicyRegistry {
                     touched = true;
                     match k.as_str() {
                         "mode" => {
-                            spec.mode = match v.as_str() {
-                                "cold" => ExecutionMode::Cold,
-                                "spec" | "speculative" => ExecutionMode::Speculative,
-                                "jit" => ExecutionMode::Jit,
-                                other => {
-                                    return Err(PolicyParseError(format!(
-                                        "`mode` expects cold|spec|jit, got `{other}`"
-                                    )))
-                                }
-                            }
+                            spec.mode = v.parse().map_err(|_| {
+                                PolicyParseError(format!("`mode` expects cold|spec|jit, got `{v}`"))
+                            })?
                         }
                         "aggressiveness" => {
                             spec.aggressiveness = parse_f64(&k, &v)?;
@@ -754,15 +746,11 @@ impl PolicyRegistry {
                             }
                         }
                         "miss" => {
-                            spec.miss_policy = match v.as_str() {
-                                "stop" => MissPolicy::StopSpeculation,
-                                "replan-and-reuse" => MissPolicy::ReplanAndReuse,
-                                other => {
-                                    return Err(PolicyParseError(format!(
-                                        "`miss` expects stop|replan-and-reuse, got `{other}`"
-                                    )))
-                                }
-                            }
+                            spec.miss_policy = v.parse().map_err(|_| {
+                                PolicyParseError(format!(
+                                    "`miss` expects stop|replan-and-reuse, got `{v}`"
+                                ))
+                            })?
                         }
                         "hedge" => {
                             spec.hedge_margin = parse_f64(&k, &v)?;
@@ -1138,6 +1126,7 @@ mod proptests {
     use crate::jit::PlannedDeployment;
     use crate::mlp::proptests::{random_xor_tree, TIED_WEIGHTS};
     use crate::mlp::{infer_mlp, infer_mlp_from};
+    use crate::speculation::MissPolicy;
     use proptest::prelude::*;
 
     /// RL's former inline `jit` arm: the strict MLP, timed by Algorithm 2.

@@ -31,6 +31,7 @@ use crate::mlp::{infer_mlp_from, infer_mlp_hedged, MlpResult};
 use crate::policy::{PlanContext, ProbabilityFn, SpeculationPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::str::FromStr;
 use xanadu_chain::{NodeId, WorkflowDag};
 use xanadu_simcore::SimDuration;
 
@@ -85,6 +86,20 @@ impl ExecutionMode {
     }
 }
 
+/// Parses the spellings `cold`, `spec` (or `speculative`) and `jit`.
+impl FromStr for ExecutionMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "cold" => Ok(ExecutionMode::Cold),
+            "spec" | "speculative" => Ok(ExecutionMode::Speculative),
+            "jit" => Ok(ExecutionMode::Jit),
+            other => Err(format!("unknown execution mode `{other}`")),
+        }
+    }
+}
+
 /// What to do when a planned pre-deployment fails to provision (the
 /// sandbox died during startup). Returned by
 /// [`SpeculationPolicy::on_deploy_failure`].
@@ -112,6 +127,19 @@ pub enum MissPolicy {
     /// path, reusing deployed-but-unused workers of compatible
     /// configuration (paper future work, §7).
     ReplanAndReuse,
+}
+
+/// Parses the spellings `stop` and `replan-and-reuse`.
+impl FromStr for MissPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "stop" => Ok(MissPolicy::StopSpeculation),
+            "replan-and-reuse" => Ok(MissPolicy::ReplanAndReuse),
+            other => Err(format!("unknown miss policy `{other}`")),
+        }
+    }
 }
 
 /// Configuration of the speculation engine.
@@ -343,6 +371,28 @@ mod tests {
     use super::*;
     use crate::estimate::{NodeEstimate, StaticEstimates};
     use xanadu_chain::{linear_chain, FunctionSpec, WorkflowBuilder};
+
+    /// Every spelling the CLI and the policy specs accept parses, and
+    /// nothing else does (the match is exact, case included).
+    #[test]
+    fn mode_and_miss_policy_names_parse() {
+        for (name, mode) in [
+            ("cold", ExecutionMode::Cold),
+            ("spec", ExecutionMode::Speculative),
+            ("speculative", ExecutionMode::Speculative),
+            ("jit", ExecutionMode::Jit),
+        ] {
+            assert_eq!(name.parse(), Ok(mode));
+        }
+        for name in ["", "Jit", "knative", "jit "] {
+            assert!(name.parse::<ExecutionMode>().is_err(), "{name:?}");
+        }
+        assert_eq!("stop".parse(), Ok(MissPolicy::StopSpeculation));
+        assert_eq!("replan-and-reuse".parse(), Ok(MissPolicy::ReplanAndReuse));
+        for name in ["", "Stop", "replan"] {
+            assert!(name.parse::<MissPolicy>().is_err(), "{name:?}");
+        }
+    }
 
     fn est() -> StaticEstimates {
         StaticEstimates::uniform(NodeEstimate {

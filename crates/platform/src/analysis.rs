@@ -20,12 +20,14 @@
 //!   sandbox-ready-time minus invoke-time: positive is *lateness* the
 //!   request waited out, negative is *slack* the platform paid for early.
 //!
-//! There is one auditor. One per-request fold turns a request's
-//! lifecycle events, each a [`BusEvent`], into its [`RequestAudit`]:
-//! [`RequestAudit::from_trace`] feeds it a recorded [`Trace`], which
-//! holds those events as they were emitted, and the
-//! [`stream`](crate::stream) tier feeds it the same events live from the
-//! bus. [`Tally`] then aggregates
+//! There is one auditor, reading one fold. The lifecycle fold of the
+//! [`timeline`](crate::timeline) module pairs a request's bus events into
+//! its deploy, wait and exec intervals, and the [`RequestAudit`] is read
+//! off them: [`RequestAudit::from_trace`] folds a recorded [`Trace`],
+//! and the [`stream`](crate::stream) tier folds the same events live
+//! from the bus. The span tree and the Gantt chart read the same
+//! intervals, so the window the audit charges an unused deploy is the
+//! span tree's by construction. [`Tally`] then aggregates
 //! finished requests for both the exact [`Audit`] and the bounded-memory
 //! [`StreamingAudit`](crate::stream::StreamingAudit), which differ only in
 //! where latency samples go (exact values or fixed-bucket histograms) and
@@ -39,15 +41,14 @@
 //! same traces produce byte-identical audits regardless of harness thread
 //! count or plan-cache setting (plan-cache state never reaches the trace).
 
-use crate::events::BusEvent;
 use crate::hosts::ClusterReport;
 use crate::obs::MetricsRegistry;
-use crate::timeline::Trace;
+use crate::timeline::{EntryKind, Timeline, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use xanadu_simcore::SimDuration;
+use xanadu_simcore::SimTime;
 
 /// Order statistics of a latency sample set, in milliseconds.
 ///
@@ -140,203 +141,120 @@ pub struct RequestAudit {
     pub jit: Vec<JitSample>,
 }
 
-/// One deployment attributed to a request.
-#[derive(Debug, Clone)]
-struct Deploy {
-    function: Arc<str>,
-    start_us: u64,
-    ready_us: u64,
-    on_demand: bool,
-    used: bool,
-}
-
-/// The per-request audit fold: the one place a request's lifecycle
-/// events become its [`RequestAudit`]. It holds only the open-interval
-/// state of one request, so the streaming tier keeps one per in-flight
-/// request and drops it at completion.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RequestFold {
-    t0_us: u64,
-    deploys: Vec<Deploy>,
-    open_waits: Vec<(Arc<str>, u64)>,
-    open_execs: Vec<(Arc<str>, u64)>,
-    exec_iv: Vec<(u64, u64)>,
-    cold_iv: Vec<(u64, u64)>,
-    warm_iv: Vec<(u64, u64)>,
-    predicted: Vec<Arc<str>>,
-    invoked: Vec<Arc<str>>,
-    /// First-invocation time of each `invoked` entry, index-aligned.
-    invoked_at: Vec<u64>,
-    missed: Vec<Arc<str>>,
-}
-
-impl RequestFold {
-    /// An empty fold for a request triggered at `t0_us`.
-    pub(crate) fn new(t0_us: u64) -> Self {
-        RequestFold {
-            t0_us,
-            ..RequestFold::default()
-        }
-    }
-
-    /// Applies one lifecycle event that happened at `at_us`. Only
-    /// deployments, invocations, executions, timeouts and prediction
-    /// misses move the fold; the other events matter only to a recorded
-    /// timeline.
-    pub(crate) fn apply(&mut self, at_us: u64, event: &BusEvent) {
-        use BusEvent as E;
-        match event {
-            E::WorkerProvisioned {
-                function,
-                on_demand,
-                ready_in_ms,
-                ..
-            } => {
-                if !on_demand && !self.predicted.contains(function) {
-                    self.predicted.push(Arc::clone(function));
-                }
-                // The platform built `ready_in_ms` from whole µs, so
-                // rounding recovers them exactly.
-                let ready_in = SimDuration::from_millis_f64(*ready_in_ms);
-                self.deploys.push(Deploy {
-                    function: Arc::clone(function),
-                    start_us: at_us,
-                    ready_us: at_us + ready_in.as_micros(),
-                    on_demand: *on_demand,
-                    used: false,
-                });
-            }
-            E::FunctionInvoked { function, .. } => {
-                if !self.invoked.contains(function) {
-                    self.invoked.push(Arc::clone(function));
-                    self.invoked_at.push(at_us);
-                }
-                self.open_waits.push((Arc::clone(function), at_us));
-            }
-            E::ExecStarted { function, warm, .. } => {
-                if let Some(d) = self
-                    .deploys
-                    .iter_mut()
-                    .find(|d| d.function == *function && !d.used)
-                {
-                    d.used = true;
-                }
-                if let Some(i) = self.open_waits.iter().position(|(f, _)| f == function) {
-                    let (_, start) = self.open_waits.remove(i);
-                    let waits = if *warm {
-                        &mut self.warm_iv
-                    } else {
-                        &mut self.cold_iv
-                    };
-                    waits.push((start, at_us));
-                }
-                self.open_execs.push((Arc::clone(function), at_us));
-            }
-            E::ExecEnded { function, .. } | E::InvokeTimeout { function, .. } => {
-                if let Some(i) = self.open_execs.iter().position(|(f, _)| f == function) {
-                    let (_, start) = self.open_execs.remove(i);
-                    self.exec_iv.push((start, at_us));
-                }
-            }
-            E::PredictionMiss { function, .. } if !self.missed.contains(function) => {
-                self.missed.push(Arc::clone(function));
-            }
-            _ => {}
-        }
-    }
-
-    /// Ends the request at `tn` and returns its audit, plus the wasted
-    /// deploy time in integer microseconds (the streaming tier sums that;
-    /// the exact audit sums the per-request `f64` CPU-ms instead).
-    pub(crate) fn finish(mut self, request: u64, tn: u64) -> (RequestAudit, u64) {
-        // Intervals still open at the end run to the end: an unfinished
-        // execution counts as exec, an unserved wait as cold-start wait.
-        let t0 = self.t0_us;
-        let (exec_iv, cold_iv, warm_iv) = (&mut self.exec_iv, &mut self.cold_iv, &self.warm_iv);
-        exec_iv.extend(self.open_execs.iter().map(|&(_, s)| (s, tn)));
-        cold_iv.extend(self.open_waits.iter().map(|&(_, s)| (s, tn)));
-
-        // Partition [t0, tn] at every interval endpoint and attribute each
-        // segment to exactly one category (exec dominates waits, cold
-        // dominates warm). A partition sums to the total by construction —
-        // the span-sum invariant is structural, not approximate.
-        let mut cuts: Vec<u64> = vec![t0, tn];
-        for &(s, e) in exec_iv.iter().chain(cold_iv.iter()).chain(warm_iv) {
-            cuts.push(s.clamp(t0, tn));
-            cuts.push(e.clamp(t0, tn));
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        let covers = |iv: &[(u64, u64)], a: u64, b: u64| iv.iter().any(|&(s, e)| s <= a && e >= b);
-        let (mut exec_us, mut cold_us, mut queue_us, mut stall_us) = (0u64, 0u64, 0u64, 0u64);
-        for w in cuts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let len = b - a;
-            if covers(exec_iv, a, b) {
-                exec_us += len;
-            } else if covers(cold_iv, a, b) {
-                cold_us += len;
-            } else if covers(warm_iv, a, b) {
-                queue_us += len;
-            } else {
-                stall_us += len;
-            }
-        }
-
-        // Unused speculative sandboxes are charged from deploy start to
-        // the request's end.
-        let deploys = &self.deploys;
-        let unused = || deploys.iter().filter(|d| !d.used && !d.on_demand);
-        let wasted_us = unused().map(|d| tn - d.start_us).sum();
-
-        // Pair each invoked function with its first deployment (replacement
-        // provisions after crashes keep their own events but the first
-        // schedule is the planner's intent).
-        let jit = self
-            .invoked
-            .iter()
-            .zip(&self.invoked_at)
-            .filter_map(|(function, &inv_us)| {
-                let d = deploys.iter().find(|d| d.function == *function)?;
-                Some(JitSample {
-                    function: Arc::clone(function),
-                    on_demand: d.on_demand,
-                    lateness_ms: (d.ready_us as f64 - inv_us as f64) / 1000.0,
-                })
-            })
-            .collect();
-
-        let audit = RequestAudit {
-            request,
-            end_to_end_us: tn - t0,
-            exec_us,
-            cold_start_wait_us: cold_us,
-            queue_wait_us: queue_us,
-            stall_us,
-            predicted: self.predicted,
-            invoked: self.invoked,
-            missed: self.missed,
-            unused_deploys: unused().count() as u64,
-            wasted_cpu_ms: unused().map(|d| (tn - d.start_us) as f64 / 1000.0).sum(),
-            jit,
-        };
-        (audit, wasted_us)
-    }
-}
-
 impl RequestAudit {
     /// Builds the audit of one request from its recorded trace (the
     /// request spans its first to its last event), or `None` for an
     /// empty trace.
     pub fn from_trace(request: u64, trace: &Trace) -> Option<RequestAudit> {
-        let events = trace.events();
-        let t0 = events.first()?.at.as_micros();
-        let tn = events.last().map_or(t0, |e| e.at.as_micros());
-        let mut fold = RequestFold::new(t0);
-        for e in events {
-            fold.apply(e.at.as_micros(), &e.event);
+        Some(RequestAudit::from_timeline(request, &trace.timeline()?).0)
+    }
+
+    /// Reads the audit of one request off its folded timeline, plus the
+    /// wasted deploy time in integer microseconds (the streaming tier
+    /// sums that; the exact audit sums the per-request `f64` CPU-ms
+    /// instead).
+    pub(crate) fn from_timeline(request: u64, timeline: &Timeline) -> (RequestAudit, u64) {
+        let (t0, tn) = (timeline.start.as_micros(), timeline.end.as_micros());
+        let entries = &timeline.entries;
+        // The critical-path intervals, ranked: exec dominates waits, cold
+        // dominates warm. Intervals still open at the end run to the end:
+        // an unfinished execution counts as exec, an unserved wait as
+        // cold-start wait.
+        let intervals: Vec<(usize, u64, u64)> = entries
+            .iter()
+            .filter_map(|e| {
+                let rank = match e.kind {
+                    EntryKind::Exec { .. } => 0,
+                    EntryKind::Wait { warm } => 1 + usize::from(warm),
+                    _ => return None,
+                };
+                Some((rank, e.at.as_micros(), e.end.map_or(tn, SimTime::as_micros)))
+            })
+            .collect();
+
+        // Partition [t0, tn] at every interval endpoint and attribute each
+        // segment to exactly one category, the best-ranked interval
+        // covering it (stall when none does). A partition sums to the
+        // total by construction — the span-sum invariant is structural,
+        // not approximate.
+        let mut cuts: Vec<u64> = vec![t0, tn];
+        cuts.extend(
+            intervals
+                .iter()
+                .flat_map(|&(_, s, e)| [s.clamp(t0, tn), e.clamp(t0, tn)]),
+        );
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut components = [0u64; 4];
+        for w in cuts.windows(2) {
+            let covering = intervals
+                .iter()
+                .filter(|&&(_, s, e)| s <= w[0] && e >= w[1]);
+            components[covering.map(|&(rank, ..)| rank).min().unwrap_or(3)] += w[1] - w[0];
         }
-        Some(fold.finish(request, tn).0)
+        let [exec_us, cold_start_wait_us, queue_wait_us, stall_us] = components;
+
+        use EntryKind as K;
+        let invoked = timeline.functions(|k| matches!(k, K::Wait { .. }));
+        // Pair each invoked function's first invocation with its first
+        // deployment (replacement provisions after crashes keep their own
+        // entries but the first schedule is the planner's intent).
+        let jit = invoked
+            .iter()
+            .filter_map(|f| {
+                let invoked_at = timeline.first(f, |k| matches!(k, K::Wait { .. }))?.at;
+                match timeline.first(f, |k| matches!(k, K::Deploy { .. }))?.kind {
+                    K::Deploy { ready, on_demand } => Some(JitSample {
+                        function: Arc::clone(f),
+                        on_demand,
+                        lateness_ms: (ready.as_micros() as f64 - invoked_at.as_micros() as f64)
+                            / 1000.0,
+                    }),
+                    _ => None,
+                }
+            })
+            .collect();
+
+        // Unused speculative sandboxes are charged from deploy start to
+        // the request's end.
+        let unused = || {
+            entries
+                .iter()
+                .filter(|e| {
+                    e.end.is_none()
+                        && matches!(
+                            e.kind,
+                            EntryKind::Deploy {
+                                on_demand: false,
+                                ..
+                            }
+                        )
+                })
+                .map(|e| tn - e.at.as_micros())
+        };
+        let audit = RequestAudit {
+            request,
+            end_to_end_us: tn - t0,
+            exec_us,
+            cold_start_wait_us,
+            queue_wait_us,
+            stall_us,
+            predicted: timeline.functions(|k| {
+                matches!(
+                    k,
+                    K::Deploy {
+                        on_demand: false,
+                        ..
+                    }
+                )
+            }),
+            invoked,
+            missed: timeline.functions(|k| *k == K::Miss),
+            unused_deploys: unused().count() as u64,
+            wasted_cpu_ms: unused().map(|us| us as f64 / 1000.0).sum(),
+            jit,
+        };
+        (audit, unused().sum())
     }
 
     /// The span-sum invariant: the four decomposition components sum to

@@ -292,13 +292,6 @@ impl PlatformConfigBuilder {
                 c.faults.host_failure_rate
             )));
         }
-        if c.faults.host_failure_rate > 0.0
-            && (c.faults.host_mtbf_ms <= 0.0 || c.faults.host_reboot_ms <= 0.0)
-        {
-            return Err(ConfigError(
-                "host failure injection needs positive mtbf and reboot times".into(),
-            ));
-        }
         if c.cluster.autoscale.enabled() && c.cluster.autoscale.host_memory_mb == 0 {
             return Err(ConfigError("autoscaled hosts need memory".into()));
         }
@@ -410,12 +403,6 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(PlatformConfig::builder().faults(bad_host).build().is_err());
-        let no_reboot = FaultConfig {
-            host_failure_rate: 0.5,
-            host_reboot_ms: 0.0,
-            ..FaultConfig::default()
-        };
-        assert!(PlatformConfig::builder().faults(no_reboot).build().is_err());
         let bad_auto = ClusterConfig {
             autoscale: AutoscaleConfig {
                 max_hosts: 2,

@@ -187,10 +187,8 @@ pub fn streaming_json(audit: &StreamingAudit) -> Value {
             json!({
                 "request": e.request,
                 "end_to_end_ms": e.end_to_end_us as f64 / 1000.0,
-                "spans": e.span_tree().map(|t| {
-                    serde_json::to_value(t)
-                        .expect("SpanTree serializes infallibly: strings and integer micros")
-                }),
+                "spans": serde_json::to_value(e.span_tree())
+                    .expect("SpanTree serializes infallibly: strings and integer micros"),
             })
         })
         .collect();

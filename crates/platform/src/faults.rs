@@ -28,16 +28,6 @@ fn default_fault_seed() -> u64 {
     0xFA17
 }
 
-/// Serde default for [`FaultConfig::host_mtbf_ms`].
-fn default_host_mtbf_ms() -> f64 {
-    120_000.0
-}
-
-/// Serde default for [`FaultConfig::host_reboot_ms`].
-fn default_host_reboot_ms() -> f64 {
-    30_000.0
-}
-
 /// Multiplier a latency spike applies to an invocation's service time.
 pub const SPIKE_FACTOR: f64 = 8.0;
 
@@ -49,6 +39,14 @@ pub const INVOKE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// final attempt runs shielded (fresh worker, no injected fault), so every
 /// request is guaranteed to terminate.
 pub const MAX_RETRIES: u32 = 3;
+
+/// Width of the uptime window a doomed host's failure instant is drawn
+/// from, per epoch.
+pub const HOST_MTBF: SimDuration = SimDuration::from_secs(120);
+
+/// How long a failed host stays down before rebooting (while the platform
+/// still has requests in flight).
+pub const HOST_REBOOT: SimDuration = SimDuration::from_secs(30);
 
 /// Base retry backoff, ms; attempt `n` waits `BACKOFF_MS · 2^n`.
 const BACKOFF_MS: f64 = 200.0;
@@ -76,18 +74,11 @@ pub struct FaultConfig {
     #[serde(default = "default_fault_seed")]
     pub seed: u64,
     /// Probability in `[0, 1]` that a host fails during any one of its
-    /// uptime epochs. 0 (the default) disables host failure injection,
+    /// uptime epochs ([`HOST_MTBF`] wide; it reboots [`HOST_REBOOT`]
+    /// later). 0 (the default) disables host failure injection,
     /// independently of the worker/invocation `rate`.
     #[serde(default)]
     pub host_failure_rate: f64,
-    /// Width of the uptime window a doomed host's failure instant is
-    /// drawn from, per epoch.
-    #[serde(default = "default_host_mtbf_ms")]
-    pub host_mtbf_ms: f64,
-    /// How long a failed host stays down before rebooting (while the
-    /// platform still has requests in flight).
-    #[serde(default = "default_host_reboot_ms")]
-    pub host_reboot_ms: f64,
 }
 
 impl Default for FaultConfig {
@@ -96,8 +87,6 @@ impl Default for FaultConfig {
             rate: 0.0,
             seed: default_fault_seed(),
             host_failure_rate: 0.0,
-            host_mtbf_ms: default_host_mtbf_ms(),
-            host_reboot_ms: default_host_reboot_ms(),
         }
     }
 }
@@ -111,16 +100,6 @@ impl FaultConfig {
     /// Whether host failures will be injected.
     pub fn hosts_enabled(&self) -> bool {
         self.host_failure_rate > 0.0
-    }
-
-    /// Convenience constructor: host failures at `host_failure_rate` with
-    /// a specific fault seed (worker/invocation faults stay off).
-    pub fn with_host_rate(host_failure_rate: f64, seed: u64) -> Self {
-        FaultConfig {
-            host_failure_rate,
-            seed,
-            ..Default::default()
-        }
     }
 
     /// Convenience constructor: the default schedule at `rate` with a
@@ -198,7 +177,7 @@ impl FaultPlan {
     /// function of identities — `(host, epoch)` keys a child stream — so
     /// the host failure schedule is independent of event interleaving. A
     /// doomed epoch gets one failure instant drawn uniformly over
-    /// `[up_since, up_since + host_mtbf_ms)`.
+    /// `[up_since, up_since + HOST_MTBF)`.
     pub fn host_crash_time(&self, host: u32, epoch: u32, up_since: SimTime) -> Option<SimTime> {
         if !self.hosts_enabled() {
             return None;
@@ -208,7 +187,7 @@ impl FaultPlan {
         if rng.next_f64() >= self.config.host_failure_rate {
             return None;
         }
-        let offset_ms = rng.next_f64() * self.config.host_mtbf_ms;
+        let offset_ms = rng.next_f64() * HOST_MTBF.as_millis_f64();
         Some(up_since + SimDuration::from_millis_f64(offset_ms))
     }
 
@@ -322,13 +301,25 @@ mod tests {
         assert_eq!(c.seed, 0xFA17);
         assert!(c.enabled());
         assert!(!c.hosts_enabled());
-        assert_eq!(c.host_mtbf_ms, 120_000.0);
-        assert_eq!(c.host_reboot_ms, 30_000.0);
+        // A document naming the host lifetimes, which are constants now,
+        // still parses.
+        let old: FaultConfig =
+            serde_json::from_str("{\"host_mtbf_ms\": 1.0, \"host_reboot_ms\": 1.0}").unwrap();
+        assert_eq!(old, FaultConfig::default());
+    }
+
+    /// Host failures at `host_failure_rate` with fault seed `seed`;
+    /// worker and invocation faults stay off.
+    fn host_faults(host_failure_rate: f64, seed: u64) -> FaultConfig {
+        FaultConfig {
+            host_failure_rate,
+            ..FaultConfig::with_rate(0.0, seed)
+        }
     }
 
     #[test]
     fn host_failures_are_independent_of_worker_faults() {
-        let p = FaultPlan::new(FaultConfig::with_host_rate(1.0, 7));
+        let p = FaultPlan::new(host_faults(1.0, 7));
         assert!(!p.enabled());
         assert!(p.hosts_enabled());
         // Worker faults stay off; every host epoch is doomed.
@@ -342,8 +333,8 @@ mod tests {
 
     #[test]
     fn host_crash_times_are_keyed_by_host_and_epoch() {
-        let a = FaultPlan::new(FaultConfig::with_host_rate(0.5, 3));
-        let b = FaultPlan::new(FaultConfig::with_host_rate(0.5, 3));
+        let a = FaultPlan::new(host_faults(0.5, 3));
+        let b = FaultPlan::new(host_faults(0.5, 3));
         let fwd: Vec<_> = (0..64)
             .flat_map(|h| (0..4).map(move |e| (h, e)))
             .map(|(h, e)| a.host_crash_time(h, e, SimTime::ZERO))

@@ -332,7 +332,9 @@ struct SharedDriver {
 ///
 /// [`PlatformError::AlreadyDeployed`] if two workloads share a
 /// workflow name — shards are keyed by name, so duplicates would
-/// collide in the merge.
+/// collide in the merge — and [`PlatformError::LateTrigger`] if a
+/// trigger falls past [`SimTime::LAST_TRIGGER`]. Both are found before
+/// any shard thread starts.
 ///
 /// # Example
 ///
@@ -413,6 +415,18 @@ pub fn replay_sharded_with(
     for pair in inputs.windows(2) {
         if pair[0].name == pair[1].name {
             return Err(PlatformError::AlreadyDeployed(pair[0].name.clone()));
+        }
+    }
+    for input in &inputs {
+        if let Some(&at) = input
+            .triggers
+            .last()
+            .filter(|&&at| at > SimTime::LAST_TRIGGER)
+        {
+            return Err(PlatformError::LateTrigger {
+                workflow: input.name.clone(),
+                at,
+            });
         }
     }
     for (i, input) in inputs.iter_mut().enumerate() {
@@ -1357,7 +1371,7 @@ mod tests {
         let audit = run.streaming.as_ref().unwrap();
         for e in audit.exemplars() {
             assert!(e.request < 30, "global request id in range");
-            let tree = e.span_tree().expect("span tree");
+            let tree = e.span_tree();
             assert!(tree.root.name.contains(&format!("request {}", e.request)));
         }
     }
@@ -1369,6 +1383,27 @@ mod tests {
         let config = PlatformConfig::for_mode(ExecutionMode::Jit, 1);
         let err = replay_sharded(&config, workloads, &ShardOptions::default()).unwrap_err();
         assert!(matches!(err, PlatformError::AlreadyDeployed(name) if name == "wf0"));
+    }
+
+    /// A trigger past the last simulable time is a typed error found
+    /// before any shard thread starts (a shard that met it would panic),
+    /// and the same fleet without it replays.
+    #[test]
+    fn late_triggers_are_refused_before_any_shard_runs() {
+        let config = PlatformConfig::for_mode(ExecutionMode::Jit, 1);
+        let late = SimTime::LAST_TRIGGER + SimDuration::from_micros(1);
+        let mut workloads = fleet(2, 2);
+        workloads[1].triggers.push(late);
+        let err = replay_sharded(&config, workloads, &ShardOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            PlatformError::LateTrigger {
+                workflow: "wf1".into(),
+                at: late
+            }
+        );
+        let run = replay_sharded(&config, fleet(2, 2), &ShardOptions::default()).unwrap();
+        assert_eq!(run.report.results.len(), 4);
     }
 
     #[test]

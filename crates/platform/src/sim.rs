@@ -24,8 +24,7 @@ use crate::hosts::{
 use crate::metastore::MetaStore;
 use crate::obs::{Observer, ObserverHandle};
 use crate::result::{PlatformReport, RunResult};
-use crate::stream::TraceRecorder;
-use crate::timeline::Trace;
+use crate::timeline::{Trace, TraceRecorder};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -50,6 +49,15 @@ pub enum PlatformError {
     /// Restoring persisted learned state failed (missing or malformed
     /// documents in the metadata store).
     Restore(String),
+    /// A trigger of the named workflow falls past
+    /// [`SimTime::LAST_TRIGGER`], where the times it schedules could
+    /// overflow the clock.
+    LateTrigger {
+        /// The workflow triggered.
+        workflow: String,
+        /// The trigger time.
+        at: SimTime,
+    },
 }
 
 impl fmt::Display for PlatformError {
@@ -63,6 +71,13 @@ impl fmt::Display for PlatformError {
             PlatformError::Restore(reason) => {
                 write!(f, "failed to restore learned state: {reason}")
             }
+            PlatformError::LateTrigger { workflow, at } => write!(
+                f,
+                "trigger of `{workflow}` at {} µs is past the last simulable \
+                 trigger time, {} µs",
+                at.as_micros(),
+                SimTime::LAST_TRIGGER.as_micros()
+            ),
         }
     }
 }
@@ -534,16 +549,16 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`PlatformError::UnknownWorkflow`] if the name is not deployed.
+    /// [`PlatformError::UnknownWorkflow`] if the name is not deployed,
+    /// and [`PlatformError::LateTrigger`] if `at` is past
+    /// [`SimTime::LAST_TRIGGER`]; either way nothing is scheduled.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past once
     /// [`run_until_idle`](Self::run_until_idle) has advanced beyond it.
     pub fn trigger_at(&mut self, workflow: &str, at: SimTime) -> Result<u64, PlatformError> {
-        let Some(sym) = self.workflow_ids.get(workflow) else {
-            return Err(PlatformError::UnknownWorkflow(workflow.to_string()));
-        };
+        let sym = self.trigger_target(workflow, at)?;
         let req = self.next_request;
         self.next_request += 1;
         self.queue
@@ -563,7 +578,8 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// [`PlatformError::UnknownWorkflow`] if the name is not deployed.
+    /// Those of `trigger_at`, for the last (latest) time; nothing is
+    /// scheduled then.
     ///
     /// # Panics
     ///
@@ -575,13 +591,11 @@ impl Platform {
         workflow: &str,
         times: Vec<SimTime>,
     ) -> Result<(), PlatformError> {
-        let Some(sym) = self.workflow_ids.get(workflow) else {
-            return Err(PlatformError::UnknownWorkflow(workflow.to_string()));
-        };
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
             "trigger times must be ascending"
         );
+        let sym = self.trigger_target(workflow, times.last().copied().unwrap_or(SimTime::ZERO))?;
         let n = times.len() as u64;
         let first_req = self.next_request;
         self.next_request += n;
@@ -600,6 +614,21 @@ impl Platform {
             self.arrivals.push(cursor);
         }
         Ok(())
+    }
+
+    /// The deployed workflow a trigger at `at` names, unless the name is
+    /// unknown or `at` is past [`SimTime::LAST_TRIGGER`].
+    fn trigger_target(&self, workflow: &str, at: SimTime) -> Result<Sym, PlatformError> {
+        let Some(sym) = self.workflow_ids.get(workflow) else {
+            return Err(PlatformError::UnknownWorkflow(workflow.to_string()));
+        };
+        if at > SimTime::LAST_TRIGGER {
+            return Err(PlatformError::LateTrigger {
+                workflow: workflow.to_string(),
+                at,
+            });
+        }
+        Ok(sym)
     }
 
     /// Queues the trigger after `req` when `req` is an arrival cursor's
@@ -972,9 +1001,8 @@ impl Platform {
         // Reboot only while requests are in flight: an idle platform must
         // quiesce, or `run_until_idle` would cycle hosts forever.
         if self.active_runs > 0 {
-            let reboot = SimDuration::from_millis_f64(self.config.faults.host_reboot_ms);
             self.queue
-                .schedule(self.now + reboot, Event::HostBoot { host });
+                .schedule(self.now + faults::HOST_REBOOT, Event::HostBoot { host });
         }
     }
 
@@ -2229,6 +2257,37 @@ mod tests {
         );
     }
 
+    /// Both trigger entry points refuse a trigger past the last simulable
+    /// time with a typed error, schedule nothing for it, and keep serving
+    /// the triggers that are in range.
+    #[test]
+    fn late_triggers_are_typed_errors_and_the_platform_keeps_serving() {
+        let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 1));
+        p.deploy(linear_chain("wf", 2, &FunctionSpec::new("f").service_ms(100.0)).unwrap())
+            .unwrap();
+        let late = SimTime::LAST_TRIGGER + SimDuration::from_micros(1);
+        let refused = PlatformError::LateTrigger {
+            workflow: "wf".into(),
+            at: late,
+        };
+        assert_eq!(p.trigger_at("wf", late), Err(refused.clone()));
+        assert_eq!(
+            p.trigger_arrivals("wf", vec![SimTime::ZERO, late]),
+            Err(refused.clone())
+        );
+        assert!(refused
+            .to_string()
+            .contains("past the last simulable trigger time"));
+        assert_eq!(p.pending_events(), 0);
+
+        assert_eq!(p.trigger_at("wf", SimTime::from_secs(1)), Ok(0));
+        p.trigger_arrivals("wf", vec![SimTime::from_secs(2), SimTime::from_secs(3)])
+            .unwrap();
+        p.run_until_idle();
+        let requests: Vec<u64> = p.finish().results.iter().map(|r| r.request).collect();
+        assert_eq!(requests, [0, 1, 2]);
+    }
+
     #[test]
     fn plan_cache_hits_across_identical_triggers() {
         let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 42));
@@ -2486,6 +2545,12 @@ mod tests {
             "slow": {"type": "branch",
                 "review": {"type": "function", "wait_for": [], "service_ms": 500}}
         }"#;
+        // Whether `function` ran to completion in the request's trace.
+        let ran = |trace: &Trace, function: &str| {
+            trace.events().iter().any(
+                |e| matches!(&e.event, BusEvent::ExecEnded { function: f, .. } if **f == *function),
+            )
+        };
         let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Cold, 3));
         p.deploy_sdl("cond", doc).unwrap();
         for i in 0..10 {
@@ -2495,11 +2560,8 @@ mod tests {
         for (req, r) in p.results().iter().enumerate() {
             assert_eq!(r.executed_functions, 2);
             let trace = p.trace(req as u64).expect("trace");
-            assert!(
-                trace.exec_interval("review").is_some(),
-                "fail branch taken every time"
-            );
-            assert!(trace.exec_interval("approve").is_none());
+            assert!(ran(trace, "review"), "fail branch taken every time");
+            assert!(!ran(trace, "approve"));
         }
 
         // Without an output the probability governs: over 10 requests the
@@ -2513,10 +2575,7 @@ mod tests {
         }
         p.run_until_idle();
         let approvals = (0..10)
-            .filter(|&req| {
-                p.trace(req as u64)
-                    .is_some_and(|t| t.exec_interval("approve").is_some())
-            })
+            .filter(|&req| p.trace(req as u64).is_some_and(|t| ran(t, "approve")))
             .count();
         assert!(
             approvals >= 6,

@@ -1,22 +1,22 @@
 //! Streaming telemetry: bounded-memory audits and windowed SLO gates.
 //!
 //! The batch audit ([`analysis`](crate::analysis)) can read full
-//! per-request [`Trace`]s; a fleet-scale replay cannot afford them — a
-//! 1M-invocation run would retain a million timelines. This module runs
-//! the *same* per-request audit fold online, fed by the typed
-//! [`BusEvent`] stream through the [`Observer`] trait:
+//! per-request [`Trace`](crate::timeline::Trace)s; a fleet-scale replay
+//! cannot afford them — a 1M-invocation run would retain a million
+//! timelines. This module runs the *same* per-request lifecycle fold
+//! online, fed by the typed [`BusEvent`] stream through the [`Observer`]
+//! trait:
 //!
 //! - The fold reads the request's own bus events, exactly as a recorded
-//!   [`Trace`] holds them; each event names its request, and events
-//!   outside every request's lifecycle are skipped. The tracker keeps
-//!   one fold per in-flight request and — when exemplars are kept —
-//!   records the event into the request's trace, through the same
-//!   recorder that builds [`Platform::trace`](crate::Platform::trace).
+//!   trace holds them; each event names its request, and events outside
+//!   every request's lifecycle are skipped. The tracker keeps one fold
+//!   per in-flight request and records nothing else.
 //! - [`StreamingAudit`] folds each finished request into the shared
 //!   [`Tally`] with fixed-bucket [`Histogram`]s as the sample sink, plus
-//!   a deterministic reservoir of the K worst requests (kept as
-//!   recorded traces, so exemplar [`SpanTree`]s survive without
-//!   retaining everything else).
+//!   a deterministic reservoir of the K worst requests. An exemplar keeps
+//!   its request's folded timeline, the intervals and markers its
+//!   [`SpanTree`] is read off, so exemplars survive without a recorded
+//!   trace or anything else retained.
 //! - [`SloMonitor`] folds finished requests into tumbling windows and
 //!   evaluates [`DiffThresholds`] against the first non-empty window.
 //!
@@ -36,14 +36,15 @@
 //! exports are byte-identical at any `--shards`/`--jobs` width.
 
 use crate::analysis::{
-    drop_regression, pct_regression, recall, DiffThresholds, MlpStats, RequestAudit, RequestFold,
-    SampleSink, Tally, WasteStats, ABS_FLOOR_MS,
+    drop_regression, pct_regression, recall, DiffThresholds, MlpStats, RequestAudit, SampleSink,
+    Tally, WasteStats, ABS_FLOOR_MS,
 };
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
-use crate::timeline::{SpanTree, Trace};
+use crate::timeline::{RequestFold, SpanTree, Timeline};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use xanadu_simcore::{SimDuration, SimTime};
 
@@ -51,104 +52,47 @@ use xanadu_simcore::{SimDuration, SimTime};
 // Bus events into the per-request fold (StreamingAudit and SloMonitor)
 // ---------------------------------------------------------------------
 
-/// Records each request's [`Trace`] from the bus: every event is filed
-/// under the request its `lifecycle_request` names, as emitted.
-/// Pool-owned provisions name a request that is never in flight, so they
-/// land in no trace. This one recorder backs both
-/// [`Platform::trace`](crate::Platform::trace) (with `record_traces` on)
-/// and the streaming audit's exemplars. It runs no audit fold.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TraceRecorder {
-    /// Timelines of requests in flight, opened at their trigger.
-    open: BTreeMap<u64, Trace>,
-    /// Timelines of completed requests.
-    done: HashMap<u64, Trace>,
-}
-
-impl TraceRecorder {
-    /// Records one event at `at`, keeping the timeline it completes.
-    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some(request) = event.lifecycle_request() {
-            if let Some(trace) = self.record(at, request, event) {
-                self.done.insert(request, trace);
-            }
-        }
-    }
-
-    /// Records `request`'s event at `at`. Returns the timeline when the
-    /// event completes it.
-    fn record(&mut self, at: SimTime, request: u64, event: &BusEvent) -> Option<Trace> {
-        if let BusEvent::RequestTriggered { .. } = event {
-            self.open.insert(request, Trace::default());
-        }
-        self.open.get_mut(&request)?.record(at, event.clone());
-        if let BusEvent::RequestCompleted { .. } = event {
-            return self.open.remove(&request);
-        }
-        None
-    }
-
-    /// The timeline of a completed request.
-    pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
-        self.done.get(&request)
-    }
-
-    /// Moves out every completed timeline, in no particular order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
-        self.done.drain()
-    }
-}
-
 /// A request the tracker just saw complete.
 struct Finished {
     audit: RequestAudit,
     /// Wasted deploy time, integer microseconds.
     wasted_us: u64,
-    /// The recorded timeline, when the tracker keeps traces.
-    trace: Option<Trace>,
+    /// The folded timeline the audit was read off.
+    timeline: Timeline,
 }
 
-/// Feeds bus events to one audit fold per in-flight request. A request's
-/// state is dropped the moment it completes, so live memory is bounded by
-/// in-flight concurrency, not by run length.
+/// Feeds bus events to one lifecycle fold per in-flight request. A
+/// request's state is dropped the moment it completes, so live memory is
+/// bounded by in-flight concurrency, not by run length.
 #[derive(Debug, Clone, Default)]
 struct RequestTracker {
     pending: BTreeMap<u64, RequestFold>,
-    /// Recorded timelines, kept only for exemplars.
-    traces: Option<TraceRecorder>,
 }
 
 impl RequestTracker {
-    fn new(keep_traces: bool) -> Self {
-        RequestTracker {
-            pending: BTreeMap::new(),
-            traces: keep_traces.then(TraceRecorder::default),
-        }
-    }
-
     /// Feeds one event; returns the request it completed, if any.
     fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
         let request = event.lifecycle_request()?;
-        let at_us = at.as_micros();
-        if let BusEvent::RequestTriggered { .. } = event {
-            self.pending.insert(request, RequestFold::new(at_us));
-        }
-        let trace = self
-            .traces
-            .as_mut()
-            .and_then(|t| t.record(at, request, event));
-        if !matches!(event, BusEvent::RequestCompleted { .. }) {
-            if let Some(fold) = self.pending.get_mut(&request) {
-                fold.apply(at_us, event);
+        match event {
+            BusEvent::RequestTriggered { .. } => {
+                self.pending.insert(request, RequestFold::new(at));
             }
-            return None;
+            BusEvent::RequestCompleted { .. } => {
+                let timeline = self.pending.remove(&request)?.finish(at);
+                let (audit, wasted_us) = RequestAudit::from_timeline(request, &timeline);
+                return Some(Finished {
+                    audit,
+                    wasted_us,
+                    timeline,
+                });
+            }
+            _ => {
+                if let Some(fold) = self.pending.get_mut(&request) {
+                    fold.apply(at, event);
+                }
+            }
         }
-        let (audit, wasted_us) = self.pending.remove(&request)?.finish(request, at_us);
-        Some(Finished {
-            audit,
-            wasted_us,
-            trace,
-        })
+        None
     }
 }
 
@@ -159,8 +103,7 @@ impl RequestTracker {
 /// Configuration of a [`StreamingAudit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
-    /// Size of the worst-request exemplar reservoir (0 disables trace
-    /// recording entirely).
+    /// Size of the worst-request exemplar reservoir (0 keeps none).
     pub exemplars: usize,
 }
 
@@ -170,8 +113,8 @@ impl Default for StreamingConfig {
     }
 }
 
-/// One entry of the worst-request reservoir: the recorded timeline
-/// of a completed request, kept so its [`SpanTree`] can be exported.
+/// One entry of the worst-request reservoir: the folded timeline of a
+/// completed request, kept so its [`SpanTree`] can be exported.
 /// Serializable so the service tier can checkpoint the reservoir.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Exemplar {
@@ -180,13 +123,18 @@ pub struct Exemplar {
     /// End-to-end latency, integer microseconds — the reservoir's sort
     /// key (descending, ties broken by ascending request id).
     pub end_to_end_us: u64,
-    trace: Trace,
+    timeline: Timeline,
 }
 
 impl Exemplar {
-    /// The span decomposition of the exemplar's recorded timeline.
-    pub fn span_tree(&self) -> Option<SpanTree> {
-        SpanTree::from_trace(self.request, &self.trace)
+    /// The span decomposition of the exemplar's timeline.
+    pub fn span_tree(&self) -> SpanTree {
+        SpanTree::from_timeline(self.request, &self.timeline)
+    }
+
+    /// The reservoir's order: worst first, ties by ascending request id.
+    fn rank(&self) -> (Reverse<u64>, u64) {
+        (Reverse(self.end_to_end_us), self.request)
     }
 }
 
@@ -355,23 +303,24 @@ impl StreamingAudit {
         let state = &mut self.state;
         state.tally.add(&finished.audit, &mut state.buckets);
         state.wasted_us += finished.wasted_us;
-        if let Some(trace) = finished.trace {
-            state.exemplars.push(Exemplar {
-                request: finished.audit.request,
-                end_to_end_us: finished.audit.end_to_end_us,
-                trace,
-            });
-            self.sort_exemplars();
+        let exemplar = Exemplar {
+            request: finished.audit.request,
+            end_to_end_us: finished.audit.end_to_end_us,
+            timeline: finished.timeline,
+        };
+        // The reservoir stays sorted: a request enters at its rank, if
+        // that rank is inside the capacity.
+        let exemplars = &mut state.exemplars;
+        let at = exemplars.partition_point(|e| e.rank() < exemplar.rank());
+        if at < state.exemplars_cap {
+            exemplars.insert(at, exemplar);
+            exemplars.truncate(state.exemplars_cap);
         }
     }
 
     fn sort_exemplars(&mut self) {
         let exemplars = &mut self.state.exemplars;
-        exemplars.sort_unstable_by(|a, b| {
-            b.end_to_end_us
-                .cmp(&a.end_to_end_us)
-                .then(a.request.cmp(&b.request))
-        });
+        exemplars.sort_unstable_by_key(Exemplar::rank);
         exemplars.truncate(self.state.exemplars_cap);
     }
 
@@ -464,7 +413,7 @@ impl StreamingAudit {
     /// captured.
     pub fn from_checkpoint(c: &AuditCheckpoint) -> StreamingAudit {
         StreamingAudit {
-            tracker: RequestTracker::new(c.exemplars_cap > 0),
+            tracker: RequestTracker::default(),
             state: c.clone(),
         }
     }
@@ -670,7 +619,7 @@ impl SloMonitor {
             "SLO window must be positive"
         );
         SloMonitor {
-            tracker: RequestTracker::new(false),
+            tracker: RequestTracker::default(),
             config,
             windows: BTreeMap::new(),
             baseline: None,
@@ -1146,7 +1095,7 @@ mod tests {
         assert_eq!(ex[0].request, 2, "worst first");
         assert_eq!(ex[1].request, 3);
         assert_eq!(ex[0].end_to_end_us, 400_000);
-        let tree = ex[0].span_tree().expect("recorded trace spans");
+        let tree = ex[0].span_tree();
         assert!(tree.root.name.contains("request 2"));
     }
 
@@ -1443,8 +1392,6 @@ mod tests {
         let branchy = b.build().unwrap();
         let faults = FaultConfig {
             host_failure_rate: 1.0,
-            host_mtbf_ms: 90_000.0,
-            host_reboot_ms: 15_000.0,
             ..FaultConfig::with_rate(1.0, 0xC0FFEE)
         };
         let config = PlatformConfig::builder()
@@ -1489,10 +1436,27 @@ mod tests {
         }
         assert_eq!(completed, 24);
         assert_eq!(traced.len(), 12, "every lifecycle variant was traced");
-        let outside = events
+        let outside: HashSet<_> = events
             .iter()
-            .filter(|(_, e)| e.lifecycle_request().is_none());
-        assert!(outside.count() > 0, "host, placement and policy events");
+            .filter(|(_, e)| e.lifecycle_request().is_none())
+            .map(|(_, e)| discriminant(e))
+            .collect();
+        let host_down = BusEvent::HostDown {
+            host: 0,
+            workers_lost: 0,
+        };
+        let host_up = BusEvent::HostUp {
+            host: 0,
+            memory_mb: 0,
+        };
+        assert!(
+            outside.contains(&discriminant(&host_down)),
+            "no host failed"
+        );
+        assert!(
+            outside.contains(&discriminant(&host_up)),
+            "no failed host rebooted"
+        );
     }
 
     #[test]

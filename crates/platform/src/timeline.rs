@@ -4,15 +4,25 @@
 //! events that Figure 10 of the paper narrates — planning-driven
 //! deployments, function invocations, dispatches into workers, completions
 //! and prediction misses — as a [`Trace`]: the request's own
-//! [`BusEvent`]s, exactly as its observers received them. The audit fold
-//! ([`analysis`](crate::analysis)) and the [`SpanTree`] read those same
-//! events, so the platform has one lifecycle vocabulary. Traces power
-//! debugging, the CLI's `--trace` output, and assertions about *when*
-//! things happened rather than only aggregate latencies.
+//! [`BusEvent`]s, exactly as its observers received them.
+//!
+//! One fold reads those events. It pairs each request's provisions,
+//! invocations and executions into deploy, wait and exec intervals (each
+//! execution numbered by attempt) and keeps its plan, miss, crash,
+//! timeout, retry and failed-deploy markers, in event order. Everything
+//! else is read off that folded timeline: the request's audit row
+//! ([`RequestAudit`](crate::RequestAudit)), its [`SpanTree`] and its
+//! Gantt chart ([`Trace::render_gantt`]). The fold runs over a recorded
+//! trace here, and over the live bus in the [`stream`](crate::stream)
+//! tier, whose exemplars keep the folded timeline instead of a trace.
+//! Traces power debugging, the CLI's `--trace` output, and assertions
+//! about *when* things happened rather than only aggregate latencies.
 
 use crate::events::BusEvent;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
 
 /// A timestamped trace event: one of the request's own bus events,
@@ -52,18 +62,15 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The execution interval of `function` (exec start → exec end), if it
-    /// ran to completion.
-    pub fn exec_interval(&self, function: &str) -> Option<(SimTime, SimTime)> {
-        let start = self.events.iter().find_map(|e| match &e.event {
-            BusEvent::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
-            _ => None,
-        })?;
-        let end = self.events.iter().find_map(|e| match &e.event {
-            BusEvent::ExecEnded { function: f, .. } if **f == *function => Some(e.at),
-            _ => None,
-        })?;
-        Some((start, end))
+    /// The fold of the trace's events (the request spans its first to
+    /// its last event), or `None` for an empty trace.
+    pub(crate) fn timeline(&self) -> Option<Timeline> {
+        let (first, last) = (self.events.first()?, self.events.last()?);
+        let mut fold = RequestFold::new(first.at);
+        for e in &self.events {
+            fold.apply(e.at, &e.event);
+        }
+        Some(fold.finish(last.at))
     }
 
     /// Renders the trace as an ASCII Gantt chart: one row per function,
@@ -72,34 +79,262 @@ impl Trace {
     ///
     /// Returns an empty string for an empty trace.
     pub fn render_gantt(&self, width: usize) -> String {
-        let width = width.clamp(20, 200);
-        let Some(start) = self.events.first().map(|e| e.at) else {
-            return String::new();
+        self.timeline()
+            .map_or_else(String::new, |t| t.render_gantt(width))
+    }
+}
+
+/// Records each request's [`Trace`] from the bus for
+/// [`Platform::trace`](crate::Platform::trace), with `record_traces` on:
+/// every event is filed under the request its `lifecycle_request` names,
+/// as emitted. Pool-owned provisions name a request that is never in
+/// flight, so they land in no trace.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TraceRecorder {
+    /// Timelines of requests in flight, opened at their trigger.
+    open: BTreeMap<u64, Trace>,
+    /// Timelines of completed requests.
+    done: HashMap<u64, Trace>,
+}
+
+impl TraceRecorder {
+    /// Records one event at `at`, keeping the timeline it completes.
+    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        let Some(request) = event.lifecycle_request() else {
+            return;
         };
-        let end = self.events.last().map(|e| e.at).unwrap_or(start);
+        if let BusEvent::RequestTriggered { .. } = event {
+            self.open.insert(request, Trace::default());
+        }
+        let Some(trace) = self.open.get_mut(&request) else {
+            return;
+        };
+        trace.record(at, event.clone());
+        if let BusEvent::RequestCompleted { .. } = event {
+            if let Some(trace) = self.open.remove(&request) {
+                self.done.insert(request, trace);
+            }
+        }
+    }
+
+    /// The timeline of a completed request.
+    pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
+        self.done.get(&request)
+    }
+
+    /// Moves out every completed timeline, in no particular order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
+        self.done.drain()
+    }
+}
+
+/// What a timeline [`Entry`] records.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) enum EntryKind {
+    /// A sandbox provisioned for the request, warm at `ready`. It ends at
+    /// the execution start that claimed it.
+    Deploy { ready: SimTime, on_demand: bool },
+    /// An invocation waiting for its sandbox until its execution start;
+    /// `warm` when a warm sandbox served it.
+    Wait { warm: bool },
+    /// One execution attempt (1 for the first); `timed_out` when a
+    /// timeout, not completion, ended it.
+    Exec { attempt: u64, timed_out: bool },
+    /// The plan scheduled `planned` deployments.
+    Plan { planned: u64 },
+    /// The function was invoked off the plan.
+    Miss,
+    /// A crash orphaned the function's invocation.
+    Crash,
+    /// An invocation timed out at fault attempt `attempt`.
+    Timeout { attempt: u64 },
+    /// A faulted invocation was retried (retry `attempt`).
+    Retry { attempt: u64 },
+    /// A speculative pre-deployment failed (fault attempt `attempt`).
+    DeployFailed { attempt: u64 },
+}
+
+/// One interval or marker of a [`Timeline`], opened by the event at
+/// `at`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Entry {
+    /// The function it concerns; a plan's is its workflow.
+    pub(crate) name: Arc<str>,
+    pub(crate) at: SimTime,
+    /// When a deploy, wait or execution closed: `None` while it is open,
+    /// and for a marker.
+    pub(crate) end: Option<SimTime>,
+    pub(crate) kind: EntryKind,
+}
+
+/// A request's lifecycle as [`RequestFold`] pairs it: every interval and
+/// marker in the order of the events that opened them. The audit row, the
+/// span tree and the Gantt chart are all read off it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Timeline {
+    /// The trigger.
+    pub(crate) start: SimTime,
+    /// The completion.
+    pub(crate) end: SimTime,
+    pub(crate) entries: Vec<Entry>,
+}
+
+/// The one reader of a request's lifecycle events: it turns them into the
+/// request's [`Timeline`]. It holds only that request's entries, so the
+/// streaming tier keeps one per in-flight request and drops it at
+/// completion.
+#[derive(Debug, Clone)]
+pub(crate) struct RequestFold(Timeline);
+
+impl RequestFold {
+    /// An empty fold for a request triggered at `start`.
+    pub(crate) fn new(start: SimTime) -> Self {
+        RequestFold(Timeline {
+            start,
+            end: start,
+            entries: Vec::new(),
+        })
+    }
+
+    /// Applies one lifecycle event that happened at `at`. An execution
+    /// start claims the function's first unclaimed deployment and closes
+    /// its first open wait; an execution end or timeout closes its first
+    /// open execution.
+    pub(crate) fn apply(&mut self, at: SimTime, event: &BusEvent) {
+        use BusEvent as E;
+        use EntryKind as K;
+        let entries = &mut self.0.entries;
+        let (name, kind) = match event {
+            E::WorkerProvisioned {
+                function,
+                on_demand,
+                ready_in_ms,
+                ..
+            } => {
+                // The platform built `ready_in_ms` from whole µs, so
+                // rounding recovers them exactly.
+                let ready = at + SimDuration::from_millis_f64(*ready_in_ms);
+                let on_demand = *on_demand;
+                (function, K::Deploy { ready, on_demand })
+            }
+            E::FunctionInvoked { function, .. } => (function, K::Wait { warm: false }),
+            E::ExecStarted { function, warm, .. } => {
+                let (mut deploy, mut wait, mut attempt) = (true, true, 1);
+                for e in entries.iter_mut().filter(|e| e.name == *function) {
+                    match &mut e.kind {
+                        K::Deploy { .. } if deploy && e.end.is_none() => {
+                            e.end = Some(at);
+                            deploy = false;
+                        }
+                        K::Wait { warm: served_warm } if wait && e.end.is_none() => {
+                            (e.end, *served_warm) = (Some(at), *warm);
+                            wait = false;
+                        }
+                        K::Exec { .. } => attempt += 1,
+                        _ => {}
+                    }
+                }
+                (
+                    function,
+                    K::Exec {
+                        attempt,
+                        timed_out: false,
+                    },
+                )
+            }
+            E::ExecEnded { function, .. } | E::InvokeTimeout { function, .. } => {
+                let timeout = match event {
+                    E::InvokeTimeout { attempt, .. } => Some(*attempt),
+                    _ => None,
+                };
+                for e in entries
+                    .iter_mut()
+                    .filter(|e| e.name == *function && e.end.is_none())
+                {
+                    if let K::Exec { timed_out, .. } = &mut e.kind {
+                        (e.end, *timed_out) = (Some(at), timeout.is_some());
+                        break;
+                    }
+                }
+                let Some(attempt) = timeout else {
+                    return;
+                };
+                (function, K::Timeout { attempt })
+            }
+            E::PlanComputed {
+                workflow, planned, ..
+            } => (workflow, K::Plan { planned: *planned }),
+            E::PredictionMiss { function, .. } => (function, K::Miss),
+            E::WorkerCrashed { function, .. } => (function, K::Crash),
+            E::InvokeRetried {
+                function, attempt, ..
+            } => (function, K::Retry { attempt: *attempt }),
+            E::DeployFailed {
+                function, attempt, ..
+            } => (function, K::DeployFailed { attempt: *attempt }),
+            _ => return,
+        };
+        entries.push(Entry {
+            name: Arc::clone(name),
+            at,
+            end: None,
+            kind,
+        });
+    }
+
+    /// Ends the request at `end` and returns its timeline.
+    pub(crate) fn finish(mut self, end: SimTime) -> Timeline {
+        self.0.end = end;
+        self.0
+    }
+}
+
+impl Timeline {
+    /// The entries of function `name`.
+    fn of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Entry> + 'a {
+        self.entries.iter().filter(move |e| &*e.name == name)
+    }
+
+    /// The first entry of function `name` that `keep` selects.
+    pub(crate) fn first(&self, name: &str, keep: fn(&EntryKind) -> bool) -> Option<&Entry> {
+        self.entries
+            .iter()
+            .find(|e| &*e.name == name && keep(&e.kind))
+    }
+
+    /// The functions of the entries `keep` selects, in first-entry order.
+    pub(crate) fn functions(&self, keep: fn(&EntryKind) -> bool) -> Vec<Arc<str>> {
+        let mut out: Vec<Arc<str>> = Vec::new();
+        for e in self.entries.iter().filter(|e| keep(&e.kind)) {
+            if !out.contains(&e.name) {
+                out.push(Arc::clone(&e.name));
+            }
+        }
+        out
+    }
+
+    /// Renders the ASCII Gantt chart of [`Trace::render_gantt`]. A row's
+    /// bars run from the function's first provision to its first
+    /// execution start (`░`), and from there to its first completed
+    /// execution (`█`).
+    pub(crate) fn render_gantt(&self, width: usize) -> String {
+        use EntryKind as K;
+        let width = width.clamp(20, 200);
+        let (start, end) = (self.start, self.end);
         let span = end.saturating_since(start).as_millis_f64().max(1.0);
         let col = |t: SimTime| -> usize {
             let frac = t.saturating_since(start).as_millis_f64() / span;
             ((frac * (width - 1) as f64).round() as usize).min(width - 1)
         };
 
-        // Collect per-function milestones.
-        let mut functions: Vec<&str> = Vec::new();
-        for e in &self.events {
-            let name = match &e.event {
-                BusEvent::WorkerProvisioned { function, .. }
-                | BusEvent::FunctionInvoked { function, .. }
-                | BusEvent::ExecStarted { function, .. }
-                | BusEvent::ExecEnded { function, .. }
-                | BusEvent::PredictionMiss { function, .. } => Some(function),
-                _ => None,
-            };
-            if let Some(n) = name {
-                if !functions.contains(&&**n) {
-                    functions.push(n);
-                }
-            }
-        }
+        // One row per function, in first-appearance order; a plan or a
+        // fault marker opens none.
+        let functions = self.functions(|k| {
+            matches!(
+                k,
+                K::Deploy { .. } | K::Wait { .. } | K::Exec { .. } | K::Miss
+            )
+        });
         let name_width = functions.iter().map(|f| f.len()).max().unwrap_or(4).max(4);
         let mut out = String::new();
         let _ = writeln!(
@@ -109,15 +344,26 @@ impl Trace {
             "-".repeat(width),
             span / 1000.0
         );
-        for &f in &functions {
-            let deploy = self.events.iter().find_map(|e| match &e.event {
-                BusEvent::WorkerProvisioned { function, .. } if **function == *f => Some(e.at),
-                _ => None,
-            });
-            let exec = self.exec_interval(f);
+        for f in &functions {
+            let deploy = self.first(f, |k| matches!(k, K::Deploy { .. }));
+            let exec_start = self.first(f, |k| matches!(k, K::Exec { .. }));
+            let exec_end = self
+                .of(f)
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        K::Exec {
+                            timed_out: false,
+                            ..
+                        }
+                    )
+                })
+                .filter_map(|e| e.end)
+                .min();
+            let exec = exec_start.map(|e| e.at).zip(exec_end);
             let mut row = vec![' '; width];
             if let (Some(d), Some((xs, _))) = (deploy, exec) {
-                for cell in row.iter_mut().take(col(xs)).skip(col(d)) {
+                for cell in row.iter_mut().take(col(xs)).skip(col(d.at)) {
                     *cell = '░';
                 }
             }
@@ -126,9 +372,7 @@ impl Trace {
                     *cell = '█';
                 }
             }
-            let missed = self.events.iter().any(
-                |e| matches!(&e.event, BusEvent::PredictionMiss { function, .. } if **function == *f),
-            );
+            let missed = self.first(f, |k| *k == K::Miss).is_some();
             let marker = if missed { " (miss)" } else { "" };
             let _ = writeln!(
                 out,
@@ -192,9 +436,9 @@ pub struct SpanMarker {
 /// spans for every deploy / wait / exec interval, and instant markers for
 /// faults and mispredictions.
 ///
-/// Derived deterministically from a [`Trace`] — two identical traces
-/// always yield identical trees, which is what makes the Chrome trace
-/// export byte-reproducible.
+/// Derived deterministically from the request's folded lifecycle — two
+/// identical traces always yield identical trees, which is what makes the
+/// Chrome trace export byte-reproducible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanTree {
     /// The request this tree describes.
@@ -210,136 +454,66 @@ pub struct SpanTree {
 impl SpanTree {
     /// Builds the span tree of `trace`, or `None` for an empty trace.
     ///
-    /// Execution attempts are paired sequentially per function (an
-    /// `ExecStarted` closes at the next `ExecEnded` or `InvokeTimeout` of the
-    /// same function), so retried invocations produce one `Exec` span per
-    /// attempt. Deploy spans close at the function's next execution start
-    /// (or at trace end for workers that never served).
+    /// Each retried execution is its own `Exec` span, numbered by
+    /// attempt. Deploy spans close at the execution start that claimed
+    /// the sandbox (or at trace end for workers that never served). Waits
+    /// and executions still open at the end have no span.
     pub fn from_trace(request: u64, trace: &Trace) -> Option<SpanTree> {
-        let events = trace.events();
-        let start = events.first()?.at;
-        let end = events.last().map(|e| e.at).unwrap_or(start);
+        Some(SpanTree::from_timeline(request, &trace.timeline()?))
+    }
 
-        let mut children: Vec<Span> = Vec::new();
-        let mut markers: Vec<SpanMarker> = Vec::new();
-        // Open intervals per function, closed as their end events arrive.
-        let mut open_deploys: Vec<(&str, SimTime)> = Vec::new();
-        let mut open_waits: Vec<(&str, SimTime)> = Vec::new();
-        let mut open_execs: Vec<(&str, SimTime, u64)> = Vec::new();
-        // Attempt numbering per function, so retried executions get
-        // distinct span names.
-        let mut attempts: Vec<(&str, u64)> = Vec::new();
-
-        fn take(open: &mut Vec<(&str, SimTime)>, function: &str) -> Option<SimTime> {
-            let idx = open.iter().position(|&(f, _)| f == function)?;
-            Some(open.remove(idx).1)
-        }
-
-        for e in events {
-            match &e.event {
-                BusEvent::WorkerProvisioned { function, .. } => {
-                    open_deploys.push((function, e.at));
+    /// The span tree of a folded timeline.
+    pub(crate) fn from_timeline(request: u64, timeline: &Timeline) -> SpanTree {
+        use EntryKind as K;
+        let (mut children, mut markers) = (Vec::new(), Vec::new());
+        for e in &timeline.entries {
+            let f = &*e.name;
+            let (kind, name, end) = match (&e.kind, e.end) {
+                (K::Deploy { .. }, Some(end)) => (SpanKind::Deploy, format!("deploy {f}"), end),
+                // Workers that never served: their provisioning still
+                // cost time.
+                (K::Deploy { .. }, None) => (
+                    SpanKind::Deploy,
+                    format!("deploy {f} (unused)"),
+                    timeline.end,
+                ),
+                (K::Wait { .. }, Some(end)) => (SpanKind::Wait, format!("wait {f}"), end),
+                (K::Exec { attempt: 1, .. }, Some(end)) => {
+                    (SpanKind::Exec, format!("exec {f}"), end)
                 }
-                BusEvent::FunctionInvoked { function, .. } => {
-                    open_waits.push((function, e.at));
+                (K::Exec { attempt, .. }, Some(end)) => {
+                    (SpanKind::Exec, format!("exec {f} #{attempt}"), end)
                 }
-                BusEvent::ExecStarted { function, .. } => {
-                    if let Some(at) = take(&mut open_deploys, function) {
-                        children.push(Span {
-                            name: format!("deploy {function}"),
-                            kind: SpanKind::Deploy,
-                            function: function.to_string(),
-                            start: at,
-                            end: e.at,
-                        });
-                    }
-                    if let Some(at) = take(&mut open_waits, function) {
-                        children.push(Span {
-                            name: format!("wait {function}"),
-                            kind: SpanKind::Wait,
-                            function: function.to_string(),
-                            start: at,
-                            end: e.at,
-                        });
-                    }
-                    let attempt = match attempts.iter_mut().find(|(f, _)| **f == **function) {
-                        Some((_, n)) => {
-                            *n += 1;
-                            *n
+                (K::Wait { .. } | K::Exec { .. }, None) => continue,
+                (marker, _) => {
+                    let label = match marker {
+                        K::Plan { planned } => format!("plan ({planned} deployments)"),
+                        K::Crash => format!("crash {f}"),
+                        K::Timeout { attempt } => format!("timeout {f} (attempt {attempt})"),
+                        K::Retry { attempt } => format!("retry {f} #{attempt}"),
+                        K::DeployFailed { attempt } => {
+                            format!("deploy-failed {f} (attempt {attempt})")
                         }
-                        None => {
-                            attempts.push((function, 1));
-                            1
-                        }
+                        // The one marker left: a prediction miss.
+                        _ => format!("miss {f}"),
                     };
-                    open_execs.push((function, e.at, attempt));
+                    let function = match marker {
+                        K::Plan { .. } => String::new(),
+                        _ => f.to_string(),
+                    };
+                    markers.push(SpanMarker {
+                        at: e.at,
+                        label,
+                        function,
+                    });
+                    continue;
                 }
-                BusEvent::ExecEnded { function, .. } | BusEvent::InvokeTimeout { function, .. } => {
-                    if let Some(idx) = open_execs.iter().position(|&(f, _, _)| f == &**function) {
-                        let (function, at, attempt) = open_execs.remove(idx);
-                        let name = if attempt == 1 {
-                            format!("exec {function}")
-                        } else {
-                            format!("exec {function} #{attempt}")
-                        };
-                        children.push(Span {
-                            name,
-                            kind: SpanKind::Exec,
-                            function: function.to_string(),
-                            start: at,
-                            end: e.at,
-                        });
-                    }
-                    if let BusEvent::InvokeTimeout {
-                        function, attempt, ..
-                    } = &e.event
-                    {
-                        markers.push(SpanMarker {
-                            at: e.at,
-                            label: format!("timeout {function} (attempt {attempt})"),
-                            function: function.to_string(),
-                        });
-                    }
-                }
-                BusEvent::PredictionMiss { function, .. } => markers.push(SpanMarker {
-                    at: e.at,
-                    label: format!("miss {function}"),
-                    function: function.to_string(),
-                }),
-                BusEvent::WorkerCrashed { function, .. } => markers.push(SpanMarker {
-                    at: e.at,
-                    label: format!("crash {function}"),
-                    function: function.to_string(),
-                }),
-                BusEvent::InvokeRetried {
-                    function, attempt, ..
-                } => markers.push(SpanMarker {
-                    at: e.at,
-                    label: format!("retry {function} #{attempt}"),
-                    function: function.to_string(),
-                }),
-                BusEvent::DeployFailed {
-                    function, attempt, ..
-                } => markers.push(SpanMarker {
-                    at: e.at,
-                    label: format!("deploy-failed {function} (attempt {attempt})"),
-                    function: function.to_string(),
-                }),
-                BusEvent::PlanComputed { planned, .. } => markers.push(SpanMarker {
-                    at: e.at,
-                    label: format!("plan ({planned} deployments)"),
-                    function: String::new(),
-                }),
-                _ => {}
-            }
-        }
-        // Workers that never served: their provisioning still cost time.
-        for (function, at) in open_deploys {
+            };
             children.push(Span {
-                name: format!("deploy {function} (unused)"),
-                kind: SpanKind::Deploy,
-                function: function.to_string(),
-                start: at,
+                name,
+                kind,
+                function: f.to_string(),
+                start: e.at,
                 end,
             });
         }
@@ -347,18 +521,18 @@ impl SpanTree {
             (a.start, a.end, a.name.as_str()).cmp(&(b.start, b.end, b.name.as_str()))
         });
 
-        Some(SpanTree {
+        SpanTree {
             request,
             root: Span {
                 name: format!("request {request}"),
                 kind: SpanKind::Request,
                 function: String::new(),
-                start,
-                end,
+                start: timeline.start,
+                end: timeline.end,
             },
             children,
             markers,
-        })
+        }
     }
 
     /// The functions appearing in the tree, in first-appearance order —
@@ -404,11 +578,18 @@ mod tests {
     #[test]
     fn intervals_and_windows() {
         let t = sample();
-        assert_eq!(
-            t.exec_interval("a"),
-            Some((SimTime::from_millis(3000), SimTime::from_millis(3500)))
-        );
-        assert_eq!(t.exec_interval("ghost"), None);
+        let timeline = t.timeline().unwrap();
+        let execs = |f: &str| -> Vec<(SimTime, Option<SimTime>)> {
+            timeline
+                .of(f)
+                .filter(|e| matches!(e.kind, EntryKind::Exec { .. }))
+                .map(|e| (e.at, e.end))
+                .collect()
+        };
+        let ms = SimTime::from_millis;
+        assert_eq!(execs("a"), vec![(ms(3000), Some(ms(3500)))]);
+        assert!(execs("ghost").is_empty());
+        assert_eq!((timeline.start, timeline.end), (ms(0), ms(7100)));
         assert_eq!(t.len(), 11);
         assert!(!t.is_empty());
     }
@@ -524,5 +705,335 @@ mod tests {
         assert_eq!(tree.children.len(), 1);
         assert_eq!(tree.children[0].name, "deploy spare (unused)");
         assert_eq!(tree.children[0].end, SimTime::from_millis(100));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    //! The fold's span trees and Gantt charts against the event scans they
+    //! replaced, on real runs.
+    use super::*;
+    use crate::{FaultConfig, Platform, PlatformConfig};
+    use proptest::prelude::*;
+    use xanadu_chain::{FunctionSpec, WorkflowBuilder, WorkflowDag};
+    use xanadu_core::speculation::{ExecutionMode, MissPolicy};
+
+    /// The span tree as its own event scan built it before the lifecycle
+    /// fold: a reference copy, kept only to check the fold against.
+    fn reference_span_tree(request: u64, trace: &Trace) -> Option<SpanTree> {
+        let events = trace.events();
+        let start = events.first()?.at;
+        let end = events.last().map(|e| e.at).unwrap_or(start);
+
+        let mut children: Vec<Span> = Vec::new();
+        let mut markers: Vec<SpanMarker> = Vec::new();
+        let mut open_deploys: Vec<(&str, SimTime)> = Vec::new();
+        let mut open_waits: Vec<(&str, SimTime)> = Vec::new();
+        let mut open_execs: Vec<(&str, SimTime, u64)> = Vec::new();
+        let mut attempts: Vec<(&str, u64)> = Vec::new();
+
+        fn take(open: &mut Vec<(&str, SimTime)>, function: &str) -> Option<SimTime> {
+            let idx = open.iter().position(|&(f, _)| f == function)?;
+            Some(open.remove(idx).1)
+        }
+
+        for e in events {
+            match &e.event {
+                BusEvent::WorkerProvisioned { function, .. } => {
+                    open_deploys.push((function, e.at));
+                }
+                BusEvent::FunctionInvoked { function, .. } => {
+                    open_waits.push((function, e.at));
+                }
+                BusEvent::ExecStarted { function, .. } => {
+                    if let Some(at) = take(&mut open_deploys, function) {
+                        children.push(Span {
+                            name: format!("deploy {function}"),
+                            kind: SpanKind::Deploy,
+                            function: function.to_string(),
+                            start: at,
+                            end: e.at,
+                        });
+                    }
+                    if let Some(at) = take(&mut open_waits, function) {
+                        children.push(Span {
+                            name: format!("wait {function}"),
+                            kind: SpanKind::Wait,
+                            function: function.to_string(),
+                            start: at,
+                            end: e.at,
+                        });
+                    }
+                    let attempt = match attempts.iter_mut().find(|(f, _)| **f == **function) {
+                        Some((_, n)) => {
+                            *n += 1;
+                            *n
+                        }
+                        None => {
+                            attempts.push((function, 1));
+                            1
+                        }
+                    };
+                    open_execs.push((function, e.at, attempt));
+                }
+                BusEvent::ExecEnded { function, .. } | BusEvent::InvokeTimeout { function, .. } => {
+                    if let Some(idx) = open_execs.iter().position(|&(f, _, _)| f == &**function) {
+                        let (function, at, attempt) = open_execs.remove(idx);
+                        let name = if attempt == 1 {
+                            format!("exec {function}")
+                        } else {
+                            format!("exec {function} #{attempt}")
+                        };
+                        children.push(Span {
+                            name,
+                            kind: SpanKind::Exec,
+                            function: function.to_string(),
+                            start: at,
+                            end: e.at,
+                        });
+                    }
+                    if let BusEvent::InvokeTimeout {
+                        function, attempt, ..
+                    } = &e.event
+                    {
+                        markers.push(SpanMarker {
+                            at: e.at,
+                            label: format!("timeout {function} (attempt {attempt})"),
+                            function: function.to_string(),
+                        });
+                    }
+                }
+                BusEvent::PredictionMiss { function, .. } => markers.push(SpanMarker {
+                    at: e.at,
+                    label: format!("miss {function}"),
+                    function: function.to_string(),
+                }),
+                BusEvent::WorkerCrashed { function, .. } => markers.push(SpanMarker {
+                    at: e.at,
+                    label: format!("crash {function}"),
+                    function: function.to_string(),
+                }),
+                BusEvent::InvokeRetried {
+                    function, attempt, ..
+                } => markers.push(SpanMarker {
+                    at: e.at,
+                    label: format!("retry {function} #{attempt}"),
+                    function: function.to_string(),
+                }),
+                BusEvent::DeployFailed {
+                    function, attempt, ..
+                } => markers.push(SpanMarker {
+                    at: e.at,
+                    label: format!("deploy-failed {function} (attempt {attempt})"),
+                    function: function.to_string(),
+                }),
+                BusEvent::PlanComputed { planned, .. } => markers.push(SpanMarker {
+                    at: e.at,
+                    label: format!("plan ({planned} deployments)"),
+                    function: String::new(),
+                }),
+                _ => {}
+            }
+        }
+        for (function, at) in open_deploys {
+            children.push(Span {
+                name: format!("deploy {function} (unused)"),
+                kind: SpanKind::Deploy,
+                function: function.to_string(),
+                start: at,
+                end,
+            });
+        }
+        children.sort_by(|a, b| {
+            (a.start, a.end, a.name.as_str()).cmp(&(b.start, b.end, b.name.as_str()))
+        });
+
+        Some(SpanTree {
+            request,
+            root: Span {
+                name: format!("request {request}"),
+                kind: SpanKind::Request,
+                function: String::new(),
+                start,
+                end,
+            },
+            children,
+            markers,
+        })
+    }
+
+    /// The first execution start and the first execution end of
+    /// `function`, as the Gantt chart's event scan found them.
+    fn reference_exec_interval(trace: &Trace, function: &str) -> Option<(SimTime, SimTime)> {
+        let start = trace.events().iter().find_map(|e| match &e.event {
+            BusEvent::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
+            _ => None,
+        })?;
+        let end = trace.events().iter().find_map(|e| match &e.event {
+            BusEvent::ExecEnded { function: f, .. } if **f == *function => Some(e.at),
+            _ => None,
+        })?;
+        Some((start, end))
+    }
+
+    /// The Gantt chart as its own event scans drew it before the fold: a
+    /// reference copy.
+    fn reference_gantt(trace: &Trace, width: usize) -> String {
+        let events = trace.events();
+        let width = width.clamp(20, 200);
+        let Some(start) = events.first().map(|e| e.at) else {
+            return String::new();
+        };
+        let end = events.last().map(|e| e.at).unwrap_or(start);
+        let span = end.saturating_since(start).as_millis_f64().max(1.0);
+        let col = |t: SimTime| -> usize {
+            let frac = t.saturating_since(start).as_millis_f64() / span;
+            ((frac * (width - 1) as f64).round() as usize).min(width - 1)
+        };
+        let mut functions: Vec<&str> = Vec::new();
+        for e in events {
+            let name = match &e.event {
+                BusEvent::WorkerProvisioned { function, .. }
+                | BusEvent::FunctionInvoked { function, .. }
+                | BusEvent::ExecStarted { function, .. }
+                | BusEvent::ExecEnded { function, .. }
+                | BusEvent::PredictionMiss { function, .. } => Some(function),
+                _ => None,
+            };
+            if let Some(n) = name {
+                if !functions.contains(&&**n) {
+                    functions.push(n);
+                }
+            }
+        }
+        let name_width = functions.iter().map(|f| f.len()).max().unwrap_or(4).max(4);
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:>name_width$} |{}| {:.1}s total",
+            "",
+            "-".repeat(width),
+            span / 1000.0
+        );
+        for &f in &functions {
+            let deploy = events.iter().find_map(|e| match &e.event {
+                BusEvent::WorkerProvisioned { function, .. } if **function == *f => Some(e.at),
+                _ => None,
+            });
+            let exec = reference_exec_interval(trace, f);
+            let mut row = vec![' '; width];
+            if let (Some(d), Some((xs, _))) = (deploy, exec) {
+                for cell in row.iter_mut().take(col(xs)).skip(col(d)) {
+                    *cell = '░';
+                }
+            }
+            if let Some((xs, xe)) = exec {
+                for cell in row.iter_mut().take(col(xe) + 1).skip(col(xs)) {
+                    *cell = '█';
+                }
+            }
+            let missed = events.iter().any(
+                |e| matches!(&e.event, BusEvent::PredictionMiss { function, .. } if **function == *f),
+            );
+            let marker = if missed { " (miss)" } else { "" };
+            let _ = writeln!(
+                out,
+                "{f:>name_width$} |{}|{marker}",
+                row.iter().collect::<String>()
+            );
+        }
+        out
+    }
+
+    /// A random workflow of `links.len() + 1` functions. Function `i`
+    /// hangs off an earlier function `a % i`, and joins a second earlier
+    /// one `b % i` when `join` is 1. A function whose bit in `xors`
+    /// is set picks one of its children (XOR, weighted by `p`); the rest
+    /// fire all of theirs (multicast).
+    fn random_workflow(links: &[(u64, u64, u8)], xors: u64, p: f64) -> WorkflowDag {
+        let mut b = WorkflowBuilder::new("wf");
+        let nodes: Vec<_> = (0..=links.len())
+            .map(|i| {
+                let service_ms = 300.0 + 700.0 * (i % 3) as f64;
+                b.add(FunctionSpec::new(format!("f{i}")).service_ms(service_ms))
+                    .unwrap()
+            })
+            .collect();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        for (i, &(a, bb, join)) in links.iter().enumerate() {
+            let child = i + 1;
+            let first = (a % child as u64) as usize;
+            children[first].push(child);
+            let second = (bb % child as u64) as usize;
+            if join == 1 && second != first {
+                children[second].push(child);
+            }
+        }
+        for (parent, kids) in children.iter().enumerate() {
+            if kids.len() >= 2 && xors >> parent & 1 == 1 {
+                let weight = |k: usize| {
+                    if k == 0 {
+                        p
+                    } else {
+                        (1.0 - p) / kids.len() as f64
+                    }
+                };
+                let branches: Vec<_> = kids
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &kid)| (nodes[kid], weight(k)))
+                    .collect();
+                b.link_xor(nodes[parent], &branches).unwrap();
+            } else {
+                for &kid in kids {
+                    b.link(nodes[parent], nodes[kid]).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// For every request of random workflows (XOR, multicast and
+        /// joins) run under worker faults and, half the time, replans
+        /// after a miss, the span tree and the Gantt chart read off the
+        /// lifecycle fold equal the ones the reference event scans build
+        /// from the same recorded trace.
+        #[test]
+        fn fold_span_trees_and_gantt_charts_equal_the_reference_scans(
+            links in proptest::collection::vec((0u64..64, 0u64..64, 0u8..2), 1..8),
+            xors in 0u64..256,
+            p in 0.2f64..0.8,
+            fault_rate in 0.0f64..1.0,
+            seed in 0u64..1_000,
+            replan in 0u8..2,
+            speculative in 0u8..2,
+        ) {
+            let mode = if speculative == 1 { ExecutionMode::Speculative } else { ExecutionMode::Jit };
+            let miss = if replan == 1 { MissPolicy::ReplanAndReuse } else { MissPolicy::StopSpeculation };
+            let config = PlatformConfig::builder()
+                .for_mode(mode, seed)
+                .miss_policy(miss)
+                .faults(FaultConfig::with_rate(fault_rate, seed ^ 0xFA17))
+                .record_traces(true)
+                .build()
+                .unwrap();
+            let mut platform = Platform::new(config);
+            platform.deploy(random_workflow(&links, xors, p)).unwrap();
+            let requests: Vec<u64> = (0..6u64)
+                .map(|i| platform.trigger_at("wf", SimTime::from_secs(i * 40)).unwrap())
+                .collect();
+            platform.run_until_idle();
+            for request in requests {
+                let trace = platform.trace(request).expect("trace recorded");
+                prop_assert_eq!(
+                    SpanTree::from_trace(request, trace),
+                    reference_span_tree(request, trace)
+                );
+                prop_assert_eq!(trace.render_gantt(72), reference_gantt(trace, 72));
+            }
+        }
     }
 }

@@ -58,8 +58,9 @@ impl SimTime {
     /// after its trigger (dispatch overheads, cold starts, service times,
     /// retries, back-offs and its workers' keep-alive) spans far less
     /// than the other half, so no event time computed from a trigger can
-    /// overflow the clock, which the kernel does not check. Stream
-    /// sources and the CLI refuse later triggers.
+    /// overflow the clock, which the kernel does not check. The
+    /// platform's trigger calls refuse later triggers with a typed error,
+    /// and so do stream sources and the CLI.
     pub const LAST_TRIGGER: SimTime = SimTime(u64::MAX / 2);
 
     /// Creates an instant `micros` microseconds after simulation start.

@@ -243,19 +243,14 @@ pub enum PlatformChoice {
 
 impl PlatformChoice {
     fn parse(s: &str) -> Result<Self, CliError> {
-        match s {
-            "cold" => Ok(PlatformChoice::Xanadu(ExecutionMode::Cold)),
-            "spec" | "speculative" => Ok(PlatformChoice::Xanadu(ExecutionMode::Speculative)),
-            "jit" => Ok(PlatformChoice::Xanadu(ExecutionMode::Jit)),
-            other => other
-                .parse::<BaselineKind>()
-                .map(PlatformChoice::Baseline)
-                .map_err(|_| CliError::BadValue {
-                    flag: "--mode".into(),
-                    value: other.into(),
-                    expected: "cold|spec|jit|knative|openwhisk|asf|adf".into(),
-                }),
-        }
+        s.parse()
+            .map(PlatformChoice::Xanadu)
+            .or_else(|_| s.parse().map(PlatformChoice::Baseline))
+            .map_err(|_| CliError::BadValue {
+                flag: "--mode".into(),
+                value: s.into(),
+                expected: "cold|spec|jit|knative|openwhisk|asf|adf".into(),
+            })
     }
 
     /// The platform `run` and `analyze` drive, with the fault flags
@@ -895,15 +890,14 @@ fn parse_serve_flags(f: &mut Flags) -> Result<ServeArgs, CliError> {
 }
 
 fn parse_miss_policy(f: &mut Flags) -> Result<MissPolicy, CliError> {
-    match f.value("--miss-policy")?.as_deref() {
-        None | Some("stop") => Ok(MissPolicy::StopSpeculation),
-        Some("replan-and-reuse") => Ok(MissPolicy::ReplanAndReuse),
-        Some(v) => Err(CliError::BadValue {
-            flag: "--miss-policy".into(),
-            value: v.into(),
-            expected: "stop|replan-and-reuse".into(),
-        }),
-    }
+    let Some(v) = f.value("--miss-policy")? else {
+        return Ok(MissPolicy::StopSpeculation);
+    };
+    v.parse().map_err(|_| CliError::BadValue {
+        flag: "--miss-policy".into(),
+        value: v,
+        expected: "stop|replan-and-reuse".into(),
+    })
 }
 
 /// `--mode` limited to Xanadu's own modes (JIT when absent). A baseline

@@ -126,10 +126,13 @@ const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
 /// The [`ServeCursor`] format this build writes and resumes from. It
 /// versions the whole log: version 3 is the first whose `serve/audit`
-/// exemplar traces hold bus events, and version 4 the first whose config
+/// exemplar traces hold bus events, version 4 the first whose config
 /// digest covers a [`PlatformConfig`] with a tenant count and without
-/// the fault, autoscaler and discard parameters that became constants.
-const CURSOR_VERSION: u64 = 4;
+/// the fault, autoscaler and discard parameters that became constants,
+/// and version 5 the first whose exemplars keep the lifecycle fold's
+/// timeline instead of a recorded trace, and whose config digest covers
+/// fault settings without host lifetimes.
+const CURSOR_VERSION: u64 = 5;
 
 /// The resume cursor: where in the stream the durable state ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

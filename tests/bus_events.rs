@@ -165,8 +165,6 @@ fn chaos_run_emits_every_topic_at_least_once() {
 
     let faults = FaultConfig {
         host_failure_rate: 1.0,
-        host_mtbf_ms: 90_000.0,
-        host_reboot_ms: 15_000.0,
         ..FaultConfig::with_rate(1.0, 0xC0FFEE)
     };
     let config = PlatformConfig::builder()

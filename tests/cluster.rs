@@ -63,8 +63,6 @@ fn run_cluster(
 ) -> PlatformReport {
     let faults = FaultConfig {
         host_failure_rate: host_fail_rate,
-        host_mtbf_ms: 60_000.0,
-        host_reboot_ms: 20_000.0,
         ..FaultConfig::with_rate(0.0, fault_seed)
     };
     let config = PlatformConfig::builder()
@@ -119,6 +117,7 @@ fn sweep_point(i: u64) -> (PlacementPolicy, f64) {
 
 #[test]
 fn every_request_terminates_across_policy_and_failure_sweep() {
+    let mut reboots = 0;
     for i in 0..15u64 {
         let (policy, rate) = sweep_point(i);
         let report = run_cluster(policy, 11 + i, rate, 0xC0FFEE + i);
@@ -131,7 +130,10 @@ fn every_request_terminates_across_policy_and_failure_sweep() {
             cluster.hosts_failed > 0 || rate < 1.0,
             "certain host failure injected nothing at sweep point {i}"
         );
+        // No autoscaler runs here, so every boot is a reboot.
+        reboots += cluster.hosts_booted;
     }
+    assert!(reboots > 0, "no failed host rebooted during the sweep");
 }
 
 #[test]
@@ -193,8 +195,6 @@ fn sharded_cluster_replay_is_byte_identical_at_any_shard_width() {
         .for_mode(ExecutionMode::Jit, 77)
         .faults(FaultConfig {
             host_failure_rate: 0.8,
-            host_mtbf_ms: 45_000.0,
-            host_reboot_ms: 15_000.0,
             ..FaultConfig::with_rate(0.0, 0xFEED)
         })
         .cluster(ClusterConfig::uniform(PlacementPolicy::Affinity, 4, 1024))
@@ -206,11 +206,14 @@ fn sharded_cluster_replay_is_byte_identical_at_any_shard_width() {
             threads,
             window: SimDuration::from_mins(1),
         };
-        let run = replay_sharded(&config, workloads(), &opts).unwrap();
-        serde_json::to_string(&run.report).unwrap()
+        replay_sharded(&config, workloads(), &opts).unwrap().report
     };
 
-    let narrow = run_at(1);
+    let report = run_at(1);
+    let cluster = report.cluster.as_ref().expect("a cluster report");
+    assert!(cluster.hosts_failed > 0, "no host failed");
+    assert!(cluster.hosts_booted > 0, "no failed host rebooted");
+    let narrow = serde_json::to_string(&report).unwrap();
     assert!(
         narrow.contains("\"cluster\""),
         "merged report lost its cluster section"
@@ -218,7 +221,7 @@ fn sharded_cluster_replay_is_byte_identical_at_any_shard_width() {
     for width in [4usize, 8] {
         assert_eq!(
             narrow,
-            run_at(width),
+            serde_json::to_string(&run_at(width)).unwrap(),
             "sharded cluster report differs between --shards 1 and --shards {width}"
         );
     }
@@ -287,7 +290,10 @@ fn cli_host_failures_follow_the_configured_schedule() {
             4,
             2048,
         ))
-        .faults(FaultConfig::with_host_rate(0.5, 7))
+        .faults(FaultConfig {
+            host_failure_rate: 0.5,
+            ..FaultConfig::with_rate(0.0, 7)
+        })
         .build()
         .unwrap();
     let mut platform = Platform::new(config);

@@ -20,20 +20,26 @@ fn read(path: &Path) -> String {
 }
 
 /// Runs one command line in-process; SDL paths resolve against the
-/// repository root, as they do for CI.
-fn run(command: &str) -> Vec<ExportFile> {
+/// repository root, as they do for CI. Returns the report and the
+/// exports.
+fn run(command: &str) -> (String, Vec<ExportFile>) {
     let args: Vec<String> = command.split_whitespace().map(String::from).collect();
     let cmd = parse_args(&args).unwrap_or_else(|e| panic!("{command}: {e}"));
     let root = repo_root();
     let source = |p: &str| std::fs::read_to_string(root.join(p)).map_err(|e| format!("{p}: {e}"));
-    let (_, exports) =
-        execute_with_exports(&cmd, source).unwrap_or_else(|e| panic!("{command}: {e}"));
-    exports
+    execute_with_exports(&cmd, source).unwrap_or_else(|e| panic!("{command}: {e}"))
+}
+
+/// What `command` prints on stdout: the report and the newline the
+/// binary ends it with.
+fn stdout(command: &str) -> String {
+    run(command).0 + "\n"
 }
 
 /// The export `command` writes to `out`.
 fn export(command: &str, out: &str) -> String {
     run(command)
+        .1
         .into_iter()
         .find(|e| e.path == out)
         .unwrap_or_else(|| panic!("{command}: no export {out}"))
@@ -82,10 +88,14 @@ fn cluster_audit_regenerates() {
     assert_golden("cluster.audit.json", &audit);
 }
 
+/// The certain-fault run's Chrome trace, its audit, and its `--trace`
+/// stdout, whose per-request Gantt charts cross crashes, failed
+/// pre-deploys, timeouts and retries.
 #[test]
 fn faults_trace_and_audit_regenerate() {
     let faults =
         "--sdl docs/golden/faults.json --mode jit --triggers 12 --fault-rate 1.0 --fault-seed 2";
+    assert_golden("faults.run.txt", &stdout(&format!("run {faults} --trace")));
     let trace = export(
         &format!("run {faults} --trace-out faults.trace.json"),
         "faults.trace.json",

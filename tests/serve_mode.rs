@@ -411,11 +411,11 @@ fn resume_rejects_a_cursor_that_disagrees_with_the_slo_alerts() {
     assert!(message.contains(&format!("holds {emitted}")), "{message}");
 }
 
-/// A log of the previous checkpoint format is refused by its cursor
-/// version, with a typed error naming the directory and both versions,
-/// and the log is left byte-equal. The forged log's exemplar traces hold
-/// events of the previous shape too, which this build cannot read: the
-/// version is checked before that document is parsed.
+/// A log of the previous checkpoint format (version 4) is refused by its
+/// cursor version, with a typed error naming the directory and both
+/// versions, and the log is left byte-equal. The forged log's exemplars
+/// hold recorded traces as version 4's did, which this build cannot
+/// read: the version is checked before that document is parsed.
 #[test]
 fn resume_rejects_a_cursor_of_the_previous_version() {
     let dir = scratch_dir("cursor-version");
@@ -427,11 +427,14 @@ fn resume_rejects_a_cursor_of_the_previous_version() {
     let store = log.replay().unwrap();
     let (cursor, _) = store.get("serve/cursor").expect("cursor doc");
     let version = cursor.get("version").and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(version, 5);
     let mut forged = cursor.clone();
     let serde_json::Value::Object(fields) = &mut forged else {
         panic!("cursor is not an object: {cursor:?}");
     };
     fields.insert("version".into(), serde_json::json!(version - 1));
+    // The previous version's exemplars carried a recorded trace of bus
+    // events where this build's carry a folded timeline.
     let (audit, _) = store.get("serve/audit").expect("audit doc");
     let mut old_audit = audit.clone();
     let Some(serde_json::Value::Array(exemplars)) = old_audit.get_mut("exemplars") else {
@@ -439,8 +442,14 @@ fn resume_rejects_a_cursor_of_the_previous_version() {
     };
     assert!(!exemplars.is_empty());
     for exemplar in exemplars {
-        let old_trace = serde_json::json!({"events": [{"at": 0, "kind": "Triggered"}]});
-        *exemplar.get_mut("trace").expect("exemplar trace") = old_trace;
+        let serde_json::Value::Object(fields) = exemplar else {
+            panic!("exemplar is not an object: {exemplar:?}");
+        };
+        assert!(fields.remove("timeline").is_some(), "exemplar timeline");
+        let old_trace = serde_json::json!({"events": [{"at": 0, "event": {
+            "RequestTriggered": {"request": 0, "workflow": "wf"}
+        }}]});
+        fields.insert("trace".into(), old_trace);
     }
     log.append(&[
         ("serve/audit".to_string(), old_audit),

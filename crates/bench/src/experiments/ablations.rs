@@ -3,7 +3,7 @@
 //! keep-alive, the EMA smoothing factor, and the prediction-miss policy.
 
 use super::tab1::lattice_chain;
-use crate::harness::{audit_platform, audited_cold_runs, mean, Experiment, Finding};
+use crate::harness::{audit_platform, cold_runs, mean, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_core::cost::{worker_steady_cost, CpuRates};
 use xanadu_core::speculation::{ExecutionMode, MissPolicy, SpeculationConfig};
@@ -49,11 +49,11 @@ pub fn aggressiveness() -> Experiment {
             aggressiveness: a,
             ..SpeculationConfig::default()
         };
-        let (runs, run_audit) = audited_cold_runs(
+        let (runs, run_audit) = cold_runs(
             &|s| platform_with(spec, PoolConfig::default(), s),
             &dag,
             6,
-            false,
+            COLD_SEED_BASE,
         );
         // Audit the full-horizon run — the setting the other figures use.
         if a >= 1.0 {
@@ -286,11 +286,11 @@ pub fn miss_policy() -> Experiment {
             miss_policy: policy,
             ..SpeculationConfig::default()
         };
-        let (runs, run_audit) = audited_cold_runs(
+        let (runs, run_audit) = cold_runs(
             &|s| platform_with(spec, PoolConfig::default(), s),
             &dag,
             20,
-            false,
+            COLD_SEED_BASE,
         );
         // Audit the paper's policy — the configuration the figures use.
         if matches!(policy, MissPolicy::StopSpeculation) {
@@ -470,11 +470,11 @@ pub fn hedging() -> Experiment {
             hedge_margin: margin,
             ..SpeculationConfig::default()
         };
-        let (runs, run_audit) = audited_cold_runs(
+        let (runs, run_audit) = cold_runs(
             &|s| platform_with(spec, PoolConfig::default(), s),
             &dag,
             20,
-            false,
+            COLD_SEED_BASE,
         );
         // Audit full hedging: the strict (margin 0) runs are the same
         // unhedged lattice triggers `abl-miss` audits.

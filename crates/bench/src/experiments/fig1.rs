@@ -8,7 +8,8 @@
 //! for 500 ms functions.
 
 use crate::harness::{
-    audited_cold_runs, mean_end_to_end_ms, mean_overhead_ms, within, xanadu, Experiment, Finding,
+    cold_runs, mean_end_to_end_ms, mean_overhead_ms, within, xanadu, Experiment, Finding,
+    COLD_SEED_BASE,
 };
 use xanadu_chain::{linear_chain, FunctionSpec, IsolationLevel};
 use xanadu_core::speculation::ExecutionMode;
@@ -44,8 +45,12 @@ pub fn run() -> Experiment {
                 &FunctionSpec::new("f").service_ms(service_ms),
             )
             .expect("valid chain");
-            let (runs, run_audit) =
-                audited_cold_runs(&|s| xanadu(ExecutionMode::Cold, s), &dag, TRIGGERS, false);
+            let (runs, run_audit) = cold_runs(
+                &|s| xanadu(ExecutionMode::Cold, s),
+                &dag,
+                TRIGGERS,
+                COLD_SEED_BASE,
+            );
             // Keep the deepest 500ms chain's audit — the figure's headline
             // (≈90% overhead share) case.
             audit = Some(run_audit);

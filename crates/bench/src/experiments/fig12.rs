@@ -10,7 +10,7 @@
 //! Docker concurrency bottleneck; and mean penalty reductions of ≈5.8×
 //! (φ_cpu) and ≈1.7× (φ_mem) for JIT over Cold.
 
-use crate::harness::{audited_cold_runs, cold_runs, mean, within, xanadu, Experiment, Finding};
+use crate::harness::{cold_runs, mean, within, xanadu, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_baselines::{baseline_platform, BaselineKind};
 use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_core::speculation::ExecutionMode;
@@ -74,7 +74,7 @@ pub(crate) fn sweep() -> Vec<Series> {
                     let dag =
                         linear_chain("fig12", depth, &FunctionSpec::new("f").service_ms(5000.0))
                             .expect("valid");
-                    let runs = cold_runs(&make, &dag, TRIGGERS, false);
+                    let (runs, _) = cold_runs(&make, &dag, TRIGGERS, COLD_SEED_BASE);
                     (depth, averages(&runs))
                 })
                 .collect();
@@ -229,11 +229,11 @@ pub fn run() -> Experiment {
 
     // Audit the headline cell: the depth-10 JIT chain whose near-constant
     // overhead is the figure's claim.
-    let (_, audit) = audited_cold_runs(
+    let (_, audit) = cold_runs(
         &|s| xanadu(ExecutionMode::Jit, s),
         &linear_chain("fig12", 10, &FunctionSpec::new("f").service_ms(5000.0)).expect("valid"),
         TRIGGERS,
-        false,
+        COLD_SEED_BASE,
     );
 
     Experiment {

@@ -8,7 +8,7 @@
 //! compared to Xanadu Speculative".
 
 use super::fig12::sweep;
-use crate::harness::{audited_cold_runs, mean, xanadu, Experiment, Finding};
+use crate::harness::{cold_runs, mean, xanadu, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_simcore::report::{fmt_f64, Table};
@@ -96,11 +96,11 @@ pub fn run() -> Experiment {
 
     // Audit the cost-side headline: the depth-10 Speculative chain whose
     // up-front provisioning is what the wasted-deploy accounting measures.
-    let (_, audit) = audited_cold_runs(
+    let (_, audit) = cold_runs(
         &|s| xanadu(ExecutionMode::Speculative, s),
         &linear_chain("fig13", 10, &FunctionSpec::new("f").service_ms(5000.0)).expect("valid"),
         10,
-        false,
+        COLD_SEED_BASE,
     );
 
     Experiment {

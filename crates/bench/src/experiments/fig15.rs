@@ -8,7 +8,7 @@
 //! within ≈11.9 % of Cold, JIT within ≈1 %; and memory costs of ≈5.8×
 //! (Speculative) improving to ≈2.7× (JIT).
 
-use crate::harness::{audited_cold_runs, cold_runs, mean, xanadu, Experiment, Finding};
+use crate::harness::{cold_runs, mean, xanadu, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_simcore::report::{fmt_f64, Table};
 use xanadu_workloads::{random_binary_tree, RandomTreeConfig};
@@ -42,7 +42,12 @@ pub fn run() -> Experiment {
         .into_iter()
         .enumerate()
         {
-            let runs = cold_runs(&|s| xanadu(mode, s), &dag, TRIGGERS_PER_TREE, false);
+            let (runs, _) = cold_runs(
+                &|s| xanadu(mode, s),
+                &dag,
+                TRIGGERS_PER_TREE,
+                COLD_SEED_BASE,
+            );
             stats[i] = ModeStats {
                 overhead_ms: mean(runs.iter().map(|r| r.overhead.as_millis_f64())),
                 cpu_s: mean(runs.iter().map(|r| r.resources.cpu_s)),
@@ -165,11 +170,11 @@ pub fn run() -> Experiment {
         9,
     )
     .expect("tree");
-    let (_, audit) = audited_cold_runs(
+    let (_, audit) = cold_runs(
         &|s| xanadu(ExecutionMode::Speculative, s),
         &audit_dag,
         TRIGGERS_PER_TREE,
-        false,
+        COLD_SEED_BASE,
     );
 
     Experiment {

@@ -9,7 +9,7 @@
 //! workloads.
 
 use crate::harness::{
-    audited_cold_runs, cold_runs, mean, mean_end_to_end_ms, within, xanadu, Experiment, Finding,
+    cold_runs, mean, mean_end_to_end_ms, within, xanadu, Experiment, Finding, COLD_SEED_BASE,
 };
 use xanadu_chain::{linear_chain, FunctionSpec, IsolationLevel};
 use xanadu_core::speculation::ExecutionMode;
@@ -37,12 +37,17 @@ pub fn run() -> Experiment {
             &FunctionSpec::new("f").service_ms(5000.0).isolation(level),
         )
         .expect("valid");
-        let cold = cold_runs(&|s| xanadu(ExecutionMode::Cold, s), &dag, TRIGGERS, false);
-        let spec = cold_runs(
+        let (cold, _) = cold_runs(
+            &|s| xanadu(ExecutionMode::Cold, s),
+            &dag,
+            TRIGGERS,
+            COLD_SEED_BASE,
+        );
+        let (spec, _) = cold_runs(
             &|s| xanadu(ExecutionMode::Speculative, s),
             &dag,
             TRIGGERS,
-            false,
+            COLD_SEED_BASE,
         );
         let cold_overhead = mean(cold.iter().map(|r| r.overhead.as_millis_f64()));
         let spec_overhead = mean(spec.iter().map(|r| r.overhead.as_millis_f64()));
@@ -95,11 +100,11 @@ pub fn run() -> Experiment {
             .isolation(IsolationLevel::Isolate),
     )
     .expect("valid");
-    let (_, audit) = audited_cold_runs(
+    let (_, audit) = cold_runs(
         &|s| xanadu(ExecutionMode::Speculative, s),
         &audit_dag,
         TRIGGERS,
-        false,
+        COLD_SEED_BASE,
     );
 
     Experiment {

@@ -6,7 +6,7 @@
 //! 0.953 on ADF), cold overhead averaging 48.5 % (ASF) / 41.2 % (ADF) of
 //! total runtime, and 13.2 % / 13.8 % warm.
 
-use crate::harness::{cold_runs, mean, within, Experiment, Finding};
+use crate::harness::{cold_runs, mean, within, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_baselines::{baseline_platform, BaselineKind};
 use xanadu_chain::{linear_chain, FunctionSpec, WorkflowDag};
 use xanadu_simcore::report::{fmt_f64, render_series, Table};
@@ -54,7 +54,12 @@ pub fn run() -> Experiment {
         let mut warm_fractions = Vec::new();
         for depth in 1..=5usize {
             let dag = chain(depth);
-            let runs = cold_runs(&|s| baseline_platform(kind, s), &dag, TRIGGERS, false);
+            let (runs, _) = cold_runs(
+                &|s| baseline_platform(kind, s),
+                &dag,
+                TRIGGERS,
+                COLD_SEED_BASE,
+            );
             let overhead = mean(runs.iter().map(|r| r.overhead.as_millis_f64()));
             let frac = mean(
                 runs.iter()

@@ -5,7 +5,7 @@
 //! overhead than the cloud services, and OpenWhisk's limited warm pool
 //! produces a "sudden increase in cold start latency for chain length 5".
 
-use crate::harness::{cold_runs, mean, Experiment, Finding};
+use crate::harness::{cold_runs, mean, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_baselines::{baseline_platform, BaselineKind};
 use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_simcore::report::{fmt_f64, render_series, Table};
@@ -28,7 +28,12 @@ pub fn run() -> Experiment {
         for depth in 1..=5usize {
             let dag = linear_chain("fig4", depth, &FunctionSpec::new("f").service_ms(500.0))
                 .expect("valid");
-            let runs = cold_runs(&|s| baseline_platform(kind, s), &dag, TRIGGERS, false);
+            let (runs, _) = cold_runs(
+                &|s| baseline_platform(kind, s),
+                &dag,
+                TRIGGERS,
+                COLD_SEED_BASE,
+            );
             let overhead_s = mean(runs.iter().map(|r| r.overhead.as_secs_f64()));
             points.push((depth as f64, overhead_s));
             table.row(&[&depth.to_string(), &fmt_f64(overhead_s, 2)]);
@@ -51,11 +56,11 @@ pub fn run() -> Experiment {
 
     // OSS platforms heavier than the cloud services (compare depth-5
     // against the ASF number of fig3, re-measured here for independence).
-    let asf_runs = cold_runs(
+    let (asf_runs, _) = cold_runs(
         &|s| baseline_platform(BaselineKind::AwsStepFunctions, s),
         &linear_chain("fig4", 5, &FunctionSpec::new("f").service_ms(500.0)).expect("valid"),
         TRIGGERS,
-        false,
+        COLD_SEED_BASE,
     );
     let asf5 = mean(asf_runs.iter().map(|r| r.overhead.as_secs_f64()));
     let knative5 = curves[0].1[4].1;

@@ -4,7 +4,7 @@
 //! reports container-based chains exhibiting 2.5×–2.9× the overhead of
 //! process- and isolate-based chains.
 
-use crate::harness::{cold_runs, mean, within, xanadu, Experiment, Finding};
+use crate::harness::{cold_runs, mean, within, xanadu, Experiment, Finding, COLD_SEED_BASE};
 use xanadu_chain::{linear_chain, FunctionSpec, IsolationLevel};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_simcore::report::{fmt_f64, render_series, Table};
@@ -32,7 +32,12 @@ pub fn run() -> Experiment {
                 &FunctionSpec::new("f").service_ms(500.0).isolation(level),
             )
             .expect("valid");
-            let runs = cold_runs(&|s| xanadu(ExecutionMode::Cold, s), &dag, TRIGGERS, false);
+            let (runs, _) = cold_runs(
+                &|s| xanadu(ExecutionMode::Cold, s),
+                &dag,
+                TRIGGERS,
+                COLD_SEED_BASE,
+            );
             let overhead = mean(runs.iter().map(|r| r.overhead.as_millis_f64()));
             points.push((depth as f64, overhead));
             if depth == 5 {

@@ -9,9 +9,7 @@
 //! than no optimization); best case 4.8 s vs 14.12 s; average 0.6 misses
 //! and 5.6 workers per request (8 workers, 3 misses worst case).
 
-use crate::harness::{
-    audited_cold_runs_seeded, cold_runs_seeded, mean, ms_as_s, within, xanadu, Experiment, Finding,
-};
+use crate::harness::{cold_runs, mean, ms_as_s, within, xanadu, Experiment, Finding};
 use xanadu_chain::{ChainError, FunctionSpec, WorkflowBuilder, WorkflowDag};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_platform::RunResult;
@@ -69,18 +67,16 @@ pub fn run() -> Experiment {
     let dag = lattice_chain(0.8, 500.0).expect("lattice");
     // The ON runs double as the audit workload: the lattice's XOR misses
     // are exactly what the MLP precision/recall accounting measures.
-    let (on, audit) = audited_cold_runs_seeded(
+    let (on, audit) = cold_runs(
         &|s| xanadu(ExecutionMode::Speculative, s),
         &dag,
         TRIGGERS,
-        false,
         SEED_BASE,
     );
-    let off = cold_runs_seeded(
+    let (off, _) = cold_runs(
         &|s| xanadu(ExecutionMode::Cold, s),
         &dag,
         TRIGGERS,
-        false,
         SEED_BASE,
     );
 
@@ -211,11 +207,10 @@ mod tests {
         // actually contain a trigger that misses more than one XOR
         // prediction, not merely a slow single-miss run.
         let dag = lattice_chain(0.8, 500.0).unwrap();
-        let on = cold_runs_seeded(
+        let (on, _) = cold_runs(
             &|s| xanadu(ExecutionMode::Speculative, s),
             &dag,
             TRIGGERS,
-            false,
             SEED_BASE,
         );
         let worst = on.iter().max_by_key(|r| r.end_to_end).unwrap();

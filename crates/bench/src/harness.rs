@@ -149,72 +149,33 @@ pub fn xanadu(mode: ExecutionMode, seed: u64) -> Platform {
 /// trigger gets a *fresh* platform (no warm state carries over), matching
 /// the paper's "requests in cold start condition" methodology (§5.1).
 ///
-/// `make(seed)` constructs the platform; seeds are distinct per trigger.
+/// `make(seed)` constructs the platform; trigger `i` uses seed
+/// `seed_base + i`. Most experiments use [`COLD_SEED_BASE`]; those whose
+/// claims depend on a specific mix of branch draws (e.g. Table 1's
+/// repeated-miss worst case) pick a base whose window contains that mix.
 ///
-/// Triggers are independent (each gets a fresh platform and its own seed),
-/// so they fan out across [`jobs`] threads; results are collected in
-/// trigger order, keeping the output byte-identical to a serial run.
+/// Returns the results and the speculation [`Audit`] of the triggers,
+/// with per-request audits re-keyed by *trigger index* (each fresh
+/// platform numbers its own requests from zero). The independent triggers
+/// fan out across [`jobs`] threads and are collected in trigger order, so
+/// both are byte-identical to a serial run.
 pub fn cold_runs(
     make: &(dyn Fn(u64) -> Platform + Sync),
     dag: &WorkflowDag,
     triggers: u64,
-    implicit: bool,
-) -> Vec<RunResult> {
-    cold_runs_seeded(make, dag, triggers, implicit, 1000)
-}
-
-/// [`cold_runs`] with an explicit seed base: trigger `i` uses seed
-/// `seed_base + i`. Experiments whose claims depend on a specific mix of
-/// branch draws (e.g. Table 1's repeated-miss worst case) pick a base
-/// whose window contains that mix.
-pub fn cold_runs_seeded(
-    make: &(dyn Fn(u64) -> Platform + Sync),
-    dag: &WorkflowDag,
-    triggers: u64,
-    implicit: bool,
-    seed_base: u64,
-) -> Vec<RunResult> {
-    audited_cold_runs_seeded(make, dag, triggers, implicit, seed_base).0
-}
-
-/// [`cold_runs`] that also returns the speculation [`Audit`] of the
-/// triggers. Per-request audits are re-keyed by *trigger index* (each
-/// fresh platform numbers its own requests from zero), so the audit is
-/// byte-identical across [`jobs`] widths.
-pub fn audited_cold_runs(
-    make: &(dyn Fn(u64) -> Platform + Sync),
-    dag: &WorkflowDag,
-    triggers: u64,
-    implicit: bool,
-) -> (Vec<RunResult>, Audit) {
-    audited_cold_runs_seeded(make, dag, triggers, implicit, 1000)
-}
-
-/// [`audited_cold_runs`] with an explicit seed base.
-pub fn audited_cold_runs_seeded(
-    make: &(dyn Fn(u64) -> Platform + Sync),
-    dag: &WorkflowDag,
-    triggers: u64,
-    implicit: bool,
     seed_base: u64,
 ) -> (Vec<RunResult>, Audit) {
     let per_trigger: Vec<(Vec<RunResult>, Vec<RequestAudit>)> =
         run_indexed(triggers as usize, |i| {
             let mut p = make(seed_base + i as u64);
-            if implicit {
-                p.deploy_implicit(dag.clone()).expect("deploy");
-            } else {
-                p.deploy(dag.clone()).expect("deploy");
-            }
+            p.deploy(dag.clone()).expect("deploy");
             p.trigger_at(dag.name(), SimTime::ZERO).expect("trigger");
             p.run_until_idle();
             let audits: Vec<RequestAudit> = p
                 .results()
                 .iter()
-                .filter_map(|r| {
-                    p.trace(r.request)
-                        .and_then(|t| RequestAudit::from_trace(i as u64, t))
-                })
+                .filter_map(|r| p.trace(r.request))
+                .map(|t| RequestAudit::from_trace(i as u64, t))
                 .collect();
             (p.finish().results, audits)
         });
@@ -227,15 +188,25 @@ pub fn audited_cold_runs_seeded(
     (runs, Audit::from_requests(audits))
 }
 
+/// The seed base [`cold_runs`] experiments share unless their claims need
+/// another.
+pub const COLD_SEED_BASE: u64 = 1000;
+
+/// The speculation [`Audit`] of `requests`, in the given order; requests
+/// without a recorded trace are left out.
+fn audit_requests(platform: &Platform, requests: impl IntoIterator<Item = u64>) -> Audit {
+    Audit::from_requests(
+        requests
+            .into_iter()
+            .filter_map(|id| platform.trace(id).map(|t| RequestAudit::from_trace(id, t)))
+            .collect(),
+    )
+}
+
 /// Builds the speculation [`Audit`] of every request a platform has
 /// completed so far, in request-id order.
 pub fn audit_platform(platform: &Platform) -> Audit {
-    let traces: Vec<(u64, Trace)> = platform
-        .results()
-        .iter()
-        .filter_map(|r| platform.trace(r.request).map(|t| (r.request, t.clone())))
-        .collect();
-    Audit::from_traces(&traces)
+    audit_requests(platform, platform.results().iter().map(|r| r.request))
 }
 
 /// Runs a learning sequence on a *single* platform: `warmup` unmeasured
@@ -277,11 +248,7 @@ pub fn audited_learned_runs(
     gap: SimDuration,
 ) -> (Vec<RunResult>, Audit) {
     let runs = learned_runs(platform, workflow, warmup, measure, gap);
-    let traces: Vec<(u64, Trace)> = runs
-        .iter()
-        .filter_map(|r| platform.trace(r.request).map(|t| (r.request, t.clone())))
-        .collect();
-    let audit = Audit::from_traces(&traces);
+    let audit = audit_requests(platform, runs.iter().map(|r| r.request));
     (runs, audit)
 }
 
@@ -296,9 +263,9 @@ pub fn audited_learned_runs(
 /// `--jobs` widths and plan-cache settings for the same seed.
 pub fn observability_probe(seed: u64, plan_cache: bool) -> (String, String) {
     let (platform, requests, metrics) = probe_run(seed, plan_cache);
-    let traces: Vec<(u64, Trace)> = requests
+    let traces: Vec<(u64, &Trace)> = requests
         .iter()
-        .filter_map(|&id| platform.trace(id).map(|t| (id, t.clone())))
+        .filter_map(|&id| platform.trace(id).map(|t| (id, t)))
         .collect();
     (chrome_trace_string(&traces), metrics)
 }
@@ -309,11 +276,7 @@ pub fn observability_probe(seed: u64, plan_cache: bool) -> (String, String) {
 /// other two exports.
 pub fn observability_audit(seed: u64, plan_cache: bool) -> String {
     let (platform, requests, _) = probe_run(seed, plan_cache);
-    let traces: Vec<(u64, Trace)> = requests
-        .iter()
-        .filter_map(|&id| platform.trace(id).map(|t| (id, t.clone())))
-        .collect();
-    audit_json_string(&Audit::from_traces(&traces))
+    audit_json_string(&audit_requests(&platform, requests))
 }
 
 /// Runs the standard probe workload and returns the platform (traces
@@ -386,11 +349,17 @@ mod tests {
     #[test]
     fn cold_runs_are_independent() {
         let dag = linear_chain("c", 2, &FunctionSpec::new("f").service_ms(100.0)).unwrap();
-        let runs = cold_runs(&|seed| xanadu(ExecutionMode::Cold, seed), &dag, 3, false);
+        let (runs, audit) = cold_runs(
+            &|seed| xanadu(ExecutionMode::Cold, seed),
+            &dag,
+            3,
+            COLD_SEED_BASE,
+        );
         assert_eq!(runs.len(), 3);
         // All cold: warm reuse impossible across fresh platforms.
         assert!(runs.iter().all(|r| r.warm_starts == 0));
         assert!(runs.iter().all(|r| r.cold_starts == 2));
+        assert_eq!(audit.summary.requests, 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Speculation audit & regression analysis.
 //!
-//! PR 3's observability layer records *what happened*; this module
+//! The observability layer records *what happened*; this module
 //! interprets it. From each request's lifecycle it derives the audit the
 //! paper's evaluation is built on:
 //!
@@ -22,16 +22,17 @@
 //!
 //! There is one auditor, reading one fold. The lifecycle fold of the
 //! [`timeline`](crate::timeline) module pairs a request's bus events into
-//! its deploy, wait and exec intervals, and the [`RequestAudit`] is read
-//! off them: [`RequestAudit::from_trace`] folds a recorded [`Trace`],
-//! and the [`stream`](crate::stream) tier folds the same events live
-//! from the bus. The span tree and the Gantt chart read the same
-//! intervals, so the window the audit charges an unused deploy is the
-//! span tree's by construction. [`Tally`] then aggregates
-//! finished requests for both the exact [`Audit`] and the bounded-memory
-//! [`StreamingAudit`](crate::stream::StreamingAudit), which differ only in
-//! where latency samples go (exact values or fixed-bucket histograms) and
-//! in how they sum wasted CPU (per-request `f64` ms or integer µs).
+//! its deploy, wait and exec intervals, and that folded [`Trace`] is what
+//! the platform records; [`RequestAudit::from_trace`] reads the audit off
+//! its entries, whether the trace was recorded or folded live from the
+//! bus by the [`stream`](crate::stream) tier. The span tree and the Gantt
+//! chart read the same intervals, so the window the audit charges an
+//! unused deploy is the span tree's by construction. [`Tally`] then
+//! aggregates finished requests for both the exact [`Audit`] and the
+//! bounded-memory [`StreamingAudit`](crate::stream::StreamingAudit),
+//! which differ only in where latency samples go (exact values or
+//! fixed-bucket histograms) and in how they sum wasted CPU (per-request
+//! `f64` ms or integer µs).
 //!
 //! [`diff_audits`] / [`diff_metrics`] compare two snapshots under
 //! [`DiffThresholds`] and return the list of [`Regression`]s — the
@@ -43,7 +44,7 @@
 
 use crate::hosts::ClusterReport;
 use crate::obs::MetricsRegistry;
-use crate::timeline::{EntryKind, Timeline, Trace};
+use crate::timeline::{EntryKind, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -142,25 +143,15 @@ pub struct RequestAudit {
 }
 
 impl RequestAudit {
-    /// Builds the audit of one request from its recorded trace (the
-    /// request spans its first to its last event), or `None` for an
-    /// empty trace.
-    pub fn from_trace(request: u64, trace: &Trace) -> Option<RequestAudit> {
-        Some(RequestAudit::from_timeline(request, &trace.timeline()?).0)
-    }
-
-    /// Reads the audit of one request off its folded timeline, plus the
-    /// wasted deploy time in integer microseconds (the streaming tier
-    /// sums that; the exact audit sums the per-request `f64` CPU-ms
-    /// instead).
-    pub(crate) fn from_timeline(request: u64, timeline: &Timeline) -> (RequestAudit, u64) {
-        let (t0, tn) = (timeline.start.as_micros(), timeline.end.as_micros());
-        let entries = &timeline.entries;
+    /// Reads the audit of one request off its trace.
+    pub fn from_trace(request: u64, trace: &Trace) -> RequestAudit {
+        let (t0, tn) = (trace.start.as_micros(), trace.end.as_micros());
         // The critical-path intervals, ranked: exec dominates waits, cold
         // dominates warm. Intervals still open at the end run to the end:
         // an unfinished execution counts as exec, an unserved wait as
         // cold-start wait.
-        let intervals: Vec<(usize, u64, u64)> = entries
+        let intervals: Vec<(usize, u64, u64)> = trace
+            .entries
             .iter()
             .filter_map(|e| {
                 let rank = match e.kind {
@@ -195,15 +186,15 @@ impl RequestAudit {
         let [exec_us, cold_start_wait_us, queue_wait_us, stall_us] = components;
 
         use EntryKind as K;
-        let invoked = timeline.functions(|k| matches!(k, K::Wait { .. }));
+        let invoked = trace.functions(|k| matches!(k, K::Wait { .. }));
         // Pair each invoked function's first invocation with its first
         // deployment (replacement provisions after crashes keep their own
         // entries but the first schedule is the planner's intent).
         let jit = invoked
             .iter()
             .filter_map(|f| {
-                let invoked_at = timeline.first(f, |k| matches!(k, K::Wait { .. }))?.at;
-                match timeline.first(f, |k| matches!(k, K::Deploy { .. }))?.kind {
+                let invoked_at = trace.first(f, |k| matches!(k, K::Wait { .. }))?.at;
+                match trace.first(f, |k| matches!(k, K::Deploy { .. }))?.kind {
                     K::Deploy { ready, on_demand } => Some(JitSample {
                         function: Arc::clone(f),
                         on_demand,
@@ -215,31 +206,14 @@ impl RequestAudit {
             })
             .collect();
 
-        // Unused speculative sandboxes are charged from deploy start to
-        // the request's end.
-        let unused = || {
-            entries
-                .iter()
-                .filter(|e| {
-                    e.end.is_none()
-                        && matches!(
-                            e.kind,
-                            EntryKind::Deploy {
-                                on_demand: false,
-                                ..
-                            }
-                        )
-                })
-                .map(|e| tn - e.at.as_micros())
-        };
-        let audit = RequestAudit {
+        RequestAudit {
             request,
             end_to_end_us: tn - t0,
             exec_us,
             cold_start_wait_us,
             queue_wait_us,
             stall_us,
-            predicted: timeline.functions(|k| {
+            predicted: trace.functions(|k| {
                 matches!(
                     k,
                     K::Deploy {
@@ -249,12 +223,11 @@ impl RequestAudit {
                 )
             }),
             invoked,
-            missed: timeline.functions(|k| *k == K::Miss),
-            unused_deploys: unused().count() as u64,
-            wasted_cpu_ms: unused().map(|us| us as f64 / 1000.0).sum(),
+            missed: trace.functions(|k| *k == K::Miss),
+            unused_deploys: unused_deploys(trace).count() as u64,
+            wasted_cpu_ms: unused_deploys(trace).map(|us| us as f64 / 1000.0).sum(),
             jit,
-        };
-        (audit, unused().sum())
+        }
     }
 
     /// The span-sum invariant: the four decomposition components sum to
@@ -281,6 +254,27 @@ impl RequestAudit {
     pub fn recall(&self) -> f64 {
         recall(self.missed.len() as u64, self.invoked.len() as u64)
     }
+}
+
+/// The microseconds charged to each speculative sandbox the request never
+/// used: from its deploy start to the request's end. The streaming tier
+/// sums these; the exact audit sums the per-request `f64` CPU-ms instead.
+pub(crate) fn unused_deploys(trace: &Trace) -> impl Iterator<Item = u64> + '_ {
+    let end = trace.end.as_micros();
+    trace
+        .entries
+        .iter()
+        .filter(|e| {
+            e.end.is_none()
+                && matches!(
+                    e.kind,
+                    EntryKind::Deploy {
+                        on_demand: false,
+                        ..
+                    }
+                )
+        })
+        .map(move |e| end - e.at.as_micros())
 }
 
 /// `hits / predicted`, or 1 when nothing was predicted.
@@ -625,12 +619,12 @@ impl Audit {
     }
 
     /// Builds the audit of `(request id, trace)` pairs (callers pass them
-    /// in request order; empty traces are skipped).
+    /// in request order).
     pub fn from_traces(traces: &[(u64, Trace)]) -> Audit {
         Audit::from_requests(
             traces
                 .iter()
-                .filter_map(|(id, t)| RequestAudit::from_trace(*id, t))
+                .map(|(id, t)| RequestAudit::from_trace(*id, t))
                 .collect(),
         )
     }
@@ -927,27 +921,27 @@ mod tests {
 
     /// a: planned, slightly late. b: miss, on-demand. spare: wasted.
     fn sample_trace() -> Trace {
-        let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), ev::triggered());
-        t.record(ms(0), ev::plan(2));
-        t.record(ms(0), ev::deploy("a", false, 120.0));
-        t.record(ms(0), ev::deploy("spare", false, 150.0));
-        t.record(ms(100), ev::invoked("a"));
-        t.record(ms(120), ev::exec_started("a", false));
-        t.record(ms(620), ev::exec_ended("a"));
-        t.record(ms(620), ev::miss("b"));
-        t.record(ms(620), ev::invoked("b"));
-        t.record(ms(620), ev::deploy("b", true, 780.0));
-        t.record(ms(1400), ev::exec_started("b", false));
-        t.record(ms(1700), ev::exec_ended("b"));
-        t.record(ms(1700), ev::completed());
-        t
+        ev::trace(vec![
+            (ms(0), ev::triggered()),
+            (ms(0), ev::plan(2)),
+            (ms(0), ev::deploy("a", false, 120.0)),
+            (ms(0), ev::deploy("spare", false, 150.0)),
+            (ms(100), ev::invoked("a")),
+            (ms(120), ev::exec_started("a", false)),
+            (ms(620), ev::exec_ended("a")),
+            (ms(620), ev::miss("b")),
+            (ms(620), ev::invoked("b")),
+            (ms(620), ev::deploy("b", true, 780.0)),
+            (ms(1400), ev::exec_started("b", false)),
+            (ms(1700), ev::exec_ended("b")),
+            (ms(1700), ev::completed()),
+        ])
     }
 
     #[test]
     fn decomposition_partitions_the_timeline_exactly() {
-        let audit = RequestAudit::from_trace(3, &sample_trace()).unwrap();
+        let audit = RequestAudit::from_trace(3, &sample_trace());
         assert_eq!(audit.request, 3);
         assert_eq!(audit.end_to_end_us, 1_700_000);
         // exec: 120–620 and 1400–1700 = 800ms.
@@ -962,7 +956,7 @@ mod tests {
 
     #[test]
     fn prediction_waste_and_jit_are_attributed() {
-        let audit = RequestAudit::from_trace(0, &sample_trace()).unwrap();
+        let audit = RequestAudit::from_trace(0, &sample_trace());
         assert_eq!(audit.predicted, ["a", "spare"].map(Arc::<str>::from));
         assert_eq!(audit.invoked, ["a", "b"].map(Arc::<str>::from));
         assert_eq!(audit.missed, [Arc::<str>::from("b")]);

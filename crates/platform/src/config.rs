@@ -130,8 +130,9 @@ pub struct PlatformConfig {
     /// rendering and Chrome export all read them.
     /// Fleet-scale replays (millions of invocations) turn this off so
     /// per-request memory stays flat; aggregate results and metrics are
-    /// unaffected either way. The timelines are rebuilt from the bus, so
-    /// recording turns event emission on like an attached observer.
+    /// unaffected either way. Each trace is the lifecycle fold of the
+    /// request's bus events, so recording turns event emission on like an
+    /// attached observer.
     #[serde(default = "default_record_traces")]
     pub record_traces: bool,
     /// Fault injection: worker and host failure rates and the fault seed.

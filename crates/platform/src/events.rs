@@ -213,8 +213,8 @@ impl BusEvent {
     /// hosts, placements, policy decisions, and a crash that orphaned no
     /// invocation. A pool-owned provision names `u64::MAX`, a request
     /// that is never in flight. These events, exactly as emitted, are
-    /// what a request's [`Trace`](crate::timeline::Trace) records and
-    /// what the audit fold reads.
+    /// what the lifecycle fold reads into a request's
+    /// [`Trace`](crate::timeline::Trace).
     pub(crate) fn lifecycle_request(&self) -> Option<u64> {
         use BusEvent as E;
         match self {

@@ -37,14 +37,11 @@ use serde_json::{json, Map, Value};
 /// Builds a Chrome `trace_event` document from per-request traces.
 ///
 /// `traces` is a `(request id, trace)` list; requests are emitted in the
-/// given order (callers pass them sorted by id). Empty traces are
-/// skipped.
-pub fn chrome_trace(traces: &[(u64, Trace)]) -> Value {
+/// given order (callers pass them sorted by id).
+pub fn chrome_trace(traces: &[(u64, &Trace)]) -> Value {
     let mut events: Vec<Value> = Vec::new();
-    for (request, trace) in traces {
-        let Some(tree) = SpanTree::from_trace(*request, trace) else {
-            continue;
-        };
+    for &(request, trace) in traces {
+        let tree = SpanTree::from_trace(request, trace);
         let lanes = tree.functions();
         let lane = |function: &str| -> u64 {
             if function.is_empty() {
@@ -56,7 +53,7 @@ pub fn chrome_trace(traces: &[(u64, Trace)]) -> Value {
         events.push(complete_event(
             &tree.root.name,
             "request",
-            *request,
+            request,
             0,
             tree.root.start.as_micros(),
             tree.root.duration().as_micros(),
@@ -71,7 +68,7 @@ pub fn chrome_trace(traces: &[(u64, Trace)]) -> Value {
             events.push(complete_event(
                 &span.name,
                 cat,
-                *request,
+                request,
                 lane(&span.function),
                 span.start.as_micros(),
                 span.duration().as_micros(),
@@ -84,7 +81,7 @@ pub fn chrome_trace(traces: &[(u64, Trace)]) -> Value {
                 "ph": "i",
                 "s": "p",
                 "ts": marker.at.as_micros(),
-                "pid": *request,
+                "pid": request,
                 "tid": lane(&marker.function),
             }));
         }
@@ -96,7 +93,7 @@ pub fn chrome_trace(traces: &[(u64, Trace)]) -> Value {
 }
 
 /// Renders [`chrome_trace`] as pretty JSON text with a trailing newline.
-pub fn chrome_trace_string(traces: &[(u64, Trace)]) -> String {
+pub fn chrome_trace_string(traces: &[(u64, &Trace)]) -> String {
     let mut out = chrome_trace(traces).to_json_string_pretty();
     out.push('\n');
     out
@@ -424,21 +421,21 @@ mod tests {
     use xanadu_simcore::SimTime;
 
     fn demo_trace() -> Trace {
-        let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), ev::triggered());
-        t.record(ms(0), ev::plan(1));
-        t.record(ms(0), ev::deploy("f", false, 800.0));
-        t.record(ms(5), ev::invoked("f"));
-        t.record(ms(800), ev::exec_started("f", false));
-        t.record(ms(950), ev::exec_ended("f"));
-        t.record(ms(950), ev::completed());
-        t
+        ev::trace(vec![
+            (ms(0), ev::triggered()),
+            (ms(0), ev::plan(1)),
+            (ms(0), ev::deploy("f", false, 800.0)),
+            (ms(5), ev::invoked("f")),
+            (ms(800), ev::exec_started("f", false)),
+            (ms(950), ev::exec_ended("f")),
+            (ms(950), ev::completed()),
+        ])
     }
 
     #[test]
     fn chrome_trace_emits_complete_and_instant_events() {
-        let doc = chrome_trace(&[(7, demo_trace())]);
+        let doc = chrome_trace(&[(7, &demo_trace())]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         // request root + deploy + wait + exec + plan marker.
         assert_eq!(events.len(), 5);
@@ -462,7 +459,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_deterministic_text() {
-        let traces = vec![(0, demo_trace()), (1, demo_trace())];
+        let trace = demo_trace();
+        let traces = [(0, &trace), (1, &trace)];
         assert_eq!(chrome_trace_string(&traces), chrome_trace_string(&traces));
     }
 

@@ -384,7 +384,7 @@ pub struct Platform {
     observers: Vec<Arc<Mutex<dyn Observer>>>,
     /// Events emitted so far (see [`Platform::published_events`]).
     published: u64,
-    /// Request timelines rebuilt from every emitted event; present when
+    /// Request traces folded from every emitted event; present when
     /// `config.record_traces` is on, which makes recording a form of
     /// observation.
     recorder: Option<TraceRecorder>,
@@ -738,7 +738,7 @@ impl Platform {
         self.pool.drain_dead()
     }
 
-    /// Moves out the timelines of requests completed since the last call,
+    /// Moves out the traces of requests completed since the last call,
     /// in no particular order; [`trace`](Self::trace) then returns `None`
     /// for them. Yields nothing with `record_traces` off.
     pub(crate) fn drain_traces(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
@@ -797,7 +797,7 @@ impl Platform {
         self.recorder.is_some() || !self.observers.is_empty()
     }
 
-    /// Records `event` into the request timelines and delivers it to
+    /// Folds `event` into the recorded request traces and delivers it to
     /// every observer, in attach order.
     fn emit(&mut self, event: BusEvent) {
         if let Some(recorder) = &mut self.recorder {
@@ -2205,6 +2205,7 @@ mod tests {
     use crate::faults::FaultConfig;
     use crate::obs::MetricsRegistry;
     use crate::stream::{SloConfig, SloMonitor, StreamingAudit, StreamingConfig};
+    use crate::timeline::EntryKind;
     use xanadu_chain::{linear_chain, FunctionSpec, WorkflowBuilder};
     use xanadu_core::speculation::{ExecutionMode, MissPolicy};
     use xanadu_sandbox::PoolConfig;
@@ -2547,9 +2548,9 @@ mod tests {
         }"#;
         // Whether `function` ran to completion in the request's trace.
         let ran = |trace: &Trace, function: &str| {
-            trace.events().iter().any(
-                |e| matches!(&e.event, BusEvent::ExecEnded { function: f, .. } if **f == *function),
-            )
+            trace
+                .first(function, |k| matches!(k, EntryKind::Exec { .. }))
+                .is_some_and(|e| e.end.is_some())
         };
         let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Cold, 3));
         p.deploy_sdl("cond", doc).unwrap();

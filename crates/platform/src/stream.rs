@@ -1,30 +1,29 @@
 //! Streaming telemetry: bounded-memory audits and windowed SLO gates.
 //!
-//! The batch audit ([`analysis`](crate::analysis)) can read full
-//! per-request [`Trace`](crate::timeline::Trace)s; a fleet-scale replay
-//! cannot afford them — a 1M-invocation run would retain a million
-//! timelines. This module runs the *same* per-request lifecycle fold
-//! online, fed by the typed [`BusEvent`] stream through the [`Observer`]
-//! trait:
+//! The batch audit ([`analysis`](crate::analysis)) reads a recorded
+//! [`Trace`] per request; a fleet-scale replay cannot afford them — a
+//! 1M-invocation run would retain a million timelines. This module
+//! builds the *same* per-request traces online, fed by the typed
+//! [`BusEvent`] stream through the [`Observer`] trait, and keeps only
+//! what each finished request adds to the aggregates:
 //!
-//! - The fold reads the request's own bus events, exactly as a recorded
-//!   trace holds them; each event names its request, and events outside
-//!   every request's lifecycle are skipped. The tracker keeps one fold
-//!   per in-flight request and records nothing else.
-//! - [`StreamingAudit`] folds each finished request into the shared
-//!   [`Tally`] with fixed-bucket [`Histogram`]s as the sample sink, plus
-//!   a deterministic reservoir of the K worst requests. An exemplar keeps
-//!   its request's folded timeline, the intervals and markers its
-//!   [`SpanTree`] is read off, so exemplars survive without a recorded
-//!   trace or anything else retained.
+//! - Each observer owns the request tracker the trace recorder also
+//!   owns: it routes every event to the fold of the request it names,
+//!   skips events outside every request's lifecycle, and holds one fold
+//!   per in-flight request and nothing else.
+//! - [`StreamingAudit`] reads each finished request's audit row off its
+//!   trace into the shared [`Tally`] with fixed-bucket [`Histogram`]s as
+//!   the sample sink, plus a deterministic reservoir of the K worst
+//!   requests. An exemplar keeps its request's trace, the intervals and
+//!   markers its [`SpanTree`] is read off, and nothing else is retained.
 //! - [`SloMonitor`] folds finished requests into tumbling windows and
 //!   evaluates [`DiffThresholds`] against the first non-empty window.
 //!
-//! Agreement with the exact audit is by construction: both run one fold
-//! and one [`Tally`], so every count and integer-microsecond total is
-//! equal. Two things differ. Wasted CPU is summed in integer microseconds
-//! here and as per-request `f64` milliseconds by the exact audit, so the
-//! two agree up to float rounding. Latency *quantiles* are
+//! Agreement with the exact audit is by construction: both read the same
+//! traces through one [`Tally`], so every count and integer-microsecond
+//! total is equal. Two things differ. Wasted CPU is summed in integer
+//! microseconds here and as per-request `f64` milliseconds by the exact
+//! audit, so the two agree up to float rounding. Latency *quantiles* are
 //! bucket-interpolated from [`LATENCY_BUCKET_BOUNDS_MS`]-shaped
 //! histograms, so a streaming quantile lands in (or adjacent to, on
 //! bucket-boundary ties) the fixed bucket containing the exact order
@@ -36,65 +35,17 @@
 //! exports are byte-identical at any `--shards`/`--jobs` width.
 
 use crate::analysis::{
-    drop_regression, pct_regression, recall, DiffThresholds, MlpStats, RequestAudit, SampleSink,
-    Tally, WasteStats, ABS_FLOOR_MS,
+    drop_regression, pct_regression, recall, unused_deploys, DiffThresholds, MlpStats,
+    RequestAudit, SampleSink, Tally, WasteStats, ABS_FLOOR_MS,
 };
 use crate::events::BusEvent;
 use crate::obs::{Histogram, Observer, LATENCY_BUCKET_BOUNDS_MS};
-use crate::timeline::{RequestFold, SpanTree, Timeline};
+use crate::timeline::{RequestTracker, SpanTree, Trace};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use xanadu_simcore::{SimDuration, SimTime};
-
-// ---------------------------------------------------------------------
-// Bus events into the per-request fold (StreamingAudit and SloMonitor)
-// ---------------------------------------------------------------------
-
-/// A request the tracker just saw complete.
-struct Finished {
-    audit: RequestAudit,
-    /// Wasted deploy time, integer microseconds.
-    wasted_us: u64,
-    /// The folded timeline the audit was read off.
-    timeline: Timeline,
-}
-
-/// Feeds bus events to one lifecycle fold per in-flight request. A
-/// request's state is dropped the moment it completes, so live memory is
-/// bounded by in-flight concurrency, not by run length.
-#[derive(Debug, Clone, Default)]
-struct RequestTracker {
-    pending: BTreeMap<u64, RequestFold>,
-}
-
-impl RequestTracker {
-    /// Feeds one event; returns the request it completed, if any.
-    fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<Finished> {
-        let request = event.lifecycle_request()?;
-        match event {
-            BusEvent::RequestTriggered { .. } => {
-                self.pending.insert(request, RequestFold::new(at));
-            }
-            BusEvent::RequestCompleted { .. } => {
-                let timeline = self.pending.remove(&request)?.finish(at);
-                let (audit, wasted_us) = RequestAudit::from_timeline(request, &timeline);
-                return Some(Finished {
-                    audit,
-                    wasted_us,
-                    timeline,
-                });
-            }
-            _ => {
-                if let Some(fold) = self.pending.get_mut(&request) {
-                    fold.apply(at, event);
-                }
-            }
-        }
-        None
-    }
-}
 
 // ---------------------------------------------------------------------
 // StreamingAudit
@@ -113,9 +64,9 @@ impl Default for StreamingConfig {
     }
 }
 
-/// One entry of the worst-request reservoir: the folded timeline of a
-/// completed request, kept so its [`SpanTree`] can be exported.
-/// Serializable so the service tier can checkpoint the reservoir.
+/// One entry of the worst-request reservoir: the trace of a completed
+/// request, kept so its [`SpanTree`] can be exported. Serializable so the
+/// service tier can checkpoint the reservoir.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Exemplar {
     /// Request id (global after a sharded merge).
@@ -123,13 +74,13 @@ pub struct Exemplar {
     /// End-to-end latency, integer microseconds — the reservoir's sort
     /// key (descending, ties broken by ascending request id).
     pub end_to_end_us: u64,
-    timeline: Timeline,
+    timeline: Trace,
 }
 
 impl Exemplar {
-    /// The span decomposition of the exemplar's timeline.
+    /// The span decomposition of the exemplar's trace.
     pub fn span_tree(&self) -> SpanTree {
-        SpanTree::from_timeline(self.request, &self.timeline)
+        SpanTree::from_trace(self.request, &self.timeline)
     }
 
     /// The reservoir's order: worst first, ties by ascending request id.
@@ -296,17 +247,18 @@ impl StreamingAudit {
     /// Requests currently in flight (bounded by concurrency; 0 once the
     /// platform has drained).
     pub fn in_flight(&self) -> usize {
-        self.tracker.pending.len()
+        self.tracker.in_flight()
     }
 
-    fn fold(&mut self, finished: Finished) {
+    fn fold(&mut self, request: u64, trace: Trace) {
         let state = &mut self.state;
-        state.tally.add(&finished.audit, &mut state.buckets);
-        state.wasted_us += finished.wasted_us;
+        let audit = RequestAudit::from_trace(request, &trace);
+        state.tally.add(&audit, &mut state.buckets);
+        state.wasted_us += unused_deploys(&trace).sum::<u64>();
         let exemplar = Exemplar {
-            request: finished.audit.request,
-            end_to_end_us: finished.audit.end_to_end_us,
-            timeline: finished.timeline,
+            request,
+            end_to_end_us: audit.end_to_end_us,
+            timeline: trace,
         };
         // The reservoir stays sorted: a request enters at its rank, if
         // that rank is inside the capacity.
@@ -352,7 +304,7 @@ impl StreamingAudit {
     /// after the fleet is idle, in canonical shard order.
     pub fn merge_from(&mut self, other: &StreamingAudit) {
         assert!(
-            self.tracker.pending.is_empty() && other.tracker.pending.is_empty(),
+            self.in_flight() == 0 && other.in_flight() == 0,
             "merging streaming audits with in-flight requests"
         );
         let (state, theirs) = (&mut self.state, &other.state);
@@ -402,7 +354,7 @@ impl StreamingAudit {
     /// only at drained epoch boundaries.
     pub fn checkpoint(&self) -> AuditCheckpoint {
         assert!(
-            self.tracker.pending.is_empty(),
+            self.in_flight() == 0,
             "checkpointing a streaming audit with in-flight requests"
         );
         self.state.clone()
@@ -421,8 +373,8 @@ impl StreamingAudit {
 
 impl Observer for StreamingAudit {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some(finished) = self.tracker.on_event(at, event) {
-            self.fold(finished);
+        if let Some((request, trace)) = self.tracker.on_event(at, event) {
+            self.fold(request, trace);
         }
     }
 }
@@ -633,16 +585,16 @@ impl SloMonitor {
         &self.config
     }
 
-    fn fold(&mut self, completed_us: u64, finished: &Finished) {
-        let index = completed_us / self.config.window.as_micros();
+    fn fold(&mut self, request: u64, trace: &Trace) {
+        let index = trace.end.as_micros() / self.config.window.as_micros();
         let w = self
             .windows
             .entry(index)
             .or_insert_with(|| SloWindow::new(index));
-        let audit = &finished.audit;
+        let audit = RequestAudit::from_trace(request, trace);
         w.requests += 1;
         w.end_to_end.observe(audit.end_to_end_ms());
-        w.wasted_us += finished.wasted_us;
+        w.wasted_us += unused_deploys(trace).sum::<u64>();
         w.invoked += audit.invoked.len() as u64;
         w.misses += audit.missed.len() as u64;
     }
@@ -663,7 +615,7 @@ impl SloMonitor {
     /// If requests are still in flight.
     pub fn evaluate_below(&mut self, horizon: u64) -> Vec<SloAlert> {
         assert!(
-            self.tracker.pending.is_empty(),
+            self.tracker.in_flight() == 0,
             "evaluating an SLO monitor with in-flight requests"
         );
         let from = self.evaluated.map_or(0, |e| e + 1);
@@ -688,7 +640,7 @@ impl SloMonitor {
     /// must be drained). Window width must match.
     pub fn merge_from(&mut self, other: &SloMonitor) {
         assert!(
-            self.tracker.pending.is_empty() && other.tracker.pending.is_empty(),
+            self.tracker.in_flight() == 0 && other.tracker.in_flight() == 0,
             "merging SLO monitors with in-flight requests"
         );
         assert_eq!(
@@ -715,7 +667,7 @@ impl SloMonitor {
     /// If requests are in flight.
     pub fn checkpoint(&self) -> SloCheckpoint {
         assert!(
-            self.tracker.pending.is_empty(),
+            self.tracker.in_flight() == 0,
             "checkpointing an SLO monitor with in-flight requests"
         );
         SloCheckpoint {
@@ -785,8 +737,8 @@ impl SloMonitor {
 
 impl Observer for SloMonitor {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        if let Some(finished) = self.tracker.on_event(at, event) {
-            self.fold(at.as_micros(), &finished);
+        if let Some((request, trace)) = self.tracker.on_event(at, event) {
+            self.fold(request, &trace);
         }
     }
 }
@@ -1283,7 +1235,8 @@ mod tests {
         assert_eq!(live.report().alerts, raised);
     }
 
-    /// Collects the bus-fed fold's audit of every completed request.
+    /// Collects the audit of every request an observer's tracker
+    /// completes.
     #[derive(Default)]
     struct BusAudits {
         tracker: RequestTracker,
@@ -1292,18 +1245,17 @@ mod tests {
 
     impl Observer for BusAudits {
         fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-            if let Some(finished) = self.tracker.on_event(at, event) {
-                self.audits.push(finished.audit);
+            if let Some((request, trace)) = self.tracker.on_event(at, event) {
+                self.audits.push(RequestAudit::from_trace(request, &trace));
             }
         }
     }
 
-    /// The live fold and the recorded trace read the same bus events:
-    /// the fold applies each as it arrives, the recorder stores it, and
-    /// `RequestAudit::from_trace` folds the stored events afterwards. On the randomized chaos runs of
-    /// `tests/streaming.rs`, with faults on and off, the fold fed from the
-    /// bus must give every request the audit `RequestAudit::from_trace`
-    /// gives its recorded trace.
+    /// An attached observer's tracker and the platform's trace recorder
+    /// see the same bus events. On the randomized chaos runs of
+    /// `tests/streaming.rs`, with faults on and off, the audit read off
+    /// the trace an observer folds live must equal the audit of the
+    /// request's recorded trace.
     #[test]
     fn bus_fed_fold_equals_the_trace_audit_for_every_request() {
         use crate::{FaultConfig, Platform, PlatformConfig};
@@ -1347,8 +1299,8 @@ mod tests {
                 for audit in &audits {
                     let trace = platform.trace(audit.request).expect("trace recorded");
                     assert_eq!(
-                        Some(audit),
-                        RequestAudit::from_trace(audit.request, trace).as_ref(),
+                        audit,
+                        &RequestAudit::from_trace(audit.request, trace),
                         "seed {seed}, faults {faults}, request {}",
                         audit.request
                     );
@@ -1367,14 +1319,16 @@ mod tests {
         }
     }
 
-    /// A recorded trace is the request's own bus events, event for event.
-    /// The workload is `tests/bus_events.rs`'s chaos run: certain faults
-    /// and a two-host cluster under host failures, which emits every
-    /// variant. For every completed request, `Platform::trace` equals the
-    /// observer's events whose `lifecycle_request` names that request.
+    /// A recorded trace is the lifecycle fold of the request's own bus
+    /// events. The workload is `tests/bus_events.rs`'s chaos run: certain
+    /// faults and a two-host cluster under host failures, which emits
+    /// every variant. For every completed request, the observer's events
+    /// whose `lifecycle_request` names it run from its trigger to its
+    /// completion, and `Platform::trace` equals `RequestFold` run over
+    /// exactly those events.
     #[test]
     fn recorded_traces_are_the_requests_own_bus_events() {
-        use crate::timeline::TraceEvent;
+        use crate::timeline::RequestFold;
         use crate::{ClusterConfig, FaultConfig, PlacementPolicy, Platform, PlatformConfig};
         use std::collections::HashSet;
         use std::mem::discriminant;
@@ -1421,17 +1375,23 @@ mod tests {
             let BusEvent::RequestCompleted { request, .. } = event else {
                 continue;
             };
-            let own: Vec<TraceEvent> = events
+            let own: Vec<&(SimTime, BusEvent)> = events
                 .iter()
                 .filter(|(_, e)| e.lifecycle_request() == Some(*request))
-                .map(|(at, e)| TraceEvent {
-                    at: *at,
-                    event: e.clone(),
-                })
                 .collect();
+            let (first, last) = (own[0], own[own.len() - 1]);
+            assert!(
+                matches!(first.1, BusEvent::RequestTriggered { .. })
+                    && matches!(last.1, BusEvent::RequestCompleted { .. }),
+                "request {request} runs from its trigger to its completion"
+            );
+            let mut fold = RequestFold::new(first.0);
+            for (at, e) in &own {
+                fold.apply(*at, e);
+            }
             let trace = platform.trace(*request).expect("trace recorded");
-            assert_eq!(trace.events(), own.as_slice(), "request {request}");
-            traced.extend(own.iter().map(|e| discriminant(&e.event)));
+            assert_eq!(trace, &fold.finish(last.0), "request {request}");
+            traced.extend(own.iter().map(|(_, e)| discriminant(e)));
             completed += 1;
         }
         assert_eq!(completed, 24);

@@ -1,15 +1,29 @@
 //! Lifecycle events for hand-built test traces.
 //!
 //! Each function builds the [`BusEvent`] a running platform would emit
-//! for one lifecycle moment of request 0 on worker 0. A trace holds one
-//! request's events, so neither id matters to what it records, and the
-//! payload fields no trace reader looks at (cold-start cost, queue wait,
-//! exec time, backoff) are zero.
+//! for one lifecycle moment of request 0 on worker 0, and [`trace`] folds
+//! one request's events into the trace the platform would record. A
+//! trace is one request's, so neither id matters to what it records, and
+//! the payload fields the fold does not read (cold-start cost, queue
+//! wait, exec time, backoff) are zero.
 
 use crate::events::BusEvent;
+use crate::timeline::{RequestTracker, Trace};
+use xanadu_simcore::SimTime;
 
 const REQUEST: u64 = 0;
 const WORKER: u64 = 0;
+
+/// The trace the platform records from `events`, one request's
+/// lifecycle from its trigger to its completion.
+pub(crate) fn trace(events: Vec<(SimTime, BusEvent)>) -> Trace {
+    let mut tracker = RequestTracker::default();
+    events
+        .iter()
+        .find_map(|(at, event)| tracker.on_event(*at, event))
+        .expect("the events complete their request")
+        .1
+}
 
 pub(crate) fn triggered() -> BusEvent {
     BusEvent::RequestTriggered {

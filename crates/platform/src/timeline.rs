@@ -3,20 +3,23 @@
 //! The platform records, for every request, the sequence of orchestration
 //! events that Figure 10 of the paper narrates — planning-driven
 //! deployments, function invocations, dispatches into workers, completions
-//! and prediction misses — as a [`Trace`]: the request's own
-//! [`BusEvent`]s, exactly as its observers received them.
+//! and prediction misses — as a [`Trace`]: the request's lifecycle laid
+//! out in time, trigger to completion.
 //!
-//! One fold reads those events. It pairs each request's provisions,
+//! One fold builds it. `RequestFold` pairs a request's provisions,
 //! invocations and executions into deploy, wait and exec intervals (each
 //! execution numbered by attempt) and keeps its plan, miss, crash,
-//! timeout, retry and failed-deploy markers, in event order. Everything
-//! else is read off that folded timeline: the request's audit row
+//! timeout, retry and failed-deploy markers, in event order.
+//! `RequestTracker` routes the bus's lifecycle events to one fold per
+//! in-flight request and hands back each request's trace at its
+//! completion. The trace recorder behind
+//! [`Platform::trace`](crate::Platform::trace), the streaming audit and
+//! the SLO monitor each own one tracker. Everything else reads a trace's
+//! entries, never the events again: the request's audit row
 //! ([`RequestAudit`](crate::RequestAudit)), its [`SpanTree`] and its
-//! Gantt chart ([`Trace::render_gantt`]). The fold runs over a recorded
-//! trace here, and over the live bus in the [`stream`](crate::stream)
-//! tier, whose exemplars keep the folded timeline instead of a trace.
-//! Traces power debugging, the CLI's `--trace` output, and assertions
-//! about *when* things happened rather than only aggregate latencies.
+//! Gantt chart ([`Trace::render_gantt`]). Traces power debugging, the
+//! CLI's `--trace` output, and assertions about *when* things happened
+//! rather than only aggregate latencies.
 
 use crate::events::BusEvent;
 use serde::{Deserialize, Serialize};
@@ -24,109 +27,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use xanadu_simcore::{SimDuration, SimTime};
-
-/// A timestamped trace event: one of the request's own bus events,
-/// exactly as emitted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// When the event happened.
-    pub at: SimTime,
-    /// What happened.
-    pub event: BusEvent,
-}
-
-/// The ordered event timeline of one request.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// Records an event (events arrive in simulation order).
-    pub(crate) fn record(&mut self, at: SimTime, event: BusEvent) {
-        self.events.push(TraceEvent { at, event });
-    }
-
-    /// The events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The fold of the trace's events (the request spans its first to
-    /// its last event), or `None` for an empty trace.
-    pub(crate) fn timeline(&self) -> Option<Timeline> {
-        let (first, last) = (self.events.first()?, self.events.last()?);
-        let mut fold = RequestFold::new(first.at);
-        for e in &self.events {
-            fold.apply(e.at, &e.event);
-        }
-        Some(fold.finish(last.at))
-    }
-
-    /// Renders the trace as an ASCII Gantt chart: one row per function,
-    /// bars for provisioning-to-exec (`░`) and execution (`█`), `width`
-    /// columns spanning trigger to completion.
-    ///
-    /// Returns an empty string for an empty trace.
-    pub fn render_gantt(&self, width: usize) -> String {
-        self.timeline()
-            .map_or_else(String::new, |t| t.render_gantt(width))
-    }
-}
-
-/// Records each request's [`Trace`] from the bus for
-/// [`Platform::trace`](crate::Platform::trace), with `record_traces` on:
-/// every event is filed under the request its `lifecycle_request` names,
-/// as emitted. Pool-owned provisions name a request that is never in
-/// flight, so they land in no trace.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TraceRecorder {
-    /// Timelines of requests in flight, opened at their trigger.
-    open: BTreeMap<u64, Trace>,
-    /// Timelines of completed requests.
-    done: HashMap<u64, Trace>,
-}
-
-impl TraceRecorder {
-    /// Records one event at `at`, keeping the timeline it completes.
-    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
-        let Some(request) = event.lifecycle_request() else {
-            return;
-        };
-        if let BusEvent::RequestTriggered { .. } = event {
-            self.open.insert(request, Trace::default());
-        }
-        let Some(trace) = self.open.get_mut(&request) else {
-            return;
-        };
-        trace.record(at, event.clone());
-        if let BusEvent::RequestCompleted { .. } = event {
-            if let Some(trace) = self.open.remove(&request) {
-                self.done.insert(request, trace);
-            }
-        }
-    }
-
-    /// The timeline of a completed request.
-    pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
-        self.done.get(&request)
-    }
-
-    /// Moves out every completed timeline, in no particular order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
-        self.done.drain()
-    }
-}
 
 /// What a timeline [`Entry`] records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -154,8 +54,7 @@ pub(crate) enum EntryKind {
     DeployFailed { attempt: u64 },
 }
 
-/// One interval or marker of a [`Timeline`], opened by the event at
-/// `at`.
+/// One interval or marker of a [`Trace`], opened by the event at `at`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Entry {
     /// The function it concerns; a plan's is its workflow.
@@ -167,11 +66,12 @@ pub(crate) struct Entry {
     pub(crate) kind: EntryKind,
 }
 
-/// A request's lifecycle as [`RequestFold`] pairs it: every interval and
-/// marker in the order of the events that opened them. The audit row, the
-/// span tree and the Gantt chart are all read off it.
+/// The recorded timeline of one request, as the lifecycle fold pairs its
+/// events: every interval and marker in the order of the events that
+/// opened them, between the request's trigger and its completion.
+/// The audit row, the span tree and the Gantt chart are all read off it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct Timeline {
+pub struct Trace {
     /// The trigger.
     pub(crate) start: SimTime,
     /// The completion.
@@ -180,16 +80,14 @@ pub(crate) struct Timeline {
 }
 
 /// The one reader of a request's lifecycle events: it turns them into the
-/// request's [`Timeline`]. It holds only that request's entries, so the
-/// streaming tier keeps one per in-flight request and drops it at
-/// completion.
+/// request's [`Trace`]. It holds only that request's entries.
 #[derive(Debug, Clone)]
-pub(crate) struct RequestFold(Timeline);
+pub(crate) struct RequestFold(Trace);
 
 impl RequestFold {
     /// An empty fold for a request triggered at `start`.
     pub(crate) fn new(start: SimTime) -> Self {
-        RequestFold(Timeline {
+        RequestFold(Trace {
             start,
             end: start,
             entries: Vec::new(),
@@ -282,14 +180,79 @@ impl RequestFold {
         });
     }
 
-    /// Ends the request at `end` and returns its timeline.
-    pub(crate) fn finish(mut self, end: SimTime) -> Timeline {
+    /// Ends the request at `end` and returns its trace.
+    pub(crate) fn finish(mut self, end: SimTime) -> Trace {
         self.0.end = end;
         self.0
     }
 }
 
-impl Timeline {
+/// Routes bus events to one [`RequestFold`] per in-flight request: each
+/// event goes to the request its `lifecycle_request` names. A request's
+/// fold opens at its trigger and leaves as its [`Trace`] at its
+/// completion, so live memory is bounded by in-flight concurrency, not by
+/// run length. Pool-owned provisions name a request that is never in
+/// flight, so they land in no trace.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RequestTracker {
+    pending: BTreeMap<u64, RequestFold>,
+}
+
+impl RequestTracker {
+    /// Feeds one event; returns the request it completed, with its trace.
+    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) -> Option<(u64, Trace)> {
+        let request = event.lifecycle_request()?;
+        match event {
+            BusEvent::RequestTriggered { .. } => {
+                self.pending.insert(request, RequestFold::new(at));
+            }
+            BusEvent::RequestCompleted { .. } => {
+                return Some((request, self.pending.remove(&request)?.finish(at)));
+            }
+            _ => {
+                if let Some(fold) = self.pending.get_mut(&request) {
+                    fold.apply(at, event);
+                }
+            }
+        }
+        None
+    }
+
+    /// Requests triggered and not yet completed.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+/// Records each completed request's [`Trace`] for
+/// [`Platform::trace`](crate::Platform::trace), with `record_traces` on.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TraceRecorder {
+    tracker: RequestTracker,
+    /// Traces of completed requests.
+    done: HashMap<u64, Trace>,
+}
+
+impl TraceRecorder {
+    /// Feeds one event at `at`, keeping the trace it completes.
+    pub(crate) fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        if let Some((request, trace)) = self.tracker.on_event(at, event) {
+            self.done.insert(request, trace);
+        }
+    }
+
+    /// The trace of a completed request.
+    pub(crate) fn get(&self, request: u64) -> Option<&Trace> {
+        self.done.get(&request)
+    }
+
+    /// Moves out every completed trace, in no particular order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, Trace)> + '_ {
+        self.done.drain()
+    }
+}
+
+impl Trace {
     /// The entries of function `name`.
     fn of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Entry> + 'a {
         self.entries.iter().filter(move |e| &*e.name == name)
@@ -313,11 +276,11 @@ impl Timeline {
         out
     }
 
-    /// Renders the ASCII Gantt chart of [`Trace::render_gantt`]. A row's
-    /// bars run from the function's first provision to its first
-    /// execution start (`░`), and from there to its first completed
-    /// execution (`█`).
-    pub(crate) fn render_gantt(&self, width: usize) -> String {
+    /// Renders the trace as an ASCII Gantt chart: one row per function,
+    /// `width` columns spanning trigger to completion. A row's bars run
+    /// from the function's first provision to its first execution start
+    /// (`░`), and from there to its first completed execution (`█`).
+    pub fn render_gantt(&self, width: usize) -> String {
         use EntryKind as K;
         let width = width.clamp(20, 200);
         let (start, end) = (self.start, self.end);
@@ -436,9 +399,9 @@ pub struct SpanMarker {
 /// spans for every deploy / wait / exec interval, and instant markers for
 /// faults and mispredictions.
 ///
-/// Derived deterministically from the request's folded lifecycle — two
-/// identical traces always yield identical trees, which is what makes the
-/// Chrome trace export byte-reproducible.
+/// Read deterministically off the request's trace — two identical traces
+/// always yield identical trees, which is what makes the Chrome trace
+/// export byte-reproducible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanTree {
     /// The request this tree describes.
@@ -452,31 +415,24 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Builds the span tree of `trace`, or `None` for an empty trace.
+    /// Builds the span tree of `trace`.
     ///
     /// Each retried execution is its own `Exec` span, numbered by
     /// attempt. Deploy spans close at the execution start that claimed
     /// the sandbox (or at trace end for workers that never served). Waits
     /// and executions still open at the end have no span.
-    pub fn from_trace(request: u64, trace: &Trace) -> Option<SpanTree> {
-        Some(SpanTree::from_timeline(request, &trace.timeline()?))
-    }
-
-    /// The span tree of a folded timeline.
-    pub(crate) fn from_timeline(request: u64, timeline: &Timeline) -> SpanTree {
+    pub fn from_trace(request: u64, trace: &Trace) -> SpanTree {
         use EntryKind as K;
         let (mut children, mut markers) = (Vec::new(), Vec::new());
-        for e in &timeline.entries {
+        for e in &trace.entries {
             let f = &*e.name;
             let (kind, name, end) = match (&e.kind, e.end) {
                 (K::Deploy { .. }, Some(end)) => (SpanKind::Deploy, format!("deploy {f}"), end),
                 // Workers that never served: their provisioning still
                 // cost time.
-                (K::Deploy { .. }, None) => (
-                    SpanKind::Deploy,
-                    format!("deploy {f} (unused)"),
-                    timeline.end,
-                ),
+                (K::Deploy { .. }, None) => {
+                    (SpanKind::Deploy, format!("deploy {f} (unused)"), trace.end)
+                }
                 (K::Wait { .. }, Some(end)) => (SpanKind::Wait, format!("wait {f}"), end),
                 (K::Exec { attempt: 1, .. }, Some(end)) => {
                     (SpanKind::Exec, format!("exec {f}"), end)
@@ -527,8 +483,8 @@ impl SpanTree {
                 name: format!("request {request}"),
                 kind: SpanKind::Request,
                 function: String::new(),
-                start: timeline.start,
-                end: timeline.end,
+                start: trace.start,
+                end: trace.end,
             },
             children,
             markers,
@@ -559,29 +515,27 @@ mod tests {
     use crate::test_events as ev;
 
     fn sample() -> Trace {
-        let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), ev::triggered());
-        t.record(ms(0), ev::deploy("a", false, 3000.0));
-        t.record(ms(20), ev::invoked("a"));
-        t.record(ms(3000), ev::exec_started("a", false));
-        t.record(ms(3500), ev::exec_ended("a"));
-        t.record(ms(3520), ev::miss("b"));
-        t.record(ms(3520), ev::invoked("b"));
-        t.record(ms(3520), ev::deploy("b", true, 3080.0));
-        t.record(ms(6600), ev::exec_started("b", false));
-        t.record(ms(7100), ev::exec_ended("b"));
-        t.record(ms(7100), ev::completed());
-        t
+        ev::trace(vec![
+            (ms(0), ev::triggered()),
+            (ms(0), ev::deploy("a", false, 3000.0)),
+            (ms(20), ev::invoked("a")),
+            (ms(3000), ev::exec_started("a", false)),
+            (ms(3500), ev::exec_ended("a")),
+            (ms(3520), ev::miss("b")),
+            (ms(3520), ev::invoked("b")),
+            (ms(3520), ev::deploy("b", true, 3080.0)),
+            (ms(6600), ev::exec_started("b", false)),
+            (ms(7100), ev::exec_ended("b")),
+            (ms(7100), ev::completed()),
+        ])
     }
 
     #[test]
     fn intervals_and_windows() {
         let t = sample();
-        let timeline = t.timeline().unwrap();
         let execs = |f: &str| -> Vec<(SimTime, Option<SimTime>)> {
-            timeline
-                .of(f)
+            t.of(f)
                 .filter(|e| matches!(e.kind, EntryKind::Exec { .. }))
                 .map(|e| (e.at, e.end))
                 .collect()
@@ -589,9 +543,9 @@ mod tests {
         let ms = SimTime::from_millis;
         assert_eq!(execs("a"), vec![(ms(3000), Some(ms(3500)))]);
         assert!(execs("ghost").is_empty());
-        assert_eq!((timeline.start, timeline.end), (ms(0), ms(7100)));
-        assert_eq!(t.len(), 11);
-        assert!(!t.is_empty());
+        assert_eq!((t.start, t.end), (ms(0), ms(7100)));
+        // a: deploy, wait, exec; b: miss, wait, deploy, exec.
+        assert_eq!(t.entries.len(), 7);
     }
 
     #[test]
@@ -616,13 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_renders_empty() {
-        let t = Trace::default();
-        assert!(t.render_gantt(60).is_empty());
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let t = sample();
         let json = serde_json::to_string(&t).unwrap();
@@ -632,7 +579,7 @@ mod tests {
 
     #[test]
     fn span_tree_decomposes_the_sample_trace() {
-        let tree = SpanTree::from_trace(3, &sample()).unwrap();
+        let tree = SpanTree::from_trace(3, &sample());
         assert_eq!(tree.request, 3);
         assert_eq!(tree.root.kind, SpanKind::Request);
         assert_eq!(tree.root.start, SimTime::ZERO);
@@ -663,19 +610,20 @@ mod tests {
 
     #[test]
     fn span_tree_numbers_retried_attempts_and_keeps_fault_markers() {
-        let mut t = Trace::default();
         let ms = SimTime::from_millis;
-        t.record(ms(0), ev::triggered());
-        t.record(ms(0), ev::plan(2));
-        t.record(ms(10), ev::exec_started("f", false));
-        t.record(ms(500), ev::timed_out("f", 1));
-        t.record(ms(500), ev::retried("f", 1));
-        t.record(ms(700), ev::exec_started("f", true));
-        t.record(ms(900), ev::exec_ended("f"));
-        t.record(ms(950), ev::crashed("g"));
-        t.record(ms(1000), ev::completed());
+        let t = ev::trace(vec![
+            (ms(0), ev::triggered()),
+            (ms(0), ev::plan(2)),
+            (ms(10), ev::exec_started("f", false)),
+            (ms(500), ev::timed_out("f", 1)),
+            (ms(500), ev::retried("f", 1)),
+            (ms(700), ev::exec_started("f", true)),
+            (ms(900), ev::exec_ended("f")),
+            (ms(950), ev::crashed("g")),
+            (ms(1000), ev::completed()),
+        ]);
 
-        let tree = SpanTree::from_trace(0, &t).unwrap();
+        let tree = SpanTree::from_trace(0, &t);
         let names: Vec<&str> = tree.children.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["exec f", "exec f #2"]);
         let labels: Vec<&str> = tree.markers.iter().map(|m| m.label.as_str()).collect();
@@ -691,17 +639,13 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_of_empty_trace_is_none() {
-        assert!(SpanTree::from_trace(0, &Trace::default()).is_none());
-    }
-
-    #[test]
     fn span_tree_charges_unused_deploys_to_trace_end() {
-        let mut t = Trace::default();
-        t.record(SimTime::ZERO, ev::triggered());
-        t.record(SimTime::from_millis(5), ev::deploy("spare", false, 35.0));
-        t.record(SimTime::from_millis(100), ev::completed());
-        let tree = SpanTree::from_trace(0, &t).unwrap();
+        let t = ev::trace(vec![
+            (SimTime::ZERO, ev::triggered()),
+            (SimTime::from_millis(5), ev::deploy("spare", false, 35.0)),
+            (SimTime::from_millis(100), ev::completed()),
+        ]);
+        let tree = SpanTree::from_trace(0, &t);
         assert_eq!(tree.children.len(), 1);
         assert_eq!(tree.children[0].name, "deploy spare (unused)");
         assert_eq!(tree.children[0].end, SimTime::from_millis(100));
@@ -710,20 +654,32 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! The fold's span trees and Gantt charts against the event scans they
-    //! replaced, on real runs.
+    //! Recorded traces' span trees and Gantt charts against the event
+    //! scans the lifecycle fold replaced, on real runs: the scans read the
+    //! request's own bus events, as a collecting observer received them.
     use super::*;
-    use crate::{FaultConfig, Platform, PlatformConfig};
+    use crate::{FaultConfig, Observer, Platform, PlatformConfig};
     use proptest::prelude::*;
     use xanadu_chain::{FunctionSpec, WorkflowBuilder, WorkflowDag};
     use xanadu_core::speculation::{ExecutionMode, MissPolicy};
 
+    /// Every event the bus delivered, in emission order.
+    #[derive(Default)]
+    struct Collected(Vec<(SimTime, BusEvent)>);
+
+    impl Observer for Collected {
+        fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+            self.0.push((at, event.clone()));
+        }
+    }
+
     /// The span tree as its own event scan built it before the lifecycle
     /// fold: a reference copy, kept only to check the fold against.
-    fn reference_span_tree(request: u64, trace: &Trace) -> Option<SpanTree> {
-        let events = trace.events();
-        let start = events.first()?.at;
-        let end = events.last().map(|e| e.at).unwrap_or(start);
+    /// `events` are one request's, its trigger first and its completion
+    /// last.
+    fn reference_span_tree(request: u64, events: &[(SimTime, BusEvent)]) -> SpanTree {
+        let start = events.first().expect("a triggered request").0;
+        let end = events.last().map(|e| e.0).unwrap_or(start);
 
         let mut children: Vec<Span> = Vec::new();
         let mut markers: Vec<SpanMarker> = Vec::new();
@@ -737,13 +693,14 @@ mod proptests {
             Some(open.remove(idx).1)
         }
 
-        for e in events {
-            match &e.event {
+        for (now, event) in events {
+            let now = *now;
+            match event {
                 BusEvent::WorkerProvisioned { function, .. } => {
-                    open_deploys.push((function, e.at));
+                    open_deploys.push((function, now));
                 }
                 BusEvent::FunctionInvoked { function, .. } => {
-                    open_waits.push((function, e.at));
+                    open_waits.push((function, now));
                 }
                 BusEvent::ExecStarted { function, .. } => {
                     if let Some(at) = take(&mut open_deploys, function) {
@@ -752,7 +709,7 @@ mod proptests {
                             kind: SpanKind::Deploy,
                             function: function.to_string(),
                             start: at,
-                            end: e.at,
+                            end: now,
                         });
                     }
                     if let Some(at) = take(&mut open_waits, function) {
@@ -761,7 +718,7 @@ mod proptests {
                             kind: SpanKind::Wait,
                             function: function.to_string(),
                             start: at,
-                            end: e.at,
+                            end: now,
                         });
                     }
                     let attempt = match attempts.iter_mut().find(|(f, _)| **f == **function) {
@@ -774,7 +731,7 @@ mod proptests {
                             1
                         }
                     };
-                    open_execs.push((function, e.at, attempt));
+                    open_execs.push((function, now, attempt));
                 }
                 BusEvent::ExecEnded { function, .. } | BusEvent::InvokeTimeout { function, .. } => {
                     if let Some(idx) = open_execs.iter().position(|&(f, _, _)| f == &**function) {
@@ -789,46 +746,46 @@ mod proptests {
                             kind: SpanKind::Exec,
                             function: function.to_string(),
                             start: at,
-                            end: e.at,
+                            end: now,
                         });
                     }
                     if let BusEvent::InvokeTimeout {
                         function, attempt, ..
-                    } = &e.event
+                    } = event
                     {
                         markers.push(SpanMarker {
-                            at: e.at,
+                            at: now,
                             label: format!("timeout {function} (attempt {attempt})"),
                             function: function.to_string(),
                         });
                     }
                 }
                 BusEvent::PredictionMiss { function, .. } => markers.push(SpanMarker {
-                    at: e.at,
+                    at: now,
                     label: format!("miss {function}"),
                     function: function.to_string(),
                 }),
                 BusEvent::WorkerCrashed { function, .. } => markers.push(SpanMarker {
-                    at: e.at,
+                    at: now,
                     label: format!("crash {function}"),
                     function: function.to_string(),
                 }),
                 BusEvent::InvokeRetried {
                     function, attempt, ..
                 } => markers.push(SpanMarker {
-                    at: e.at,
+                    at: now,
                     label: format!("retry {function} #{attempt}"),
                     function: function.to_string(),
                 }),
                 BusEvent::DeployFailed {
                     function, attempt, ..
                 } => markers.push(SpanMarker {
-                    at: e.at,
+                    at: now,
                     label: format!("deploy-failed {function} (attempt {attempt})"),
                     function: function.to_string(),
                 }),
                 BusEvent::PlanComputed { planned, .. } => markers.push(SpanMarker {
-                    at: e.at,
+                    at: now,
                     label: format!("plan ({planned} deployments)"),
                     function: String::new(),
                 }),
@@ -848,7 +805,7 @@ mod proptests {
             (a.start, a.end, a.name.as_str()).cmp(&(b.start, b.end, b.name.as_str()))
         });
 
-        Some(SpanTree {
+        SpanTree {
             request,
             root: Span {
                 name: format!("request {request}"),
@@ -859,40 +816,42 @@ mod proptests {
             },
             children,
             markers,
-        })
+        }
     }
 
     /// The first execution start and the first execution end of
     /// `function`, as the Gantt chart's event scan found them.
-    fn reference_exec_interval(trace: &Trace, function: &str) -> Option<(SimTime, SimTime)> {
-        let start = trace.events().iter().find_map(|e| match &e.event {
-            BusEvent::ExecStarted { function: f, .. } if **f == *function => Some(e.at),
+    fn reference_exec_interval(
+        events: &[(SimTime, BusEvent)],
+        function: &str,
+    ) -> Option<(SimTime, SimTime)> {
+        let start = events.iter().find_map(|(at, e)| match e {
+            BusEvent::ExecStarted { function: f, .. } if **f == *function => Some(*at),
             _ => None,
         })?;
-        let end = trace.events().iter().find_map(|e| match &e.event {
-            BusEvent::ExecEnded { function: f, .. } if **f == *function => Some(e.at),
+        let end = events.iter().find_map(|(at, e)| match e {
+            BusEvent::ExecEnded { function: f, .. } if **f == *function => Some(*at),
             _ => None,
         })?;
         Some((start, end))
     }
 
     /// The Gantt chart as its own event scans drew it before the fold: a
-    /// reference copy.
-    fn reference_gantt(trace: &Trace, width: usize) -> String {
-        let events = trace.events();
+    /// reference copy, over one request's events.
+    fn reference_gantt(events: &[(SimTime, BusEvent)], width: usize) -> String {
         let width = width.clamp(20, 200);
-        let Some(start) = events.first().map(|e| e.at) else {
+        let Some(start) = events.first().map(|e| e.0) else {
             return String::new();
         };
-        let end = events.last().map(|e| e.at).unwrap_or(start);
+        let end = events.last().map(|e| e.0).unwrap_or(start);
         let span = end.saturating_since(start).as_millis_f64().max(1.0);
         let col = |t: SimTime| -> usize {
             let frac = t.saturating_since(start).as_millis_f64() / span;
             ((frac * (width - 1) as f64).round() as usize).min(width - 1)
         };
         let mut functions: Vec<&str> = Vec::new();
-        for e in events {
-            let name = match &e.event {
+        for (_, e) in events {
+            let name = match e {
                 BusEvent::WorkerProvisioned { function, .. }
                 | BusEvent::FunctionInvoked { function, .. }
                 | BusEvent::ExecStarted { function, .. }
@@ -916,11 +875,11 @@ mod proptests {
             span / 1000.0
         );
         for &f in &functions {
-            let deploy = events.iter().find_map(|e| match &e.event {
-                BusEvent::WorkerProvisioned { function, .. } if **function == *f => Some(e.at),
+            let deploy = events.iter().find_map(|(at, e)| match e {
+                BusEvent::WorkerProvisioned { function, .. } if **function == *f => Some(*at),
                 _ => None,
             });
-            let exec = reference_exec_interval(trace, f);
+            let exec = reference_exec_interval(events, f);
             let mut row = vec![' '; width];
             if let (Some(d), Some((xs, _))) = (deploy, exec) {
                 for cell in row.iter_mut().take(col(xs)).skip(col(d)) {
@@ -933,7 +892,7 @@ mod proptests {
                 }
             }
             let missed = events.iter().any(
-                |e| matches!(&e.event, BusEvent::PredictionMiss { function, .. } if **function == *f),
+                |(_, e)| matches!(e, BusEvent::PredictionMiss { function, .. } if **function == *f),
             );
             let marker = if missed { " (miss)" } else { "" };
             let _ = writeln!(
@@ -999,8 +958,8 @@ mod proptests {
         /// For every request of random workflows (XOR, multicast and
         /// joins) run under worker faults and, half the time, replans
         /// after a miss, the span tree and the Gantt chart read off the
-        /// lifecycle fold equal the ones the reference event scans build
-        /// from the same recorded trace.
+        /// recorded trace equal the ones the reference event scans build
+        /// from the request's own bus events.
         #[test]
         fn fold_span_trees_and_gantt_charts_equal_the_reference_scans(
             links in proptest::collection::vec((0u64..64, 0u64..64, 0u8..2), 1..8),
@@ -1021,18 +980,25 @@ mod proptests {
                 .build()
                 .unwrap();
             let mut platform = Platform::new(config);
+            let bus = platform.attach_observer(Collected::default());
             platform.deploy(random_workflow(&links, xors, p)).unwrap();
             let requests: Vec<u64> = (0..6u64)
                 .map(|i| platform.trigger_at("wf", SimTime::from_secs(i * 40)).unwrap())
                 .collect();
             platform.run_until_idle();
+            let events = bus.with(|c| c.0.clone());
             for request in requests {
+                let own: Vec<(SimTime, BusEvent)> = events
+                    .iter()
+                    .filter(|(_, e)| e.lifecycle_request() == Some(request))
+                    .cloned()
+                    .collect();
                 let trace = platform.trace(request).expect("trace recorded");
                 prop_assert_eq!(
                     SpanTree::from_trace(request, trace),
-                    reference_span_tree(request, trace)
+                    reference_span_tree(request, &own)
                 );
-                prop_assert_eq!(trace.render_gantt(72), reference_gantt(trace, 72));
+                prop_assert_eq!(trace.render_gantt(72), reference_gantt(&own, 72));
             }
         }
     }

@@ -22,10 +22,11 @@ use xanadu_core::mlp::infer_mlp;
 use xanadu_core::policy::{ConfiguredPolicy, PolicySpec};
 use xanadu_core::speculation::{ExecutionMode, MissPolicy, SpeculationConfig};
 use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
+use xanadu_platform::timeline::Trace;
 use xanadu_platform::{
-    diff_audits, diff_metrics, Audit, AutoscaleConfig, ClusterConfig, DiffThresholds, FaultConfig,
-    MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig,
-    PlatformConfigBuilder, SloConfig, StreamingConfig,
+    diff_audits, diff_metrics, Audit, AutoscaleConfig, ClusterConfig, ConfigError, DiffThresholds,
+    FaultConfig, MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig,
+    PlatformConfigBuilder, RequestAudit, SloConfig, StreamingConfig,
 };
 use xanadu_simcore::{Fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::azure::{
@@ -255,7 +256,7 @@ impl PlatformChoice {
 
     /// The platform `run` and `analyze` drive, with the fault flags
     /// written into its configuration before it is built.
-    fn build(self, run: &RunArgs, cluster: ClusterConfig) -> Platform {
+    fn build(self, run: &RunArgs, cluster: ClusterConfig) -> Result<Platform, ConfigError> {
         let faults = fault_config(run.fault_rate, run.host_fail_rate, run.fault_seed);
         match self {
             PlatformChoice::Xanadu(mode) => {
@@ -268,16 +269,15 @@ impl PlatformChoice {
                 let cfg = xanadu_platform(speculation, &run.policy, run.seed)
                     .cluster(cluster)
                     .faults(faults)
-                    .build()
-                    .expect("parsed speculation knobs and fault rates are valid");
-                Platform::new(cfg)
+                    .build()?;
+                Ok(Platform::new(cfg))
             }
             // Baselines model the paper's single-machine deployments; the
             // cluster flags are a Xanadu-mode concept and are ignored here.
             PlatformChoice::Baseline(kind) => {
                 let (mut cfg, provider) = xanadu_baselines::baseline_setup(kind, run.seed);
                 cfg.faults = faults;
-                Platform::with_provider(cfg, provider)
+                Ok(Platform::with_provider(cfg, provider))
             }
         }
     }
@@ -712,6 +712,15 @@ fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
             ),
         });
     }
+    let host_memory_mb: u64 = parse_num(f, "--host-memory-mb", 4096)?;
+    let autoscale_max: u32 = parse_num(f, "--autoscale-max", 0)?;
+    if autoscale_max > 0 && host_memory_mb == 0 {
+        return Err(CliError::BadValue {
+            flag: "--host-memory-mb".into(),
+            value: host_memory_mb.to_string(),
+            expected: "a positive host size for the hosts --autoscale-max adds".into(),
+        });
+    }
     Ok(RunArgs {
         sdl_path,
         platform,
@@ -723,11 +732,11 @@ fn parse_run_flags(f: &mut Flags) -> Result<RunArgs, CliError> {
         fault_rate: parse_fraction(f, "--fault-rate", 0.0)?,
         fault_seed: parse_num(f, "--fault-seed", 0xFA17)?,
         hosts: parse_num(f, "--hosts", 0)?,
-        host_memory_mb: parse_num(f, "--host-memory-mb", 4096)?,
+        host_memory_mb,
         placement: parse_placement(f)?,
         tenants: parse_num(f, "--tenants", 0)?,
         host_fail_rate: parse_fraction(f, "--host-fail-rate", 0.0)?,
-        autoscale_max: parse_num(f, "--autoscale-max", 0)?,
+        autoscale_max,
         aggressiveness: knobs.aggressiveness,
         miss_policy: knobs.miss_policy,
         hedge_margin: knobs.hedge_margin,
@@ -1581,7 +1590,10 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
             host_memory_mb: run.host_memory_mb,
         };
     }
-    let mut platform = run.platform.build(run, cluster);
+    let mut platform = run
+        .platform
+        .build(run, cluster)
+        .map_err(|e| CliError::Workflow(e.to_string()))?;
     let registry = run
         .metrics_out
         .as_ref()
@@ -1612,15 +1624,17 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
 }
 
 impl Workload {
-    fn traces(&self) -> Vec<(u64, xanadu_platform::timeline::Trace)> {
+    fn traces(&self) -> Vec<(u64, &Trace)> {
         self.request_ids
             .iter()
-            .filter_map(|&id| self.platform.trace(id).map(|tr| (id, tr.clone())))
+            .filter_map(|&id| self.platform.trace(id).map(|tr| (id, tr)))
             .collect()
     }
 
     fn audit(&self) -> Audit {
-        Audit::from_traces(&self.traces()).with_cluster(self.platform.cluster_report())
+        let traces = self.traces().into_iter();
+        let requests = traces.map(|(id, trace)| RequestAudit::from_trace(id, trace));
+        Audit::from_requests(requests.collect()).with_cluster(self.platform.cluster_report())
     }
 
     fn push_exports(&self, run: &RunArgs, exports: &mut Vec<ExportFile>) {
@@ -2585,19 +2599,35 @@ mod tests {
         assert_eq!(replay.host_fail_rate, 0.1);
     }
 
+    /// A run whose arguments slip past parsing into a configuration the
+    /// platform builder refuses gets the builder's error, not a panic.
+    #[test]
+    fn a_refused_platform_config_is_an_error() {
+        let line = ["run", "--sdl", "flow.json", "--autoscale-max", "2"];
+        let Ok(Command::Run(mut run)) = parse_args(&args(&line)) else {
+            panic!("an autoscaled run parses")
+        };
+        run.host_memory_mb = 0;
+        match execute(&Command::Run(run), source) {
+            Err(CliError::Workflow(msg)) => assert!(msg.contains("need memory"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn numeric_flags_reject_values_their_field_cannot_hold() {
-        // (command line before the flag, flag, largest valid value, first
-        // out-of-range value). Counts are u32. A window's microseconds
-        // must fit u64, and run's last trigger time, (triggers − 1) × gap
-        // minutes, must not pass `SimTime::LAST_TRIGGER`.
+        // (command line before the flag, flag, the valid value nearest
+        // the range's edge, the first value past it). Counts are u32. A
+        // window's microseconds must fit u64, run's last trigger time,
+        // (triggers − 1) × gap minutes, must not pass
+        // `SimTime::LAST_TRIGGER`, and autoscaled hosts need memory.
         const U32_MAX: &str = "4294967295";
         const U32_OVER: &str = "4294967296";
         const SECS_MAX: &str = "18446744073709";
         const SECS_OVER: &str = "18446744073710";
         let run: &[&str] = &["run", "--sdl", "x"];
         let serve: &[&str] = &["serve", "--checkpoint-dir", "d"];
-        let rows: [(&[&str], &str, &str, &str); 9] = [
+        let rows: [(&[&str], &str, &str, &str); 11] = [
             (run, "--hosts", U32_MAX, U32_OVER),
             (run, "--tenants", U32_MAX, U32_OVER),
             (run, "--autoscale-max", U32_MAX, U32_OVER),
@@ -2606,6 +2636,18 @@ mod tests {
                 "--gap-min",
                 "76861433640",
                 "76861433641",
+            ),
+            (
+                &["run", "--sdl", "x", "--autoscale-max", "2"],
+                "--host-memory-mb",
+                "1",
+                "0",
+            ),
+            (
+                &["analyze", "--sdl", "x", "--autoscale-max", "2"],
+                "--host-memory-mb",
+                "1",
+                "0",
             ),
             (&["replay"], "--hosts", U32_MAX, U32_OVER),
             (&["replay"], "--tenants", U32_MAX, U32_OVER),

@@ -76,7 +76,7 @@ proptest! {
         let mut audited = 0usize;
         for &id in &requests {
             let Some(trace) = platform.trace(id) else { continue };
-            let Some(audit) = RequestAudit::from_trace(id, trace) else { continue };
+            let audit = RequestAudit::from_trace(id, trace);
             prop_assert!(
                 audit.decomposition_sums_to_end_to_end(),
                 "request {id}: {} + {} + {} + {} != {} (seed {seed}, rate {rate}, depth {depth})",

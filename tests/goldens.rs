@@ -88,13 +88,16 @@ fn cluster_audit_regenerates() {
     assert_golden("cluster.audit.json", &audit);
 }
 
+/// The certain-fault workload the three `faults.*` goldens record.
+const FAULTS: &str =
+    "--sdl docs/golden/faults.json --mode jit --triggers 12 --fault-rate 1.0 --fault-seed 2";
+
 /// The certain-fault run's Chrome trace, its audit, and its `--trace`
 /// stdout, whose per-request Gantt charts cross crashes, failed
 /// pre-deploys, timeouts and retries.
 #[test]
 fn faults_trace_and_audit_regenerate() {
-    let faults =
-        "--sdl docs/golden/faults.json --mode jit --triggers 12 --fault-rate 1.0 --fault-seed 2";
+    let faults = FAULTS;
     assert_golden("faults.run.txt", &stdout(&format!("run {faults} --trace")));
     let trace = export(
         &format!("run {faults} --trace-out faults.trace.json"),
@@ -106,6 +109,22 @@ fn faults_trace_and_audit_regenerate() {
         "faults.audit.json",
     );
     assert_golden("faults.audit.json", &audit);
+}
+
+/// One certain-fault `run` reads its platform's recorded traces three
+/// ways at once, for its Gantt charts, its Chrome trace and its audit,
+/// and reproduces all three goldens.
+#[test]
+fn one_faults_run_regenerates_all_three_goldens() {
+    let (report, exports) = run(&format!(
+        "run {FAULTS} --trace --trace-out faults.trace.json --audit-out faults.audit.json"
+    ));
+    assert_golden("faults.run.txt", &(report + "\n"));
+    for name in ["faults.trace.json", "faults.audit.json"] {
+        let export = exports.iter().find(|e| e.path == name);
+        let export = export.unwrap_or_else(|| panic!("no export {name}"));
+        assert_golden(name, &export.contents);
+    }
 }
 
 /// The default policy spelled three ways: legacy flags, the bare policy

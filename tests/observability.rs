@@ -35,9 +35,9 @@ fn probe(seed: u64, plan_cache: bool) -> (String, String) {
         requests.push(id);
     }
     platform.run_until_idle();
-    let traces: Vec<(u64, Trace)> = requests
+    let traces: Vec<(u64, &Trace)> = requests
         .iter()
-        .filter_map(|&id| platform.trace(id).map(|t| (id, t.clone())))
+        .filter_map(|&id| platform.trace(id).map(|t| (id, t)))
         .collect();
     (
         chrome_trace_string(&traces),

@@ -167,7 +167,7 @@ fn streaming_matches_exact_audit_on_randomized_chaos_runs() {
 
 /// The exemplar reservoir folds the bus as `Platform::trace` records it:
 /// with a reservoir that keeps every request, each exemplar's span tree,
-/// read off the timeline the live fold kept, equals the one built from
+/// read off the trace the audit folded live, equals the one built from
 /// the platform's recorded trace, crash and failed-deploy markers
 /// included.
 #[test]
@@ -186,8 +186,8 @@ fn exemplar_span_trees_equal_the_recorded_traces_under_faults() {
             let trace = platform.trace(request).expect("trace recorded");
             let tree = exemplar.span_tree();
             assert_eq!(
-                Some(&tree),
-                SpanTree::from_trace(request, trace).as_ref(),
+                tree,
+                SpanTree::from_trace(request, trace),
                 "seed {seed}, request {request}"
             );
             crashes += tree

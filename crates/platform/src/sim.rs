@@ -58,6 +58,16 @@ pub enum PlatformError {
         /// The trigger time.
         at: SimTime,
     },
+    /// A trigger of the named workflow falls before the platform's clock,
+    /// which has already run past it.
+    PastTrigger {
+        /// The workflow triggered.
+        workflow: String,
+        /// The trigger time.
+        at: SimTime,
+        /// The clock when the trigger was refused.
+        now: SimTime,
+    },
 }
 
 impl fmt::Display for PlatformError {
@@ -77,6 +87,12 @@ impl fmt::Display for PlatformError {
                  trigger time, {} µs",
                 at.as_micros(),
                 SimTime::LAST_TRIGGER.as_micros()
+            ),
+            PlatformError::PastTrigger { workflow, at, now } => write!(
+                f,
+                "trigger of `{workflow}` at {} µs falls before the clock, at {} µs",
+                at.as_micros(),
+                now.as_micros()
             ),
         }
     }
@@ -550,15 +566,11 @@ impl Platform {
     /// # Errors
     ///
     /// [`PlatformError::UnknownWorkflow`] if the name is not deployed,
-    /// and [`PlatformError::LateTrigger`] if `at` is past
-    /// [`SimTime::LAST_TRIGGER`]; either way nothing is scheduled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the simulated past once
-    /// [`run_until_idle`](Self::run_until_idle) has advanced beyond it.
+    /// [`PlatformError::PastTrigger`] if `at` is before the clock
+    /// ([`now`](Self::now)), and [`PlatformError::LateTrigger`] if `at`
+    /// is past [`SimTime::LAST_TRIGGER`]; each time nothing is scheduled.
     pub fn trigger_at(&mut self, workflow: &str, at: SimTime) -> Result<u64, PlatformError> {
-        let sym = self.trigger_target(workflow, at)?;
+        let sym = self.trigger_target(workflow, at, at)?;
         let req = self.next_request;
         self.next_request += 1;
         self.queue
@@ -578,14 +590,13 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Those of `trigger_at`, for the last (latest) time; nothing is
-    /// scheduled then.
+    /// Those of `trigger_at`, for the first (earliest) time before the
+    /// clock and the last (latest) past [`SimTime::LAST_TRIGGER`];
+    /// nothing is scheduled then.
     ///
     /// # Panics
     ///
-    /// Panics if `times` is not ascending, and, like `trigger_at`, if a
-    /// time is in the simulated past once the clock has advanced beyond
-    /// it.
+    /// Panics if `times` is not ascending.
     pub(crate) fn trigger_arrivals(
         &mut self,
         workflow: &str,
@@ -595,7 +606,9 @@ impl Platform {
             times.windows(2).all(|w| w[0] <= w[1]),
             "trigger times must be ascending"
         );
-        let sym = self.trigger_target(workflow, times.last().copied().unwrap_or(SimTime::ZERO))?;
+        let first = times.first().copied().unwrap_or(self.now);
+        let last = times.last().copied().unwrap_or(SimTime::ZERO);
+        let sym = self.trigger_target(workflow, first, last)?;
         let n = times.len() as u64;
         let first_req = self.next_request;
         self.next_request += n;
@@ -616,16 +629,29 @@ impl Platform {
         Ok(())
     }
 
-    /// The deployed workflow a trigger at `at` names, unless the name is
-    /// unknown or `at` is past [`SimTime::LAST_TRIGGER`].
-    fn trigger_target(&self, workflow: &str, at: SimTime) -> Result<Sym, PlatformError> {
+    /// The deployed workflow that triggers from `first` to `last` name,
+    /// unless the name is unknown, `first` is before the clock or `last`
+    /// is past [`SimTime::LAST_TRIGGER`].
+    fn trigger_target(
+        &self,
+        workflow: &str,
+        first: SimTime,
+        last: SimTime,
+    ) -> Result<Sym, PlatformError> {
         let Some(sym) = self.workflow_ids.get(workflow) else {
             return Err(PlatformError::UnknownWorkflow(workflow.to_string()));
         };
-        if at > SimTime::LAST_TRIGGER {
+        if first < self.now {
+            return Err(PlatformError::PastTrigger {
+                workflow: workflow.to_string(),
+                at: first,
+                now: self.now,
+            });
+        }
+        if last > SimTime::LAST_TRIGGER {
             return Err(PlatformError::LateTrigger {
                 workflow: workflow.to_string(),
-                at,
+                at: last,
             });
         }
         Ok(sym)
@@ -2287,6 +2313,47 @@ mod tests {
         p.run_until_idle();
         let requests: Vec<u64> = p.finish().results.iter().map(|r| r.request).collect();
         assert_eq!(requests, [0, 1, 2]);
+    }
+
+    /// Both trigger entry points refuse a trigger before the clock with a
+    /// typed error naming the time and the clock, schedule nothing, and
+    /// keep serving triggers at or after the clock.
+    #[test]
+    fn past_triggers_are_typed_errors_and_the_platform_keeps_serving() {
+        let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 1));
+        p.deploy(linear_chain("wf", 2, &FunctionSpec::new("f").service_ms(100.0)).unwrap())
+            .unwrap();
+        p.trigger_at("wf", SimTime::ZERO).unwrap();
+        p.run_until_idle();
+        let now = p.now();
+        assert!(now > SimTime::ZERO);
+        let refused = PlatformError::PastTrigger {
+            workflow: "wf".into(),
+            at: SimTime::ZERO,
+            now,
+        };
+        assert_eq!(p.trigger_at("wf", SimTime::ZERO), Err(refused.clone()));
+        assert_eq!(
+            p.trigger_arrivals("wf", vec![SimTime::ZERO, now + SimDuration::from_secs(1)]),
+            Err(refused.clone())
+        );
+        assert!(
+            refused.to_string().contains(&format!(
+                "at 0 µs falls before the clock, at {} µs",
+                now.as_micros()
+            )),
+            "{refused}"
+        );
+        assert_eq!(p.pending_events(), 0);
+
+        assert_eq!(p.trigger_at("wf", now), Ok(1));
+        p.trigger_arrivals("wf", vec![now, now + SimDuration::from_secs(1)])
+            .unwrap();
+        p.trigger_arrivals("wf", Vec::new()).unwrap();
+        p.run_until_idle();
+        let mut requests: Vec<u64> = p.finish().results.iter().map(|r| r.request).collect();
+        requests.sort_unstable();
+        assert_eq!(requests, [0, 1, 2, 3]);
     }
 
     #[test]

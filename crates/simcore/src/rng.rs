@@ -10,6 +10,7 @@
 //! 2. **Isolation** — adding a new consumer of randomness (a new stream)
 //!    never perturbs the draws seen by existing streams.
 
+use crate::time::SimDuration;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
@@ -176,6 +177,42 @@ impl RngStream {
         -mean * u.ln()
     }
 
+    /// Gaps per [`exponential_micros`](RngStream::exponential_micros)
+    /// block.
+    pub const EXP_BLOCK: usize = 8;
+
+    /// The next [`EXP_BLOCK`](RngStream::EXP_BLOCK) exponential gaps of
+    /// mean `mean_ms`, in whole µs. Gap `i` equals the `i`-th of as many
+    /// `SimDuration::from_millis_f64(self.exponential(mean_ms)).as_micros()`
+    /// calls, bit for bit, and the stream ends where those calls leave
+    /// it: a mean that is not positive draws nothing and yields zeros.
+    ///
+    /// The uniforms are drawn first and their logarithms taken in a pass
+    /// of their own, so no `ln` waits on the rounding or the caller's
+    /// use of the gap before it. Each is the same scalar `f64::ln`.
+    ///
+    /// ```
+    /// use xanadu_simcore::{RngStream, SimDuration};
+    ///
+    /// let mut one = RngStream::derive(7, "gaps");
+    /// let mut block = one.clone();
+    /// let gaps = block.exponential_micros(250.0);
+    /// for gap in gaps {
+    ///     assert_eq!(gap, SimDuration::from_millis_f64(one.exponential(250.0)).as_micros());
+    /// }
+    /// assert_eq!(block.next_u64(), one.next_u64());
+    /// ```
+    pub fn exponential_micros(&mut self, mean_ms: f64) -> [u64; Self::EXP_BLOCK] {
+        if mean_ms <= 0.0 {
+            return [0; Self::EXP_BLOCK];
+        }
+        let mut logs: [f64; Self::EXP_BLOCK] = std::array::from_fn(|_| 1.0 - self.next_f64());
+        for x in &mut logs {
+            *x = x.ln();
+        }
+        logs.map(|ln| SimDuration::from_millis_f64(-mean_ms * ln).as_micros())
+    }
+
     /// Chooses an index in `[0, weights.len())` proportionally to `weights`.
     /// Non-positive weights are treated as zero; if all weights are zero the
     /// choice is uniform.
@@ -325,5 +362,58 @@ mod tests {
             assert!((3..=5).contains(&x));
         }
         assert_eq!(r.uniform_inclusive(9, 9), 9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A block's gaps drawn one [`RngStream::exponential`] call at a time.
+    fn one_at_a_time(rng: &mut RngStream, mean_ms: f64) -> [u64; RngStream::EXP_BLOCK] {
+        std::array::from_fn(|_| SimDuration::from_millis_f64(rng.exponential(mean_ms)).as_micros())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Means are log-uniform from 10^-6 to 10^12 ms, plus the edges:
+        /// zero (what an infinite rate gives), negative, NaN, ±∞, the
+        /// smallest normal and subnormal, and `f64::MAX`, where the
+        /// product overflows. Three blocks run in a row, and the stream
+        /// must then be where the single draws left it.
+        #[test]
+        fn block_draws_equal_one_draw_at_a_time(
+            seed in 0u64..u64::MAX,
+            log10_mean_ms in -6.0f64..12.0,
+        ) {
+            let means = [
+                10f64.powf(log10_mean_ms),
+                0.0,
+                -0.0,
+                -3.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                5e-324,
+                f64::MAX,
+            ];
+            for mean_ms in means {
+                let mut blocks = RngStream::derive(seed, "gaps");
+                let mut single = blocks.clone();
+                for block in 0..3 {
+                    prop_assert_eq!(
+                        blocks.exponential_micros(mean_ms),
+                        one_at_a_time(&mut single, mean_ms),
+                        "mean {:e} ms, block {}",
+                        mean_ms,
+                        block
+                    );
+                }
+                prop_assert_eq!(blocks.next_u64(), single.next_u64(), "mean {:e} ms", mean_ms);
+            }
+        }
     }
 }

@@ -76,9 +76,9 @@ pub fn poisson(
     rate_per_hour: f64,
     seed: u64,
 ) -> Vec<SimTime> {
-    let mut rng = RngStream::derive(seed, "arrivals-poisson");
+    let rng = RngStream::derive(seed, "arrivals-poisson");
     let mut times = Vec::new();
-    extend_poisson(&mut times, &mut rng, rate_per_hour, start, start + duration);
+    extend_poisson(&mut times, rng, rate_per_hour, start, start + duration);
     times
 }
 
@@ -86,22 +86,34 @@ pub fn poisson(
 /// `rate_per_hour` that starts at `start` and stops before `end`: one
 /// exponential gap per arrival, plus the gap that crosses `end`. A rate
 /// that is not positive appends nothing and draws nothing.
+///
+/// Gaps come [`RngStream::EXP_BLOCK`] at a time from
+/// [`RngStream::exponential_micros`], each equal to a one-at-a-time
+/// draw, so the arrivals are too. The stream is taken by value: the
+/// gaps drawn past `end` are its last, and nothing can draw after them.
+/// Arrival times saturate at the clock's last µs, which ends the
+/// process, instead of wrapping.
 pub(crate) fn extend_poisson(
     times: &mut Vec<SimTime>,
-    rng: &mut RngStream,
+    mut rng: RngStream,
     rate_per_hour: f64,
     start: SimTime,
     end: SimTime,
 ) {
     if rate_per_hour > 0.0 {
         let mean_gap_ms = 3_600_000.0 / rate_per_hour;
-        let mut t = start;
+        let (mut t, end) = (start.as_micros(), end.as_micros());
         loop {
-            t += SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
-            if t >= end {
+            let at = rng.exponential_micros(mean_gap_ms).map(|gap| {
+                t = t.saturating_add(gap);
+                t
+            });
+            // `at` never decreases, so the arrivals before `end` are a prefix.
+            let before = at.partition_point(|&a| a < end);
+            times.extend(at[..before].iter().map(|&a| SimTime::from_micros(a)));
+            if before < at.len() {
                 break;
             }
-            times.push(t);
         }
     }
 }
@@ -152,5 +164,145 @@ mod tests {
         let per_hour = times.len() as f64 / 100.0;
         assert!((5.0..7.0).contains(&per_hour), "rate {per_hour}/h");
         assert!(poisson(SimTime::ZERO, SimDuration::from_mins(60), 0.0, 9).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::azure::{generate_trace, AzureTraceConfig};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The Poisson loop block draws replaced: one exponential draw per
+    /// arrival, plus the one that crosses `end`.
+    fn one_gap_at_a_time(
+        mut rng: RngStream,
+        rate_per_hour: f64,
+        start: SimTime,
+        end: SimTime,
+    ) -> Vec<SimTime> {
+        let mut times = Vec::new();
+        if rate_per_hour > 0.0 {
+            let mean_gap_ms = 3_600_000.0 / rate_per_hour;
+            let mut t = start;
+            loop {
+                t += SimDuration::from_millis_f64(rng.exponential(mean_gap_ms));
+                if t >= end {
+                    break;
+                }
+                times.push(t);
+            }
+        }
+        times
+    }
+
+    /// Each workflow of `trace` against its one-gap-at-a-time schedule;
+    /// returns the arrival counts seen.
+    fn fleet_equals_one_gap_at_a_time(
+        config: &AzureTraceConfig,
+        seed: u64,
+    ) -> Result<BTreeSet<usize>, TestCaseError> {
+        let trace = generate_trace(config, seed);
+        prop_assert_eq!(trace.len(), config.workflows);
+        let fleet = RngStream::derive(seed, "azure-trace");
+        let end = SimTime::ZERO + config.duration;
+        let mut counts = BTreeSet::new();
+        for (i, wf) in (0u64..).zip(&trace) {
+            let rate = if wf.rare {
+                config.rare_rate_per_hour
+            } else {
+                config.popular_rate_per_hour
+            };
+            let expected = one_gap_at_a_time(fleet.child(i), rate, SimTime::ZERO, end);
+            prop_assert_eq!(&wf.arrivals, &expected, "workflow {}", i);
+            counts.insert(wf.arrivals.len());
+        }
+        Ok(counts)
+    }
+
+    /// The span in which a process of `rate_per_hour` expects
+    /// `arrivals` arrivals.
+    fn expecting(arrivals: f64, rate_per_hour: f64) -> SimDuration {
+        SimDuration::from_millis_f64(arrivals / rate_per_hour * 3_600_000.0)
+    }
+
+    /// Processes that end inside their first block, on its last gap,
+    /// just past it and blocks later, for both entry points: every count
+    /// in `[0, 7, 8, 9, 16, 17]` occurs.
+    #[test]
+    fn block_boundaries_equal_one_gap_at_a_time() {
+        let wanted = BTreeSet::from([0, 7, 8, 9, 16, 17]);
+        let hour = SimDuration::from_hours(1);
+        let mut seen = BTreeSet::new();
+        for seed in 0..300 {
+            for rate in [0.5, 8.0, 16.0] {
+                let times = poisson(SimTime::from_mins(7), hour, rate, seed);
+                let rng = RngStream::derive(seed, "arrivals-poisson");
+                let end = SimTime::from_mins(67);
+                assert_eq!(
+                    times,
+                    one_gap_at_a_time(rng, rate, SimTime::from_mins(7), end),
+                    "seed {seed}, {rate}/h"
+                );
+                seen.insert(times.len());
+            }
+        }
+        assert!(seen.is_superset(&wanted), "poisson counts {seen:?}");
+        let config = AzureTraceConfig {
+            workflows: 400,
+            rare_fraction: 0.3,
+            rare_rate_per_hour: 0.5,
+            popular_rate_per_hour: 10.0,
+            duration: hour,
+        };
+        let counts = fleet_equals_one_gap_at_a_time(&config, 42).unwrap();
+        assert!(counts.is_superset(&wanted), "fleet counts {counts:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rates are log-uniform from 10^-3 to 10^6 per hour, over a span
+        /// that expects up to 40 arrivals (five blocks), from a start
+        /// anywhere in the first 10^12 µs.
+        #[test]
+        fn poisson_equals_one_gap_at_a_time(
+            seed in 0u64..u64::MAX,
+            log10_rate_per_hour in -3.0f64..6.0,
+            arrivals in 0.0f64..40.0,
+            start_us in 0u64..1_000_000_000_000,
+        ) {
+            let rate_per_hour = 10f64.powf(log10_rate_per_hour);
+            let start = SimTime::from_micros(start_us);
+            let duration = expecting(arrivals, rate_per_hour);
+            let rng = RngStream::derive(seed, "arrivals-poisson");
+            prop_assert_eq!(
+                poisson(start, duration, rate_per_hour, seed),
+                one_gap_at_a_time(rng, rate_per_hour, start, start + duration)
+            );
+        }
+
+        /// Both class rates are log-uniform from 10^-3 to 10^6 per hour;
+        /// the faster class expects up to 40 arrivals per workflow.
+        #[test]
+        fn generate_trace_equals_one_gap_at_a_time(
+            seed in 0u64..u64::MAX,
+            workflows in 1usize..64,
+            rare_fraction in 0.0f64..1.0,
+            log10_rates_per_hour in (-3.0f64..6.0, -3.0f64..6.0),
+            arrivals in 0.0f64..40.0,
+        ) {
+            let (rare, popular) = log10_rates_per_hour;
+            let (rare, popular) = (10f64.powf(rare), 10f64.powf(popular));
+            let config = AzureTraceConfig {
+                workflows,
+                rare_fraction,
+                rare_rate_per_hour: rare,
+                popular_rate_per_hour: popular,
+                duration: expecting(arrivals, rare.max(popular)),
+            };
+            fleet_equals_one_gap_at_a_time(&config, seed)?;
+        }
     }
 }

@@ -87,10 +87,9 @@ pub fn generate_trace(config: &AzureTraceConfig, seed: u64) -> Vec<WorkflowTrace
             } else {
                 config.popular_rate_per_hour
             };
-            let mut wf_rng = rng.child(i as u64);
             let mut arrivals = Vec::with_capacity(poisson_capacity(rate * hours));
             let end = SimTime::ZERO + config.duration;
-            extend_poisson(&mut arrivals, &mut wf_rng, rate, SimTime::ZERO, end);
+            extend_poisson(&mut arrivals, rng.child(i as u64), rate, SimTime::ZERO, end);
             WorkflowTrace {
                 name: format!("wf{i}"),
                 rare,

@@ -15,6 +15,7 @@
 
 use crate::serve::{RecordArgs, ServeArgs};
 use serde::JsonWriter;
+use std::cell::OnceCell;
 use std::fmt;
 use xanadu_baselines::BaselineKind;
 use xanadu_chain::{linear_chain, sdl, FunctionSpec};
@@ -26,7 +27,7 @@ use xanadu_platform::timeline::Trace;
 use xanadu_platform::{
     diff_audits, diff_metrics, Audit, AutoscaleConfig, ClusterConfig, ConfigError, DiffThresholds,
     FaultConfig, MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig,
-    PlatformConfigBuilder, RequestAudit, SloConfig, StreamingConfig,
+    PlatformConfigBuilder, PlatformError, RequestAudit, SloConfig, StreamingConfig,
 };
 use xanadu_simcore::{Fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::azure::{
@@ -1343,22 +1344,29 @@ fn execute_replay(
     exports: &mut Vec<ExportFile>,
 ) -> Result<String, CliError> {
     let scaled = scale_to_invocations(&AzureTraceConfig::default(), replay.invocations);
+    // Every workflow's workload is held at once: a fleet too large for
+    // that is refused before any arrival is drawn.
+    let mut workloads: Vec<ShardWorkload> = Vec::new();
+    workloads
+        .try_reserve_exact(scaled.workflows)
+        .map_err(|_| CliError::BadValue {
+            flag: "--invocations".into(),
+            value: replay.invocations.to_string(),
+            expected: format!("a fleet whose {} workflows fit in memory", scaled.workflows),
+        })?;
     let traces = generate_trace(&scaled, replay.seed);
     let realized = total_invocations(&traces);
-    let workloads: Vec<ShardWorkload> = traces
-        .into_iter()
-        .map(|t| {
-            // Per-workflow function namespaces: no cross-workflow warm
-            // sharing, the property the per-workflow sharding relies on.
-            let template = FunctionSpec::new(format!("{}-f", t.name)).service_ms(400.0);
-            let dag = linear_chain(&t.name, replay.depth as usize, &template)
-                .map_err(|e| CliError::Workflow(e.to_string()))?;
-            Ok(ShardWorkload {
-                dag,
-                triggers: t.arrivals,
-            })
-        })
-        .collect::<Result<_, CliError>>()?;
+    for t in traces {
+        // Per-workflow function namespaces: no cross-workflow warm
+        // sharing, the property the per-workflow sharding relies on.
+        let template = FunctionSpec::new(format!("{}-f", t.name)).service_ms(400.0);
+        let dag = linear_chain(&t.name, replay.depth as usize, &template)
+            .map_err(|e| CliError::Workflow(e.to_string()))?;
+        workloads.push(ShardWorkload {
+            dag,
+            triggers: t.arrivals,
+        });
+    }
 
     let thresholds = match &replay.slo {
         None => DiffThresholds::default(),
@@ -1577,6 +1585,8 @@ struct Workload {
     platform: Platform,
     request_ids: Vec<u64>,
     registry: Option<ObserverHandle<MetricsRegistry>>,
+    /// The audit of the recorded traces, built on first use.
+    audit: OnceCell<Audit>,
 }
 
 fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
@@ -1608,9 +1618,21 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
     for i in 0..run.triggers {
         // Parsing bounded the last trigger's minutes so they fit.
         let at = SimTime::from_mins(i * run.gap_min);
-        let id = platform
-            .trigger_at(&name, at)
-            .map_err(|e| CliError::Workflow(e.to_string()))?;
+        let id = platform.trigger_at(&name, at).map_err(|e| match e {
+            // The request before ran past this trigger's minute.
+            PlatformError::PastTrigger { at, now, .. } => CliError::BadValue {
+                flag: "--gap-min".into(),
+                value: run.gap_min.to_string(),
+                expected: format!(
+                    "a gap each request ends within (trigger {} at {} µs falls before \
+                     the clock, at {} µs)",
+                    i + 1,
+                    at.as_micros(),
+                    now.as_micros()
+                ),
+            },
+            e => CliError::Workflow(e.to_string()),
+        })?;
         request_ids.push(id);
         platform.run_until_idle();
         platform.roll_profile_window();
@@ -1620,6 +1642,7 @@ fn run_workload(run: &RunArgs, doc: &str) -> Result<Workload, CliError> {
         platform,
         request_ids,
         registry,
+        audit: OnceCell::new(),
     })
 }
 
@@ -1631,10 +1654,12 @@ impl Workload {
             .collect()
     }
 
-    fn audit(&self) -> Audit {
-        let traces = self.traces().into_iter();
-        let requests = traces.map(|(id, trace)| RequestAudit::from_trace(id, trace));
-        Audit::from_requests(requests.collect()).with_cluster(self.platform.cluster_report())
+    fn audit(&self) -> &Audit {
+        self.audit.get_or_init(|| {
+            let traces = self.traces().into_iter();
+            let requests = traces.map(|(id, trace)| RequestAudit::from_trace(id, trace));
+            Audit::from_requests(requests.collect()).with_cluster(self.platform.cluster_report())
+        })
     }
 
     fn push_exports(&self, run: &RunArgs, exports: &mut Vec<ExportFile>) {
@@ -1653,7 +1678,7 @@ impl Workload {
         if let Some(path) = &run.audit_out {
             exports.push(ExportFile {
                 path: path.clone(),
-                contents: xanadu_platform::export::audit_json_string(&self.audit()),
+                contents: xanadu_platform::export::audit_json_string(self.audit()),
             });
         }
     }
@@ -2610,6 +2635,55 @@ mod tests {
         run.host_memory_mb = 0;
         match execute(&Command::Run(run), source) {
             Err(CliError::Workflow(msg)) => assert!(msg.contains("need memory"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A trigger the request before it ran past is refused with an
+    /// error naming `--gap-min`, on both subcommands that run triggers
+    /// one after another, and no export is staged.
+    #[test]
+    fn a_trigger_before_the_clock_is_a_bad_gap() {
+        for command in ["run", "analyze"] {
+            let line = [
+                command,
+                "--sdl",
+                "flow.json",
+                "--triggers",
+                "2",
+                "--gap-min",
+                "0",
+                "--audit-out",
+                "audit.json",
+            ];
+            let cmd = parse_args(&args(&line)).unwrap();
+            match execute_with_exports(&cmd, source) {
+                Err(CliError::BadValue {
+                    flag,
+                    value,
+                    expected,
+                }) => {
+                    assert_eq!((flag.as_str(), value.as_str()), ("--gap-min", "0"));
+                    assert!(
+                        expected.contains("trigger 2 at 0 µs falls before the clock"),
+                        "{expected}"
+                    );
+                }
+                other => panic!("{command}: {other:?}"),
+            }
+        }
+    }
+
+    /// An `--invocations` count whose fleet cannot be reserved is refused
+    /// before any arrival is drawn.
+    #[test]
+    fn a_fleet_that_cannot_be_held_is_a_bad_invocation_count() {
+        let line = ["replay", "--invocations", "18446744073709551615"];
+        let cmd = parse_args(&args(&line)).unwrap();
+        match execute(&cmd, source) {
+            Err(CliError::BadValue { flag, value, .. }) => {
+                assert_eq!((flag.as_str(), value.as_str()), ("--invocations", line[2]));
+            }
             other => panic!("{other:?}"),
         }
     }

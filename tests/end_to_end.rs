@@ -171,3 +171,50 @@ fn cli_survives_a_closed_stdout() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(output.status.success(), "{stderr}");
 }
+
+/// The binary refuses a `run`/`analyze` trigger the request before it
+/// ran past, and a `replay` fleet that cannot be held in memory, each
+/// with its typed error and exit status 1 (not a panic's 101 or an
+/// allocation abort's 134), and writes no export.
+#[test]
+fn cli_refusals_exit_1_with_a_typed_error_and_no_export() {
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("xanadu-refusals-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let audit = dir.join("flow.audit.json");
+    let flow = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/golden/flow.json");
+    let audit_out = audit.to_str().unwrap();
+    let gap = |command| {
+        [
+            command,
+            "--sdl",
+            flow,
+            "--triggers",
+            "2",
+            "--gap-min",
+            "0",
+            "--audit-out",
+            audit_out,
+        ]
+    };
+    let cases: [(&[&str], &str); 3] = [
+        (&gap("run"), "bad value `0` for --gap-min"),
+        (&gap("analyze"), "bad value `0` for --gap-min"),
+        (
+            &["replay", "--invocations", "18446744073709551615"],
+            "bad value `18446744073709551615` for --invocations",
+        ),
+    ];
+    for (line, error) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_xanadu_cli"))
+            .args(line)
+            .output()
+            .expect("run xanadu_cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{line:?}: {stderr}");
+        assert!(stderr.contains(error), "{line:?}: {stderr}");
+        assert!(!audit.exists(), "{line:?} wrote {audit_out}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -6,18 +6,20 @@
 //! A fleet trace (e.g. the Azure-style workload of `xanadu-workloads`)
 //! is a set of workflows, each with its own trigger schedule and — by
 //! construction in every fleet experiment — its own function namespace,
-//! so warm sandboxes are never shared across workflows. That makes the
-//! *workflow* the natural unit of parallelism: each becomes a **logical
-//! shard** owning a full [`Platform`] (event queue, worker pool, host
-//! registry, RNG streams), and logical shards are distributed
-//! round-robin over `threads` OS threads.
+//! so warm sandboxes are never shared across workflows and no event
+//! ever passes from one workflow to another. That makes the *workflow*
+//! the natural unit of parallelism: each becomes a **logical shard**
+//! owning a full [`Platform`] (event queue, worker pool, host registry,
+//! RNG streams).
 //!
-//! Threads advance their shards in lock step through **conservative
-//! time windows**: every shard processes events up to the window end,
-//! then all threads meet at a barrier before any of them opens the next
-//! window. No shard ever runs ahead of the fleet by more than one
-//! window, which bounds queue/memory skew and keeps the driver correct
-//! if future work adds cross-shard events inside a window.
+//! The logical shards wait in **one queue**, in shard-index order. Each
+//! of `threads` OS threads takes the next shard, builds its platform,
+//! steps it through time windows until it is idle, finishes it and
+//! moves its outputs into the run-wide vectors under one lock; then it
+//! takes the next. A thread keeps one platform alive at a time, and a
+//! shard's events never wait on another shard's. The windows only pace
+//! the deterministic samples of the [`KernelProfile`] (`queue_peak`,
+//! `windows`).
 //!
 //! # Determinism
 //!
@@ -29,16 +31,16 @@
 //! * global request ids are assigned before the run by ordering *all*
 //!   triggers by `(time, shard, local sequence)`, shards ordered by
 //!   workflow name;
-//! * at every window barrier each thread moves its shards' new results,
-//!   dead-worker records and traces into run-wide vectors, results and
-//!   traces under their global request ids;
+//! * each finished shard's results, worker records and traces are moved
+//!   into run-wide vectors, results and traces under their global
+//!   request ids;
 //! * worker ids keep each shard's gaps and are offset by prefix sums of
 //!   each shard's (max local id + 1), in the same shard order;
 //! * results, worker records and traces are then sorted in place by
 //!   their unique ids.
 //!
-//! Thread scheduling can only change *wall-clock* interleaving, never
-//! which events a shard sees or in what order.
+//! Thread scheduling can only change which thread runs a shard and
+//! when, never which events a shard sees or in what order.
 //!
 //! Note that a sharded replay is a different composition than feeding
 //! the same fleet into one shared [`Platform`]: the single-platform run
@@ -49,9 +51,8 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use xanadu_chain::WorkflowDag;
 use xanadu_sandbox::{WorkerId, WorkerRecord};
@@ -81,10 +82,11 @@ pub struct ShardOptions {
     /// `[1, logical shards]`; the thread count never affects report
     /// bytes, only wall-clock time.
     pub threads: usize,
-    /// Width of the conservative time window between barriers. Must be
-    /// non-zero. Narrow windows tighten the skew bound (and barrier
-    /// overhead); wide windows amortize it. Report bytes are identical
-    /// either way.
+    /// Width of the time windows each shard is stepped through until it
+    /// is idle. Must be non-zero. It sets only where the deterministic
+    /// profile samples a shard ([`ShardProfile::queue_peak`],
+    /// [`KernelProfile::windows`]); report bytes are identical at any
+    /// width.
     pub window: SimDuration,
 }
 
@@ -114,9 +116,9 @@ pub struct ShardTelemetry {
     /// lands in [`ShardedRun::metrics`] (the report's own `metrics` field
     /// stays `None`, keeping report bytes unchanged).
     pub metrics: bool,
-    /// Print a wall-clock-gated heartbeat (events/sec, backlog, ETA) to
-    /// stderr roughly once a second. Diagnostics only: never written to
-    /// any export.
+    /// Print a wall-clock-gated heartbeat (share of invocations whose
+    /// shard has finished, events/sec, ETA) to stderr at most once a
+    /// second. Diagnostics only: never written to any export.
     pub progress: bool,
 }
 
@@ -127,9 +129,9 @@ pub struct ShardProfile {
     pub workflow: String,
     /// Simulation events the shard processed.
     pub events: u64,
-    /// High-water mark of [`Platform::pending_events`] observed at window
-    /// barriers: queued events plus the triggers not yet pulled from the
-    /// shard's arrival cursor.
+    /// High-water mark of [`Platform::pending_events`] sampled at the end
+    /// of each window the shard stepped: queued events plus the triggers
+    /// not yet pulled from the shard's arrival cursor.
     pub queue_peak: u64,
 }
 
@@ -147,17 +149,18 @@ pub struct KernelProfile {
     pub shards: Vec<ShardProfile>,
     /// OS threads the fleet ran on.
     pub threads: usize,
-    /// Barrier windows the fleet stepped through.
+    /// The most windows any shard stepped before it was idle.
     pub windows: u64,
-    /// Wall-clock microseconds each OS thread spent waiting at barriers
+    /// Wall-clock microseconds each OS thread waited at the join, from
+    /// finding the shard queue empty until every thread had finished
     /// (thread-id order; nondeterministic).
     pub barrier_wait_us: Vec<u64>,
     /// Wall-clock microseconds the canonical merge took after the threads
     /// joined: the worker-id rewrite, the in-place sorts of results,
     /// worker records and traces, and the telemetry and cluster folds
-    /// (nondeterministic). The hand-off of outputs at each window barrier
-    /// is part of the drive, not of this figure. perfbench's ledger-only
-    /// `shard.merge_s` reads it.
+    /// (nondeterministic). The hand-over of each shard's outputs when it
+    /// finishes is part of the drive, not of this figure. perfbench's
+    /// ledger-only `shard.merge_s` reads it.
     pub merge_us: u64,
 }
 
@@ -190,8 +193,8 @@ pub struct ShardedRun {
     /// The canonically merged report: results in global-request-id
     /// order, worker ids offset by shard prefix sums (each shard's id
     /// gaps kept), `metrics` always `None`. Byte-identical for any
-    /// `threads`/`window`. Its vectors are the ones the shards handed
-    /// their outputs over into during the run, sorted in place.
+    /// `threads`/`window`. Its vectors are the ones each shard moved its
+    /// outputs into when it finished, sorted in place.
     pub report: PlatformReport,
     /// Per-request orchestration timelines keyed by global request id,
     /// ascending. Empty when the config disables
@@ -257,66 +260,41 @@ struct ShardInput {
     triggers: Vec<SimTime>,
 }
 
-/// What a shard leaves besides the outputs it handed over.
+/// What a finished shard leaves for the merge besides its results,
+/// worker records and traces.
 struct ShardOutput {
     index: usize,
     name: String,
     events: u64,
     queue_peak: u64,
+    windows: u64,
     cluster: Option<ClusterReport>,
     streaming: Option<StreamingAudit>,
     slo: Option<SloMonitor>,
     metrics: Option<MetricsRegistry>,
 }
 
-/// The run-wide home of every per-request output. Shard threads move
-/// their shards' new results, dead-worker records and traces in at each
-/// window barrier; worker ids carry the shard index in their high 32
-/// bits until [`merge`] rewrites them.
+/// The run-wide home of every output. Shard threads move each finished
+/// shard's results, worker records and traces in, worker ids carrying
+/// the shard index in their high 32 bits until [`merge`] rewrites them,
+/// and push what else the merge reads.
 #[derive(Default)]
 struct Outputs {
     results: Vec<RunResult>,
     records: Vec<WorkerRecord>,
     traces: Vec<(u64, Trace)>,
+    shards: Vec<ShardOutput>,
 }
 
-impl Outputs {
-    /// Moves the results, dead-worker records and traces `platform`
-    /// produced since the last call in.
-    fn hand_over(&mut self, ids: &ShardIds, platform: &mut Platform) {
-        self.results
-            .extend(platform.drain_results().map(|r| ids.result(r)));
-        self.records
-            .extend(platform.drain_dead_workers().map(|r| ids.record(r)));
-        self.traces
-            .extend(platform.drain_traces().map(|t| ids.trace(t)));
-    }
-
-    /// Moves in what [`Platform::finish`] reported besides the outputs
-    /// already handed over: the records of the workers live at the end.
-    /// Returns the cluster report.
-    fn hand_over_report(
-        &mut self,
-        ids: &ShardIds,
-        report: PlatformReport,
-    ) -> Option<ClusterReport> {
-        self.results
-            .extend(report.results.into_iter().map(|r| ids.result(r)));
-        self.records
-            .extend(report.worker_records.into_iter().map(|r| ids.record(r)));
-        report.cluster
-    }
-}
-
-/// Cross-thread driver state: quiescence accounting, the shared
-/// progress counters the heartbeat reads, and the run-wide outputs.
-struct SharedDriver {
-    pending: AtomicU64,
-    events: AtomicU64,
-    backlog_peak: AtomicU64,
-    horizon_us: u64,
-    progress: bool,
+/// What the shard threads share: the queue of shards not yet taken, in
+/// shard-index order, and the run-wide outputs.
+struct Fleet<'a> {
+    base: &'a PlatformConfig,
+    telemetry: &'a ShardTelemetry,
+    window: SimDuration,
+    invocations: usize,
     start: Instant,
+    queue: Mutex<std::vec::IntoIter<ShardInput>>,
     outputs: Mutex<Outputs>,
 }
 
@@ -378,10 +356,10 @@ pub fn replay_sharded(
 /// is itself byte-identical at any `threads`/`window` width.
 ///
 /// Every result, worker record and trace has one home: global request
-/// ids are fixed before the shard threads start, each thread moves its
-/// shards' new outputs into the run's vectors at every window barrier,
-/// and after the threads join those vectors are sorted in place. Nothing
-/// the size of the run is allocated after the drive.
+/// ids are fixed before the shard threads start, each thread moves a
+/// shard's outputs into the run's vectors when the shard finishes, and
+/// after the threads join those vectors are sorted in place. Nothing the
+/// size of the run is allocated after the drive.
 pub fn replay_sharded_with(
     base: &PlatformConfig,
     workloads: Vec<ShardWorkload>,
@@ -449,42 +427,24 @@ pub fn replay_sharded_with(
     let invocations = inputs.iter().map(|i| i.triggers.len()).sum();
 
     let threads = opts.threads.clamp(1, logical_shards);
-    // Round-robin assignment: shard i runs on thread i % threads.
-    let mut per_thread: Vec<Vec<ShardInput>> = (0..threads).map(|_| Vec::new()).collect();
-    for input in inputs {
-        per_thread[input.ids.shard % threads].push(input);
-    }
-
-    let barrier = Barrier::new(threads);
-    let shared = SharedDriver {
-        pending: AtomicU64::new(0),
-        events: AtomicU64::new(0),
-        backlog_peak: AtomicU64::new(0),
-        horizon_us: per_thread
-            .iter()
-            .flatten()
-            .flat_map(|i| i.triggers.last())
-            .map(|t| t.as_micros())
-            .max()
-            .unwrap_or(0),
-        progress: telemetry.progress,
+    let fleet = Fleet {
+        base,
+        telemetry,
+        window: opts.window,
+        invocations,
         start: Instant::now(),
+        queue: Mutex::new(inputs.into_iter()),
         outputs: Mutex::new(Outputs {
             results: Vec::with_capacity(invocations),
+            shards: Vec::with_capacity(logical_shards),
             ..Outputs::default()
         }),
     };
-    let window = opts.window;
-    let thread_outputs: Vec<(Vec<ShardOutput>, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_thread
-            .into_iter()
-            .enumerate()
-            .map(|(tid, mine)| {
-                let shared = &shared;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    drive_shards(base, mine, tid, barrier, shared, window, telemetry)
-                })
+    let idle_from: Vec<Instant> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|tid| {
+                let fleet = &fleet;
+                scope.spawn(move || fleet.drive(tid == 0 && telemetry.progress))
             })
             .collect();
         handles
@@ -492,26 +452,19 @@ pub fn replay_sharded_with(
             .map(|h| h.join().expect("shard thread panicked"))
             .collect()
     });
-    let mut barrier_wait_us = Vec::with_capacity(threads);
-    let mut windows = 0u64;
-    let mut shards: Vec<ShardOutput> = Vec::with_capacity(logical_shards);
-    for (outs, waited, wins) in thread_outputs {
-        shards.extend(outs);
-        barrier_wait_us.push(waited);
-        windows = windows.max(wins);
-    }
-    shards.sort_by_key(|o| o.index);
-    let outputs = shared
+    let joined = Instant::now();
+    let outputs = fleet
         .outputs
         .into_inner()
         .expect("shard threads joined without panicking");
 
-    let merge_start = Instant::now();
-    let mut run = merge(outputs, shards);
+    let mut run = merge(outputs);
     run.profile.threads = threads;
-    run.profile.windows = windows;
-    run.profile.barrier_wait_us = barrier_wait_us;
-    run.profile.merge_us = merge_start.elapsed().as_micros() as u64;
+    run.profile.barrier_wait_us = idle_from
+        .iter()
+        .map(|&idle| joined.duration_since(idle).as_micros() as u64)
+        .collect();
+    run.profile.merge_us = joined.elapsed().as_micros() as u64;
     Ok(run)
 }
 
@@ -540,207 +493,154 @@ fn assign_global_ids(inputs: &mut [ShardInput]) {
     }
 }
 
-/// A shard being driven: its platform and the handles of its telemetry.
-struct Running {
-    ids: ShardIds,
-    name: String,
-    platform: Platform,
-    events: u64,
-    queue_peak: u64,
-    streaming: Option<ObserverHandle<StreamingAudit>>,
-    slo: Option<ObserverHandle<SloMonitor>>,
-    metrics: Option<ObserverHandle<MetricsRegistry>>,
-}
+impl Fleet<'_> {
+    /// Thread body: takes shards off the queue and runs each to idle
+    /// until the queue is empty. Returns when it found the queue empty,
+    /// where its wait at the join begins. With `heartbeat`, prints a
+    /// progress line after a shard finishes, at most once a second.
+    fn drive(&self, heartbeat: bool) -> Instant {
+        let next = || {
+            let mut queue = self
+                .queue
+                .lock()
+                .expect("no shard thread panics taking a shard");
+            queue.next()
+        };
+        let mut last_beat = self.start;
+        while let Some(input) = next() {
+            self.run(input);
+            if heartbeat && last_beat.elapsed() >= Duration::from_secs(1) {
+                last_beat = Instant::now();
+                self.heartbeat();
+            }
+        }
+        Instant::now()
+    }
 
-impl Running {
-    /// Finishes the platform, hands its report over and keeps only what
-    /// the merge reads.
-    fn finish(self, outputs: &mut Outputs) -> ShardOutput {
-        let report = self.platform.finish();
-        let cluster = outputs.hand_over_report(&self.ids, report);
-        let ids = &self.ids;
-        ShardOutput {
+    /// Builds the shard's platform, steps it window by window until it is
+    /// idle — nothing queued and no trigger left to pull, so no event can
+    /// reach it again — finishes it and moves its outputs into the
+    /// run-wide vectors.
+    fn run(&self, input: ShardInput) {
+        let ShardInput {
+            ids,
+            name,
+            dag,
+            triggers,
+        } = input;
+        let mut config = self.base.clone();
+        // FNV-stable per-shard sub-seeds: a shard's draws depend only on
+        // the master seed and its own name, never on fleet composition or
+        // thread placement.
+        config.seed = RngStream::derive(self.base.seed, &name).next_u64();
+        config.faults.seed = RngStream::derive(self.base.faults.seed, &name).next_u64();
+        let mut platform = Platform::new(config);
+        platform
+            .deploy(dag)
+            .expect("fresh platform has no deployments");
+        platform
+            .trigger_arrivals(&name, triggers)
+            .expect("workflow was just deployed");
+        // Telemetry observers: an SLO collector (evaluation happens once,
+        // post-merge), the streaming audit and the metrics registry, each
+        // read back through its handle.
+        let telemetry = self.telemetry;
+        let streaming = telemetry
+            .streaming
+            .map(|cfg| platform.attach_observer(StreamingAudit::new(cfg)));
+        let slo = telemetry
+            .slo
+            .clone()
+            .map(|cfg| platform.attach_observer(SloMonitor::collector(cfg)));
+        let metrics = telemetry
+            .metrics
+            .then(|| platform.attach_observer(MetricsRegistry::new()));
+
+        let (mut windows, mut events, mut queue_peak) = (0, 0, 0);
+        let mut window_end = SimTime::ZERO;
+        loop {
+            windows += 1;
+            window_end += self.window;
+            events += platform.step_window(window_end);
+            let pending = platform.pending_events() as u64;
+            queue_peak = queue_peak.max(pending);
+            if pending == 0 {
+                break;
+            }
+        }
+        let traces: Vec<(u64, Trace)> = platform.drain_traces().collect();
+        // `finish` prices the keep-alive teardown from the clock, which
+        // stopped at the shard's last event whatever the window width.
+        let report = platform.finish();
+        let output = ShardOutput {
             index: ids.shard,
-            name: self.name,
-            events: self.events,
-            queue_peak: self.queue_peak,
-            cluster,
-            streaming: self.streaming.map(|h| {
+            name,
+            events,
+            queue_peak,
+            windows,
+            cluster: report.cluster,
+            streaming: streaming.map(|h| {
                 let mut audit = h.into_inner();
                 audit.remap_exemplar_requests(|local| ids.global[local as usize]);
                 audit
             }),
-            slo: self.slo.map(ObserverHandle::into_inner),
-            metrics: self.metrics.map(ObserverHandle::into_inner),
-        }
-    }
-}
-
-/// Thread body: build each assigned shard's platform, advance all of
-/// them window by window under the fleet barrier, handing their outputs
-/// over at every barrier, and finish each one at the first barrier where
-/// it is idle. Returns the shard outputs plus this thread's total
-/// barrier-wait micros and the number of windows stepped.
-fn drive_shards(
-    base: &PlatformConfig,
-    inputs: Vec<ShardInput>,
-    thread_id: usize,
-    barrier: &Barrier,
-    shared: &SharedDriver,
-    window: SimDuration,
-    telemetry: &ShardTelemetry,
-) -> (Vec<ShardOutput>, u64, u64) {
-    let mut shards: Vec<Running> = inputs
-        .into_iter()
-        .map(|input| {
-            let mut config = base.clone();
-            // FNV-stable per-shard sub-seeds: a shard's draws depend only
-            // on the master seed and its own name, never on fleet
-            // composition or thread placement.
-            config.seed = RngStream::derive(base.seed, &input.name).next_u64();
-            config.faults.seed = RngStream::derive(base.faults.seed, &input.name).next_u64();
-            let mut platform = Platform::new(config);
-            platform
-                .deploy(input.dag)
-                .expect("fresh platform has no deployments");
-            platform
-                .trigger_arrivals(&input.name, input.triggers)
-                .expect("workflow was just deployed");
-            // Telemetry observers: an SLO collector (evaluation happens
-            // once, post-merge), the streaming audit and the metrics
-            // registry, each read back through its handle.
-            let streaming = telemetry
-                .streaming
-                .map(|cfg| platform.attach_observer(StreamingAudit::new(cfg)));
-            let slo = telemetry
-                .slo
-                .clone()
-                .map(|cfg| platform.attach_observer(SloMonitor::collector(cfg)));
-            let metrics = telemetry
-                .metrics
-                .then(|| platform.attach_observer(MetricsRegistry::new()));
-            Running {
-                ids: input.ids,
-                name: input.name,
-                platform,
-                events: 0,
-                queue_peak: 0,
-                streaming,
-                slo,
-                metrics,
-            }
-        })
-        .collect();
-
-    // Conservative time-window loop. Three barrier phases per window:
-    // (A) every thread has advanced its shards, handed their outputs over
-    // and published its pending count, (B) every thread has read the
-    // fleet total (the phase-B leader then resets the accumulator), (C)
-    // the reset is visible before anyone publishes for the next window.
-    // All threads observe the same `done`, so they exit on the same
-    // window.
-    let mut window_end = SimTime::ZERO;
-    let mut finished: Vec<ShardOutput> = Vec::with_capacity(shards.len());
-    let mut barrier_wait_us = 0u64;
-    let mut windows = 0u64;
-    let mut last_beat = shared.start;
-    let wait = |barrier: &Barrier, acc: &mut u64| {
-        let begin = Instant::now();
-        let result = barrier.wait();
-        *acc += begin.elapsed().as_micros() as u64;
-        result
-    };
-    let lock_outputs = || {
-        shared
+            slo: slo.map(ObserverHandle::into_inner),
+            metrics: metrics.map(ObserverHandle::into_inner),
+        };
+        let mut outputs = self
             .outputs
             .lock()
-            .expect("no shard thread panics while handing outputs over")
-    };
-    loop {
-        windows += 1;
-        window_end += window;
-        let mut mine = 0u64;
-        let mut processed = 0u64;
-        let mut my_peak = 0u64;
-        for shard in &mut shards {
-            let stepped = shard.platform.step_window(window_end);
-            shard.events += stepped;
-            processed += stepped;
-            let backlog = shard.platform.pending_events() as u64;
-            shard.queue_peak = shard.queue_peak.max(backlog);
-            my_peak = my_peak.max(backlog);
-            mine += backlog;
-        }
-        {
-            let mut outputs = lock_outputs();
-            for shard in &mut shards {
-                outputs.hand_over(&shard.ids, &mut shard.platform);
-            }
-            // An idle shard has nothing queued and no trigger left to
-            // pull, so no event can reach it again: finish it now, which
-            // drops its platform before the fleet quiesces. Its clock
-            // stopped at its last event, so the report is the one a
-            // finish after quiescence would give.
-            for shard in shards.extract_if(.., |s| s.platform.pending_events() == 0) {
-                finished.push(shard.finish(&mut outputs));
-            }
-        }
-        shared.pending.fetch_add(mine, Ordering::SeqCst);
-        shared.events.fetch_add(processed, Ordering::SeqCst);
-        shared.backlog_peak.fetch_max(my_peak, Ordering::SeqCst);
-        wait(barrier, &mut barrier_wait_us);
-        let done = shared.pending.load(Ordering::SeqCst) == 0;
-        if shared.progress && thread_id == 0 && last_beat.elapsed().as_secs_f64() >= 1.0 {
-            last_beat = Instant::now();
-            heartbeat(shared, window_end);
-        }
-        if wait(barrier, &mut barrier_wait_us).is_leader() {
-            shared.pending.store(0, Ordering::SeqCst);
-            shared.backlog_peak.store(0, Ordering::SeqCst);
-        }
-        wait(barrier, &mut barrier_wait_us);
-        if done {
-            break;
-        }
+            .expect("no shard thread panics while handing outputs over");
+        outputs
+            .results
+            .extend(report.results.into_iter().map(|r| ids.result(r)));
+        outputs
+            .records
+            .extend(report.worker_records.into_iter().map(|r| ids.record(r)));
+        outputs
+            .traces
+            .extend(traces.into_iter().map(|t| ids.trace(t)));
+        outputs.shards.push(output);
     }
 
-    debug_assert!(shards.is_empty(), "a quiescent fleet has no busy shard");
-    (finished, barrier_wait_us, windows)
+    /// One stderr progress line. Wall-clock only — never touches exports.
+    fn heartbeat(&self) {
+        let (done, shards, events) = {
+            let outputs = self
+                .outputs
+                .lock()
+                .expect("no shard thread panics while handing outputs over");
+            let events: u64 = outputs.shards.iter().map(|s| s.events).sum();
+            (outputs.results.len(), outputs.shards.len(), events)
+        };
+        let elapsed = self.start.elapsed().as_secs_f64().max(1e-9);
+        let frac = done as f64 / self.invocations.max(1) as f64;
+        let eta = if frac > 0.0 && frac < 1.0 {
+            format!(", eta ~{:.0}s", elapsed * (1.0 - frac) / frac)
+        } else {
+            String::new()
+        };
+        eprintln!(
+            "replay: {:>3.0}% of invocations in finished shards ({done} of {}, {shards} shards), \
+             {events} events @ {:.0}/s{eta}",
+            frac * 100.0,
+            self.invocations,
+            events as f64 / elapsed,
+        );
+    }
 }
 
-/// One stderr progress line. Wall-clock only — never touches exports.
-fn heartbeat(shared: &SharedDriver, window_end: SimTime) {
-    let elapsed = shared.start.elapsed().as_secs_f64().max(1e-9);
-    let events = shared.events.load(Ordering::SeqCst);
-    let backlog = shared.pending.load(Ordering::SeqCst);
-    let shard_peak = shared.backlog_peak.load(Ordering::SeqCst);
-    let frac = if shared.horizon_us == 0 {
-        1.0
-    } else {
-        (window_end.as_micros() as f64 / shared.horizon_us as f64).min(1.0)
-    };
-    let eta = if frac > 0.0 && frac < 1.0 {
-        format!(", eta ~{:.0}s", elapsed * (1.0 - frac) / frac)
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "replay: {:>3.0}% of trace (sim {window_end}), {events} events @ {:.0}/s, \
-         backlog {backlog} (peak shard {shard_peak}){eta}",
-        frac * 100.0,
-        events as f64 / elapsed,
-    );
-}
-
-/// Canonical merge of the handed-over outputs and the per-shard leftovers
-/// (`shards` sorted by shard index). It allocates nothing the size of the
-/// run: results, records and traces are rewritten and sorted in place.
-fn merge(outputs: Outputs, shards: Vec<ShardOutput>) -> ShardedRun {
+/// Canonical merge of the run-wide outputs. It allocates nothing the size
+/// of the run: results, records and traces are rewritten and sorted in
+/// place.
+fn merge(outputs: Outputs) -> ShardedRun {
     let Outputs {
         mut results,
         mut records,
         mut traces,
+        mut shards,
     } = outputs;
+    shards.sort_unstable_by_key(|o| o.index);
     // Worker ids are not dense: an id taken for a speculative placement
     // that tenant admission refused has no record. Each shard's ids keep
     // their gaps and are offset by the earlier shards' (max id + 1).
@@ -767,6 +667,7 @@ fn merge(outputs: Outputs, shards: Vec<ShardOutput>) -> ShardedRun {
 
     let logical_shards = shards.len();
     let mut events_processed = 0u64;
+    let mut windows = 0u64;
     let mut shard_profiles: Vec<ShardProfile> = Vec::with_capacity(logical_shards);
     let mut streaming: Option<StreamingAudit> = None;
     let mut slo: Option<SloMonitor> = None;
@@ -774,6 +675,7 @@ fn merge(outputs: Outputs, shards: Vec<ShardOutput>) -> ShardedRun {
     let mut cluster: Option<ClusterReport> = None;
     for out in shards {
         events_processed += out.events;
+        windows = windows.max(out.windows);
         shard_profiles.push(ShardProfile {
             workflow: out.name,
             events: out.events,
@@ -805,7 +707,7 @@ fn merge(outputs: Outputs, shards: Vec<ShardOutput>) -> ShardedRun {
         profile: KernelProfile {
             shards: shard_profiles,
             threads: 0,
-            windows: 0,
+            windows,
             barrier_wait_us: Vec::new(),
             merge_us: 0,
         },
@@ -949,7 +851,7 @@ mod tests {
             .collect()
     }
 
-    /// The reference the barrier hand-off is checked against: the
+    /// The reference the shard hand-off is checked against: the
     /// [`up_front_platforms`] run to idle and finished, then concatenated
     /// in shard order, stable-sorted by global request id (all triggers
     /// ranked by `(time, shard, local)`), with worker ids offset by
@@ -1202,19 +1104,22 @@ mod tests {
     }
 
     /// Per-shard `(events, queue_peak)` of the [`up_front_platforms`]
-    /// stepped window by window with `step_window`, sampling pending
-    /// events at each window end as `drive_shards` does.
+    /// stepped window by window with `step_window` until idle, sampling
+    /// pending events at each window end as the driver does, and the
+    /// most windows any of them stepped.
     fn up_front_profiles(
         base: &PlatformConfig,
         workloads: Vec<ShardWorkload>,
         window: SimDuration,
-    ) -> Vec<ShardProfile> {
-        up_front_platforms(base, workloads)
+    ) -> (Vec<ShardProfile>, u64) {
+        let mut most_windows = 0;
+        let profiles = up_front_platforms(base, workloads)
             .into_iter()
             .map(|(workflow, _, mut platform)| {
-                let (mut events, mut queue_peak) = (0, 0);
+                let (mut windows, mut events, mut queue_peak) = (0, 0, 0);
                 let mut window_end = SimTime::ZERO;
                 loop {
+                    windows += 1;
                     window_end += window;
                     events += platform.step_window(window_end);
                     let pending = platform.pending_events() as u64;
@@ -1223,13 +1128,15 @@ mod tests {
                         break;
                     }
                 }
+                most_windows = most_windows.max(windows);
                 ShardProfile {
                     workflow,
                     events,
                     queue_peak,
                 }
             })
-            .collect()
+            .collect();
+        (profiles, most_windows)
     }
 
     #[test]
@@ -1244,7 +1151,7 @@ mod tests {
             assert_eq!(expected.results.len(), 36, "{label}: every request ends");
             for window_secs in [1, 60] {
                 let window = SimDuration::from_secs(window_secs);
-                let expected_profiles = up_front_profiles(&config, colliding_fleet(), window);
+                let (expected_profiles, _) = up_front_profiles(&config, colliding_fleet(), window);
                 for threads in [1, 2] {
                     let opts = ShardOptions { threads, window };
                     let run = replay_sharded(&config, colliding_fleet(), &opts).unwrap();
@@ -1256,6 +1163,48 @@ mod tests {
                     );
                     assert!(run.traces == expected_traces, "traces at {at}");
                     assert_eq!(run.profile.shards, expected_profiles, "profile at {at}");
+                }
+            }
+        }
+    }
+
+    /// One shard idles hundreds of one-second windows before the rest:
+    /// the queue still reports every shard's reference profile, the most
+    /// windows any shard stepped, and the same `kernel.*` bytes at any
+    /// thread count.
+    #[test]
+    fn an_early_idle_shard_keeps_the_profile_at_any_width() {
+        let configs = [
+            ("jit", PlatformConfig::for_mode(ExecutionMode::Jit, 77)),
+            ("chaos", chaos_config()),
+        ];
+        for (label, config) in configs {
+            for window_secs in [1, 60] {
+                let window = SimDuration::from_secs(window_secs);
+                let (shards, windows) = up_front_profiles(&config, early_idle_fleet(), window);
+                let early = shards.iter().find(|s| s.workflow == "early").unwrap();
+                assert!(early.events > 0, "{label}: the early shard runs");
+                let reference = KernelProfile {
+                    shards,
+                    windows,
+                    ..KernelProfile::default()
+                };
+                let registry = reference.deterministic_registry();
+                let expected = crate::export::metrics_json_string(&registry);
+                if window_secs == 1 {
+                    assert!(windows > 200, "{label}: the fleet steps {windows} windows");
+                }
+                for threads in [1, 2, 3, 8] {
+                    let opts = ShardOptions { threads, window };
+                    let run = replay_sharded(&config, early_idle_fleet(), &opts).unwrap();
+                    let at = format!("{label}, threads={threads}, window={window_secs}s");
+                    assert_eq!(run.profile.shards, reference.shards, "shards at {at}");
+                    assert_eq!(run.profile.windows, windows, "windows at {at}");
+                    assert_eq!(
+                        crate::export::metrics_json_string(&run.profile.deterministic_registry()),
+                        expected,
+                        "kernel counters at {at}"
+                    );
                 }
             }
         }

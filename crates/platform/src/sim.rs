@@ -34,7 +34,7 @@ use xanadu_core::estimate::EstimateSource;
 use xanadu_core::policy::{PlanContext, PolicyRegistry, ProbabilityFn, SpeculationPolicy};
 use xanadu_core::speculation::{DeployFailureAction, PlanCacheStats};
 use xanadu_profiler::{BranchDetector, MetricsEngine, RequestCorrelator};
-use xanadu_sandbox::{SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerRecord, WorkerState};
+use xanadu_sandbox::{SimSandboxProvider, Worker, WorkerId, WorkerPool, WorkerState};
 use xanadu_simcore::{EventQueue, Interner, RngStream, SimDuration, SimTime, Sym};
 
 /// Errors surfaced by the platform API.
@@ -719,11 +719,11 @@ impl Platform {
 
     /// Processes events up to and including `deadline`, then stops with
     /// later events still queued, leaving the clock at the last processed
-    /// event. The sharded driver ([`crate::shard`]) steps with this so the
-    /// final clock value — which prices end-of-run worker teardown in
+    /// event. The sharded driver ([`crate::shard`]) steps each shard with
+    /// this, window by window until it is idle, so the final clock value —
+    /// which prices end-of-run worker teardown in
     /// [`finish`](Self::finish) — depends only on the event stream, never
-    /// on the driver's barrier-window width. Returns the number of events
-    /// processed.
+    /// on the window width. Returns the number of events processed.
     pub fn step_window(&mut self, deadline: SimTime) -> u64 {
         self.process_through(deadline)
     }
@@ -748,20 +748,6 @@ impl Platform {
     /// Completed request results so far.
     pub fn results(&self) -> &[RunResult] {
         &self.results
-    }
-
-    /// Moves out the results completed since the last call, in completion
-    /// order. [`results`](Self::results) and [`finish`](Self::finish)
-    /// then hold only the results not moved out. The sharded driver
-    /// ([`crate::shard`]) drains every window so each result has one home.
-    pub(crate) fn drain_results(&mut self) -> std::vec::Drain<'_, RunResult> {
-        self.results.drain(..)
-    }
-
-    /// Moves out the records of workers that died since the last call, in
-    /// death order; [`finish`](Self::finish) reports only the rest.
-    pub(crate) fn drain_dead_workers(&mut self) -> std::vec::Drain<'_, WorkerRecord> {
-        self.pool.drain_dead()
     }
 
     /// Moves out the traces of requests completed since the last call,
@@ -846,7 +832,8 @@ impl Platform {
     /// sharded replay, the triggers not yet pulled from the shard's
     /// arrival cursor, so it reads as if every trigger had been scheduled
     /// up front. The sharded replay driver ([`crate::shard`]) polls this
-    /// at every time-window barrier to detect fleet-wide quiescence.
+    /// at the end of each window it steps a shard through: a shard with
+    /// none pending is idle and is finished.
     pub fn pending_events(&self) -> usize {
         self.queue.len() + self.arrivals.iter().map(Arrivals::unpulled).sum::<usize>()
     }

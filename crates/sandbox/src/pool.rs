@@ -474,13 +474,6 @@ impl WorkerPool {
         self.live.len()
     }
 
-    /// Moves out the records of workers that died since the last call,
-    /// in death order. [`drain`](Self::drain) returns only the records
-    /// not moved out here.
-    pub fn drain_dead(&mut self) -> std::vec::Drain<'_, WorkerRecord> {
-        self.dead.drain(..)
-    }
-
     /// Kills everything at `now` and returns the complete set of worker
     /// records (dead + just-killed), consuming the pool. Called at the end
     /// of an experiment to finalize accounting.
@@ -737,10 +730,12 @@ mod tests {
         pool.crash(c, SimTime::from_millis(400));
         assert_eq!(pool.live_count(), 0);
         assert!(pool.check_index_consistency().is_ok());
-        // All three records are flagged.
-        assert!(pool.drain_dead().all(|r| r.crashed));
         // Unknown ids are a no-op.
         assert!(pool.crash(WorkerId(99), SimTime::ZERO).is_none());
+        // All three records are flagged.
+        let records = pool.drain(SimTime::from_millis(500));
+        assert_eq!(records.len(), 3);
+        assert!(records.iter().all(|r| r.crashed));
     }
 
     #[test]

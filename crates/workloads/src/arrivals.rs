@@ -70,6 +70,10 @@ pub fn uniform_random(start: SimTime, duration: SimDuration, seed: u64) -> Vec<S
 
 /// Poisson arrivals with the given rate (requests per hour) over
 /// `duration`.
+///
+/// # Panics
+///
+/// Panics if `rate_per_hour` is not finite.
 pub fn poisson(
     start: SimTime,
     duration: SimDuration,
@@ -84,8 +88,8 @@ pub fn poisson(
 
 /// Appends to `times` the arrivals of a Poisson process of
 /// `rate_per_hour` that starts at `start` and stops before `end`: one
-/// exponential gap per arrival, plus the gap that crosses `end`. A rate
-/// that is not positive appends nothing and draws nothing.
+/// exponential gap per arrival, plus the gap that crosses `end`. A
+/// finite rate that is not positive appends nothing and draws nothing.
 ///
 /// Gaps come [`RngStream::EXP_BLOCK`] at a time from
 /// [`RngStream::exponential_micros`], each equal to a one-at-a-time
@@ -93,6 +97,11 @@ pub fn poisson(
 /// gaps drawn past `end` are its last, and nothing can draw after them.
 /// Arrival times saturate at the clock's last µs, which ends the
 /// process, instead of wrapping.
+///
+/// # Panics
+///
+/// Panics if `rate_per_hour` is not finite: an infinite rate's gaps are
+/// all 0 µs, so its arrivals would never reach `end`.
 pub(crate) fn extend_poisson(
     times: &mut Vec<SimTime>,
     mut rng: RngStream,
@@ -100,6 +109,10 @@ pub(crate) fn extend_poisson(
     start: SimTime,
     end: SimTime,
 ) {
+    assert!(
+        rate_per_hour.is_finite(),
+        "Poisson arrival rate {rate_per_hour}/h is not finite"
+    );
     if rate_per_hour > 0.0 {
         let mean_gap_ms = 3_600_000.0 / rate_per_hour;
         let (mut t, end) = (start.as_micros(), end.as_micros());
@@ -164,6 +177,12 @@ mod tests {
         let per_hour = times.len() as f64 / 100.0;
         assert!((5.0..7.0).contains(&per_hour), "rate {per_hour}/h");
         assert!(poisson(SimTime::ZERO, SimDuration::from_mins(60), 0.0, 9).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "Poisson arrival rate inf/h is not finite")]
+    fn an_infinite_rate_panics_instead_of_filling_memory() {
+        poisson(SimTime::ZERO, SimDuration::from_mins(60), f64::INFINITY, 9);
     }
 }
 

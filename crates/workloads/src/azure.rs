@@ -65,6 +65,10 @@ impl WorkflowTrace {
 /// Each workflow's arrivals are a Poisson process at its class rate;
 /// classes are assigned so that `rare_fraction` of the fleet is rare.
 ///
+/// # Panics
+///
+/// Panics if a class rate the fleet uses is not finite.
+///
 /// # Example
 ///
 /// ```

@@ -125,6 +125,15 @@ impl RecordedStream {
                 message: format!("unsupported stream version {}", header.version),
             });
         }
+        if !(header.rate_per_hour > 0.0 && header.rate_per_hour.is_finite()) {
+            return Err(StreamParseError {
+                line: 1,
+                message: format!(
+                    "rate_per_hour {} is not a positive finite arrival rate",
+                    header.rate_per_hour
+                ),
+            });
+        }
         let mut events = Vec::new();
         let mut last_at = 0u64;
         for (i, line) in lines {
@@ -262,10 +271,14 @@ impl GeneratedStream {
     /// `rate_per_hour`, emitting `events` events in total.
     ///
     /// # Panics
-    /// If `workflows` is zero or `rate_per_hour` is not positive.
+    /// If `workflows` is zero or `rate_per_hour` is not positive and
+    /// finite: an infinite rate's gaps are all 0 µs.
     pub fn new(workflows: u32, depth: u32, rate_per_hour: f64, seed: u64, events: u64) -> Self {
         assert!(workflows > 0, "stream population must be non-empty");
-        assert!(rate_per_hour > 0.0, "arrival rate must be positive");
+        assert!(
+            rate_per_hour > 0.0 && rate_per_hour.is_finite(),
+            "arrival rate must be positive and finite"
+        );
         let header = StreamHeader {
             version: 1,
             workflows,
@@ -407,6 +420,25 @@ mod tests {
             serde_json::to_string(&StreamEvent { at_us: 5, wf: 9 }).unwrap()
         );
         assert!(RecordedStream::parse(&bad_wf).is_err());
+        // A header rate that is not positive and finite is rejected; a
+        // non-finite rate serializes as `null`, which reads back as NaN.
+        for rate in ["null", "0.0", "-1.0"] {
+            let header = format!(
+                r#"{{"depth":1,"events":0,"rate_per_hour":{rate},"seed":0,"version":1,"workflows":1}}"#
+            );
+            let err = RecordedStream::parse(&header).unwrap_err();
+            assert_eq!(err.line, 1, "{rate}");
+            assert!(
+                err.message.contains("not a positive finite arrival rate"),
+                "{rate}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite")]
+    fn an_infinite_generated_rate_panics() {
+        GeneratedStream::new(1, 1, f64::INFINITY, 42, 3);
     }
 
     #[test]

@@ -164,7 +164,10 @@ pub struct ReplayArgs {
     /// OS threads the logical shards are spread over. Never affects
     /// report bytes, only wall-clock time.
     pub shards: usize,
-    /// Conservative barrier-window width in simulated seconds.
+    /// Width in simulated seconds of the windows each shard is stepped
+    /// through until it is idle. It paces only the deterministic
+    /// `kernel.windows` and `kernel.queue_peak` samples, never report
+    /// bytes.
     pub window_secs: u64,
     /// Master seed for the trace and every per-shard platform.
     pub seed: u64,
@@ -218,8 +221,9 @@ pub struct ReplayArgs {
     pub slo_out: Option<String>,
     /// Tumbling SLO window width in simulated seconds.
     pub slo_window_secs: u64,
-    /// Print a wall-clock heartbeat (progress, events/sec, backlog, ETA)
-    /// to stderr while replaying. Never affects stdout or exports.
+    /// Print a wall-clock heartbeat (share of invocations whose shard
+    /// has finished, events/sec, ETA) to stderr while replaying. Never
+    /// affects stdout or exports.
     pub progress: bool,
 }
 
@@ -587,7 +591,8 @@ byte-identical at any `--shards`. `--slo <thresholds.json>` gates
 tumbling `--slo-window-secs` windows (default 60) against the first
 non-empty window with `diff` semantics, exits non-zero on any breach
 and, with `--slo-out`, writes the windowed evaluation JSON.
-`--progress` prints a stderr heartbeat (events/sec, backlog, ETA).
+`--progress` prints a stderr heartbeat (share of invocations in finished
+shards, events/sec, ETA).
 `diff` compares two audit or metrics snapshots and exits non-zero when
 the candidate regresses past a threshold (p95 end-to-end +10%, wasted
 CPU-ms +25%, MLP recall −0.05 by default), printing the JSON path of
@@ -828,11 +833,11 @@ fn parse_replay_flags(f: &mut Flags) -> Result<ReplayArgs, CliError> {
 /// `(events, workflows, depth, rate_per_hour, seed)`.
 fn parse_stream_flags(f: &mut Flags) -> Result<(u64, u32, u32, f64, u64), CliError> {
     let rate = parse_float(f, "--rate-per-hour", 120.0)?;
-    if rate <= 0.0 {
+    if !(rate > 0.0 && rate.is_finite()) {
         return Err(CliError::BadValue {
             flag: "--rate-per-hour".into(),
             value: format!("{rate}"),
-            expected: "a positive arrival rate".into(),
+            expected: "a positive finite arrival rate".into(),
         });
     }
     let population = "a non-empty workflow population";
@@ -2694,14 +2699,17 @@ mod tests {
         // the range's edge, the first value past it). Counts are u32. A
         // window's microseconds must fit u64, run's last trigger time,
         // (triggers − 1) × gap minutes, must not pass
-        // `SimTime::LAST_TRIGGER`, and autoscaled hosts need memory.
+        // `SimTime::LAST_TRIGGER`, autoscaled hosts need memory, and a
+        // stream's arrival rate must be finite.
         const U32_MAX: &str = "4294967295";
         const U32_OVER: &str = "4294967296";
         const SECS_MAX: &str = "18446744073709";
         const SECS_OVER: &str = "18446744073710";
+        const RATE_MAX: &str = "1.7976931348623157e308";
         let run: &[&str] = &["run", "--sdl", "x"];
         let serve: &[&str] = &["serve", "--checkpoint-dir", "d"];
-        let rows: [(&[&str], &str, &str, &str); 11] = [
+        let record: &[&str] = &["record", "--out", "s"];
+        let rows: [(&[&str], &str, &str, &str); 13] = [
             (run, "--hosts", U32_MAX, U32_OVER),
             (run, "--tenants", U32_MAX, U32_OVER),
             (run, "--autoscale-max", U32_MAX, U32_OVER),
@@ -2728,6 +2736,8 @@ mod tests {
             (&["replay"], "--window-secs", SECS_MAX, SECS_OVER),
             (&["replay"], "--slo-window-secs", SECS_MAX, SECS_OVER),
             (serve, "--slo-window-secs", SECS_MAX, SECS_OVER),
+            (record, "--rate-per-hour", RATE_MAX, "inf"),
+            (serve, "--rate-per-hour", RATE_MAX, "inf"),
         ];
         let mut wrong = Vec::new();
         for (before, flag, valid, over) in rows {

@@ -198,12 +198,16 @@ fn cli_refusals_exit_1_with_a_typed_error_and_no_export() {
             audit_out,
         ]
     };
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&gap("run"), "bad value `0` for --gap-min"),
         (&gap("analyze"), "bad value `0` for --gap-min"),
         (
             &["replay", "--invocations", "18446744073709551615"],
             "bad value `18446744073709551615` for --invocations",
+        ),
+        (
+            &["record", "--out", audit_out, "--rate-per-hour", "inf"],
+            "bad value `inf` for --rate-per-hour",
         ),
     ];
     for (line, error) in cases {

@@ -63,21 +63,35 @@ pub struct WorkflowBuilder {
 impl WorkflowBuilder {
     /// Starts an empty workflow with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        Self::with_capacity(name, 0)
+        WorkflowBuilder {
+            name: name.into(),
+            nodes: Vec::new(),
+            names: HashSet::new(),
+            links: Vec::new(),
+            last_link: Vec::new(),
+            stack: Vec::new(),
+            seen: Vec::new(),
+        }
     }
 
     /// Starts an empty workflow sized for `nodes` functions and as many
     /// edges, added through [`push`](Self::push): the name set stays
     /// empty.
-    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
-        WorkflowBuilder {
-            name: name.into(),
-            nodes: Vec::with_capacity(nodes),
-            names: HashSet::new(),
-            links: Vec::with_capacity(nodes),
-            last_link: Vec::with_capacity(nodes),
-            stack: Vec::new(),
-            seen: Vec::new(),
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::TooLarge`] when a [`NodeId`] cannot number `nodes`
+    /// functions or their builder state cannot be reserved.
+    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Result<Self, ChainError> {
+        let mut builder = Self::new(name);
+        let held = u32::try_from(nodes).is_ok()
+            && builder.nodes.try_reserve_exact(nodes).is_ok()
+            && builder.links.try_reserve_exact(nodes).is_ok()
+            && builder.last_link.try_reserve_exact(nodes).is_ok();
+        if held {
+            Ok(builder)
+        } else {
+            Err(ChainError::TooLarge { functions: nodes })
         }
     }
 
@@ -319,8 +333,10 @@ fn chained(links: &[Link], mut latest: Option<u32>) -> impl Iterator<Item = &Edg
 ///
 /// # Errors
 ///
-/// Returns [`ChainError::EmptyWorkflow`] if `n == 0`, or
-/// [`ChainError::InvalidSpec`] if the template's specs fail validation.
+/// Returns [`ChainError::EmptyWorkflow`] if `n == 0`,
+/// [`ChainError::InvalidSpec`] if the template's specs fail validation,
+/// or [`ChainError::TooLarge`] if `n` functions cannot be numbered or
+/// their builder cannot be reserved; nothing is built then.
 ///
 /// # Example
 ///
@@ -337,7 +353,7 @@ pub fn linear_chain(
     n: usize,
     template: &FunctionSpec,
 ) -> Result<WorkflowDag, ChainError> {
-    let mut b = WorkflowBuilder::with_capacity(name, n);
+    let mut b = WorkflowBuilder::with_capacity(name, n)?;
     // Every name is written into one buffer and copied once, into its
     // `Arc`; 20 bytes hold any index. One stem and distinct indexes make
     // distinct names, so the nodes skip the builder's name set; an
@@ -446,6 +462,17 @@ mod tests {
         assert_eq!(dag.depth(), 4);
         assert_eq!(dag.node_by_name("fn2"), Some(NodeId::from_index(2)));
         assert!(linear_chain("lc", 0, &FunctionSpec::new("fn")).is_err());
+    }
+
+    #[test]
+    fn a_chain_its_node_ids_cannot_number_is_too_large() {
+        // Refused before anything is reserved: node ids are 32 bits.
+        for n in [1 << 32, usize::MAX] {
+            assert_eq!(
+                linear_chain("lc", n, &FunctionSpec::new("fn")).unwrap_err(),
+                ChainError::TooLarge { functions: n }
+            );
+        }
     }
 
     #[test]

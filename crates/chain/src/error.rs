@@ -37,6 +37,12 @@ pub enum ChainError {
     InvalidSpec(String),
     /// The state-definition-language document was malformed.
     Sdl(String),
+    /// A workflow too large to build: its functions cannot be numbered
+    /// or held in memory.
+    TooLarge {
+        /// The functions asked for.
+        functions: usize,
+    },
 }
 
 impl fmt::Display for ChainError {
@@ -59,6 +65,12 @@ impl fmt::Display for ChainError {
             ChainError::EmptyWorkflow => write!(f, "workflow has no functions"),
             ChainError::InvalidSpec(msg) => write!(f, "invalid function spec: {msg}"),
             ChainError::Sdl(msg) => write!(f, "state definition language error: {msg}"),
+            ChainError::TooLarge { functions } => {
+                write!(
+                    f,
+                    "a workflow of {functions} functions does not fit in memory"
+                )
+            }
         }
     }
 }

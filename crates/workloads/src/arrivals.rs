@@ -88,15 +88,15 @@ pub fn poisson(
 
 /// Appends to `times` the arrivals of a Poisson process of
 /// `rate_per_hour` that starts at `start` and stops before `end`: one
-/// exponential gap per arrival, plus the gap that crosses `end`. A
-/// finite rate that is not positive appends nothing and draws nothing.
+/// exponential gap per arrival, plus the gaps of the block that crosses
+/// `end`. A finite rate that is not positive appends nothing and draws
+/// nothing.
 ///
-/// Gaps come [`RngStream::EXP_BLOCK`] at a time from
-/// [`RngStream::exponential_micros`], each equal to a one-at-a-time
-/// draw, so the arrivals are too. The stream is taken by value: the
-/// gaps drawn past `end` are its last, and nothing can draw after them.
-/// Arrival times saturate at the clock's last µs, which ends the
-/// process, instead of wrapping.
+/// The process is a [`PoissonCursor`] with no gap floor, so each gap
+/// equals a one-at-a-time draw and the arrivals do too. The stream is
+/// taken by value: the gaps drawn past `end` are its last, and nothing
+/// can draw after them. Arrival times saturate at the clock's last µs,
+/// which ends the process, instead of wrapping.
 ///
 /// # Panics
 ///
@@ -104,7 +104,7 @@ pub fn poisson(
 /// all 0 µs, so its arrivals would never reach `end`.
 pub(crate) fn extend_poisson(
     times: &mut Vec<SimTime>,
-    mut rng: RngStream,
+    rng: RngStream,
     rate_per_hour: f64,
     start: SimTime,
     end: SimTime,
@@ -114,19 +114,77 @@ pub(crate) fn extend_poisson(
         "Poisson arrival rate {rate_per_hour}/h is not finite"
     );
     if rate_per_hour > 0.0 {
-        let mean_gap_ms = 3_600_000.0 / rate_per_hour;
-        let (mut t, end) = (start.as_micros(), end.as_micros());
+        let mut process =
+            PoissonCursor::new(rng, 3_600_000.0 / rate_per_hour, start.as_micros(), 0);
+        process.take_before(end.as_micros(), |at| {
+            times.extend(at.iter().map(|&a| SimTime::from_micros(a)));
+        });
+    }
+}
+
+/// A Poisson process whose gaps come [`RngStream::EXP_BLOCK`] at a time
+/// from [`RngStream::exponential_micros`], resumable at any arrival.
+///
+/// Each block is prefix-summed into arrival times as it is drawn; the
+/// cursor hands them out in runs and keeps the rest of the block for
+/// the next call. Every gap after the first is raised to `floor` µs (the
+/// first, from the start, never is), and arrival times saturate at the
+/// clock's last µs instead of wrapping. A gap equals a one-at-a-time
+/// `exponential` draw, so the arrivals do not depend on where the
+/// caller stops and resumes.
+#[derive(Debug, Clone)]
+pub(crate) struct PoissonCursor {
+    rng: RngStream,
+    mean_gap_ms: f64,
+    /// The least gap between two arrivals, in µs.
+    floor: u64,
+    /// The current block's arrival times, in µs.
+    block: [u64; RngStream::EXP_BLOCK],
+    /// Arrivals of `block` already handed out.
+    taken: usize,
+}
+
+impl PoissonCursor {
+    /// A process of mean gap `mean_gap_ms` (which must be positive)
+    /// whose first arrival is one gap after `start`; its first block is
+    /// drawn now.
+    pub(crate) fn new(mut rng: RngStream, mean_gap_ms: f64, start: u64, floor: u64) -> Self {
+        let mut block = rng.exponential_micros(mean_gap_ms);
+        let mut t = start.saturating_add(block[0]);
+        block[0] = t;
+        for at in &mut block[1..] {
+            t = t.saturating_add((*at).max(floor));
+            *at = t;
+        }
+        PoissonCursor {
+            rng,
+            mean_gap_ms,
+            floor,
+            block,
+            taken: 0,
+        }
+    }
+
+    /// Hands `take` every arrival before `end` not yet handed out, in
+    /// order and in runs of at most a block, and returns the first
+    /// arrival at or past `end`, which stays pending for the next call.
+    pub(crate) fn take_before(&mut self, end: u64, mut take: impl FnMut(&[u64])) -> u64 {
         loop {
-            let at = rng.exponential_micros(mean_gap_ms).map(|gap| {
-                t = t.saturating_add(gap);
+            // Arrival times never decrease, so those before `end` are a
+            // prefix, and it holds every arrival already taken: `end`
+            // never moves back between calls.
+            let before = self.block.partition_point(|&at| at < end);
+            take(&self.block[self.taken..before]);
+            if before < RngStream::EXP_BLOCK {
+                self.taken = before;
+                return self.block[before];
+            }
+            let (mut t, floor) = (self.block[RngStream::EXP_BLOCK - 1], self.floor);
+            self.block = self.rng.exponential_micros(self.mean_gap_ms).map(|gap| {
+                t = t.saturating_add(gap.max(floor));
                 t
             });
-            // `at` never decreases, so the arrivals before `end` are a prefix.
-            let before = at.partition_point(|&a| a < end);
-            times.extend(at[..before].iter().map(|&a| SimTime::from_micros(a)));
-            if before < at.len() {
-                break;
-            }
+            self.taken = 0;
         }
     }
 }

@@ -18,7 +18,7 @@ use serde::JsonWriter;
 use std::cell::OnceCell;
 use std::fmt;
 use xanadu_baselines::BaselineKind;
-use xanadu_chain::{linear_chain, sdl, FunctionSpec};
+use xanadu_chain::{linear_chain, sdl, ChainError, FunctionSpec};
 use xanadu_core::mlp::infer_mlp;
 use xanadu_core::policy::{ConfiguredPolicy, PolicySpec};
 use xanadu_core::speculation::{ExecutionMode, MissPolicy, SpeculationConfig};
@@ -1365,8 +1365,14 @@ fn execute_replay(
         // Per-workflow function namespaces: no cross-workflow warm
         // sharing, the property the per-workflow sharding relies on.
         let template = FunctionSpec::new(format!("{}-f", t.name)).service_ms(400.0);
-        let dag = linear_chain(&t.name, replay.depth as usize, &template)
-            .map_err(|e| CliError::Workflow(e.to_string()))?;
+        let dag = linear_chain(&t.name, replay.depth as usize, &template).map_err(|e| match e {
+            ChainError::TooLarge { .. } => CliError::BadValue {
+                flag: "--depth".into(),
+                value: replay.depth.to_string(),
+                expected: format!("a chain depth whose workflows fit in memory ({e})"),
+            },
+            e => CliError::Workflow(e.to_string()),
+        })?;
         workloads.push(ShardWorkload {
             dag,
             triggers: t.arrivals,

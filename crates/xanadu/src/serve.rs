@@ -190,15 +190,45 @@ fn drain_stream(mut src: impl StreamSource) -> Result<(StreamHeader, Vec<StreamE
     Ok((header, events))
 }
 
-/// [`drain_stream`] for the seeded stream `record` writes and `serve`
-/// runs when it is given no `--stream`.
+/// The seeded stream `record` writes and `serve` runs when it is given
+/// no `--stream`: its header, workflow population and events. The
+/// population is built first, so nothing is drawn for one that cannot
+/// be held.
 ///
 /// # Errors
 ///
-/// Those of [`drain_stream`], and [`CliError::BadValue`] naming
-/// `--rate-per-hour` when the last trigger falls past
+/// [`CliError::BadValue`] naming `--workflows` or `--depth` when the
+/// population cannot be held in memory, those of [`drain_stream`], and
+/// one naming `--rate-per-hour` when the last trigger falls past
 /// [`SimTime::LAST_TRIGGER`].
-fn drain_generated(stream: GeneratedStream) -> Result<(StreamHeader, Vec<StreamEvent>), CliError> {
+fn generated(
+    events: u64,
+    workflows: u32,
+    depth: u32,
+    rate_per_hour: f64,
+    seed: u64,
+) -> Result<(StreamHeader, Vec<WorkflowDag>, Vec<StreamEvent>), CliError> {
+    let header = StreamHeader {
+        version: 1,
+        workflows,
+        depth,
+        rate_per_hour,
+        seed,
+        events,
+    };
+    let unbuildable = |e: PopulationError| CliError::BadValue {
+        flag: format!("--{}", e.field),
+        value: e.value.to_string(),
+        expected: format!("a population that fits in memory ({})", e.reason),
+    };
+    let population = population(&header).map_err(unbuildable)?;
+    let stream = GeneratedStream::from_header(header).map_err(|_| {
+        unbuildable(PopulationError {
+            field: "workflows",
+            value: workflows.into(),
+            reason: format!("the arrival processes of {workflows} workflows do not fit"),
+        })
+    })?;
     let (header, events) = drain_stream(stream)?;
     // Arrival times never decrease, so the last one is the latest.
     if let Some(last) = events.last().filter(|e| e.at() > SimTime::LAST_TRIGGER) {
@@ -214,7 +244,7 @@ fn drain_generated(stream: GeneratedStream) -> Result<(StreamHeader, Vec<StreamE
             ),
         });
     }
-    Ok((header, events))
+    Ok((header, population, events))
 }
 
 /// Runs `xanadu record`: generate the seeded stream and stage it as a
@@ -227,13 +257,14 @@ pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<
             expected: "a non-empty workflow population".into(),
         });
     }
-    let (header, events) = drain_generated(GeneratedStream::new(
+    // The population is built only to refuse one `serve` could not hold.
+    let (header, _, events) = generated(
+        record.events,
         record.workflows,
         record.depth,
         record.rate_per_hour,
         record.seed,
-        record.events,
-    ))?;
+    )?;
     let contents = RecordedStream::render(&header, &events);
     let span_s = events.last().map_or(0.0, |e| e.at_us as f64 / 1e6);
     exports.push(ExportFile {
@@ -379,17 +410,50 @@ fn load_state(
     })
 }
 
+/// A stream header field whose workflow population cannot be built.
+struct PopulationError {
+    /// `workflows` or `depth`.
+    field: &'static str,
+    value: u64,
+    reason: String,
+}
+
+impl std::fmt::Display for PopulationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "header {} {}: {}", self.field, self.value, self.reason)
+    }
+}
+
 /// The stream's workflow population, built once per run: workflow `wf`
 /// of the header is the linear chain `population[wf]`, named
 /// `header.workflow_name(wf)`.
-fn population(header: &StreamHeader) -> Result<Vec<WorkflowDag>, CliError> {
-    (0..header.workflows)
-        .map(|wf| {
-            let name = header.workflow_name(wf);
-            let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
-            linear_chain(name, header.depth as usize, &template).map_err(workflow_err)
-        })
-        .collect()
+///
+/// # Errors
+///
+/// A [`PopulationError`] naming `workflows` when the population cannot
+/// be reserved, or `depth` when a chain cannot be built (it cannot be
+/// held, or the depth is 0).
+fn population(header: &StreamHeader) -> Result<Vec<WorkflowDag>, PopulationError> {
+    let mut population = Vec::new();
+    population
+        .try_reserve_exact(header.workflows as usize)
+        .map_err(|_| PopulationError {
+            field: "workflows",
+            value: header.workflows.into(),
+            reason: format!("{} workflows do not fit in memory", header.workflows),
+        })?;
+    for wf in 0..header.workflows {
+        let name = header.workflow_name(wf);
+        let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
+        let dag =
+            linear_chain(name, header.depth as usize, &template).map_err(|e| PopulationError {
+                field: "depth",
+                value: header.depth.into(),
+                reason: e.to_string(),
+            })?;
+        population.push(dag);
+    }
+    Ok(population)
 }
 
 /// Builds one epoch's platform: reseeded config, the full implicit
@@ -433,9 +497,11 @@ fn rewrite_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 /// # Errors
 ///
 /// [`CliError::Workflow`] on stream/checkpoint problems (a recorded
-/// trigger past [`SimTime::LAST_TRIGGER`] names its stream line),
+/// trigger past [`SimTime::LAST_TRIGGER`] names its stream line, and a
+/// header whose population cannot be held names line 1),
 /// [`CliError::BadValue`] naming `--rate-per-hour` when a generated
-/// stream runs past that time, and [`CliError::SloBreach`] when
+/// stream runs past that time or `--depth`/`--workflows` when its
+/// population cannot be held, and [`CliError::SloBreach`] when
 /// `--fail-on-alert` is set and the run ends with alerts raised. Every
 /// stream error comes before the checkpoint directory is opened.
 pub fn run_serve(
@@ -443,22 +509,25 @@ pub fn run_serve(
     source: &impl Fn(&str) -> Result<String, String>,
     exports: &mut Vec<ExportFile>,
 ) -> Result<String, CliError> {
-    let (header, events) = match &serve.stream {
+    let (header, population, events) = match &serve.stream {
         Some(path) => {
             let text = source(path).map_err(CliError::Workflow)?;
             let recorded = RecordedStream::parse(&text)
                 .map_err(|e| CliError::Workflow(format!("{path}: {e}")))?;
             // The parsed events are all the run reads of the file.
             drop(text);
-            drain_stream(recorded)?
+            let population = population(recorded.header())
+                .map_err(|e| CliError::Workflow(format!("{path}: stream line 1: {e}")))?;
+            let (header, events) = drain_stream(recorded)?;
+            (header, population, events)
         }
-        None => drain_generated(GeneratedStream::new(
+        None => generated(
+            serve.events,
             serve.workflows,
             serve.depth,
             serve.rate_per_hour,
             serve.seed,
-            serve.events,
-        ))?,
+        )?,
     };
     let header_digest = digest_of(&header)?;
 
@@ -521,7 +590,6 @@ pub fn run_serve(
         std::fs::write(path, text).map_err(|e| workflow_err(format!("{path}: {e}")))?;
     }
 
-    let population = population(&header)?;
     let total = events.len() as u64;
     let started = Instant::now();
     let start_events = state.events_consumed;

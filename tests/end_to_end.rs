@@ -173,7 +173,7 @@ fn cli_survives_a_closed_stdout() {
 }
 
 /// The binary refuses a `run`/`analyze` trigger the request before it
-/// ran past, and a `replay` fleet that cannot be held in memory, each
+/// ran past, and a `replay` fleet or chain that cannot be held in memory, each
 /// with its typed error and exit status 1 (not a panic's 101 or an
 /// allocation abort's 134), and writes no export.
 #[test]
@@ -198,12 +198,17 @@ fn cli_refusals_exit_1_with_a_typed_error_and_no_export() {
             audit_out,
         ]
     };
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&gap("run"), "bad value `0` for --gap-min"),
         (&gap("analyze"), "bad value `0` for --gap-min"),
         (
             &["replay", "--invocations", "18446744073709551615"],
             "bad value `18446744073709551615` for --invocations",
+        ),
+        // Reserving 4·10^9 functions fails without touching memory.
+        (
+            &["replay", "--invocations", "10", "--depth", "4000000000"],
+            "bad value `4000000000` for --depth",
         ),
         (
             &["record", "--out", audit_out, "--rate-per-hour", "inf"],

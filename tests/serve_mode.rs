@@ -577,6 +577,110 @@ fn an_oversized_stream_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A population whose chains cannot be held is refused with a typed
+/// error naming `--depth` (or, for a recorded stream, its header line)
+/// before serve opens its log, instead of aborting on the allocation.
+/// `record` refuses it too, so it never writes a stream `serve` could
+/// not run. Reserving 4·10^9 functions fails without touching memory.
+#[test]
+fn an_oversized_population_is_refused_before_the_log_opens() {
+    let dir = scratch_dir("deep");
+    let log = dir.join("ck").to_string_lossy().into_owned();
+    let out = dir.join("deep.jsonl").to_string_lossy().into_owned();
+    let depth = "4000000000";
+    let run = |line: &[&str]| {
+        let args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+        execute_with_exports(&parse_args(&args).unwrap(), read_file)
+    };
+    let generated: [&[&str]; 2] = [
+        &["record", "--out", &out, "--events", "1", "--depth", depth],
+        &[
+            "serve",
+            "--checkpoint-dir",
+            &log,
+            "--events",
+            "1",
+            "--depth",
+            depth,
+        ],
+    ];
+    for line in generated {
+        match run(line) {
+            Err(CliError::BadValue { flag, value, .. }) => {
+                assert_eq!((flag.as_str(), value.as_str()), ("--depth", depth));
+            }
+            Err(other) => panic!("{}: expected a bad --depth, got {other}", line[0]),
+            Ok(_) => panic!("{}: an unholdable population was accepted", line[0]),
+        }
+    }
+    let stream = dir.join("deep-header.jsonl").to_string_lossy().into_owned();
+    std::fs::write(
+        &stream,
+        concat!(
+            r#"{"depth":4000000000,"events":1,"rate_per_hour":60.0,"seed":1,"version":1,"workflows":2}"#,
+            "\n",
+            r#"{"at_us":5,"wf":0}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    match run(&["serve", "--checkpoint-dir", &log, "--stream", &stream]) {
+        Err(CliError::Workflow(message)) => {
+            assert!(message.contains("stream line 1"), "{message}");
+            assert!(message.contains("header depth 4000000000"), "{message}");
+        }
+        Err(other) => panic!("expected a refused stream header, got {other}"),
+        Ok(_) => panic!("a recorded header with an unholdable population was accepted"),
+    }
+    assert!(!Path::new(&log).exists(), "serve opened its log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A JSON object that repeats a key is a parse error naming the key, so
+/// a stream line cannot say two things at once: serve refuses it, naming
+/// the line, before it opens its log.
+#[test]
+fn a_repeated_stream_key_is_refused_naming_its_line() {
+    let dir = scratch_dir("repeated");
+    let log = dir.join("ck").to_string_lossy().into_owned();
+    let header =
+        r#"{"depth":2,"events":1,"rate_per_hour":60.0,"seed":1,"version":1,"workflows":2}"#;
+    let cases = [
+        (
+            format!("{header}\n{}\n", r#"{"at_us":5,"wf":0,"wf":1}"#),
+            "stream line 2",
+            "duplicate key `wf`",
+        ),
+        (
+            format!(
+                "{}\n{}\n",
+                header.replace(r#""workflows":2"#, r#""workflows":2,"workflows":3"#),
+                r#"{"at_us":5,"wf":2}"#
+            ),
+            "stream line 1",
+            "duplicate key `workflows`",
+        ),
+    ];
+    for (text, line, key) in cases {
+        let stream = dir.join("repeated.jsonl").to_string_lossy().into_owned();
+        std::fs::write(&stream, text).unwrap();
+        let args: Vec<String> = ["serve", "--checkpoint-dir", &log, "--stream", &stream]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        match execute_with_exports(&parse_args(&args).unwrap(), read_file) {
+            Err(CliError::Workflow(message)) => {
+                assert!(message.contains(line), "{message}");
+                assert!(message.contains(key), "{message}");
+            }
+            Err(other) => panic!("expected a refused stream line, got {other}"),
+            Ok(_) => panic!("a stream line repeating a key was served"),
+        }
+        assert!(!Path::new(&log).exists(), "serve opened its log");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Triggers past the last simulable time are refused with a typed error
 /// before serve opens its log, not simulated until the clock wraps and
 /// the kernel panics. A generated stream at 10^-15 arrivals per hour
